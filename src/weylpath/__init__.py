@@ -11,7 +11,6 @@ from .algebra import (
     OperatorPoly,
     ScaleContext,
     SymbolPoly,
-    eval2,
     harmonic_hamiltonian,
     load_hamiltonian,
     normalize,
@@ -24,7 +23,6 @@ from .algebra import (
     weyl_symbol,
 )
 from .coherent import (
-    CoherentPoint,
     FockOracle,
     FockVector,
     PhasePoint,
@@ -40,7 +38,6 @@ from .coherent import (
 from .discrete import (
     DiscGridSpec,
     DiscreteWPath,
-    DiscreteZPath,
     convergence_table,
     harmonic_discrete_K,
     mu_coefficients,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -25,14 +26,12 @@ __all__ = [
     "OperatorPoly",
     "SymbolPoly",
     "ScaleContext",
-    "SymbolValue",
     "normalize",
     "q_symbol",
     "p_symbol",
     "weyl_symbol",
     "weyl_quantize",
     "symbol_to_qp",
-    "eval2",
     "load_hamiltonian",
     "harmonic_hamiltonian",
     "quartic_position_hamiltonian",
@@ -148,6 +147,13 @@ class OperatorPoly:
         return OperatorPoly(acc, self.hbar)
 
 
+@lru_cache(maxsize=64)
+def _compile_jets(source: str):
+    """Compiled jet source; it depends on the exponents only, so symbols of
+    one shape (any coefficients) share it."""
+    return compile(source, "<SymbolPoly.jet>", "exec")
+
+
 class SymbolPoly:
     """Polynomial phase-space function ``sum c_mn v^m u^n``.
 
@@ -157,6 +163,10 @@ class SymbolPoly:
 
     def __init__(self, terms: dict):
         self.terms = _pruned(terms)
+
+    def __reduce__(self):
+        # the compiled jets are rebuilt on first use, not pickled
+        return SymbolPoly, (self.terms,)
 
     def __repr__(self):
         inner = ", ".join(
@@ -201,48 +211,68 @@ class SymbolPoly:
                 out[(m - 1, n)] = out.get((m - 1, n), 0.0) + m * c
         return SymbolPoly(out)
 
-    def eval(self, u, v):
-        """Evaluate at (possibly array-valued) independent arguments."""
-        out = 0.0j
-        for (m, n), c in self.terms.items():
-            out = out + c * v**m * u**n
+    @cached_property
+    def _jets(self) -> dict:
+        """The jet of each order, compiled once per symbol.
+
+        The derivative term tables become straight-line code: a table of the
+        powers of u and v in use, then one sum of ``c v^m u^n`` products per
+        output.  The coefficients are bound by name, so the source holds only
+        exponents.
+        """
+        d_u, d_v = self.derivative("u"), self.derivative("v")
+        parts = (self, d_u, d_v, d_u.derivative("u"), d_v.derivative("v"), d_u.derivative("v"))
+        powers: set = set()
+
+        def factors(m: int, n: int) -> list:
+            out = []
+            for x, k in (("v", int(m)), ("u", int(n))):
+                if k >= 2:
+                    powers.add((x, k))
+                out += [] if k == 0 else [x if k == 1 else f"{x}{k}"]
+            return out
+
+        coeffs: dict = {}
+        sums = []
+        for part in parts:
+            products = []
+            for (m, n), c in part.terms.items():
+                name = f"c{len(coeffs)}"
+                coeffs[name] = c
+                products.append(" * ".join([name, *factors(m, n)]))
+            sums.append(" + ".join(products) or "0j")
+        table = "".join(f"    {x}{k} = {x} ** {k}\n" for x, k in sorted(powers))
+        source = "".join(
+            f"def jet{order}(u, v):\n{table}    return ({', '.join(sums[:count])},)\n"
+            for order, count in ((0, 1), (1, 3), (2, 6))
+        )
+        exec(_compile_jets(source), coeffs)
+        return {order: coeffs[f"jet{order}"] for order in (0, 1, 2)}
+
+    def jet(self, u, v, order: int = 2) -> tuple:
+        """Value and exact partials (H, H_u, H_v, H_uu, H_vv, H_uv) at (u, v).
+
+        ``order`` 0, 1 or 2 returns the first 1, 3 or 6 entries.  Scalar
+        arguments give scalars and do no array work; array arguments
+        broadcast, and every entry has the broadcast shape, constant parts
+        included.
+        """
+        try:
+            compiled = self._jets[order]
+        except KeyError:
+            raise ValueError("order must be 0, 1 or 2") from None
+        out = compiled(u, v)
+        if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
+            shape = np.broadcast_shapes(np.shape(u), np.shape(v))
+            out = tuple(
+                x if np.shape(x) == shape else np.full(shape, x, dtype=complex)
+                for x in out
+            )
         return out
 
-    def grad(self, u, v):
-        return self.derivative("u").eval(u, v), self.derivative("v").eval(u, v)
-
-    def hess(self, u, v):
-        du = self.derivative("u")
-        dv = self.derivative("v")
-        return (
-            du.derivative("u").eval(u, v),
-            dv.derivative("v").eval(u, v),
-            du.derivative("v").eval(u, v),
-        )
-
-
-@dataclass
-class SymbolValue:
-    """Value and exact partial derivatives of a symbol at one point."""
-
-    value: complex
-    du: complex | None = None
-    dv: complex | None = None
-    duu: complex | None = None
-    dvv: complex | None = None
-    duv: complex | None = None
-
-
-def eval2(sym: SymbolPoly, u: complex, v: complex, order: int = 0) -> SymbolValue:
-    """Evaluate a symbol and its partials up to ``order`` in {0, 1, 2}."""
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
-    out = SymbolValue(value=sym.eval(u, v))
-    if order >= 1:
-        out.du, out.dv = sym.grad(u, v)
-    if order == 2:
-        out.duu, out.dvv, out.duv = sym.hess(u, v)
-    return out
+    def eval(self, u, v):
+        """Evaluate at (possibly array-valued) independent arguments."""
+        return self.jet(u, v, 0)[0]
 
 
 @dataclass(frozen=True)
@@ -436,6 +466,16 @@ def _require(cond: bool, msg: str):
         raise HamiltonianFormatError(msg)
 
 
+def _is_number(val) -> bool:
+    """A finite int or float; booleans are not numbers here."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def load_hamiltonian(source) -> tuple[OperatorPoly, ScaleContext]:
     """Read a Hamiltonian description from a JSON file path or a dict.
 
@@ -468,12 +508,12 @@ def load_hamiltonian(source) -> tuple[OperatorPoly, ScaleContext]:
     omega = data.get("omega", 1.0)
     for name, val in (("hbar", hbar), ("mass", mass), ("omega", omega)):
         _require(
-            isinstance(val, (int, float)) and val > 0,
+            _is_number(val) and val > 0,
             f"field '{name}' must be a positive number, got {val!r}",
         )
     width_b = data.get("width_b", math.sqrt(hbar / (mass * omega)))
     _require(
-        isinstance(width_b, (int, float)) and width_b > 0,
+        _is_number(width_b) and width_b > 0,
         f"field 'width_b' must be a positive number, got {width_b!r}",
     )
     ctx = ScaleContext(hbar=hbar, mass=mass, omega=omega, b=float(width_b))
@@ -490,16 +530,17 @@ def load_hamiltonian(source) -> tuple[OperatorPoly, ScaleContext]:
     for i, entry in enumerate(raw_terms):
         _require(isinstance(entry, dict), f"terms[{i}] must be an object")
         for fieldname in ("m", "n"):
+            val = entry.get(fieldname)
             _require(
-                isinstance(entry.get(fieldname), int) and entry[fieldname] >= 0,
+                isinstance(val, int) and not isinstance(val, bool) and val >= 0,
                 f"terms[{i}].{fieldname} must be a non-negative integer",
             )
         re_part = entry.get("re", 0.0)
         im_part = entry.get("im", 0.0)
         for fieldname, val in (("re", re_part), ("im", im_part)):
             _require(
-                isinstance(val, (int, float)),
-                f"terms[{i}].{fieldname} must be a number",
+                _is_number(val),
+                f"terms[{i}].{fieldname} must be a finite number",
             )
         key = (entry["m"], entry["n"])
         terms[key] = terms.get(key, 0.0) + complex(re_part, im_part)

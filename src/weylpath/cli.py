@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from . import errors
@@ -48,6 +49,21 @@ def _parse_complex(text: str) -> complex:
         raise errors.HamiltonianFormatError(
             f"expected 're,im' pair, got {text!r}"
         ) from exc
+
+
+def _at_least(low, kind=float):
+    """Argument type: a finite ``kind`` value no smaller than ``low``."""
+
+    def parse(text: str):
+        try:
+            val = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+        if not (math.isfinite(val) and val >= low):
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return val
+
+    return parse
 
 
 def _emit(text: str, out_path: str | None):
@@ -218,14 +234,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_h=True):
+    def common(p, needs_h=True, formats=True):
         if needs_h:
             p.add_argument("--hamiltonian", required=True, help="JSON description")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="json")
+        if formats:
+            p.add_argument("--format", choices=("csv", "json"), default="json")
 
     p = sub.add_parser("symbols", help="print the Q, P and Weyl symbols")
-    common(p)
+    common(p, formats=False)
     p.set_defaults(func=cmd_symbols)
 
     p = sub.add_parser(
@@ -244,19 +261,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--form", choices=("q", "p", "w", "exact"), default="exact")
     p.add_argument("--z0", type=_parse_complex, required=True)
     p.add_argument("--z1", type=_parse_complex, required=True)
-    p.add_argument("--T", type=float, required=True)
+    p.add_argument("--T", type=_at_least(0.0), required=True)
     p.add_argument("--N", type=int, default=2)
     p.add_argument("--cutoff", type=int, default=80)
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=cmd_propagate)
 
     p = sub.add_parser("semiclassical", help="complex-trajectory propagator")
-    common(p)
+    common(p, formats=False)
     p.add_argument("--form", choices=("q", "p", "w"), default="w")
     p.add_argument("--z0", type=_parse_complex, required=True)
     p.add_argument("--z1", type=_parse_complex, required=True)
-    p.add_argument("--T", type=float, required=True)
-    p.add_argument("--steps", type=int, default=512)
+    p.add_argument("--T", type=_at_least(0.0), required=True)
+    p.add_argument("--steps", type=_at_least(16, int), default=512)
     p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_semiclassical)
 

@@ -17,7 +17,6 @@ from .algebra import OperatorPoly, ScaleContext, SymbolPoly
 from .errors import NonConverged, QuadratureNotConverged, TailTooLarge
 
 __all__ = [
-    "CoherentPoint",
     "FockVector",
     "PhasePoint",
     "QuadSpec",
@@ -41,19 +40,6 @@ class PhasePoint:
 
     q: float
     p: float
-
-
-@dataclass(frozen=True)
-class CoherentPoint:
-    """Coherent-state label z together with its scale context."""
-
-    z: complex
-    ctx: ScaleContext
-
-    @property
-    def qp(self) -> PhasePoint:
-        q, p = self.ctx.qp_from_z(self.z)
-        return PhasePoint(q, p)
 
 
 @dataclass(frozen=True)
@@ -294,7 +280,6 @@ def weyl_element(
     z1: complex,
     z2: complex,
     quad: QuadSpec = QuadSpec(),
-    ctx: ScaleContext | None = None,
 ) -> complex:
     """Coherent matrix element <z2|A|z1> from the Weyl symbol of A.
 
@@ -309,7 +294,6 @@ def weyl_element(
         If doubling the node count moves the result by more than the spec
         tolerance (``quad.check`` enabled).
     """
-    del ctx  # the element depends on labels only; ctx kept for signature parity
     value = _weyl_element_fixed(A_W, z1, z2, quad.nodes)
     if quad.check:
         refined = _weyl_element_fixed(A_W, z1, z2, 2 * quad.nodes)

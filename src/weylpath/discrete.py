@@ -20,7 +20,6 @@ from .errors import DimensionTooLarge, QuadratureNotConverged
 
 __all__ = [
     "DiscreteWPath",
-    "DiscreteZPath",
     "phi_N",
     "phi_N_alt",
     "psi_C",
@@ -78,27 +77,6 @@ class DiscreteWPath:
         return self.N * self.tau
 
 
-@dataclass(frozen=True)
-class DiscreteZPath:
-    """Slice variables z_0 .. z_N with pinned endpoints z_0 = z', z_N = z''."""
-
-    z: np.ndarray
-    zp: complex
-    zpp: complex
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=complex)
-        object.__setattr__(self, "z", z)
-        if len(z) < 2:
-            raise ValueError("a z-chain needs at least the two endpoints")
-        if z[0] != self.zp or z[-1] != self.zpp:
-            raise ValueError("endpoints of z must equal zp and zpp exactly")
-
-    @property
-    def N(self) -> int:
-        return len(self.z) - 1
-
-
 def _alternating(N: int) -> np.ndarray:
     """(-1)^(k+1) for k = 1..N."""
     alt = np.ones(N)
@@ -116,7 +94,7 @@ def _alt_prefix_sums(w: np.ndarray) -> np.ndarray:
 
 
 def _H_values(path: DiscreteWPath, H_W: SymbolPoly) -> np.ndarray:
-    return np.asarray(H_W.eval(path.w, path.w_star), dtype=complex)
+    return H_W.eval(path.w, path.w_star)
 
 
 def phi_N(path: DiscreteWPath, H_W: SymbolPoly) -> complex:
@@ -208,20 +186,20 @@ def phi_N_gradient(path: DiscreteWPath, H_W: SymbolPoly):
     w, ws = path.w, path.w_star
     N = path.N
     alt = _alternating(N)
-    Hu, Hv = H_W.grad(w, ws)
+    _, Hu, Hv = H_W.jet(w, ws, order=1)
     s = _alt_prefix_sums(w)
     r = np.zeros(N, dtype=complex)  # r_l = sum_{k=l}^{N-1} (-1)^(k-l) w*_{k+1}
     for l in range(N - 2, -1, -1):
         r[l] = ws[l + 1] - r[l + 1]
     zpp_star = np.conj(path.zpp)
     grad_w = (
-        -1j * path.tau * np.asarray(Hu) / path.hbar
+        -1j * path.tau * Hu / path.hbar
         - 2.0 * ws
         + 2.0 * zpp_star * (-alt)
         + 4.0 * r
     )
     grad_ws = (
-        -1j * path.tau * np.asarray(Hv) / path.hbar
+        -1j * path.tau * Hv / path.hbar
         - 2.0 * w
         + 2.0 * path.zp * alt
         + 4.0 * s

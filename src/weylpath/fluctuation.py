@@ -5,7 +5,8 @@ matrix.  After factoring 2i out of every element and a determinant-preserving
 row/column reduction it becomes block tridiagonal, where a two-term Laplace
 recursion evaluates it in O(N).  The continuum limit of that recursion is a
 linear ODE whose solution ties the determinant to the second derivative of
-the action (see the trajectories module).
+the action: it is the variational half of the trajectory system in
+:mod:`weylpath.semiclassics`, integrated by the same RK4.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor
 
 from .errors import SingularMatrix, StepTooLarge
+from .semiclassics import _rk4
 
 __all__ = [
     "FluctuationCoeffs",
@@ -187,29 +189,17 @@ def det_recursive(coeffs: FluctuationCoeffs) -> DeterminantPair:
     return DeterminantPair(complex(delta_prev), complex(gamma_prev))
 
 
-def _integrate_pair(A, B, C, T: float, steps: int, hbar: float) -> complex:
-    """RK4 for Delta' = (A/2hbar) Gamma + (iC/hbar) Delta,
-    Gamma' = (2B/hbar) Delta - (iC/hbar) Gamma."""
-    h = T / steps
-    delta, gamma = 1.0 + 0.0j, 0.0 + 0.0j
+def _variational_delta(A: list, B: list, C: list, T: float, steps: int, hbar: float):
+    """Delta(T) = dv(T) of the trajectory system with (u, v) held at zero.
 
-    def rhs(t, d, g):
-        a, b, c = A(t), B(t), C(t)
-        return (
-            0.5 * a * g / hbar + 1j * c * d / hbar,
-            2.0 * b * d / hbar - 1j * c * g / hbar,
-        )
+    ``A``, ``B``, ``C`` hold the coefficients at the half steps k h / 2.
+    """
+    ih = 1j / hbar
 
-    t = 0.0
-    for _ in range(steps):
-        k1d, k1g = rhs(t, delta, gamma)
-        k2d, k2g = rhs(t + 0.5 * h, delta + 0.5 * h * k1d, gamma + 0.5 * h * k1g)
-        k3d, k3g = rhs(t + 0.5 * h, delta + 0.5 * h * k2d, gamma + 0.5 * h * k2g)
-        k4d, k4g = rhs(t + h, delta + h * k3d, gamma + h * k3g)
-        delta += h / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-        gamma += h / 6.0 * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
-        t += h
-    return delta
+    def rhs(k, u, v, du, dv):
+        return 0j, 0j, -ih * (C[k] * du + B[k] * dv), ih * (A[k] * du + C[k] * dv)
+
+    return complex(_rk4(rhs, (0j, 0j, 0j, 1 + 0j), T, steps)[3][-1])
 
 
 def det_continuum(
@@ -223,8 +213,15 @@ def det_continuum(
 ) -> complex:
     """Continuum fluctuation determinant Delta(T) from coefficient samplers.
 
+    Solves Delta' = (A/2hbar) Gamma + (iC/hbar) Delta,
+    Gamma' = (2B/hbar) Delta - (iC/hbar) Gamma from Delta(0) = 1,
+    Gamma(0) = 0.  This is the variational half of the trajectory system,
+    with Delta = dv and Gamma = 2i du, integrated by the same RK4.
+
     ``A``, ``B``, ``C`` are callables of t (second symbol derivatives along a
-    stationary trajectory).  Initial data Delta(0) = 1, Gamma(0) = 0.
+    stationary trajectory).  Each is called once, on the array of all RK4
+    stage times of the finest pass; a callable that returns a scalar is
+    broadcast to a constant.  The step-halving pass reads every other entry.
 
     Raises
     ------
@@ -235,10 +232,16 @@ def det_continuum(
         raise ValueError("T must be non-negative")
     if T == 0:
         return 1.0 + 0.0j
-    coarse = _integrate_pair(A, B, C, T, steps, hbar)
+    fine_steps = steps if step_tolerance is None else 2 * steps
+    ts = np.linspace(0.0, T, 2 * fine_steps + 1)
+    tables = [
+        np.broadcast_to(np.asarray(f(ts), dtype=complex), ts.shape).tolist()
+        for f in (A, B, C)
+    ]
+    fine = _variational_delta(*tables, T, fine_steps, hbar)
     if step_tolerance is None:
-        return coarse
-    fine = _integrate_pair(A, B, C, T, 2 * steps, hbar)
+        return fine
+    coarse = _variational_delta(*(tab[::2] for tab in tables), T, steps, hbar)
     if abs(fine - coarse) > step_tolerance:
         raise StepTooLarge(
             f"halving the step moved Delta(T) by {abs(fine - coarse):.3e} "

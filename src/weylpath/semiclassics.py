@@ -56,62 +56,28 @@ class ComplexTrajectory:
     newton_iters: int
 
 
-def _term_tuples(sym: SymbolPoly):
-    return tuple((m, n, c) for (m, n), c in sym.terms.items())
+def _rk4(rhs, y0: tuple, T: float, steps: int):
+    """Fixed-step RK4 on the four-component state (u, v, du, dv).
 
-
-def _make_field(sym: SymbolPoly, hbar: float):
-    """Fast right-hand side for the coupled (u, v, du, dv) system."""
-    hu = _term_tuples(sym.derivative("u"))
-    hv = _term_tuples(sym.derivative("v"))
-    huu = _term_tuples(sym.derivative("u").derivative("u"))
-    hvv = _term_tuples(sym.derivative("v").derivative("v"))
-    huv = _term_tuples(sym.derivative("u").derivative("v"))
-    ih = 1j / hbar
-
-    def rhs(u, v, du, dv):
-        s_hu = s_hv = s_huu = s_hvv = s_huv = 0.0j
-        for m, n, c in hu:
-            s_hu += c * v**m * u**n
-        for m, n, c in hv:
-            s_hv += c * v**m * u**n
-        for m, n, c in huu:
-            s_huu += c * v**m * u**n
-        for m, n, c in hvv:
-            s_hvv += c * v**m * u**n
-        for m, n, c in huv:
-            s_huv += c * v**m * u**n
-        return (
-            -ih * s_hv,
-            ih * s_hu,
-            -ih * (s_huv * du + s_hvv * dv),
-            ih * (s_huu * du + s_huv * dv),
-        )
-
-    return rhs
-
-
-def _integrate(rhs, z0: complex, v0: complex, T: float, steps: int):
-    """Fixed-step RK4 on the coupled trajectory + variational system."""
+    ``rhs(k, u, v, du, dv)`` returns the four derivatives at the stage time
+    ``k h / 2``; ``k`` is a half-step index in 0 .. 2 steps.  Returns the
+    node values as four arrays of length ``steps + 1``.
+    """
     h = T / steps
-    u, v, du, dv = complex(z0), complex(v0), 0.0j, 1.0 + 0.0j
-    us = np.empty(steps + 1, dtype=complex)
-    vs = np.empty(steps + 1, dtype=complex)
-    dus = np.empty(steps + 1, dtype=complex)
-    dvs = np.empty(steps + 1, dtype=complex)
-    us[0], vs[0], dus[0], dvs[0] = u, v, du, dv
     h2, h6 = 0.5 * h, h / 6.0
-    for i in range(steps):
-        a1, b1, c1, d1 = rhs(u, v, du, dv)
-        a2, b2, c2, d2 = rhs(u + h2 * a1, v + h2 * b1, du + h2 * c1, dv + h2 * d1)
-        a3, b3, c3, d3 = rhs(u + h2 * a2, v + h2 * b2, du + h2 * c2, dv + h2 * d2)
-        a4, b4, c4, d4 = rhs(u + h * a3, v + h * b3, du + h * c3, dv + h * d3)
+    u, v, du, dv = y0
+    nodes = [y0]
+    for k in range(0, 2 * steps, 2):
+        a1, b1, c1, d1 = rhs(k, u, v, du, dv)
+        a2, b2, c2, d2 = rhs(k + 1, u + h2 * a1, v + h2 * b1, du + h2 * c1, dv + h2 * d1)
+        a3, b3, c3, d3 = rhs(k + 1, u + h2 * a2, v + h2 * b2, du + h2 * c2, dv + h2 * d2)
+        a4, b4, c4, d4 = rhs(k + 2, u + h * a3, v + h * b3, du + h * c3, dv + h * d3)
         u += h6 * (a1 + 2.0 * (a2 + a3) + a4)
         v += h6 * (b1 + 2.0 * (b2 + b3) + b4)
         du += h6 * (c1 + 2.0 * (c2 + c3) + c4)
         dv += h6 * (d1 + 2.0 * (d2 + d3) + d4)
-        us[i + 1], vs[i + 1], dus[i + 1], dvs[i + 1] = u, v, du, dv
-    return us, vs, dus, dvs
+        nodes.append((u, v, du, dv))
+    return tuple(np.array(nodes, dtype=complex).T.copy())
 
 
 def quadratic_guess(
@@ -163,14 +129,25 @@ def solve_bvp(
     if steps < 16:
         raise ValueError("need at least 16 integration steps")
     steps += steps % 2  # Simpson-friendly grids
-    rhs = _make_field(H_sym, hbar)
+    jet = H_sym.jet
+    ih = 1j / hbar
+
+    def rhs(k, u, v, du, dv):
+        _, hu, hv, huu, hvv, huv = jet(u, v)
+        return (
+            -ih * hv,
+            ih * hu,
+            -ih * (huv * du + hvv * dv),
+            ih * (huu * du + huv * dv),
+        )
+
     v0 = quadratic_guess(H_sym, zp, zpp_star, T, hbar) if guess is None else complex(guess)
 
     us = vs = dus = dvs = None
     residual = np.inf
     for iteration in range(max_iter + 1):
         try:
-            us, vs, dus, dvs = _integrate(rhs, zp, v0, T, steps)
+            us, vs, dus, dvs = _rk4(rhs, (complex(zp), v0, 0j, 1 + 0j), T, steps)
         except OverflowError as exc:
             raise NoConvergence(
                 f"trajectory blew up from guess v(0) = {v0:.6g}"
@@ -193,7 +170,7 @@ def solve_bvp(
         )
 
     if step_tolerance is not None:
-        us2, vs2, _, _ = _integrate(rhs, zp, v0, T, 2 * steps)
+        us2, vs2, _, _ = _rk4(rhs, (complex(zp), v0, 0j, 1 + 0j), T, 2 * steps)
         err = max(abs(us2[-1] - us[-1]), abs(vs2[-1] - vs[-1]))
         if err > step_tolerance:
             raise StepTooLarge(
@@ -234,8 +211,8 @@ def action_S(traj: ComplexTrajectory, H_sym: SymbolPoly) -> complex:
     the RK4 order.
     """
     u, v = traj.u, traj.v
-    Hu, Hv = H_sym.grad(u, v)
-    integrand = 0.5 * (u * np.asarray(Hu) + v * np.asarray(Hv)) - H_sym.eval(u, v)
+    H, Hu, Hv = H_sym.jet(u, v, order=1)
+    integrand = 0.5 * (u * Hu + v * Hv) - H
     h = traj.times[1] - traj.times[0]
     boundary = -0.5j * traj.hbar * (u[-1] * v[-1] + u[0] * v[0])
     return _simpson(integrand, h) + boundary
@@ -243,18 +220,13 @@ def action_S(traj: ComplexTrajectory, H_sym: SymbolPoly) -> complex:
 
 def correction_I(traj: ComplexTrajectory, H_sym: SymbolPoly) -> complex:
     """Ordering correction I = 1/2 int_0^T d2H/du dv dt along the trajectory."""
-    mixed = H_sym.derivative("u").derivative("v")
-    vals = np.asarray(mixed.eval(traj.u, traj.v), dtype=complex)
-    if vals.ndim == 0:
-        vals = np.full(len(traj.times), complex(vals))
+    mixed = H_sym.jet(traj.u, traj.v)[5]
     h = traj.times[1] - traj.times[0]
-    return 0.5 * _simpson(vals, h)
+    return 0.5 * _simpson(mixed, h)
 
 
 def d2S(
-    traj: ComplexTrajectory,
-    H_sym: SymbolPoly | None = None,
-    singular_threshold: float = 1e-12,
+    traj: ComplexTrajectory, singular_threshold: float = 1e-12
 ) -> tuple[complex, complex]:
     """(d2S/du'dv'', Delta(T)) from the linearised flow.
 
@@ -267,7 +239,6 @@ def d2S(
     SingularMonodromy
         If |Omega(T)| is below ``singular_threshold`` (caustic).
     """
-    del H_sym  # second derivatives were already consumed by the integration
     omega_T = 2j * traj.dv[-1]
     if abs(omega_T) < singular_threshold:
         raise SingularMonodromy(f"|Omega(T)| = {abs(omega_T):.3e}; caustic")
@@ -300,32 +271,28 @@ def trajectory_hessian_samplers(traj: ComplexTrajectory, H_sym: SymbolPoly):
 
     A = d2H/du2, B = d2H/dv2, C = d2H/du dv, evaluated on a cubic-Hermite
     dense output of (u, v) built from the stored nodes and the exact vector
-    field (matching the integrator's fourth order).  Feed these to the
-    continuum fluctuation-determinant solver.
+    field (matching the integrator's fourth order).  Each callable takes an
+    array of times and returns the values there; :func:`det_continuum` calls
+    A, B and C once each, on all its stage times, and broadcasts callables
+    that return scalars.
     """
     from scipy.interpolate import CubicHermiteSpline
 
-    Hu = H_sym.derivative("u")
-    Hv = H_sym.derivative("v")
+    _, Hu, Hv = H_sym.jet(traj.u, traj.v, order=1)
     ih = 1j / traj.hbar
-    dudt = -ih * np.asarray(Hv.eval(traj.u, traj.v))
-    dvdt = ih * np.asarray(Hu.eval(traj.u, traj.v))
 
     def spline(vals, derivs):
         re = CubicHermiteSpline(traj.times, vals.real, derivs.real)
         im = CubicHermiteSpline(traj.times, vals.imag, derivs.imag)
         return lambda t: re(t) + 1j * im(t)
 
-    u_of = spline(traj.u, dudt)
-    v_of = spline(traj.v, dvdt)
-    Huu = Hu.derivative("u")
-    Hvv = Hv.derivative("v")
-    Huv = Hu.derivative("v")
-    return (
-        lambda t: Huu.eval(u_of(t), v_of(t)),
-        lambda t: Hvv.eval(u_of(t), v_of(t)),
-        lambda t: Huv.eval(u_of(t), v_of(t)),
-    )
+    u_of = spline(traj.u, -ih * Hv)
+    v_of = spline(traj.v, ih * Hu)
+
+    def sampler(slot):
+        return lambda t: H_sym.jet(u_of(t), v_of(t))[slot]
+
+    return sampler(3), sampler(4), sampler(5)
 
 
 @dataclass

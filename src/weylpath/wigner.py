@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .algebra import OperatorPoly, ScaleContext
 from .coherent import FockOracle, coherent_matrix, fock_coherent
@@ -206,6 +205,20 @@ def husimi_U_grid(
     return PhaseSpaceGrid(qs, ps, vals.reshape(len(qs), len(ps)))
 
 
+def _gaussian_band(n: int, step: float) -> np.ndarray:
+    """Convolution with the normalised kernel exp(-(k step)^2) as a banded matrix.
+
+    The kernel is odd-sized and centred on a grid point, |k| <= half, with
+    half = (n - 2) // 2; rows near the edges keep the full-kernel norm, like
+    a zero-padded convolution.
+    """
+    half = (n - 2) // 2
+    offsets = np.subtract.outer(np.arange(n), np.arange(n))
+    weights = np.exp(-((np.arange(-half, half + 1) * step) ** 2))
+    band = np.where(np.abs(offsets) <= half, np.exp(-((offsets * step) ** 2)), 0.0)
+    return band / weights.sum()
+
+
 def smoothing_check(
     weyl_grid: PhaseSpaceGrid,
     husimi_grid: PhaseSpaceGrid,
@@ -226,16 +239,9 @@ def smoothing_check(
     if not weyl_grid.same_geometry(husimi_grid):
         raise ValueError("weyl and husimi grids must share their geometry")
     dq, dp = weyl_grid.dq, weyl_grid.dp
-    # odd-sized kernel centred on a grid point keeps 'same' mode aligned
-    kq = len(weyl_grid.qs) - 1 - (len(weyl_grid.qs) % 2)
-    kp = len(weyl_grid.ps) - 1 - (len(weyl_grid.ps) % 2)
-    offs_q = (np.arange(kq) - kq // 2) * dq
-    offs_p = (np.arange(kp) - kp // 2) * dp
-    kernel = np.exp(
-        -np.add.outer(offs_q**2 / ctx.b**2, offs_p**2 / ctx.c**2)
-    )
-    kernel /= kernel.sum()
-    smoothed = fftconvolve(weyl_grid.values, kernel, mode="same")
+    Gq = _gaussian_band(len(weyl_grid.qs), dq / ctx.b)
+    Gp = _gaussian_band(len(weyl_grid.ps), dp / ctx.c)
+    smoothed = Gq @ weyl_grid.values @ Gp.T
 
     sigma_q = ctx.b / math.sqrt(2.0)
     sigma_p = ctx.c / math.sqrt(2.0)

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from weylpath import (
     OperatorPoly,
     ScaleContext,
     SymbolPoly,
-    eval2,
     fock_coherent,
     harmonic_hamiltonian,
     load_hamiltonian,
@@ -205,24 +205,25 @@ class TestWeylQuantize:
             assert_terms(back, qp, tol=1e-11)
 
 
-class TestEval2:
+class TestJet:
     def test_plain_product(self):
-        out = eval2(SymbolPoly({(1, 1): 1.0}), 2.0, 3.0, order=2)
-        assert out.value == 6.0
-        assert out.du == 3.0 and out.dv == 2.0
-        assert out.duv == 1.0 and out.duu == 0.0 and out.dvv == 0.0
+        H, Hu, Hv, Huu, Hvv, Huv = SymbolPoly({(1, 1): 1.0}).jet(2.0, 3.0)
+        assert H == 6.0
+        assert Hu == 3.0 and Hv == 2.0
+        assert Huv == 1.0 and Huu == 0.0 and Hvv == 0.0
 
     def test_hermitian_real_section(self):
         ctx = ScaleContext.default()
         sym = q_symbol(harmonic_hamiltonian(ctx))
         z = 0.3 - 1.1j
-        assert abs(np.imag(eval2(sym, z, np.conj(z)).value)) < 1e-14
+        (H,) = sym.jet(z, np.conj(z), order=0)
+        assert abs(np.imag(H)) < 1e-14
 
     def test_second_derivatives_match_finite_differences(self):
         ctx = ScaleContext.default()
         sym = weyl_symbol(quartic_position_hamiltonian(1.0, ctx))
         u0, v0 = 0.4 + 0.2j, -0.3 + 0.5j
-        out = eval2(sym, u0, v0, order=2)
+        _, _, _, Huu, Hvv, Huv = sym.jet(u0, v0)
 
         def stencils(h):
             uu = (sym.eval(u0 + h, v0) - 2 * sym.eval(u0, v0) + sym.eval(u0 - h, v0)) / h**2
@@ -238,12 +239,39 @@ class TestEval2:
         # one Richardson pass removes the O(h^2) truncation bias
         coarse, fine = stencils(2e-4), stencils(1e-4)
         fd = (4 * fine - coarse) / 3
-        exact = np.array([out.duu, out.dvv, out.duv])
+        exact = np.array([Huu, Hvv, Huv])
         assert np.max(np.abs(fd - exact)) < 1e-8
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
-            eval2(SymbolPoly({}), 0, 0, order=3)
+            SymbolPoly({}).jet(0, 0, order=3)
+
+    def test_pickles_after_use(self):
+        sym = weyl_symbol(harmonic_hamiltonian(ScaleContext.default()))
+        before = sym.jet(0.3 + 0.1j, 0.2)
+        again = pickle.loads(pickle.dumps(sym))
+        assert again.terms == sym.terms
+        assert again.jet(0.3 + 0.1j, 0.2) == before
+
+    def test_arrays_match_pointwise(self):
+        # arrays go through numpy and the broadcast of constant parts,
+        # scalars through plain complex arithmetic; the numbers must agree
+        ctx = ScaleContext.default()
+        rng = np.random.default_rng(41)
+        u = rng.normal(size=(3, 1)) + 1j * rng.normal(size=(3, 1))
+        v = rng.normal(size=(1, 4)) + 1j * rng.normal(size=(1, 4))
+        for sym in (
+            p_symbol(quartic_position_hamiltonian(0.3, ctx)),
+            weyl_symbol(harmonic_hamiltonian(ctx)),
+            SymbolPoly({(0, 0): 2.5}),
+        ):
+            batch = sym.jet(u, v)
+            for i in range(3):
+                for j in range(4):
+                    single = sym.jet(complex(u[i, 0]), complex(v[0, j]))
+                    for part, value in zip(batch, single):
+                        assert part.shape == (3, 4)
+                        assert abs(part[i, j] - value) <= 1e-13 * max(1.0, abs(value))
 
 
 class TestScaleContext:
@@ -306,6 +334,21 @@ class TestHamiltonianLoader:
         path.write_text('{"hbar": 1.0,\n  "terms": [}')
         with pytest.raises(HamiltonianFormatError, match="line 2"):
             load_hamiltonian(str(path))
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"hbar": True},
+            {"hbar": float("inf")},
+            {"terms": [{"m": 1, "n": 1, "re": float("nan")}]},
+            {"terms": [{"m": True, "n": 1, "re": 1.0}]},
+            {"hbar": 10**400},
+        ],
+        ids=["bool-hbar", "infinite-hbar", "nan-re", "bool-m", "huge-int-hbar"],
+    )
+    def test_rejects_non_finite_and_boolean_numbers(self, data):
+        with pytest.raises(HamiltonianFormatError):
+            load_hamiltonian({"ordering": "normal", "terms": [], **data})
 
     def test_rejects_nonpositive_hbar(self):
         with pytest.raises(HamiltonianFormatError, match="hbar"):

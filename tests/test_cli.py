@@ -199,6 +199,23 @@ class TestSemiclassical:
         assert "re_K" in record and "trajectories" in record
 
 
+class TestArgumentRanges:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["propagate", "--z0", "0,0", "--z1", "0,0", "--T", "-1"],
+            ["semiclassical", "--z0", "0,0", "--z1", "0,0", "--T", "-1"],
+            ["semiclassical", "--z0", "0,0", "--z1", "0,0", "--T", "1", "--steps", "4"],
+            ["symbols", "--format", "csv"],
+            ["semiclassical", "--z0", "0,0", "--z1", "0,0", "--T", "1", "--format", "csv"],
+        ],
+        ids=["negative-T", "semiclassical-negative-T", "few-steps",
+             "symbols-format", "semiclassical-format"],
+    )
+    def test_rejected_while_parsing(self, harmonic_json, argv):
+        assert main(argv[:1] + ["--hamiltonian", harmonic_json] + argv[1:]) == 1
+
+
 class TestWignerU:
     def test_grid_dump(self, harmonic_json, tmp_path):
         out = tmp_path / "grid.csv"

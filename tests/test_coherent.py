@@ -34,15 +34,6 @@ def unity_grid(center: complex, radius: float, step: float):
     return pts, step * step / np.pi
 
 
-class TestCoherentPoint:
-    def test_label_carries_phase_point(self):
-        from weylpath import CoherentPoint
-
-        point = CoherentPoint(z=CTX.z_from_qp(0.8, -0.3), ctx=CTX)
-        assert point.qp.q == pytest.approx(0.8)
-        assert point.qp.p == pytest.approx(-0.3)
-
-
 class TestOverlap:
     def test_normalisation(self):
         z = 0.7 - 0.4j

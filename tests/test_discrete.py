@@ -3,7 +3,6 @@ import pytest
 
 from weylpath import (
     DiscreteWPath,
-    DiscreteZPath,
     OperatorPoly,
     ScaleContext,
     SymbolPoly,
@@ -305,11 +304,3 @@ class TestConvergenceTable:
         rows = convergence_table(1.0, 1.0, 0.1, 0.2, [3])
         assert {r["form"] for r in rows} == {"q", "p"}
 
-
-class TestDiscreteZPath:
-    def test_endpoint_pinning(self):
-        z = np.array([0.1 + 0.0j, 0.5, 0.2j])
-        path = DiscreteZPath(z=z, zp=0.1, zpp=0.2j)
-        assert path.N == 2
-        with pytest.raises(ValueError):
-            DiscreteZPath(z=z, zp=0.3, zpp=0.2j)

@@ -265,15 +265,9 @@ class TestDiscreteStationarityLimit:
             traj = solve_bvp(sym, zp, zpps, T, steps=steps, tol=1e-12)
             w = traj.u[4::8]  # midpoint samples (k - 1/2) tau
             ws = traj.v[4::8]
-            Hu, Hv = sym.grad(w, ws)
-            r1 = np.abs(
-                -0.5j * (np.asarray(Hv)[:-1] + np.asarray(Hv)[1:])
-                - (w[1:] - w[:-1]) / tau
-            )
-            r2 = np.abs(
-                -0.5j * (np.asarray(Hu)[:-1] + np.asarray(Hu)[1:])
-                + (ws[1:] - ws[:-1]) / tau
-            )
+            _, Hu, Hv = sym.jet(w, ws, order=1)
+            r1 = np.abs(-0.5j * (Hv[:-1] + Hv[1:]) - (w[1:] - w[:-1]) / tau)
+            r2 = np.abs(-0.5j * (Hu[:-1] + Hu[1:]) + (ws[1:] - ws[:-1]) / tau)
             return max(r1.max(), r2.max())
 
         r_coarse, r_fine = residual(16), residual(32)

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import weylpath
 from weylpath import (
     DiscreteWPath,
     FockOracle,
+    PhaseSpaceGrid,
     ScaleContext,
     area_identity,
     harmonic_exact_K,
@@ -153,6 +159,34 @@ class TestSmoothing:
             gh = husimi_U_grid(H_HARM, CTX, 1.0, qs, ps, cutoff=60)
             devs.append(smoothing_check(gw, gh, CTX, margin_sigmas=5.0))
         assert devs[1] < devs[0] * 0.25  # at least second order across the range
+
+    def test_matches_two_dimensional_convolution(self):
+        # the separable banded smoothing equals the 'same'-mode convolution
+        # with the odd-sized 2-D kernel centred on a grid point
+        from scipy.signal import fftconvolve
+
+        qs, ps = phase_grid_axes(CTX, nq=40, npts=33)
+        rng = np.random.default_rng(5)
+        W = rng.normal(size=(40, 33)) + 1j * rng.normal(size=(40, 33))
+        dq, dp = qs[1] - qs[0], ps[1] - ps[0]
+        oq = (np.arange(39) - 19) * dq
+        op = (np.arange(31) - 15) * dp
+        K = np.exp(-np.add.outer(oq**2 / CTX.b**2, op**2 / CTX.c**2))
+        ref = fftconvolve(W, K / K.sum(), mode="same")
+        dev = smoothing_check(
+            PhaseSpaceGrid(qs, ps, W), PhaseSpaceGrid(qs, ps, ref), CTX
+        )
+        assert dev < 1e-14
+
+    def test_import_leaves_scipy_signal_out(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(weylpath.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, weylpath; print('scipy.signal' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
     def test_geometry_mismatch_rejected(self):
         qs, ps = phase_grid_axes(CTX, nq=16, npts=16)
