@@ -51,19 +51,34 @@ def _parse_complex(text: str) -> complex:
         ) from exc
 
 
-def _at_least(low, kind=float):
-    """Argument type: a finite ``kind`` value no smaller than ``low``."""
+def _checked(kind, ok, wanted: str):
+    """Argument type: a finite ``kind`` value for which ``ok`` holds."""
 
     def parse(text: str):
         try:
             val = kind(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-        if not (math.isfinite(val) and val >= low):
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+            finite = math.isfinite(val)
+        except (ValueError, OverflowError):
+            raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+        if not (finite and ok(val)):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}")
         return val
 
     return parse
+
+
+def _at_least(low, kind=float):
+    """Argument type: a finite ``kind`` value no smaller than ``low``."""
+    return _checked(kind, lambda val: val >= low, f"at least {low}")
+
+
+_finite = _checked(float, lambda val: True, "finite")
+_positive = _checked(float, lambda val: val > 0, "positive")
+
+
+def _list_of(item):
+    """Argument type: comma-separated values, each parsed by ``item``."""
+    return lambda text: [item(part) for part in text.split(",")]
 
 
 def _emit(text: str, out_path: str | None):
@@ -124,8 +139,7 @@ def cmd_symbols(args) -> int:
 
 
 def cmd_harmonic_compare(args) -> int:
-    n_list = [int(n) for n in args.N_list.split(",")]
-    rows = convergence_table(args.omega, args.T, args.z0, args.z1, n_list)
+    rows = convergence_table(args.omega, args.T, args.z0, args.z1, args.N_list)
     fieldnames = ["N", "form", "re_K", "im_K", "abs_err_vs_oracle", "re_mu", "im_mu"]
     if args.format == "json":
         _emit(_json_text(rows), args.out)
@@ -249,11 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
         "harmonic-compare", help="finite-N harmonic propagators vs the exact one"
     )
     common(p, needs_h=False)
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--T", type=float, required=True)
+    p.add_argument("--omega", type=_finite, default=1.0)
+    p.add_argument("--T", type=_finite, required=True)
     p.add_argument("--z0", type=_parse_complex, default=0j, help="initial label re,im")
     p.add_argument("--z1", type=_parse_complex, default=0j, help="final label re,im")
-    p.add_argument("--N-list", required=True, help="comma separated slice counts")
+    p.add_argument(
+        "--N-list", type=_list_of(_at_least(1, int)), required=True,
+        help="comma separated slice counts",
+    )
     p.set_defaults(func=cmd_harmonic_compare, format="csv")
 
     p = sub.add_parser("propagate", help="exact or brute-force discrete propagator")
@@ -262,9 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z0", type=_parse_complex, required=True)
     p.add_argument("--z1", type=_parse_complex, required=True)
     p.add_argument("--T", type=_at_least(0.0), required=True)
-    p.add_argument("--N", type=int, default=2)
-    p.add_argument("--cutoff", type=int, default=80)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--N", type=_at_least(1, int), default=2)
+    p.add_argument("--cutoff", type=_at_least(0, int), default=80)
+    p.add_argument("--tol", type=_positive, default=None)
     p.set_defaults(func=cmd_propagate)
 
     p = sub.add_parser("semiclassical", help="complex-trajectory propagator")
@@ -274,17 +291,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z1", type=_parse_complex, required=True)
     p.add_argument("--T", type=_at_least(0.0), required=True)
     p.add_argument("--steps", type=_at_least(16, int), default=512)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_positive, default=1e-10)
     p.set_defaults(func=cmd_semiclassical)
 
     p = sub.add_parser("wigner-u", help="Weyl and Husimi grids of the evolution")
     common(p)
-    p.add_argument("--T", type=float, required=True)
-    p.add_argument("--cutoff", type=int, default=200)
-    p.add_argument("--nq", type=int, default=64)
-    p.add_argument("--np", type=int, default=64)
-    p.add_argument("--q-widths", type=float, default=4.0)
-    p.add_argument("--p-widths", type=float, default=4.0)
+    p.add_argument("--T", type=_finite, required=True)
+    p.add_argument("--cutoff", type=_at_least(0, int), default=200)
+    p.add_argument("--nq", type=_at_least(1, int), default=64)
+    p.add_argument("--np", type=_at_least(1, int), default=64)
+    p.add_argument("--q-widths", type=_positive, default=4.0)
+    p.add_argument("--p-widths", type=_positive, default=4.0)
     p.set_defaults(func=cmd_wigner_u, format="csv")
 
     return parser

@@ -58,6 +58,37 @@ def overlap(z1: complex, z2: complex):
     )
 
 
+@lru_cache(maxsize=8)
+def _fock_log_tables(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns n and lgamma(n + 1) / 2 for n = 0..cutoff (read-only, shared)."""
+    n = np.arange(cutoff + 1.0)[:, None]
+    half_log_fact = np.array([0.5 * math.lgamma(k + 1.0) for k in range(cutoff + 1)])[:, None]
+    n.flags.writeable = half_log_fact.flags.writeable = False
+    return n, half_log_fact
+
+
+def _coherent_columns(zs: np.ndarray, cutoff: int) -> np.ndarray:
+    """Amplitudes e^{-|z|^2/2} z^n / sqrt(n!) for n = 0..cutoff, one column per label.
+
+    The modulus is exp(-|z|^2/2 + n log|z| - lgamma(n+1)/2) and the phase a
+    running product of the unit number z/|z|, so no intermediate overflows
+    or underflows where the amplitude itself is representable.
+    """
+    if cutoff < 0:
+        raise ValueError("cutoff must be non-negative")
+    r = np.abs(zs)
+    if not np.isfinite(r).all():
+        raise ValueError("coherent labels must be finite")
+    n, half_log_fact = _fock_log_tables(cutoff)
+    r1 = np.maximum(r, np.finfo(float).tiny)  # a zero label keeps n = 0 alone
+    cols = np.empty((cutoff + 1, zs.size), dtype=complex)
+    cols[0] = 1.0
+    np.divide(zs, r1, out=cols[1:])
+    np.cumprod(cols, axis=0, out=cols)
+    cols *= np.exp(n * np.log(r1) - half_log_fact - 0.5 * r * r)
+    return cols
+
+
 def fock_coherent(
     z: complex,
     cutoff: int,
@@ -68,19 +99,14 @@ def fock_coherent(
     Raises
     ------
     TailTooLarge
-        If the truncated Poisson tail mass exceeds ``tail_threshold``.
+        If the truncated Poisson tail mass exceeds ``tail_threshold`` (or is
+        not a number).
     """
-    if cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
-    n = np.arange(cutoff + 1)
-    # z^n / sqrt(n!) built multiplicatively to avoid factorial overflow
-    ratios = np.ones(cutoff + 1, dtype=complex)
-    ratios[1:] = z / np.sqrt(n[1:])
-    amplitudes = math.exp(-0.5 * abs(z) ** 2) * np.cumprod(ratios)
-    tail = max(0.0, 1.0 - float(np.sum(np.abs(amplitudes) ** 2)))
-    if tail > tail_threshold:
+    amplitudes = _coherent_columns(np.array([complex(z)]), cutoff)[:, 0]
+    tail = 1.0 - float(np.vdot(amplitudes, amplitudes).real)
+    if not tail <= tail_threshold:
         raise TailTooLarge(tail, tail_threshold, cutoff)
-    return FockVector(cutoff, amplitudes, tail)
+    return FockVector(cutoff, amplitudes, max(0.0, tail))
 
 
 def coherent_matrix(
@@ -89,14 +115,11 @@ def coherent_matrix(
     tail_threshold: float = DEFAULT_TAIL_THRESHOLD,
 ) -> np.ndarray:
     """Column-stacked coherent vectors for an array of labels."""
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    n = np.arange(cutoff + 1)
-    ratios = np.ones((cutoff + 1, zs.size), dtype=complex)
-    ratios[1:, :] = zs[None, :] / np.sqrt(n[1:, None])
-    cols = np.exp(-0.5 * np.abs(zs) ** 2)[None, :] * np.cumprod(ratios, axis=0)
+    zs = np.atleast_1d(np.asarray(zs, dtype=complex)).ravel()
+    cols = _coherent_columns(zs, cutoff)
     tails = 1.0 - np.sum(np.abs(cols) ** 2, axis=0)
     worst = float(np.max(tails))
-    if worst > tail_threshold:
+    if not worst <= tail_threshold:
         raise TailTooLarge(worst, tail_threshold, cutoff)
     return cols
 

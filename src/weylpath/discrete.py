@@ -286,6 +286,8 @@ class DiscGridSpec:
     ``radius_widths`` counts coherent widths (1/sqrt(2) in label units)
     around the straight line between z' and z''; refinement multiplies the
     per-axis point count and the difference between passes is reported.
+    ``chunk`` bounds the columns of the Q-form pair kernel built at once;
+    the P and W pair kernels factorise and are never built whole.
     """
 
     points: int = 48
@@ -308,13 +310,17 @@ class QuadKResult:
 
 
 def _disc_points(center: complex, radius: float, n: int):
-    """Masked uniform grid over a disc; returns (points, cell_area)."""
+    """Masked uniform grid over a disc: (points, cell_area, axis, mask).
+
+    The points are ``center + X + iY`` at the mask's true entries of the
+    (X, Y) = (axis, axis) grid, in row-major order.
+    """
     ax = np.linspace(-radius, radius, n)
     step = ax[1] - ax[0]
     X, Y = np.meshgrid(ax, ax, indexing="ij")
     mask = X**2 + Y**2 <= radius**2
     pts = center + X[mask] + 1j * Y[mask]
-    return pts, step * step
+    return pts, step * step, ax, mask
 
 
 def _chain_sum(left, kernel, right, chunk: int) -> complex:
@@ -326,6 +332,33 @@ def _chain_sum(left, kernel, right, chunk: int) -> complex:
         block = kernel(slice(start, start + chunk))
         acc += np.sum((left @ block) * right[start : start + chunk])
     return complex(acc)
+
+
+def _gaussian_pair_sum(a: float, c0: complex, c1: complex, ax, mask, left, right) -> complex:
+    """sum_{z0, z1} left(z0) exp(a conj(z1) z0 - a|z0|^2/2 - a|z1|^2/2) right(z1).
+
+    z0 and z1 run over the masked disc grids ``c + ax + i ax`` around the
+    centres c0 and c1.  With z = X + iY the pair kernel is the product of four n x n
+    factors, each bounded by 1:
+    exp(-a/2 (X0-X1)^2) exp(-a/2 (Y0-Y1)^2) exp(i a X1 Y0) exp(-i a Y1 X0).
+    The site values sit on the full n x n grid with zeros off the disc, so
+    the double sum is one (n^2, n) x (n, n) product and an n^3 contraction.
+    """
+    n = len(ax)
+    L = np.zeros((n, n), dtype=complex)
+    R = np.zeros((n, n), dtype=complex)
+    L[mask] = left
+    R[mask] = right
+    x0, y0, x1, y1 = c0.real + ax, c0.imag + ax, c1.real + ax, c1.imag + ax
+    gx = np.exp(-0.5 * a * np.subtract.outer(x0, x1) ** 2)  # [i0, i1]
+    gy = np.exp(-0.5 * a * np.subtract.outer(y0, y1) ** 2)  # [j0, j1]
+    e0 = np.exp(1j * a * np.multiply.outer(x1, y0))  # [i1, j0]
+    e1 = np.exp(-1j * a * np.multiply.outer(x0, y1))  # [i0, j1]
+    # inner[i0, i1, j0] = sum_j1 e1[i0, j1] R[i1, j1] gy[j0, j1]
+    inner = ((e1[:, None, :] * R[None, :, :]).reshape(n * n, n) @ gy.T).reshape(n, n, n)
+    # sum_{i0, i1, j0} L[i0, j0] gx[i0, i1] e0[i1, j0] inner[i0, i1, j0]
+    outer = np.matmul(gx[:, None, :], e0[None, :, :] * inner)[:, 0, :]
+    return complex(np.sum(L * outer))
 
 
 def _quad_once(
@@ -358,7 +391,7 @@ def _quad_once(
             return complex(e_factor(zp, zpp)), 0, 0
         centers = [zp + (j / N) * (zpp - zp) for j in range(1, N)]
         planes = [_disc_points(c, radius, n) for c in centers]
-        pts = [p for p, _ in planes]
+        pts = [p for p, *_ in planes]
         if m == 1:
             left = e_factor(zp, pts[0]) * (planes[0][1] / math.pi)
             right = e_factor(pts[0], zpp)
@@ -371,6 +404,9 @@ def _quad_once(
 
         return _chain_sum(left, kernel, right, chunk), 4, len(pts[0])
 
+    def site(z):
+        return np.exp(-1j * tau * sym.eval(z, np.conj(z)) / hbar)
+
     if form == "p":
         # N integrated points carrying the diagonal symbol, N+1 overlaps
         def ovl(za, zb):
@@ -378,53 +414,38 @@ def _quad_once(
                 np.conj(zb) * za - 0.5 * np.abs(za) ** 2 - 0.5 * np.abs(zb) ** 2
             )
 
-        def site(z):
-            return np.exp(-1j * tau * sym.eval(z, np.conj(z)) / hbar)
-
         centers = [zp + (j / (N + 1)) * (zpp - zp) for j in range(1, N + 1)]
         planes = [_disc_points(c, radius, n) for c in centers]
-        pts = [p for p, _ in planes]
+        pts = [p for p, *_ in planes]
+        left = ovl(zp, pts[0]) * site(pts[0]) * (planes[0][1] / math.pi)
         if N == 1:
-            left = ovl(zp, pts[0]) * site(pts[0]) * (planes[0][1] / math.pi)
             right = ovl(pts[0], zpp)
             return _chain_sum(left, None, right, chunk), 2, len(pts[0])
-        left = ovl(zp, pts[0]) * site(pts[0]) * (planes[0][1] / math.pi)
-        right = (
-            ovl(pts[1], zpp) * site(pts[1]) * (planes[1][1] / math.pi)
-        )
+        right = ovl(pts[1], zpp) * site(pts[1]) * (planes[1][1] / math.pi)
+        ax, mask = planes[0][2:]
+        return _gaussian_pair_sum(1.0, *centers, ax, mask, left, right), 4, len(pts[0])
 
-        def kernel(sl):
-            return ovl(pts[0][:, None], pts[1][None, sl])
-
-        return _chain_sum(left, kernel, right, chunk), 4, len(pts[0])
-
-    # W form: N midpoints integrated with measure prod (2/pi) dx dy
-    def h_site(wk):
-        return np.exp(-1j * tau * sym.eval(wk, np.conj(wk)) / hbar)
-
+    # W form: N midpoints integrated with measure prod (2/pi) dx dy; the
+    # pair kernel exp(4 w*_2 w_1 - 2|w_1|^2 - 2|w_2|^2) is a Gaussian with a = 4
     centers = [zp + ((k - 0.5) / N) * (zpp - zp) for k in range(1, N + 1)]
     planes = [_disc_points(c, radius, n) for c in centers]
-    pts = [p for p, _ in planes]
-    w1, w2 = pts[0], pts[1]
+    w1, w2 = planes[0][0], planes[1][0]
     area1, area2 = planes[0][1], planes[1][1]
     boundary = np.exp(
         zp * zpp_star - 0.5 * abs(zp) ** 2 - 0.5 * abs(zpp) ** 2
     )
     left = (
-        h_site(w1)
-        * np.exp(-2.0 * np.abs(w1) ** 2 - 2.0 * zpp_star * w1 + 2.0 * zp * np.conj(w1))
+        site(w1)
+        * np.exp(-2.0 * zpp_star * w1 + 2.0 * zp * np.conj(w1))
         * (2.0 * area1 / math.pi)
     )
     right = (
-        h_site(w2)
-        * np.exp(-2.0 * np.abs(w2) ** 2 + 2.0 * zpp_star * w2 - 2.0 * zp * np.conj(w2))
+        site(w2)
+        * np.exp(2.0 * zpp_star * w2 - 2.0 * zp * np.conj(w2))
         * (2.0 * area2 / math.pi)
     )
-
-    def kernel(sl):
-        return np.exp(4.0 * np.conj(w2[None, sl]) * w1[:, None])
-
-    return boundary * _chain_sum(left, kernel, right, chunk), 4, len(w1)
+    ax, mask = planes[0][2:]
+    return boundary * _gaussian_pair_sum(4.0, *centers, ax, mask, left, right), 4, len(w1)
 
 
 def quadrature_K(

@@ -98,22 +98,17 @@ def hermite_functions(xs: np.ndarray, nmax: int, b: float) -> np.ndarray:
     return out
 
 
-def _weyl_grid_once(
+def _chord_kernel(
     oracle: FockOracle,
     ctx: ScaleContext,
     T: float,
     qs: np.ndarray,
-    ps: np.ndarray,
-    s_half: float,
-    s_step: float,
+    s: np.ndarray,
     chunk: int = 96,
 ) -> np.ndarray:
-    ns = max(8, int(math.ceil(2.0 * s_half / s_step)) + 1)
-    s = np.linspace(-s_half, s_half, ns)
-    hs = s[1] - s[0]
+    """Position elements <q - s/2| U |q + s/2>, shape (len(qs), len(s))."""
     U = oracle.evolution_matrix(T)
-    nq = len(qs)
-
+    nq, ns = len(qs), len(s)
     kernel = np.empty((nq, ns), dtype=complex)
     for start in range(0, ns, chunk):
         sl = s[start : start + chunk]
@@ -123,10 +118,17 @@ def _weyl_grid_once(
         phi_p = hermite_functions(xp, oracle.cutoff, ctx.b)
         vals = np.sum(phi_m * (U @ phi_p), axis=0)
         kernel[:, start : start + chunk] = vals.reshape(nq, len(sl))
+    return kernel
 
-    trap = np.full(ns, hs)
+
+def _chord_transform(
+    kernel: np.ndarray, s: np.ndarray, ps: np.ndarray, hbar: float
+) -> np.ndarray:
+    """Trapezoid rule for int ds kernel(q, s) exp(i p s / hbar) on the nodes s."""
+    hs = s[1] - s[0]
+    trap = np.full(len(s), hs)
     trap[0] = trap[-1] = 0.5 * hs
-    fourier = np.exp(1j * np.outer(s, ps) / ctx.hbar)
+    fourier = np.exp(1j * np.outer(s, ps) / hbar)
     return (kernel * trap[None, :]) @ fourier
 
 
@@ -171,9 +173,15 @@ def weyl_U_grid(
         s_step = math.pi * ctx.hbar / (1.25 * k_content)
 
     oracle = FockOracle(H, cutoff)
-    values = _weyl_grid_once(oracle, ctx, T, qs, ps, s_half, s_step)
+    ns = max(8, int(math.ceil(2.0 * s_half / s_step)) + 1)
+    # the check evaluates the kernel once at half the step; the coarse
+    # trapezoid reads every other node
+    every = 2 if check else 1
+    s = np.linspace(-s_half, s_half, every * (ns - 1) + 1)
+    kernel = _chord_kernel(oracle, ctx, T, qs, s)
+    values = _chord_transform(kernel[:, ::every], s[::every], ps, ctx.hbar)
     if check:
-        refined = _weyl_grid_once(oracle, ctx, T, qs, ps, s_half, 0.5 * s_step)
+        refined = _chord_transform(kernel, s, ps, ctx.hbar)
         delta = float(np.max(np.abs(refined - values)))
         if delta > check_tolerance:
             raise QuadratureNotConverged(

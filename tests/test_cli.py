@@ -208,12 +208,25 @@ class TestArgumentRanges:
             ["semiclassical", "--z0", "0,0", "--z1", "0,0", "--T", "1", "--steps", "4"],
             ["symbols", "--format", "csv"],
             ["semiclassical", "--z0", "0,0", "--z1", "0,0", "--T", "1", "--format", "csv"],
+            ["harmonic-compare", "--T", "1", "--N-list", "10,0"],
+            ["propagate", "--form", "w", "--z0", "0,0", "--z1", "0,0", "--T", "1", "--N", "0"],
+            ["propagate", "--z0", "0,0", "--z1", "0,0", "--T", "1", "--cutoff", "-5"],
+            ["wigner-u", "--T", "0.5", "--cutoff", "-3", "--nq", "8", "--np", "8"],
+            ["propagate", "--z0", "0,0", "--z1", "0,0", "--T", "1", "--tol", "-1"],
+            ["semiclassical", "--z0", "0,0", "--z1", "0,0", "--T", "1", "--tol", "-1"],
+            ["harmonic-compare", "--T", "inf", "--N-list", "10"],
+            ["wigner-u", "--T", "nan", "--cutoff", "60", "--nq", "4", "--np", "4"],
+            ["wigner-u", "--T", "0.5", "--cutoff", "60", "--nq", "0", "--np", "4"],
         ],
         ids=["negative-T", "semiclassical-negative-T", "few-steps",
-             "symbols-format", "semiclassical-format"],
+             "symbols-format", "semiclassical-format", "zero-N-list", "zero-N",
+             "negative-cutoff", "wigner-negative-cutoff", "negative-tol",
+             "semiclassical-negative-tol", "infinite-T", "wigner-nan-T", "wigner-no-points"],
     )
     def test_rejected_while_parsing(self, harmonic_json, argv):
-        assert main(argv[:1] + ["--hamiltonian", harmonic_json] + argv[1:]) == 1
+        if argv[0] != "harmonic-compare":  # the only command without --hamiltonian
+            argv = argv[:1] + ["--hamiltonian", harmonic_json] + argv[1:]
+        assert main(argv) == 1
 
 
 class TestWignerU:

@@ -87,6 +87,34 @@ class TestFockCoherent:
         for i, z in enumerate(zs):
             assert np.allclose(cols[:, i], fock_coherent(z, 40).amplitudes)
 
+    def test_large_labels_stay_finite(self):
+        # |z| = 38 at cutoff 2000: exp(-|z|^2/2) is subnormal and the running
+        # product z^n / sqrt(n!) would pass the largest double
+        v = fock_coherent(38.0, 2000)
+        cols = coherent_matrix([38.0, 38j * np.exp(0.3j), 0.0], 2000)
+        assert np.all(np.isfinite(v.amplitudes)) and np.all(np.isfinite(cols))
+        assert 0.0 <= v.tail < 1e-12
+        assert np.allclose(np.sum(np.abs(cols) ** 2, axis=0), 1.0, rtol=0, atol=1e-12)
+        assert np.allclose(cols[:, 0], v.amplitudes, rtol=0, atol=1e-15)
+
+    def test_amplitudes_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        z = 38.0 * np.exp(0.7j)
+        amps = fock_coherent(z, 2000).amplitudes
+        with mpmath.workdps(40):
+            mz = mpmath.mpc(z.real, z.imag)
+            for n in (100, 1000, 1444, 1500, 2000):
+                want = complex(
+                    mpmath.exp(-abs(mz) ** 2 / 2) * mz**n / mpmath.sqrt(mpmath.factorial(n))
+                )
+                assert abs(amps[n] - want) <= 1e-11 * abs(want), n
+
+    def test_non_finite_label_rejected(self):
+        with pytest.raises(ValueError):
+            fock_coherent(complex("nan"), 10)
+        with pytest.raises(ValueError):
+            coherent_matrix([0.1, np.inf], 10)
+
 
 class TestOperatorMatrix:
     def test_number_operator(self):

@@ -20,7 +20,14 @@ from weylpath import (
     stationary_path_harmonic,
     weyl_symbol,
 )
-from weylpath.discrete import DiscGridSpec, chord_coefficients, phi_N_gradient
+from weylpath.algebra import symbol_for_form
+from weylpath.discrete import (
+    COHERENT_WIDTH,
+    DiscGridSpec,
+    _disc_points,
+    chord_coefficients,
+    phi_N_gradient,
+)
 from weylpath.errors import DimensionTooLarge, QuadratureNotConverged
 
 CTX = ScaleContext.default()
@@ -286,6 +293,62 @@ class TestQuadratureK:
                 "q", H, 0.4, 0.2, 0.2, 2,
                 DiscGridSpec(points=10, tolerance=1e-12),
             )
+
+
+def pairwise_quadrature(form, H, zp, zpp, T, grid):
+    """N = 2 P- or W-form value and refinement delta with the pair kernel as one exp per pair.
+
+    The reference the separable contraction in ``quadrature_K`` must reproduce.
+    """
+    sym = symbol_for_form(H, form)
+    tau = T / 2
+    radius = grid.radius_widths * COHERENT_WIDTH
+
+    def site(z):
+        return np.exp(-1j * tau * sym.eval(z, np.conj(z)) / H.hbar)
+
+    def once(n):
+        if form == "p":
+            centers = [zp + (j / 3) * (zpp - zp) for j in (1, 2)]
+            (z0, area, *_), (z1, *_) = [_disc_points(c, radius, n) for c in centers]
+            left = overlap(z0, zp) * site(z0) * area / np.pi
+            right = overlap(zpp, z1) * site(z1) * area / np.pi
+            return left @ overlap(z1[None, :], z0[:, None]) @ right
+        centers = [zp + (k / 4) * (zpp - zp) for k in (1, 3)]
+        (w1, area, *_), (w2, *_) = [_disc_points(c, radius, n) for c in centers]
+        zpp_star = np.conj(zpp)
+        left = (
+            site(w1)
+            * np.exp(-2 * np.abs(w1) ** 2 - 2 * zpp_star * w1 + 2 * zp * np.conj(w1))
+            * (2 * area / np.pi)
+        )
+        right = (
+            site(w2)
+            * np.exp(-2 * np.abs(w2) ** 2 + 2 * zpp_star * w2 - 2 * zp * np.conj(w2))
+            * (2 * area / np.pi)
+        )
+        kernel = np.exp(4 * np.conj(w2[None, :]) * w1[:, None])
+        return overlap(zpp, zp) * (left @ kernel @ right)
+
+    coarse = once(grid.points)
+    fine = once(int(round(grid.points * grid.refine)))
+    return fine, abs(fine - coarse)
+
+
+class TestSeparableContraction:
+    @pytest.mark.parametrize("form", ["p", "w"])
+    @pytest.mark.parametrize("quartic", [False, True], ids=["harmonic", "quartic"])
+    @pytest.mark.parametrize(
+        "zp,zpp", [(0.3, 0.5), (0.4 + 0.1j, -0.2 + 0.5j)], ids=["on-axis", "off-axis"]
+    )
+    @pytest.mark.parametrize("points", [16, 24])
+    def test_matches_pairwise_kernel(self, form, quartic, zp, zpp, points):
+        H = quartic_position_hamiltonian(0.1, CTX) if quartic else harmonic_hamiltonian(CTX)
+        grid = DiscGridSpec(points=points)
+        r = quadrature_K(form, H, zp, zpp, 0.2, 2, grid)
+        value, delta = pairwise_quadrature(form, H, zp, zpp, 0.2, grid)
+        assert abs(r.value - value) < 1e-13
+        assert abs(r.refinement_delta - delta) < 1e-13
 
 
 class TestConvergenceTable:
