@@ -1,9 +1,9 @@
 """Command-line front end: Hamiltonian ingestion and experiment drivers.
 
-Exit codes: 0 success, 1 parse/usage error, 2 convergence failure,
-3 numerical-domain failure.  Complex numbers are always emitted as separate
-re/im columns or fields, and repeated runs with the same configuration give
-bit-identical output.
+Exit codes: 0 success, 1 parse/usage error or HamiltonianFormatError,
+2 NonConverged, 3 DomainError or ValueError.  Complex numbers are always
+emitted as separate re/im columns or fields, and repeated runs with the same
+configuration give bit-identical output.
 """
 
 from __future__ import annotations
@@ -25,20 +25,6 @@ from .wigner import husimi_U_grid, phase_grid_axes, weyl_U_grid
 EXIT_PARSE = 1
 EXIT_CONVERGENCE = 2
 EXIT_NUMERIC = 3
-
-_CONVERGENCE_ERRORS = (
-    errors.NonConverged,
-    errors.NoConvergence,
-    errors.QuadratureNotConverged,
-)
-_NUMERIC_ERRORS = (
-    errors.TailTooLarge,
-    errors.StepTooLarge,
-    errors.SingularMonodromy,
-    errors.SingularMatrix,
-    errors.DimensionTooLarge,
-    errors.MarginTooSmall,
-)
 
 
 def _parse_complex(text: str) -> complex:
@@ -318,10 +304,10 @@ def main(argv=None) -> int:
     except errors.HamiltonianFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except _CONVERGENCE_ERRORS as exc:
+    except errors.NonConverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except _NUMERIC_ERRORS + (ValueError,) as exc:
+    except (errors.DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import OperatorPoly, ScaleContext, SymbolPoly
-from .errors import NonConverged, QuadratureNotConverged, TailTooLarge
+from .errors import DomainError, refine
 
 __all__ = [
     "FockVector",
@@ -98,14 +98,13 @@ def fock_coherent(
 
     Raises
     ------
-    TailTooLarge
+    DomainError
         If the truncated Poisson tail mass exceeds ``tail_threshold`` (or is
         not a number).
     """
     amplitudes = _coherent_columns(np.array([complex(z)]), cutoff)[:, 0]
     tail = 1.0 - float(np.vdot(amplitudes, amplitudes).real)
-    if not tail <= tail_threshold:
-        raise TailTooLarge(tail, tail_threshold, cutoff)
+    _tail_guard(tail, tail_threshold, cutoff)
     return FockVector(cutoff, amplitudes, max(0.0, tail))
 
 
@@ -118,10 +117,16 @@ def coherent_matrix(
     zs = np.atleast_1d(np.asarray(zs, dtype=complex)).ravel()
     cols = _coherent_columns(zs, cutoff)
     tails = 1.0 - np.sum(np.abs(cols) ** 2, axis=0)
-    worst = float(np.max(tails))
-    if not worst <= tail_threshold:
-        raise TailTooLarge(worst, tail_threshold, cutoff)
+    _tail_guard(float(np.max(tails)), tail_threshold, cutoff)
     return cols
+
+
+def _tail_guard(tail: float, threshold: float, cutoff: int):
+    if not tail <= threshold:  # NaN-aware
+        raise DomainError(
+            f"truncated tail mass {tail:.3e} exceeds threshold {threshold:.3e} "
+            f"at cutoff {cutoff}; increase the cutoff"
+        )
 
 
 def operator_matrix(op: OperatorPoly, cutoff: int) -> np.ndarray:
@@ -170,13 +175,16 @@ class FockOracle:
         self.matrix = operator_matrix(op, cutoff)
         self.evals, self.evecs = np.linalg.eigh(self.matrix)
 
+    def _phases(self, T: float) -> np.ndarray:
+        if not math.isfinite(T):
+            raise ValueError(f"T must be finite, got {T}")
+        return np.exp(-1j * self.evals * T / self.hbar)
+
     def evolution_matrix(self, T: float) -> np.ndarray:
-        phases = np.exp(-1j * self.evals * T / self.hbar)
-        return (self.evecs * phases[None, :]) @ self.evecs.conj().T
+        return (self.evecs * self._phases(T)[None, :]) @ self.evecs.conj().T
 
     def propagate_vector(self, vec: np.ndarray, T: float) -> np.ndarray:
-        phases = np.exp(-1j * self.evals * T / self.hbar)
-        return self.evecs @ (phases * (self.evecs.conj().T @ vec))
+        return self.evecs @ (self._phases(T) * (self.evecs.conj().T @ vec))
 
     def propagator(
         self,
@@ -211,21 +219,19 @@ def exact_propagator(
 
     Raises
     ------
-    TailTooLarge
+    DomainError
         If either label needs more basis states than ``cutoff`` provides.
     NonConverged
         If doubling the cutoff moves the result by more than the tolerance.
+    ValueError
+        If T is negative or not finite.
     """
     if T < 0:
         raise ValueError("T must be non-negative")
     base = _cached_oracle(H, cutoff).propagator(z1, z2, T, tail_threshold)
     refined = _cached_oracle(H, 2 * cutoff).propagator(z1, z2, T, tail_threshold)
-    if abs(base - refined) > check_tolerance:
-        raise NonConverged(
-            f"propagator changed by {abs(base - refined):.3e} when doubling the "
-            f"cutoff {cutoff} -> {2 * cutoff}"
-        )
-    return refined
+    what = f"doubling the cutoff {cutoff} -> {2 * cutoff}"
+    return refine(base, refined, check_tolerance, what)[0]
 
 
 def _oracle_key(H: OperatorPoly, cutoff: int):
@@ -269,10 +275,9 @@ def displacement_element(
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Gauss-Hermite tensor quadrature: nodes per axis plus a doubling check."""
+    """Gauss-Hermite tensor quadrature: nodes per axis, node-doubling tolerance."""
 
     nodes: int = 64
-    check: bool = True
     tolerance: float = 1e-9
 
 
@@ -313,17 +318,13 @@ def weyl_element(
 
     Raises
     ------
-    QuadratureNotConverged
+    NonConverged
         If doubling the node count moves the result by more than the spec
-        tolerance (``quad.check`` enabled).
+        tolerance.
     """
-    value = _weyl_element_fixed(A_W, z1, z2, quad.nodes)
-    if quad.check:
-        refined = _weyl_element_fixed(A_W, z1, z2, 2 * quad.nodes)
-        if abs(refined - value) > quad.tolerance:
-            raise QuadratureNotConverged(
-                f"weyl_element changed by {abs(refined - value):.3e} "
-                f"when doubling {quad.nodes} nodes"
-            )
-        value = refined
-    return value
+    return refine(
+        _weyl_element_fixed(A_W, z1, z2, quad.nodes),
+        _weyl_element_fixed(A_W, z1, z2, 2 * quad.nodes),
+        quad.tolerance,
+        f"doubling {quad.nodes} -> {2 * quad.nodes} Gauss-Hermite nodes",
+    )[0]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import OperatorPoly, SymbolPoly, symbol_for_form
 from .coherent import harmonic_exact_K
-from .errors import DimensionTooLarge, QuadratureNotConverged
+from .errors import DomainError, refine
 
 __all__ = [
     "DiscreteWPath",
@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 COHERENT_WIDTH = 1.0 / math.sqrt(2.0)  # |<z|z'>|^2 = exp(-|z-z'|^2)
+Q_KERNEL_CHUNK = 4096  # columns of the Q-form pair kernel built at once
 
 
 @dataclass(frozen=True)
@@ -286,16 +287,12 @@ class DiscGridSpec:
     ``radius_widths`` counts coherent widths (1/sqrt(2) in label units)
     around the straight line between z' and z''; refinement multiplies the
     per-axis point count and the difference between passes is reported.
-    ``chunk`` bounds the columns of the Q-form pair kernel built at once;
-    the P and W pair kernels factorise and are never built whole.
     """
 
     points: int = 48
     radius_widths: float = 6.0
     refine: float = 1.5
-    check: bool = True
     tolerance: float | None = None
-    chunk: int = 4096
 
 
 @dataclass
@@ -323,14 +320,12 @@ def _disc_points(center: complex, radius: float, n: int):
     return pts, step * step, ax, mask
 
 
-def _chain_sum(left, kernel, right, chunk: int) -> complex:
+def _chain_sum(left, kernel, right) -> complex:
     """sum_{a,b} left[a] kernel(a_pts, b_chunk) right[b], chunked over b."""
-    if kernel is None:
-        return complex(np.sum(left * right))
     acc = 0.0 + 0.0j
-    for start in range(0, len(right), chunk):
-        block = kernel(slice(start, start + chunk))
-        acc += np.sum((left @ block) * right[start : start + chunk])
+    for start in range(0, len(right), Q_KERNEL_CHUNK):
+        block = kernel(slice(start, start + Q_KERNEL_CHUNK))
+        acc += np.sum((left @ block) * right[start : start + Q_KERNEL_CHUNK])
     return complex(acc)
 
 
@@ -371,7 +366,6 @@ def _quad_once(
     hbar: float,
     radius: float,
     n: int,
-    chunk: int,
 ) -> tuple[complex, int, int]:
     zpp_star = np.conj(zpp)
 
@@ -395,14 +389,14 @@ def _quad_once(
         if m == 1:
             left = e_factor(zp, pts[0]) * (planes[0][1] / math.pi)
             right = e_factor(pts[0], zpp)
-            return _chain_sum(left, None, right, chunk), 2, len(pts[0])
+            return complex(np.sum(left * right)), 2, len(pts[0])
         left = e_factor(zp, pts[0]) * (planes[0][1] / math.pi)
         right = e_factor(pts[1], zpp) * (planes[1][1] / math.pi)
 
         def kernel(sl):
             return e_factor(pts[0][:, None], pts[1][None, sl])
 
-        return _chain_sum(left, kernel, right, chunk), 4, len(pts[0])
+        return _chain_sum(left, kernel, right), 4, len(pts[0])
 
     def site(z):
         return np.exp(-1j * tau * sym.eval(z, np.conj(z)) / hbar)
@@ -420,7 +414,7 @@ def _quad_once(
         left = ovl(zp, pts[0]) * site(pts[0]) * (planes[0][1] / math.pi)
         if N == 1:
             right = ovl(pts[0], zpp)
-            return _chain_sum(left, None, right, chunk), 2, len(pts[0])
+            return complex(np.sum(left * right)), 2, len(pts[0])
         right = ovl(pts[1], zpp) * site(pts[1]) * (planes[1][1] / math.pi)
         ax, mask = planes[0][2:]
         return _gaussian_pair_sum(1.0, *centers, ax, mask, left, right), 4, len(pts[0])
@@ -465,19 +459,20 @@ def quadrature_K(
 
     Raises
     ------
-    DimensionTooLarge
+    DomainError
         If the requested (form, N) needs more than a 4-dimensional grid.
-    QuadratureNotConverged
-        If refinement moves the value by more than ``grid.tolerance``.
+    NonConverged
+        If refinement moves the value by more than ``grid.tolerance``, or
+        by a non-finite amount when no tolerance is set.
     """
     form = form.lower()
     if form not in ("q", "p", "w"):
         raise ValueError(f"unknown form {form!r}; expected q, p or w")
     if N < 1 or N > 3:
-        raise DimensionTooLarge(f"N = {N} is outside the supported range 1..3")
+        raise DomainError(f"N = {N} is outside the supported range 1..3")
     dims = 2 * (N - 1) if form == "q" else 2 * N
     if dims > 4:
-        raise DimensionTooLarge(
+        raise DomainError(
             f"form {form!r} with N = {N} needs a {dims}-dimensional grid"
         )
     if form == "w" and N % 2 != 0:
@@ -486,21 +481,14 @@ def quadrature_K(
     tau = T / N
     radius = grid.radius_widths * COHERENT_WIDTH
 
-    coarse, dims_out, npts = _quad_once(
-        form, sym, zp, zpp, tau, N, H.hbar, radius, grid.points, grid.chunk
-    )
+    args = (form, sym, zp, zpp, tau, N, H.hbar, radius)
+    coarse, dims_out, _ = _quad_once(*args, grid.points)
     if dims_out == 0:
         return QuadKResult(coarse, 0.0, 0, 0)
     n_fine = int(round(grid.points * grid.refine))
-    fine, _, npts_f = _quad_once(
-        form, sym, zp, zpp, tau, N, H.hbar, radius, n_fine, grid.chunk
-    )
-    delta = abs(fine - coarse)
-    if grid.check and grid.tolerance is not None and delta > grid.tolerance:
-        raise QuadratureNotConverged(
-            f"refining {grid.points} -> {n_fine} points per axis moved the "
-            f"value by {delta:.3e} (tolerance {grid.tolerance:.3e})"
-        )
+    fine, _, npts_f = _quad_once(*args, n_fine)
+    what = f"refining {grid.points} -> {n_fine} points per axis"
+    fine, delta = refine(coarse, fine, grid.tolerance, what)
     return QuadKResult(fine, delta, dims_out, npts_f)
 
 

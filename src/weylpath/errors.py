@@ -1,4 +1,15 @@
-"""Exception hierarchy shared by all weylpath modules."""
+"""Exception hierarchy shared by all weylpath modules, and the one refinement check.
+
+Each error class maps to one CLI exit code: malformed input (1), a
+refinement or iteration that did not converge (2), and a numerical-domain
+failure such as a truncated tail, a caustic or a singular pivot (3).
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
 
 
 class WeylPathError(Exception):
@@ -9,50 +20,27 @@ class HamiltonianFormatError(WeylPathError):
     """A Hamiltonian description (JSON file or term map) is malformed."""
 
 
-class TailTooLarge(WeylPathError):
-    """A truncated Fock expansion leaves too much probability beyond the cutoff."""
-
-    def __init__(self, tail: float, threshold: float, cutoff: int):
-        self.tail = tail
-        self.threshold = threshold
-        self.cutoff = cutoff
-        super().__init__(
-            f"truncated tail mass {tail:.3e} exceeds threshold {threshold:.3e} "
-            f"at cutoff {cutoff}; increase the cutoff"
-        )
-
-
 class NonConverged(WeylPathError):
-    """A cutoff- or step-refinement check failed to stabilise."""
+    """A refinement check or an iteration failed to stabilise."""
 
 
-class QuadratureNotConverged(WeylPathError):
-    """Refining a quadrature grid changed the result by more than the tolerance."""
-
-
-class DimensionTooLarge(WeylPathError):
-    """A brute-force integral was requested in too many dimensions."""
-
-
-class NoConvergence(WeylPathError):
-    """Newton iteration for a boundary-value trajectory did not converge."""
-
-
-class StepTooLarge(WeylPathError):
-    """A fixed-step integration failed its step-halving error estimate."""
-
-
-class SingularMonodromy(WeylPathError):
-    """The linearised flow is (numerically) singular: caustic encountered."""
-
-
-class SingularMatrix(WeylPathError):
-    """Pivoted elimination hit a negligible pivot."""
-
-
-class MarginTooSmall(WeylPathError):
-    """A grid does not leave enough margin for a convolution kernel."""
+class DomainError(WeylPathError):
+    """The inputs lie outside the region where a method is valid."""
 
 
 class CausticWarning(UserWarning):
     """Emitted when a trajectory passes close to a caustic."""
+
+
+def refine(coarse, fine, tol: float | None, what: str):
+    """Compare a result with its refinement: ``(fine, delta)``.
+
+    ``delta`` is max |fine - coarse| over scalars or arrays.  Raises
+    :class:`NonConverged` unless ``delta <= tol``; with ``tol=None`` only a
+    non-finite delta raises.
+    """
+    delta = float(np.abs(np.subtract(fine, coarse)).max())
+    if not (delta <= tol if tol is not None else math.isfinite(delta)):
+        bound = "" if tol is None else f" (tolerance {tol:.3e})"
+        raise NonConverged(f"{what} moved the result by {delta:.3e}{bound}")
+    return fine, delta

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor
 
-from .errors import SingularMatrix, StepTooLarge
+from .errors import DomainError, refine
 from .semiclassics import _rk4
 
 __all__ = [
@@ -129,7 +129,7 @@ def det_dense(matrix: np.ndarray, pivot_threshold: float = 1e-13) -> complex:
 
     Raises
     ------
-    SingularMatrix
+    DomainError
         If the smallest pivot falls below ``pivot_threshold`` relative to
         the largest one.
     """
@@ -139,7 +139,7 @@ def det_dense(matrix: np.ndarray, pivot_threshold: float = 1e-13) -> complex:
         lu, piv = lu_factor(matrix, check_finite=False)
     diag = np.abs(np.diag(lu))
     if diag.min() < pivot_threshold * max(diag.max(), 1e-300):
-        raise SingularMatrix(
+        raise DomainError(
             f"pivot ratio {diag.min() / diag.max():.3e} below threshold"
         )
     sign = 1.0
@@ -225,11 +225,13 @@ def det_continuum(
 
     Raises
     ------
-    StepTooLarge
+    NonConverged
         If halving the step moves Delta(T) by more than ``step_tolerance``.
+    ValueError
+        If T is negative or not finite.
     """
-    if T < 0:
-        raise ValueError("T must be non-negative")
+    if not (np.isfinite(T) and T >= 0):
+        raise ValueError(f"T must be finite and non-negative, got {T}")
     if T == 0:
         return 1.0 + 0.0j
     fine_steps = steps if step_tolerance is None else 2 * steps
@@ -242,9 +244,5 @@ def det_continuum(
     if step_tolerance is None:
         return fine
     coarse = _variational_delta(*(tab[::2] for tab in tables), T, steps, hbar)
-    if abs(fine - coarse) > step_tolerance:
-        raise StepTooLarge(
-            f"halving the step moved Delta(T) by {abs(fine - coarse):.3e} "
-            f"(tolerance {step_tolerance:.3e}); increase steps"
-        )
-    return fine
+    what = f"halving the step ({steps} -> {fine_steps} steps)"
+    return refine(coarse, fine, step_tolerance, what)[0]

@@ -18,7 +18,7 @@ from scipy.linalg import expm
 
 from .algebra import OperatorPoly, SymbolPoly, symbol_for_form
 from .coherent import overlap
-from .errors import CausticWarning, NoConvergence, SingularMonodromy, StepTooLarge
+from .errors import CausticWarning, DomainError, NonConverged, refine
 
 __all__ = [
     "ComplexTrajectory",
@@ -119,10 +119,9 @@ def solve_bvp(
 
     Raises
     ------
-    NoConvergence
-        If Newton does not bring |v(T) - conj(z'')| below ``tol``.
-    StepTooLarge
-        If the step-halving error estimate exceeds ``step_tolerance``.
+    NonConverged
+        If Newton does not bring |v(T) - conj(z'')| below ``tol``, or the
+        step-halving error estimate exceeds ``step_tolerance``.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -149,33 +148,29 @@ def solve_bvp(
         try:
             us, vs, dus, dvs = _rk4(rhs, (complex(zp), v0, 0j, 1 + 0j), T, steps)
         except OverflowError as exc:
-            raise NoConvergence(
+            raise NonConverged(
                 f"trajectory blew up from guess v(0) = {v0:.6g}"
             ) from exc
         mismatch = vs[-1] - zpp_star
         residual = abs(mismatch)
         if not np.isfinite(residual):
-            raise NoConvergence(
+            raise NonConverged(
                 f"trajectory blew up from guess v(0) = {v0:.6g}"
             )
         if residual < tol:
             break
         jac = dvs[-1]
         if abs(jac) < 1e-14:
-            raise NoConvergence("singular shooting Jacobian dv(T)/dv(0)")
+            raise NonConverged("singular shooting Jacobian dv(T)/dv(0)")
         v0 = v0 - mismatch / jac
     else:
-        raise NoConvergence(
+        raise NonConverged(
             f"Newton stalled at residual {residual:.3e} after {max_iter} iterations"
         )
 
     if step_tolerance is not None:
         us2, vs2, _, _ = _rk4(rhs, (complex(zp), v0, 0j, 1 + 0j), T, 2 * steps)
-        err = max(abs(us2[-1] - us[-1]), abs(vs2[-1] - vs[-1]))
-        if err > step_tolerance:
-            raise StepTooLarge(
-                f"step-halving estimate {err:.3e} exceeds {step_tolerance:.3e}"
-            )
+        refine([us[-1], vs[-1]], [us2[-1], vs2[-1]], step_tolerance, "halving the RK4 step")
 
     return ComplexTrajectory(
         times=np.linspace(0.0, T, steps + 1),
@@ -236,12 +231,12 @@ def d2S(
 
     Raises
     ------
-    SingularMonodromy
+    DomainError
         If |Omega(T)| is below ``singular_threshold`` (caustic).
     """
     omega_T = 2j * traj.dv[-1]
     if abs(omega_T) < singular_threshold:
-        raise SingularMonodromy(f"|Omega(T)| = {abs(omega_T):.3e}; caustic")
+        raise DomainError(f"|Omega(T)| = {abs(omega_T):.3e}; caustic")
     return complex(2.0 * traj.hbar / omega_T), complex(traj.dv[-1])
 
 
@@ -341,7 +336,7 @@ def semiclassical_K(
 
     Raises
     ------
-    NoConvergence
+    NonConverged
         If no shooting guess converges.
     """
     form = form.lower()
@@ -364,13 +359,13 @@ def semiclassical_K(
             traj = solve_bvp(
                 sym, zp, zpp_star, T, steps=steps, guess=guess, hbar=hbar, tol=tol
             )
-        except NoConvergence as exc:
+        except NonConverged as exc:
             failures.append(str(exc))
             continue
         if all(abs(traj.v0 - kept.v0) > dedupe for kept in trajectories):
             trajectories.append(traj)
     if not trajectories:
-        raise NoConvergence(
+        raise NonConverged(
             "no shooting guess converged: " + "; ".join(failures or ["(none tried)"])
         )
 

@@ -24,7 +24,7 @@ import numpy as np
 from .algebra import OperatorPoly, ScaleContext
 from .coherent import FockOracle, coherent_matrix, fock_coherent
 from .discrete import DiscreteWPath, chord_coefficients
-from .errors import MarginTooSmall, QuadratureNotConverged
+from .errors import DomainError, refine
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -35,6 +35,8 @@ __all__ = [
     "smoothing_check",
     "area_identity",
 ]
+
+CHORD_CHUNK = 96  # chord nodes whose Hermite functions are built at once
 
 
 @dataclass
@@ -104,20 +106,19 @@ def _chord_kernel(
     T: float,
     qs: np.ndarray,
     s: np.ndarray,
-    chunk: int = 96,
 ) -> np.ndarray:
     """Position elements <q - s/2| U |q + s/2>, shape (len(qs), len(s))."""
     U = oracle.evolution_matrix(T)
     nq, ns = len(qs), len(s)
     kernel = np.empty((nq, ns), dtype=complex)
-    for start in range(0, ns, chunk):
-        sl = s[start : start + chunk]
+    for start in range(0, ns, CHORD_CHUNK):
+        sl = s[start : start + CHORD_CHUNK]
         xm = (qs[:, None] - 0.5 * sl[None, :]).ravel()
         xp = (qs[:, None] + 0.5 * sl[None, :]).ravel()
         phi_m = hermite_functions(xm, oracle.cutoff, ctx.b)
         phi_p = hermite_functions(xp, oracle.cutoff, ctx.b)
         vals = np.sum(phi_m * (U @ phi_p), axis=0)
-        kernel[:, start : start + chunk] = vals.reshape(nq, len(sl))
+        kernel[:, start : start + CHORD_CHUNK] = vals.reshape(nq, len(sl))
     return kernel
 
 
@@ -155,15 +156,17 @@ def weyl_U_grid(
 
     Raises
     ------
-    TailTooLarge
+    DomainError
         If the corner coherent state is not resolved by ``cutoff``.
-    QuadratureNotConverged
+    NonConverged
         If halving the chord step moves any grid value beyond the tolerance.
+    ValueError
+        If T is not finite.
     """
     qs = np.asarray(qs, float)
     ps = np.asarray(ps, float)
     corner = ctx.z_from_qp(np.max(np.abs(qs)), np.max(np.abs(ps)))
-    fock_coherent(corner, cutoff, tail_threshold)  # raises TailTooLarge if short
+    fock_coherent(corner, cutoff, tail_threshold)  # raises DomainError if short
 
     support = ctx.b * math.sqrt(2.0 * cutoff + 1.0)
     if s_half is None:
@@ -182,13 +185,7 @@ def weyl_U_grid(
     values = _chord_transform(kernel[:, ::every], s[::every], ps, ctx.hbar)
     if check:
         refined = _chord_transform(kernel, s, ps, ctx.hbar)
-        delta = float(np.max(np.abs(refined - values)))
-        if delta > check_tolerance:
-            raise QuadratureNotConverged(
-                f"halving the chord step moved the grid by {delta:.3e} "
-                f"(tolerance {check_tolerance:.3e})"
-            )
-        values = refined
+        values = refine(values, refined, check_tolerance, "halving the chord step")[0]
     return PhaseSpaceGrid(qs, ps, values)
 
 
@@ -241,7 +238,7 @@ def smoothing_check(
 
     Raises
     ------
-    MarginTooSmall
+    DomainError
         If no interior points survive the margin requirement.
     """
     if not weyl_grid.same_geometry(husimi_grid):
@@ -256,7 +253,7 @@ def smoothing_check(
     mq = int(math.ceil(margin_sigmas * sigma_q / dq))
     mp = int(math.ceil(margin_sigmas * sigma_p / dp))
     if 2 * mq >= len(weyl_grid.qs) or 2 * mp >= len(weyl_grid.ps):
-        raise MarginTooSmall(
+        raise DomainError(
             f"margins ({mq}, {mp}) points leave no interior on a "
             f"{len(weyl_grid.qs)} x {len(weyl_grid.ps)} grid"
         )

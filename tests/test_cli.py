@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from weylpath import harmonic_exact_K, overlap
+from weylpath import cli, errors, harmonic_exact_K, overlap
 from weylpath.cli import main
 
 HARMONIC = {
@@ -167,6 +167,23 @@ class TestPropagate:
             ]
         )
         assert rc == 3
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (errors.HamiltonianFormatError, 1),
+            (errors.NonConverged, 2),
+            (errors.DomainError, 3),
+            (ValueError, 3),
+        ],
+    )
+    def test_error_class_exit_code(self, harmonic_json, monkeypatch, capsys, error, code):
+        def fail(args):
+            raise error("stub failure")
+
+        monkeypatch.setattr(cli, "cmd_symbols", fail)  # build_parser reads it as func
+        assert main(["symbols", "--hamiltonian", harmonic_json]) == code
+        assert "error: stub failure" in capsys.readouterr().err
 
 
 class TestSemiclassical:

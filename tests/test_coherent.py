@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -9,19 +12,24 @@ from weylpath import (
     QuadSpec,
     ScaleContext,
     SymbolPoly,
+    det_continuum,
     displacement_element,
     exact_propagator,
     fock_coherent,
     harmonic_exact_K,
     harmonic_hamiltonian,
+    husimi_U_grid,
     operator_matrix,
     overlap,
+    phase_grid_axes,
+    quadrature_K,
     quartic_position_hamiltonian,
     weyl_element,
     weyl_symbol,
+    weyl_U_grid,
 )
 from weylpath.coherent import coherent_matrix
-from weylpath.errors import NonConverged, QuadratureNotConverged, TailTooLarge
+from weylpath.errors import DomainError, NonConverged, refine
 
 CTX = ScaleContext.default()
 
@@ -78,7 +86,7 @@ class TestFockCoherent:
             assert abs(np.vdot(v1, v2) - overlap(z1, z2)) < 1e-12
 
     def test_tail_too_large(self):
-        with pytest.raises(TailTooLarge):
+        with pytest.raises(DomainError, match="truncated tail mass"):
             fock_coherent(3.0, 8)
 
     def test_coherent_matrix_matches_columns(self):
@@ -98,7 +106,6 @@ class TestFockCoherent:
         assert np.allclose(cols[:, 0], v.amplitudes, rtol=0, atol=1e-15)
 
     def test_amplitudes_against_mpmath(self):
-        mpmath = pytest.importorskip("mpmath")
         z = 38.0 * np.exp(0.7j)
         amps = fock_coherent(z, 2000).amplitudes
         with mpmath.workdps(40):
@@ -164,7 +171,7 @@ class TestExactPropagator:
     def test_cutoff_doubling_guard(self):
         # a visibly unconverged configuration must be reported, not returned
         H = quartic_position_hamiltonian(1.0, CTX)
-        with pytest.raises(NonConverged):
+        with pytest.raises(NonConverged, match="doubling the cutoff 14 -> 28"):
             exact_propagator(H, 1.4, 1.4, 2.0, cutoff=14, tail_threshold=1e-2,
                              check_tolerance=1e-12)
 
@@ -274,7 +281,57 @@ class TestWeylElement:
     def test_not_converged_raises(self):
         # two nodes cannot integrate a quartic symbol exactly
         H = quartic_position_hamiltonian(1.0, CTX)
-        with pytest.raises(QuadratureNotConverged):
+        with pytest.raises(NonConverged, match="doubling 2 -> 4 Gauss-Hermite nodes"):
             weyl_element(
                 weyl_symbol(H), 0.9, 0.8, QuadSpec(nodes=2, tolerance=1e-12)
             )
+
+
+NAN = float("nan")
+AXES = phase_grid_axes(CTX, nq=8, npts=8)
+H_QUARTIC = quartic_position_hamiltonian(0.1, CTX)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: exact_propagator(H_QUARTIC, 0.3, 0.2, NAN, cutoff=40),
+         ValueError, "T must be finite"),
+        (lambda: exact_propagator(H_QUARTIC, 0.3, 0.2, math.inf, cutoff=40),
+         ValueError, "T must be finite"),
+        (lambda: weyl_element(weyl_symbol(H_QUARTIC), NAN, 0.2),
+         NonConverged, "moved the result by nan"),
+        (lambda: quadrature_K("p", H_QUARTIC, 0.3, 0.2, NAN, 2),
+         NonConverged, "moved the result by nan"),
+        (lambda: det_continuum(lambda t: 0.0, lambda t: 0.0, lambda t: 1.0, NAN),
+         ValueError, "T must be finite"),
+        (lambda: weyl_U_grid(H_QUARTIC, CTX, NAN, *AXES, cutoff=60),
+         ValueError, "T must be finite"),
+        (lambda: husimi_U_grid(H_QUARTIC, CTX, NAN, *AXES, cutoff=60),
+         ValueError, "T must be finite"),
+    ],
+    ids=["exact-nan", "exact-inf", "weyl_element", "quadrature_K", "det_continuum",
+         "weyl_U_grid", "husimi_U_grid"],
+)
+def test_non_finite_input_raises(call, error, message):
+    """A non-finite T or label raises instead of returning NaN."""
+    with pytest.raises(error, match=message):
+        call()
+
+
+class TestRefine:
+    def test_returns_fine_and_max_delta(self):
+        fine, delta = refine(np.array([1.0, 2.0]), np.array([1.5, 1.0j]), None, "x")
+        assert fine[1] == 1.0j and delta == pytest.approx(abs(1.0j - 2.0))
+
+    def test_tolerance_bounds_delta(self):
+        assert refine(1.0, 1.0 + 1e-9, 1e-8, "x") == (1.0 + 1e-9, pytest.approx(1e-9))
+        with pytest.raises(NonConverged, match="x moved the result by 1.000e-07"):
+            refine(1.0, 1.0 + 1e-7, 1e-8, "x")
+
+    @pytest.mark.parametrize("tol", [None, 1e-8])
+    def test_non_finite_delta_always_raises(self, tol):
+        with pytest.raises(NonConverged, match="nan"):
+            refine(1.0, complex("nan"), tol, "x")
+        with pytest.raises(NonConverged, match="inf"):
+            refine(np.array([1.0, 2.0]), np.array([1.0, np.inf]), tol, "x")

@@ -28,7 +28,7 @@ from weylpath.discrete import (
     chord_coefficients,
     phi_N_gradient,
 )
-from weylpath.errors import DimensionTooLarge, QuadratureNotConverged
+from weylpath.errors import DomainError, NonConverged
 
 CTX = ScaleContext.default()
 HW_HARMONIC = SymbolPoly({(1, 1): 1.0})  # hbar = omega = 1
@@ -279,16 +279,16 @@ class TestQuadratureK:
 
     def test_dimension_guard(self):
         H = harmonic_hamiltonian(CTX)
-        with pytest.raises(DimensionTooLarge):
+        with pytest.raises(DomainError, match="outside the supported range"):
             quadrature_K("q", H, 0.1, 0.2, 0.1, 4)
-        with pytest.raises(DimensionTooLarge):
+        with pytest.raises(DomainError, match="6-dimensional grid"):
             quadrature_K("p", H, 0.1, 0.2, 0.1, 3)
-        with pytest.raises(DimensionTooLarge):
+        with pytest.raises(DomainError, match="6-dimensional grid"):
             quadrature_K("w", H, 0.1, 0.2, 0.1, 3)
 
     def test_unconverged_grid_raises(self):
         H = harmonic_hamiltonian(CTX)
-        with pytest.raises(QuadratureNotConverged):
+        with pytest.raises(NonConverged, match="refining 10 -> 15 points"):
             quadrature_K(
                 "q", H, 0.4, 0.2, 0.2, 2,
                 DiscGridSpec(points=10, tolerance=1e-12),

@@ -20,7 +20,7 @@ from weylpath import (
     smoothing_check,
     weyl_U_grid,
 )
-from weylpath.errors import MarginTooSmall, QuadratureNotConverged, TailTooLarge
+from weylpath.errors import DomainError, NonConverged
 from weylpath.wigner import hermite_functions
 
 CTX = ScaleContext.default()
@@ -96,12 +96,12 @@ class TestWeylUGrid:
 
     def test_insufficient_cutoff_raises(self):
         qs, ps = phase_grid_axes(CTX)
-        with pytest.raises(TailTooLarge):
+        with pytest.raises(DomainError, match="truncated tail mass"):
             weyl_U_grid(H_HARM, CTX, 0.5, qs, ps, cutoff=24)
 
     def test_chord_step_guard(self):
         qs, ps = phase_grid_axes(CTX, nq=8, npts=8)
-        with pytest.raises(QuadratureNotConverged):
+        with pytest.raises(NonConverged, match="halving the chord step"):
             weyl_U_grid(
                 H_HARM, CTX, 0.5, qs, ps, cutoff=60,
                 s_step=1.1, check_tolerance=1e-10,
@@ -200,7 +200,7 @@ class TestSmoothing:
         qs, ps = phase_grid_axes(CTX, nq=12, npts=12, q_widths=2.0, p_widths=2.0)
         gw = weyl_U_grid(H_HARM, CTX, 0.0, qs, ps, cutoff=40, check=False)
         gh = husimi_U_grid(H_HARM, CTX, 0.0, qs, ps, cutoff=40, tail_threshold=1e-6)
-        with pytest.raises(MarginTooSmall):
+        with pytest.raises(DomainError, match="leave no interior"):
             smoothing_check(gw, gh, CTX, margin_sigmas=6.0)
 
 
