@@ -113,11 +113,6 @@ class OperatorPoly:
                 return False
         return True
 
-    def dagger(self) -> "OperatorPoly":
-        return OperatorPoly(
-            {(n, m): np.conj(c) for (m, n), c in self.terms.items()}, self.hbar
-        )
-
     def __add__(self, other: "OperatorPoly") -> "OperatorPoly":
         acc = dict(self.terms)
         _poly_add(acc, other.terms)

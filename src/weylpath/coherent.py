@@ -252,6 +252,8 @@ def _cached_oracle(H: OperatorPoly, cutoff: int) -> FockOracle:
 
 def harmonic_exact_K(z1: complex, z2: complex, omega: float, T: float) -> complex:
     """Closed-form <z2|U|z1> for H = hbar omega (adag a + 1/2)."""
+    if not math.isfinite(T):
+        raise ValueError(f"T must be finite, got {T}")
     mu = np.exp(-1j * omega * T)
     return np.exp(-0.5j * omega * T) * np.exp(
         mu * z1 * np.conj(z2) - 0.5 * abs(z1) ** 2 - 0.5 * abs(z2) ** 2

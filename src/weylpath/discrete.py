@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import OperatorPoly, SymbolPoly, symbol_for_form
-from .coherent import harmonic_exact_K
+from .coherent import harmonic_exact_K, overlap
 from .errors import DomainError, refine
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
 
 COHERENT_WIDTH = 1.0 / math.sqrt(2.0)  # |<z|z'>|^2 = exp(-|z-z'|^2)
 Q_KERNEL_CHUNK = 4096  # columns of the Q-form pair kernel built at once
+GRID_REFINE = 1.5  # per-axis point-count factor of the quadrature's check pass
 
 
 @dataclass(frozen=True)
@@ -73,10 +74,6 @@ class DiscreteWPath:
     def N(self) -> int:
         return len(self.w)
 
-    @property
-    def T(self) -> float:
-        return self.N * self.tau
-
 
 def _alternating(N: int) -> np.ndarray:
     """(-1)^(k+1) for k = 1..N."""
@@ -85,17 +82,17 @@ def _alternating(N: int) -> np.ndarray:
     return alt
 
 
-def _alt_prefix_sums(w: np.ndarray) -> np.ndarray:
-    """s_m = sum_{j=1}^{m-1} (-1)^(j+1) w_{m-j}, for m = 1..N (s_1 = 0)."""
-    N = len(w)
-    s = np.zeros(N, dtype=complex)
-    for m in range(1, N):
-        s[m] = w[m - 1] - s[m - 1]
+def _alt_prefix_sums(x: np.ndarray) -> np.ndarray:
+    """s_m = sum_{j=1}^{m-1} (-1)^(j+1) x_{m-j}, for m = 1..N (s_1 = 0).
+
+    The recurrence s_{m+1} = x_m - s_m is a cumulative sum once every other
+    sign is flipped; a sign flip is exact and ``cumsum`` adds in the same
+    order, so the scan equals the recurrence to the last bit.
+    """
+    alt = _alternating(len(x) - 1)
+    s = np.zeros(len(x), dtype=complex)
+    s[1:] = alt * np.cumsum(alt * x[:-1])
     return s
-
-
-def _H_values(path: DiscreteWPath, H_W: SymbolPoly) -> np.ndarray:
-    return H_W.eval(path.w, path.w_star)
 
 
 def phi_N(path: DiscreteWPath, H_W: SymbolPoly) -> complex:
@@ -110,7 +107,7 @@ def phi_N(path: DiscreteWPath, H_W: SymbolPoly) -> complex:
     """
     w, ws = path.w, path.w_star
     alt = _alternating(path.N)
-    H = _H_values(path, H_W)
+    H = H_W.eval(w, ws)
     zpp_star = np.conj(path.zpp)
     total = np.sum(
         -1j * path.tau * H / path.hbar
@@ -129,26 +126,19 @@ def phi_N_alt(path: DiscreteWPath, H_W: SymbolPoly) -> complex:
     so the continuum limit exhibits the action.
     """
     w, ws = path.w, path.w_star
-    N = path.N
-    H = _H_values(path, H_W)
+    H = H_W.eval(w, ws)
     zpp_star = np.conj(path.zpp)
-    odd = np.arange(0, N - 1, 2)  # k = 1, 3, .., N-1 (0-based k-1)
+    odd = np.arange(0, path.N - 1, 2)  # k = 1, 3, .., N-1 (0-based k-1)
 
     dw = w[odd + 1] - w[odd]  # w_{k+1} - w_k
     dws = ws[odd + 1] - ws[odd]  # w*_{k+1} - w*_k
     total = 2.0 * np.sum(w[odd] * dws - ws[odd + 1] * dw)
     total += -1j * path.tau * np.sum(H) / path.hbar
 
-    # - 4 sum_{k odd} (w_{k+1}-w_k) sum_{l=k+1,k+3..}^{N-2} (w*_{l+2}-w*_{l+1})
-    # built with a reversed cumulative sum over the even-l differences
-    tail = 0.0 + 0.0j
+    # - 4 sum_{k odd} (w_{k+1}-w_k) sum_{l=k+1,k+3..}^{N-2} (w*_{l+2}-w*_{l+1}):
+    # a reversed cumulative sum over the even-l differences
     tails = np.zeros(len(odd), dtype=complex)
-    for idx in range(len(odd) - 1, -1, -1):
-        k = odd[idx] + 1  # 1-based odd k
-        l = k + 1
-        if l <= N - 2:
-            tail += ws[l + 1] - ws[l]  # w*_{l+2} - w*_{l+1}, 0-based indices
-        tails[idx] = tail
+    tails[:-1] = np.cumsum((ws[odd[:-1] + 3] - ws[odd[:-1] + 2])[::-1])[::-1]
     total += -4.0 * np.sum(dw * tails)
 
     total += -2.0 * path.zp * np.sum(dws) + 2.0 * zpp_star * np.sum(dw)
@@ -163,11 +153,9 @@ def psi_C(path: DiscreteWPath, H_W: SymbolPoly) -> tuple[complex, complex]:
     is the conjugate-pattern coefficient from :func:`chord_coefficients`.
     """
     w, ws = path.w, path.w_star
-    H = _H_values(path, H_W)
-    psi = np.sum(-1j * path.tau * H / path.hbar - 2.0 * w * ws)
+    psi = np.sum(-1j * path.tau * H_W.eval(w, ws) / path.hbar - 2.0 * w * ws)
     psi += 4.0 * np.sum(ws * _alt_prefix_sums(w))
-    C = np.sum(w[::-1] * _alternating(path.N))
-    return complex(psi), complex(C)
+    return complex(psi), chord_coefficients(path)[0]
 
 
 def chord_coefficients(path: DiscreteWPath) -> tuple[complex, complex]:
@@ -185,13 +173,10 @@ def chord_coefficients(path: DiscreteWPath) -> tuple[complex, complex]:
 def phi_N_gradient(path: DiscreteWPath, H_W: SymbolPoly):
     """Exact partials (d phi/d w_l, d phi/d w*_l) treating w, w* independent."""
     w, ws = path.w, path.w_star
-    N = path.N
-    alt = _alternating(N)
+    alt = _alternating(path.N)
     _, Hu, Hv = H_W.jet(w, ws, order=1)
     s = _alt_prefix_sums(w)
-    r = np.zeros(N, dtype=complex)  # r_l = sum_{k=l}^{N-1} (-1)^(k-l) w*_{k+1}
-    for l in range(N - 2, -1, -1):
-        r[l] = ws[l + 1] - r[l + 1]
+    r = _alt_prefix_sums(ws[::-1])[::-1]  # r_l = sum_{k=l}^{N-1} (-1)^(k-l) w*_{k+1}
     zpp_star = np.conj(path.zpp)
     grad_w = (
         -1j * path.tau * Hu / path.hbar
@@ -236,6 +221,8 @@ def mu_coefficients(omega: float, T: float, N: int):
     """
     if N < 1:
         raise ValueError("N must be at least 1")
+    if not math.isfinite(T):
+        raise ValueError(f"T must be finite, got {T}")
     tau = T / N
     mu_q = (1.0 - 1j * tau * omega) ** N
     mu_p = (1.0 + 1j * tau * omega) ** (-N)
@@ -285,13 +272,12 @@ class DiscGridSpec:
     """Uniform grid on a disc in each integrated complex plane.
 
     ``radius_widths`` counts coherent widths (1/sqrt(2) in label units)
-    around the straight line between z' and z''; refinement multiplies the
-    per-axis point count and the difference between passes is reported.
+    around the straight line between z' and z''; the check pass multiplies
+    the per-axis point count by ``GRID_REFINE`` and reports the difference.
     """
 
     points: int = 48
     radius_widths: float = 6.0
-    refine: float = 1.5
     tolerance: float | None = None
 
 
@@ -306,27 +292,18 @@ class QuadKResult:
         return complex(self.value)
 
 
-def _disc_points(center: complex, radius: float, n: int):
-    """Masked uniform grid over a disc: (points, cell_area, axis, mask).
+def _disc_points(radius: float, n: int):
+    """Masked uniform grid over a disc: (offsets, cell_area, axis, mask).
 
-    The points are ``center + X + iY`` at the mask's true entries of the
-    (X, Y) = (axis, axis) grid, in row-major order.
+    The offsets are ``X + iY`` at the mask's true entries of the
+    (X, Y) = (axis, axis) grid, in row-major order; a plane is its centre
+    plus the offsets.
     """
     ax = np.linspace(-radius, radius, n)
     step = ax[1] - ax[0]
     X, Y = np.meshgrid(ax, ax, indexing="ij")
     mask = X**2 + Y**2 <= radius**2
-    pts = center + X[mask] + 1j * Y[mask]
-    return pts, step * step, ax, mask
-
-
-def _chain_sum(left, kernel, right) -> complex:
-    """sum_{a,b} left[a] kernel(a_pts, b_chunk) right[b], chunked over b."""
-    acc = 0.0 + 0.0j
-    for start in range(0, len(right), Q_KERNEL_CHUNK):
-        block = kernel(slice(start, start + Q_KERNEL_CHUNK))
-        acc += np.sum((left @ block) * right[start : start + Q_KERNEL_CHUNK])
-    return complex(acc)
+    return X[mask] + 1j * Y[mask], step * step, ax, mask
 
 
 def _gaussian_pair_sum(a: float, c0: complex, c1: complex, ax, mask, left, right) -> complex:
@@ -368,6 +345,7 @@ def _quad_once(
     n: int,
 ) -> tuple[complex, int, int]:
     zpp_star = np.conj(zpp)
+    offsets, area, ax, mask = _disc_points(radius, n)
 
     if form == "q":
         # N slices, N-1 integrated points; H couples adjacent times:
@@ -380,66 +358,43 @@ def _quad_once(
                 - 1j * tau * sym.eval(za, np.conj(zb)) / hbar
             )
 
-        m = N - 1
-        if m == 0:
+        if N == 1:
             return complex(e_factor(zp, zpp)), 0, 0
-        centers = [zp + (j / N) * (zpp - zp) for j in range(1, N)]
-        planes = [_disc_points(c, radius, n) for c in centers]
-        pts = [p for p, *_ in planes]
-        if m == 1:
-            left = e_factor(zp, pts[0]) * (planes[0][1] / math.pi)
-            right = e_factor(pts[0], zpp)
-            return complex(np.sum(left * right)), 2, len(pts[0])
-        left = e_factor(zp, pts[0]) * (planes[0][1] / math.pi)
-        right = e_factor(pts[1], zpp) * (planes[1][1] / math.pi)
-
-        def kernel(sl):
-            return e_factor(pts[0][:, None], pts[1][None, sl])
-
-        return _chain_sum(left, kernel, right), 4, len(pts[0])
+        pts = [zp + (j / N) * (zpp - zp) + offsets for j in range(1, N)]
+        left = e_factor(zp, pts[0]) * (area / math.pi)
+        if N == 2:
+            return complex(np.sum(left * e_factor(pts[0], zpp))), 2, len(offsets)
+        right = e_factor(pts[1], zpp) * (area / math.pi)
+        # sum_{a,b} left[a] E(a, b) right[b], the pair kernel built in column blocks
+        acc = 0.0 + 0.0j
+        for start in range(0, len(right), Q_KERNEL_CHUNK):
+            cols = slice(start, start + Q_KERNEL_CHUNK)
+            block = e_factor(pts[0][:, None], pts[1][None, cols])
+            acc += np.sum((left @ block) * right[cols])
+        return complex(acc), 4, len(offsets)
 
     def site(z):
         return np.exp(-1j * tau * sym.eval(z, np.conj(z)) / hbar)
 
     if form == "p":
         # N integrated points carrying the diagonal symbol, N+1 overlaps
-        def ovl(za, zb):
-            return np.exp(
-                np.conj(zb) * za - 0.5 * np.abs(za) ** 2 - 0.5 * np.abs(zb) ** 2
-            )
-
         centers = [zp + (j / (N + 1)) * (zpp - zp) for j in range(1, N + 1)]
-        planes = [_disc_points(c, radius, n) for c in centers]
-        pts = [p for p, *_ in planes]
-        left = ovl(zp, pts[0]) * site(pts[0]) * (planes[0][1] / math.pi)
+        pts = [c + offsets for c in centers]
+        left = overlap(pts[0], zp) * site(pts[0]) * (area / math.pi)
         if N == 1:
-            right = ovl(pts[0], zpp)
-            return complex(np.sum(left * right)), 2, len(pts[0])
-        right = ovl(pts[1], zpp) * site(pts[1]) * (planes[1][1] / math.pi)
-        ax, mask = planes[0][2:]
-        return _gaussian_pair_sum(1.0, *centers, ax, mask, left, right), 4, len(pts[0])
+            return complex(np.sum(left * overlap(zpp, pts[0]))), 2, len(offsets)
+        right = overlap(zpp, pts[1]) * site(pts[1]) * (area / math.pi)
+        return _gaussian_pair_sum(1.0, *centers, ax, mask, left, right), 4, len(offsets)
 
     # W form: N midpoints integrated with measure prod (2/pi) dx dy; the
     # pair kernel exp(4 w*_2 w_1 - 2|w_1|^2 - 2|w_2|^2) is a Gaussian with a = 4
     centers = [zp + ((k - 0.5) / N) * (zpp - zp) for k in range(1, N + 1)]
-    planes = [_disc_points(c, radius, n) for c in centers]
-    w1, w2 = planes[0][0], planes[1][0]
-    area1, area2 = planes[0][1], planes[1][1]
-    boundary = np.exp(
-        zp * zpp_star - 0.5 * abs(zp) ** 2 - 0.5 * abs(zpp) ** 2
-    )
-    left = (
-        site(w1)
-        * np.exp(-2.0 * zpp_star * w1 + 2.0 * zp * np.conj(w1))
-        * (2.0 * area1 / math.pi)
-    )
-    right = (
-        site(w2)
-        * np.exp(2.0 * zpp_star * w2 - 2.0 * zp * np.conj(w2))
-        * (2.0 * area2 / math.pi)
-    )
-    ax, mask = planes[0][2:]
-    return boundary * _gaussian_pair_sum(4.0, *centers, ax, mask, left, right), 4, len(w1)
+    w1, w2 = [c + offsets for c in centers]
+    weight = 2.0 * area / math.pi
+    left = site(w1) * np.exp(-2.0 * zpp_star * w1 + 2.0 * zp * np.conj(w1)) * weight
+    right = site(w2) * np.exp(2.0 * zpp_star * w2 - 2.0 * zp * np.conj(w2)) * weight
+    pair = _gaussian_pair_sum(4.0, *centers, ax, mask, left, right)
+    return overlap(zpp, zp) * pair, 4, len(offsets)
 
 
 def quadrature_K(
@@ -464,10 +419,14 @@ def quadrature_K(
     NonConverged
         If refinement moves the value by more than ``grid.tolerance``, or
         by a non-finite amount when no tolerance is set.
+    ValueError
+        If T is not finite.
     """
     form = form.lower()
     if form not in ("q", "p", "w"):
         raise ValueError(f"unknown form {form!r}; expected q, p or w")
+    if not math.isfinite(T):
+        raise ValueError(f"T must be finite, got {T}")
     if N < 1 or N > 3:
         raise DomainError(f"N = {N} is outside the supported range 1..3")
     dims = 2 * (N - 1) if form == "q" else 2 * N
@@ -485,7 +444,7 @@ def quadrature_K(
     coarse, dims_out, _ = _quad_once(*args, grid.points)
     if dims_out == 0:
         return QuadKResult(coarse, 0.0, 0, 0)
-    n_fine = int(round(grid.points * grid.refine))
+    n_fine = int(round(grid.points * GRID_REFINE))
     fine, _, npts_f = _quad_once(*args, n_fine)
     what = f"refining {grid.points} -> {n_fine} points per axis"
     fine, delta = refine(coarse, fine, grid.tolerance, what)

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor
 
 from .errors import DomainError, refine
 from .semiclassics import _rk4
@@ -29,6 +28,8 @@ __all__ = [
     "det_recursive",
     "det_continuum",
 ]
+
+PIVOT_THRESHOLD = 1e-13  # smallest/largest LU pivot below this: singular to double precision
 
 
 @dataclass(frozen=True)
@@ -124,21 +125,23 @@ def block_tridiagonal(matrix: np.ndarray) -> np.ndarray:
     return E.T @ (matrix / 2j) @ E
 
 
-def det_dense(matrix: np.ndarray, pivot_threshold: float = 1e-13) -> complex:
+def det_dense(matrix: np.ndarray) -> complex:
     """Determinant via pivoted LU elimination.
 
     Raises
     ------
     DomainError
-        If the smallest pivot falls below ``pivot_threshold`` relative to
+        If the smallest pivot falls below ``PIVOT_THRESHOLD`` relative to
         the largest one.
     """
+    from scipy.linalg import LinAlgWarning, lu_factor
+
     matrix = np.asarray(matrix, dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinAlgWarning)  # tiny pivots raise below
         lu, piv = lu_factor(matrix, check_finite=False)
     diag = np.abs(np.diag(lu))
-    if diag.min() < pivot_threshold * max(diag.max(), 1e-300):
+    if diag.min() < PIVOT_THRESHOLD * max(diag.max(), 1e-300):
         raise DomainError(
             f"pivot ratio {diag.min() / diag.max():.3e} below threshold"
         )

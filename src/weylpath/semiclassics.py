@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import OperatorPoly, SymbolPoly, symbol_for_form
 from .coherent import overlap
@@ -34,6 +33,9 @@ __all__ = [
 ]
 
 FORM_SIGMA = {"q": +1.0, "p": -1.0, "w": 0.0}
+SINGULAR_THRESHOLD = 1e-12  # |Omega(T)| below this is a caustic: d2S does not exist
+CAUSTIC_THRESHOLD = 1e-4  # |dv(t)| below this on the way warns of a near-caustic
+DEDUPE_TOL = 1e-6  # shooting results whose v(0) differ by less are one trajectory
 
 
 @dataclass
@@ -84,6 +86,8 @@ def quadratic_guess(
     H_sym: SymbolPoly, zp: complex, zpp_star: complex, T: float, hbar: float
 ) -> complex:
     """Initial v(0): solve the boundary problem for the quadratic part of H."""
+    from scipy.linalg import expm
+
     a = 2.0 * H_sym.terms.get((0, 2), 0.0)  # d2H/du2
     b = 2.0 * H_sym.terms.get((2, 0), 0.0)  # d2H/dv2
     c = H_sym.terms.get((1, 1), 0.0)
@@ -122,9 +126,11 @@ def solve_bvp(
     NonConverged
         If Newton does not bring |v(T) - conj(z'')| below ``tol``, or the
         step-halving error estimate exceeds ``step_tolerance``.
+    ValueError
+        If T is not finite and positive, or ``steps`` is below 16.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not (np.isfinite(T) and T > 0):
+        raise ValueError(f"T must be finite and positive, got {T}")
     if steps < 16:
         raise ValueError("need at least 16 integration steps")
     steps += steps % 2  # Simpson-friendly grids
@@ -220,9 +226,7 @@ def correction_I(traj: ComplexTrajectory, H_sym: SymbolPoly) -> complex:
     return 0.5 * _simpson(mixed, h)
 
 
-def d2S(
-    traj: ComplexTrajectory, singular_threshold: float = 1e-12
-) -> tuple[complex, complex]:
+def d2S(traj: ComplexTrajectory) -> tuple[complex, complex]:
     """(d2S/du'dv'', Delta(T)) from the linearised flow.
 
     The variational pair integrated with (du, dv)(0) = (0, 1) gives
@@ -232,17 +236,15 @@ def d2S(
     Raises
     ------
     DomainError
-        If |Omega(T)| is below ``singular_threshold`` (caustic).
+        If |Omega(T)| is below ``SINGULAR_THRESHOLD`` (caustic).
     """
     omega_T = 2j * traj.dv[-1]
-    if abs(omega_T) < singular_threshold:
+    if abs(omega_T) < SINGULAR_THRESHOLD:
         raise DomainError(f"|Omega(T)| = {abs(omega_T):.3e}; caustic")
     return complex(2.0 * traj.hbar / omega_T), complex(traj.dv[-1])
 
 
-def tracked_prefactor(
-    traj: ComplexTrajectory, caustic_threshold: float = 1e-4
-) -> complex:
+def tracked_prefactor(traj: ComplexTrajectory) -> complex:
     """sqrt((i/hbar) d2S/du'dv''), branch-tracked continuously from T = 0.
 
     Along the trajectory (i/hbar) d2S(t) = 1/dv(t), which starts at 1;
@@ -251,7 +253,7 @@ def tracked_prefactor(
     monodromy component gets small (the prefactor is blowing up).
     """
     prev = 1.0 + 0.0j
-    if np.min(np.abs(traj.dv)) < caustic_threshold:
+    if np.min(np.abs(traj.dv)) < CAUSTIC_THRESHOLD:
         warnings.warn("prefactor tracked through a near-caustic", CausticWarning)
     for dv_k in traj.dv:
         root = cmath.sqrt(1.0 / dv_k)
@@ -323,7 +325,6 @@ def semiclassical_K(
     guesses=None,
     include_correction: bool = True,
     tol: float = 1e-10,
-    dedupe: float = 1e-6,
 ) -> SemiclassicalResult:
     """Semiclassical coherent-state propagator in the q, p or w form.
 
@@ -338,6 +339,8 @@ def semiclassical_K(
     ------
     NonConverged
         If no shooting guess converges.
+    ValueError
+        If T is negative or not finite.
     """
     form = form.lower()
     if form not in FORM_SIGMA:
@@ -362,7 +365,7 @@ def semiclassical_K(
         except NonConverged as exc:
             failures.append(str(exc))
             continue
-        if all(abs(traj.v0 - kept.v0) > dedupe for kept in trajectories):
+        if all(abs(traj.v0 - kept.v0) > DEDUPE_TOL for kept in trajectories):
             trajectories.append(traj)
     if not trajectories:
         raise NonConverged(

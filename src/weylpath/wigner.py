@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import OperatorPoly, ScaleContext
 from .coherent import FockOracle, coherent_matrix, fock_coherent
-from .discrete import DiscreteWPath, chord_coefficients
+from .discrete import DiscreteWPath, _alternating, chord_coefficients
 from .errors import DomainError, refine
 
 __all__ = [
@@ -140,7 +140,6 @@ def weyl_U_grid(
     qs: np.ndarray,
     ps: np.ndarray,
     cutoff: int = 200,
-    s_half: float | None = None,
     s_step: float | None = None,
     tail_threshold: float = 1e-10,
     check: bool = True,
@@ -169,8 +168,7 @@ def weyl_U_grid(
     fock_coherent(corner, cutoff, tail_threshold)  # raises DomainError if short
 
     support = ctx.b * math.sqrt(2.0 * cutoff + 1.0)
-    if s_half is None:
-        s_half = 2.0 * (np.max(np.abs(qs)) + support)
+    s_half = 2.0 * (np.max(np.abs(qs)) + support)
     if s_step is None:
         k_content = (ctx.c * math.sqrt(2.0 * cutoff + 1.0) + np.max(np.abs(ps)))
         s_step = math.pi * ctx.hbar / (1.25 * k_content)
@@ -282,7 +280,5 @@ def area_identity(
     rt2 = math.sqrt(2.0)
     Qk = ctx.b * (path.w + path.w_star) / rt2
     Pk = ctx.c * (path.w - path.w_star) / (1j * rt2)
-    signs = np.ones(path.N)
-    signs[1::2] = -1.0
-    rhs = np.sum(signs * (2j / ctx.hbar) * (Qk * p - Pk * q))
+    rhs = np.sum(_alternating(path.N) * (2j / ctx.hbar) * (Qk * p - Pk * q))
     return complex(lhs), complex(rhs)

@@ -16,14 +16,18 @@ from weylpath import (
     displacement_element,
     exact_propagator,
     fock_coherent,
+    harmonic_discrete_K,
     harmonic_exact_K,
     harmonic_hamiltonian,
     husimi_U_grid,
+    mu_coefficients,
     operator_matrix,
     overlap,
     phase_grid_axes,
     quadrature_K,
     quartic_position_hamiltonian,
+    semiclassical_K,
+    solve_bvp,
     weyl_element,
     weyl_symbol,
     weyl_U_grid,
@@ -302,7 +306,17 @@ H_QUARTIC = quartic_position_hamiltonian(0.1, CTX)
         (lambda: weyl_element(weyl_symbol(H_QUARTIC), NAN, 0.2),
          NonConverged, "moved the result by nan"),
         (lambda: quadrature_K("p", H_QUARTIC, 0.3, 0.2, NAN, 2),
-         NonConverged, "moved the result by nan"),
+         ValueError, "T must be finite"),
+        (lambda: quadrature_K("q", H_QUARTIC, 0.3, 0.2, NAN, 1),
+         ValueError, "T must be finite"),
+        (lambda: harmonic_exact_K(0.3, 0.2, 1.0, NAN), ValueError, "T must be finite"),
+        (lambda: harmonic_discrete_K("w", 0.3, 0.2, 1.0, NAN, 2),
+         ValueError, "T must be finite"),
+        (lambda: mu_coefficients(1.0, math.inf, 4), ValueError, "T must be finite"),
+        (lambda: solve_bvp(weyl_symbol(H_QUARTIC), 0.3, 0.2, NAN),
+         ValueError, "T must be finite"),
+        (lambda: semiclassical_K("w", H_QUARTIC, 0.3, 0.2, NAN),
+         ValueError, "T must be finite"),
         (lambda: det_continuum(lambda t: 0.0, lambda t: 0.0, lambda t: 1.0, NAN),
          ValueError, "T must be finite"),
         (lambda: weyl_U_grid(H_QUARTIC, CTX, NAN, *AXES, cutoff=60),
@@ -310,8 +324,9 @@ H_QUARTIC = quartic_position_hamiltonian(0.1, CTX)
         (lambda: husimi_U_grid(H_QUARTIC, CTX, NAN, *AXES, cutoff=60),
          ValueError, "T must be finite"),
     ],
-    ids=["exact-nan", "exact-inf", "weyl_element", "quadrature_K", "det_continuum",
-         "weyl_U_grid", "husimi_U_grid"],
+    ids=["exact-nan", "exact-inf", "weyl_element", "quadrature_K", "quadrature_K-q1",
+         "harmonic_exact_K", "harmonic_discrete_K", "mu_coefficients", "solve_bvp",
+         "semiclassical_K", "det_continuum", "weyl_U_grid", "husimi_U_grid"],
 )
 def test_non_finite_input_raises(call, error, message):
     """A non-finite T or label raises instead of returning NaN."""

@@ -23,7 +23,9 @@ from weylpath import (
 from weylpath.algebra import symbol_for_form
 from weylpath.discrete import (
     COHERENT_WIDTH,
+    GRID_REFINE,
     DiscGridSpec,
+    _alt_prefix_sums,
     _disc_points,
     chord_coefficients,
     phi_N_gradient,
@@ -104,6 +106,23 @@ class TestPhiN:
                     - phi_N(DiscreteWPath(minus["w"], p.tau, p.zp, p.zpp, minus["w_star"]), HW_HARMONIC)
                 ) / (2 * h)
                 assert abs(grad[l] - fd) < 1e-7
+
+
+class TestAltPrefixSums:
+    @staticmethod
+    def recurrence(x):
+        s = np.zeros(len(x), dtype=complex)
+        for m in range(1, len(x)):
+            s[m] = x[m - 1] - s[m - 1]
+        return s
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 1001])
+    def test_scan_is_the_recurrence(self, n):
+        """Bit for bit, forward and reversed (as the gradient uses it)."""
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert np.array_equal(_alt_prefix_sums(x), self.recurrence(x))
+        assert np.array_equal(_alt_prefix_sums(x[::-1]), self.recurrence(x[::-1]))
 
 
 class TestPsiC:
@@ -309,13 +328,13 @@ def pairwise_quadrature(form, H, zp, zpp, T, grid):
 
     def once(n):
         if form == "p":
-            centers = [zp + (j / 3) * (zpp - zp) for j in (1, 2)]
-            (z0, area, *_), (z1, *_) = [_disc_points(c, radius, n) for c in centers]
+            offsets, area, *_ = _disc_points(radius, n)
+            z0, z1 = [zp + (j / 3) * (zpp - zp) + offsets for j in (1, 2)]
             left = overlap(z0, zp) * site(z0) * area / np.pi
             right = overlap(zpp, z1) * site(z1) * area / np.pi
             return left @ overlap(z1[None, :], z0[:, None]) @ right
-        centers = [zp + (k / 4) * (zpp - zp) for k in (1, 3)]
-        (w1, area, *_), (w2, *_) = [_disc_points(c, radius, n) for c in centers]
+        offsets, area, *_ = _disc_points(radius, n)
+        w1, w2 = [zp + (k / 4) * (zpp - zp) + offsets for k in (1, 3)]
         zpp_star = np.conj(zpp)
         left = (
             site(w1)
@@ -331,7 +350,7 @@ def pairwise_quadrature(form, H, zp, zpp, T, grid):
         return overlap(zpp, zp) * (left @ kernel @ right)
 
     coarse = once(grid.points)
-    fine = once(int(round(grid.points * grid.refine)))
+    fine = once(int(round(grid.points * GRID_REFINE)))
     return fine, abs(fine - coarse)
 
 

@@ -178,11 +178,12 @@ class TestSmoothing:
         )
         assert dev < 1e-14
 
-    def test_import_leaves_scipy_signal_out(self):
+    @pytest.mark.parametrize("module", ["scipy.signal", "scipy.linalg"])
+    def test_import_leaves_scipy_module_out(self, module):
         src = os.path.dirname(os.path.dirname(os.path.abspath(weylpath.__file__)))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = "import sys, weylpath; print('scipy.signal' in sys.modules)"
+        code = f"import sys, weylpath; print({module!r} in sys.modules)"
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
