@@ -126,11 +126,10 @@ def cmd_symbols(args) -> int:
 
 def cmd_harmonic_compare(args) -> int:
     rows = convergence_table(args.omega, args.T, args.z0, args.z1, args.N_list)
-    fieldnames = ["N", "form", "re_K", "im_K", "abs_err_vs_oracle", "re_mu", "im_mu"]
     if args.format == "json":
         _emit(_json_text(rows), args.out)
     else:
-        _emit(_csv_text(rows, fieldnames), args.out)
+        _emit(_csv_text(rows, list(rows[0])), args.out)
     return 0
 
 
@@ -219,11 +218,10 @@ def cmd_wigner_u(args) -> int:
                     "im_husimi": husimi.values[i, j].imag,
                 }
             )
-    fieldnames = ["q", "p", "re_U", "im_U", "re_husimi", "im_husimi"]
     if args.format == "json":
         _emit(_json_text(rows), args.out)
     else:
-        _emit(_csv_text(rows, fieldnames), args.out)
+        _emit(_csv_text(rows, list(rows[0])), args.out)
     return 0
 
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import OperatorPoly, ScaleContext, SymbolPoly
-from .errors import DomainError, refine
+from .errors import DomainError, refine, require_finite
 
 __all__ = [
     "FockVector",
@@ -176,8 +176,7 @@ class FockOracle:
         self.evals, self.evecs = np.linalg.eigh(self.matrix)
 
     def _phases(self, T: float) -> np.ndarray:
-        if not math.isfinite(T):
-            raise ValueError(f"T must be finite, got {T}")
+        require_finite(T=T)
         return np.exp(-1j * self.evals * T / self.hbar)
 
     def evolution_matrix(self, T: float) -> np.ndarray:
@@ -252,8 +251,7 @@ def _cached_oracle(H: OperatorPoly, cutoff: int) -> FockOracle:
 
 def harmonic_exact_K(z1: complex, z2: complex, omega: float, T: float) -> complex:
     """Closed-form <z2|U|z1> for H = hbar omega (adag a + 1/2)."""
-    if not math.isfinite(T):
-        raise ValueError(f"T must be finite, got {T}")
+    require_finite(z1=z1, z2=z2, T=T)
     mu = np.exp(-1j * omega * T)
     return np.exp(-0.5j * omega * T) * np.exp(
         mu * z1 * np.conj(z2) - 0.5 * abs(z1) ** 2 - 0.5 * abs(z2) ** 2

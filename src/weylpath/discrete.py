@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import OperatorPoly, SymbolPoly, symbol_for_form
 from .coherent import harmonic_exact_K, overlap
-from .errors import DomainError, refine
+from .errors import DomainError, refine, require_finite
 
 __all__ = [
     "DiscreteWPath",
@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 COHERENT_WIDTH = 1.0 / math.sqrt(2.0)  # |<z|z'>|^2 = exp(-|z-z'|^2)
-Q_KERNEL_CHUNK = 4096  # columns of the Q-form pair kernel built at once
 GRID_REFINE = 1.5  # per-axis point-count factor of the quadrature's check pass
 
 
@@ -57,18 +56,15 @@ class DiscreteWPath:
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=complex)
+        ws = np.conj(w) if self.w_star is None else np.asarray(self.w_star, dtype=complex)
+        if ws.shape != w.shape:
+            raise ValueError("w and w_star must have the same length")
         object.__setattr__(self, "w", w)
-        if self.w_star is None:
-            object.__setattr__(self, "w_star", np.conj(w))
-        else:
-            ws = np.asarray(self.w_star, dtype=complex)
-            if ws.shape != w.shape:
-                raise ValueError("w and w_star must have the same length")
-            object.__setattr__(self, "w_star", ws)
+        object.__setattr__(self, "w_star", ws)
         if len(w) % 2 != 0 or len(w) == 0:
             raise ValueError("N must be a positive even integer")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be finite and positive, got {self.tau}")
 
     @property
     def N(self) -> int:
@@ -203,6 +199,7 @@ def stationary_path_harmonic(
     """
     if N % 2 != 0 or N <= 0:
         raise ValueError("N must be a positive even integer")
+    require_finite(T=T)
     tau = T / N
     alpha = 1.0 + 0.5j * tau * omega
     k = np.arange(1, N + 1)
@@ -221,8 +218,7 @@ def mu_coefficients(omega: float, T: float, N: int):
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    if not math.isfinite(T):
-        raise ValueError(f"T must be finite, got {T}")
+    require_finite(T=T)
     tau = T / N
     mu_q = (1.0 - 1j * tau * omega) ** N
     mu_p = (1.0 + 1j * tau * omega) ** (-N)
@@ -239,10 +235,9 @@ def harmonic_discrete_K(
     K_Q = exp(-i w T/2 + mu_Q z'z''* - |z'|^2/2 - |z''|^2/2)
     K_P = (1 + i tau w)^-N exp(+i w T/2 + mu_P z'z''* - |z'|^2/2 - |z''|^2/2)
     """
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    tau = T / N
+    require_finite(zp=zp, zpp=zpp)
     mu_q, mu_p, mu_w = mu_coefficients(omega, T, N)
+    tau = T / N
     gauss = -0.5 * abs(zp) ** 2 - 0.5 * abs(zpp) ** 2
     cross = zp * np.conj(zpp)
     form = form.lower()
@@ -306,21 +301,19 @@ def _disc_points(radius: float, n: int):
     return X[mask] + 1j * Y[mask], step * step, ax, mask
 
 
-def _gaussian_pair_sum(a: float, c0: complex, c1: complex, ax, mask, left, right) -> complex:
+def _gaussian_pair_sum(a: complex, c0: complex, c1: complex, ax, mask, left, right) -> complex:
     """sum_{z0, z1} left(z0) exp(a conj(z1) z0 - a|z0|^2/2 - a|z1|^2/2) right(z1).
 
     z0 and z1 run over the masked disc grids ``c + ax + i ax`` around the
     centres c0 and c1.  With z = X + iY the pair kernel is the product of four n x n
-    factors, each bounded by 1:
-    exp(-a/2 (X0-X1)^2) exp(-a/2 (Y0-Y1)^2) exp(i a X1 Y0) exp(-i a Y1 X0).
+    factors, exp(-a/2 (X0-X1)^2) exp(-a/2 (Y0-Y1)^2) exp(i a X1 Y0) exp(-i a Y1 X0), all
+    bounded by 1 for real a > 0 (P, W); a complex a (Q) lets the last two exceed 1.
     The site values sit on the full n x n grid with zeros off the disc, so
     the double sum is one (n^2, n) x (n, n) product and an n^3 contraction.
     """
     n = len(ax)
-    L = np.zeros((n, n), dtype=complex)
-    R = np.zeros((n, n), dtype=complex)
-    L[mask] = left
-    R[mask] = right
+    L, R = np.zeros((2, n, n), dtype=complex)
+    L[mask], R[mask] = left, right
     x0, y0, x1, y1 = c0.real + ax, c0.imag + ax, c1.real + ax, c1.imag + ax
     gx = np.exp(-0.5 * a * np.subtract.outer(x0, x1) ** 2)  # [i0, i1]
     gy = np.exp(-0.5 * a * np.subtract.outer(y0, y1) ** 2)  # [j0, j1]
@@ -360,18 +353,21 @@ def _quad_once(
 
         if N == 1:
             return complex(e_factor(zp, zpp)), 0, 0
-        pts = [zp + (j / N) * (zpp - zp) + offsets for j in range(1, N)]
+        centers = [zp + (j / N) * (zpp - zp) for j in range(1, N)]
+        pts = [c + offsets for c in centers]
         left = e_factor(zp, pts[0]) * (area / math.pi)
         if N == 2:
             return complex(np.sum(left * e_factor(pts[0], zpp))), 2, len(offsets)
-        right = e_factor(pts[1], zpp) * (area / math.pi)
-        # sum_{a,b} left[a] E(a, b) right[b], the pair kernel built in column blocks
-        acc = 0.0 + 0.0j
-        for start in range(0, len(right), Q_KERNEL_CHUNK):
-            cols = slice(start, start + Q_KERNEL_CHUNK)
-            block = e_factor(pts[0][:, None], pts[1][None, cols])
-            acc += np.sum((left @ block) * right[cols])
-        return complex(acc), 4, len(offsets)
+        # H of degree <= 2 is H(u, 0) + H(0, v) - H(0, 0) + h11 u v.  The u and v parts go
+        # to the site factors and h11 to a Gaussian pair kernel with a = 1 - i tau h11/hbar,
+        # whose a |z|^2 / 2 terms leave -i tau h11 |z|^2 / (2 hbar) in each plane
+        h11, h00 = sym.terms.get((1, 1), 0.0), sym.terms.get((0, 0), 0.0)
+        z0, z1 = pts
+        left *= np.exp(-1j * tau * (sym.eval(z0, 0 * z0) + 0.5 * h11 * np.abs(z0) ** 2) / hbar)
+        h_v = sym.eval(0 * z1, np.conj(z1)) - h00 + 0.5 * h11 * np.abs(z1) ** 2
+        right = e_factor(z1, zpp) * np.exp(-1j * tau * h_v / hbar) * (area / math.pi)
+        a = 1.0 - 1j * tau * h11 / hbar
+        return _gaussian_pair_sum(a, *centers, ax, mask, left, right), 4, len(offsets)
 
     def site(z):
         return np.exp(-1j * tau * sym.eval(z, np.conj(z)) / hbar)
@@ -415,7 +411,8 @@ def quadrature_K(
     Raises
     ------
     DomainError
-        If the requested (form, N) needs more than a 4-dimensional grid.
+        If the requested (form, N) needs more than a 4-dimensional grid, or
+        for the Q form at N = 3 with H of degree above 2 (no limit exists).
     NonConverged
         If refinement moves the value by more than ``grid.tolerance``, or
         by a non-finite amount when no tolerance is set.
@@ -425,18 +422,18 @@ def quadrature_K(
     form = form.lower()
     if form not in ("q", "p", "w"):
         raise ValueError(f"unknown form {form!r}; expected q, p or w")
-    if not math.isfinite(T):
-        raise ValueError(f"T must be finite, got {T}")
+    require_finite(T=T)
     if N < 1 or N > 3:
         raise DomainError(f"N = {N} is outside the supported range 1..3")
     dims = 2 * (N - 1) if form == "q" else 2 * N
     if dims > 4:
-        raise DomainError(
-            f"form {form!r} with N = {N} needs a {dims}-dimensional grid"
-        )
+        raise DomainError(f"form {form!r} with N = {N} needs a {dims}-dimensional grid")
     if form == "w" and N % 2 != 0:
         raise ValueError("the W form requires even N")
     sym = symbol_for_form(H, form)
+    if form == "q" and N == 3 and sym.degree > 2:
+        why = f"has no limit at degree {sym.degree}: its value grows with the disc radius"
+        raise DomainError(f"the Q-form integral at N = 3 {why}")
     tau = T / N
     radius = grid.radius_widths * COHERENT_WIDTH
 

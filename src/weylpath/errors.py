@@ -44,3 +44,10 @@ def refine(coarse, fine, tol: float | None, what: str):
         bound = "" if tol is None else f" (tolerance {tol:.3e})"
         raise NonConverged(f"{what} moved the result by {delta:.3e}{bound}")
     return fine, delta
+
+
+def require_finite(**values) -> None:
+    """Raise ValueError naming the first value (a number or an array) that is not finite."""
+    for name, val in values.items():
+        if not np.isfinite(val).all():
+            raise ValueError(f"{name} must be finite, got {val}")

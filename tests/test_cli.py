@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from weylpath import cli, errors, harmonic_exact_K, overlap
+from weylpath import cli, errors, harmonic_discrete_K, harmonic_exact_K, overlap
 from weylpath.cli import main
 
 HARMONIC = {
@@ -139,6 +139,19 @@ class TestPropagate:
         assert rc == 0
         record = json.loads(capsys.readouterr().out)
         assert record["refinement_delta"] < 1e-6
+
+    Q_THREE_SLICES = ["--form", "q", "--z0", "0.4,0.1", "--z1=0.2,-0.3", "--T", "0.2", "--N", "3"]
+
+    def test_q_form_three_slices_harmonic(self, harmonic_json, capsys):
+        assert main(["propagate", "--hamiltonian", harmonic_json, *self.Q_THREE_SLICES]) == 0
+        record = json.loads(capsys.readouterr().out)
+        want = harmonic_discrete_K("q", 0.4 + 0.1j, 0.2 - 0.3j, 1.0, 0.2, 3)
+        got = complex(record["re_K"], record["im_K"])
+        assert abs(got - want) < record["refinement_delta"] + 1e-7
+
+    def test_q_form_three_slices_quartic_exit_code(self, quartic_json, capsys):
+        assert main(["propagate", "--hamiltonian", quartic_json, *self.Q_THREE_SLICES]) == 3
+        assert "has no limit" in capsys.readouterr().err
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

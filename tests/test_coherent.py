@@ -6,6 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from weylpath import (
+    DiscreteWPath,
     FockOracle,
     OperatorPoly,
     PhasePoint,
@@ -28,6 +29,7 @@ from weylpath import (
     quartic_position_hamiltonian,
     semiclassical_K,
     solve_bvp,
+    stationary_path_harmonic,
     weyl_element,
     weyl_symbol,
     weyl_U_grid,
@@ -312,6 +314,13 @@ H_QUARTIC = quartic_position_hamiltonian(0.1, CTX)
         (lambda: harmonic_exact_K(0.3, 0.2, 1.0, NAN), ValueError, "T must be finite"),
         (lambda: harmonic_discrete_K("w", 0.3, 0.2, 1.0, NAN, 2),
          ValueError, "T must be finite"),
+        (lambda: harmonic_exact_K(NAN, 0.2, 1.0, 0.2), ValueError, "z1 must be finite"),
+        (lambda: harmonic_discrete_K("w", NAN, 0.2, 1.0, 0.2, 2),
+         ValueError, "zp must be finite"),
+        (lambda: DiscreteWPath(w=np.zeros(2), tau=NAN, zp=0.3, zpp=0.2),
+         ValueError, "tau must be finite"),
+        (lambda: stationary_path_harmonic(0.3, 0.2, 1.0, NAN, 4),
+         ValueError, "T must be finite"),
         (lambda: mu_coefficients(1.0, math.inf, 4), ValueError, "T must be finite"),
         (lambda: solve_bvp(weyl_symbol(H_QUARTIC), 0.3, 0.2, NAN),
          ValueError, "T must be finite"),
@@ -325,7 +334,9 @@ H_QUARTIC = quartic_position_hamiltonian(0.1, CTX)
          ValueError, "T must be finite"),
     ],
     ids=["exact-nan", "exact-inf", "weyl_element", "quadrature_K", "quadrature_K-q1",
-         "harmonic_exact_K", "harmonic_discrete_K", "mu_coefficients", "solve_bvp",
+         "harmonic_exact_K", "harmonic_discrete_K", "harmonic_exact_K-label",
+         "harmonic_discrete_K-label", "DiscreteWPath-tau", "stationary_path_harmonic",
+         "mu_coefficients", "solve_bvp",
          "semiclassical_K", "det_continuum", "weyl_U_grid", "husimi_U_grid"],
 )
 def test_non_finite_input_raises(call, error, message):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from weylpath import (
     DiscreteWPath,
@@ -34,6 +37,10 @@ from weylpath.errors import DomainError, NonConverged
 
 CTX = ScaleContext.default()
 HW_HARMONIC = SymbolPoly({(1, 1): 1.0})  # hbar = omega = 1
+# quadratic H with adag a, a^2, adag^2, a and adag terms (squeezed and displaced)
+H_SQUEEZED = OperatorPoly(
+    {(1, 1): 1.0, (2, 0): 0.3 + 0.1j, (0, 2): 0.3 - 0.1j, (1, 0): 0.2 - 0.4j, (0, 1): 0.2 + 0.4j}
+)
 
 
 def random_path(rng, N, tau=0.05, zp=0.3 + 0.2j, zpp=-0.1 + 0.4j, complexified=False):
@@ -106,6 +113,29 @@ class TestPhiN:
                     - phi_N(DiscreteWPath(minus["w"], p.tau, p.zp, p.zpp, minus["w_star"]), HW_HARMONIC)
                 ) / (2 * h)
                 assert abs(grad[l] - fd) < 1e-7
+
+
+COORD = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+HW_QUARTIC = weyl_symbol(quartic_position_hamiltonian(0.3, CTX))
+
+
+@st.composite
+def complexified_paths(draw):
+    """Even-N Weyl-form paths with w* independent of w, N up to 40."""
+    N = 2 * draw(st.integers(1, 20))
+    re_w, im_w, re_ws, im_ws = draw(arrays(np.float64, (4, N), elements=COORD))
+    labels = st.builds(complex, COORD, COORD)
+    return DiscreteWPath(
+        w=re_w + 1j * im_w, tau=draw(st.floats(1e-3, 1.0)), zp=draw(labels), zpp=draw(labels),
+        w_star=re_ws + 1j * im_ws,
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(path=complexified_paths())
+def test_phi_N_equals_alt_form_property(path):
+    a, b = phi_N(path, HW_QUARTIC), phi_N_alt(path, HW_QUARTIC)
+    assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
 
 class TestAltPrefixSums:
@@ -305,6 +335,25 @@ class TestQuadratureK:
         with pytest.raises(DomainError, match="6-dimensional grid"):
             quadrature_K("w", H, 0.1, 0.2, 0.1, 3)
 
+    @pytest.mark.parametrize("zp,zpp", [(0.3, 0.5), (0.4 + 0.1j, -0.2 + 0.5j)])
+    @pytest.mark.parametrize("T", [0.2, 0.6])
+    def test_harmonic_q3_within_its_delta(self, zp, zpp, T):
+        r = quadrature_K("q", harmonic_hamiltonian(CTX), zp, zpp, T, 3)
+        assert (r.dims, r.points_per_plane) == (4, 3940)
+        assert abs(r.value - harmonic_discrete_K("q", zp, zpp, 1.0, T, 3)) < r.refinement_delta + 1e-7
+
+    def test_quartic_q3_has_no_limit(self):
+        H = quartic_position_hamiltonian(0.1, CTX)
+        with pytest.raises(DomainError, match="N = 3 has no limit at degree 4"):
+            quadrature_K("q", H, 0.4 + 0.1j, 0.2 - 0.3j, 0.3, 3)
+
+    def test_quartic_q2_unchanged(self):
+        # the direct N = 2 sum, pinned: the N = 3 contraction must leave it alone
+        r = quadrature_K("q", quartic_position_hamiltonian(0.1, CTX), 0.4 + 0.1j, 0.2 - 0.3j, 0.3, 2)
+        assert abs(r.value - (0.9588269510792411 - 0.062126275246921214j)) < 1e-13
+        assert r.refinement_delta == pytest.approx(3.509940732130346e-10, rel=1e-6)
+        assert (r.dims, r.points_per_plane) == (2, 3940)
+
     def test_unconverged_grid_raises(self):
         H = harmonic_hamiltonian(CTX)
         with pytest.raises(NonConverged, match="refining 10 -> 15 points"):
@@ -315,25 +364,33 @@ class TestQuadratureK:
 
 
 def pairwise_quadrature(form, H, zp, zpp, T, grid):
-    """N = 2 P- or W-form value and refinement delta with the pair kernel as one exp per pair.
+    """Value and refinement delta with the pair kernel as one exp per pair.
 
-    The reference the separable contraction in ``quadrature_K`` must reproduce.
+    N = 3 for the Q form, N = 2 for the P and W forms: the reference the
+    separable contraction in ``quadrature_K`` must reproduce.
     """
     sym = symbol_for_form(H, form)
-    tau = T / 2
+    tau = T / (3 if form == "q" else 2)
     radius = grid.radius_widths * COHERENT_WIDTH
 
     def site(z):
         return np.exp(-1j * tau * sym.eval(z, np.conj(z)) / H.hbar)
 
+    def q_factor(za, zb):
+        return overlap(zb, za) * np.exp(-1j * tau * sym.eval(za, np.conj(zb)) / H.hbar)
+
     def once(n):
+        offsets, area, *_ = _disc_points(radius, n)
+        if form == "q":
+            z1, z2 = [zp + (j / 3) * (zpp - zp) + offsets for j in (1, 2)]
+            left = q_factor(zp, z1) * area / np.pi
+            right = q_factor(z2, zpp) * area / np.pi
+            return left @ q_factor(z1[:, None], z2[None, :]) @ right
         if form == "p":
-            offsets, area, *_ = _disc_points(radius, n)
             z0, z1 = [zp + (j / 3) * (zpp - zp) + offsets for j in (1, 2)]
             left = overlap(z0, zp) * site(z0) * area / np.pi
             right = overlap(zpp, z1) * site(z1) * area / np.pi
             return left @ overlap(z1[None, :], z0[:, None]) @ right
-        offsets, area, *_ = _disc_points(radius, n)
         w1, w2 = [zp + (k / 4) * (zpp - zp) + offsets for k in (1, 3)]
         zpp_star = np.conj(zpp)
         left = (
@@ -366,6 +423,18 @@ class TestSeparableContraction:
         grid = DiscGridSpec(points=points)
         r = quadrature_K(form, H, zp, zpp, 0.2, 2, grid)
         value, delta = pairwise_quadrature(form, H, zp, zpp, 0.2, grid)
+        assert abs(r.value - value) < 1e-13
+        assert abs(r.refinement_delta - delta) < 1e-13
+
+    @pytest.mark.parametrize("H", [harmonic_hamiltonian(CTX), H_SQUEEZED], ids=["oscillator", "squeezed"])
+    @pytest.mark.parametrize(
+        "zp,zpp", [(0.3, 0.5), (0.4 + 0.1j, -0.2 + 0.5j)], ids=["on-axis", "off-axis"]
+    )
+    @pytest.mark.parametrize("points", [16, 24])
+    def test_q3_matches_pairwise_kernel(self, H, zp, zpp, points):
+        grid = DiscGridSpec(points=points)
+        r = quadrature_K("q", H, zp, zpp, 0.3, 3, grid)
+        value, delta = pairwise_quadrature("q", H, zp, zpp, 0.3, grid)
         assert abs(r.value - value) < 1e-13
         assert abs(r.refinement_delta - delta) < 1e-13
 
