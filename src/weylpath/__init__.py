@@ -26,7 +26,6 @@ from .coherent import (
     FockOracle,
     FockVector,
     PhasePoint,
-    QuadSpec,
     displacement_element,
     exact_propagator,
     fock_coherent,

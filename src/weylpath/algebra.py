@@ -118,11 +118,6 @@ class OperatorPoly:
         _poly_add(acc, other.terms)
         return OperatorPoly(acc, self.hbar)
 
-    def scaled(self, factor: complex) -> "OperatorPoly":
-        return OperatorPoly(
-            {k: factor * c for k, c in self.terms.items()}, self.hbar
-        )
-
     def __mul__(self, other: "OperatorPoly") -> "OperatorPoly":
         """Canonical product, re-normal-ordered with a^n adag^m expansions."""
         acc: dict = {}
@@ -182,9 +177,6 @@ class SymbolPoly:
         acc = dict(self.terms)
         _poly_add(acc, other.terms, -1.0)
         return SymbolPoly(acc)
-
-    def __mul__(self, other: "SymbolPoly") -> "SymbolPoly":
-        return SymbolPoly(_poly_mul(self.terms, other.terms))
 
     def scaled(self, factor: complex) -> "SymbolPoly":
         return SymbolPoly({k: factor * c for k, c in self.terms.items()})
@@ -321,25 +313,19 @@ def normalize(word_list, hbar: float = 1.0) -> OperatorPoly:
     OperatorPoly
         The canonical form obtained by repeated use of ``a adag = adag a + 1``.
     """
-    total: dict = {}
+    letters = {
+        "a": OperatorPoly({(0, 1): 1.0}, hbar),
+        "adag": OperatorPoly({(1, 0): 1.0}, hbar),
+    }
+    total = OperatorPoly({}, hbar)
     for coeff, word in word_list:
-        acc = {(0, 0): complex(coeff)}
+        acc = OperatorPoly({(0, 0): coeff}, hbar)
         for letter in word.split():
-            if letter == "a":
-                acc = {(m, n + 1): c for (m, n), c in acc.items()}
-            elif letter == "adag":
-                nxt: dict = {}
-                for (m, n), c in acc.items():
-                    # adag^m a^n adag = adag^(m+1) a^n + n adag^m a^(n-1)
-                    nxt[(m + 1, n)] = nxt.get((m + 1, n), 0.0) + c
-                    if n > 0:
-                        key = (m, n - 1)
-                        nxt[key] = nxt.get(key, 0.0) + n * c
-                acc = nxt
-            else:
+            if letter not in letters:
                 raise ValueError(f"unknown ladder letter {letter!r}")
-        _poly_add(total, acc)
-    return OperatorPoly(total, hbar)
+            acc = acc * letters[letter]
+        total = total + acc
+    return total
 
 
 def _apply_exp_mixed(terms: dict, s: float) -> dict:

@@ -28,13 +28,15 @@ EXIT_NUMERIC = 3
 
 
 def _parse_complex(text: str) -> complex:
+    """Argument type: a 're,im' pair of finite numbers."""
     try:
         re_s, im_s = text.split(",")
-        return complex(float(re_s), float(im_s))
-    except ValueError as exc:
-        raise errors.HamiltonianFormatError(
-            f"expected 're,im' pair, got {text!r}"
-        ) from exc
+        z = complex(float(re_s), float(im_s))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 're,im' pair, got {text!r}")
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise argparse.ArgumentTypeError(f"expected finite parts, got {text!r}")
+    return z
 
 
 def _checked(kind, ok, wanted: str):

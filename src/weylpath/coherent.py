@@ -19,7 +19,6 @@ from .errors import DomainError, refine, require_finite
 __all__ = [
     "FockVector",
     "PhasePoint",
-    "QuadSpec",
     "overlap",
     "fock_coherent",
     "operator_matrix",
@@ -31,7 +30,9 @@ __all__ = [
 ]
 
 DEFAULT_CUTOFF = 80
-DEFAULT_TAIL_THRESHOLD = 1e-12
+TAIL_THRESHOLD = 1e-12  # largest truncated tail mass allowed for any coherent label
+GH_NODES = 64  # Gauss-Hermite nodes per axis in weyl_element
+GH_TOLERANCE = 1e-9  # node-doubling tolerance of weyl_element
 
 
 @dataclass(frozen=True)
@@ -67,13 +68,22 @@ def _fock_log_tables(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     return n, half_log_fact
 
 
-def _coherent_columns(zs: np.ndarray, cutoff: int) -> np.ndarray:
-    """Amplitudes e^{-|z|^2/2} z^n / sqrt(n!) for n = 0..cutoff, one column per label.
+def coherent_matrix(zs, cutoff: int) -> np.ndarray:
+    """Column-stacked coherent vectors e^{-|z|^2/2} z^n / sqrt(n!), n = 0..cutoff.
 
     The modulus is exp(-|z|^2/2 + n log|z| - lgamma(n+1)/2) and the phase a
     running product of the unit number z/|z|, so no intermediate overflows
     or underflows where the amplitude itself is representable.
+
+    Raises
+    ------
+    DomainError
+        If the truncated Poisson tail mass of any label exceeds
+        ``TAIL_THRESHOLD`` (or is not a number).
+    ValueError
+        If the cutoff is negative or a label is not finite.
     """
+    zs = np.atleast_1d(np.asarray(zs, dtype=complex)).ravel()
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
     r = np.abs(zs)
@@ -86,47 +96,20 @@ def _coherent_columns(zs: np.ndarray, cutoff: int) -> np.ndarray:
     np.divide(zs, r1, out=cols[1:])
     np.cumprod(cols, axis=0, out=cols)
     cols *= np.exp(n * np.log(r1) - half_log_fact - 0.5 * r * r)
-    return cols
-
-
-def fock_coherent(
-    z: complex,
-    cutoff: int,
-    tail_threshold: float = DEFAULT_TAIL_THRESHOLD,
-) -> FockVector:
-    """Truncated Fock expansion of |z>, amplitudes e^{-|z|^2/2} z^n / sqrt(n!).
-
-    Raises
-    ------
-    DomainError
-        If the truncated Poisson tail mass exceeds ``tail_threshold`` (or is
-        not a number).
-    """
-    amplitudes = _coherent_columns(np.array([complex(z)]), cutoff)[:, 0]
-    tail = 1.0 - float(np.vdot(amplitudes, amplitudes).real)
-    _tail_guard(tail, tail_threshold, cutoff)
-    return FockVector(cutoff, amplitudes, max(0.0, tail))
-
-
-def coherent_matrix(
-    zs: np.ndarray,
-    cutoff: int,
-    tail_threshold: float = DEFAULT_TAIL_THRESHOLD,
-) -> np.ndarray:
-    """Column-stacked coherent vectors for an array of labels."""
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex)).ravel()
-    cols = _coherent_columns(zs, cutoff)
-    tails = 1.0 - np.sum(np.abs(cols) ** 2, axis=0)
-    _tail_guard(float(np.max(tails)), tail_threshold, cutoff)
-    return cols
-
-
-def _tail_guard(tail: float, threshold: float, cutoff: int):
-    if not tail <= threshold:  # NaN-aware
+    tail = float(np.max(1.0 - np.sum(np.abs(cols) ** 2, axis=0)))
+    if not tail <= TAIL_THRESHOLD:  # NaN-aware
         raise DomainError(
-            f"truncated tail mass {tail:.3e} exceeds threshold {threshold:.3e} "
+            f"truncated tail mass {tail:.3e} exceeds threshold {TAIL_THRESHOLD:.3e} "
             f"at cutoff {cutoff}; increase the cutoff"
         )
+    return cols
+
+
+def fock_coherent(z: complex, cutoff: int) -> FockVector:
+    """Truncated Fock expansion of |z>: the one column of :func:`coherent_matrix`."""
+    amplitudes = coherent_matrix(z, cutoff)[:, 0]
+    tail = 1.0 - float(np.vdot(amplitudes, amplitudes).real)
+    return FockVector(cutoff, amplitudes, max(0.0, tail))
 
 
 def operator_matrix(op: OperatorPoly, cutoff: int) -> np.ndarray:
@@ -169,11 +152,9 @@ class FockOracle:
     def __init__(self, op: OperatorPoly, cutoff: int = DEFAULT_CUTOFF):
         if not op.is_hermitian():
             raise ValueError("FockOracle requires a Hermitian operator")
-        self.op = op
         self.cutoff = cutoff
         self.hbar = op.hbar
-        self.matrix = operator_matrix(op, cutoff)
-        self.evals, self.evecs = np.linalg.eigh(self.matrix)
+        self.evals, self.evecs = np.linalg.eigh(operator_matrix(op, cutoff))
 
     def _phases(self, T: float) -> np.ndarray:
         require_finite(T=T)
@@ -182,24 +163,12 @@ class FockOracle:
     def evolution_matrix(self, T: float) -> np.ndarray:
         return (self.evecs * self._phases(T)[None, :]) @ self.evecs.conj().T
 
-    def propagate_vector(self, vec: np.ndarray, T: float) -> np.ndarray:
-        return self.evecs @ (self._phases(T) * (self.evecs.conj().T @ vec))
-
-    def propagator(
-        self,
-        z1: complex,
-        z2,
-        T: float,
-        tail_threshold: float = DEFAULT_TAIL_THRESHOLD,
-    ):
+    def propagator(self, z1: complex, z2, T: float):
         """<z2|exp(-i H T / hbar)|z1>, vectorised over an array of z2."""
-        v1 = fock_coherent(z1, self.cutoff, tail_threshold).amplitudes
-        evolved = self.propagate_vector(v1, T)
-        if np.ndim(z2) == 0:
-            v2 = fock_coherent(complex(z2), self.cutoff, tail_threshold).amplitudes
-            return complex(v2.conj() @ evolved)
-        cols = coherent_matrix(np.asarray(z2), self.cutoff, tail_threshold)
-        return cols.conj().T @ evolved
+        v1 = coherent_matrix(z1, self.cutoff)[:, 0]
+        evolved = self.evecs @ (self._phases(T) * (self.evecs.conj().T @ v1))
+        vals = coherent_matrix(z2, self.cutoff).conj().T @ evolved
+        return complex(vals[0]) if np.ndim(z2) == 0 else vals
 
 
 def exact_propagator(
@@ -208,7 +177,6 @@ def exact_propagator(
     z2: complex,
     T: float,
     cutoff: int = DEFAULT_CUTOFF,
-    tail_threshold: float = DEFAULT_TAIL_THRESHOLD,
     check_tolerance: float = 1e-10,
 ) -> complex:
     """Exact coherent-state propagator <z2|exp(-i H T/hbar)|z1>.
@@ -227,21 +195,18 @@ def exact_propagator(
     """
     if T < 0:
         raise ValueError("T must be non-negative")
-    base = _cached_oracle(H, cutoff).propagator(z1, z2, T, tail_threshold)
-    refined = _cached_oracle(H, 2 * cutoff).propagator(z1, z2, T, tail_threshold)
+    base = _cached_oracle(H, cutoff).propagator(z1, z2, T)
+    refined = _cached_oracle(H, 2 * cutoff).propagator(z1, z2, T)
     what = f"doubling the cutoff {cutoff} -> {2 * cutoff}"
     return refine(base, refined, check_tolerance, what)[0]
-
-
-def _oracle_key(H: OperatorPoly, cutoff: int):
-    return (tuple(sorted(H.terms.items())), H.hbar, cutoff)
 
 
 _ORACLES: dict = {}
 
 
 def _cached_oracle(H: OperatorPoly, cutoff: int) -> FockOracle:
-    key = _oracle_key(H, cutoff)
+    """The oracle of (H, cutoff), built on first use; the cache is emptied past 64 entries."""
+    key = (tuple(sorted(H.terms.items())), H.hbar, cutoff)
     if key not in _ORACLES:
         if len(_ORACLES) > 64:
             _ORACLES.clear()
@@ -273,14 +238,6 @@ def displacement_element(
     )
 
 
-@dataclass(frozen=True)
-class QuadSpec:
-    """Gauss-Hermite tensor quadrature: nodes per axis, node-doubling tolerance."""
-
-    nodes: int = 64
-    tolerance: float = 1e-9
-
-
 @lru_cache(maxsize=8)
 def _gh_nodes(n: int):
     return np.polynomial.hermite.hermgauss(n)
@@ -303,12 +260,7 @@ def _weyl_element_fixed(
     return complex(acc / math.pi * overlap(z2, z1))
 
 
-def weyl_element(
-    A_W: SymbolPoly,
-    z1: complex,
-    z2: complex,
-    quad: QuadSpec = QuadSpec(),
-) -> complex:
+def weyl_element(A_W: SymbolPoly, z1: complex, z2: complex) -> complex:
     """Coherent matrix element <z2|A|z1> from the Weyl symbol of A.
 
     Evaluates ``2 int (dw dw*/2 pi i) A(w, w*) exp(-2|w|^2 + 2 conj(z2) w
@@ -319,12 +271,12 @@ def weyl_element(
     Raises
     ------
     NonConverged
-        If doubling the node count moves the result by more than the spec
-        tolerance.
+        If doubling ``GH_NODES`` moves the result by more than
+        ``GH_TOLERANCE``.
     """
     return refine(
-        _weyl_element_fixed(A_W, z1, z2, quad.nodes),
-        _weyl_element_fixed(A_W, z1, z2, 2 * quad.nodes),
-        quad.tolerance,
-        f"doubling {quad.nodes} -> {2 * quad.nodes} Gauss-Hermite nodes",
+        _weyl_element_fixed(A_W, z1, z2, GH_NODES),
+        _weyl_element_fixed(A_W, z1, z2, 2 * GH_NODES),
+        GH_TOLERANCE,
+        f"doubling {GH_NODES} -> {2 * GH_NODES} Gauss-Hermite nodes",
     )[0]

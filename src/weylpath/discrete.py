@@ -283,9 +283,6 @@ class QuadKResult:
     dims: int
     points_per_plane: int
 
-    def __complex__(self):
-        return complex(self.value)
-
 
 def _disc_points(radius: float, n: int):
     """Masked uniform grid over a disc: (offsets, cell_area, axis, mask).

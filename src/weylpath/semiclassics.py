@@ -311,9 +311,6 @@ class SemiclassicalResult:
     form: str
     contributions: list
 
-    def __complex__(self):
-        return complex(self.K)
-
 
 def semiclassical_K(
     form: str,

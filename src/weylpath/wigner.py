@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import OperatorPoly, ScaleContext
-from .coherent import FockOracle, coherent_matrix, fock_coherent
+from .coherent import FockOracle, _cached_oracle, coherent_matrix
 from .discrete import DiscreteWPath, _alternating, chord_coefficients
 from .errors import DomainError, refine
 
@@ -141,7 +141,6 @@ def weyl_U_grid(
     ps: np.ndarray,
     cutoff: int = 200,
     s_step: float | None = None,
-    tail_threshold: float = 1e-10,
     check: bool = True,
     check_tolerance: float = 1e-7,
 ) -> PhaseSpaceGrid:
@@ -156,7 +155,8 @@ def weyl_U_grid(
     Raises
     ------
     DomainError
-        If the corner coherent state is not resolved by ``cutoff``.
+        If the corner coherent state is not resolved by ``cutoff``
+        (``coherent.TAIL_THRESHOLD``).
     NonConverged
         If halving the chord step moves any grid value beyond the tolerance.
     ValueError
@@ -165,7 +165,7 @@ def weyl_U_grid(
     qs = np.asarray(qs, float)
     ps = np.asarray(ps, float)
     corner = ctx.z_from_qp(np.max(np.abs(qs)), np.max(np.abs(ps)))
-    fock_coherent(corner, cutoff, tail_threshold)  # raises DomainError if short
+    coherent_matrix(corner, cutoff)  # raises DomainError if short
 
     support = ctx.b * math.sqrt(2.0 * cutoff + 1.0)
     s_half = 2.0 * (np.max(np.abs(qs)) + support)
@@ -173,7 +173,7 @@ def weyl_U_grid(
         k_content = (ctx.c * math.sqrt(2.0 * cutoff + 1.0) + np.max(np.abs(ps)))
         s_step = math.pi * ctx.hbar / (1.25 * k_content)
 
-    oracle = FockOracle(H, cutoff)
+    oracle = _cached_oracle(H, cutoff)
     ns = max(8, int(math.ceil(2.0 * s_half / s_step)) + 1)
     # the check evaluates the kernel once at half the step; the coarse
     # trapezoid reads every other node
@@ -194,16 +194,20 @@ def husimi_U_grid(
     qs: np.ndarray,
     ps: np.ndarray,
     cutoff: int = 200,
-    tail_threshold: float = 1e-10,
 ) -> PhaseSpaceGrid:
-    """Diagonal coherent-state propagator K(z_x, z_x, T) on the grid."""
+    """Diagonal coherent-state propagator K(z_x, z_x, T) on the grid.
+
+    Raises
+    ------
+    DomainError
+        If a grid label is not resolved by ``cutoff``.
+    """
     qs = np.asarray(qs, float)
     ps = np.asarray(ps, float)
     Q, P = np.meshgrid(qs, ps, indexing="ij")
     labels = ctx.z_from_qp(Q, P).ravel()
-    cols = coherent_matrix(labels, cutoff, tail_threshold)
-    oracle = FockOracle(H, cutoff)
-    evolved = oracle.evolution_matrix(T) @ cols
+    cols = coherent_matrix(labels, cutoff)
+    evolved = _cached_oracle(H, cutoff).evolution_matrix(T) @ cols
     vals = np.sum(np.conj(cols) * evolved, axis=0)
     return PhaseSpaceGrid(qs, ps, vals.reshape(len(qs), len(ps)))
 

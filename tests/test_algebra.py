@@ -3,6 +3,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylpath import (
     OperatorPoly,
@@ -203,6 +205,31 @@ class TestWeylQuantize:
             op = weyl_quantize(qp, ctx)
             back = symbol_to_qp(weyl_symbol(op), ctx)
             assert_terms(back, qp, tol=1e-11)
+
+
+UNIT = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def hermitian_ops(draw):
+    """Hermitian ladder polynomials of degree <= 6 with unit-sized coefficients."""
+    hbar = draw(st.floats(0.25, 4.0))
+    pairs = [(m, n) for m in range(7) for n in range(m, 7 - m)]
+    terms: dict = {}
+    for m, n in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=8, unique=True)):
+        c = complex(draw(UNIT), 0.0 if m == n else draw(UNIT))
+        terms[(m, n)] = c
+        terms[(n, m)] = c.conjugate()
+    return OperatorPoly(terms, hbar)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(op=hermitian_ops(), b=st.floats(0.5, 2.0))
+def test_weyl_symbol_quantize_round_trip_property(op, b):
+    ctx = ScaleContext(hbar=op.hbar, b=b)
+    back = weyl_quantize(symbol_to_qp(weyl_symbol(op), ctx, tol=0.0), ctx)
+    assert back.hbar == op.hbar
+    assert_terms(back.terms, op.terms, tol=1e-12)
 
 
 class TestJet:

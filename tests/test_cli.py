@@ -247,11 +247,16 @@ class TestArgumentRanges:
             ["harmonic-compare", "--T", "inf", "--N-list", "10"],
             ["wigner-u", "--T", "nan", "--cutoff", "60", "--nq", "4", "--np", "4"],
             ["wigner-u", "--T", "0.5", "--cutoff", "60", "--nq", "0", "--np", "4"],
+            ["propagate", "--z0", "abc", "--z1", "0,0", "--T", "1"],
+            ["propagate", "--z0", "1,2,3", "--z1", "0,0", "--T", "1"],
+            ["propagate", "--z0", "nan,0", "--z1", "0,0", "--T", "1"],
+            ["propagate", "--z0", "1e400,0", "--z1", "0,0", "--T", "1"],
         ],
         ids=["negative-T", "semiclassical-negative-T", "few-steps",
              "symbols-format", "semiclassical-format", "zero-N-list", "zero-N",
              "negative-cutoff", "wigner-negative-cutoff", "negative-tol",
-             "semiclassical-negative-tol", "infinite-T", "wigner-nan-T", "wigner-no-points"],
+             "semiclassical-negative-tol", "infinite-T", "wigner-nan-T", "wigner-no-points",
+             "label-not-a-pair", "label-three-parts", "label-nan", "label-overflow"],
     )
     def test_rejected_while_parsing(self, harmonic_json, argv):
         if argv[0] != "harmonic-compare":  # the only command without --hamiltonian

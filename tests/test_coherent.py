@@ -10,7 +10,6 @@ from weylpath import (
     FockOracle,
     OperatorPoly,
     PhasePoint,
-    QuadSpec,
     ScaleContext,
     SymbolPoly,
     det_continuum,
@@ -78,9 +77,9 @@ class TestFockCoherent:
         assert v.tail == 0.0
 
     def test_unit_label_amplitudes(self):
-        v = fock_coherent(1.0, 2, tail_threshold=1.0)
+        amps = fock_coherent(1.0, 40).amplitudes[:3]
         want = np.exp(-0.5) * np.array([1.0, 1.0, 1.0 / np.sqrt(2.0)])
-        assert np.allclose(v.amplitudes, want)
+        assert np.allclose(amps, want)
 
     def test_inner_products_reproduce_overlap(self):
         rng = np.random.default_rng(9)
@@ -178,8 +177,7 @@ class TestExactPropagator:
         # a visibly unconverged configuration must be reported, not returned
         H = quartic_position_hamiltonian(1.0, CTX)
         with pytest.raises(NonConverged, match="doubling the cutoff 14 -> 28"):
-            exact_propagator(H, 1.4, 1.4, 2.0, cutoff=14, tail_threshold=1e-2,
-                             check_tolerance=1e-12)
+            exact_propagator(H, 0.9, 0.9, 2.0, cutoff=14, check_tolerance=1e-12)
 
     def test_unitarity_by_resolution_of_unity(self):
         H = quartic_position_hamiltonian(0.2, CTX)
@@ -188,7 +186,7 @@ class TestExactPropagator:
         # anharmonic evolution spreads the state; the disc radius sets the
         # quadrature tolerance here
         pts, wt = unity_grid(0.0, 5.5, 0.08)
-        K = oracle.propagator(z1, pts, 0.8, tail_threshold=1e-6)
+        K = oracle.propagator(z1, pts, 0.8)
         mass = np.sum(np.abs(K) ** 2) * wt
         assert mass == pytest.approx(1.0, abs=2e-4)
 
@@ -198,9 +196,9 @@ class TestExactPropagator:
         z1, z2 = 0.4, 0.3 - 0.2j
         T1, T2 = 0.6, 0.9
         pts, wt = unity_grid(0.0, 4.5, 0.09)
-        left = oracle.propagator(z1, pts, T1, tail_threshold=1e-8)
+        left = oracle.propagator(z1, pts, T1)
         # second leg via unitarity: <z2|U(T2)|z> = conj(<z|U(-T2)|z2>)
-        right = np.conj(oracle.propagator(z2, pts, -T2, tail_threshold=1e-8))
+        right = np.conj(oracle.propagator(z2, pts, -T2))
         composed = np.sum(right * left) * wt
         want = oracle.propagator(z1, z2, T1 + T2)
         assert abs(composed - want) < 1e-6
@@ -284,13 +282,12 @@ class TestWeylElement:
                 got = weyl_element(weyl_symbol(op), z1, z2)
                 assert abs(got - np.vdot(v2, M @ v1)) < 1e-9, (m, n)
 
-    def test_not_converged_raises(self):
+    def test_not_converged_raises(self, monkeypatch):
         # two nodes cannot integrate a quartic symbol exactly
         H = quartic_position_hamiltonian(1.0, CTX)
+        monkeypatch.setattr("weylpath.coherent.GH_NODES", 2)
         with pytest.raises(NonConverged, match="doubling 2 -> 4 Gauss-Hermite nodes"):
-            weyl_element(
-                weyl_symbol(H), 0.9, 0.8, QuadSpec(nodes=2, tolerance=1e-12)
-            )
+            weyl_element(weyl_symbol(H), 0.9, 0.8)
 
 
 NAN = float("nan")

@@ -149,6 +149,17 @@ class TestSmoothing:
         gh = husimi_U_grid(H, CTX, 0.3, qs, ps, cutoff=60)
         assert smoothing_check(gw, gh, CTX) < 1e-3
 
+    def test_grids_share_one_oracle(self, monkeypatch):
+        # both grids of one (H, cutoff) read the cached oracle: one eigh, not two
+        shapes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: shapes.append(m.shape) or eigh(m))
+        monkeypatch.setattr("weylpath.coherent._ORACLES", {})
+        qs, ps = phase_grid_axes(CTX, nq=16, npts=16)
+        weyl_U_grid(H_HARM, CTX, 0.5, qs, ps, cutoff=60)
+        husimi_U_grid(H_HARM, CTX, 0.5, qs, ps, cutoff=60)
+        assert shapes == [(61, 61)]
+
     def test_deviation_drops_under_refinement(self):
         # n = 32 aliases the truncation artifact of the symbol; refining the
         # grid resolves it and the kernel then annihilates it
@@ -200,7 +211,7 @@ class TestSmoothing:
     def test_margin_too_small(self):
         qs, ps = phase_grid_axes(CTX, nq=12, npts=12, q_widths=2.0, p_widths=2.0)
         gw = weyl_U_grid(H_HARM, CTX, 0.0, qs, ps, cutoff=40, check=False)
-        gh = husimi_U_grid(H_HARM, CTX, 0.0, qs, ps, cutoff=40, tail_threshold=1e-6)
+        gh = husimi_U_grid(H_HARM, CTX, 0.0, qs, ps, cutoff=40)
         with pytest.raises(DomainError, match="leave no interior"):
             smoothing_check(gw, gh, CTX, margin_sigmas=6.0)
 
