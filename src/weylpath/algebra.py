@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 _PRUNE = 0.0  # coefficients exactly equal to zero are dropped
+HERMITIAN_TOLERANCE = 1e-12  # of OperatorPoly.is_hermitian, relative to the largest coefficient
+TRIM_TOLERANCE = 1e-14  # of SymbolPoly.trimmed, relative to the largest coefficient
 
 
 def _pruned(terms: dict) -> dict:
@@ -105,11 +107,12 @@ class OperatorPoly:
     def degree(self) -> int:
         return max((m + n for m, n in self.terms), default=0)
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        """True iff c_mn = conj(c_nm) for every term, within ``tol``."""
+    def is_hermitian(self) -> bool:
+        """True iff c_mn = conj(c_nm) for every term, within ``HERMITIAN_TOLERANCE``."""
         scale = max((abs(c) for c in self.terms.values()), default=1.0)
+        limit = HERMITIAN_TOLERANCE * max(scale, 1.0)
         for (m, n), c in self.terms.items():
-            if abs(c - np.conj(self.terms.get((n, m), 0.0))) > tol * max(scale, 1.0):
+            if abs(c - np.conj(self.terms.get((n, m), 0.0))) > limit:
                 return False
         return True
 
@@ -181,11 +184,11 @@ class SymbolPoly:
     def scaled(self, factor: complex) -> "SymbolPoly":
         return SymbolPoly({k: factor * c for k, c in self.terms.items()})
 
-    def trimmed(self, tol: float = 1e-14) -> "SymbolPoly":
-        """Drop coefficients below ``tol`` relative to the largest one."""
+    def trimmed(self) -> "SymbolPoly":
+        """Drop coefficients below ``TRIM_TOLERANCE`` relative to the largest one."""
         scale = max((abs(c) for c in self.terms.values()), default=0.0)
         return SymbolPoly(
-            {k: c for k, c in self.terms.items() if abs(c) > tol * scale}
+            {k: c for k, c in self.terms.items() if abs(c) > TRIM_TOLERANCE * scale}
         )
 
     def derivative(self, wrt: str) -> "SymbolPoly":

@@ -1,10 +1,11 @@
 """Weyl symbol of the evolution operator and its Husimi counterpart.
 
 The Weyl grid is built from position matrix elements of the truncated
-evolution operator (Hermite functions + trapezoid transform over the chord
-length); the Husimi grid is the diagonal coherent-state propagator from the
-same oracle.  Their Gaussian-smoothing relation and the discrete
-symplectic-area identity are exposed as checks.
+evolution operator (Hermite functions on one position lattice through every
+q of a uniform axis and both ends of every chord, then a trapezoid transform
+over the chord length); the Husimi grid is the diagonal coherent-state
+propagator from the same oracle.  Their Gaussian-smoothing relation and the
+discrete symplectic-area identity are exposed as checks.
 
 A rank-(cutoff+1) truncation leaves a weak oscillation on Weyl symbols with
 local wavenumber up to 2 sqrt(2 cutoff)/b.  The smoothing kernel annihilates
@@ -20,9 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .algebra import OperatorPoly, ScaleContext
-from .coherent import FockOracle, _cached_oracle, coherent_matrix
+from .coherent import _cached_oracle, coherent_matrix
 from .discrete import DiscreteWPath, _alternating, chord_coefficients
 from .errors import DomainError, refine
 
@@ -36,7 +38,9 @@ __all__ = [
     "area_identity",
 ]
 
-CHORD_CHUNK = 96  # chord nodes whose Hermite functions are built at once
+CHORD_OVERSAMPLING = 1.25  # the coarse chord step is at most the Nyquist step over this
+CHORD_TOLERANCE = 1e-7  # largest grid change allowed when the chord step is halved
+_HERMITE_RESCALE = 2.0**100  # exact power of two; keeps the recurrence finite
 
 
 @dataclass
@@ -50,14 +54,6 @@ class PhaseSpaceGrid:
     def __post_init__(self):
         if self.values.shape != (len(self.qs), len(self.ps)):
             raise ValueError("values shape does not match the axes")
-
-    @property
-    def dq(self) -> float:
-        return float(self.qs[1] - self.qs[0])
-
-    @property
-    def dp(self) -> float:
-        return float(self.ps[1] - self.ps[0])
 
     def same_geometry(self, other: "PhaseSpaceGrid") -> bool:
         return (
@@ -84,49 +80,34 @@ def phase_grid_axes(
 def hermite_functions(xs: np.ndarray, nmax: int, b: float) -> np.ndarray:
     """Orthonormal oscillator eigenfunctions <x|n>, n = 0..nmax.
 
-    Stable three-term recurrence on the normalised functions; returns an
-    array of shape (nmax + 1, len(xs)).
+    Stable three-term recurrence, run on phi_n exp(xi^2/2) (xi = x/b) so
+    that the Gaussian seed cannot underflow (it is 0.0 beyond |x| ~ 38.6 b);
+    a column that grows past ``_HERMITE_RESCALE`` is divided by it and the
+    factor carried in its log weight.  Returns an array of shape
+    (nmax + 1, len(xs)).
     """
-    xs = np.asarray(xs, dtype=float)
-    xi = xs / b
-    out = np.zeros((nmax + 1, xs.size))
-    out[0] = math.pi ** (-0.25) * np.exp(-0.5 * xi**2) / math.sqrt(b)
-    if nmax >= 1:
-        out[1] = math.sqrt(2.0) * xi * out[0]
-    for n in range(2, nmax + 1):
-        out[n] = xi * math.sqrt(2.0 / n) * out[n - 1] - math.sqrt(
-            (n - 1) / n
-        ) * out[n - 2]
+    xi = np.asarray(xs, dtype=float) / b
+    out = np.empty((nmax + 1, xi.size))
+    log_weight = -0.5 * xi**2
+    weight = np.exp(log_weight)
+    prev, cur = np.zeros_like(xi), np.full_like(xi, math.pi ** (-0.25) / math.sqrt(b))
+    for n in range(nmax + 1):
+        big = np.abs(cur) > _HERMITE_RESCALE
+        if big.any():
+            cur[big] /= _HERMITE_RESCALE
+            prev[big] /= _HERMITE_RESCALE
+            log_weight[big] += math.log(_HERMITE_RESCALE)
+            weight[big] = np.exp(log_weight[big])
+        out[n] = cur * weight
+        prev, cur = cur, xi * math.sqrt(2.0 / (n + 1)) * cur - math.sqrt(n / (n + 1)) * prev
     return out
-
-
-def _chord_kernel(
-    oracle: FockOracle,
-    ctx: ScaleContext,
-    T: float,
-    qs: np.ndarray,
-    s: np.ndarray,
-) -> np.ndarray:
-    """Position elements <q - s/2| U |q + s/2>, shape (len(qs), len(s))."""
-    U = oracle.evolution_matrix(T)
-    nq, ns = len(qs), len(s)
-    kernel = np.empty((nq, ns), dtype=complex)
-    for start in range(0, ns, CHORD_CHUNK):
-        sl = s[start : start + CHORD_CHUNK]
-        xm = (qs[:, None] - 0.5 * sl[None, :]).ravel()
-        xp = (qs[:, None] + 0.5 * sl[None, :]).ravel()
-        phi_m = hermite_functions(xm, oracle.cutoff, ctx.b)
-        phi_p = hermite_functions(xp, oracle.cutoff, ctx.b)
-        vals = np.sum(phi_m * (U @ phi_p), axis=0)
-        kernel[:, start : start + CHORD_CHUNK] = vals.reshape(nq, len(sl))
-    return kernel
 
 
 def _chord_transform(
     kernel: np.ndarray, s: np.ndarray, ps: np.ndarray, hbar: float
 ) -> np.ndarray:
-    """Trapezoid rule for int ds kernel(q, s) exp(i p s / hbar) on the nodes s."""
-    hs = s[1] - s[0]
+    """Trapezoid rule for int ds kernel(q, s) exp(i p s / hbar) on the uniform nodes s."""
+    hs = abs(s[1] - s[0])
     trap = np.full(len(s), hs)
     trap[0] = trap[-1] = 0.5 * hs
     fourier = np.exp(1j * np.outer(s, ps) / hbar)
@@ -140,17 +121,18 @@ def weyl_U_grid(
     qs: np.ndarray,
     ps: np.ndarray,
     cutoff: int = 200,
-    s_step: float | None = None,
     check: bool = True,
-    check_tolerance: float = 1e-7,
 ) -> PhaseSpaceGrid:
     """Weyl symbol U(q, p, T) of the truncated evolution operator.
 
     U(q, p, T) = int ds  <q - s/2| U |q + s/2>  exp(i p s / hbar),
 
-    with position elements synthesised from the Fock eigenbasis via Hermite
-    functions and the chord integral done by trapezoid over a window wide
-    enough for the truncated basis support b sqrt(2 cutoff + 1).
+    with position elements from the Fock eigenbasis via Hermite functions on
+    one lattice x_j = q_0 + h j, h = dq/k, holding every q and both ends of
+    every chord, and a trapezoid over a window wide enough for the truncated
+    basis support b sqrt(2 cutoff + 1).  The chord step 2h is at most the
+    Nyquist step of c sqrt(2 cutoff + 1) + max|p| over ``CHORD_OVERSAMPLING``;
+    the check halves h.
 
     Raises
     ------
@@ -158,32 +140,43 @@ def weyl_U_grid(
         If the corner coherent state is not resolved by ``cutoff``
         (``coherent.TAIL_THRESHOLD``).
     NonConverged
-        If halving the chord step moves any grid value beyond the tolerance.
+        If halving the chord step moves any grid value beyond
+        ``CHORD_TOLERANCE``.
     ValueError
-        If T is not finite.
+        If T is not finite, or the q axis is not uniformly spaced.
     """
     qs = np.asarray(qs, float)
     ps = np.asarray(ps, float)
-    corner = ctx.z_from_qp(np.max(np.abs(qs)), np.max(np.abs(ps)))
+    q_max = np.max(np.abs(qs))
+    corner = ctx.z_from_qp(q_max, np.max(np.abs(ps)))
     coherent_matrix(corner, cutoff)  # raises DomainError if short
 
-    support = ctx.b * math.sqrt(2.0 * cutoff + 1.0)
-    s_half = 2.0 * (np.max(np.abs(qs)) + support)
-    if s_step is None:
-        k_content = (ctx.c * math.sqrt(2.0 * cutoff + 1.0) + np.max(np.abs(ps)))
-        s_step = math.pi * ctx.hbar / (1.25 * k_content)
-
-    oracle = _cached_oracle(H, cutoff)
-    ns = max(8, int(math.ceil(2.0 * s_half / s_step)) + 1)
+    root = math.sqrt(2.0 * cutoff + 1.0)
+    s_half = 2.0 * (q_max + ctx.b * root)
+    k_content = ctx.c * root + np.max(np.abs(ps))
+    dq = h_max = 0.5 * math.pi * ctx.hbar / (CHORD_OVERSAMPLING * k_content)
+    if len(qs) > 1:
+        dq = (qs[-1] - qs[0]) / (len(qs) - 1)
+        if dq == 0 or np.max(np.abs(np.diff(qs) - dq)) > 1e-9 * abs(dq):  # rounding only
+            raise ValueError("weyl_U_grid needs a uniformly spaced q axis")
+    k = math.ceil(abs(dq) / h_max)
     # the check evaluates the kernel once at half the step; the coarse
-    # trapezoid reads every other node
+    # trapezoid reads every other chord node
     every = 2 if check else 1
-    s = np.linspace(-s_half, s_half, every * (ns - 1) + 1)
-    kernel = _chord_kernel(oracle, ctx, T, qs, s)
+    stride = every * k  # lattice nodes per q step
+    m = every * math.ceil(s_half * k / (2.0 * abs(dq)))  # chord nodes per side
+    lattice = qs[0] + dq / stride * np.arange(-m, stride * (len(qs) - 1) + m + 1)
+    phi = hermite_functions(lattice, cutoff, ctx.b).astype(complex)  # as u_phi: einsum needs no cast
+    u_phi = _cached_oracle(H, cutoff).evolution_matrix(T) @ phi
+    # q_i is node m + i stride and chord node t (|t| <= m) joins the nodes
+    # m + i stride -+ t: both lie in the window of 2m + 1 nodes from i stride
+    ends = [sliding_window_view(a, 2 * m + 1, axis=1)[:, ::stride] for a in (phi, u_phi)]
+    kernel = np.einsum("nit,nit->it", ends[0][:, :, ::-1], ends[1])
+    s = 2.0 * dq / stride * np.arange(-m, m + 1)
     values = _chord_transform(kernel[:, ::every], s[::every], ps, ctx.hbar)
     if check:
         refined = _chord_transform(kernel, s, ps, ctx.hbar)
-        values = refine(values, refined, check_tolerance, "halving the chord step")[0]
+        values = refine(values, refined, CHORD_TOLERANCE, "halving the chord step")[0]
     return PhaseSpaceGrid(qs, ps, values)
 
 
@@ -245,23 +238,26 @@ def smoothing_check(
     """
     if not weyl_grid.same_geometry(husimi_grid):
         raise ValueError("weyl and husimi grids must share their geometry")
-    dq, dp = weyl_grid.dq, weyl_grid.dp
-    Gq = _gaussian_band(len(weyl_grid.qs), dq / ctx.b)
-    Gp = _gaussian_band(len(weyl_grid.ps), dp / ctx.c)
+    nq, npts = weyl_grid.values.shape
+    if min(nq, npts) < 2:
+        raise DomainError(f"one-point axes leave no interior on a {nq} x {npts} grid")
+    dq = abs(float(weyl_grid.qs[1] - weyl_grid.qs[0]))  # axes may decrease
+    dp = abs(float(weyl_grid.ps[1] - weyl_grid.ps[0]))
+    Gq = _gaussian_band(nq, dq / ctx.b)
+    Gp = _gaussian_band(npts, dp / ctx.c)
     smoothed = Gq @ weyl_grid.values @ Gp.T
 
     sigma_q = ctx.b / math.sqrt(2.0)
     sigma_p = ctx.c / math.sqrt(2.0)
     mq = int(math.ceil(margin_sigmas * sigma_q / dq))
     mp = int(math.ceil(margin_sigmas * sigma_p / dp))
-    if 2 * mq >= len(weyl_grid.qs) or 2 * mp >= len(weyl_grid.ps):
+    if 2 * mq >= nq or 2 * mp >= npts:
         raise DomainError(
-            f"margins ({mq}, {mp}) points leave no interior on a "
-            f"{len(weyl_grid.qs)} x {len(weyl_grid.ps)} grid"
+            f"margins ({mq}, {mp}) points leave no interior on a {nq} x {npts} grid"
         )
     diff = np.abs(
-        smoothed[mq : len(weyl_grid.qs) - mq, mp : len(weyl_grid.ps) - mp]
-        - husimi_grid.values[mq : len(weyl_grid.qs) - mq, mp : len(weyl_grid.ps) - mp]
+        smoothed[mq : nq - mq, mp : npts - mp]
+        - husimi_grid.values[mq : nq - mq, mp : npts - mp]
     )
     return float(diff.max())
 

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,6 +21,7 @@ from weylpath import (
     smoothing_check,
     weyl_U_grid,
 )
+from weylpath import wigner
 from weylpath.errors import DomainError, NonConverged
 from weylpath.wigner import hermite_functions
 
@@ -60,6 +62,18 @@ class TestHermiteFunctions:
         scaled = hermite_functions(xs, 5, b=b)
         assert np.allclose(scaled, narrow / np.sqrt(b))
 
+    @pytest.mark.parametrize("n, x", [(800, 40.0), (1200, 45.0)])
+    def test_far_tail_against_mpmath(self, n, x):
+        # beyond |x| ~ 38.6 b the Gaussian seed e^{-x^2/2b^2} alone is 0.0
+        phi = hermite_functions(np.array([x, -x]), n, b=1.0)[n]
+        with mpmath.workdps(40):
+            want = float(
+                mpmath.hermite(n, x) * mpmath.exp(-x * x / 2)
+                / mpmath.sqrt(2**n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
+            )
+        assert abs(want) > 0.05
+        assert np.allclose(phi, [want, (-1) ** n * want], rtol=1e-10, atol=0.0)
+
 
 class TestWeylUGrid:
     def test_matches_dyadic_oracle_at_quarter_period(self):
@@ -71,6 +85,29 @@ class TestWeylUGrid:
             for j in range(4, 64, 13):
                 z = CTX.z_from_qp(qs[i], ps[j])
                 assert abs(grid.values[i, j] - dyadic_weyl_symbol(U, z)) < 1e-6
+        # a one-row axis, and a decreasing axis, which needs |step| in the
+        # trapezoid weights
+        row = weyl_U_grid(H_HARM, CTX, np.pi / 2, qs[:1], ps, cutoff=cutoff)
+        for j in range(4, 64, 13):
+            z = CTX.z_from_qp(qs[0], ps[j])
+            assert abs(row.values[0, j] - dyadic_weyl_symbol(U, z)) < 1e-6
+        flipped = weyl_U_grid(H_HARM, CTX, np.pi / 2, qs[::-1], ps, cutoff=cutoff)
+        assert np.max(np.abs(flipped.values - grid.values[::-1])) < 1e-10
+
+    def test_quartic_at_cutoff_200_matches_dyadic_oracle(self):
+        H = quartic_position_hamiltonian(0.05, CTX)
+        qs, ps = phase_grid_axes(CTX)
+        grid = weyl_U_grid(H, CTX, 0.3, qs, ps, cutoff=200)
+        U = FockOracle(H, 200).evolution_matrix(0.3)
+        for i, j in ((9, 50), (31, 31), (56, 7)):
+            z = CTX.z_from_qp(qs[i], ps[j])
+            assert abs(grid.values[i, j] - dyadic_weyl_symbol(U, z)) < 1e-10
+
+    def test_non_uniform_q_axis_rejected(self):
+        qs, ps = phase_grid_axes(CTX, nq=8, npts=8)
+        qs[3] += 0.1
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            weyl_U_grid(H_HARM, CTX, 0.5, qs, ps, cutoff=60)
 
     def test_zero_time_is_truncated_identity_symbol(self):
         # the exact identity has symbol 1, but a rank-(cutoff+1) truncation
@@ -99,13 +136,12 @@ class TestWeylUGrid:
         with pytest.raises(DomainError, match="truncated tail mass"):
             weyl_U_grid(H_HARM, CTX, 0.5, qs, ps, cutoff=24)
 
-    def test_chord_step_guard(self):
+    def test_chord_step_guard(self, monkeypatch):
+        # a coarse chord step of 2 dq / 2 = 8b/7 undersamples the kernel
+        monkeypatch.setattr(wigner, "CHORD_OVERSAMPLING", 0.15)
         qs, ps = phase_grid_axes(CTX, nq=8, npts=8)
         with pytest.raises(NonConverged, match="halving the chord step"):
-            weyl_U_grid(
-                H_HARM, CTX, 0.5, qs, ps, cutoff=60,
-                s_step=1.1, check_tolerance=1e-10,
-            )
+            weyl_U_grid(H_HARM, CTX, 0.5, qs, ps, cutoff=60)
 
 
 class TestHusimiUGrid:
@@ -140,7 +176,13 @@ class TestSmoothing:
         qs, ps = phase_grid_axes(CTX)
         gw = weyl_U_grid(H_HARM, CTX, 1.0, qs, ps, cutoff=60)
         gh = husimi_U_grid(H_HARM, CTX, 1.0, qs, ps, cutoff=60)
-        assert smoothing_check(gw, gh, CTX) < 1e-4
+        dev = smoothing_check(gw, gh, CTX)
+        assert dev < 1e-4
+
+        def flip(g):  # decreasing axes keep the same interior
+            return PhaseSpaceGrid(g.qs[::-1], g.ps[::-1], g.values[::-1, ::-1])
+
+        assert abs(smoothing_check(flip(gw), flip(gh), CTX) - dev) < 1e-12
 
     def test_quartic(self):
         H = quartic_position_hamiltonian(0.05, CTX)
@@ -214,6 +256,10 @@ class TestSmoothing:
         gh = husimi_U_grid(H_HARM, CTX, 0.0, qs, ps, cutoff=40)
         with pytest.raises(DomainError, match="leave no interior"):
             smoothing_check(gw, gh, CTX, margin_sigmas=6.0)
+        # a one-point axis has no step and no interior at any margin
+        line = PhaseSpaceGrid(qs[:1], ps, gh.values[:1])
+        with pytest.raises(DomainError, match="leave no interior"):
+            smoothing_check(line, line, CTX)
 
 
 class TestAreaIdentity:
