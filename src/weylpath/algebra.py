@@ -142,9 +142,41 @@ class OperatorPoly:
 
 @lru_cache(maxsize=64)
 def _compile_jets(source: str):
-    """Compiled jet source; it depends on the exponents only, so symbols of
-    one shape (any coefficients) share it."""
+    """Compiled jet or flow source; it depends on the exponents only, so
+    symbols of one shape (any coefficients) share it."""
     return compile(source, "<SymbolPoly.jet>", "exec")
+
+
+def _straight_line(parts, chained: bool) -> tuple[str, list, dict]:
+    """Power table, one ``c v^m u^n`` sum per part, and the coefficients by name.
+
+    ``chained`` multiplies each power out of lower ones as CPython's complex
+    ``**`` does (u3 = u u2, u4 = u2 u2, u5 = u u4): the same scalars, no call.
+    On numpy arrays ``x ** k`` and such a chain differ in the last bit."""
+    table: dict = {}  # (x, k) -> the line defining x^k, after the lines it reads
+
+    def name(x: str, k: int) -> str:
+        if k > 1 and (x, k) not in table:
+            if chained:
+                high = 1 << (k.bit_length() - 1)
+                low = k - high or high // 2
+                value = f"{name(x, low)} * {name(x, k - low)}"
+            else:
+                value = f"{x} ** {k}"
+            table[(x, k)] = f"    {x}{k} = {value}\n"
+        return x if k == 1 else f"{x}{k}"
+
+    coeffs: dict = {}
+    sums = []
+    for part in parts:
+        products = []
+        for (m, n), c in part.terms.items():
+            label = f"c{len(coeffs)}"
+            coeffs[label] = c
+            factors = [name(x, int(k)) for x, k in (("v", m), ("u", n)) if k]
+            products.append(" * ".join([label, *factors]))
+        sums.append(" + ".join(products) or "0j")
+    return "".join(table.values()), sums, coeffs
 
 
 class SymbolPoly:
@@ -202,42 +234,44 @@ class SymbolPoly:
         return SymbolPoly(out)
 
     @cached_property
-    def _jets(self) -> dict:
-        """The jet of each order, compiled once per symbol.
-
-        The derivative term tables become straight-line code: a table of the
-        powers of u and v in use, then one sum of ``c v^m u^n`` products per
-        output.  The coefficients are bound by name, so the source holds only
-        exponents.
-        """
+    def _parts(self) -> tuple:
+        """The symbol and its partials H_u, H_v, H_uu, H_vv, H_uv."""
         d_u, d_v = self.derivative("u"), self.derivative("v")
-        parts = (self, d_u, d_v, d_u.derivative("u"), d_v.derivative("v"), d_u.derivative("v"))
-        powers: set = set()
+        return (self, d_u, d_v, d_u.derivative("u"), d_v.derivative("v"), d_u.derivative("v"))
 
-        def factors(m: int, n: int) -> list:
-            out = []
-            for x, k in (("v", int(m)), ("u", int(n))):
-                if k >= 2:
-                    powers.add((x, k))
-                out += [] if k == 0 else [x if k == 1 else f"{x}{k}"]
-            return out
-
-        coeffs: dict = {}
-        sums = []
-        for part in parts:
-            products = []
-            for (m, n), c in part.terms.items():
-                name = f"c{len(coeffs)}"
-                coeffs[name] = c
-                products.append(" * ".join([name, *factors(m, n)]))
-            sums.append(" + ".join(products) or "0j")
-        table = "".join(f"    {x}{k} = {x} ** {k}\n" for x, k in sorted(powers))
+    @cached_property
+    def _jets(self) -> dict:
+        """The jet of each order, compiled once per symbol; the coefficients
+        are bound by name, so the source holds only exponents."""
+        table, sums, coeffs = _straight_line(self._parts, chained=False)
         source = "".join(
             f"def jet{order}(u, v):\n{table}    return ({', '.join(sums[:count])},)\n"
             for order, count in ((0, 1), (1, 3), (2, 6))
         )
         exec(_compile_jets(source), coeffs)
         return {order: coeffs[f"jet{order}"] for order in (0, 1, 2)}
+
+    @cached_property
+    def _flow(self) -> tuple:
+        table, (hu, hv, huu, hvv, huv), coeffs = _straight_line(self._parts[1:], chained=True)
+        source = (
+            f"def flow(k, u, v, du, dv):\n{table}    huv = {huv}\n"
+            f"    return (mih * ({hv}), ih * ({hu}), mih * (huv * du + ({hvv}) * dv), "
+            f"ih * (({huu}) * du + huv * dv))\n"
+        )
+        return _compile_jets(source), coeffs
+
+    def flow(self, hbar: float):
+        """Right-hand side ``flow(k, u, v, du, dv)`` of the trajectory system.
+
+        (-i H_v, i H_u, -i (H_uv du + H_vv dv), i (H_uu du + H_uv dv)) / hbar,
+        as ``semiclassics._rk4`` takes it (``k`` unused): straight-line code
+        compiled once per symbol, for scalars only, where it equals the same
+        expressions built from :meth:`jet` exactly."""
+        code, coeffs = self._flow
+        namespace = dict(coeffs, ih=1j / hbar, mih=-(1j / hbar))
+        exec(code, namespace)
+        return namespace["flow"]
 
     def jet(self, u, v, order: int = 2) -> tuple:
         """Value and exact partials (H, H_u, H_v, H_uu, H_vv, H_uv) at (u, v).

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, refine
+from .errors import DomainError, refine, require_finite
 from .semiclassics import _rk4
 
 __all__ = [
@@ -52,9 +52,10 @@ class FluctuationCoeffs:
             object.__setattr__(
                 self, name, np.atleast_1d(np.asarray(getattr(self, name), complex))
             )
-        if not (len(self.A) == len(self.B) == len(self.C)):
-            raise ValueError("A, B, C must have equal length")
-        if self.tau <= 0 or self.hbar <= 0:
+        if not (len(self.A) == len(self.B) == len(self.C) > 0):
+            raise ValueError("A, B, C must be non-empty and of equal length")
+        require_finite(A=self.A, B=self.B, C=self.C, tau=self.tau, hbar=self.hbar)
+        if not (self.tau > 0 and self.hbar > 0):
             raise ValueError("tau and hbar must be positive")
 
     @property
@@ -231,10 +232,13 @@ def det_continuum(
     NonConverged
         If halving the step moves Delta(T) by more than ``step_tolerance``.
     ValueError
-        If T is negative or not finite.
+        If T is negative or not finite, ``steps`` is below 1, or ``hbar`` is
+        not positive.
     """
     if not (np.isfinite(T) and T >= 0):
         raise ValueError(f"T must be finite and non-negative, got {T}")
+    if not (steps >= 1 and hbar > 0):
+        raise ValueError(f"need steps >= 1 and hbar > 0, got {steps} and {hbar}")
     if T == 0:
         return 1.0 + 0.0j
     fine_steps = steps if step_tolerance is None else 2 * steps

@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import OperatorPoly, SymbolPoly, symbol_for_form
 from .coherent import overlap
-from .errors import CausticWarning, DomainError, NonConverged, refine
+from .errors import CausticWarning, DomainError, NonConverged, refine, require_finite
 
 __all__ = [
     "ComplexTrajectory",
@@ -127,36 +127,21 @@ def solve_bvp(
         If Newton does not bring |v(T) - conj(z'')| below ``tol``, or the
         step-halving error estimate exceeds ``step_tolerance``.
     ValueError
-        If T is not finite and positive, or ``steps`` is below 16.
+        If T, ``hbar`` or ``tol`` is not finite and positive, an endpoint is
+        not finite, or ``steps`` is below 16.
     """
-    if not (np.isfinite(T) and T > 0):
-        raise ValueError(f"T must be finite and positive, got {T}")
+    require_finite(T=T, zp=zp, zpp_star=zpp_star, hbar=hbar, tol=tol)
+    if not (T > 0 and hbar > 0 and tol > 0):
+        raise ValueError(f"T, hbar and tol must be positive, got {T}, {hbar} and {tol}")
     if steps < 16:
         raise ValueError("need at least 16 integration steps")
     steps += steps % 2  # Simpson-friendly grids
-    jet = H_sym.jet
-    ih = 1j / hbar
-
-    def rhs(k, u, v, du, dv):
-        _, hu, hv, huu, hvv, huv = jet(u, v)
-        return (
-            -ih * hv,
-            ih * hu,
-            -ih * (huv * du + hvv * dv),
-            ih * (huu * du + huv * dv),
-        )
-
+    rhs = H_sym.flow(hbar)
     v0 = quadratic_guess(H_sym, zp, zpp_star, T, hbar) if guess is None else complex(guess)
 
-    us = vs = dus = dvs = None
     residual = np.inf
     for iteration in range(max_iter + 1):
-        try:
-            us, vs, dus, dvs = _rk4(rhs, (complex(zp), v0, 0j, 1 + 0j), T, steps)
-        except OverflowError as exc:
-            raise NonConverged(
-                f"trajectory blew up from guess v(0) = {v0:.6g}"
-            ) from exc
+        us, vs, dus, dvs = _rk4(rhs, (complex(zp), v0, 0j, 1 + 0j), T, steps)
         mismatch = vs[-1] - zpp_star
         residual = abs(mismatch)
         if not np.isfinite(residual):
@@ -168,7 +153,7 @@ def solve_bvp(
         jac = dvs[-1]
         if abs(jac) < 1e-14:
             raise NonConverged("singular shooting Jacobian dv(T)/dv(0)")
-        v0 = v0 - mismatch / jac
+        v0 = complex(v0 - mismatch / jac)  # a numpy scalar would slow every RK4 stage
     else:
         raise NonConverged(
             f"Newton stalled at residual {residual:.3e} after {max_iter} iterations"
@@ -337,11 +322,13 @@ def semiclassical_K(
     NonConverged
         If no shooting guess converges.
     ValueError
-        If T is negative or not finite.
+        If T is negative or not finite, an endpoint is not finite, or (for
+        T > 0) ``tol`` is not finite and positive.
     """
     form = form.lower()
     if form not in FORM_SIGMA:
         raise ValueError(f"unknown form {form!r}; expected q, p or w")
+    require_finite(zp=zp, zpp=zpp)
     sigma = FORM_SIGMA[form] if include_correction else 0.0
     if T == 0:
         K = complex(overlap(zpp, zp))

@@ -152,7 +152,8 @@ def weyl_U_grid(
     coherent_matrix(corner, cutoff)  # raises DomainError if short
 
     root = math.sqrt(2.0 * cutoff + 1.0)
-    s_half = 2.0 * (q_max + ctx.b * root)
+    # the far chord end passes the turning point b root by |q| + max(q_max, 4b)
+    s_half = 2.0 * (max(q_max, 4.0 * ctx.b) + ctx.b * root)
     k_content = ctx.c * root + np.max(np.abs(ps))
     dq = h_max = 0.5 * math.pi * ctx.hbar / (CHORD_OVERSAMPLING * k_content)
     if len(qs) > 1:

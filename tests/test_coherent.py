@@ -7,6 +7,7 @@ from scipy.linalg import expm
 
 from weylpath import (
     DiscreteWPath,
+    FluctuationCoeffs,
     FockOracle,
     OperatorPoly,
     PhasePoint,
@@ -329,12 +330,24 @@ H_QUARTIC = quartic_position_hamiltonian(0.1, CTX)
          ValueError, "T must be finite"),
         (lambda: husimi_U_grid(H_QUARTIC, CTX, NAN, *AXES, cutoff=60),
          ValueError, "T must be finite"),
+        (lambda: semiclassical_K("w", H_QUARTIC, NAN, 0.2, 0.5),
+         ValueError, "zp must be finite"),
+        (lambda: semiclassical_K("w", H_QUARTIC, 0.3, complex(0.2, math.inf), 0.0),
+         ValueError, "zpp must be finite"),
+        (lambda: solve_bvp(weyl_symbol(H_QUARTIC), 0.3, 0.2, 0.5, tol=NAN),
+         ValueError, "tol must be finite"),
+        (lambda: FluctuationCoeffs(A=[0.1], B=[0.2], C=[0.3], tau=NAN),
+         ValueError, "tau must be finite"),
+        (lambda: FluctuationCoeffs(A=[0.1, NAN], B=[0.2, 0.2], C=[0.3, 0.3], tau=0.1),
+         ValueError, "A must be finite"),
     ],
     ids=["exact-nan", "exact-inf", "weyl_element", "quadrature_K", "quadrature_K-q1",
          "harmonic_exact_K", "harmonic_discrete_K", "harmonic_exact_K-label",
          "harmonic_discrete_K-label", "DiscreteWPath-tau", "stationary_path_harmonic",
          "mu_coefficients", "solve_bvp",
-         "semiclassical_K", "det_continuum", "weyl_U_grid", "husimi_U_grid"],
+         "semiclassical_K", "det_continuum", "weyl_U_grid", "husimi_U_grid",
+         "semiclassical_K-zp", "semiclassical_K-zpp-at-T0", "solve_bvp-tol",
+         "FluctuationCoeffs-tau", "FluctuationCoeffs-coefficient"],
 )
 def test_non_finite_input_raises(call, error, message):
     """A non-finite T or label raises instead of returning NaN."""

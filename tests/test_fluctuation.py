@@ -118,6 +118,17 @@ class TestBlockTridiagonal:
         assert max(beyond) == 0.0
 
 
+class TestCoefficients:
+    def test_empty_coefficients_rejected(self):
+        # det_recursive used to raise IndexError on them
+        with pytest.raises(ValueError, match="non-empty"):
+            FluctuationCoeffs(A=[], B=[], C=[], tau=0.1)
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            FluctuationCoeffs(A=[0.1], B=[0.2, 0.3], C=[0.4], tau=0.1)
+
+
 class TestDetRecursive:
     def test_zero_coefficients(self):
         for N in (1, 4, 9):
@@ -196,6 +207,13 @@ class TestDetContinuum:
         for a, b in zip(errs, errs[1:]):
             assert b < 0.6 * a
         assert errs[-1] < 5e-3
+
+    @pytest.mark.parametrize("options", [{"steps": 0}, {"hbar": 0.0}], ids=["steps-0", "hbar-0"])
+    def test_rejects_no_steps_and_zero_hbar(self, options):
+        # both used to raise ZeroDivisionError
+        zero = lambda t: 0.0
+        with pytest.raises(ValueError, match="need steps >= 1 and hbar > 0"):
+            det_continuum(zero, zero, zero, 1.0, **options)
 
     def test_step_halving_guard(self):
         om = 2.0

@@ -1,5 +1,9 @@
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylpath import (
     ScaleContext,
@@ -23,11 +27,76 @@ from weylpath.errors import (
     DomainError,
     NonConverged,
 )
-from weylpath.semiclassics import quadratic_guess, tracked_prefactor
+from weylpath.semiclassics import _rk4, quadratic_guess, tracked_prefactor
 
 CTX = ScaleContext.default()
 H_HARM = harmonic_hamiltonian(CTX)
 SYM_W = weyl_symbol(H_HARM)  # hbar omega u v
+
+
+def jet_rhs(sym: SymbolPoly, hbar: float):
+    """The shooting right-hand side assembled from the jet, as the reference."""
+    ih = 1j / hbar
+
+    def rhs(k, u, v, du, dv):
+        _, hu, hv, huu, hvv, huv = sym.jet(u, v)
+        return -ih * hv, ih * hu, -ih * (huv * du + hvv * dv), ih * (huu * du + huv * dv)
+
+    return rhs
+
+
+HIGH = SymbolPoly({(6, 0): 0.3 - 0.1j, (0, 5): 0.2 + 0.4j, (3, 2): 0.1, (1, 1): 1.0})
+COMPLEX = SymbolPoly({(2, 1): 0.3j, (1, 2): -0.2 + 0.1j, (1, 1): 1.0, (0, 1): 0.5 - 0.5j})
+
+
+class TestCompiledFlow:
+    @pytest.mark.parametrize(
+        "sym, hbar",
+        [
+            *(
+                (fn(quartic_position_hamiltonian(0.1, ScaleContext.default(hbar=hbar))), hbar)
+                for fn in (q_symbol, p_symbol, weyl_symbol)
+                for hbar in (1.0, 0.5)
+            ),
+            (HIGH, 1.0),
+            (SYM_W, 1.0),
+            (SymbolPoly({(0, 0): 2.5}), 1.0),
+            (COMPLEX, 0.5),
+        ],
+        ids=["q-1", "q-0.5", "p-1", "p-0.5", "w-1", "w-0.5", "u5-v6", "quadratic",
+             "constant", "complex"],
+    )
+    def test_rk4_pass_equals_jet_closure(self, sym, hbar):
+        y0 = (0.4 + 0.1j, 0.3 - 0.2j, 0j, 1 + 0j)
+        new = _rk4(sym.flow(hbar), y0, 0.3, 256)
+        old = _rk4(jet_rhs(sym, hbar), y0, 0.3, 256)
+        for a, b in zip(new, old):
+            assert np.array_equal(a, b)
+        assert np.all(np.isfinite(new))
+
+    def test_pickles_after_use(self):
+        point = (0, 0.4 + 0.1j, 0.3 - 0.2j, 0.1j, 1.0 + 0j)
+        before = HIGH.flow(0.5)(*point)
+        again = pickle.loads(pickle.dumps(HIGH))
+        assert again.flow(0.5)(*point) == before == jet_rhs(HIGH, 0.5)(*point)
+
+
+UNIT = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+POINT = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def symbols(draw):
+    """Complex-coefficient symbols of degree <= 6."""
+    pairs = [(m, n) for m in range(7) for n in range(7 - m)]
+    keys = draw(st.lists(st.sampled_from(pairs), max_size=8, unique=True))
+    return SymbolPoly({key: complex(draw(UNIT), draw(UNIT)) for key in keys})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sym=symbols(), hbar=st.floats(0.1, 4.0), u=POINT, v=POINT, du=POINT, dv=POINT)
+def test_flow_equals_jet_closure_property(sym, hbar, u, v, du, dv):
+    assert sym.flow(hbar)(0, u, v, du, dv) == jet_rhs(sym, hbar)(0, u, v, du, dv)
 
 
 class TestSolveBvp:
@@ -84,6 +153,20 @@ class TestSolveBvp:
             solve_bvp(SYM_W, 0.1, 0.1, -1.0)
         with pytest.raises(ValueError):
             solve_bvp(SYM_W, 0.1, 0.1, 1.0, steps=4)
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"tol": 0.0}, {"tol": -1e-10}, {"hbar": 0.0}, {"hbar": -1.0}],
+        ids=["tol-0", "tol-negative", "hbar-0", "hbar-negative"],
+    )
+    def test_rejects_non_positive_tol_and_hbar(self, options):
+        # tol <= 0 used to run every Newton iteration and then stall;
+        # hbar = 0 divided by zero
+        with pytest.raises(ValueError, match="must be positive"):
+            solve_bvp(SYM_W, 0.1, 0.1, 1.0, **options)
+        if "tol" in options:
+            with pytest.raises(ValueError, match="must be positive"):
+                semiclassical_K("w", H_HARM, 0.1, 0.1, 1.0, tol=options["tol"])
 
 
 class TestActionAndCorrection:

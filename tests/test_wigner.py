@@ -91,6 +91,13 @@ class TestWeylUGrid:
         for j in range(4, 64, 13):
             z = CTX.z_from_qp(qs[0], ps[j])
             assert abs(row.values[0, j] - dyadic_weyl_symbol(U, z)) < 1e-6
+        # rows near q = 0 still need a chord window past the basis' turning
+        # point: -0.063 b once failed its step check, 1 b was 9e-7 off
+        for q in (-0.063 * CTX.b, 1.0 * CTX.b):
+            row = weyl_U_grid(H_HARM, CTX, np.pi / 2, np.array([q]), ps, cutoff=cutoff)
+            for j in range(4, 64, 13):
+                z = CTX.z_from_qp(q, ps[j])
+                assert abs(row.values[0, j] - dyadic_weyl_symbol(U, z)) < 1e-10
         flipped = weyl_U_grid(H_HARM, CTX, np.pi / 2, qs[::-1], ps, cutoff=cutoff)
         assert np.max(np.abs(flipped.values - grid.values[::-1])) < 1e-10
 
