@@ -13,6 +13,7 @@ so all conversions are finite and exact for polynomials.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import HamiltonianFormatError
+from .errors import DomainError, HamiltonianFormatError
 
 __all__ = [
     "OperatorPoly",
@@ -32,6 +33,7 @@ __all__ = [
     "weyl_symbol",
     "weyl_quantize",
     "symbol_to_qp",
+    "symbol_for_form",
     "load_hamiltonian",
     "harmonic_hamiltonian",
     "quartic_position_hamiltonian",
@@ -68,14 +70,6 @@ def _poly_pow(p: dict, k: int) -> dict:
     return out
 
 
-def _falling(m: int, k: int) -> float:
-    """Falling factorial m (m-1) ... (m-k+1)."""
-    out = 1.0
-    for i in range(k):
-        out *= m - i
-    return out
-
-
 class OperatorPoly:
     """Polynomial in one ladder pair, kept in normal-ordered canonical form.
 
@@ -89,8 +83,8 @@ class OperatorPoly:
     """
 
     def __init__(self, terms: dict, hbar: float = 1.0):
-        if hbar <= 0:
-            raise ValueError("hbar must be positive")
+        if not 0 < hbar < math.inf:
+            raise ValueError(f"hbar must be finite and positive, got {hbar}")
         for m, n in terms:
             if m < 0 or n < 0:
                 raise ValueError(f"negative ladder exponent in term ({m}, {n})")
@@ -147,23 +141,20 @@ def _compile_jets(source: str):
     return compile(source, "<SymbolPoly.jet>", "exec")
 
 
-def _straight_line(parts, chained: bool) -> tuple[str, list, dict]:
+def _straight_line(parts) -> tuple[str, list, dict]:
     """Power table, one ``c v^m u^n`` sum per part, and the coefficients by name.
 
-    ``chained`` multiplies each power out of lower ones as CPython's complex
-    ``**`` does (u3 = u u2, u4 = u2 u2, u5 = u u4): the same scalars, no call.
-    On numpy arrays ``x ** k`` and such a chain differ in the last bit."""
+    Each power is multiplied out of lower ones as CPython's complex ``**``
+    does (u3 = u u2, u4 = u2 u2, u5 = u u4): the same scalars without the
+    call, and on numpy arrays the same numbers element by element, faster
+    than ``x ** k``."""
     table: dict = {}  # (x, k) -> the line defining x^k, after the lines it reads
 
     def name(x: str, k: int) -> str:
         if k > 1 and (x, k) not in table:
-            if chained:
-                high = 1 << (k.bit_length() - 1)
-                low = k - high or high // 2
-                value = f"{name(x, low)} * {name(x, k - low)}"
-            else:
-                value = f"{x} ** {k}"
-            table[(x, k)] = f"    {x}{k} = {value}\n"
+            high = 1 << (k.bit_length() - 1)
+            low = k - high or high // 2
+            table[(x, k)] = f"    {x}{k} = {name(x, low)} * {name(x, k - low)}\n"
         return x if k == 1 else f"{x}{k}"
 
     coeffs: dict = {}
@@ -243,7 +234,7 @@ class SymbolPoly:
     def _jets(self) -> dict:
         """The jet of each order, compiled once per symbol; the coefficients
         are bound by name, so the source holds only exponents."""
-        table, sums, coeffs = _straight_line(self._parts, chained=False)
+        table, sums, coeffs = _straight_line(self._parts)
         source = "".join(
             f"def jet{order}(u, v):\n{table}    return ({', '.join(sums[:count])},)\n"
             for order, count in ((0, 1), (1, 3), (2, 6))
@@ -253,7 +244,7 @@ class SymbolPoly:
 
     @cached_property
     def _flow(self) -> tuple:
-        table, (hu, hv, huu, hvv, huv), coeffs = _straight_line(self._parts[1:], chained=True)
+        table, (hu, hv, huu, hvv, huv), coeffs = _straight_line(self._parts[1:])
         source = (
             f"def flow(k, u, v, du, dv):\n{table}    huv = {huv}\n"
             f"    return (mih * ({hv}), ih * ({hu}), mih * (huv * du + ({hvv}) * dv), "
@@ -266,8 +257,8 @@ class SymbolPoly:
 
         (-i H_v, i H_u, -i (H_uv du + H_vv dv), i (H_uu du + H_uv dv)) / hbar,
         as ``semiclassics._rk4`` takes it (``k`` unused): straight-line code
-        compiled once per symbol, for scalars only, where it equals the same
-        expressions built from :meth:`jet` exactly."""
+        compiled once per symbol from the jets' power chains, so it equals the
+        same expressions built from :meth:`jet` exactly."""
         code, coeffs = self._flow
         namespace = dict(coeffs, ih=1j / hbar, mih=-(1j / hbar))
         exec(code, namespace)
@@ -312,13 +303,18 @@ class ScaleContext:
     b: float = field(default=1.0)
 
     def __post_init__(self):
-        if min(self.hbar, self.mass, self.omega, self.b) <= 0:
-            raise ValueError("hbar, mass, omega and b must all be positive")
+        scales = (self.hbar, self.mass, self.omega, self.b)
+        if not all(0 < x < math.inf for x in scales) or not 0 < self.c < math.inf:
+            raise ValueError(
+                "hbar, mass, omega, b and c = hbar / b must all be finite and positive, "
+                f"got hbar, mass, omega, b = {scales}"
+            )
 
     @classmethod
     def default(cls, hbar: float = 1.0, mass: float = 1.0, omega: float = 1.0):
         """Context with the ground-state width b = sqrt(hbar / m omega)."""
-        return cls(hbar, mass, omega, math.sqrt(hbar / (mass * omega)))
+        product = mass * omega  # where it underflows or is invalid, b = inf is refused
+        return cls(hbar, mass, omega, math.sqrt(hbar / product) if product > 0 else math.inf)
 
     @property
     def c(self) -> float:
@@ -366,13 +362,33 @@ def normalize(word_list, hbar: float = 1.0) -> OperatorPoly:
 
 
 def _apply_exp_mixed(terms: dict, s: float) -> dict:
-    """Apply exp(s d_u d_v) to a (u, v) polynomial, exactly."""
+    """Apply exp(s d_u d_v) to a (u, v) polynomial, exactly.
+
+    The k-th order takes c s^k k! C(m, k) C(n, k) from the term (m, n); that
+    weight is exact in integers and rounded to a double once.
+
+    Raises
+    ------
+    DomainError
+        If a coefficient is not a finite double; the error names its term.
+    """
+    num, den = float(s).as_integer_ratio()
     out: dict = {}
     for (m, n), c in terms.items():
+        weight = 1  # den^k s^k k! C(m, k) C(n, k)
         for k in range(min(m, n) + 1):
-            coeff = c * s**k / math.factorial(k) * _falling(m, k) * _falling(n, k)
             key = (m - k, n - k)
-            out[key] = out.get(key, 0.0) + coeff
+            if k:
+                weight = weight * num * (m - k + 1) * (n - k + 1) // k
+            try:
+                out[key] = out.get(key, 0.0) + c * (weight / den**k)
+            except OverflowError:  # the weight alone is beyond the float range
+                out[key] = math.inf
+            if not cmath.isfinite(out[key]):
+                raise DomainError(
+                    f"term ({m}, {n}): the coefficient of v^{m - k} u^{n - k} "
+                    "is not a finite double"
+                )
     return out
 
 
@@ -529,12 +545,18 @@ def load_hamiltonian(source) -> tuple[OperatorPoly, ScaleContext]:
             _is_number(val) and val > 0,
             f"field '{name}' must be a positive number, got {val!r}",
         )
-    width_b = data.get("width_b", math.sqrt(hbar / (mass * omega)))
-    _require(
-        _is_number(width_b) and width_b > 0,
-        f"field 'width_b' must be a positive number, got {width_b!r}",
-    )
-    ctx = ScaleContext(hbar=hbar, mass=mass, omega=omega, b=float(width_b))
+    try:
+        if "width_b" not in data:
+            ctx = ScaleContext.default(hbar, mass, omega)
+        else:
+            width_b = data["width_b"]
+            _require(
+                _is_number(width_b) and width_b > 0,
+                f"field 'width_b' must be a positive number, got {width_b!r}",
+            )
+            ctx = ScaleContext(hbar, mass, omega, float(width_b))
+    except ValueError as exc:
+        raise HamiltonianFormatError(str(exc)) from None
 
     ordering = data.get("ordering", "normal")
     _require(
@@ -562,6 +584,8 @@ def load_hamiltonian(source) -> tuple[OperatorPoly, ScaleContext]:
             )
         key = (entry["m"], entry["n"])
         terms[key] = terms.get(key, 0.0) + complex(re_part, im_part)
+        if not cmath.isfinite(terms[key]):
+            raise DomainError(f"terms[{i}]: the coefficient of term {key} is not a finite double")
 
     if ordering == "normal":
         return OperatorPoly(terms, ctx.hbar), ctx

@@ -207,11 +207,12 @@ _ORACLES: dict = {}
 def _cached_oracle(H: OperatorPoly, cutoff: int) -> FockOracle:
     """The oracle of (H, cutoff), built on first use; the cache is emptied past 64 entries."""
     key = (tuple(sorted(H.terms.items())), H.hbar, cutoff)
-    if key not in _ORACLES:
+    oracle = _ORACLES.get(key)
+    if oracle is None:
         if len(_ORACLES) > 64:
             _ORACLES.clear()
-        _ORACLES[key] = FockOracle(H, cutoff)
-    return _ORACLES[key]
+        oracle = _ORACLES[key] = FockOracle(H, cutoff)
+    return oracle
 
 
 def harmonic_exact_K(z1: complex, z2: complex, omega: float, T: float) -> complex:

@@ -85,17 +85,23 @@ def _rk4(rhs, y0: tuple, T: float, steps: int):
 def quadratic_guess(
     H_sym: SymbolPoly, zp: complex, zpp_star: complex, T: float, hbar: float
 ) -> complex:
-    """Initial v(0): solve the boundary problem for the quadratic part of H."""
-    from scipy.linalg import expm
+    """Initial v(0): solve the boundary problem for the quadratic part of H.
 
-    a = 2.0 * H_sym.terms.get((0, 2), 0.0)  # d2H/du2
-    b = 2.0 * H_sym.terms.get((2, 0), 0.0)  # d2H/dv2
-    c = H_sym.terms.get((1, 1), 0.0)
-    J = (-1j / hbar) * np.array([[c, b], [-a, -c]], dtype=complex)
-    M = expm(J * T)
-    if abs(M[1, 1]) < 1e-12:
+    The linear flow of the Hessian at the origin has the traceless generator
+    J = (-i/hbar) [[H_uv, H_vv], [-H_uu, -H_uv]], so J^2 = k^2 with
+    k^2 = (H_uu H_vv - H_uv^2) / hbar^2 and exp(J T) = cosh(kT) + J sinh(kT)/k.
+    Falls back to conj(z'') where that is singular or overflows.
+    """
+    _, _, _, huu, hvv, huv = H_sym.jet(0j, 0j)
+    k = cmath.sqrt(huu * hvv - huv * huv) / hbar
+    try:
+        cosh, sinh_k = cmath.cosh(k * T), (cmath.sinh(k * T) / k if k else T)
+    except OverflowError:
         return zpp_star
-    return complex((zpp_star - M[1, 0] * zp) / M[1, 1])
+    m11 = cosh + (1j / hbar) * huv * sinh_k
+    if abs(m11) < 1e-12:
+        return zpp_star
+    return complex((zpp_star - (1j / hbar) * huu * sinh_k * zp) / m11)
 
 
 def solve_bvp(
@@ -262,14 +268,8 @@ def trajectory_hessian_samplers(traj: ComplexTrajectory, H_sym: SymbolPoly):
 
     _, Hu, Hv = H_sym.jet(traj.u, traj.v, order=1)
     ih = 1j / traj.hbar
-
-    def spline(vals, derivs):
-        re = CubicHermiteSpline(traj.times, vals.real, derivs.real)
-        im = CubicHermiteSpline(traj.times, vals.imag, derivs.imag)
-        return lambda t: re(t) + 1j * im(t)
-
-    u_of = spline(traj.u, -ih * Hv)
-    v_of = spline(traj.v, ih * Hu)
+    u_of = CubicHermiteSpline(traj.times, traj.u, -ih * Hv)
+    v_of = CubicHermiteSpline(traj.times, traj.v, ih * Hu)
 
     def sampler(slot):
         return lambda t: H_sym.jet(u_of(t), v_of(t))[slot]

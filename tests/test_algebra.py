@@ -1,3 +1,4 @@
+import cmath
 import math
 import pickle
 
@@ -22,7 +23,10 @@ from weylpath import (
     weyl_quantize,
     weyl_symbol,
 )
-from weylpath.errors import HamiltonianFormatError
+import weylpath
+from weylpath import algebra, coherent, discrete, fluctuation, semiclassics, wigner
+from weylpath.algebra import _straight_line
+from weylpath.errors import DomainError, HamiltonianFormatError, WeylPathError
 
 
 def assert_terms(actual: dict, expected: dict, tol: float = 1e-12):
@@ -232,7 +236,70 @@ def test_weyl_symbol_quantize_round_trip_property(op, b):
     assert_terms(back.terms, op.terms, tol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "term, symbols",
+    [((171, 171), (p_symbol,)), ((171, 200), (p_symbol,)), ((200, 200), (p_symbol, weyl_symbol))],
+)
+def test_coefficient_beyond_double_range_names_its_term(term, symbols):
+    # k! C(m, k) C(n, k) s^k leaves the float range: a DomainError names the term
+    for symbol in symbols:
+        with pytest.raises(DomainError, match=rf"term \({term[0]}, {term[1]}\)"):
+            symbol(OperatorPoly({term: 1.0}))
+
+
+def test_large_weight_rounded_once():
+    # 171! / 2^171 = 4.1e257 is a double although 171! is not
+    W = weyl_symbol(OperatorPoly({(171, 171): 1.0}))
+    assert W.terms[(0, 0)] == -(math.factorial(171) / 2**171)
+    assert all(cmath.isfinite(c) for c in W.terms.values())
+
+
+NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.integers(-1000, 1000)
+)
+SCALE = st.one_of(st.floats(0.0, exclude_min=True, allow_infinity=False), st.integers(1, 1000))
+LOADER_INPUT = st.fixed_dictionaries(
+    {
+        "ordering": st.sampled_from(["normal", "weyl_qp"]),
+        "terms": st.lists(
+            st.fixed_dictionaries(
+                {"m": st.integers(0, 200), "n": st.integers(0, 200)},
+                optional={"re": NUMBER, "im": NUMBER},
+            ),
+            max_size=3,
+        ),
+    },
+    optional={"hbar": SCALE, "mass": SCALE, "omega": SCALE, "width_b": SCALE},
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=LOADER_INPUT)
+def test_loader_gives_finite_symbols_or_a_package_error(data):
+    try:
+        op, _ = load_hamiltonian(data)
+        symbols = [q_symbol(op), p_symbol(op), weyl_symbol(op)]
+    except WeylPathError:
+        return
+    for sym in symbols:
+        assert all(cmath.isfinite(c) for c in sym.terms.values())
+
+
+@pytest.mark.parametrize(
+    "module", [algebra, coherent, discrete, fluctuation, semiclassics, wigner]
+)
+def test_package_exports_every_public_name(module):
+    missing = [name for name in module.__all__ if not hasattr(weylpath, name)]
+    assert not missing
+
+
 class TestJet:
+    def test_generated_source_has_no_power_operator(self):
+        sym = SymbolPoly({(6, 0): 0.3 - 0.1j, (0, 5): 0.2j, (3, 2): 0.1, (7, 7): 1.0})
+        table, sums, _ = _straight_line(sym._parts)
+        assert "u7 = u3 * u4" in table and "v6 = v2 * v4" in table
+        assert "**" not in table + "".join(sums)
+
     def test_plain_product(self):
         H, Hu, Hv, Huu, Hvv, Huv = SymbolPoly({(1, 1): 1.0}).jet(2.0, 3.0)
         assert H == 6.0
@@ -376,6 +443,11 @@ class TestHamiltonianLoader:
     def test_rejects_non_finite_and_boolean_numbers(self, data):
         with pytest.raises(HamiltonianFormatError):
             load_hamiltonian({"ordering": "normal", "terms": [], **data})
+
+    def test_duplicate_terms_beyond_double_range(self):
+        terms = [{"m": 1, "n": 1, "re": 1e308}, {"m": 1, "n": 1, "re": 1e308}]
+        with pytest.raises(DomainError, match=r"terms\[1\]: the coefficient of term \(1, 1\)"):
+            load_hamiltonian({"ordering": "normal", "terms": terms})
 
     def test_rejects_nonpositive_hbar(self):
         with pytest.raises(HamiltonianFormatError, match="hbar"):

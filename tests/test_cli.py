@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -64,6 +67,12 @@ class TestSymbols:
         path.write_text(json.dumps({"ordering": "normal", "terms": []}))
         assert main(["symbols", "--hamiltonian", str(path)]) == 0
         assert "0" in capsys.readouterr().out
+
+    def test_coefficient_beyond_double_range_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "high.json"
+        path.write_text(json.dumps({"terms": [{"m": 171, "n": 171, "re": 1.0}]}))
+        assert main(["symbols", "--hamiltonian", str(path)]) == 3
+        assert "term (171, 171)" in capsys.readouterr().err
 
 
 class TestHarmonicCompare:
@@ -287,3 +296,41 @@ class TestWignerU:
             ]
         )
         assert rc == 3
+
+
+README_COMMANDS = [
+    ["symbols", "--hamiltonian", "quartic.json"],
+    ["harmonic-compare", "--T", "6.2831853", "--z0", "0.5,0", "--z1", "0.3,0.4",
+     "--N-list", "10,100,1000", "--out", "table.csv"],
+    ["propagate", "--hamiltonian", "harmonic.json", "--form", "exact",
+     "--z0", "0.3,0", "--z1", "0,0.5", "--T", "1.0"],
+    ["propagate", "--hamiltonian", "harmonic.json", "--form", "w", "--N", "2",
+     "--z0", "0.3,0", "--z1", "0,0.5", "--T", "0.2"],
+    ["semiclassical", "--hamiltonian", "quartic.json", "--form", "w",
+     "--z0", "0.7,0", "--z1", "0.7,0", "--T", "0.5"],
+    ["wigner-u", "--hamiltonian", "harmonic.json", "--T", "1.0", "--out", "grid.csv"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    README_COMMANDS,
+    ids=["symbols", "harmonic-compare", "propagate-exact", "propagate-w", "semiclassical",
+         "wigner-u"],
+)
+def test_readme_command_loads_no_scipy(argv, tmp_path, harmonic_json, quartic_json):
+    # each README command in a fresh process, as a user runs it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from weylpath.cli import main\n"
+        f"status = main({argv!r})\n"
+        "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env,
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "0 []"

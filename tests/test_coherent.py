@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -34,6 +36,7 @@ from weylpath import (
     weyl_symbol,
     weyl_U_grid,
 )
+from weylpath import coherent
 from weylpath.coherent import coherent_matrix
 from weylpath.errors import DomainError, NonConverged, refine
 
@@ -179,6 +182,42 @@ class TestExactPropagator:
         H = quartic_position_hamiltonian(1.0, CTX)
         with pytest.raises(NonConverged, match="doubling the cutoff 14 -> 28"):
             exact_propagator(H, 0.9, 0.9, 2.0, cutoff=14, check_tolerance=1e-12)
+
+    def test_cache_returns_the_oracle_it_built(self, monkeypatch):
+        # another caller's insert past 64 entries may empty the cache between
+        # this caller's insert and its read; the built oracle is still returned
+        class ClearingDict(dict):
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                self.clear()
+
+        monkeypatch.setattr(coherent, "_ORACLES", ClearingDict())
+        oracle = coherent._cached_oracle(harmonic_hamiltonian(CTX), 20)
+        assert isinstance(oracle, FockOracle) and oracle.cutoff == 20
+
+    def test_cache_under_concurrent_callers(self):
+        # more threads than cores, each building distinct oracles past the
+        # 64-entry limit, with a short switch interval to interleave them
+        def worker(offset, got):
+            for k in range(20):
+                H = OperatorPoly({(1, 1): 1.0 + 1e-3 * (offset + 8 * k)})
+                got.append(coherent._cached_oracle(H, 4).evals[1])  # the level spacing
+
+        results = [[] for _ in range(8)]
+        threads = [threading.Thread(target=worker, args=(i, results[i])) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, got in enumerate(results):
+            want = [1.0 + 1e-3 * (i + 8 * k) for k in range(20)]
+            assert got == pytest.approx(want, abs=1e-12)
 
     def test_unitarity_by_resolution_of_unity(self):
         H = quartic_position_hamiltonian(0.2, CTX)
@@ -340,6 +379,16 @@ H_QUARTIC = quartic_position_hamiltonian(0.1, CTX)
          ValueError, "tau must be finite"),
         (lambda: FluctuationCoeffs(A=[0.1, NAN], B=[0.2, 0.2], C=[0.3, 0.3], tau=0.1),
          ValueError, "A must be finite"),
+        (lambda: OperatorPoly({(1, 1): 1.0}, hbar=math.inf),
+         ValueError, "hbar must be finite and positive"),
+        (lambda: OperatorPoly({(1, 1): 1.0}, hbar=NAN),
+         ValueError, "hbar must be finite and positive"),
+        (lambda: ScaleContext(hbar=NAN), ValueError, "must all be finite and positive"),
+        (lambda: ScaleContext(b=math.inf), ValueError, "must all be finite and positive"),
+        (lambda: ScaleContext(hbar=1e-300, b=1e100), ValueError,
+         "c = hbar / b must all be finite and positive"),
+        (lambda: ScaleContext.default(mass=1e-200, omega=1e-200), ValueError,
+         "must all be finite and positive"),
     ],
     ids=["exact-nan", "exact-inf", "weyl_element", "quadrature_K", "quadrature_K-q1",
          "harmonic_exact_K", "harmonic_discrete_K", "harmonic_exact_K-label",
@@ -347,7 +396,9 @@ H_QUARTIC = quartic_position_hamiltonian(0.1, CTX)
          "mu_coefficients", "solve_bvp",
          "semiclassical_K", "det_continuum", "weyl_U_grid", "husimi_U_grid",
          "semiclassical_K-zp", "semiclassical_K-zpp-at-T0", "solve_bvp-tol",
-         "FluctuationCoeffs-tau", "FluctuationCoeffs-coefficient"],
+         "FluctuationCoeffs-tau", "FluctuationCoeffs-coefficient", "OperatorPoly-hbar-inf",
+         "OperatorPoly-hbar-nan", "ScaleContext-hbar-nan", "ScaleContext-b-inf",
+         "ScaleContext-c-underflow", "ScaleContext-default-underflow"],
 )
 def test_non_finite_input_raises(call, error, message):
     """A non-finite T or label raises instead of returning NaN."""

@@ -1,4 +1,5 @@
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,24 @@ def test_flow_equals_jet_closure_property(sym, hbar, u, v, du, dv):
     assert sym.flow(hbar)(0, u, v, du, dv) == jet_rhs(sym, hbar)(0, u, v, du, dv)
 
 
+POINTS = st.lists(POINT, min_size=5, max_size=5).map(lambda xs: np.array(xs, dtype=complex))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sym=symbols(), hbar=st.floats(0.1, 4.0), u=POINTS, v=POINTS, du=POINTS, dv=POINTS)
+def test_array_jets_share_the_flow_power_chains_property(sym, hbar, u, v, du, dv):
+    # on arrays the jets and the flow are one evaluator: the same products
+    # in the same order, so the same numbers, and each element is what the
+    # jet gives on that element alone
+    flow = sym.flow(hbar)(0, u, v, du, dv)
+    for a, b in zip(flow, jet_rhs(sym, hbar)(0, u, v, du, dv)):
+        assert np.array_equal(np.broadcast_to(a, b.shape), b)  # a constant stays scalar
+    batch = sym.jet(u, v)
+    for i in range(len(u)):
+        for part, alone in zip(batch, sym.jet(u[i : i + 1], v[i : i + 1])):
+            assert np.array_equal(part[i : i + 1], alone)
+
+
 class TestSolveBvp:
     def test_harmonic_analytic_solution(self):
         zp, zpp_star, om, T = 0.3 + 0.2j, 0.5 - 0.1j, 1.0, 1.3
@@ -147,6 +166,21 @@ class TestSolveBvp:
     def test_quadratic_guess_matches_harmonic_exactly(self):
         g = quadratic_guess(SYM_W, 0.3, 0.5 - 0.1j, 1.3, 1.0)
         assert abs(g - (0.5 - 0.1j) * np.exp(-1.3j)) < 1e-12
+
+    def test_quadratic_guess_inverted_oscillator_overflow(self):
+        # cosh(kT) and sinh(kT)/k overflow at k T = 800: fall back to conj(z'')
+        inverted = SymbolPoly({(0, 2): -0.5, (2, 0): -0.5})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert quadratic_guess(inverted, 0.3, 0.2 - 0.1j, 800.0, 1.0) == 0.2 - 0.1j
+
+    @pytest.mark.parametrize("T", [0.4, 2.5])
+    def test_quadratic_guess_inverted_oscillator_closed_form(self, T):
+        # H = -(u^2 + v^2)/2: v(T) = cosh(T) v(0) - i sinh(T) u(0)
+        inverted = SymbolPoly({(0, 2): -0.5, (2, 0): -0.5})
+        zp, zpp_star = 0.3 + 0.1j, 0.2 - 0.1j
+        v0 = quadratic_guess(inverted, zp, zpp_star, T, 1.0)
+        assert abs(np.cosh(T) * v0 - 1j * np.sinh(T) * zp - zpp_star) < 1e-12
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
