@@ -11,7 +11,6 @@ the action: it is the variational half of the trajectory system in
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,18 +70,6 @@ class DeterminantPair:
     Gamma: complex
 
 
-def _indices(N: int):
-    """Row of xi_k and xi*_k in the ordering (xi_N, xi*_N, ..., xi_1, xi*_1)."""
-
-    def no_star(k):  # 1-based k
-        return 2 * (N - k)
-
-    def star(k):
-        return 2 * (N - k) + 1
-
-    return no_star, star
-
-
 def build_matrix(coeffs: FluctuationCoeffs) -> np.ndarray:
     """Assemble the 2N x 2N quadratic-form matrix of the second variation.
 
@@ -93,18 +80,14 @@ def build_matrix(coeffs: FluctuationCoeffs) -> np.ndarray:
     """
     N = coeffs.N
     lam = 1j * coeffs.tau / coeffs.hbar
-    no_star, star = _indices(N)
+    no_star = np.arange(0, 2 * N, 2)  # xi_k sits at row 2 (N - k), xi*_k one below
+    star = no_star + 1
     M = np.zeros((2 * N, 2 * N), dtype=complex)
-    for k in range(1, N + 1):
-        i, j = no_star(k), star(k)
-        M[i, i] = lam * coeffs.A[k - 1]
-        M[j, j] = lam * coeffs.B[k - 1]
-        M[i, j] = M[j, i] = lam * coeffs.C[k - 1] + 2.0
-    for m in range(2, N + 1):
-        for n in range(1, m):
-            val = 4.0 * (-1.0) ** (m - n)
-            M[star(m), no_star(n)] = val
-            M[no_star(n), star(m)] = val
+    M[no_star, no_star] = lam * coeffs.A[::-1]
+    M[star, star] = lam * coeffs.B[::-1]
+    M[no_star, star] = M[star, no_star] = lam * coeffs.C[::-1] + 2.0
+    a, b = np.triu_indices(N, 1)  # block a holds xi*_m, block b holds xi_n, m > n
+    M[star[a], no_star[b]] = M[no_star[b], star[a]] = 4.0 * (-1.0) ** (b - a)
     return M
 
 
@@ -118,38 +101,44 @@ def block_tridiagonal(matrix: np.ndarray) -> np.ndarray:
     n2 = matrix.shape[0]
     if n2 % 2 != 0 or matrix.shape[1] != n2:
         raise ValueError("expected a square matrix of even dimension")
-    N = n2 // 2
-    _, star = _indices(N)
+    star = np.arange(1, n2 - 2, 2)  # xi*_m for m = N .. 2; xi*_{m-1} is two rows down
     E = np.eye(n2, dtype=complex)
-    for m in range(2, N + 1):
-        E[star(m - 1), star(m)] = 1.0
+    E[star + 2, star] = 1.0
     return E.T @ (matrix / 2j) @ E
 
 
 def det_dense(matrix: np.ndarray) -> complex:
-    """Determinant via pivoted LU elimination.
+    """Determinant via LU elimination with partial pivoting.
+
+    Column by column, the largest remaining entry of the column is swapped
+    onto the diagonal and eliminated below it (Golub & Van Loan, *Matrix
+    Computations*, ch. 3); each row swap flips the sign.
 
     Raises
     ------
     DomainError
         If the smallest pivot falls below ``PIVOT_THRESHOLD`` relative to
         the largest one.
+    ValueError
+        If the matrix is not square, is empty or holds a non-finite entry.
     """
-    from scipy.linalg import LinAlgWarning, lu_factor
-
-    matrix = np.asarray(matrix, dtype=complex)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)  # tiny pivots raise below
-        lu, piv = lu_factor(matrix, check_finite=False)
-    diag = np.abs(np.diag(lu))
-    if diag.min() < PIVOT_THRESHOLD * max(diag.max(), 1e-300):
-        raise DomainError(
-            f"pivot ratio {diag.min() / diag.max():.3e} below threshold"
-        )
+    lu = np.array(matrix, dtype=complex)
+    if lu.ndim != 2 or lu.shape[0] != lu.shape[1] or lu.size == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {lu.shape}")
+    require_finite(matrix=lu)
     sign = 1.0
-    for i, p in enumerate(piv):
-        if p != i:
+    for k in range(len(lu)):
+        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        if p != k:
+            lu[[k, p]] = lu[[p, k]]
             sign = -sign
+        if lu[k, k] != 0:  # else the column below is zero already
+            lu[k + 1 :, k] /= lu[k, k]
+        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
+    diag = np.abs(np.diag(lu))
+    ratio = diag.min() / max(diag.max(), 1e-300)
+    if ratio < PIVOT_THRESHOLD:
+        raise DomainError(f"pivot ratio {ratio:.3e} below threshold")
     return complex(sign * np.prod(np.diag(lu)))
 
 
@@ -232,8 +221,8 @@ def det_continuum(
     NonConverged
         If halving the step moves Delta(T) by more than ``step_tolerance``.
     ValueError
-        If T is negative or not finite, ``steps`` is below 1, or ``hbar`` is
-        not positive.
+        If T is negative or not finite, ``steps`` is below 1, ``hbar`` is
+        not positive, or A, B or C returns a non-finite value.
     """
     if not (np.isfinite(T) and T >= 0):
         raise ValueError(f"T must be finite and non-negative, got {T}")
@@ -243,10 +232,12 @@ def det_continuum(
         return 1.0 + 0.0j
     fine_steps = steps if step_tolerance is None else 2 * steps
     ts = np.linspace(0.0, T, 2 * fine_steps + 1)
-    tables = [
-        np.broadcast_to(np.asarray(f(ts), dtype=complex), ts.shape).tolist()
-        for f in (A, B, C)
-    ]
+    samples = {
+        name: np.broadcast_to(np.asarray(f(ts), dtype=complex), ts.shape)
+        for name, f in zip("ABC", (A, B, C))
+    }
+    require_finite(**samples)
+    tables = [tab.tolist() for tab in samples.values()]
     fine = _variational_delta(*tables, T, fine_steps, hbar)
     if step_tolerance is None:
         return fine

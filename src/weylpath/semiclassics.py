@@ -259,20 +259,29 @@ def trajectory_hessian_samplers(traj: ComplexTrajectory, H_sym: SymbolPoly):
 
     A = d2H/du2, B = d2H/dv2, C = d2H/du dv, evaluated on a cubic-Hermite
     dense output of (u, v) built from the stored nodes and the exact vector
-    field (matching the integrator's fourth order).  Each callable takes an
-    array of times and returns the values there; :func:`det_continuum` calls
-    A, B and C once each, on all its stage times, and broadcasts callables
-    that return scalars.
+    field (matching the integrator's fourth order; Hairer, Norsett & Wanner,
+    *Solving ODEs I*, II.6).  Each callable takes an array of times and
+    returns the values there; :func:`det_continuum` calls A, B and C once
+    each, on all its stage times, and broadcasts callables that return
+    scalars.
     """
-    from scipy.interpolate import CubicHermiteSpline
-
     _, Hu, Hv = H_sym.jet(traj.u, traj.v, order=1)
-    ih = 1j / traj.hbar
-    u_of = CubicHermiteSpline(traj.times, traj.u, -ih * Hv)
-    v_of = CubicHermiteSpline(traj.times, traj.v, ih * Hu)
+    h = traj.times[1] - traj.times[0]
+    y = np.stack([traj.u, traj.v])
+    hdy = (h * 1j / traj.hbar) * np.stack([-Hv, Hu])
+
+    def uv(t):
+        s = np.asarray(t, dtype=float) / h
+        k = np.clip(np.floor(s).astype(int), 0, len(traj.times) - 2)
+        x = s - k
+        x1 = x - 1.0
+        return (
+            (1.0 + 2.0 * x) * x1 * x1 * y[:, k] + x * x1 * x1 * hdy[:, k]
+            + x * x * (3.0 - 2.0 * x) * y[:, k + 1] + x * x * x1 * hdy[:, k + 1]
+        )
 
     def sampler(slot):
-        return lambda t: H_sym.jet(u_of(t), v_of(t))[slot]
+        return lambda t: H_sym.jet(*uv(t))[slot]
 
     return sampler(3), sampler(4), sampler(5)
 

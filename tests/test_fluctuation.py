@@ -99,6 +99,27 @@ class TestDetDense:
         with pytest.raises(DomainError, match="pivot ratio"):
             det_dense(M)
 
+    def test_matches_numpy_det(self):
+        rng = np.random.default_rng(79)
+        for n in range(1, 101):
+            M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            want = np.linalg.det(M)
+            assert abs(det_dense(M) - want) <= 1e-12 * abs(want), n
+
+    @pytest.mark.parametrize(
+        "matrix, match",
+        [
+            (np.ones((2, 3)), "non-empty square"),  # used to report a pivot ratio of 0
+            (np.zeros((0, 0)), "non-empty square"),  # used to fail in numpy's reduction
+            (np.full((3, 3), np.nan), "must be finite"),  # used to return nan+nanj
+            (np.array([[1.0, np.inf], [0.0, 1.0]]), "must be finite"),
+        ],
+        ids=["2x3", "0x0", "nan", "inf-off-diagonal"],
+    )
+    def test_bad_matrix_rejected(self, matrix, match):
+        with pytest.raises(ValueError, match=match):
+            det_dense(matrix)
+
 
 class TestBlockTridiagonal:
     def test_preserves_determinant(self):
@@ -214,6 +235,14 @@ class TestDetContinuum:
         zero = lambda t: 0.0
         with pytest.raises(ValueError, match="need steps >= 1 and hbar > 0"):
             det_continuum(zero, zero, zero, 1.0, **options)
+
+    @pytest.mark.parametrize("step_tolerance", [None, 1e-8])
+    def test_non_finite_sample_names_its_table(self, step_tolerance):
+        # used to return nan+nanj, or to raise NonConverged with a tolerance
+        zero = lambda t: 0.0
+        B = lambda t: np.where(t > 0.5, np.nan, 0.1)
+        with pytest.raises(ValueError, match="B must be finite"):
+            det_continuum(zero, B, zero, 1.0, steps=16, step_tolerance=step_tolerance)
 
     def test_step_halving_guard(self):
         om = 2.0

@@ -28,7 +28,12 @@ from weylpath.errors import (
     DomainError,
     NonConverged,
 )
-from weylpath.semiclassics import _rk4, quadratic_guess, tracked_prefactor
+from weylpath.semiclassics import (
+    _rk4,
+    quadratic_guess,
+    tracked_prefactor,
+    trajectory_hessian_samplers,
+)
 
 CTX = ScaleContext.default()
 H_HARM = harmonic_hamiltonian(CTX)
@@ -273,6 +278,22 @@ class TestSecondDerivative:
             + S_of(zp - h, zpps - h)
         ) / (4 * h * h)
         assert abs(d2s - fd) < 1e-5
+
+    def test_samplers_match_scipy_hermite_spline(self):
+        # the reference is the dense output the samplers used to build
+        from scipy.interpolate import CubicHermiteSpline
+
+        sym = weyl_symbol(quartic_position_hamiltonian(0.1, CTX))
+        for zp, zpps, T in [(0.7, 0.7 + 0.0j, 0.5), (0.6, 0.4 - 0.2j, 0.8), (0.5, 0.5, 1.0)]:
+            traj = solve_bvp(sym, zp, zpps, T, steps=2048, tol=1e-12)
+            _, Hu, Hv = sym.jet(traj.u, traj.v, order=1)
+            u_of = CubicHermiteSpline(traj.times, traj.u, -1j * Hv / traj.hbar)
+            v_of = CubicHermiteSpline(traj.times, traj.v, 1j * Hu / traj.hbar)
+            ts = np.linspace(0.0, T, 2 * 2048 + 1)  # det_continuum's stage times
+            want = sym.jet(u_of(ts), v_of(ts))[3:6]
+            got = [f(ts) for f in trajectory_hessian_samplers(traj, sym)]
+            for g, w in zip(got, want):
+                assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max(), (zp, T)
 
     def test_singular_monodromy_guard(self):
         traj = solve_bvp(SYM_W, 0.3, 0.2, 0.5, steps=64)

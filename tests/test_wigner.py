@@ -243,11 +243,20 @@ class TestSmoothing:
         src = os.path.dirname(os.path.dirname(os.path.abspath(weylpath.__file__)))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = f"import sys, weylpath; print({module!r} in sys.modules)"
+        code = (
+            f"import sys, weylpath; print({module!r} in sys.modules)\n"
+            "from weylpath import *\n"
+            "co = FluctuationCoeffs(A=[0.1, 0.2], B=[0.3, 0.1], C=[1.0, 1.1], tau=0.1)\n"
+            "det_dense(build_matrix(co))\n"
+            "sym = weyl_symbol(quartic_position_hamiltonian(0.1, ScaleContext.default()))\n"
+            "traj = solve_bvp(sym, 0.7, 0.7, 0.5, steps=128)\n"
+            "det_continuum(*trajectory_hessian_samplers(traj, sym), 0.5, steps=128)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.split() == ["False", "[]"]
 
     def test_geometry_mismatch_rejected(self):
         qs, ps = phase_grid_axes(CTX, nq=16, npts=16)
