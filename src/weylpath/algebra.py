@@ -3,10 +3,11 @@
 Operators are stored normal ordered: a polynomial is a map
 ``(m, n) -> c`` representing ``sum c_mn adag^m a^n`` with ``[a, adag] = 1``.
 Phase-space symbols are polynomials in two *independent* complex arguments
-``(u, v)``; on the real section ``v = conj(u) = conj(z)``.  The three symbols
-are related by the exact (terminating) differential maps
+``(u, v)``; on the real section ``v = conj(u) = conj(z)``.  Each form's symbol
+is an exact (terminating) differential map of the Q symbol, the normal-ordered
+coefficients, with the form's ordering parameter s from the one table ``FORM_S``
 
-    A_Q = exp(+1/2 d_u d_v) A_W,        A_P = exp(-1/2 d_u d_v) A_W,
+    A_s = exp(s d_u d_v) A_Q,    s = 0 (q), -1 (p), -1/2 (w),
 
 so all conversions are finite and exact for polynomials.
 """
@@ -42,6 +43,15 @@ __all__ = [
 _PRUNE = 0.0  # coefficients exactly equal to zero are dropped
 HERMITIAN_TOLERANCE = 1e-12  # of OperatorPoly.is_hermitian, relative to the largest coefficient
 TRIM_TOLERANCE = 1e-14  # of SymbolPoly.trimmed, relative to the largest coefficient
+FORM_S = {"q": 0.0, "p": -1.0, "w": -0.5}  # each form's symbol is exp(s d_u d_v) of the Q symbol
+
+
+def form_s(form: str) -> float:
+    """Ordering parameter s of the form named q, p or w, in either case."""
+    name = form.lower()
+    if name not in FORM_S:
+        raise ValueError(f"unknown form {name!r}; expected q, p or w")
+    return FORM_S[name]
 
 
 def _pruned(terms: dict) -> dict:
@@ -312,9 +322,10 @@ class ScaleContext:
 
     @classmethod
     def default(cls, hbar: float = 1.0, mass: float = 1.0, omega: float = 1.0):
-        """Context with the ground-state width b = sqrt(hbar / m omega)."""
-        product = mass * omega  # where it underflows or is invalid, b = inf is refused
-        return cls(hbar, mass, omega, math.sqrt(hbar / product) if product > 0 else math.inf)
+        """Context with the ground-state width b = sqrt(hbar) / (sqrt(m) sqrt(omega))."""
+        # root by root, b is found also where m omega is no double; a scale <= 0 gives NaN
+        roots = [math.sqrt(x) if x > 0 else math.nan for x in (hbar, mass, omega)]
+        return cls(hbar, mass, omega, roots[0] / (roots[1] * roots[2]))
 
     @property
     def c(self) -> float:
@@ -372,6 +383,8 @@ def _apply_exp_mixed(terms: dict, s: float) -> dict:
     DomainError
         If a coefficient is not a finite double; the error names its term.
     """
+    if s == 0:  # the identity: a copy, in the terms' order
+        return dict(terms)
     num, den = float(s).as_integer_ratio()
     out: dict = {}
     for (m, n), c in terms.items():
@@ -397,7 +410,7 @@ def q_symbol(op: OperatorPoly) -> SymbolPoly:
 
     On the real section this is the expectation <z|op|z>.
     """
-    return SymbolPoly(dict(op.terms))
+    return symbol_for_form(op, "q")
 
 
 def p_symbol(op: OperatorPoly) -> SymbolPoly:
@@ -407,12 +420,17 @@ def p_symbol(op: OperatorPoly) -> SymbolPoly:
     substituting ``a -> u``, ``adag -> v``; realised here as
     exp(-d_u d_v) applied to the Q symbol.
     """
-    return SymbolPoly(_apply_exp_mixed(op.terms, -1.0))
+    return symbol_for_form(op, "p")
 
 
 def weyl_symbol(op: OperatorPoly) -> SymbolPoly:
     """Weyl (symmetric-ordering) symbol, via Gaussian de-smoothing of Q."""
-    return SymbolPoly(_apply_exp_mixed(op.terms, -0.5))
+    return symbol_for_form(op, "w")
+
+
+def symbol_for_form(op: OperatorPoly, form: str) -> SymbolPoly:
+    """Symbol exp(s d_u d_v) A_Q of the form named q, p or w (s from ``FORM_S``)."""
+    return SymbolPoly(_apply_exp_mixed(op.terms, form_s(form)))
 
 
 def _uv_linear_forms(ctx: ScaleContext):
@@ -423,6 +441,16 @@ def _uv_linear_forms(ctx: ScaleContext):
     u_poly = {(1, 0): 1.0 / (ctx.b * rt2), (0, 1): 1j / (ctx.c * rt2)}
     v_poly = {(1, 0): 1.0 / (ctx.b * rt2), (0, 1): -1j / (ctx.c * rt2)}
     return q_poly, p_poly, u_poly, v_poly
+
+
+def _substitute(terms: dict, x_poly: dict, y_poly: dict) -> dict:
+    """sum c x^j y^k over the terms ``(j, k) -> c``, with x and y polynomials."""
+    out: dict = {}
+    for (j, k), c in terms.items():
+        if j < 0 or k < 0:
+            raise ValueError(f"negative power in term ({j}, {k})")
+        _poly_add(out, _poly_mul(_poly_pow(x_poly, j), _poly_pow(y_poly, k)), complex(c))
+    return out
 
 
 def weyl_quantize(qp_terms: dict, ctx: ScaleContext) -> OperatorPoly:
@@ -442,13 +470,8 @@ def weyl_quantize(qp_terms: dict, ctx: ScaleContext) -> OperatorPoly:
         input after the z <-> (q, p) substitution, exactly.
     """
     q_poly, p_poly, _, _ = _uv_linear_forms(ctx)
-    weyl: dict = {}
-    for (j, k), c in qp_terms.items():
-        if j < 0 or k < 0:
-            raise ValueError(f"negative power in qp term ({j}, {k})")
-        term = _poly_mul(_poly_pow(q_poly, j), _poly_pow(p_poly, k))
-        _poly_add(weyl, term, complex(c))
-    normal = _apply_exp_mixed(weyl, +0.5)  # Q symbol of the target operator
+    weyl = _substitute(qp_terms, q_poly, p_poly)
+    normal = _apply_exp_mixed(weyl, -FORM_S["w"])  # Q symbol of the target operator
     return OperatorPoly(normal, ctx.hbar)
 
 
@@ -459,24 +482,9 @@ def symbol_to_qp(sym: SymbolPoly, ctx: ScaleContext, tol: float = 1e-13) -> dict
     ``tol`` (relative) are trimmed so Hermitian inputs give clean tables.
     """
     _, _, u_poly, v_poly = _uv_linear_forms(ctx)
-    out: dict = {}
-    for (m, n), c in sym.terms.items():
-        term = _poly_mul(_poly_pow(v_poly, m), _poly_pow(u_poly, n))
-        _poly_add(out, term, c)
+    out = _substitute(sym.terms, v_poly, u_poly)
     scale = max((abs(c) for c in out.values()), default=0.0)
     return {k: c for k, c in out.items() if abs(c) > tol * scale}
-
-
-def symbol_for_form(op: OperatorPoly, form: str) -> SymbolPoly:
-    """Dispatch to the Q, P or Weyl symbol by one-letter form name."""
-    form = form.lower()
-    if form == "q":
-        return q_symbol(op)
-    if form == "p":
-        return p_symbol(op)
-    if form == "w":
-        return weyl_symbol(op)
-    raise ValueError(f"unknown symbol form {form!r}; expected q, p or w")
 
 
 def harmonic_hamiltonian(ctx: ScaleContext) -> OperatorPoly:

@@ -16,8 +16,8 @@ import math
 import sys
 
 from . import errors
-from .algebra import load_hamiltonian, p_symbol, q_symbol, symbol_to_qp, weyl_symbol
-from .coherent import exact_propagator, overlap
+from .algebra import FORM_S, load_hamiltonian, symbol_for_form, symbol_to_qp
+from .coherent import exact_propagator
 from .discrete import DiscGridSpec, convergence_table, quadrature_K
 from .semiclassics import semiclassical_K
 from .wigner import husimi_U_grid, phase_grid_axes, weyl_U_grid
@@ -113,11 +113,8 @@ def _poly_listing(terms: dict, names: tuple[str, str]) -> list[str]:
 def cmd_symbols(args) -> int:
     op, ctx = load_hamiltonian(args.hamiltonian)
     sections = []
-    for label, sym in (
-        ("H_Q", q_symbol(op)),
-        ("H_P", p_symbol(op)),
-        ("H_W", weyl_symbol(op)),
-    ):
+    for form in FORM_S:
+        label, sym = f"H_{form.upper()}", symbol_for_form(op, form)
         sections.append(f"{label} in (u, v):")
         sections.extend(_poly_listing(sym.trimmed().terms, ("v", "u")))
         sections.append(f"{label} in (q, p):")
@@ -145,9 +142,7 @@ def cmd_propagate(args) -> int:
         **_c_fields(args.z0, "z0"),
         **_c_fields(args.z1, "z1"),
     }
-    if args.T == 0:
-        K = complex(overlap(args.z1, args.z0))
-    elif args.form == "exact":
+    if args.form == "exact":
         K = exact_propagator(
             op,
             args.z0,
@@ -261,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("propagate", help="exact or brute-force discrete propagator")
     common(p)
-    p.add_argument("--form", choices=("q", "p", "w", "exact"), default="exact")
+    p.add_argument("--form", choices=(*FORM_S, "exact"), default="exact")
     p.add_argument("--z0", type=_parse_complex, required=True)
     p.add_argument("--z1", type=_parse_complex, required=True)
     p.add_argument("--T", type=_at_least(0.0), required=True)
@@ -272,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("semiclassical", help="complex-trajectory propagator")
     common(p, formats=False)
-    p.add_argument("--form", choices=("q", "p", "w"), default="w")
+    p.add_argument("--form", choices=tuple(FORM_S), default="w")
     p.add_argument("--z0", type=_parse_complex, required=True)
     p.add_argument("--z1", type=_parse_complex, required=True)
     p.add_argument("--T", type=_at_least(0.0), required=True)

@@ -5,6 +5,9 @@ diagonal-representation chain (P), and the midpoint form built on the Weyl
 symbol (W).  The module also carries the closed-form harmonic-oscillator
 propagators at finite slicing, their convergence coefficients mu, and a
 brute-force quadrature evaluator for very small slice numbers.
+
+The harmonic closed forms are one formula in the ordering parameter s of
+``algebra.FORM_S``; only the W form's even-N rule is form-specific.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import OperatorPoly, SymbolPoly, symbol_for_form
+from .algebra import FORM_S, OperatorPoly, SymbolPoly, form_s, symbol_for_form
 from .coherent import harmonic_exact_K, overlap
 from .errors import DomainError, refine, require_finite
 
@@ -210,20 +213,18 @@ def stationary_path_harmonic(
 
 
 def mu_coefficients(omega: float, T: float, N: int):
-    """Coefficients multiplying z' z''* in the three discrete harmonic forms.
+    """Coefficients (mu_Q, mu_P, mu_W) multiplying z' z''* in the discrete harmonic forms.
 
-    mu_Q = (1 - i tau w)^N, mu_P = (1 + i tau w)^-N,
-    mu_W = ((1 - i tau w / 2) / (1 + i tau w / 2))^N, tau = T/N; all three
-    tend to exp(-i w T).
+    mu_s = (1 - i tau w (1 + s))^N (1 - i tau w s)^-N, tau = T/N, with s from
+    ``algebra.FORM_S``; all three tend to exp(-i w T).
     """
     if N < 1:
         raise ValueError("N must be at least 1")
     require_finite(T=T)
-    tau = T / N
-    mu_q = (1.0 - 1j * tau * omega) ** N
-    mu_p = (1.0 + 1j * tau * omega) ** (-N)
-    mu_w = ((1.0 - 0.5j * tau * omega) / (1.0 + 0.5j * tau * omega)) ** N
-    return mu_q, mu_p, mu_w
+    x = T / N * omega
+    return tuple(
+        (1.0 - 1j * (x * (1.0 + s))) ** N * (1.0 - 1j * (x * s)) ** (-N) for s in FORM_S.values()
+    )
 
 
 def harmonic_discrete_K(
@@ -231,30 +232,19 @@ def harmonic_discrete_K(
 ) -> complex:
     """Closed-form finite-N propagators for H = hbar omega (adag a + 1/2).
 
-    K_W = (1 + i tau w/2)^-N exp(mu_W z'z''* - |z'|^2/2 - |z''|^2/2)
-    K_Q = exp(-i w T/2 + mu_Q z'z''* - |z'|^2/2 - |z''|^2/2)
-    K_P = (1 + i tau w)^-N exp(+i w T/2 + mu_P z'z''* - |z'|^2/2 - |z''|^2/2)
+    K_s = (1 - i tau w s)^-N exp(-i w T (s + 1/2) + mu_s z'z''* - |z'|^2/2 - |z''|^2/2)
+
+    with the form's s (0 for Q, -1 for P, -1/2 for W); the W form needs even N.
     """
-    require_finite(zp=zp, zpp=zpp)
-    mu_q, mu_p, mu_w = mu_coefficients(omega, T, N)
-    tau = T / N
-    gauss = -0.5 * abs(zp) ** 2 - 0.5 * abs(zpp) ** 2
-    cross = zp * np.conj(zpp)
     form = form.lower()
-    if form == "w":
-        if N % 2 != 0:
-            raise ValueError("the W form requires even N")
-        return complex(
-            (1.0 + 0.5j * tau * omega) ** (-N) * np.exp(mu_w * cross + gauss)
-        )
-    if form == "q":
-        return complex(np.exp(-0.5j * omega * T + mu_q * cross + gauss))
-    if form == "p":
-        return complex(
-            (1.0 + 1j * tau * omega) ** (-N)
-            * np.exp(0.5j * omega * T + mu_p * cross + gauss)
-        )
-    raise ValueError(f"unknown form {form!r}; expected q, p or w")
+    s = form_s(form)
+    require_finite(zp=zp, zpp=zpp)
+    mu = dict(zip(FORM_S, mu_coefficients(omega, T, N)))[form]
+    if form == "w" and N % 2 != 0:
+        raise ValueError("the W form requires even N")
+    gauss = -0.5 * abs(zp) ** 2 - 0.5 * abs(zpp) ** 2
+    exponent = -1j * omega * T * (s + 0.5) + mu * (zp * np.conj(zpp)) + gauss
+    return complex((1.0 - 1j * (T / N * omega * s)) ** (-N) * np.exp(exponent))
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +393,8 @@ def quadrature_K(
 
     Only very small slice numbers are tractable: the Q form integrates
     2(N-1) real dimensions, the P and W forms 2N.  Anything beyond four
-    dimensions is refused.
+    dimensions is refused.  At T = 0, after every check, the value is the
+    exact overlap <z''|z'> with ``refinement_delta`` 0 and ``dims`` 0.
 
     Raises
     ------
@@ -414,11 +405,10 @@ def quadrature_K(
         If refinement moves the value by more than ``grid.tolerance``, or
         by a non-finite amount when no tolerance is set.
     ValueError
-        If T is not finite.
+        If the form is not q, p or w, T is not finite, or the W form gets odd N.
     """
     form = form.lower()
-    if form not in ("q", "p", "w"):
-        raise ValueError(f"unknown form {form!r}; expected q, p or w")
+    form_s(form)  # refuses a name other than q, p or w
     require_finite(T=T)
     if N < 1 or N > 3:
         raise DomainError(f"N = {N} is outside the supported range 1..3")
@@ -431,6 +421,8 @@ def quadrature_K(
     if form == "q" and N == 3 and sym.degree > 2:
         why = f"has no limit at degree {sym.degree}: its value grows with the disc radius"
         raise DomainError(f"the Q-form integral at N = 3 {why}")
+    if T == 0:
+        return QuadKResult(complex(overlap(zpp, zp)), 0.0, 0, 0)
     tau = T / N
     radius = grid.radius_widths * COHERENT_WIDTH
 
@@ -460,8 +452,8 @@ def convergence_table(
     oracle = harmonic_exact_K(zp, zpp, omega, T)
     rows = []
     for N in N_list:
-        mu_by_form = dict(zip("qpw", mu_coefficients(omega, T, N)))
-        for form in "qpw":
+        mu_by_form = dict(zip(FORM_S, mu_coefficients(omega, T, N)))
+        for form in FORM_S:
             if form == "w" and N % 2 != 0:
                 continue
             K = harmonic_discrete_K(form, zp, zpp, omega, T, N)

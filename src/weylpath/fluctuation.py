@@ -96,11 +96,13 @@ def block_tridiagonal(matrix: np.ndarray) -> np.ndarray:
 
     Applies the congruence B = E^T (M / 2i) E where E adds each xi*_{m-1}
     column to the xi*_m column; determinant-preserving since det E = 1.
-    The long-range alternating couplings cancel pairwise.
+    The long-range alternating couplings cancel pairwise.  A matrix that is
+    not square of even dimension, or not finite, raises ValueError.
     """
+    if matrix.ndim != 2 or matrix.shape[0] % 2 != 0 or matrix.shape[1] != matrix.shape[0]:
+        raise ValueError(f"expected a square matrix of even dimension, got shape {matrix.shape}")
+    require_finite(matrix=matrix)
     n2 = matrix.shape[0]
-    if n2 % 2 != 0 or matrix.shape[1] != n2:
-        raise ValueError("expected a square matrix of even dimension")
     star = np.arange(1, n2 - 2, 2)  # xi*_m for m = N .. 2; xi*_{m-1} is two rows down
     E = np.eye(n2, dtype=complex)
     E[star + 2, star] = 1.0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import OperatorPoly, SymbolPoly, symbol_for_form
+from .algebra import OperatorPoly, SymbolPoly, form_s, symbol_for_form
 from .coherent import overlap
 from .errors import CausticWarning, DomainError, NonConverged, refine, require_finite
 
@@ -32,7 +32,6 @@ __all__ = [
     "semiclassical_K",
 ]
 
-FORM_SIGMA = {"q": +1.0, "p": -1.0, "w": 0.0}
 SINGULAR_THRESHOLD = 1e-12  # |Omega(T)| below this is a caustic: d2S does not exist
 CAUSTIC_THRESHOLD = 1e-4  # |dv(t)| below this on the way warns of a near-caustic
 DEDUPE_TOL = 1e-6  # shooting results whose v(0) differ by less are one trajectory
@@ -322,7 +321,8 @@ def semiclassical_K(
     K = sum_nu sqrt((i/hbar) d2S_nu) exp{(i/hbar)(S_nu + sigma I_nu)
         - (|z'|^2 + |z''|^2)/2}
 
-    with sigma = +1 (q), -1 (p), 0 (w).  Every converged, deduplicated
+    with sigma = 1 + 2s from the form's ordering parameter s
+    (``algebra.FORM_S``): +1 (q), -1 (p), 0 (w).  Every converged, deduplicated
     trajectory is reported; contributing-saddle selection is left to the
     caller.
 
@@ -335,10 +335,9 @@ def semiclassical_K(
         T > 0) ``tol`` is not finite and positive.
     """
     form = form.lower()
-    if form not in FORM_SIGMA:
-        raise ValueError(f"unknown form {form!r}; expected q, p or w")
+    s = form_s(form)
     require_finite(zp=zp, zpp=zpp)
-    sigma = FORM_SIGMA[form] if include_correction else 0.0
+    sigma = 1.0 + 2.0 * s if include_correction else 0.0  # exact for s = 0, -1, -1/2
     if T == 0:
         K = complex(overlap(zpp, zp))
         return SemiclassicalResult(K, form, [])

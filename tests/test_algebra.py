@@ -8,17 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylpath import (
+    DiscGridSpec,
     OperatorPoly,
     ScaleContext,
     SymbolPoly,
     fock_coherent,
+    harmonic_discrete_K,
     harmonic_hamiltonian,
     load_hamiltonian,
     normalize,
     operator_matrix,
     p_symbol,
     q_symbol,
+    quadrature_K,
     quartic_position_hamiltonian,
+    semiclassical_K,
+    symbol_for_form,
     symbol_to_qp,
     weyl_quantize,
     weyl_symbol,
@@ -169,6 +174,23 @@ class TestSymbols:
             for _ in range(10):
                 z = rng.normal() + 1j * rng.normal()
                 assert abs(np.imag(sym.eval(z, np.conj(z)))) < 1e-12
+
+
+FORM_ENTRY_POINTS = {
+    "symbol_for_form": lambda H, form: symbol_for_form(H, form),
+    "semiclassical_K-T0": lambda H, form: semiclassical_K(form, H, 0.3, 0.2j, 0.0),
+    "semiclassical_K": lambda H, form: semiclassical_K(form, H, 0.3, 0.2j, 0.5),
+    "quadrature_K": lambda H, form: quadrature_K(form, H, 0.3, 0.2j, 0.2, 2, DiscGridSpec(16)),
+    "harmonic_discrete_K": lambda H, form: harmonic_discrete_K(form, 0.3, 0.2j, 1.0, 0.5, 2),
+}
+
+
+@pytest.mark.parametrize("entry", FORM_ENTRY_POINTS.values(), ids=list(FORM_ENTRY_POINTS))
+def test_every_entry_point_checks_the_form(entry):
+    H = harmonic_hamiltonian(ScaleContext.default())
+    with pytest.raises(ValueError, match=r"^unknown form 'x'; expected q, p or w$"):
+        entry(H, "x")
+    entry(H, "W")  # the name is read in either case
 
 
 class TestWeylQuantize:
@@ -376,6 +398,20 @@ class TestScaleContext:
     def test_default_width(self):
         ctx = ScaleContext.default(hbar=2.0, mass=0.5, omega=4.0)
         assert ctx.b == pytest.approx(math.sqrt(2.0 / 2.0))
+
+    def test_default_width_beyond_the_product_range(self):
+        # m omega = 1e-400 is no double, but b = 1e200 is
+        ctx = ScaleContext.default(mass=1e-200, omega=1e-200)
+        assert ctx.b == pytest.approx(1e200, rel=1e-15)
+        _, loaded = load_hamiltonian({"mass": 1e-200, "omega": 1e-200, "terms": []})
+        assert loaded == ctx
+
+    @pytest.mark.parametrize(
+        "scales", [{"mass": -1.0}, {"omega": 0.0}, {"hbar": math.nan}, {"mass": math.inf}]
+    )
+    def test_default_refuses_bad_scales(self, scales):
+        with pytest.raises(ValueError, match="must all be finite and positive"):
+            ScaleContext.default(**scales)
 
     def test_label_round_trip(self):
         ctx = ScaleContext(hbar=1.3, mass=0.7, omega=2.1, b=0.9)

@@ -138,6 +138,19 @@ class TestPropagate:
         want = overlap(-0.1 + 0.4j, 0.3 + 0.2j)
         assert record["re_K"] == pytest.approx(want.real, abs=1e-12)
 
+    @pytest.mark.parametrize("form, N", [("w", 3), ("q", 5)], ids=["w-odd-N", "q-N-beyond-3"])
+    def test_zero_time_still_checks_form_and_N(self, harmonic_json, form, N):
+        argv = ["--form", form, "--N", str(N), "--z0", "0.3,0.2", "--z1=-0.1,0.4", "--T", "0"]
+        assert main(["propagate", "--hamiltonian", harmonic_json, *argv]) == 3
+
+    def test_zero_time_discrete_form_is_overlap(self, quartic_json, capsys):
+        argv = ["--form", "w", "--N", "2", "--z0", "0.3,0.2", "--z1=-0.1,0.4", "--T", "0"]
+        assert main(["propagate", "--hamiltonian", quartic_json, *argv]) == 0
+        record = json.loads(capsys.readouterr().out)
+        want = overlap(-0.1 + 0.4j, 0.3 + 0.2j)
+        assert complex(record["re_K"], record["im_K"]) == want
+        assert record["N"] == 2 and record["refinement_delta"] == 0.0
+
     def test_discrete_form_reports_refinement(self, harmonic_json, capsys):
         rc = main(
             [

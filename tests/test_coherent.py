@@ -387,8 +387,8 @@ H_QUARTIC = quartic_position_hamiltonian(0.1, CTX)
         (lambda: ScaleContext(b=math.inf), ValueError, "must all be finite and positive"),
         (lambda: ScaleContext(hbar=1e-300, b=1e100), ValueError,
          "c = hbar / b must all be finite and positive"),
-        (lambda: ScaleContext.default(mass=1e-200, omega=1e-200), ValueError,
-         "must all be finite and positive"),
+        (lambda: ScaleContext.default(mass=1e-320, omega=1e-320), ValueError,
+         "must all be finite and positive"),  # m omega underflows, and b = 1e320 is beyond range
     ],
     ids=["exact-nan", "exact-inf", "weyl_element", "quadrature_K", "quadrature_K-q1",
          "harmonic_exact_K", "harmonic_discrete_K", "harmonic_exact_K-label",

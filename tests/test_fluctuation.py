@@ -130,6 +130,20 @@ class TestBlockTridiagonal:
             B = block_tridiagonal(M)
             assert abs(det_dense(B) - det_dense(M) / (2j) ** (2 * N)) < 1e-10
 
+    @pytest.mark.parametrize(
+        "matrix, match",
+        [
+            (np.ones(4), "square matrix of even dimension"),  # used to raise IndexError
+            (np.ones((3, 3)), "square matrix of even dimension"),
+            (np.full((2, 2), np.nan), "must be finite"),  # used to pass through
+            (np.array([[1.0, np.inf], [0.0, 1.0]]), "must be finite"),
+        ],
+        ids=["1-d", "odd", "nan", "inf-off-diagonal"],
+    )
+    def test_bad_matrix_rejected(self, matrix, match):
+        with pytest.raises(ValueError, match=match):
+            block_tridiagonal(matrix)
+
     def test_banded_structure(self):
         rng = np.random.default_rng(73)
         co = random_coeffs(rng, 6)
