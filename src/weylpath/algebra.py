@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError, HamiltonianFormatError
+from .errors import DomainError, HamiltonianFormatError, refuse_bool
 
 __all__ = [
     "OperatorPoly",
@@ -93,6 +93,7 @@ class OperatorPoly:
     """
 
     def __init__(self, terms: dict, hbar: float = 1.0):
+        refuse_bool(hbar=hbar)
         if not 0 < hbar < math.inf:
             raise ValueError(f"hbar must be finite and positive, got {hbar}")
         for m, n in terms:
@@ -314,6 +315,7 @@ class ScaleContext:
 
     def __post_init__(self):
         scales = (self.hbar, self.mass, self.omega, self.b)
+        refuse_bool(hbar=self.hbar, mass=self.mass, omega=self.omega, b=self.b)
         if not all(0 < x < math.inf for x in scales) or not 0 < self.c < math.inf:
             raise ValueError(
                 "hbar, mass, omega, b and c = hbar / b must all be finite and positive, "

@@ -1,7 +1,7 @@
 """Command-line front end: Hamiltonian ingestion and experiment drivers.
 
-Exit codes: 0 success, 1 parse/usage error or HamiltonianFormatError,
-2 NonConverged, 3 DomainError or ValueError.  Complex numbers are always
+Exit codes: 0 success, 1 parse/usage error, HamiltonianFormatError or an unwritable
+``--out``, 2 NonConverged, 3 DomainError or ValueError.  Complex numbers are always
 emitted as separate re/im columns or fields, and repeated runs with the same
 configuration give bit-identical output.
 """
@@ -9,15 +9,13 @@ configuration give bit-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
 
 from . import errors
 from .algebra import FORM_S, load_hamiltonian, symbol_for_form, symbol_to_qp
-from .coherent import exact_propagator
+from .coherent import CUTOFF_TOLERANCE, exact_propagator
 from .discrete import DiscGridSpec, convergence_table, quadrature_K
 from .semiclassics import semiclassical_K
 from .wigner import husimi_U_grid, phase_grid_axes, weyl_U_grid
@@ -69,35 +67,47 @@ def _list_of(item):
     return lambda text: [item(part) for part in text.split(",")]
 
 
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _csv_text(rows: list[dict], fieldnames: list[str]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _fmt(row[k]) for k in fieldnames})
-    return buf.getvalue()
-
-
-def _fmt(value):
+def _cell(value) -> str:
+    """One CSV cell: a float as ``.17g``, None as empty, anything else as ``str``."""
     if isinstance(value, float):
         return f"{value:.17g}"
-    return value
+    return "" if value is None else str(value)
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(payload, fmt: str | None, out_path: str | None) -> int:
+    """The one output site: write a command's payload and return the exit code.
+
+    A ``str`` goes out as it is, anything else as sorted JSON or, with ``fmt == "csv"``, as
+    rows (a record is one row with sorted columns; a list keeps its first row's key order).
+    The text goes to ``out_path``, else to ``sys.stdout`` as it is at the call.
+    """
+    if isinstance(payload, str):
+        text = payload
+    elif fmt != "csv":
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    else:
+        rows = [payload] if isinstance(payload, dict) else payload
+        cols = sorted(payload) if isinstance(payload, dict) else list(rows[0])
+        lines = [cols] + [[_cell(row[k]) for k in cols] for row in rows]
+        text = "".join(",".join(line) + "\n" for line in lines)
+    if not out_path:
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(out_path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    return 0
 
 
-def _c_fields(z: complex, prefix: str) -> dict:
-    return {f"re_{prefix}": z.real, f"im_{prefix}": z.imag}
+def _c_fields(**values) -> dict:
+    """Separate re_<name> and im_<name> fields for each complex value."""
+    fields = {}
+    for name, z in values.items():
+        fields.update({f"re_{name}": z.real, f"im_{name}": z.imag})
+    return fields
 
 
 def _poly_listing(terms: dict, names: tuple[str, str]) -> list[str]:
@@ -110,7 +120,7 @@ def _poly_listing(terms: dict, names: tuple[str, str]) -> list[str]:
     return lines or ["  0"]
 
 
-def cmd_symbols(args) -> int:
+def cmd_symbols(args) -> str:
     op, ctx = load_hamiltonian(args.hamiltonian)
     sections = []
     for form in FORM_S:
@@ -119,107 +129,63 @@ def cmd_symbols(args) -> int:
         sections.extend(_poly_listing(sym.trimmed().terms, ("v", "u")))
         sections.append(f"{label} in (q, p):")
         sections.extend(_poly_listing(symbol_to_qp(sym, ctx), ("q", "p")))
-    _emit("\n".join(sections) + "\n", args.out)
-    return 0
+    return "\n".join(sections) + "\n"
 
 
-def cmd_harmonic_compare(args) -> int:
-    rows = convergence_table(args.omega, args.T, args.z0, args.z1, args.N_list)
-    if args.format == "json":
-        _emit(_json_text(rows), args.out)
-    else:
-        _emit(_csv_text(rows, list(rows[0])), args.out)
-    return 0
+def cmd_harmonic_compare(args) -> list[dict]:
+    return convergence_table(args.omega, args.T, args.z0, args.z1, args.N_list)
 
 
-def cmd_propagate(args) -> int:
+def cmd_propagate(args) -> dict:
     op, _ = load_hamiltonian(args.hamiltonian)
-    record = {
-        "T": args.T,
-        "form": args.form,
-        "cutoff": args.cutoff,
-        "tolerance": args.tol,
-        **_c_fields(args.z0, "z0"),
-        **_c_fields(args.z1, "z1"),
-    }
+    record = {"T": args.T, "form": args.form, **_c_fields(z0=args.z0, z1=args.z1)}
     if args.form == "exact":
-        K = exact_propagator(
-            op,
-            args.z0,
-            args.z1,
-            args.T,
-            cutoff=args.cutoff,
-            check_tolerance=args.tol if args.tol is not None else 1e-10,
-        )
+        tol = CUTOFF_TOLERANCE if args.tol is None else args.tol
+        K = exact_propagator(op, args.z0, args.z1, args.T, args.cutoff, check_tolerance=tol)
+        record.update(cutoff=args.cutoff, tolerance=tol)
     else:
         grid = DiscGridSpec(tolerance=args.tol)
         result = quadrature_K(args.form, op, args.z0, args.z1, args.T, args.N, grid)
-        record["refinement_delta"] = result.refinement_delta
-        record["N"] = args.N
+        record.update(N=args.N, refinement_delta=result.refinement_delta, tolerance=args.tol)
         K = result.value
-    record.update(_c_fields(K, "K"))
-    if args.format == "csv":
-        fields = sorted(record)
-        _emit(_csv_text([record], fields), args.out)
-    else:
-        _emit(_json_text(record), args.out)
-    return 0
+    return {**record, **_c_fields(K=K)}
 
 
-def cmd_semiclassical(args) -> int:
+def cmd_semiclassical(args) -> dict:
     op, _ = load_hamiltonian(args.hamiltonian)
-    result = semiclassical_K(
-        args.form, op, args.z0, args.z1, args.T, steps=args.steps, tol=args.tol
-    )
-    record = {
+    result = semiclassical_K(args.form, op, args.z0, args.z1, args.T, steps=args.steps, tol=args.tol)
+    return {
         "T": args.T,
         "form": args.form,
         "steps": args.steps,
         "tolerance": args.tol,
-        **_c_fields(args.z0, "z0"),
-        **_c_fields(args.z1, "z1"),
-        **_c_fields(result.K, "K"),
+        **_c_fields(z0=args.z0, z1=args.z1, K=result.K),
         "trajectories": [
-            {
-                **_c_fields(tr.v0, "v0"),
-                **_c_fields(tr.S, "S"),
-                **_c_fields(tr.I, "I"),
-                **_c_fields(tr.d2S, "d2S"),
-                **_c_fields(tr.term, "term"),
-                "residual": tr.residual,
-            }
+            {**_c_fields(v0=tr.v0, S=tr.S, I=tr.I, d2S=tr.d2S, term=tr.term), "residual": tr.residual}
             for tr in result.contributions
         ],
     }
-    _emit(_json_text(record), args.out)
-    return 0
 
 
-def cmd_wigner_u(args) -> int:
+def cmd_wigner_u(args) -> list[dict]:
     op, ctx = load_hamiltonian(args.hamiltonian)
     qs, ps = phase_grid_axes(
         ctx, nq=args.nq, npts=args.np, q_widths=args.q_widths, p_widths=args.p_widths
     )
     weyl = weyl_U_grid(op, ctx, args.T, qs, ps, cutoff=args.cutoff)
     husimi = husimi_U_grid(op, ctx, args.T, qs, ps, cutoff=args.cutoff)
-    rows = []
-    for i, q in enumerate(qs):
-        for j, p in enumerate(ps):
-            rows.append(
-                {
-                    "q": q,
-                    "p": p,
-                    "re_U": weyl.values[i, j].real,
-                    "im_U": weyl.values[i, j].imag,
-                    "re_husimi": husimi.values[i, j].real,
-                    "im_husimi": husimi.values[i, j].imag,
-                }
-            )
-    if args.format == "json":
-        _emit(_json_text(rows), args.out)
-    else:
-        _emit(_csv_text(rows, list(rows[0])), args.out)
-    return 0
+    return [
+        {
+            "q": q,
+            "p": p,
+            "re_U": weyl.values[i, j].real,
+            "im_U": weyl.values[i, j].imag,
+            "re_husimi": husimi.values[i, j].real,
+            "im_husimi": husimi.values[i, j].imag,
+        }
+        for i, q in enumerate(qs)
+        for j, p in enumerate(ps)
+    ]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,7 +261,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        payload = args.func(args)
     except errors.HamiltonianFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -305,6 +271,7 @@ def main(argv=None) -> int:
     except (errors.DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    return _write(payload, getattr(args, "format", None), args.out)
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ DEFAULT_CUTOFF = 80
 TAIL_THRESHOLD = 1e-12  # largest truncated tail mass allowed for any coherent label
 GH_NODES = 64  # Gauss-Hermite nodes per axis in weyl_element
 GH_TOLERANCE = 1e-9  # node-doubling tolerance of weyl_element
+CUTOFF_TOLERANCE = 1e-10  # default cutoff-doubling tolerance of exact_propagator
 
 
 @dataclass(frozen=True)
@@ -177,7 +178,7 @@ def exact_propagator(
     z2: complex,
     T: float,
     cutoff: int = DEFAULT_CUTOFF,
-    check_tolerance: float = 1e-10,
+    check_tolerance: float = CUTOFF_TOLERANCE,
 ) -> complex:
     """Exact coherent-state propagator <z2|exp(-i H T/hbar)|z1>.
 

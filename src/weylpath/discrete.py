@@ -212,19 +212,37 @@ def stationary_path_harmonic(
     return DiscreteWPath(w=w, tau=tau, zp=zp, zpp=zpp, w_star=w_star, hbar=hbar)
 
 
+def _finite_double(compute, what: str, form: str, N: int):
+    """``compute()``, or DomainError naming the form and N where it is not a finite double."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            value = compute()
+        except OverflowError:  # a Python complex power beyond the double range
+            value = math.nan
+    if not np.isfinite(value):
+        raise DomainError(f"{what} of the {form.upper()} form at N = {N} is not a finite double")
+    return value
+
+
+def _mu(form: str, omega: float, T: float, N: int) -> complex:
+    """mu_s of the form named q, p or w, checked as in :func:`mu_coefficients`."""
+    if N < 1:
+        raise ValueError("N must be at least 1")
+    require_finite(T=T)
+    x, s = T / N * omega, FORM_S[form]
+    return _finite_double(
+        lambda: (1.0 - 1j * (x * (1.0 + s))) ** N * (1.0 - 1j * (x * s)) ** (-N), "mu", form, N
+    )
+
+
 def mu_coefficients(omega: float, T: float, N: int):
     """Coefficients (mu_Q, mu_P, mu_W) multiplying z' z''* in the discrete harmonic forms.
 
     mu_s = (1 - i tau w (1 + s))^N (1 - i tau w s)^-N, tau = T/N, with s from
-    ``algebra.FORM_S``; all three tend to exp(-i w T).
+    ``algebra.FORM_S``; all three tend to exp(-i w T).  A mu_s that is not a
+    finite double raises DomainError.
     """
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    require_finite(T=T)
-    x = T / N * omega
-    return tuple(
-        (1.0 - 1j * (x * (1.0 + s))) ** N * (1.0 - 1j * (x * s)) ** (-N) for s in FORM_S.values()
-    )
+    return tuple(_mu(form, omega, T, N) for form in FORM_S)
 
 
 def harmonic_discrete_K(
@@ -235,16 +253,21 @@ def harmonic_discrete_K(
     K_s = (1 - i tau w s)^-N exp(-i w T (s + 1/2) + mu_s z'z''* - |z'|^2/2 - |z''|^2/2)
 
     with the form's s (0 for Q, -1 for P, -1/2 for W); the W form needs even N.
+    A mu_s or K_s that is not a finite double raises DomainError.
     """
     form = form.lower()
     s = form_s(form)
     require_finite(zp=zp, zpp=zpp)
-    mu = dict(zip(FORM_S, mu_coefficients(omega, T, N)))[form]
+    mu = _mu(form, omega, T, N)
     if form == "w" and N % 2 != 0:
         raise ValueError("the W form requires even N")
-    gauss = -0.5 * abs(zp) ** 2 - 0.5 * abs(zpp) ** 2
-    exponent = -1j * omega * T * (s + 0.5) + mu * (zp * np.conj(zpp)) + gauss
-    return complex((1.0 - 1j * (T / N * omega * s)) ** (-N) * np.exp(exponent))
+
+    def K():
+        gauss = -0.5 * abs(zp) ** 2 - 0.5 * abs(zpp) ** 2
+        exponent = -1j * omega * T * (s + 0.5) + mu * (zp * np.conj(zpp)) + gauss
+        return complex((1.0 - 1j * (T / N * omega * s)) ** (-N) * np.exp(exponent))
+
+    return _finite_double(K, "K", form, N)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +346,7 @@ def _quad_once(
     hbar: float,
     radius: float,
     n: int,
-) -> tuple[complex, int, int]:
+) -> tuple[complex, int]:
     zpp_star = np.conj(zpp)
     offsets, area, ax, mask = _disc_points(radius, n)
 
@@ -339,12 +362,12 @@ def _quad_once(
             )
 
         if N == 1:
-            return complex(e_factor(zp, zpp)), 0, 0
+            return complex(e_factor(zp, zpp)), 0
         centers = [zp + (j / N) * (zpp - zp) for j in range(1, N)]
         pts = [c + offsets for c in centers]
         left = e_factor(zp, pts[0]) * (area / math.pi)
         if N == 2:
-            return complex(np.sum(left * e_factor(pts[0], zpp))), 2, len(offsets)
+            return complex(np.sum(left * e_factor(pts[0], zpp))), len(offsets)
         # H of degree <= 2 is H(u, 0) + H(0, v) - H(0, 0) + h11 u v.  The u and v parts go
         # to the site factors and h11 to a Gaussian pair kernel with a = 1 - i tau h11/hbar,
         # whose a |z|^2 / 2 terms leave -i tau h11 |z|^2 / (2 hbar) in each plane
@@ -354,7 +377,7 @@ def _quad_once(
         h_v = sym.eval(0 * z1, np.conj(z1)) - h00 + 0.5 * h11 * np.abs(z1) ** 2
         right = e_factor(z1, zpp) * np.exp(-1j * tau * h_v / hbar) * (area / math.pi)
         a = 1.0 - 1j * tau * h11 / hbar
-        return _gaussian_pair_sum(a, *centers, ax, mask, left, right), 4, len(offsets)
+        return _gaussian_pair_sum(a, *centers, ax, mask, left, right), len(offsets)
 
     def site(z):
         return np.exp(-1j * tau * sym.eval(z, np.conj(z)) / hbar)
@@ -365,9 +388,9 @@ def _quad_once(
         pts = [c + offsets for c in centers]
         left = overlap(pts[0], zp) * site(pts[0]) * (area / math.pi)
         if N == 1:
-            return complex(np.sum(left * overlap(zpp, pts[0]))), 2, len(offsets)
+            return complex(np.sum(left * overlap(zpp, pts[0]))), len(offsets)
         right = overlap(zpp, pts[1]) * site(pts[1]) * (area / math.pi)
-        return _gaussian_pair_sum(1.0, *centers, ax, mask, left, right), 4, len(offsets)
+        return _gaussian_pair_sum(1.0, *centers, ax, mask, left, right), len(offsets)
 
     # W form: N midpoints integrated with measure prod (2/pi) dx dy; the
     # pair kernel exp(4 w*_2 w_1 - 2|w_1|^2 - 2|w_2|^2) is a Gaussian with a = 4
@@ -377,7 +400,7 @@ def _quad_once(
     left = site(w1) * np.exp(-2.0 * zpp_star * w1 + 2.0 * zp * np.conj(w1)) * weight
     right = site(w2) * np.exp(2.0 * zpp_star * w2 - 2.0 * zp * np.conj(w2)) * weight
     pair = _gaussian_pair_sum(4.0, *centers, ax, mask, left, right)
-    return overlap(zpp, zp) * pair, 4, len(offsets)
+    return overlap(zpp, zp) * pair, len(offsets)
 
 
 def quadrature_K(
@@ -427,14 +450,14 @@ def quadrature_K(
     radius = grid.radius_widths * COHERENT_WIDTH
 
     args = (form, sym, zp, zpp, tau, N, H.hbar, radius)
-    coarse, dims_out, _ = _quad_once(*args, grid.points)
-    if dims_out == 0:
+    coarse, _ = _quad_once(*args, grid.points)
+    if dims == 0:
         return QuadKResult(coarse, 0.0, 0, 0)
     n_fine = int(round(grid.points * GRID_REFINE))
-    fine, _, npts_f = _quad_once(*args, n_fine)
+    fine, npts_f = _quad_once(*args, n_fine)
     what = f"refining {grid.points} -> {n_fine} points per axis"
     fine, delta = refine(coarse, fine, grid.tolerance, what)
-    return QuadKResult(fine, delta, dims_out, npts_f)
+    return QuadKResult(fine, delta, dims, npts_f)
 
 
 def convergence_table(
@@ -452,12 +475,11 @@ def convergence_table(
     oracle = harmonic_exact_K(zp, zpp, omega, T)
     rows = []
     for N in N_list:
-        mu_by_form = dict(zip(FORM_S, mu_coefficients(omega, T, N)))
         for form in FORM_S:
             if form == "w" and N % 2 != 0:
                 continue
             K = harmonic_discrete_K(form, zp, zpp, omega, T, N)
-            mu = mu_by_form[form]
+            mu = _mu(form, omega, T, N)
             rows.append(
                 {
                     "N": N,

@@ -46,8 +46,16 @@ def refine(coarse, fine, tol: float | None, what: str):
     return fine, delta
 
 
+def refuse_bool(**values) -> None:
+    """Raise ValueError naming the first value that is a Python or numpy boolean."""
+    for name, val in values.items():
+        if isinstance(val, (bool, np.bool_)):
+            raise ValueError(f"{name} must be a number, not the boolean {val}")
+
+
 def require_finite(**values) -> None:
-    """Raise ValueError naming the first value (a number or an array) that is not finite."""
+    """Raise ValueError naming the first boolean or non-finite value (a number or an array)."""
+    refuse_bool(**values)
     for name, val in values.items():
         if not np.isfinite(val).all():
             raise ValueError(f"{name} must be finite, got {val}")

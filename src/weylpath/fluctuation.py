@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, refine, require_finite
+from .errors import DomainError, refine, refuse_bool, require_finite
 from .semiclassics import _rk4
 
 __all__ = [
@@ -168,9 +168,6 @@ def det_recursive(coeffs: FluctuationCoeffs) -> DeterminantPair:
     delta_prev2 = 1.0 + 0.0j  # Delta_0
     delta_prev = a[0] * b[0] - cm[0] ** 2  # Delta_1
     gamma_prev = b[0]  # Gamma_1
-    if coeffs.N == 1:
-        return DeterminantPair(complex(delta_prev), complex(gamma_prev))
-
     for k in range(2, coeffs.N + 1):
         i = k - 1
         g_k = b[i] + b[i - 1]
@@ -226,6 +223,7 @@ def det_continuum(
         If T is negative or not finite, ``steps`` is below 1, ``hbar`` is
         not positive, or A, B or C returns a non-finite value.
     """
+    refuse_bool(T=T, hbar=hbar)
     if not (np.isfinite(T) and T >= 0):
         raise ValueError(f"T must be finite and non-negative, got {T}")
     if not (steps >= 1 and hbar > 0):

@@ -336,7 +336,7 @@ def semiclassical_K(
     """
     form = form.lower()
     s = form_s(form)
-    require_finite(zp=zp, zpp=zpp)
+    require_finite(zp=zp, zpp=zpp, T=T)
     sigma = 1.0 + 2.0 * s if include_correction else 0.0  # exact for s = 0, -1, -1/2
     if T == 0:
         K = complex(overlap(zpp, zp))

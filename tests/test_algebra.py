@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import pickle
 
@@ -30,7 +31,7 @@ from weylpath import (
 )
 import weylpath
 from weylpath import algebra, coherent, discrete, fluctuation, semiclassics, wigner
-from weylpath.algebra import _straight_line
+from weylpath.algebra import FORM_S, _apply_exp_mixed, _straight_line
 from weylpath.errors import DomainError, HamiltonianFormatError, WeylPathError
 
 
@@ -258,6 +259,25 @@ def test_weyl_symbol_quantize_round_trip_property(op, b):
     assert_terms(back.terms, op.terms, tol=1e-12)
 
 
+@st.composite
+def ladder_ops(draw):
+    """Ladder polynomials of degree <= 6 with complex unit-sized coefficients."""
+    pairs = [(m, n) for m in range(7) for n in range(7 - m)]
+    keys = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=10, unique=True))
+    return OperatorPoly({key: complex(draw(UNIT), draw(UNIT)) for key in keys})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(op=ladder_ops())
+def test_form_to_form_round_trip_property(op):
+    # exp((s_b - s_a) d_u d_v) takes the form-a symbol to the form-b symbol
+    symbols = {form: symbol_for_form(op, form).terms for form in FORM_S}
+    scale = max((abs(c) for terms in symbols.values() for c in terms.values()), default=1.0)
+    for a, b in itertools.permutations(FORM_S, 2):
+        mapped = _apply_exp_mixed(symbols[a], FORM_S[b] - FORM_S[a])
+        assert_terms(mapped, symbols[b], tol=1e-12 * scale)
+
+
 @pytest.mark.parametrize(
     "term, symbols",
     [((171, 171), (p_symbol,)), ((171, 200), (p_symbol,)), ((200, 200), (p_symbol, weyl_symbol))],
@@ -313,6 +333,35 @@ def test_loader_gives_finite_symbols_or_a_package_error(data):
 def test_package_exports_every_public_name(module):
     missing = [name for name in module.__all__ if not hasattr(weylpath, name)]
     assert not missing
+
+
+H_BOOL = OperatorPoly({(1, 1): 1.0, (0, 0): 0.5})
+ZERO = lambda t: 0.0
+
+
+@pytest.mark.parametrize("true", [True, np.True_], ids=["python", "numpy"])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda x: coherent.exact_propagator(H_BOOL, 0.3, 0.2, x, cutoff=40), "T"),
+        (lambda x: semiclassical_K("w", H_BOOL, 0.3, 0.2, x), "T"),
+        (lambda x: quadrature_K("w", H_BOOL, 0.3, 0.2, x, 2), "T"),
+        (lambda x: coherent.harmonic_exact_K(0.3, 0.2, 1.0, x), "T"),
+        (lambda x: semiclassics.solve_bvp(q_symbol(H_BOOL), 0.3, 0.2, 0.5, hbar=x), "hbar"),
+        (lambda x: fluctuation.det_continuum(ZERO, ZERO, ZERO, x), "T"),
+        (lambda x: fluctuation.det_continuum(ZERO, ZERO, ZERO, 1.0, hbar=x), "hbar"),
+        (lambda x: OperatorPoly({(1, 1): 1.0}, hbar=x), "hbar"),
+        (lambda x: ScaleContext(omega=x), "omega"),
+        (lambda x: ScaleContext.default(hbar=x), "hbar"),
+    ],
+    ids=["exact_propagator", "semiclassical_K", "quadrature_K", "harmonic_exact_K",
+         "solve_bvp", "det_continuum-T", "det_continuum-hbar", "OperatorPoly", "ScaleContext",
+         "ScaleContext.default"],
+)
+def test_booleans_are_not_numbers(call, name, true):
+    # each of these used to run as if given 1
+    with pytest.raises(ValueError, match=f"^{name} must be a number, not the boolean True$"):
+        call(true)
 
 
 class TestJet:

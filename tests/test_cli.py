@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from weylpath import cli, errors, harmonic_discrete_K, harmonic_exact_K, overlap
+from weylpath import cli, coherent, errors, harmonic_discrete_K, harmonic_exact_K, overlap
 from weylpath.cli import main
 
 HARMONIC = {
@@ -111,6 +111,24 @@ class TestHarmonicCompare:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_unwritable_out_is_an_error(self, tmp_path, capsys):
+        # used to end in a FileNotFoundError traceback
+        out = tmp_path / "no" / "such" / "t.csv"
+        assert main(["harmonic-compare", "--T", "1", "--N-list", "2", "--out", str(out)]) == 1
+        assert f"error: cannot write {out}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "T, N, what",
+        [("40", "4", "K of the Q form at N = 4"), ("1e6", "1000", "mu of the Q form at N = 1000")],
+        ids=["K-overflow", "mu-overflow"],
+    )
+    def test_non_finite_row_exit_code(self, capsys, T, N, what):
+        # used to print a nan Q row and exit 0, or end in an OverflowError traceback
+        argv = ["harmonic-compare", "--T", T, "--N-list", N, "--z0", "1,0", "--z1", "1,0"]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and what in err
+
 
 class TestPropagate:
     def test_exact_harmonic(self, harmonic_json, capsys):
@@ -125,6 +143,19 @@ class TestPropagate:
         want = harmonic_exact_K(0.3, 0.5j, 1.0, 1.0)
         assert record["re_K"] == pytest.approx(want.real, abs=1e-10)
         assert record["im_K"] == pytest.approx(want.imag, abs=1e-10)
+
+    def test_record_reports_what_was_used(self, harmonic_json, capsys):
+        # the exact form recorded tolerance null and the discrete forms an unread cutoff
+        argv = ["propagate", "--hamiltonian", harmonic_json, "--z0", "0.3,0", "--z1", "0,0.5"]
+        assert main(argv + ["--T", "1.0"]) == 0
+        exact = json.loads(capsys.readouterr().out)
+        assert exact["tolerance"] == coherent.CUTOFF_TOLERANCE == 1e-10
+        assert exact["cutoff"] == 80
+        assert main(argv + ["--T", "0.2", "--form", "w", "--format", "csv"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        record = dict(zip(header.split(","), row.split(",")))
+        assert header.split(",") == sorted(record) and "cutoff" not in record
+        assert record["N"] == "2" and record["form"] == "w" and record["tolerance"] == ""
 
     def test_zero_time_is_overlap(self, quartic_json, capsys):
         rc = main(
@@ -309,6 +340,25 @@ class TestWignerU:
             ]
         )
         assert rc == 3
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["symbols", "--hamiltonian", "H"], str),
+        (["harmonic-compare", "--T", "1", "--N-list", "2,3"], list),
+        (["propagate", "--hamiltonian", "H", "--z0", "0.3,0", "--z1", "0,0.5", "--T", "1"], dict),
+        (["semiclassical", "--hamiltonian", "H", "--z0", "0.3,0", "--z1", "0,0.5", "--T", "1"], dict),
+        (["wigner-u", "--hamiltonian", "H", "--T", "0.5", "--cutoff", "60", "--nq", "3", "--np", "2"],
+         list),
+    ],
+    ids=["symbols", "harmonic-compare", "propagate", "semiclassical", "wigner-u"],
+)
+def test_command_returns_its_payload_and_prints_nothing(argv, kind, harmonic_json, capsys):
+    args = cli.build_parser().parse_args([harmonic_json if a == "H" else a for a in argv])
+    payload = args.func(args)
+    assert isinstance(payload, kind) and payload
+    assert capsys.readouterr() == ("", "")
 
 
 README_COMMANDS = [

@@ -246,6 +246,27 @@ class TestHarmonicDiscreteK:
         with pytest.raises(ValueError):
             harmonic_discrete_K("w", 0.1, 0.2, 1.0, 1.0, 3)
 
+    @pytest.mark.parametrize(
+        "args, what",
+        [
+            (("q", 1.0, 1.0, 1.0, 40.0, 4), "K of the Q form at N = 4"),
+            (("q", 0.5, 0.5, 1.0, 1e5, 200), "mu of the Q form at N = 200"),
+            (("w", 0.5, 0.5, 1.0, 1e5, 200), "mu of the W form at N = 200"),
+            (("q", 1e200, 0.5, 1.0, 1.0, 2), "K of the Q form at N = 2"),
+        ],
+        ids=["exp-overflow", "q-power-overflow", "w-power-overflow", "label-square-overflow"],
+    )
+    def test_refuses_what_it_cannot_represent(self, args, what):
+        # used to return nan+nanj with a RuntimeWarning, or to raise a bare OverflowError
+        with pytest.raises(DomainError, match=what):
+            harmonic_discrete_K(*args)
+
+    def test_each_form_checks_only_its_own_mu(self):
+        # mu_Q is beyond the double range here, but the P form's K underflows to a finite 0
+        with pytest.raises(DomainError, match="mu of the Q form at N = 200"):
+            mu_coefficients(1.0, 1e5, 200)
+        assert harmonic_discrete_K("p", 0.5, 0.5, 1.0, 1e5, 200) == 0
+
 
 class TestMuCoefficients:
     def test_reference_values_at_two_pi(self):

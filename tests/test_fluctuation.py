@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -191,6 +192,30 @@ class TestDetRecursive:
             dense = det_dense(build_matrix(co)) / (2j) ** (2 * N)
             rec = det_recursive(co).Delta
             assert abs(rec - dense) <= 1e-10 * max(1.0, abs(dense))
+
+    def test_large_N_against_mpmath(self):
+        # the same recursion at 30 digits, on a smooth complex instance at N = 10^4
+        N, T = 10_000, 2.0
+        t = (np.arange(N) + 0.5) * (T / N)
+        co = FluctuationCoeffs(
+            A=0.3 * np.cos(t) + 0.2j,
+            B=0.2 * np.sin(t) + 0.1 - 0.1j * t,
+            C=1.1 + 0.15 * t + 0.05j * np.cos(2 * t),
+            tau=T / N,
+        )
+        got = det_recursive(co)
+        with mpmath.workdps(30):
+            half = mpmath.mpf(co.tau) / (2 * mpmath.mpf(co.hbar))
+            a, b, c = ([half * mpmath.mpc(x) for x in arr] for arr in (co.A, co.B, co.C))
+            cm, cp = [x - 1j for x in c], [x + 1j for x in c]
+            d2, d1, g1 = mpmath.mpc(1), a[0] * b[0] - cm[0] ** 2, b[0]
+            for i in range(1, N):
+                g = ((b[i] + b[i - 1]) * d1 - cp[i - 1] ** 2 * g1
+                     + b[i - 1] * (2 * cp[i - 1] * cm[i - 1] - a[i - 1] * b[i - 1]) * d2)
+                d2, d1, g1 = d1, a[i] * g - cm[i] ** 2 * d1, g
+            want = DeterminantPair(complex(d1), complex(g1))
+        assert abs(got.Delta - want.Delta) <= 1e-12 * abs(want.Delta)
+        assert abs(got.Gamma - want.Gamma) <= 1e-12 * abs(want.Gamma)
 
     def test_prefactor_cancellation_identity(self):
         # [2^N / sqrt((-1)^N det M)]^2 == 1 / Delta_N, branch free
