@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError, HamiltonianFormatError, refuse_bool
+from .errors import DomainError, HamiltonianFormatError, InvalidArgument, refuse_bool
 
 __all__ = [
     "OperatorPoly",
@@ -50,7 +50,7 @@ def form_s(form: str) -> float:
     """Ordering parameter s of the form named q, p or w, in either case."""
     name = form.lower()
     if name not in FORM_S:
-        raise ValueError(f"unknown form {name!r}; expected q, p or w")
+        raise InvalidArgument(f"unknown form {name!r}; expected q, p or w")
     return FORM_S[name]
 
 
@@ -95,10 +95,10 @@ class OperatorPoly:
     def __init__(self, terms: dict, hbar: float = 1.0):
         refuse_bool(hbar=hbar)
         if not 0 < hbar < math.inf:
-            raise ValueError(f"hbar must be finite and positive, got {hbar}")
+            raise InvalidArgument(f"hbar must be finite and positive, got {hbar}")
         for m, n in terms:
             if m < 0 or n < 0:
-                raise ValueError(f"negative ladder exponent in term ({m}, {n})")
+                raise InvalidArgument(f"negative ladder exponent in term ({m}, {n})")
         self.terms = _pruned(terms)
         self.hbar = float(hbar)
 
@@ -286,7 +286,7 @@ class SymbolPoly:
         try:
             compiled = self._jets[order]
         except KeyError:
-            raise ValueError("order must be 0, 1 or 2") from None
+            raise InvalidArgument("order must be 0, 1 or 2") from None
         out = compiled(u, v)
         if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
             shape = np.broadcast_shapes(np.shape(u), np.shape(v))
@@ -317,7 +317,7 @@ class ScaleContext:
         scales = (self.hbar, self.mass, self.omega, self.b)
         refuse_bool(hbar=self.hbar, mass=self.mass, omega=self.omega, b=self.b)
         if not all(0 < x < math.inf for x in scales) or not 0 < self.c < math.inf:
-            raise ValueError(
+            raise InvalidArgument(
                 "hbar, mass, omega, b and c = hbar / b must all be finite and positive, "
                 f"got hbar, mass, omega, b = {scales}"
             )
@@ -368,7 +368,7 @@ def normalize(word_list, hbar: float = 1.0) -> OperatorPoly:
         acc = OperatorPoly({(0, 0): coeff}, hbar)
         for letter in word.split():
             if letter not in letters:
-                raise ValueError(f"unknown ladder letter {letter!r}")
+                raise InvalidArgument(f"unknown ladder letter {letter!r}")
             acc = acc * letters[letter]
         total = total + acc
     return total
@@ -450,7 +450,7 @@ def _substitute(terms: dict, x_poly: dict, y_poly: dict) -> dict:
     out: dict = {}
     for (j, k), c in terms.items():
         if j < 0 or k < 0:
-            raise ValueError(f"negative power in term ({j}, {k})")
+            raise InvalidArgument(f"negative power in term ({j}, {k})")
         _poly_add(out, _poly_mul(_poly_pow(x_poly, j), _poly_pow(y_poly, k)), complex(c))
     return out
 
@@ -565,7 +565,7 @@ def load_hamiltonian(source) -> tuple[OperatorPoly, ScaleContext]:
                 f"field 'width_b' must be a positive number, got {width_b!r}",
             )
             ctx = ScaleContext(hbar, mass, omega, float(width_b))
-    except ValueError as exc:
+    except InvalidArgument as exc:
         raise HamiltonianFormatError(str(exc)) from None
 
     ordering = data.get("ordering", "normal")

@@ -1,9 +1,9 @@
 """Command-line front end: Hamiltonian ingestion and experiment drivers.
 
-Exit codes: 0 success, 1 parse/usage error, HamiltonianFormatError or an unwritable
-``--out``, 2 NonConverged, 3 DomainError or ValueError.  Complex numbers are always
-emitted as separate re/im columns or fields, and repeated runs with the same
-configuration give bit-identical output.
+Exit codes: 0 success, 1 a parse/usage error or an unwritable ``--out``, else the
+``exit_code`` of the ``errors.WeylPathError`` a command raised; any other exception is a
+program fault and ends in a traceback.  Complex numbers are always emitted as separate
+re/im fields, and repeated runs with the same configuration give bit-identical output.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from .semiclassics import semiclassical_K
 from .wigner import husimi_U_grid, phase_grid_axes, weyl_U_grid
 
 EXIT_PARSE = 1
-EXIT_CONVERGENCE = 2
-EXIT_NUMERIC = 3
 
 
 def _parse_complex(text: str) -> complex:
@@ -255,22 +253,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
         payload = args.func(args)
-    except errors.HamiltonianFormatError as exc:
+    except errors.WeylPathError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except errors.NonConverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except (errors.DomainError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return exc.exit_code
     return _write(payload, getattr(args, "format", None), args.out)
 
 

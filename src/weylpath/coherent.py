@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import OperatorPoly, ScaleContext, SymbolPoly
-from .errors import DomainError, refine, require_finite
+from .errors import DomainError, InvalidArgument, refine, require_finite
 
 __all__ = [
     "FockVector",
@@ -81,15 +81,15 @@ def coherent_matrix(zs, cutoff: int) -> np.ndarray:
     DomainError
         If the truncated Poisson tail mass of any label exceeds
         ``TAIL_THRESHOLD`` (or is not a number).
-    ValueError
+    InvalidArgument
         If the cutoff is negative or a label is not finite.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex)).ravel()
     if cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
+        raise InvalidArgument("cutoff must be non-negative")
     r = np.abs(zs)
     if not np.isfinite(r).all():
-        raise ValueError("coherent labels must be finite")
+        raise InvalidArgument("coherent labels must be finite")
     n, half_log_fact = _fock_log_tables(cutoff)
     r1 = np.maximum(r, np.finfo(float).tiny)  # a zero label keeps n = 0 alone
     cols = np.empty((cutoff + 1, zs.size), dtype=complex)
@@ -121,9 +121,7 @@ def operator_matrix(op: OperatorPoly, cutoff: int) -> np.ndarray:
     yields an exactly Hermitian matrix.
     """
     if cutoff < op.degree:
-        raise ValueError(
-            f"cutoff {cutoff} smaller than operator degree {op.degree}"
-        )
+        raise InvalidArgument(f"cutoff {cutoff} smaller than operator degree {op.degree}")
     dim = cutoff + 1
     mat = np.zeros((dim, dim), dtype=complex)
     j = np.arange(dim)
@@ -152,7 +150,7 @@ class FockOracle:
 
     def __init__(self, op: OperatorPoly, cutoff: int = DEFAULT_CUTOFF):
         if not op.is_hermitian():
-            raise ValueError("FockOracle requires a Hermitian operator")
+            raise InvalidArgument("FockOracle requires a Hermitian operator")
         self.cutoff = cutoff
         self.hbar = op.hbar
         self.evals, self.evecs = np.linalg.eigh(operator_matrix(op, cutoff))
@@ -191,11 +189,12 @@ def exact_propagator(
         If either label needs more basis states than ``cutoff`` provides.
     NonConverged
         If doubling the cutoff moves the result by more than the tolerance.
-    ValueError
+    InvalidArgument
         If T is negative or not finite.
     """
+    require_finite(T=T)  # before an oracle is built
     if T < 0:
-        raise ValueError("T must be non-negative")
+        raise InvalidArgument("T must be non-negative")
     base = _cached_oracle(H, cutoff).propagator(z1, z2, T)
     refined = _cached_oracle(H, 2 * cutoff).propagator(z1, z2, T)
     what = f"doubling the cutoff {cutoff} -> {2 * cutoff}"
@@ -218,7 +217,7 @@ def _cached_oracle(H: OperatorPoly, cutoff: int) -> FockOracle:
 
 def harmonic_exact_K(z1: complex, z2: complex, omega: float, T: float) -> complex:
     """Closed-form <z2|U|z1> for H = hbar omega (adag a + 1/2)."""
-    require_finite(z1=z1, z2=z2, T=T)
+    require_finite(z1=z1, z2=z2, omega=omega, T=T)
     mu = np.exp(-1j * omega * T)
     return np.exp(-0.5j * omega * T) * np.exp(
         mu * z1 * np.conj(z2) - 0.5 * abs(z1) ** 2 - 0.5 * abs(z2) ** 2
@@ -276,6 +275,7 @@ def weyl_element(A_W: SymbolPoly, z1: complex, z2: complex) -> complex:
         If doubling ``GH_NODES`` moves the result by more than
         ``GH_TOLERANCE``.
     """
+    require_finite(z1=z1, z2=z2)
     return refine(
         _weyl_element_fixed(A_W, z1, z2, GH_NODES),
         _weyl_element_fixed(A_W, z1, z2, 2 * GH_NODES),

@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import FORM_S, OperatorPoly, SymbolPoly, form_s, symbol_for_form
 from .coherent import harmonic_exact_K, overlap
-from .errors import DomainError, refine, require_finite
+from .errors import DomainError, InvalidArgument, finite_double, refine, require_finite
 
 __all__ = [
     "DiscreteWPath",
@@ -61,13 +61,14 @@ class DiscreteWPath:
         w = np.asarray(self.w, dtype=complex)
         ws = np.conj(w) if self.w_star is None else np.asarray(self.w_star, dtype=complex)
         if ws.shape != w.shape:
-            raise ValueError("w and w_star must have the same length")
+            raise InvalidArgument("w and w_star must have the same length")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "w_star", ws)
         if len(w) % 2 != 0 or len(w) == 0:
-            raise ValueError("N must be a positive even integer")
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"tau must be finite and positive, got {self.tau}")
+            raise InvalidArgument("N must be a positive even integer")
+        require_finite(w=w, w_star=ws, tau=self.tau)
+        if not self.tau > 0:
+            raise InvalidArgument(f"tau must be finite and positive, got {self.tau}")
 
     @property
     def N(self) -> int:
@@ -201,8 +202,8 @@ def stationary_path_harmonic(
     ``w*_k = (alpha*)^(N-k) / alpha^(N-k+1) z''*`` with alpha = 1 + i tau omega / 2.
     """
     if N % 2 != 0 or N <= 0:
-        raise ValueError("N must be a positive even integer")
-    require_finite(T=T)
+        raise InvalidArgument("N must be a positive even integer")
+    require_finite(zp=zp, zpp=zpp, omega=omega, T=T)
     tau = T / N
     alpha = 1.0 + 0.5j * tau * omega
     k = np.arange(1, N + 1)
@@ -212,26 +213,15 @@ def stationary_path_harmonic(
     return DiscreteWPath(w=w, tau=tau, zp=zp, zpp=zpp, w_star=w_star, hbar=hbar)
 
 
-def _finite_double(compute, what: str, form: str, N: int):
-    """``compute()``, or DomainError naming the form and N where it is not a finite double."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            value = compute()
-        except OverflowError:  # a Python complex power beyond the double range
-            value = math.nan
-    if not np.isfinite(value):
-        raise DomainError(f"{what} of the {form.upper()} form at N = {N} is not a finite double")
-    return value
-
-
 def _mu(form: str, omega: float, T: float, N: int) -> complex:
     """mu_s of the form named q, p or w, checked as in :func:`mu_coefficients`."""
     if N < 1:
-        raise ValueError("N must be at least 1")
+        raise InvalidArgument("N must be at least 1")
     require_finite(T=T)
     x, s = T / N * omega, FORM_S[form]
-    return _finite_double(
-        lambda: (1.0 - 1j * (x * (1.0 + s))) ** N * (1.0 - 1j * (x * s)) ** (-N), "mu", form, N
+    return finite_double(
+        lambda: (1.0 - 1j * (x * (1.0 + s))) ** N * (1.0 - 1j * (x * s)) ** (-N),
+        f"mu of the {form.upper()} form at N = {N}",
     )
 
 
@@ -260,14 +250,14 @@ def harmonic_discrete_K(
     require_finite(zp=zp, zpp=zpp)
     mu = _mu(form, omega, T, N)
     if form == "w" and N % 2 != 0:
-        raise ValueError("the W form requires even N")
+        raise InvalidArgument("the W form requires even N")
 
     def K():
         gauss = -0.5 * abs(zp) ** 2 - 0.5 * abs(zpp) ** 2
         exponent = -1j * omega * T * (s + 0.5) + mu * (zp * np.conj(zpp)) + gauss
         return complex((1.0 - 1j * (T / N * omega * s)) ** (-N) * np.exp(exponent))
 
-    return _finite_double(K, "K", form, N)
+    return finite_double(K, f"K of the {form.upper()} form at N = {N}")
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +417,7 @@ def quadrature_K(
     NonConverged
         If refinement moves the value by more than ``grid.tolerance``, or
         by a non-finite amount when no tolerance is set.
-    ValueError
+    InvalidArgument
         If the form is not q, p or w, T is not finite, or the W form gets odd N.
     """
     form = form.lower()
@@ -439,7 +429,7 @@ def quadrature_K(
     if dims > 4:
         raise DomainError(f"form {form!r} with N = {N} needs a {dims}-dimensional grid")
     if form == "w" and N % 2 != 0:
-        raise ValueError("the W form requires even N")
+        raise InvalidArgument("the W form requires even N")
     sym = symbol_for_form(H, form)
     if form == "q" and N == 3 and sym.degree > 2:
         why = f"has no limit at degree {sym.degree}: its value grows with the disc radius"

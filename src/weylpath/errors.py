@@ -1,8 +1,7 @@
-"""Exception hierarchy shared by all weylpath modules, and the one refinement check.
+"""Exception hierarchy shared by all weylpath modules, the refinement check and the output guard.
 
-Each error class maps to one CLI exit code: malformed input (1), a
-refinement or iteration that did not converge (2), and a numerical-domain
-failure such as a truncated tail, a caustic or a singular pivot (3).
+Every deliberate refusal is a WeylPathError whose class carries its CLI exit code: malformed
+input (1), non-convergence (2), or a numerical-domain failure or a refused argument (3).
 """
 
 from __future__ import annotations
@@ -13,19 +12,26 @@ import numpy as np
 
 
 class WeylPathError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; ``exit_code`` is the CLI status."""
+    exit_code = 3
 
 
 class HamiltonianFormatError(WeylPathError):
     """A Hamiltonian description (JSON file or term map) is malformed."""
+    exit_code = 1
 
 
 class NonConverged(WeylPathError):
     """A refinement check or an iteration failed to stabilise."""
+    exit_code = 2
 
 
 class DomainError(WeylPathError):
     """The inputs lie outside the region where a method is valid."""
+
+
+class InvalidArgument(WeylPathError, ValueError):
+    """An argument is refused before any work: a bad value, shape, name or count."""
 
 
 class CausticWarning(UserWarning):
@@ -46,16 +52,28 @@ def refine(coarse, fine, tol: float | None, what: str):
     return fine, delta
 
 
+def finite_double(compute, what: str):
+    """``compute()``, or DomainError ``"{what} is not a finite double"`` where it is not."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            value = compute()
+        except OverflowError:  # a Python float or complex operation beyond the double range
+            value = math.nan
+    if not np.isfinite(value):
+        raise DomainError(f"{what} is not a finite double")
+    return value
+
+
 def refuse_bool(**values) -> None:
-    """Raise ValueError naming the first value that is a Python or numpy boolean."""
+    """Raise InvalidArgument naming the first value that is a Python or numpy boolean."""
     for name, val in values.items():
         if isinstance(val, (bool, np.bool_)):
-            raise ValueError(f"{name} must be a number, not the boolean {val}")
+            raise InvalidArgument(f"{name} must be a number, not the boolean {val}")
 
 
 def require_finite(**values) -> None:
-    """Raise ValueError naming the first boolean or non-finite value (a number or an array)."""
+    """Raise InvalidArgument naming the first boolean or non-finite value (a number or an array)."""
     refuse_bool(**values)
     for name, val in values.items():
         if not np.isfinite(val).all():
-            raise ValueError(f"{name} must be finite, got {val}")
+            raise InvalidArgument(f"{name} must be finite, got {val}")

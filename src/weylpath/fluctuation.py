@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, refine, refuse_bool, require_finite
+from .errors import DomainError, InvalidArgument, refine, refuse_bool, require_finite
 from .semiclassics import _rk4
 
 __all__ = [
@@ -52,10 +52,10 @@ class FluctuationCoeffs:
                 self, name, np.atleast_1d(np.asarray(getattr(self, name), complex))
             )
         if not (len(self.A) == len(self.B) == len(self.C) > 0):
-            raise ValueError("A, B, C must be non-empty and of equal length")
+            raise InvalidArgument("A, B, C must be non-empty and of equal length")
         require_finite(A=self.A, B=self.B, C=self.C, tau=self.tau, hbar=self.hbar)
         if not (self.tau > 0 and self.hbar > 0):
-            raise ValueError("tau and hbar must be positive")
+            raise InvalidArgument("tau and hbar must be positive")
 
     @property
     def N(self) -> int:
@@ -97,10 +97,10 @@ def block_tridiagonal(matrix: np.ndarray) -> np.ndarray:
     Applies the congruence B = E^T (M / 2i) E where E adds each xi*_{m-1}
     column to the xi*_m column; determinant-preserving since det E = 1.
     The long-range alternating couplings cancel pairwise.  A matrix that is
-    not square of even dimension, or not finite, raises ValueError.
+    not square of even dimension, or not finite, raises InvalidArgument.
     """
     if matrix.ndim != 2 or matrix.shape[0] % 2 != 0 or matrix.shape[1] != matrix.shape[0]:
-        raise ValueError(f"expected a square matrix of even dimension, got shape {matrix.shape}")
+        raise InvalidArgument(f"expected a square matrix of even dimension, got shape {matrix.shape}")
     require_finite(matrix=matrix)
     n2 = matrix.shape[0]
     star = np.arange(1, n2 - 2, 2)  # xi*_m for m = N .. 2; xi*_{m-1} is two rows down
@@ -121,12 +121,12 @@ def det_dense(matrix: np.ndarray) -> complex:
     DomainError
         If the smallest pivot falls below ``PIVOT_THRESHOLD`` relative to
         the largest one.
-    ValueError
+    InvalidArgument
         If the matrix is not square, is empty or holds a non-finite entry.
     """
     lu = np.array(matrix, dtype=complex)
     if lu.ndim != 2 or lu.shape[0] != lu.shape[1] or lu.size == 0:
-        raise ValueError(f"expected a non-empty square matrix, got shape {lu.shape}")
+        raise InvalidArgument(f"expected a non-empty square matrix, got shape {lu.shape}")
     require_finite(matrix=lu)
     sign = 1.0
     for k in range(len(lu)):
@@ -219,15 +219,15 @@ def det_continuum(
     ------
     NonConverged
         If halving the step moves Delta(T) by more than ``step_tolerance``.
-    ValueError
+    InvalidArgument
         If T is negative or not finite, ``steps`` is below 1, ``hbar`` is
         not positive, or A, B or C returns a non-finite value.
     """
     refuse_bool(T=T, hbar=hbar)
     if not (np.isfinite(T) and T >= 0):
-        raise ValueError(f"T must be finite and non-negative, got {T}")
+        raise InvalidArgument(f"T must be finite and non-negative, got {T}")
     if not (steps >= 1 and hbar > 0):
-        raise ValueError(f"need steps >= 1 and hbar > 0, got {steps} and {hbar}")
+        raise InvalidArgument(f"need steps >= 1 and hbar > 0, got {steps} and {hbar}")
     if T == 0:
         return 1.0 + 0.0j
     fine_steps = steps if step_tolerance is None else 2 * steps

@@ -17,7 +17,8 @@ import numpy as np
 
 from .algebra import OperatorPoly, SymbolPoly, form_s, symbol_for_form
 from .coherent import overlap
-from .errors import CausticWarning, DomainError, NonConverged, refine, require_finite
+from .errors import CausticWarning, DomainError, InvalidArgument, NonConverged, refine
+from .errors import finite_double, require_finite
 
 __all__ = [
     "ComplexTrajectory",
@@ -129,17 +130,18 @@ def solve_bvp(
     Raises
     ------
     NonConverged
-        If Newton does not bring |v(T) - conj(z'')| below ``tol``, or the
-        step-halving error estimate exceeds ``step_tolerance``.
-    ValueError
+        If Newton does not bring |v(T) - conj(z'')| below ``tol``, an endpoint
+        component (u, v, du, dv)(T) is not finite, or the step-halving error
+        estimate exceeds ``step_tolerance``.
+    InvalidArgument
         If T, ``hbar`` or ``tol`` is not finite and positive, an endpoint is
         not finite, or ``steps`` is below 16.
     """
     require_finite(T=T, zp=zp, zpp_star=zpp_star, hbar=hbar, tol=tol)
     if not (T > 0 and hbar > 0 and tol > 0):
-        raise ValueError(f"T, hbar and tol must be positive, got {T}, {hbar} and {tol}")
+        raise InvalidArgument(f"T, hbar and tol must be positive, got {T}, {hbar} and {tol}")
     if steps < 16:
-        raise ValueError("need at least 16 integration steps")
+        raise InvalidArgument("need at least 16 integration steps")
     steps += steps % 2  # Simpson-friendly grids
     rhs = H_sym.flow(hbar)
     v0 = quadratic_guess(H_sym, zp, zpp_star, T, hbar) if guess is None else complex(guess)
@@ -149,7 +151,7 @@ def solve_bvp(
         us, vs, dus, dvs = _rk4(rhs, (complex(zp), v0, 0j, 1 + 0j), T, steps)
         mismatch = vs[-1] - zpp_star
         residual = abs(mismatch)
-        if not np.isfinite(residual):
+        if not np.isfinite([residual, us[-1], dus[-1], dvs[-1]]).all():
             raise NonConverged(
                 f"trajectory blew up from guess v(0) = {v0:.6g}"
             )
@@ -184,7 +186,7 @@ def solve_bvp(
 def _simpson(values: np.ndarray, h: float) -> complex:
     n = len(values) - 1
     if n % 2 != 0:
-        raise ValueError("Simpson quadrature needs an even number of intervals")
+        raise InvalidArgument("Simpson quadrature needs an even number of intervals")
     acc = values[0] + values[-1] + 4.0 * np.sum(values[1:-1:2]) + 2.0 * np.sum(
         values[2:-1:2]
     )
@@ -330,7 +332,9 @@ def semiclassical_K(
     ------
     NonConverged
         If no shooting guess converges.
-    ValueError
+    DomainError
+        If a trajectory's term or K is not a finite double.
+    InvalidArgument
         If T is negative or not finite, an endpoint is not finite, or (for
         T > 0) ``tol`` is not finite and positive.
     """
@@ -364,16 +368,15 @@ def semiclassical_K(
             "no shooting guess converged: " + "; ".join(failures or ["(none tried)"])
         )
 
-    gauss = -0.5 * (abs(zp) ** 2 + abs(zpp) ** 2)
+    gauss = finite_double(lambda: -0.5 * (abs(zp) ** 2 + abs(zpp) ** 2), "-(|z'|^2 + |z''|^2)/2")
     contributions = []
-    total = 0.0j
     for traj in trajectories:
         S = action_S(traj, sym)
         I_corr = correction_I(traj, sym)
         d2s, _ = d2S(traj)
         pref = tracked_prefactor(traj)
-        term = pref * cmath.exp((1j / hbar) * (S + sigma * I_corr) + gauss)
-        total += term
+        exponent = (1j / hbar) * (S + sigma * I_corr) + gauss
+        term = finite_double(lambda: pref * cmath.exp(exponent), f"term from v(0) = {traj.v0:.6g}")
         contributions.append(
             TrajectoryContribution(
                 v0=traj.v0,
@@ -385,4 +388,5 @@ def semiclassical_K(
                 term=term,
             )
         )
-    return SemiclassicalResult(complex(total), form, contributions)
+    K = finite_double(lambda: sum((c.term for c in contributions), 0.0j), f"{form.upper()}-form K")
+    return SemiclassicalResult(K, form, contributions)

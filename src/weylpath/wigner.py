@@ -26,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .algebra import OperatorPoly, ScaleContext
 from .coherent import _cached_oracle, coherent_matrix
 from .discrete import DiscreteWPath, _alternating, chord_coefficients
-from .errors import DomainError, refine
+from .errors import DomainError, InvalidArgument, refine
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -40,6 +40,7 @@ __all__ = [
 
 CHORD_OVERSAMPLING = 1.25  # the coarse chord step is at most the Nyquist step over this
 CHORD_TOLERANCE = 1e-7  # largest grid change allowed when the chord step is halved
+LATTICE_BYTES = 2**31  # largest phi plus U @ phi (complex, cutoff + 1 rows) weyl_U_grid builds
 _HERMITE_RESCALE = 2.0**100  # exact power of two; keeps the recurrence finite
 
 
@@ -53,7 +54,7 @@ class PhaseSpaceGrid:
 
     def __post_init__(self):
         if self.values.shape != (len(self.qs), len(self.ps)):
-            raise ValueError("values shape does not match the axes")
+            raise InvalidArgument("values shape does not match the axes")
 
     def same_geometry(self, other: "PhaseSpaceGrid") -> bool:
         return (
@@ -138,11 +139,12 @@ def weyl_U_grid(
     ------
     DomainError
         If the corner coherent state is not resolved by ``cutoff``
-        (``coherent.TAIL_THRESHOLD``).
+        (``coherent.TAIL_THRESHOLD``), or the lattice's two tables would
+        take more than ``LATTICE_BYTES``.
     NonConverged
         If halving the chord step moves any grid value beyond
         ``CHORD_TOLERANCE``.
-    ValueError
+    InvalidArgument
         If T is not finite, or the q axis is not uniformly spaced.
     """
     qs = np.asarray(qs, float)
@@ -159,13 +161,18 @@ def weyl_U_grid(
     if len(qs) > 1:
         dq = (qs[-1] - qs[0]) / (len(qs) - 1)
         if dq == 0 or np.max(np.abs(np.diff(qs) - dq)) > 1e-9 * abs(dq):  # rounding only
-            raise ValueError("weyl_U_grid needs a uniformly spaced q axis")
+            raise InvalidArgument("weyl_U_grid needs a uniformly spaced q axis")
     k = math.ceil(abs(dq) / h_max)
     # the check evaluates the kernel once at half the step; the coarse
     # trapezoid reads every other chord node
     every = 2 if check else 1
     stride = every * k  # lattice nodes per q step
-    m = every * math.ceil(s_half * k / (2.0 * abs(dq)))  # chord nodes per side
+    with np.errstate(over="ignore"):  # a count beyond the double range is inf, refused below
+        m = every * np.ceil(s_half * k / (2.0 * abs(dq)))  # chord nodes per side
+        nodes = (len(qs) - 1) * stride + 2.0 * m + 1
+    if nodes > LATTICE_BYTES / (32.0 * (cutoff + 1)):
+        raise DomainError(f"{nodes:.3g} lattice nodes at cutoff {cutoff} exceed LATTICE_BYTES")
+    m = int(m)
     lattice = qs[0] + dq / stride * np.arange(-m, stride * (len(qs) - 1) + m + 1)
     phi = hermite_functions(lattice, cutoff, ctx.b).astype(complex)  # as u_phi: einsum needs no cast
     u_phi = _cached_oracle(H, cutoff).evolution_matrix(T) @ phi
@@ -238,7 +245,7 @@ def smoothing_check(
         If no interior points survive the margin requirement.
     """
     if not weyl_grid.same_geometry(husimi_grid):
-        raise ValueError("weyl and husimi grids must share their geometry")
+        raise InvalidArgument("weyl and husimi grids must share their geometry")
     nq, npts = weyl_grid.values.shape
     if min(nq, npts) < 2:
         raise DomainError(f"one-point axes leave no interior on a {nq} x {npts} grid")

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -240,7 +241,7 @@ class TestPropagate:
             (errors.HamiltonianFormatError, 1),
             (errors.NonConverged, 2),
             (errors.DomainError, 3),
-            (ValueError, 3),
+            (errors.InvalidArgument, 3),
         ],
     )
     def test_error_class_exit_code(self, harmonic_json, monkeypatch, capsys, error, code):
@@ -251,8 +252,54 @@ class TestPropagate:
         assert main(["symbols", "--hamiltonian", harmonic_json]) == code
         assert "error: stub failure" in capsys.readouterr().err
 
+    def test_program_fault_propagates(self, harmonic_json, monkeypatch):
+        # a ValueError the package did not raise on purpose is a fault, not exit 3
+        def fail(args):
+            raise ValueError("not a refusal")
+
+        monkeypatch.setattr(cli, "cmd_symbols", fail)
+        with pytest.raises(ValueError, match="not a refusal") as info:
+            main(["symbols", "--hamiltonian", harmonic_json])
+        assert not isinstance(info.value, errors.WeylPathError)
+
+
+def test_package_raises_only_its_own_errors():
+    """Every raise in src names a WeylPathError class; argparse's type error is the one exception."""
+    src = os.path.dirname(os.path.abspath(cli.__file__))
+    offenders = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            raised = ast.unparse(target)
+            if name == "cli.py" and raised == "argparse.ArgumentTypeError":
+                continue
+            cls = getattr(errors, raised.split(".")[-1], None)
+            if not (isinstance(cls, type) and issubclass(cls, errors.WeylPathError)):
+                offenders.append(f"{name}:{node.lineno} raises {raised}")
+    assert offenders == []
+
 
 class TestSemiclassical:
+    @pytest.mark.parametrize(
+        "z0, T, code, message",
+        [
+            ("0.1,0", "1e300", 2, "trajectory blew up"),  # v stays 0, so the residual is 0
+            ("1e200,0", "1", 3, "is not a finite double"),  # |z'|^2 overflows
+        ],
+        ids=["huge-T", "huge-label"],
+    )
+    def test_non_finite_result_refused(self, harmonic_json, capsys, z0, T, code, message):
+        argv = ["semiclassical", "--hamiltonian", harmonic_json, "--z0", z0, "--z1", "0,0"]
+        assert main([*argv, "--T", T]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
     def test_harmonic_matches_exact(self, harmonic_json, capsys):
         rc = main(
             [
@@ -340,6 +387,13 @@ class TestWignerU:
             ]
         )
         assert rc == 3
+
+    @pytest.mark.parametrize("q_widths", ["1e-300", "1e-6", "1e-320"])
+    def test_lattice_too_large_exit_code(self, harmonic_json, capsys, q_widths):
+        # a tiny q step needs about s_half / dq lattice nodes; refused before any table exists
+        argv = ["wigner-u", "--hamiltonian", harmonic_json, "--T", "1", "--nq", "3", "--np", "3"]
+        assert main([*argv, "--cutoff", "60", "--q-widths", q_widths]) == 3
+        assert "lattice nodes at cutoff 60 exceed LATTICE_BYTES" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -38,7 +38,7 @@ from weylpath import (
 )
 from weylpath import coherent
 from weylpath.coherent import coherent_matrix
-from weylpath.errors import DomainError, NonConverged, refine
+from weylpath.errors import DomainError, InvalidArgument, NonConverged, refine
 
 CTX = ScaleContext.default()
 
@@ -343,7 +343,7 @@ H_QUARTIC = quartic_position_hamiltonian(0.1, CTX)
         (lambda: exact_propagator(H_QUARTIC, 0.3, 0.2, math.inf, cutoff=40),
          ValueError, "T must be finite"),
         (lambda: weyl_element(weyl_symbol(H_QUARTIC), NAN, 0.2),
-         NonConverged, "moved the result by nan"),
+         ValueError, "z1 must be finite"),
         (lambda: quadrature_K("p", H_QUARTIC, 0.3, 0.2, NAN, 2),
          ValueError, "T must be finite"),
         (lambda: quadrature_K("q", H_QUARTIC, 0.3, 0.2, NAN, 1),
@@ -404,6 +404,29 @@ def test_non_finite_input_raises(call, error, message):
     """A non-finite T or label raises instead of returning NaN."""
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: exact_propagator(H_QUARTIC, 0.3, 0.2, NAN, cutoff=600), "T must be finite"),
+        (lambda: harmonic_exact_K(0.1, 0.2, NAN, 1.0), "omega must be finite"),
+        (lambda: harmonic_exact_K(0.1, 0.2, True, 1.0), "omega must be a number"),
+        (lambda: stationary_path_harmonic(0.1, 0.2, NAN, 1.0, 2), "omega must be finite"),
+        (lambda: DiscreteWPath(np.ones(2), True, 0.1, 0.2), "tau must be a number"),
+        (lambda: DiscreteWPath(np.array([1.0, NAN]), 0.1, 0.1, 0.2), "w must be finite"),
+        (lambda: weyl_element(weyl_symbol(H_QUARTIC), NAN, 0.2), "z1 must be finite"),
+    ],
+    ids=["exact_propagator-T", "harmonic_exact_K-omega", "harmonic_exact_K-omega-bool",
+         "stationary_path_harmonic-omega", "DiscreteWPath-tau-bool", "DiscreteWPath-w",
+         "weyl_element-label"],
+)
+def test_bad_argument_refused_before_work(call, message):
+    """A NaN or boolean argument is an InvalidArgument, raised before any oracle is built."""
+    cached = dict(coherent._ORACLES)
+    with pytest.raises(InvalidArgument, match=message):
+        call()
+    assert coherent._ORACLES == cached
 
 
 class TestRefine:

@@ -124,6 +124,11 @@ def test_array_jets_share_the_flow_power_chains_property(sym, hbar, u, v, du, dv
 
 
 class TestSolveBvp:
+    def test_non_finite_endpoint_is_a_blow_up(self):
+        # z'' = 0 keeps v exactly 0, so the residual is 0 while u, du and dv overflow to NaN
+        with pytest.raises(NonConverged, match="trajectory blew up"):
+            solve_bvp(SYM_W, 0.1, 0.0, 1e300)
+
     def test_harmonic_analytic_solution(self):
         zp, zpp_star, om, T = 0.3 + 0.2j, 0.5 - 0.1j, 1.0, 1.3
         traj = solve_bvp(SYM_W, zp, zpp_star, T, steps=256)
@@ -324,6 +329,17 @@ class TestSemiclassicalK:
         zp, zpp = 0.3, 0.5j
         K = semiclassical_K(form, H_HARM, zp, zpp, T, steps=512).K
         assert abs(K - harmonic_exact_K(zp, zpp, 1.0, T)) < 1e-9
+
+    def test_overflowing_gaussian_refused(self):
+        # |z'|^2 = 1e400 is beyond the double range (a bare OverflowError before)
+        with pytest.raises(DomainError, match="is not a finite double") as info:
+            semiclassical_K("w", H_HARM, 1e200, 0.0, 1.0)
+        assert "|z'|^2" in str(info.value)
+
+    def test_non_finite_term_refused(self, monkeypatch):
+        monkeypatch.setattr("weylpath.semiclassics.tracked_prefactor", lambda traj: complex("inf"))
+        with pytest.raises(DomainError, match=r"term from v\(0\) = .* is not a finite double"):
+            semiclassical_K("w", H_HARM, 0.3, 0.5j, 1.0)
 
     def test_omitting_correction_breaks_harmonic(self):
         zp, zpp, T = 0.3, 0.5j, 1.0

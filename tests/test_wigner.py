@@ -143,6 +143,33 @@ class TestWeylUGrid:
         with pytest.raises(DomainError, match="truncated tail mass"):
             weyl_U_grid(H_HARM, CTX, 0.5, qs, ps, cutoff=24)
 
+    @pytest.mark.parametrize("q_widths", [1e-6, 1e-300, 1e-320])
+    def test_lattice_budget_refused_before_tables(self, monkeypatch, q_widths):
+        # 6e7 nodes, 6e301 nodes and a count beyond the double range, against 2 GiB
+        monkeypatch.setattr(wigner, "hermite_functions", None)  # would fail if reached
+        monkeypatch.setattr(wigner, "_cached_oracle", None)
+        qs, ps = phase_grid_axes(CTX, nq=3, npts=3, q_widths=q_widths)
+        with pytest.raises(DomainError, match="lattice nodes at cutoff 60 exceed LATTICE_BYTES"):
+            weyl_U_grid(H_HARM, CTX, 1.0, qs, ps, cutoff=60)
+
+    def test_lattice_budget_counts_both_tables(self, monkeypatch):
+        # n lattice nodes at cutoff 60 take 32 * 61 * n bytes for phi and U phi (complex)
+        qs, ps = phase_grid_axes(CTX, nq=8, npts=8)
+        nodes = []
+        real = wigner.hermite_functions
+
+        def counted(xs, *args):
+            nodes.append(xs.size)
+            return real(xs, *args)
+
+        monkeypatch.setattr(wigner, "hermite_functions", counted)
+        monkeypatch.setattr(wigner, "LATTICE_BYTES", 32 * 61 * 933)
+        weyl_U_grid(H_HARM, CTX, 0.5, qs, ps, cutoff=60)
+        assert nodes == [933]
+        monkeypatch.setattr(wigner, "LATTICE_BYTES", 32 * 61 * 933 - 1)
+        with pytest.raises(DomainError, match="933 lattice nodes at cutoff 60"):
+            weyl_U_grid(H_HARM, CTX, 0.5, qs, ps, cutoff=60)
+
     def test_chord_step_guard(self, monkeypatch):
         # a coarse chord step of 2 dq / 2 = 8b/7 undersamples the kernel
         monkeypatch.setattr(wigner, "CHORD_OVERSAMPLING", 0.15)
