@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import OperatorPoly, ScaleContext, SymbolPoly
-from .errors import DomainError, InvalidArgument, refine, require_finite
+from .errors import DomainError, InvalidArgument, finite_double, refine, require_finite
 
 __all__ = [
     "FockVector",
@@ -216,11 +216,20 @@ def _cached_oracle(H: OperatorPoly, cutoff: int) -> FockOracle:
 
 
 def harmonic_exact_K(z1: complex, z2: complex, omega: float, T: float) -> complex:
-    """Closed-form <z2|U|z1> for H = hbar omega (adag a + 1/2)."""
+    """Closed-form <z2|U|z1> for H = hbar omega (adag a + 1/2).
+
+    Raises
+    ------
+    DomainError
+        If the closed form is not a finite double (|z|^2 beyond the double range).
+    """
     require_finite(z1=z1, z2=z2, omega=omega, T=T)
     mu = np.exp(-1j * omega * T)
-    return np.exp(-0.5j * omega * T) * np.exp(
-        mu * z1 * np.conj(z2) - 0.5 * abs(z1) ** 2 - 0.5 * abs(z2) ** 2
+    return finite_double(
+        lambda: np.exp(-0.5j * omega * T) * np.exp(
+            mu * z1 * np.conj(z2) - 0.5 * abs(z1) ** 2 - 0.5 * abs(z2) ** 2
+        ),
+        "the harmonic closed form <z2|U|z1>",
     )
 
 

@@ -53,13 +53,16 @@ def refine(coarse, fine, tol: float | None, what: str):
 
 
 def finite_double(compute, what: str):
-    """``compute()``, or DomainError ``"{what} is not a finite double"`` where it is not."""
+    """``compute()``, or DomainError ``"{what} is not a finite double"`` where it is not.
+
+    An array result must be finite in every element.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             value = compute()
         except OverflowError:  # a Python float or complex operation beyond the double range
             value = math.nan
-    if not np.isfinite(value):
+    if not np.isfinite(value).all():
         raise DomainError(f"{what} is not a finite double")
     return value
 

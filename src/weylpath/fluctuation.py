@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 PIVOT_THRESHOLD = 1e-13  # smallest/largest LU pivot below this: singular to double precision
+RECURSION_CHUNK = 4096  # coefficients det_recursive converts to Python complex numbers at a time
 
 
 @dataclass(frozen=True)
@@ -162,22 +163,26 @@ def det_recursive(coeffs: FluctuationCoeffs) -> DeterminantPair:
     a = half * coeffs.A
     b = half * coeffs.B
     c = half * coeffs.C
-    cm = c - 1j
-    cp = c + 1j
 
+    a_1, b_1, cm_1 = complex(a[0]), complex(b[0]), complex(c[0]) - 1j
     delta_prev2 = 1.0 + 0.0j  # Delta_0
-    delta_prev = a[0] * b[0] - cm[0] ** 2  # Delta_1
-    gamma_prev = b[0]  # Gamma_1
-    for k in range(2, coeffs.N + 1):
-        i = k - 1
-        g_k = b[i] + b[i - 1]
-        gamma = (
-            g_k * delta_prev
-            - cp[i - 1] ** 2 * gamma_prev
-            + b[i - 1] * (2.0 * cp[i - 1] * cm[i - 1] - a[i - 1] * b[i - 1]) * delta_prev2
-        )
-        delta = a[i] * gamma - cm[i] ** 2 * delta_prev
-        delta_prev2, delta_prev, gamma_prev = delta_prev, delta, gamma
+    delta_prev = a_1 * b_1 - cm_1 ** 2  # Delta_1
+    gamma_prev = b_1  # Gamma_1
+    # on Python complex numbers, RECURSION_CHUNK at a time: numpy scalars
+    # cost more per operation, and lists of all N values cost memory
+    for start in range(1, coeffs.N, RECURSION_CHUNK):
+        window = slice(start - 1, start + RECURSION_CHUNK)  # the chunk and the element before it
+        a_w, b_w = a[window].tolist(), b[window].tolist()
+        cm_w, cp_w = (c[window] - 1j).tolist(), (c[window] + 1j).tolist()
+        previous, current = zip(a_w, b_w, cm_w, cp_w), zip(a_w[1:], b_w[1:], cm_w[1:])
+        for (a_j, b_j, cm_j, cp_j), (a_k, b_k, cm_k) in zip(previous, current):  # j = k - 1
+            gamma = (
+                (b_k + b_j) * delta_prev
+                - cp_j ** 2 * gamma_prev
+                + b_j * (2.0 * cp_j * cm_j - a_j * b_j) * delta_prev2
+            )
+            delta = a_k * gamma - cm_k ** 2 * delta_prev
+            delta_prev2, delta_prev, gamma_prev = delta_prev, delta, gamma
     return DeterminantPair(complex(delta_prev), complex(gamma_prev))
 
 

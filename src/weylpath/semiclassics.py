@@ -36,6 +36,8 @@ __all__ = [
 SINGULAR_THRESHOLD = 1e-12  # |Omega(T)| below this is a caustic: d2S does not exist
 CAUSTIC_THRESHOLD = 1e-4  # |dv(t)| below this on the way warns of a near-caustic
 DEDUPE_TOL = 1e-6  # shooting results whose v(0) differ by less are one trajectory
+MIN_STEPS = 16  # fewest RK4 steps of a shooting grid, coarse or full
+COARSE_FACTOR = 8  # the coarse shooting grid has 1/COARSE_FACTOR of the full grid's steps
 
 
 @dataclass
@@ -44,7 +46,12 @@ class ComplexTrajectory:
 
     ``du``/``dv`` hold the variational solution with (du, dv)(0) = (0, 1);
     ``v`` is genuinely independent of ``conj(u)`` away from quadratic
-    Hamiltonians.
+    Hamiltonians.  ``newton_iters`` counts full-grid Newton steps.
+    ``coarse_delta`` is |v(0) on the coarse grid - v(0) on the full grid|,
+    with the full-grid root taken one Newton step past ``v0`` (``v0`` is
+    often the coarse root itself, which already meets ``tol``); it is an
+    RK4 step-error estimate, recorded and not checked, and ``None`` where
+    the coarse stage did not run or failed.
     """
 
     times: np.ndarray
@@ -56,6 +63,7 @@ class ComplexTrajectory:
     residual: float
     hbar: float
     newton_iters: int
+    coarse_delta: float | None = None
 
 
 def _rk4(rhs, y0: tuple, T: float, steps: int):
@@ -104,6 +112,34 @@ def quadratic_guess(
     return complex((zpp_star - (1j / hbar) * huu * sinh_k * zp) / m11)
 
 
+def _shoot(rhs, zp: complex, zpp_star, v0: complex, T: float, steps: int, tol, max_iter: int):
+    """Newton on v(0) over one RK4 grid of ``steps`` steps.
+
+    Returns (nodes, v0, iterations, residual) from the first pass with
+    |v(T) - conj(z'')| < ``tol``; raises :class:`NonConverged` on a blow-up,
+    a singular Jacobian or a stall.
+    """
+    residual = np.inf
+    for iteration in range(max_iter + 1):
+        nodes = _rk4(rhs, (zp, v0, 0j, 1 + 0j), T, steps)
+        us, vs, dus, dvs = nodes
+        mismatch = vs[-1] - zpp_star
+        residual = abs(mismatch)
+        if not np.isfinite([residual, us[-1], dus[-1], dvs[-1]]).all():
+            raise NonConverged(
+                f"trajectory blew up from guess v(0) = {v0:.6g}"
+            )
+        if residual < tol:
+            return nodes, v0, iteration, residual
+        jac = dvs[-1]
+        if abs(jac) < 1e-14:
+            raise NonConverged("singular shooting Jacobian dv(T)/dv(0)")
+        v0 = complex(v0 - mismatch / jac)  # a numpy scalar would slow every RK4 stage
+    raise NonConverged(
+        f"Newton stalled at residual {residual:.3e} after {max_iter} iterations"
+    )
+
+
 def solve_bvp(
     H_sym: SymbolPoly,
     zp: complex,
@@ -116,7 +152,17 @@ def solve_bvp(
     max_iter: int = 30,
     step_tolerance: float | None = None,
 ) -> ComplexTrajectory:
-    """Newton shooting for the mixed boundary-value trajectory.
+    """Two-level Newton shooting for the mixed boundary-value trajectory.
+
+    Newton first converges v(0) to ``tol`` on a grid of ``steps //
+    COARSE_FACTOR`` steps (rounded up to even), then finishes on the full
+    grid from there, which usually takes one full-grid pass (nested
+    iteration; Deuflhard, *Newton Methods for Nonlinear Problems*, 2004).
+    The coarse stage is skipped for a quadratic symbol with the default
+    guess (that guess is already the exact solution) and below
+    ``MIN_STEPS`` coarse steps.  If either stage fails, Newton restarts on
+    the full grid from the original guess.  The returned trajectory, its
+    residual and ``newton_iters`` all come from the full grid.
 
     Parameters
     ----------
@@ -135,36 +181,35 @@ def solve_bvp(
         estimate exceeds ``step_tolerance``.
     InvalidArgument
         If T, ``hbar`` or ``tol`` is not finite and positive, an endpoint is
-        not finite, or ``steps`` is below 16.
+        not finite, or ``steps`` is below ``MIN_STEPS``.
     """
     require_finite(T=T, zp=zp, zpp_star=zpp_star, hbar=hbar, tol=tol)
     if not (T > 0 and hbar > 0 and tol > 0):
         raise InvalidArgument(f"T, hbar and tol must be positive, got {T}, {hbar} and {tol}")
-    if steps < 16:
-        raise InvalidArgument("need at least 16 integration steps")
+    if steps < MIN_STEPS:
+        raise InvalidArgument(f"need at least {MIN_STEPS} integration steps")
     steps += steps % 2  # Simpson-friendly grids
+    coarse_steps = steps // COARSE_FACTOR
+    coarse_steps += coarse_steps % 2
     rhs = H_sym.flow(hbar)
-    v0 = quadratic_guess(H_sym, zp, zpp_star, T, hbar) if guess is None else complex(guess)
+    start = quadratic_guess(H_sym, zp, zpp_star, T, hbar) if guess is None else complex(guess)
 
-    residual = np.inf
-    for iteration in range(max_iter + 1):
-        us, vs, dus, dvs = _rk4(rhs, (complex(zp), v0, 0j, 1 + 0j), T, steps)
-        mismatch = vs[-1] - zpp_star
-        residual = abs(mismatch)
-        if not np.isfinite([residual, us[-1], dus[-1], dvs[-1]]).all():
-            raise NonConverged(
-                f"trajectory blew up from guess v(0) = {v0:.6g}"
-            )
-        if residual < tol:
-            break
-        jac = dvs[-1]
-        if abs(jac) < 1e-14:
-            raise NonConverged("singular shooting Jacobian dv(T)/dv(0)")
-        v0 = complex(v0 - mismatch / jac)  # a numpy scalar would slow every RK4 stage
-    else:
-        raise NonConverged(
-            f"Newton stalled at residual {residual:.3e} after {max_iter} iterations"
-        )
+    def shoot(v0, n):
+        return _shoot(rhs, complex(zp), zpp_star, v0, T, n, tol, max_iter)
+
+    coarse_v0 = None
+    if (guess is not None or H_sym.degree > 2) and coarse_steps >= MIN_STEPS:
+        try:
+            coarse_v0 = shoot(start, coarse_steps)[1]
+            fine = shoot(coarse_v0, steps)
+        except NonConverged:
+            coarse_v0 = None
+    if coarse_v0 is None:  # single-level Newton from the original guess
+        fine = shoot(start, steps)
+    (us, vs, dus, dvs), v0, iteration, residual = fine
+    coarse_delta = None
+    if coarse_v0 is not None:  # v0 meets tol but may be the coarse root: one more Newton step
+        coarse_delta = float(abs(coarse_v0 - (v0 - (vs[-1] - zpp_star) / dvs[-1])))
 
     if step_tolerance is not None:
         us2, vs2, _, _ = _rk4(rhs, (complex(zp), v0, 0j, 1 + 0j), T, 2 * steps)
@@ -180,6 +225,7 @@ def solve_bvp(
         residual=float(residual),
         hbar=hbar,
         newton_iters=iteration,
+        coarse_delta=coarse_delta,
     )
 
 
@@ -298,6 +344,7 @@ class TrajectoryContribution:
     residual: float
     prefactor: complex
     term: complex
+    coarse_delta: float | None = None
 
 
 @dataclass
@@ -333,7 +380,8 @@ def semiclassical_K(
     NonConverged
         If no shooting guess converges.
     DomainError
-        If a trajectory's term or K is not a finite double.
+        If -(|z'|^2 + |z''|^2)/2 (at any T, T = 0 included), a trajectory's
+        term or K is not a finite double.
     InvalidArgument
         If T is negative or not finite, an endpoint is not finite, or (for
         T > 0) ``tol`` is not finite and positive.
@@ -342,6 +390,7 @@ def semiclassical_K(
     s = form_s(form)
     require_finite(zp=zp, zpp=zpp, T=T)
     sigma = 1.0 + 2.0 * s if include_correction else 0.0  # exact for s = 0, -1, -1/2
+    gauss = finite_double(lambda: -0.5 * (abs(zp) ** 2 + abs(zpp) ** 2), "-(|z'|^2 + |z''|^2)/2")
     if T == 0:
         K = complex(overlap(zpp, zp))
         return SemiclassicalResult(K, form, [])
@@ -368,7 +417,6 @@ def semiclassical_K(
             "no shooting guess converged: " + "; ".join(failures or ["(none tried)"])
         )
 
-    gauss = finite_double(lambda: -0.5 * (abs(zp) ** 2 + abs(zpp) ** 2), "-(|z'|^2 + |z''|^2)/2")
     contributions = []
     for traj in trajectories:
         S = action_S(traj, sym)
@@ -386,6 +434,7 @@ def semiclassical_K(
                 residual=traj.residual,
                 prefactor=pref,
                 term=term,
+                coarse_delta=traj.coarse_delta,
             )
         )
     K = finite_double(lambda: sum((c.term for c in contributions), 0.0j), f"{form.upper()}-form K")

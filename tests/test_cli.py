@@ -130,6 +130,13 @@ class TestHarmonicCompare:
         out, err = capsys.readouterr()
         assert out == "" and what in err
 
+    def test_oracle_overflow_exit_code(self, capsys):
+        # |z'|^2 overflowed in the closed form: an OverflowError traceback and exit 1
+        argv = ["harmonic-compare", "--T", "1", "--z0", "1e200,0", "--N-list", "2"]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "the harmonic closed form <z2|U|z1> is not a finite double" in err
+
 
 class TestPropagate:
     def test_exact_harmonic(self, harmonic_json, capsys):
@@ -291,8 +298,9 @@ class TestSemiclassical:
         [
             ("0.1,0", "1e300", 2, "trajectory blew up"),  # v stays 0, so the residual is 0
             ("1e200,0", "1", 3, "is not a finite double"),  # |z'|^2 overflows
+            ("1e200,0", "0", 3, "is not a finite double"),  # printed K = 0 and exited 0
         ],
-        ids=["huge-T", "huge-label"],
+        ids=["huge-T", "huge-label", "huge-label-zero-time"],
     )
     def test_non_finite_result_refused(self, harmonic_json, capsys, z0, T, code, message):
         argv = ["semiclassical", "--hamiltonian", harmonic_json, "--z0", z0, "--z1", "0,0"]

@@ -193,6 +193,32 @@ class TestDetRecursive:
             rec = det_recursive(co).Delta
             assert abs(rec - dense) <= 1e-10 * max(1.0, abs(dense))
 
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_bit_identical_to_the_numpy_scalar_recursion(self, seed):
+        # the same recursion on numpy complex scalars indexed out of arrays,
+        # as det_recursive ran it before it moved to Python complex numbers
+        def numpy_scalar_recursion(co):
+            half = co.tau / (2.0 * co.hbar)
+            a, b, c = half * co.A, half * co.B, half * co.C
+            cm, cp = c - 1j, c + 1j
+            delta_prev2, delta_prev, gamma_prev = 1.0 + 0.0j, a[0] * b[0] - cm[0] ** 2, b[0]
+            for i in range(1, co.N):
+                gamma = (
+                    (b[i] + b[i - 1]) * delta_prev
+                    - cp[i - 1] ** 2 * gamma_prev
+                    + b[i - 1] * (2.0 * cp[i - 1] * cm[i - 1] - a[i - 1] * b[i - 1]) * delta_prev2
+                )
+                delta = a[i] * gamma - cm[i] ** 2 * delta_prev
+                delta_prev2, delta_prev, gamma_prev = delta_prev, delta, gamma
+            return complex(delta_prev), complex(gamma_prev)
+
+        rng = np.random.default_rng(seed)
+        for N in (1, 2, 4096, 4097, 100_000):  # around the chunk edge, and the bench size
+            co = random_coeffs(rng, N, tau=float(rng.uniform(1e-6, 1e-4)))
+            pair = det_recursive(co)
+            want = numpy_scalar_recursion(co)
+            assert repr((pair.Delta, pair.Gamma)) == repr(want), N
+
     def test_large_N_against_mpmath(self):
         # the same recursion at 30 digits, on a smooth complex instance at N = 10^4
         N, T = 10_000, 2.0

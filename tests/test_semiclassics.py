@@ -28,6 +28,7 @@ from weylpath.errors import (
     DomainError,
     NonConverged,
 )
+from weylpath import semiclassics
 from weylpath.semiclassics import (
     _rk4,
     quadratic_guess,
@@ -213,6 +214,130 @@ class TestSolveBvp:
                 semiclassical_K("w", H_HARM, 0.1, 0.1, 1.0, tol=options["tol"])
 
 
+QUARTIC_W = weyl_symbol(quartic_position_hamiltonian(0.1, CTX))
+COMPARISON_ENDPOINTS = [(0.7, 0.7, 0.5), (0.6 + 0.1j, 0.4 - 0.2j, 0.8), (0.5, 0.3 + 0.4j, 0.3)]
+
+
+def counted_rk4(monkeypatch, fault=None):
+    """Count ``_rk4`` passes by their step count; ``fault(steps, nodes)`` may alter a pass."""
+    calls = []
+
+    def rk4(rhs, y0, T, steps):
+        calls.append(steps)
+        nodes = _rk4(rhs, y0, T, steps)
+        return nodes if fault is None else fault(steps, nodes)
+
+    monkeypatch.setattr(semiclassics, "_rk4", rk4)
+    return calls
+
+
+def full_grid_only(monkeypatch):
+    """Make every coarse grid too small, so solve_bvp runs single-level Newton."""
+    monkeypatch.setattr(semiclassics, "COARSE_FACTOR", 10**9)
+
+
+class TestTwoLevelShooting:
+    @pytest.mark.parametrize(
+        "symbol_fn, zp, zpp_star, T",
+        [
+            (fn, zp, zpp_star, T)
+            for fn in (q_symbol, p_symbol, weyl_symbol)
+            for zp, zpp_star, T in [(0.7, 0.7, 0.5), (0.6 + 0.1j, 0.4 + 0.2j, 0.8)]
+        ],
+    )
+    def test_quartic_makes_at_most_two_full_grid_passes(
+        self, monkeypatch, symbol_fn, zp, zpp_star, T
+    ):
+        sym = symbol_fn(quartic_position_hamiltonian(0.1, CTX))
+        calls = counted_rk4(monkeypatch)
+        traj = solve_bvp(sym, zp, zpp_star, T)
+        assert calls.count(512) <= 2 and calls.count(512) == traj.newton_iters + 1
+        assert 64 in calls and set(calls) == {64, 512}
+        full_grid_only(monkeypatch)  # single-level Newton needed three or more passes
+        calls.clear()
+        solve_bvp(sym, zp, zpp_star, T)
+        assert calls.count(512) >= 3
+
+    def test_harmonic_default_guess_makes_one_pass(self, monkeypatch):
+        calls = counted_rk4(monkeypatch)
+        traj = solve_bvp(SYM_W, 0.3 + 0.2j, 0.5 - 0.1j, 1.3)
+        assert calls == [512] and traj.newton_iters == 0 and traj.coarse_delta is None
+
+    @pytest.mark.parametrize("failure", ["blow-up", "singular", "fine-after-coarse"])
+    def test_failure_falls_back_to_full_grid_newton(self, monkeypatch, failure):
+        args = (QUARTIC_W, 0.7, 0.5 - 0.2j, 0.8)
+        full_grid_only(monkeypatch)
+        want = solve_bvp(*args)
+        monkeypatch.undo()
+        failed = []
+
+        def fault(steps, nodes):
+            us, vs, dus, dvs = nodes
+            if failure == "blow-up" and steps == 64:
+                return us, vs, dus, dvs * np.nan
+            if failure == "singular" and steps == 64:
+                return us, vs, dus, 0 * dvs
+            if failure == "fine-after-coarse" and steps == 512 and not failed:
+                failed.append(steps)
+                return us, vs * np.nan, dus, dvs
+            return nodes
+
+        calls = counted_rk4(monkeypatch, fault)
+        got = solve_bvp(*args)
+        assert 64 in calls
+        assert got.coarse_delta is None
+        for name in ("u", "v", "du", "dv", "times"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        for name in ("v0", "residual", "newton_iters"):
+            assert getattr(got, name) == getattr(want, name)
+
+    def test_failure_on_both_levels_is_the_single_level_error(self, monkeypatch):
+        args = (weyl_symbol(quartic_position_hamiltonian(0.4, CTX)), 2.5, 2.5, 2.0)
+        options = {"steps": 256, "guess": 40.0 + 40.0j, "max_iter": 2}
+        full_grid_only(monkeypatch)
+        with pytest.raises(NonConverged) as want:
+            solve_bvp(*args, **options)
+        monkeypatch.undo()
+        calls = counted_rk4(monkeypatch)
+        with pytest.raises(NonConverged) as got:
+            solve_bvp(*args, **options)
+        assert str(got.value) == str(want.value)
+        assert 32 in calls
+
+    def test_coarse_delta_is_recorded(self):
+        traj = solve_bvp(QUARTIC_W, 0.7, 0.7, 0.5)
+        assert 0 < traj.coarse_delta < 1e-8
+        assert solve_bvp(QUARTIC_W, 0.7, 0.7, 0.5, steps=64).coarse_delta is None  # 8 coarse steps
+        assert solve_bvp(SYM_W, 0.3, 0.5, 1.0, guess=0.5).coarse_delta is not None
+        res = semiclassical_K("w", quartic_position_hamiltonian(0.1, CTX), 0.7, 0.7, 0.5)
+        assert res.contributions[0].coarse_delta == traj.coarse_delta
+
+    @pytest.mark.parametrize("form", ["q", "p", "w"])
+    def test_deviation_from_full_grid_newton(self, monkeypatch, form):
+        # the comparison set at 512 steps, where the two-level start moves K most
+        cases = [
+            (quartic_position_hamiltonian(lam, ScaleContext.default(hbar=hbar)), zp, zpp, T)
+            for lam in (0.05, 0.1)
+            for hbar in (1.0, 0.5)
+            for zp, zpp, T in COMPARISON_ENDPOINTS
+        ]
+        got = [semiclassical_K(form, *case) for case in cases]
+        full_grid_only(monkeypatch)
+        for res, case in zip(got, cases):
+            want = semiclassical_K(form, *case)
+            assert abs(res.K - want.K) < 1e-10
+            (a,), (b,) = res.contributions, want.contributions
+            for part in ("S", "I", "d2S", "prefactor"):
+                assert abs(getattr(a, part) - getattr(b, part)) < 1e-10, part
+
+    @pytest.mark.parametrize("form", ["q", "p", "w"])
+    def test_harmonic_default_guess_is_bit_identical(self, monkeypatch, form):
+        # the benchmark's accuracy anchor: T = 6 at the corner of its draw box
+        got = semiclassical_K(form, H_HARM, 0.8, 0.8j, 6.0)
+        full_grid_only(monkeypatch)
+        assert got == semiclassical_K(form, H_HARM, 0.8, 0.8j, 6.0)
+
+
 class TestActionAndCorrection:
     def test_harmonic_action_identification(self):
         zp, zpp = 0.3 + 0.2j, -0.4 + 0.1j
@@ -335,6 +460,11 @@ class TestSemiclassicalK:
         with pytest.raises(DomainError, match="is not a finite double") as info:
             semiclassical_K("w", H_HARM, 1e200, 0.0, 1.0)
         assert "|z'|^2" in str(info.value)
+
+    def test_overflowing_gaussian_refused_at_zero_time(self):
+        # T = 0 returned the overlap, 0, for the labels that T = 1 refuses
+        with pytest.raises(DomainError, match=r"\|z'\|\^2 .* is not a finite double"):
+            semiclassical_K("w", H_HARM, 1e200, 0.0, 0.0)
 
     def test_non_finite_term_refused(self, monkeypatch):
         monkeypatch.setattr("weylpath.semiclassics.tracked_prefactor", lambda traj: complex("inf"))
