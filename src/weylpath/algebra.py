@@ -73,13 +73,6 @@ def _poly_mul(p1: dict, p2: dict) -> dict:
     return out
 
 
-def _poly_pow(p: dict, k: int) -> dict:
-    out = {(0, 0): 1.0 + 0.0j}
-    for _ in range(k):
-        out = _poly_mul(out, p)
-    return out
-
-
 class OperatorPoly:
     """Polynomial in one ladder pair, kept in normal-ordered canonical form.
 
@@ -152,8 +145,8 @@ def _compile_jets(source: str):
     return compile(source, "<SymbolPoly.jet>", "exec")
 
 
-def _straight_line(parts) -> tuple[str, list, dict]:
-    """Power table, one ``c v^m u^n`` sum per part, and the coefficients by name.
+def _straight_line(parts, variables=("v", "u")) -> tuple[str, list, dict]:
+    """Power table, a ``c x^m y^n`` sum per part ((x, y) = variables), coefficients by name.
 
     Each power is multiplied out of lower ones as CPython's complex ``**``
     does (u3 = u u2, u4 = u2 u2, u5 = u u4): the same scalars without the
@@ -175,7 +168,7 @@ def _straight_line(parts) -> tuple[str, list, dict]:
         for (m, n), c in part.terms.items():
             label = f"c{len(coeffs)}"
             coeffs[label] = c
-            factors = [name(x, int(k)) for x, k in (("v", m), ("u", n)) if k]
+            factors = [name(x, int(k)) for x, k in zip(variables, (m, n)) if k]
             products.append(" * ".join([label, *factors]))
         sums.append(" + ".join(products) or "0j")
     return "".join(table.values()), sums, coeffs
@@ -255,23 +248,25 @@ class SymbolPoly:
 
     @cached_property
     def _flow(self) -> tuple:
-        table, (hu, hv, huu, hvv, huv), coeffs = _straight_line(self._parts[1:])
+        qp = SymbolPoly(symbol_to_qp(self, ScaleContext()))  # q^j p^k as the term (j, k)
+        table, (hp, hq, hpp, hqq, hqp), coeffs = _straight_line(qp._parts[1:], ("q", "p"))
         source = (
-            f"def flow(k, u, v, du, dv):\n{table}    huv = {huv}\n"
-            f"    return (mih * ({hv}), ih * ({hu}), mih * (huv * du + ({hvv}) * dv), "
-            f"ih * (({huu}) * du + huv * dv))\n"
+            f"def flow(k, q, p, dq, dp):\n{table}    hqp = {hqp}\n"
+            f"    return (ih * ({hp}), mih * ({hq}), ih * (hqp * dq + ({hpp}) * dp), "
+            f"mih * (({hqq}) * dq + hqp * dp))\n"
         )
         return _compile_jets(source), coeffs
 
     def flow(self, hbar: float):
-        """Right-hand side ``flow(k, u, v, du, dv)`` of the trajectory system.
+        """Right-hand side ``flow(k, q, p, dq, dp)`` of the trajectory system in
+        q = (u + v)/sqrt(2), p = (u - v)/(i sqrt(2)), where it is Hamilton's:
 
-        (-i H_v, i H_u, -i (H_uv du + H_vv dv), i (H_uu du + H_uv dv)) / hbar,
+        (H_p, -H_q, H_qp dq + H_pp dp, -(H_qq dq + H_qp dp)) / hbar,
         as ``semiclassics._rk4`` takes it (``k`` unused): straight-line code
-        compiled once per symbol from the jets' power chains, so it equals the
-        same expressions built from :meth:`jet` exactly."""
+        compiled once per symbol from the (q, p) symbol's power chains, so it
+        equals the same expressions built from that symbol's :meth:`jet` exactly."""
         code, coeffs = self._flow
-        namespace = dict(coeffs, ih=1j / hbar, mih=-(1j / hbar))
+        namespace = dict(coeffs, ih=1.0 / hbar, mih=-(1.0 / hbar))
         exec(code, namespace)
         return namespace["flow"]
 
@@ -448,10 +443,14 @@ def _uv_linear_forms(ctx: ScaleContext):
 def _substitute(terms: dict, x_poly: dict, y_poly: dict) -> dict:
     """sum c x^j y^k over the terms ``(j, k) -> c``, with x and y polynomials."""
     out: dict = {}
+    xs, ys = [{(0, 0): 1.0 + 0.0j}], [{(0, 0): 1.0 + 0.0j}]  # x^j, y^k, each multiplied out once
     for (j, k), c in terms.items():
         if j < 0 or k < 0:
             raise InvalidArgument(f"negative power in term ({j}, {k})")
-        _poly_add(out, _poly_mul(_poly_pow(x_poly, j), _poly_pow(y_poly, k)), complex(c))
+        for powers, poly, n in ((xs, x_poly, j), (ys, y_poly, k)):
+            while len(powers) <= n:
+                powers.append(_poly_mul(powers[-1], poly))
+        _poly_add(out, _poly_mul(xs[j], ys[k]), complex(c))
     return out
 
 
@@ -482,9 +481,12 @@ def symbol_to_qp(sym: SymbolPoly, ctx: ScaleContext, tol: float = 1e-13) -> dict
 
     Returns a map ``(j, k) -> coefficient`` of ``q^j p^k``; coefficients below
     ``tol`` (relative) are trimmed so Hermitian inputs give clean tables.
+    A coefficient that is not a finite double raises :class:`DomainError`.
     """
     _, _, u_poly, v_poly = _uv_linear_forms(ctx)
     out = _substitute(sym.terms, v_poly, u_poly)
+    if not all(map(cmath.isfinite, out.values())):
+        raise DomainError("a (q, p) coefficient of the symbol is not a finite double")
     scale = max((abs(c) for c in out.values()), default=0.0)
     return {k: c for k, c in out.items() if abs(c) > tol * scale}
 

@@ -34,6 +34,9 @@ TAIL_THRESHOLD = 1e-12  # largest truncated tail mass allowed for any coherent l
 GH_NODES = 64  # Gauss-Hermite nodes per axis in weyl_element
 GH_TOLERANCE = 1e-9  # node-doubling tolerance of weyl_element
 CUTOFF_TOLERANCE = 1e-10  # default cutoff-doubling tolerance of exact_propagator
+DENSE_BYTES = 2**31  # largest dense arrays one call builds: an oracle's matrices, wigner's lattice
+ORACLE_MATRICES = 5  # complex (cutoff + 1)^2 arrays alive in an oracle build: H, eigh's copy,
+# its two work arrays and the eigenvectors (measured peak: 5.1 at cutoff 1000 and 2000)
 
 
 @dataclass(frozen=True)
@@ -54,10 +57,17 @@ class FockVector:
 
 
 def overlap(z1: complex, z2: complex):
-    """Coherent-state overlap <z1|z2> = exp(-|z1|^2/2 + conj(z1) z2 - |z2|^2/2)."""
-    return np.exp(
-        -0.5 * np.abs(z1) ** 2 + np.conj(z1) * z2 - 0.5 * np.abs(z2) ** 2
-    )
+    """Coherent-state overlap <z1|z2> = exp(-|z1|^2/2 + conj(z1) z2 - |z2|^2/2).
+
+    Raises
+    ------
+    DomainError
+        If the exponent is not a finite double (|z|^2 beyond the double range).
+    """
+    return np.exp(finite_double(
+        lambda: -0.5 * np.abs(z1) ** 2 + np.conj(z1) * z2 - 0.5 * np.abs(z2) ** 2,
+        "the coherent overlap exponent",
+    ))
 
 
 @lru_cache(maxsize=8)
@@ -145,12 +155,14 @@ class FockOracle:
 
     The Hamiltonian must be Hermitian; the propagator built from ``eigh`` is
     then exactly unitary on the truncated space, which keeps every
-    norm-conservation check honest.
+    norm-conservation check honest.  A cutoff whose build would exceed
+    ``DENSE_BYTES`` raises :class:`DomainError` before any matrix is made.
     """
 
     def __init__(self, op: OperatorPoly, cutoff: int = DEFAULT_CUTOFF):
         if not op.is_hermitian():
             raise InvalidArgument("FockOracle requires a Hermitian operator")
+        _require_oracle_fits(cutoff, cutoff)
         self.cutoff = cutoff
         self.hbar = op.hbar
         self.evals, self.evecs = np.linalg.eigh(operator_matrix(op, cutoff))
@@ -186,7 +198,8 @@ def exact_propagator(
     Raises
     ------
     DomainError
-        If either label needs more basis states than ``cutoff`` provides.
+        If either label needs more basis states than ``cutoff`` provides, or
+        the oracle at ``2 cutoff`` would take more than ``DENSE_BYTES``.
     NonConverged
         If doubling the cutoff moves the result by more than the tolerance.
     InvalidArgument
@@ -195,10 +208,20 @@ def exact_propagator(
     require_finite(T=T)  # before an oracle is built
     if T < 0:
         raise InvalidArgument("T must be non-negative")
+    _require_oracle_fits(cutoff, 2 * cutoff)
     base = _cached_oracle(H, cutoff).propagator(z1, z2, T)
     refined = _cached_oracle(H, 2 * cutoff).propagator(z1, z2, T)
     what = f"doubling the cutoff {cutoff} -> {2 * cutoff}"
     return refine(base, refined, check_tolerance, what)[0]
+
+
+def _require_oracle_fits(cutoff: int, largest: int) -> None:
+    """Refuse ``cutoff`` if its largest oracle, at cutoff ``largest``, exceeds ``DENSE_BYTES``."""
+    need = ORACLE_MATRICES * 16 * (int(largest) + 1) ** 2
+    if need > DENSE_BYTES:
+        raise DomainError(
+            f"cutoff {cutoff} needs an oracle at cutoff {largest}: {need:.3g} bytes exceed DENSE_BYTES"
+        )
 
 
 _ORACLES: dict = {}

@@ -5,6 +5,10 @@ mixed data u(0) = z', v(T) = conj(z''), Newton-shooting on the unknown v(0).
 The variational pair (du, dv) with (0, 1) initial data is integrated along,
 supplying both the Newton Jacobian and the fluctuation prefactor through
 d2S/du'dv'' = -i hbar / dv(T).
+
+Each RK4 pass (``_pass``) integrates Hamilton's flow ``SymbolPoly.flow`` in
+q = (u + v)/sqrt(2), p = (u - v)/(i sqrt(2)), where the symbol is sparser,
+and maps the nodes back to (u, v, du, dv); RK4 commutes with that map.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ CAUSTIC_THRESHOLD = 1e-4  # |dv(t)| below this on the way warns of a near-causti
 DEDUPE_TOL = 1e-6  # shooting results whose v(0) differ by less are one trajectory
 MIN_STEPS = 16  # fewest RK4 steps of a shooting grid, coarse or full
 COARSE_FACTOR = 8  # the coarse shooting grid has 1/COARSE_FACTOR of the full grid's steps
+_R = 0.5**0.5
+_TO_UV = np.kron(np.eye(2), [[_R, 1j * _R], [_R, -1j * _R]])  # (q, p, dq, dp) -> (u, v, du, dv)
 
 
 @dataclass
@@ -67,9 +73,9 @@ class ComplexTrajectory:
 
 
 def _rk4(rhs, y0: tuple, T: float, steps: int):
-    """Fixed-step RK4 on the four-component state (u, v, du, dv).
+    """Fixed-step RK4 on a four-component state ``y0 = (a, b, c, d)``.
 
-    ``rhs(k, u, v, du, dv)`` returns the four derivatives at the stage time
+    ``rhs(k, a, b, c, d)`` returns the four derivatives at the stage time
     ``k h / 2``; ``k`` is a half-step index in 0 .. 2 steps.  Returns the
     node values as four arrays of length ``steps + 1``.
     """
@@ -112,6 +118,12 @@ def quadratic_guess(
     return complex((zpp_star - (1j / hbar) * huu * sinh_k * zp) / m11)
 
 
+def _pass(rhs, zp: complex, v0: complex, T: float, steps: int) -> np.ndarray:
+    """RK4 pass of the (q, p) flow ``rhs`` from (u, v, du, dv)(0) = (z', v0, 0, 1), mapped back."""
+    start = ((zp + v0) * _R, 1j * _R * (v0 - zp), _R + 0j, 1j * _R)
+    return _TO_UV @ _rk4(rhs, start, T, steps)
+
+
 def _shoot(rhs, zp: complex, zpp_star, v0: complex, T: float, steps: int, tol, max_iter: int):
     """Newton on v(0) over one RK4 grid of ``steps`` steps.
 
@@ -121,7 +133,7 @@ def _shoot(rhs, zp: complex, zpp_star, v0: complex, T: float, steps: int, tol, m
     """
     residual = np.inf
     for iteration in range(max_iter + 1):
-        nodes = _rk4(rhs, (zp, v0, 0j, 1 + 0j), T, steps)
+        nodes = _pass(rhs, zp, v0, T, steps)
         us, vs, dus, dvs = nodes
         mismatch = vs[-1] - zpp_star
         residual = abs(mismatch)
@@ -212,7 +224,7 @@ def solve_bvp(
         coarse_delta = float(abs(coarse_v0 - (v0 - (vs[-1] - zpp_star) / dvs[-1])))
 
     if step_tolerance is not None:
-        us2, vs2, _, _ = _rk4(rhs, (complex(zp), v0, 0j, 1 + 0j), T, 2 * steps)
+        us2, vs2, _, _ = _pass(rhs, complex(zp), v0, T, 2 * steps)
         refine([us[-1], vs[-1]], [us2[-1], vs2[-1]], step_tolerance, "halving the RK4 step")
 
     return ComplexTrajectory(

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .algebra import OperatorPoly, ScaleContext
-from .coherent import _cached_oracle, coherent_matrix
+from .coherent import DENSE_BYTES, _cached_oracle, coherent_matrix
 from .discrete import DiscreteWPath, _alternating, chord_coefficients
 from .errors import DomainError, InvalidArgument, refine
 
@@ -40,7 +40,7 @@ __all__ = [
 
 CHORD_OVERSAMPLING = 1.25  # the coarse chord step is at most the Nyquist step over this
 CHORD_TOLERANCE = 1e-7  # largest grid change allowed when the chord step is halved
-LATTICE_BYTES = 2**31  # largest phi plus U @ phi (complex, cutoff + 1 rows) weyl_U_grid builds
+LATTICE_BYTES = DENSE_BYTES  # largest phi plus U @ phi (complex, cutoff + 1 rows) to build
 _HERMITE_RESCALE = 2.0**100  # exact power of two; keeps the recurrence finite
 
 

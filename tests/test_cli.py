@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +214,23 @@ class TestPropagate:
     def test_q_form_three_slices_quartic_exit_code(self, quartic_json, capsys):
         assert main(["propagate", "--hamiltonian", quartic_json, *self.Q_THREE_SLICES]) == 3
         assert "has no limit" in capsys.readouterr().err
+
+    def test_huge_label_exit_code(self, harmonic_json, capsys):
+        # printed 11 RuntimeWarnings and exited 2 with 'moved the result by nan'
+        argv = ["--form", "p", "--N", "1", "--z0", "1e200,0", "--z1", "0,0", "--T", "0.5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["propagate", "--hamiltonian", harmonic_json, *argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "the coherent overlap exponent is not a finite double" in err
+
+    def test_oracle_too_large_exit_code(self, harmonic_json, monkeypatch, capsys):
+        # ended in a MemoryError traceback; no matrix may be built before the refusal
+        monkeypatch.setattr(coherent, "operator_matrix", None)
+        argv = ["--form", "exact", "--cutoff", "100000000", "--z0", "1,0", "--z1", "0,0", "--T", "0.5"]
+        assert main(["propagate", "--hamiltonian", harmonic_json, *argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "cutoff 100000000 needs an oracle at cutoff 200000000" in err
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

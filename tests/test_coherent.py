@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 
 import mpmath
 import numpy as np
@@ -58,6 +59,26 @@ class TestOverlap:
 
     def test_vacuum_against_unit_label(self):
         assert overlap(0.0, 1.0) == pytest.approx(np.exp(-0.5))
+
+    @pytest.mark.parametrize(
+        "z1, z2",
+        [(1e200, 0.0), (0.0, 1e200j), (np.array([0.1, 1e200]), 0.2)],
+        ids=["z1", "z2", "array"],
+    )
+    def test_huge_label_refused(self, z1, z2):
+        # |z|^2 overflowed with RuntimeWarnings, and callers saw 0 or nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="coherent overlap exponent is not a finite double"):
+                overlap(z1, z2)
+
+    def test_finite_values_unchanged(self):
+        rng = np.random.default_rng(11)
+        z1 = rng.normal(size=50) + 1j * rng.normal(size=50)
+        z2 = rng.normal(size=50) * 3 + 1j * rng.normal(size=50)
+        want = np.exp(-0.5 * np.abs(z1) ** 2 + np.conj(z1) * z2 - 0.5 * np.abs(z2) ** 2)
+        assert np.array_equal(overlap(z1, z2), want)
+        assert overlap(complex(z1[0]), complex(z2[0])) == want[0]
 
     def test_matches_fock_inner_product(self):
         z1, z2 = 0.3 + 0.2j, -0.5j
@@ -427,6 +448,37 @@ def test_bad_argument_refused_before_work(call, message):
     with pytest.raises(InvalidArgument, match=message):
         call()
     assert coherent._ORACLES == cached
+
+
+class TestOracleBudget:
+    def test_refused_before_matrices(self, monkeypatch):
+        # cutoff 1e8 ended in a MemoryError; nothing may be built on the way to the refusal
+        monkeypatch.setattr(coherent, "operator_matrix", None)
+        cached = dict(coherent._ORACLES)
+        message = "cutoff 100000000 needs an oracle at cutoff 200000000: .* exceed DENSE_BYTES"
+        with pytest.raises(DomainError, match=message):
+            exact_propagator(H_QUARTIC, 0.3, 0.2, 1.0, cutoff=10**8)
+        with pytest.raises(DomainError, match="cutoff 100000000 needs an oracle at cutoff 100000000"):
+            FockOracle(H_QUARTIC, 10**8)
+        assert coherent._ORACLES == cached
+
+    def test_counts_the_doubled_cutoff(self, monkeypatch):
+        # cutoff 20 builds oracles up to cutoff 40: five complex 41 x 41 matrices
+        H = harmonic_hamiltonian(CTX)
+        monkeypatch.setattr(coherent, "_ORACLES", {})
+        monkeypatch.setattr(coherent, "DENSE_BYTES", 5 * 16 * 41**2 - 1)
+        with pytest.raises(DomainError, match="cutoff 20 needs an oracle at cutoff 40"):
+            exact_propagator(H, 0.3, 0.2, 1.0, cutoff=20)
+        assert coherent._ORACLES == {}
+        monkeypatch.setattr(coherent, "DENSE_BYTES", 5 * 16 * 41**2)
+        assert exact_propagator(H, 0.3, 0.2, 1.0, cutoff=20) == pytest.approx(
+            harmonic_exact_K(0.3, 0.2, 1.0, 1.0), abs=1e-12
+        )
+
+    def test_shared_with_the_lattice_budget(self):
+        from weylpath import wigner
+
+        assert wigner.LATTICE_BYTES == coherent.DENSE_BYTES == 2**31
 
 
 class TestRefine:

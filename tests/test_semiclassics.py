@@ -21,6 +21,7 @@ from weylpath import (
     quartic_position_hamiltonian,
     semiclassical_K,
     solve_bvp,
+    symbol_to_qp,
     weyl_symbol,
 )
 from weylpath.errors import (
@@ -42,7 +43,7 @@ SYM_W = weyl_symbol(H_HARM)  # hbar omega u v
 
 
 def jet_rhs(sym: SymbolPoly, hbar: float):
-    """The shooting right-hand side assembled from the jet, as the reference."""
+    """The (u, v) trajectory right-hand side assembled from the jet, as the reference."""
     ih = 1j / hbar
 
     def rhs(k, u, v, du, dv):
@@ -52,40 +53,97 @@ def jet_rhs(sym: SymbolPoly, hbar: float):
     return rhs
 
 
+def qp_symbol(sym: SymbolPoly) -> SymbolPoly:
+    """The symbol in (q, p) at b = c = 1, q^j p^k as the term (j, k): q in the v slot."""
+    return SymbolPoly(symbol_to_qp(sym, ScaleContext()))
+
+
+def qp_jet_rhs(sym: SymbolPoly, hbar: float):
+    """Hamilton's flow in (q, p) assembled from the (q, p) symbol's jet, as the reference."""
+    ih = 1 / hbar
+    qp = qp_symbol(sym)
+
+    def rhs(k, q, p, dq, dp):
+        _, hp, hq, hpp, hqq, hqp = qp.jet(p, q)
+        return ih * hp, -ih * hq, ih * (hqp * dq + hpp * dp), -ih * (hqq * dq + hqp * dp)
+
+    return rhs
+
+
+def uv_pass(rhs, zp, v0, T, steps):
+    """An RK4 pass in (u, v) from (z', v0, 0, 1), as the shooting ran before the (q, p) flow."""
+    return np.array(_rk4(rhs, (zp, v0, 0j, 1 + 0j), T, steps))
+
+
+def uv_shooting(monkeypatch):
+    """Make the shooting integrate the (u, v) ``jet_rhs`` instead of the (q, p) flow."""
+    monkeypatch.setattr(SymbolPoly, "flow", jet_rhs)
+    monkeypatch.setattr(semiclassics, "_pass", uv_pass)
+
+
 HIGH = SymbolPoly({(6, 0): 0.3 - 0.1j, (0, 5): 0.2 + 0.4j, (3, 2): 0.1, (1, 1): 1.0})
 COMPLEX = SymbolPoly({(2, 1): 0.3j, (1, 2): -0.2 + 0.1j, (1, 1): 1.0, (0, 1): 0.5 - 0.5j})
+FLOW_CASES = pytest.mark.parametrize(
+    "sym, hbar",
+    [
+        *(
+            (fn(quartic_position_hamiltonian(0.1, ScaleContext.default(hbar=hbar))), hbar)
+            for fn in (q_symbol, p_symbol, weyl_symbol)
+            for hbar in (1.0, 0.5)
+        ),
+        (HIGH, 1.0),
+        (SYM_W, 1.0),
+        (SymbolPoly({(0, 0): 2.5}), 1.0),
+        (COMPLEX, 0.5),
+    ],
+    ids=["q-1", "q-0.5", "p-1", "p-0.5", "w-1", "w-0.5", "u5-v6", "quadratic",
+         "constant", "complex"],
+)
 
 
 class TestCompiledFlow:
-    @pytest.mark.parametrize(
-        "sym, hbar",
-        [
-            *(
-                (fn(quartic_position_hamiltonian(0.1, ScaleContext.default(hbar=hbar))), hbar)
-                for fn in (q_symbol, p_symbol, weyl_symbol)
-                for hbar in (1.0, 0.5)
-            ),
-            (HIGH, 1.0),
-            (SYM_W, 1.0),
-            (SymbolPoly({(0, 0): 2.5}), 1.0),
-            (COMPLEX, 0.5),
-        ],
-        ids=["q-1", "q-0.5", "p-1", "p-0.5", "w-1", "w-0.5", "u5-v6", "quadratic",
-             "constant", "complex"],
-    )
+    @FLOW_CASES
     def test_rk4_pass_equals_jet_closure(self, sym, hbar):
-        y0 = (0.4 + 0.1j, 0.3 - 0.2j, 0j, 1 + 0j)
+        y0 = (0.4 + 0.1j, 0.3 - 0.2j, 0.7 + 0j, 0.7j)
         new = _rk4(sym.flow(hbar), y0, 0.3, 256)
-        old = _rk4(jet_rhs(sym, hbar), y0, 0.3, 256)
+        old = _rk4(qp_jet_rhs(sym, hbar), y0, 0.3, 256)
         for a, b in zip(new, old):
             assert np.array_equal(a, b)
         assert np.all(np.isfinite(new))
+
+    @FLOW_CASES
+    def test_mapped_pass_matches_the_uv_pass(self, sym, hbar):
+        # RK4 commutes with the constant map (q, p) <-> (u, v): round-off only
+        zp, v0, T = 0.4 + 0.1j, 0.3 - 0.2j, 0.3
+        new = semiclassics._pass(sym.flow(hbar), zp, v0, T, 256)
+        old = uv_pass(jet_rhs(sym, hbar), zp, v0, T, 256)
+        for a, b in zip(new, old):
+            assert np.abs(a - b).max() <= 1e-13 * max(np.abs(b).max(), 1.0)
 
     def test_pickles_after_use(self):
         point = (0, 0.4 + 0.1j, 0.3 - 0.2j, 0.1j, 1.0 + 0j)
         before = HIGH.flow(0.5)(*point)
         again = pickle.loads(pickle.dumps(HIGH))
-        assert again.flow(0.5)(*point) == before == jet_rhs(HIGH, 0.5)(*point)
+        assert again.flow(0.5)(*point) == before == qp_jet_rhs(HIGH, 0.5)(*point)
+
+    def test_shooting_integrates_the_sparse_qp_flow(self, monkeypatch):
+        # the quartic W symbol has 7 (u, v) terms; in (q, p) it is p^2/2 + q^2/2 + lam q^4
+        assert len(QUARTIC_W.terms) == 7
+        assert {key for key in qp_symbol(QUARTIC_W).terms if key != (0, 0)} == {(0, 2), (2, 0), (4, 0)}
+        seen = []
+
+        def rk4(rhs, y0, T, steps):
+            seen.append(rhs)
+            return _rk4(rhs, y0, T, steps)
+
+        monkeypatch.setattr(semiclassics, "_rk4", rk4)
+        solve_bvp(QUARTIC_W, 0.7, 0.7, 0.5)
+        point = (0, 0.4 + 0.1j, 0.3 - 0.2j, 0.1j, 1.0 + 0j)
+        assert seen and all(rhs(*point) == qp_jet_rhs(QUARTIC_W, 1.0)(*point) for rhs in seen)
+
+    def test_non_finite_symbol_refused(self):
+        with pytest.raises(DomainError, match=r"\(q, p\) coefficient .* not a finite double"):
+            SymbolPoly({(1, 1): float("nan")}).flow(1.0)
 
 
 UNIT = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -103,7 +161,7 @@ def symbols(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(sym=symbols(), hbar=st.floats(0.1, 4.0), u=POINT, v=POINT, du=POINT, dv=POINT)
 def test_flow_equals_jet_closure_property(sym, hbar, u, v, du, dv):
-    assert sym.flow(hbar)(0, u, v, du, dv) == jet_rhs(sym, hbar)(0, u, v, du, dv)
+    assert sym.flow(hbar)(0, u, v, du, dv) == qp_jet_rhs(sym, hbar)(0, u, v, du, dv)
 
 
 POINTS = st.lists(POINT, min_size=5, max_size=5).map(lambda xs: np.array(xs, dtype=complex))
@@ -116,7 +174,7 @@ def test_array_jets_share_the_flow_power_chains_property(sym, hbar, u, v, du, dv
     # in the same order, so the same numbers, and each element is what the
     # jet gives on that element alone
     flow = sym.flow(hbar)(0, u, v, du, dv)
-    for a, b in zip(flow, jet_rhs(sym, hbar)(0, u, v, du, dv)):
+    for a, b in zip(flow, qp_jet_rhs(sym, hbar)(0, u, v, du, dv)):
         assert np.array_equal(np.broadcast_to(a, b.shape), b)  # a constant stays scalar
     batch = sym.jet(u, v)
     for i in range(len(u)):
@@ -173,6 +231,15 @@ class TestSolveBvp:
         sym = weyl_symbol(quartic_position_hamiltonian(0.3, CTX))
         with pytest.raises(NonConverged, match="halving the RK4 step"):
             solve_bvp(sym, 1.2, 1.2, 2.5, steps=16, step_tolerance=1e-14)
+
+    def test_step_guard_passes_and_keeps_the_trajectory(self, monkeypatch):
+        want = solve_bvp(QUARTIC_W, 0.7, 0.5 - 0.2j, 0.8)
+        calls = counted_rk4(monkeypatch)
+        got = solve_bvp(QUARTIC_W, 0.7, 0.5 - 0.2j, 0.8, step_tolerance=1e-6)
+        assert calls.count(1024) == 1  # the halved-step pass ran once
+        for name in ("u", "v", "du", "dv", "times"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert (got.v0, got.residual, got.newton_iters) == (want.v0, want.residual, want.newton_iters)
 
     def test_quadratic_guess_matches_harmonic_exactly(self):
         g = quadratic_guess(SYM_W, 0.3, 0.5 - 0.1j, 1.3, 1.0)
@@ -271,15 +338,15 @@ class TestTwoLevelShooting:
         monkeypatch.undo()
         failed = []
 
-        def fault(steps, nodes):
-            us, vs, dus, dvs = nodes
+        def fault(steps, nodes):  # on the (q, p, dq, dp) nodes, before the map to (u, v)
+            qs, ps, dqs, dps = nodes
             if failure == "blow-up" and steps == 64:
-                return us, vs, dus, dvs * np.nan
+                return qs, ps, dqs, dps * np.nan
             if failure == "singular" and steps == 64:
-                return us, vs, dus, 0 * dvs
+                return qs, ps, 0 * dqs, 0 * dps
             if failure == "fine-after-coarse" and steps == 512 and not failed:
                 failed.append(steps)
-                return us, vs * np.nan, dus, dvs
+                return qs, ps * np.nan, dqs, dps
             return nodes
 
         calls = counted_rk4(monkeypatch, fault)
@@ -329,6 +396,29 @@ class TestTwoLevelShooting:
             (a,), (b,) = res.contributions, want.contributions
             for part in ("S", "I", "d2S", "prefactor"):
                 assert abs(getattr(a, part) - getattr(b, part)) < 1e-10, part
+
+    @pytest.mark.parametrize("form", ["q", "p", "w"])
+    def test_deviation_from_uv_shooting(self, monkeypatch, form):
+        # the comparison set, harmonic included, against the shooting in (u, v)
+        cases = [
+            (H, zp, zpp, T, steps)
+            for H in [harmonic_hamiltonian(ScaleContext.default(hbar=hbar)) for hbar in (1.0, 0.5)]
+            + [
+                quartic_position_hamiltonian(lam, ScaleContext.default(hbar=hbar))
+                for lam in (0.05, 0.1)
+                for hbar in (1.0, 0.5)
+            ]
+            for zp, zpp, T in COMPARISON_ENDPOINTS
+            for steps in (512, 2048)
+        ]
+        got = [semiclassical_K(form, *case) for case in cases]
+        uv_shooting(monkeypatch)
+        for res, case in zip(got, cases):
+            want = semiclassical_K(form, *case)
+            assert abs(res.K - want.K) <= 1e-12 * abs(want.K)
+            (a,), (b,) = res.contributions, want.contributions
+            for part in ("S", "I", "d2S", "prefactor"):
+                assert abs(getattr(a, part) - getattr(b, part)) <= 1e-12 * abs(getattr(b, part)), part
 
     @pytest.mark.parametrize("form", ["q", "p", "w"])
     def test_harmonic_default_guess_is_bit_identical(self, monkeypatch, form):
