@@ -155,7 +155,7 @@ def cmd_semiclassical(args) -> dict:
     return {
         "T": args.T,
         "form": args.form,
-        "steps": args.steps,
+        "steps": result.steps,
         "tolerance": args.tol,
         **_c_fields(z0=args.z0, z1=args.z1, K=result.K),
         "trajectories": [

@@ -34,7 +34,9 @@ TAIL_THRESHOLD = 1e-12  # largest truncated tail mass allowed for any coherent l
 GH_NODES = 64  # Gauss-Hermite nodes per axis in weyl_element
 GH_TOLERANCE = 1e-9  # node-doubling tolerance of weyl_element
 CUTOFF_TOLERANCE = 1e-10  # default cutoff-doubling tolerance of exact_propagator
-DENSE_BYTES = 2**31  # largest dense arrays one call builds: an oracle's matrices, wigner's lattice
+DENSE_BYTES = 2**31  # largest dense arrays one call builds: oracle, lattice, coherent columns
+COHERENT_BYTES = 32  # per Fock state and label, plus one label for the tables, in coherent_matrix:
+# complex columns and two float temporaries (traced peak: 31.1-32.1 at 16-4096 labels, 24 at one)
 ORACLE_MATRICES = 5  # complex (cutoff + 1)^2 arrays alive in an oracle build: H, eigh's copy,
 # its two work arrays and the eigenvectors (measured peak: 5.1 at cutoff 1000 and 2000)
 
@@ -79,6 +81,17 @@ def _fock_log_tables(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     return n, half_log_fact
 
 
+def _labels(zs, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat complex labels and their moduli; refuses a negative cutoff or a non-finite label."""
+    zs = np.atleast_1d(np.asarray(zs, dtype=complex)).ravel()
+    if cutoff < 0:
+        raise InvalidArgument("cutoff must be non-negative")
+    r = np.abs(zs)
+    if not np.isfinite(r).all():
+        raise InvalidArgument("coherent labels must be finite")
+    return zs, r
+
+
 def coherent_matrix(zs, cutoff: int) -> np.ndarray:
     """Column-stacked coherent vectors e^{-|z|^2/2} z^n / sqrt(n!), n = 0..cutoff.
 
@@ -90,16 +103,18 @@ def coherent_matrix(zs, cutoff: int) -> np.ndarray:
     ------
     DomainError
         If the truncated Poisson tail mass of any label exceeds
-        ``TAIL_THRESHOLD`` (or is not a number).
+        ``TAIL_THRESHOLD`` (or is not a number), or the columns would take
+        more than ``DENSE_BYTES`` (refused before anything is built).
     InvalidArgument
         If the cutoff is negative or a label is not finite.
     """
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex)).ravel()
-    if cutoff < 0:
-        raise InvalidArgument("cutoff must be non-negative")
-    r = np.abs(zs)
-    if not np.isfinite(r).all():
-        raise InvalidArgument("coherent labels must be finite")
+    zs, r = _labels(zs, cutoff)
+    need = COHERENT_BYTES * (cutoff + 1) * (zs.size + 1)
+    if need > DENSE_BYTES:
+        raise DomainError(
+            f"coherent vectors of {zs.size} labels at cutoff {cutoff}: "
+            f"{need:.3g} bytes exceed DENSE_BYTES"
+        )
     n, half_log_fact = _fock_log_tables(cutoff)
     r1 = np.maximum(r, np.finfo(float).tiny)  # a zero label keeps n = 0 alone
     cols = np.empty((cutoff + 1, zs.size), dtype=complex)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import OperatorPoly, SymbolPoly, form_s, symbol_for_form
 from .coherent import overlap
-from .errors import CausticWarning, DomainError, InvalidArgument, NonConverged, refine
+from .errors import CausticWarning, DomainError, InvalidArgument, NonConverged
 from .errors import finite_double, require_finite
 
 __all__ = [
@@ -42,6 +42,7 @@ CAUSTIC_THRESHOLD = 1e-4  # |dv(t)| below this on the way warns of a near-causti
 DEDUPE_TOL = 1e-6  # shooting results whose v(0) differ by less are one trajectory
 MIN_STEPS = 16  # fewest RK4 steps of a shooting grid, coarse or full
 COARSE_FACTOR = 8  # the coarse shooting grid has 1/COARSE_FACTOR of the full grid's steps
+MAX_ITER = 30  # Newton steps per shooting grid before it counts as stalled
 _R = 0.5**0.5
 _TO_UV = np.kron(np.eye(2), [[_R, 1j * _R], [_R, -1j * _R]])  # (q, p, dq, dp) -> (u, v, du, dv)
 
@@ -53,11 +54,6 @@ class ComplexTrajectory:
     ``du``/``dv`` hold the variational solution with (du, dv)(0) = (0, 1);
     ``v`` is genuinely independent of ``conj(u)`` away from quadratic
     Hamiltonians.  ``newton_iters`` counts full-grid Newton steps.
-    ``coarse_delta`` is |v(0) on the coarse grid - v(0) on the full grid|,
-    with the full-grid root taken one Newton step past ``v0`` (``v0`` is
-    often the coarse root itself, which already meets ``tol``); it is an
-    RK4 step-error estimate, recorded and not checked, and ``None`` where
-    the coarse stage did not run or failed.
     """
 
     times: np.ndarray
@@ -69,7 +65,6 @@ class ComplexTrajectory:
     residual: float
     hbar: float
     newton_iters: int
-    coarse_delta: float | None = None
 
 
 def _rk4(rhs, y0: tuple, T: float, steps: int):
@@ -124,15 +119,15 @@ def _pass(rhs, zp: complex, v0: complex, T: float, steps: int) -> np.ndarray:
     return _TO_UV @ _rk4(rhs, start, T, steps)
 
 
-def _shoot(rhs, zp: complex, zpp_star, v0: complex, T: float, steps: int, tol, max_iter: int):
+def _shoot(rhs, zp: complex, zpp_star, v0: complex, T: float, steps: int, tol):
     """Newton on v(0) over one RK4 grid of ``steps`` steps.
 
     Returns (nodes, v0, iterations, residual) from the first pass with
     |v(T) - conj(z'')| < ``tol``; raises :class:`NonConverged` on a blow-up,
-    a singular Jacobian or a stall.
+    a singular Jacobian or a stall (``MAX_ITER`` steps).
     """
     residual = np.inf
-    for iteration in range(max_iter + 1):
+    for iteration in range(MAX_ITER + 1):
         nodes = _pass(rhs, zp, v0, T, steps)
         us, vs, dus, dvs = nodes
         mismatch = vs[-1] - zpp_star
@@ -148,7 +143,7 @@ def _shoot(rhs, zp: complex, zpp_star, v0: complex, T: float, steps: int, tol, m
             raise NonConverged("singular shooting Jacobian dv(T)/dv(0)")
         v0 = complex(v0 - mismatch / jac)  # a numpy scalar would slow every RK4 stage
     raise NonConverged(
-        f"Newton stalled at residual {residual:.3e} after {max_iter} iterations"
+        f"Newton stalled at residual {residual:.3e} after {MAX_ITER} iterations"
     )
 
 
@@ -161,8 +156,6 @@ def solve_bvp(
     guess: complex | None = None,
     hbar: float = 1.0,
     tol: float = 1e-10,
-    max_iter: int = 30,
-    step_tolerance: float | None = None,
 ) -> ComplexTrajectory:
     """Two-level Newton shooting for the mixed boundary-value trajectory.
 
@@ -178,19 +171,18 @@ def solve_bvp(
 
     Parameters
     ----------
+    steps : int
+        RK4 steps of the full grid, rounded up to even (Simpson's rule).
     guess : complex, optional
         Starting v(0); default propagates conj(z'') backwards with the
         quadratic part of the symbol.
-    step_tolerance : float, optional
-        When set, re-integrate the converged trajectory with half the step
-        and require the endpoint shift to stay below this bound.
 
     Raises
     ------
     NonConverged
-        If Newton does not bring |v(T) - conj(z'')| below ``tol``, an endpoint
-        component (u, v, du, dv)(T) is not finite, or the step-halving error
-        estimate exceeds ``step_tolerance``.
+        If Newton does not bring |v(T) - conj(z'')| below ``tol`` in
+        ``MAX_ITER`` steps, or an endpoint component (u, v, du, dv)(T) is not
+        finite.
     InvalidArgument
         If T, ``hbar`` or ``tol`` is not finite and positive, an endpoint is
         not finite, or ``steps`` is below ``MIN_STEPS``.
@@ -207,26 +199,17 @@ def solve_bvp(
     start = quadratic_guess(H_sym, zp, zpp_star, T, hbar) if guess is None else complex(guess)
 
     def shoot(v0, n):
-        return _shoot(rhs, complex(zp), zpp_star, v0, T, n, tol, max_iter)
+        return _shoot(rhs, complex(zp), zpp_star, v0, T, n, tol)
 
-    coarse_v0 = None
+    fine = None
     if (guess is not None or H_sym.degree > 2) and coarse_steps >= MIN_STEPS:
         try:
-            coarse_v0 = shoot(start, coarse_steps)[1]
-            fine = shoot(coarse_v0, steps)
+            fine = shoot(shoot(start, coarse_steps)[1], steps)
         except NonConverged:
-            coarse_v0 = None
-    if coarse_v0 is None:  # single-level Newton from the original guess
+            pass
+    if fine is None:  # single-level Newton from the original guess
         fine = shoot(start, steps)
     (us, vs, dus, dvs), v0, iteration, residual = fine
-    coarse_delta = None
-    if coarse_v0 is not None:  # v0 meets tol but may be the coarse root: one more Newton step
-        coarse_delta = float(abs(coarse_v0 - (v0 - (vs[-1] - zpp_star) / dvs[-1])))
-
-    if step_tolerance is not None:
-        us2, vs2, _, _ = _pass(rhs, complex(zp), v0, T, 2 * steps)
-        refine([us[-1], vs[-1]], [us2[-1], vs2[-1]], step_tolerance, "halving the RK4 step")
-
     return ComplexTrajectory(
         times=np.linspace(0.0, T, steps + 1),
         u=us,
@@ -237,7 +220,6 @@ def solve_bvp(
         residual=float(residual),
         hbar=hbar,
         newton_iters=iteration,
-        coarse_delta=coarse_delta,
     )
 
 
@@ -356,14 +338,16 @@ class TrajectoryContribution:
     residual: float
     prefactor: complex
     term: complex
-    coarse_delta: float | None = None
 
 
 @dataclass
 class SemiclassicalResult:
+    """K with its trajectories' contributions and the RK4 steps of their grid (0 at T = 0)."""
+
     K: complex
     form: str
     contributions: list
+    steps: int
 
 
 def semiclassical_K(
@@ -405,7 +389,7 @@ def semiclassical_K(
     gauss = finite_double(lambda: -0.5 * (abs(zp) ** 2 + abs(zpp) ** 2), "-(|z'|^2 + |z''|^2)/2")
     if T == 0:
         K = complex(overlap(zpp, zp))
-        return SemiclassicalResult(K, form, [])
+        return SemiclassicalResult(K, form, [], 0)
 
     sym = symbol_for_form(H, form)
     hbar = H.hbar
@@ -446,8 +430,7 @@ def semiclassical_K(
                 residual=traj.residual,
                 prefactor=pref,
                 term=term,
-                coarse_delta=traj.coarse_delta,
             )
         )
     K = finite_double(lambda: sum((c.term for c in contributions), 0.0j), f"{form.upper()}-form K")
-    return SemiclassicalResult(K, form, contributions)
+    return SemiclassicalResult(K, form, contributions, len(trajectories[0].times) - 1)

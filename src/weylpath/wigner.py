@@ -24,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .algebra import OperatorPoly, ScaleContext
-from .coherent import DENSE_BYTES, _cached_oracle, coherent_matrix
+from .coherent import DENSE_BYTES, _cached_oracle, _labels, coherent_matrix
 from .discrete import DiscreteWPath, _alternating, chord_coefficients
 from .errors import DomainError, InvalidArgument, refine
 
@@ -150,9 +150,7 @@ def weyl_U_grid(
     qs = np.asarray(qs, float)
     ps = np.asarray(ps, float)
     q_max = np.max(np.abs(qs))
-    corner = ctx.z_from_qp(q_max, np.max(np.abs(ps)))
-    coherent_matrix(corner, cutoff)  # raises DomainError if short
-
+    corner = _labels(ctx.z_from_qp(q_max, np.max(np.abs(ps))), cutoff)[0]
     root = math.sqrt(2.0 * cutoff + 1.0)
     # the far chord end passes the turning point b root by |q| + max(q_max, 4b)
     s_half = 2.0 * (max(q_max, 4.0 * ctx.b) + ctx.b * root)
@@ -172,6 +170,7 @@ def weyl_U_grid(
         nodes = (len(qs) - 1) * stride + 2.0 * m + 1
     if nodes > LATTICE_BYTES / (32.0 * (cutoff + 1)):
         raise DomainError(f"{nodes:.3g} lattice nodes at cutoff {cutoff} exceed LATTICE_BYTES")
+    coherent_matrix(corner, cutoff)  # raises DomainError if short
     m = int(m)
     lattice = qs[0] + dq / stride * np.arange(-m, stride * (len(qs) - 1) + m + 1)
     phi = hermite_functions(lattice, cutoff, ctx.b).astype(complex)  # as u_phi: einsum needs no cast

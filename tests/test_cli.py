@@ -341,6 +341,16 @@ class TestSemiclassical:
         assert len(record["trajectories"]) == 1
         assert record["trajectories"][0]["residual"] < 1e-10
 
+    def test_reports_the_even_steps_it_used(self, harmonic_json, capsys):
+        # --steps 17 printed 17 but integrated 18 steps, the same K as --steps 18
+        argv = ["semiclassical", "--hamiltonian", harmonic_json, "--z0", "0.3,0", "--z1", "0,0.5",
+                "--T", "1"]
+        records = []
+        for steps in ("17", "18"):
+            assert main([*argv, "--steps", steps]) == 0
+            records.append(json.loads(capsys.readouterr().out))
+        assert records[0] == records[1] and records[0]["steps"] == 18
+
     def test_csv_round_trip_file(self, harmonic_json, tmp_path):
         out = tmp_path / "result.json"
         rc = main(

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import mpmath
@@ -479,6 +480,41 @@ class TestOracleBudget:
         from weylpath import wigner
 
         assert wigner.LATTICE_BYTES == coherent.DENSE_BYTES == 2**31
+
+
+class TestCoherentBudget:
+    def test_refused_before_tables(self, monkeypatch):
+        # husimi_U_grid at cutoff 3e6 on 64 x 64 labels ended in numpy's MemoryError (183 GiB)
+        monkeypatch.setattr(coherent, "_fock_log_tables", None)  # would fail if reached
+        qs, ps = phase_grid_axes(CTX)
+        message = "coherent vectors of 4096 labels at cutoff 3000000: .* exceed DENSE_BYTES"
+        with pytest.raises(DomainError, match=message):
+            husimi_U_grid(H_QUARTIC, CTX, 1.0, qs, ps, cutoff=3_000_000)
+        with pytest.raises(DomainError, match="of 1 labels at cutoff 100000000"):
+            fock_coherent(0.3, 10**8)
+
+    def test_counts_columns_and_tables(self, monkeypatch):
+        # 8 labels at cutoff 40: COHERENT_BYTES per Fock state for each label and the tables
+        zs = 0.1 * np.arange(8)
+        monkeypatch.setattr(coherent, "DENSE_BYTES", 32 * 41 * 9)
+        assert coherent_matrix(zs, 40).shape == (41, 8)
+        monkeypatch.setattr(coherent, "DENSE_BYTES", 32 * 41 * 9 - 1)
+        with pytest.raises(DomainError, match="of 8 labels at cutoff 40"):
+            coherent_matrix(zs, 40)
+
+    @pytest.mark.parametrize("labels, cutoff", [(1, 200_000), (64, 5_000), (4096, 600)])
+    def test_count_matches_the_traced_peak(self, labels, cutoff):
+        # one label: the tables take 48 bytes per Fock state while they are built, not 32
+        zs = 0.5 * np.exp(1j * np.arange(labels))
+        coherent._fock_log_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            coherent_matrix(zs, cutoff)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        need = coherent.COHERENT_BYTES * (cutoff + 1) * (labels + 1)
+        assert 0.7 * need < peak < 1.05 * need
 
 
 class TestRefine:

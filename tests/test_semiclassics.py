@@ -222,24 +222,11 @@ class TestSolveBvp:
         # v(t) differs from conj(u(t)) away from the real section
         assert np.max(np.abs(traj.v - np.conj(traj.u))) > 1e-3
 
-    def test_no_convergence_raises(self):
+    def test_no_convergence_raises(self, monkeypatch):
         sym = weyl_symbol(quartic_position_hamiltonian(0.4, CTX))
+        monkeypatch.setattr(semiclassics, "MAX_ITER", 2)
         with pytest.raises(NonConverged, match="trajectory blew up"):
-            solve_bvp(sym, 2.5, 2.5, 2.0, steps=64, guess=40.0 + 40.0j, max_iter=2)
-
-    def test_step_guard(self):
-        sym = weyl_symbol(quartic_position_hamiltonian(0.3, CTX))
-        with pytest.raises(NonConverged, match="halving the RK4 step"):
-            solve_bvp(sym, 1.2, 1.2, 2.5, steps=16, step_tolerance=1e-14)
-
-    def test_step_guard_passes_and_keeps_the_trajectory(self, monkeypatch):
-        want = solve_bvp(QUARTIC_W, 0.7, 0.5 - 0.2j, 0.8)
-        calls = counted_rk4(monkeypatch)
-        got = solve_bvp(QUARTIC_W, 0.7, 0.5 - 0.2j, 0.8, step_tolerance=1e-6)
-        assert calls.count(1024) == 1  # the halved-step pass ran once
-        for name in ("u", "v", "du", "dv", "times"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
-        assert (got.v0, got.residual, got.newton_iters) == (want.v0, want.residual, want.newton_iters)
+            solve_bvp(sym, 2.5, 2.5, 2.0, steps=64, guess=40.0 + 40.0j)
 
     def test_quadratic_guess_matches_harmonic_exactly(self):
         g = quadratic_guess(SYM_W, 0.3, 0.5 - 0.1j, 1.3, 1.0)
@@ -328,7 +315,7 @@ class TestTwoLevelShooting:
     def test_harmonic_default_guess_makes_one_pass(self, monkeypatch):
         calls = counted_rk4(monkeypatch)
         traj = solve_bvp(SYM_W, 0.3 + 0.2j, 0.5 - 0.1j, 1.3)
-        assert calls == [512] and traj.newton_iters == 0 and traj.coarse_delta is None
+        assert calls == [512] and traj.newton_iters == 0
 
     @pytest.mark.parametrize("failure", ["blow-up", "singular", "fine-after-coarse"])
     def test_failure_falls_back_to_full_grid_newton(self, monkeypatch, failure):
@@ -352,7 +339,6 @@ class TestTwoLevelShooting:
         calls = counted_rk4(monkeypatch, fault)
         got = solve_bvp(*args)
         assert 64 in calls
-        assert got.coarse_delta is None
         for name in ("u", "v", "du", "dv", "times"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
         for name in ("v0", "residual", "newton_iters"):
@@ -360,24 +346,18 @@ class TestTwoLevelShooting:
 
     def test_failure_on_both_levels_is_the_single_level_error(self, monkeypatch):
         args = (weyl_symbol(quartic_position_hamiltonian(0.4, CTX)), 2.5, 2.5, 2.0)
-        options = {"steps": 256, "guess": 40.0 + 40.0j, "max_iter": 2}
+        options = {"steps": 256, "guess": 40.0 + 40.0j}
         full_grid_only(monkeypatch)
+        monkeypatch.setattr(semiclassics, "MAX_ITER", 2)
         with pytest.raises(NonConverged) as want:
             solve_bvp(*args, **options)
         monkeypatch.undo()
+        monkeypatch.setattr(semiclassics, "MAX_ITER", 2)
         calls = counted_rk4(monkeypatch)
         with pytest.raises(NonConverged) as got:
             solve_bvp(*args, **options)
         assert str(got.value) == str(want.value)
         assert 32 in calls
-
-    def test_coarse_delta_is_recorded(self):
-        traj = solve_bvp(QUARTIC_W, 0.7, 0.7, 0.5)
-        assert 0 < traj.coarse_delta < 1e-8
-        assert solve_bvp(QUARTIC_W, 0.7, 0.7, 0.5, steps=64).coarse_delta is None  # 8 coarse steps
-        assert solve_bvp(SYM_W, 0.3, 0.5, 1.0, guess=0.5).coarse_delta is not None
-        res = semiclassical_K("w", quartic_position_hamiltonian(0.1, CTX), 0.7, 0.7, 0.5)
-        assert res.contributions[0].coarse_delta == traj.coarse_delta
 
     @pytest.mark.parametrize("form", ["q", "p", "w"])
     def test_deviation_from_full_grid_newton(self, monkeypatch, form):
@@ -570,6 +550,11 @@ class TestSemiclassicalK:
         for form in "qpw":
             K = semiclassical_K(form, H_HARM, 0.4, 0.2 - 0.3j, 0.0).K
             assert abs(K - overlap(0.2 - 0.3j, 0.4)) < 1e-14
+
+    def test_reports_the_steps_of_its_grid(self):
+        # solve_bvp rounds odd steps up to even; T = 0 integrates nothing
+        assert semiclassical_K("w", H_HARM, 0.3, 0.5j, 1.0, steps=17).steps == 18
+        assert semiclassical_K("w", H_HARM, 0.3, 0.5j, 0.0).steps == 0
 
     def test_contribution_breakdown(self):
         res = semiclassical_K("w", H_HARM, 0.3, 0.5j, 1.0)

@@ -152,6 +152,13 @@ class TestWeylUGrid:
         with pytest.raises(DomainError, match="lattice nodes at cutoff 60 exceed LATTICE_BYTES"):
             weyl_U_grid(H_HARM, CTX, 1.0, qs, ps, cutoff=60)
 
+    def test_lattice_budget_refused_before_the_corner_vector(self, monkeypatch):
+        # cutoff 2e6 built the corner's coherent vector (0.8 s, 137 MB peak RSS) before refusing
+        monkeypatch.setattr(wigner, "coherent_matrix", None)  # would fail if reached
+        qs, ps = phase_grid_axes(CTX)
+        with pytest.raises(DomainError, match="lattice nodes at cutoff 2000000 exceed LATTICE_BYTES"):
+            weyl_U_grid(H_HARM, CTX, 1.0, qs, ps, cutoff=2_000_000)
+
     def test_lattice_budget_counts_both_tables(self, monkeypatch):
         # n lattice nodes at cutoff 60 take 32 * 61 * n bytes for phi and U phi (complex)
         qs, ps = phase_grid_axes(CTX, nq=8, npts=8)
