@@ -7,6 +7,7 @@ input (1), non-convergence (2), or a numerical-domain failure or a refused argum
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -72,6 +73,15 @@ def refuse_bool(**values) -> None:
     for name, val in values.items():
         if isinstance(val, (bool, np.bool_)):
             raise InvalidArgument(f"{name} must be a number, not the boolean {val}")
+
+
+def require_index(value, name: str) -> int:
+    """``value`` as an int; InvalidArgument naming ``name`` for a boolean or non-integral value."""
+    refuse_bool(**{name: value})
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgument(f"{name} must be an integer, got {value!r}") from None
 
 
 def require_finite(**values) -> None:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidArgument, refine, refuse_bool, require_finite
+from .errors import DomainError, InvalidArgument, refine
+from .errors import refuse_bool, require_finite, require_index
 from .semiclassics import _rk4
 
 __all__ = [
@@ -219,20 +220,25 @@ def det_continuum(
     stationary trajectory).  Each is called once, on the array of all RK4
     stage times of the finest pass; a callable that returns a scalar is
     broadcast to a constant.  The step-halving pass reads every other entry.
+    T and ``hbar`` may be any real number type and ``steps`` any integer
+    type, numpy scalars included; the RK4 runs on Python scalars.
 
     Raises
     ------
     NonConverged
         If halving the step moves Delta(T) by more than ``step_tolerance``.
     InvalidArgument
-        If T is negative or not finite, ``steps`` is below 1, ``hbar`` is
-        not positive, or A, B or C returns a non-finite value.
+        If T is negative or not finite, ``steps`` is a boolean, not an
+        integer or below 1, ``hbar`` is not positive, or A, B or C returns a
+        non-finite value.
     """
     refuse_bool(T=T, hbar=hbar)
+    steps = require_index(steps, "steps")
     if not (np.isfinite(T) and T >= 0):
         raise InvalidArgument(f"T must be finite and non-negative, got {T}")
     if not (steps >= 1 and hbar > 0):
         raise InvalidArgument(f"need steps >= 1 and hbar > 0, got {steps} and {hbar}")
+    T, hbar = float(T), float(hbar)  # keeps the RK4 stages off numpy-scalar arithmetic
     if T == 0:
         return 1.0 + 0.0j
     fine_steps = steps if step_tolerance is None else 2 * steps

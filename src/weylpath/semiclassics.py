@@ -22,7 +22,7 @@ import numpy as np
 from .algebra import OperatorPoly, SymbolPoly, form_s, symbol_for_form
 from .coherent import overlap
 from .errors import CausticWarning, DomainError, InvalidArgument, NonConverged
-from .errors import finite_double, require_finite
+from .errors import finite_double, require_finite, require_index
 
 __all__ = [
     "ComplexTrajectory",
@@ -171,8 +171,11 @@ def solve_bvp(
 
     Parameters
     ----------
+    T, hbar, tol : float
+        Any real number type, numpy scalars included; used as Python floats.
     steps : int
-        RK4 steps of the full grid, rounded up to even (Simpson's rule).
+        RK4 steps of the full grid, rounded up to even (Simpson's rule);
+        any integer type, numpy integers included.
     guess : complex, optional
         Starting v(0); default propagates conj(z'') backwards with the
         quadratic part of the symbol.
@@ -185,11 +188,14 @@ def solve_bvp(
         finite.
     InvalidArgument
         If T, ``hbar`` or ``tol`` is not finite and positive, an endpoint is
-        not finite, or ``steps`` is below ``MIN_STEPS``.
+        not finite, or ``steps`` is a boolean, not an integer or below
+        ``MIN_STEPS``.
     """
     require_finite(T=T, zp=zp, zpp_star=zpp_star, hbar=hbar, tol=tol)
     if not (T > 0 and hbar > 0 and tol > 0):
         raise InvalidArgument(f"T, hbar and tol must be positive, got {T}, {hbar} and {tol}")
+    # Python scalars: a numpy T, hbar or steps would put every RK4 stage on numpy-scalar arithmetic
+    T, hbar, tol, steps = float(T), float(hbar), float(tol), require_index(steps, "steps")
     if steps < MIN_STEPS:
         raise InvalidArgument(f"need at least {MIN_STEPS} integration steps")
     steps += steps % 2  # Simpson-friendly grids
@@ -287,8 +293,8 @@ def tracked_prefactor(traj: ComplexTrajectory) -> complex:
     prev = 1.0 + 0.0j
     if np.min(np.abs(traj.dv)) < CAUSTIC_THRESHOLD:
         warnings.warn("prefactor tracked through a near-caustic", CausticWarning)
-    for dv_k in traj.dv:
-        root = cmath.sqrt(1.0 / dv_k)
+    for recip in (1.0 / traj.dv).tolist():  # numpy's division, then Python complex numbers
+        root = cmath.sqrt(recip)
         if abs(-root - prev) < abs(root - prev):
             root = -root
         prev = root
@@ -369,7 +375,8 @@ def semiclassical_K(
     with sigma = 1 + 2s from the form's ordering parameter s
     (``algebra.FORM_S``): +1 (q), -1 (p), 0 (w).  Every converged, deduplicated
     trajectory is reported; contributing-saddle selection is left to the
-    caller.
+    caller.  T may be any real number type and ``steps`` any integer type,
+    numpy scalars included (see :func:`solve_bvp`).
 
     Raises
     ------
@@ -379,12 +386,14 @@ def semiclassical_K(
         If -(|z'|^2 + |z''|^2)/2 (at any T, T = 0 included), a trajectory's
         term or K is not a finite double.
     InvalidArgument
-        If T is negative or not finite, an endpoint is not finite, or (for
-        T > 0) ``tol`` is not finite and positive.
+        If T is negative or not finite, an endpoint is not finite, ``steps``
+        is a boolean or not an integer, or (for T > 0) ``tol`` is not finite
+        and positive or ``steps`` is below ``MIN_STEPS``.
     """
     form = form.lower()
     s = form_s(form)
     require_finite(zp=zp, zpp=zpp, T=T)
+    steps = require_index(steps, "steps")
     sigma = 1.0 + 2.0 * s if include_correction else 0.0  # exact for s = 0, -1, -1/2
     gauss = finite_double(lambda: -0.5 * (abs(zp) ** 2 + abs(zpp) ** 2), "-(|z'|^2 + |z''|^2)/2")
     if T == 0:

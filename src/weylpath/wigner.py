@@ -26,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .algebra import OperatorPoly, ScaleContext
 from .coherent import DENSE_BYTES, _cached_oracle, _labels, coherent_matrix
 from .discrete import DiscreteWPath, _alternating, chord_coefficients
-from .errors import DomainError, InvalidArgument, refine
+from .errors import DomainError, InvalidArgument, refine, require_finite
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -145,10 +145,11 @@ def weyl_U_grid(
         If halving the chord step moves any grid value beyond
         ``CHORD_TOLERANCE``.
     InvalidArgument
-        If T is not finite, or the q axis is not uniformly spaced.
+        If T or an axis is not finite, or the q axis is not uniformly spaced.
     """
     qs = np.asarray(qs, float)
     ps = np.asarray(ps, float)
+    require_finite(qs=qs, ps=ps)
     q_max = np.max(np.abs(qs))
     corner = _labels(ctx.z_from_qp(q_max, np.max(np.abs(ps))), cutoff)[0]
     root = math.sqrt(2.0 * cutoff + 1.0)
@@ -201,9 +202,12 @@ def husimi_U_grid(
     ------
     DomainError
         If a grid label is not resolved by ``cutoff``.
+    InvalidArgument
+        If T or an axis is not finite.
     """
     qs = np.asarray(qs, float)
     ps = np.asarray(ps, float)
+    require_finite(qs=qs, ps=ps)
     Q, P = np.meshgrid(qs, ps, indexing="ij")
     labels = ctx.z_from_qp(Q, P).ravel()
     cols = coherent_matrix(labels, cutoff)

@@ -391,6 +391,10 @@ H_QUARTIC = quartic_position_hamiltonian(0.1, CTX)
          ValueError, "T must be finite"),
         (lambda: husimi_U_grid(H_QUARTIC, CTX, NAN, *AXES, cutoff=60),
          ValueError, "T must be finite"),
+        (lambda: weyl_U_grid(H_QUARTIC, CTX, 1.0, [0.0, math.inf], [0.0, 1.0], cutoff=60),
+         ValueError, "qs must be finite"),
+        (lambda: husimi_U_grid(H_QUARTIC, CTX, 1.0, [0.0, math.inf], [0.0, 1.0], cutoff=60),
+         ValueError, "qs must be finite"),
         (lambda: semiclassical_K("w", H_QUARTIC, NAN, 0.2, 0.5),
          ValueError, "zp must be finite"),
         (lambda: semiclassical_K("w", H_QUARTIC, 0.3, complex(0.2, math.inf), 0.0),
@@ -417,13 +421,14 @@ H_QUARTIC = quartic_position_hamiltonian(0.1, CTX)
          "harmonic_discrete_K-label", "DiscreteWPath-tau", "stationary_path_harmonic",
          "mu_coefficients", "solve_bvp",
          "semiclassical_K", "det_continuum", "weyl_U_grid", "husimi_U_grid",
+         "weyl_U_grid-axis", "husimi_U_grid-axis",
          "semiclassical_K-zp", "semiclassical_K-zpp-at-T0", "solve_bvp-tol",
          "FluctuationCoeffs-tau", "FluctuationCoeffs-coefficient", "OperatorPoly-hbar-inf",
          "OperatorPoly-hbar-nan", "ScaleContext-hbar-nan", "ScaleContext-b-inf",
          "ScaleContext-c-underflow", "ScaleContext-default-underflow"],
 )
 def test_non_finite_input_raises(call, error, message):
-    """A non-finite T or label raises instead of returning NaN."""
+    """A non-finite T, label or grid axis raises instead of returning NaN."""
     with pytest.raises(error, match=message):
         call()
 

@@ -11,7 +11,7 @@ from weylpath import (
     det_dense,
     det_recursive,
 )
-from weylpath.errors import DomainError, NonConverged
+from weylpath.errors import DomainError, InvalidArgument, NonConverged
 
 
 def random_coeffs(rng, N, tau=0.13, hbar=1.0):
@@ -300,6 +300,21 @@ class TestDetContinuum:
         zero = lambda t: 0.0
         with pytest.raises(ValueError, match="need steps >= 1 and hbar > 0"):
             det_continuum(zero, zero, zero, 1.0, **options)
+
+    @pytest.mark.parametrize("steps", [64.0, True], ids=["float", "bool"])
+    def test_steps_must_be_an_integer(self, steps):
+        # a float ended in a TypeError from np.linspace; True ran a one-step pass
+        zero = lambda t: 0.0
+        with pytest.raises(InvalidArgument, match="steps must be"):
+            det_continuum(zero, zero, zero, 1.0, steps=steps)
+
+    def test_numpy_scalars_give_the_same_delta(self):
+        A = lambda t: 0.3 * np.cos(t)
+        B = lambda t: 0.2 * np.sin(t) + 0.1
+        C = lambda t: 1.1 + 0.15 * t
+        want = det_continuum(A, B, C, 1.2, steps=256, hbar=0.5)
+        got = det_continuum(A, B, C, np.float64(1.2), steps=np.int64(256), hbar=np.float64(0.5))
+        assert repr(got) == repr(want)
 
     @pytest.mark.parametrize("step_tolerance", [None, 1e-8])
     def test_non_finite_sample_names_its_table(self, step_tolerance):

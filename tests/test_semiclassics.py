@@ -21,15 +21,17 @@ from weylpath import (
     quartic_position_hamiltonian,
     semiclassical_K,
     solve_bvp,
+    symbol_for_form,
     symbol_to_qp,
     weyl_symbol,
 )
 from weylpath.errors import (
     CausticWarning,
     DomainError,
+    InvalidArgument,
     NonConverged,
 )
-from weylpath import semiclassics
+from weylpath import det_continuum, fluctuation, semiclassics
 from weylpath.semiclassics import (
     _rk4,
     quadratic_guess,
@@ -267,9 +269,37 @@ class TestSolveBvp:
             with pytest.raises(ValueError, match="must be positive"):
                 semiclassical_K("w", H_HARM, 0.1, 0.1, 1.0, tol=options["tol"])
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: solve_bvp(SYM_W, 0.1, 0.1, 1.0, steps=512.0),
+            lambda: solve_bvp(SYM_W, 0.1, 0.1, 1.0, steps=True),
+            lambda: semiclassical_K("w", H_HARM, 0.1, 0.1, 1.0, steps=512.5),
+            lambda: semiclassical_K("w", H_HARM, 0.1, 0.1, 1.0, steps=True),
+            lambda: semiclassical_K("w", H_HARM, 0.1, 0.1, 0.0, steps=np.float64(512)),
+        ],
+        ids=["solve_bvp-float", "solve_bvp-bool", "semiclassical_K-float",
+             "semiclassical_K-bool", "semiclassical_K-float-at-T0"],
+    )
+    def test_steps_must_be_an_integer(self, call):
+        # a float ended in a TypeError from range; True was a step count of 1
+        with pytest.raises(InvalidArgument, match="steps must be"):
+            call()
+
 
 QUARTIC_W = weyl_symbol(quartic_position_hamiltonian(0.1, CTX))
 COMPARISON_ENDPOINTS = [(0.7, 0.7, 0.5), (0.6 + 0.1j, 0.4 - 0.2j, 0.8), (0.5, 0.3 + 0.4j, 0.3)]
+COMPARISON_SET = [  # (H, z', z'', T, steps), harmonic included
+    (H, zp, zpp, T, steps)
+    for H in [harmonic_hamiltonian(ScaleContext.default(hbar=hbar)) for hbar in (1.0, 0.5)]
+    + [
+        quartic_position_hamiltonian(lam, ScaleContext.default(hbar=hbar))
+        for lam in (0.05, 0.1)
+        for hbar in (1.0, 0.5)
+    ]
+    for zp, zpp, T in COMPARISON_ENDPOINTS
+    for steps in (512, 2048)
+]
 
 
 def counted_rk4(monkeypatch, fault=None):
@@ -379,21 +409,14 @@ class TestTwoLevelShooting:
 
     @pytest.mark.parametrize("form", ["q", "p", "w"])
     def test_deviation_from_uv_shooting(self, monkeypatch, form):
-        # the comparison set, harmonic included, against the shooting in (u, v)
-        cases = [
-            (H, zp, zpp, T, steps)
-            for H in [harmonic_hamiltonian(ScaleContext.default(hbar=hbar)) for hbar in (1.0, 0.5)]
-            + [
-                quartic_position_hamiltonian(lam, ScaleContext.default(hbar=hbar))
-                for lam in (0.05, 0.1)
-                for hbar in (1.0, 0.5)
-            ]
-            for zp, zpp, T in COMPARISON_ENDPOINTS
-            for steps in (512, 2048)
-        ]
-        got = [semiclassical_K(form, *case) for case in cases]
+        # the comparison set against the shooting in (u, v)
+        got = [semiclassical_K(form, *case) for case in COMPARISON_SET]
+        for res, (H, zp, zpp, T, steps) in zip(got, COMPARISON_SET):
+            # numpy scalars, as np.linspace and seeded draws return them: the same K and parts
+            again = semiclassical_K(form, H, zp, zpp, np.float64(T), np.int64(steps))
+            assert repr(again) == repr(res)
         uv_shooting(monkeypatch)
-        for res, case in zip(got, cases):
+        for res, case in zip(got, COMPARISON_SET):
             want = semiclassical_K(form, *case)
             assert abs(res.K - want.K) <= 1e-12 * abs(want.K)
             (a,), (b,) = res.contributions, want.contributions
@@ -406,6 +429,62 @@ class TestTwoLevelShooting:
         got = semiclassical_K(form, H_HARM, 0.8, 0.8j, 6.0)
         full_grid_only(monkeypatch)
         assert got == semiclassical_K(form, H_HARM, 0.8, 0.8j, 6.0)
+
+
+def stage_types(monkeypatch) -> set:
+    """Types of every stage state ``_rk4`` hands its right-hand side, in both calling modules."""
+    seen = set()
+
+    def rk4(rhs, y0, T, steps):
+        def recorded(k, *state):
+            seen.update(map(type, state))
+            return rhs(k, *state)
+
+        return _rk4(recorded, y0, T, steps)
+
+    monkeypatch.setattr(semiclassics, "_rk4", rk4)
+    monkeypatch.setattr(fluctuation, "_rk4", rk4)
+    return seen
+
+
+def varying_samplers():
+    """Time-dependent A, B, C for det_continuum."""
+    return (lambda t: 0.3 * np.cos(t), lambda t: 0.2 * np.sin(t) + 0.1, lambda t: 1.1 + 0.15 * t)
+
+
+class TestNumpyScalars:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: solve_bvp(QUARTIC_W, 0.7, 0.5 - 0.2j, np.float64(0.8)),
+            lambda: solve_bvp(QUARTIC_W, 0.7, 0.5 - 0.2j, 0.8, hbar=np.float64(0.5)),
+            lambda: solve_bvp(QUARTIC_W, 0.7, 0.5 - 0.2j, 0.8, steps=np.int64(512)),
+            lambda: semiclassical_K("w", quartic_position_hamiltonian(0.1, CTX), 0.7, 0.7,
+                                    np.float64(0.5), np.int64(512)),
+            lambda: det_continuum(*varying_samplers(), np.float64(1.2), steps=256),
+            lambda: det_continuum(*varying_samplers(), 1.2, steps=256, hbar=np.float64(0.5)),
+            lambda: det_continuum(*varying_samplers(), 1.2, steps=np.int64(256)),
+        ],
+        ids=["solve_bvp-T", "solve_bvp-hbar", "solve_bvp-steps", "semiclassical_K-T-steps",
+             "det_continuum-T", "det_continuum-hbar", "det_continuum-steps"],
+    )
+    def test_every_rk4_stage_is_a_python_complex(self, monkeypatch, call):
+        # a numpy step h or 1/hbar made every stage after the first a numpy scalar
+        seen = stage_types(monkeypatch)
+        call()
+        assert seen == {complex}
+
+    @pytest.mark.parametrize("form", ["q", "p", "w"])
+    def test_trajectories_are_repr_identical(self, form):
+        for H, zp, zpp, T, steps in COMPARISON_SET:
+            args = (symbol_for_form(H, form), zp, complex(np.conj(zpp)))
+            want = solve_bvp(*args, T, steps, hbar=H.hbar)
+            got = solve_bvp(*args, np.float64(T), np.int64(steps), hbar=np.float64(H.hbar))
+            for name in ("times", "u", "v", "du", "dv"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert repr((got.v0, got.residual, got.hbar, got.newton_iters)) == repr(
+                (want.v0, want.residual, want.hbar, want.newton_iters)
+            )
 
 
 class TestActionAndCorrection:
