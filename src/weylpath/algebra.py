@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError, HamiltonianFormatError, InvalidArgument, refuse_bool
+from .errors import DomainError, HamiltonianFormatError, InvalidArgument, require_positive
 
 __all__ = [
     "OperatorPoly",
@@ -86,9 +86,7 @@ class OperatorPoly:
     """
 
     def __init__(self, terms: dict, hbar: float = 1.0):
-        refuse_bool(hbar=hbar)
-        if not 0 < hbar < math.inf:
-            raise InvalidArgument(f"hbar must be finite and positive, got {hbar}")
+        require_positive(hbar=hbar)
         for m, n in terms:
             if m < 0 or n < 0:
                 raise InvalidArgument(f"negative ladder exponent in term ({m}, {n})")
@@ -309,20 +307,15 @@ class ScaleContext:
     b: float = field(default=1.0)
 
     def __post_init__(self):
-        scales = (self.hbar, self.mass, self.omega, self.b)
-        refuse_bool(hbar=self.hbar, mass=self.mass, omega=self.omega, b=self.b)
-        if not all(0 < x < math.inf for x in scales) or not 0 < self.c < math.inf:
-            raise InvalidArgument(
-                "hbar, mass, omega, b and c = hbar / b must all be finite and positive, "
-                f"got hbar, mass, omega, b = {scales}"
-            )
+        require_positive(hbar=self.hbar, mass=self.mass, omega=self.omega, b=self.b)
+        require_positive(c=self.c)
 
     @classmethod
     def default(cls, hbar: float = 1.0, mass: float = 1.0, omega: float = 1.0):
         """Context with the ground-state width b = sqrt(hbar) / (sqrt(m) sqrt(omega))."""
-        # root by root, b is found also where m omega is no double; a scale <= 0 gives NaN
-        roots = [math.sqrt(x) if x > 0 else math.nan for x in (hbar, mass, omega)]
-        return cls(hbar, mass, omega, roots[0] / (roots[1] * roots[2]))
+        require_positive(hbar=hbar, mass=mass, omega=omega)
+        # root by root, b is found also where m omega is no double
+        return cls(hbar, mass, omega, math.sqrt(hbar) / (math.sqrt(mass) * math.sqrt(omega)))
 
     @property
     def c(self) -> float:
@@ -549,24 +542,12 @@ def load_hamiltonian(source) -> tuple[OperatorPoly, ScaleContext]:
             ) from exc
 
     _require(isinstance(data, dict), "top-level JSON value must be an object")
-    hbar = data.get("hbar", 1.0)
-    mass = data.get("mass", 1.0)
-    omega = data.get("omega", 1.0)
-    for name, val in (("hbar", hbar), ("mass", mass), ("omega", omega)):
-        _require(
-            _is_number(val) and val > 0,
-            f"field '{name}' must be a positive number, got {val!r}",
-        )
-    try:
+    scales = [data.get(name, 1.0) for name in ("hbar", "mass", "omega")]
+    try:  # ScaleContext refuses each scale that is not a finite number above zero
         if "width_b" not in data:
-            ctx = ScaleContext.default(hbar, mass, omega)
+            ctx = ScaleContext.default(*scales)
         else:
-            width_b = data["width_b"]
-            _require(
-                _is_number(width_b) and width_b > 0,
-                f"field 'width_b' must be a positive number, got {width_b!r}",
-            )
-            ctx = ScaleContext(hbar, mass, omega, float(width_b))
+            ctx = ScaleContext(*scales, data["width_b"])
     except InvalidArgument as exc:
         raise HamiltonianFormatError(str(exc)) from None
 

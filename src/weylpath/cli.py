@@ -15,9 +15,9 @@ import sys
 
 from . import errors
 from .algebra import FORM_S, load_hamiltonian, symbol_for_form, symbol_to_qp
-from .coherent import CUTOFF_TOLERANCE, exact_propagator
+from .coherent import CUTOFF_TOLERANCE, DEFAULT_CUTOFF, exact_propagator
 from .discrete import DiscGridSpec, convergence_table, quadrature_K
-from .semiclassics import semiclassical_K
+from .semiclassics import MIN_STEPS, semiclassical_K
 from .wigner import husimi_U_grid, phase_grid_axes, weyl_U_grid
 
 EXIT_PARSE = 1
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z1", type=_parse_complex, required=True)
     p.add_argument("--T", type=_at_least(0.0), required=True)
     p.add_argument("--N", type=_at_least(1, int), default=2)
-    p.add_argument("--cutoff", type=_at_least(0, int), default=80)
+    p.add_argument("--cutoff", type=_at_least(0, int), default=DEFAULT_CUTOFF)
     p.add_argument("--tol", type=_positive, default=None)
     p.set_defaults(func=cmd_propagate)
 
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z0", type=_parse_complex, required=True)
     p.add_argument("--z1", type=_parse_complex, required=True)
     p.add_argument("--T", type=_at_least(0.0), required=True)
-    p.add_argument("--steps", type=_at_least(16, int), default=512)
+    p.add_argument("--steps", type=_at_least(MIN_STEPS, int), default=512)
     p.add_argument("--tol", type=_positive, default=1e-10)
     p.set_defaults(func=cmd_semiclassical)
 

@@ -14,7 +14,8 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import OperatorPoly, ScaleContext, SymbolPoly
-from .errors import DomainError, InvalidArgument, finite_double, refine, require_finite
+from .errors import DomainError, InvalidArgument, finite_double, refine
+from .errors import require_finite, require_index, require_positive
 
 __all__ = [
     "FockVector",
@@ -82,10 +83,9 @@ def _fock_log_tables(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _labels(zs, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat complex labels and their moduli; refuses a negative cutoff or a non-finite label."""
+    """Flat complex labels and their moduli; refuses a cutoff below 0 or a non-finite label."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex)).ravel()
-    if cutoff < 0:
-        raise InvalidArgument("cutoff must be non-negative")
+    require_index(cutoff, "cutoff", 0)
     r = np.abs(zs)
     if not np.isfinite(r).all():
         raise InvalidArgument("coherent labels must be finite")
@@ -106,7 +106,7 @@ def coherent_matrix(zs, cutoff: int) -> np.ndarray:
         ``TAIL_THRESHOLD`` (or is not a number), or the columns would take
         more than ``DENSE_BYTES`` (refused before anything is built).
     InvalidArgument
-        If the cutoff is negative or a label is not finite.
+        If the cutoff is not an integer of at least 0 or a label is not finite.
     """
     zs, r = _labels(zs, cutoff)
     need = COHERENT_BYTES * (cutoff + 1) * (zs.size + 1)
@@ -143,10 +143,9 @@ def operator_matrix(op: OperatorPoly, cutoff: int) -> np.ndarray:
 
     Matrix elements of ``adag^m a^n`` are
     ``sqrt(i!/(i-m)!) sqrt(j!/(j-n)!) delta_{i-m, j-n}``; Hermitian input
-    yields an exactly Hermitian matrix.
+    yields an exactly Hermitian matrix; the cutoff must be at least the degree.
     """
-    if cutoff < op.degree:
-        raise InvalidArgument(f"cutoff {cutoff} smaller than operator degree {op.degree}")
+    require_index(cutoff, "cutoff", op.degree)
     dim = cutoff + 1
     mat = np.zeros((dim, dim), dtype=complex)
     j = np.arange(dim)
@@ -177,7 +176,7 @@ class FockOracle:
     def __init__(self, op: OperatorPoly, cutoff: int = DEFAULT_CUTOFF):
         if not op.is_hermitian():
             raise InvalidArgument("FockOracle requires a Hermitian operator")
-        _require_oracle_fits(cutoff, cutoff)
+        _require_oracle_fits(cutoff, 1)
         self.cutoff = cutoff
         self.hbar = op.hbar
         self.evals, self.evecs = np.linalg.eigh(operator_matrix(op, cutoff))
@@ -218,21 +217,24 @@ def exact_propagator(
     NonConverged
         If doubling the cutoff moves the result by more than the tolerance.
     InvalidArgument
-        If T is negative or not finite.
+        If T is negative or not finite, ``cutoff`` is not an integer of at
+        least 0 and the degree of H, or ``check_tolerance`` is not positive.
     """
     require_finite(T=T)  # before an oracle is built
+    require_positive(check_tolerance=check_tolerance)
     if T < 0:
         raise InvalidArgument("T must be non-negative")
-    _require_oracle_fits(cutoff, 2 * cutoff)
+    _require_oracle_fits(cutoff, 2)
     base = _cached_oracle(H, cutoff).propagator(z1, z2, T)
     refined = _cached_oracle(H, 2 * cutoff).propagator(z1, z2, T)
     what = f"doubling the cutoff {cutoff} -> {2 * cutoff}"
     return refine(base, refined, check_tolerance, what)[0]
 
 
-def _require_oracle_fits(cutoff: int, largest: int) -> None:
-    """Refuse ``cutoff`` if its largest oracle, at cutoff ``largest``, exceeds ``DENSE_BYTES``."""
-    need = ORACLE_MATRICES * 16 * (int(largest) + 1) ** 2
+def _require_oracle_fits(cutoff: int, factor: int) -> None:
+    """Refuse ``cutoff`` if its largest oracle, at ``factor * cutoff``, exceeds ``DENSE_BYTES``."""
+    largest = factor * require_index(cutoff, "cutoff", 0)
+    need = ORACLE_MATRICES * 16 * (largest + 1) ** 2
     if need > DENSE_BYTES:
         raise DomainError(
             f"cutoff {cutoff} needs an oracle at cutoff {largest}: {need:.3g} bytes exceed DENSE_BYTES"

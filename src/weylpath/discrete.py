@@ -19,7 +19,8 @@ import numpy as np
 
 from .algebra import FORM_S, OperatorPoly, SymbolPoly, form_s, symbol_for_form
 from .coherent import harmonic_exact_K, overlap
-from .errors import DomainError, InvalidArgument, finite_double, refine, require_finite
+from .errors import DomainError, InvalidArgument, finite_double, refine
+from .errors import require_finite, require_index, require_positive
 
 __all__ = [
     "DiscreteWPath",
@@ -67,8 +68,7 @@ class DiscreteWPath:
         if len(w) % 2 != 0 or len(w) == 0:
             raise InvalidArgument("N must be a positive even integer")
         require_finite(w=w, w_star=ws, tau=self.tau)
-        if not self.tau > 0:
-            raise InvalidArgument(f"tau must be finite and positive, got {self.tau}")
+        require_positive(tau=self.tau, hbar=self.hbar)
 
     @property
     def N(self) -> int:
@@ -199,10 +199,9 @@ def stationary_path_harmonic(
     """Stationary path of the Weyl-form exponent for H = hbar omega u v.
 
     ``w_k = (alpha*)^(k-1) / alpha^k z'`` and the conjugate pattern
-    ``w*_k = (alpha*)^(N-k) / alpha^(N-k+1) z''*`` with alpha = 1 + i tau omega / 2.
+    ``w*_k = (alpha*)^(N-k) / alpha^(N-k+1) z''*`` with alpha = 1 + i tau omega / 2, N even.
     """
-    if N % 2 != 0 or N <= 0:
-        raise InvalidArgument("N must be a positive even integer")
+    require_index(N, "N", 2)
     require_finite(zp=zp, zpp=zpp, omega=omega, T=T)
     tau = T / N
     alpha = 1.0 + 0.5j * tau * omega
@@ -215,8 +214,7 @@ def stationary_path_harmonic(
 
 def _mu(form: str, omega: float, T: float, N: int) -> complex:
     """mu_s of the form named q, p or w, checked as in :func:`mu_coefficients`."""
-    if N < 1:
-        raise InvalidArgument("N must be at least 1")
+    require_index(N, "N", 1)
     require_finite(T=T)
     x, s = T / N * omega, FORM_S[form]
     return finite_double(
@@ -230,7 +228,7 @@ def mu_coefficients(omega: float, T: float, N: int):
 
     mu_s = (1 - i tau w (1 + s))^N (1 - i tau w s)^-N, tau = T/N, with s from
     ``algebra.FORM_S``; all three tend to exp(-i w T).  A mu_s that is not a
-    finite double raises DomainError.
+    finite double raises DomainError, an N below 1 or a non-finite T InvalidArgument.
     """
     return tuple(_mu(form, omega, T, N) for form in FORM_S)
 
@@ -271,12 +269,19 @@ class DiscGridSpec:
 
     ``radius_widths`` counts coherent widths (1/sqrt(2) in label units)
     around the straight line between z' and z''; the check pass multiplies
-    the per-axis point count by ``GRID_REFINE`` and reports the difference.
+    the per-axis point count by ``GRID_REFINE`` and reports the difference;
+    ``points`` must be at least 2, ``radius_widths`` and a set ``tolerance`` positive.
     """
 
     points: int = 48
     radius_widths: float = 6.0
     tolerance: float | None = None
+
+    def __post_init__(self):
+        require_index(self.points, "points", 2)
+        require_positive(radius_widths=self.radius_widths)
+        if self.tolerance is not None:
+            require_positive(tolerance=self.tolerance)
 
 
 @dataclass
@@ -418,12 +423,12 @@ def quadrature_K(
         If refinement moves the value by more than ``grid.tolerance``, or
         by a non-finite amount when no tolerance is set.
     InvalidArgument
-        If the form is not q, p or w, T is not finite, or the W form gets odd N.
+        If the form is not q, p or w, T is not finite, N is below 1 or the W form gets odd N.
     """
     form = form.lower()
     form_s(form)  # refuses a name other than q, p or w
     require_finite(T=T)
-    if N < 1 or N > 3:
+    if require_index(N, "N", 1) > 3:
         raise DomainError(f"N = {N} is outside the supported range 1..3")
     dims = 2 * (N - 1) if form == "q" else 2 * N
     if dims > 4:

@@ -7,6 +7,7 @@ input (1), non-convergence (2), or a numerical-domain failure or a refused argum
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -75,18 +76,38 @@ def refuse_bool(**values) -> None:
             raise InvalidArgument(f"{name} must be a number, not the boolean {val}")
 
 
-def require_index(value, name: str) -> int:
-    """``value`` as an int; InvalidArgument naming ``name`` for a boolean or non-integral value."""
+def require_index(value, name: str, least: int | None = None) -> int:
+    """``value`` as an int, refused (naming ``name``) if boolean, non-integral or below ``least``."""
     refuse_bool(**{name: value})
     try:
-        return operator.index(value)
+        index = operator.index(value)
     except TypeError:
         raise InvalidArgument(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and index < least:
+        raise InvalidArgument(f"{name} must be at least {least}, got {value!r}")
+    return index
 
 
 def require_finite(**values) -> None:
-    """Raise InvalidArgument naming the first boolean or non-finite value (a number or an array)."""
+    """Raise InvalidArgument naming the first boolean, non-number or non-finite value or array."""
     refuse_bool(**values)
     for name, val in values.items():
-        if not np.isfinite(val).all():
-            raise InvalidArgument(f"{name} must be finite, got {val}")
+        try:
+            if not np.isfinite(val).all():
+                raise InvalidArgument(f"{name} must be finite, got {val}")
+        except TypeError:  # a string, None or an int beyond the double range
+            raise InvalidArgument(f"{name} must be a number, got {val!r}") from None
+
+
+def require_positive(**values) -> None:
+    """Raise InvalidArgument naming the first value that is not a finite real scalar above zero."""
+    for name, val in values.items():
+        if type(val) is float and 0.0 < val < math.inf:  # the common case, and the fastest test
+            continue
+        refuse_bool(**{name: val})
+        try:  # int and float before numbers.Real, which is much slower to test
+            positive = isinstance(val, (int, float, numbers.Real)) and math.isfinite(val) and val > 0
+        except OverflowError:  # an int beyond the double range
+            positive = False
+        if not positive:
+            raise InvalidArgument(f"{name} must be positive, got {val!r}")

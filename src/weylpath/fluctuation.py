@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidArgument, refine
-from .errors import refuse_bool, require_finite, require_index
+from .errors import require_finite, require_index, require_positive
 from .semiclassics import _rk4
 
 __all__ = [
@@ -56,8 +56,7 @@ class FluctuationCoeffs:
         if not (len(self.A) == len(self.B) == len(self.C) > 0):
             raise InvalidArgument("A, B, C must be non-empty and of equal length")
         require_finite(A=self.A, B=self.B, C=self.C, tau=self.tau, hbar=self.hbar)
-        if not (self.tau > 0 and self.hbar > 0):
-            raise InvalidArgument("tau and hbar must be positive")
+        require_positive(tau=self.tau, hbar=self.hbar)
 
     @property
     def N(self) -> int:
@@ -229,15 +228,14 @@ def det_continuum(
         If halving the step moves Delta(T) by more than ``step_tolerance``.
     InvalidArgument
         If T is negative or not finite, ``steps`` is a boolean, not an
-        integer or below 1, ``hbar`` is not positive, or A, B or C returns a
-        non-finite value.
+        integer or below 1, ``hbar`` is not finite and positive, or A, B or C
+        returns a non-finite value.
     """
-    refuse_bool(T=T, hbar=hbar)
-    steps = require_index(steps, "steps")
-    if not (np.isfinite(T) and T >= 0):
-        raise InvalidArgument(f"T must be finite and non-negative, got {T}")
-    if not (steps >= 1 and hbar > 0):
-        raise InvalidArgument(f"need steps >= 1 and hbar > 0, got {steps} and {hbar}")
+    require_finite(T=T)
+    require_positive(hbar=hbar)
+    steps = require_index(steps, "steps", 1)
+    if T < 0:
+        raise InvalidArgument(f"T must be non-negative, got {T}")
     T, hbar = float(T), float(hbar)  # keeps the RK4 stages off numpy-scalar arithmetic
     if T == 0:
         return 1.0 + 0.0j

@@ -22,7 +22,7 @@ import numpy as np
 from .algebra import OperatorPoly, SymbolPoly, form_s, symbol_for_form
 from .coherent import overlap
 from .errors import CausticWarning, DomainError, InvalidArgument, NonConverged
-from .errors import finite_double, require_finite, require_index
+from .errors import finite_double, require_finite, require_index, require_positive
 
 __all__ = [
     "ComplexTrajectory",
@@ -177,8 +177,8 @@ def solve_bvp(
         RK4 steps of the full grid, rounded up to even (Simpson's rule);
         any integer type, numpy integers included.
     guess : complex, optional
-        Starting v(0); default propagates conj(z'') backwards with the
-        quadratic part of the symbol.
+        Starting v(0), which must be finite; default propagates conj(z'')
+        backwards with the quadratic part of the symbol.
 
     Raises
     ------
@@ -187,17 +187,17 @@ def solve_bvp(
         ``MAX_ITER`` steps, or an endpoint component (u, v, du, dv)(T) is not
         finite.
     InvalidArgument
-        If T, ``hbar`` or ``tol`` is not finite and positive, an endpoint is
-        not finite, or ``steps`` is a boolean, not an integer or below
-        ``MIN_STEPS``.
+        If T, ``hbar`` or ``tol`` is not finite and positive, an endpoint or
+        the guess is not finite, or ``steps`` is a boolean, not an integer or
+        below ``MIN_STEPS``.
     """
     require_finite(T=T, zp=zp, zpp_star=zpp_star, hbar=hbar, tol=tol)
-    if not (T > 0 and hbar > 0 and tol > 0):
-        raise InvalidArgument(f"T, hbar and tol must be positive, got {T}, {hbar} and {tol}")
+    require_positive(T=T, hbar=hbar, tol=tol)
+    if guess is not None:
+        require_finite(guess=guess)
     # Python scalars: a numpy T, hbar or steps would put every RK4 stage on numpy-scalar arithmetic
-    T, hbar, tol, steps = float(T), float(hbar), float(tol), require_index(steps, "steps")
-    if steps < MIN_STEPS:
-        raise InvalidArgument(f"need at least {MIN_STEPS} integration steps")
+    T, hbar, tol = float(T), float(hbar), float(tol)
+    steps = require_index(steps, "steps", MIN_STEPS)
     steps += steps % 2  # Simpson-friendly grids
     coarse_steps = steps // COARSE_FACTOR
     coarse_steps += coarse_steps % 2
@@ -388,7 +388,7 @@ def semiclassical_K(
     InvalidArgument
         If T is negative or not finite, an endpoint is not finite, ``steps``
         is a boolean or not an integer, or (for T > 0) ``tol`` is not finite
-        and positive or ``steps`` is below ``MIN_STEPS``.
+        and positive, ``steps`` is below ``MIN_STEPS`` or a guess is not finite.
     """
     form = form.lower()
     s = form_s(form)

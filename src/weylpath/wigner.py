@@ -26,7 +26,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .algebra import OperatorPoly, ScaleContext
 from .coherent import DENSE_BYTES, _cached_oracle, _labels, coherent_matrix
 from .discrete import DiscreteWPath, _alternating, chord_coefficients
-from .errors import DomainError, InvalidArgument, refine, require_finite
+from .errors import DomainError, InvalidArgument, refine
+from .errors import require_finite, require_index, require_positive
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -72,7 +73,10 @@ def phase_grid_axes(
     q_widths: float = 4.0,
     p_widths: float = 4.0,
 ):
-    """Default axes |q| <= q_widths b, |p| <= p_widths c."""
+    """Default axes |q| <= q_widths b, |p| <= p_widths c: nq, npts >= 1 points, positive widths."""
+    require_index(nq, "nq", 1)
+    require_index(npts, "npts", 1)
+    require_positive(q_widths=q_widths, p_widths=p_widths)
     qs = np.linspace(-q_widths * ctx.b, q_widths * ctx.b, nq)
     ps = np.linspace(-p_widths * ctx.c, p_widths * ctx.c, npts)
     return qs, ps
@@ -145,11 +149,12 @@ def weyl_U_grid(
         If halving the chord step moves any grid value beyond
         ``CHORD_TOLERANCE``.
     InvalidArgument
-        If T or an axis is not finite, or the q axis is not uniformly spaced.
+        If T or an axis is not finite, an axis is empty or the q axis is not uniform.
     """
     qs = np.asarray(qs, float)
     ps = np.asarray(ps, float)
     require_finite(qs=qs, ps=ps)
+    require_index(min(qs.size, ps.size), "len(qs) and len(ps)", 1)
     q_max = np.max(np.abs(qs))
     corner = _labels(ctx.z_from_qp(q_max, np.max(np.abs(ps))), cutoff)[0]
     root = math.sqrt(2.0 * cutoff + 1.0)
@@ -203,11 +208,12 @@ def husimi_U_grid(
     DomainError
         If a grid label is not resolved by ``cutoff``.
     InvalidArgument
-        If T or an axis is not finite.
+        If T or an axis is not finite, or an axis is empty.
     """
     qs = np.asarray(qs, float)
     ps = np.asarray(ps, float)
     require_finite(qs=qs, ps=ps)
+    require_index(min(qs.size, ps.size), "len(qs) and len(ps)", 1)
     Q, P = np.meshgrid(qs, ps, indexing="ij")
     labels = ctx.z_from_qp(Q, P).ravel()
     cols = coherent_matrix(labels, cutoff)

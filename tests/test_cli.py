@@ -310,6 +310,22 @@ def test_package_raises_only_its_own_errors():
     assert offenders == []
 
 
+def test_only_errors_calls_refuse_bool():
+    """Argument checks go through require_finite, require_positive and require_index; the
+    boolean refusal they share is called in errors.py alone."""
+    src = os.path.dirname(os.path.abspath(cli.__file__))
+    callers = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "errors.py":
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("refuse_bool"):
+                callers.append(f"{name}:{node.lineno}")
+    assert callers == []
+
+
 class TestSemiclassical:
     @pytest.mark.parametrize(
         "z0, T, code, message",

@@ -10,6 +10,7 @@ import pytest
 from scipy.linalg import expm
 
 from weylpath import (
+    DiscGridSpec,
     DiscreteWPath,
     FluctuationCoeffs,
     FockOracle,
@@ -17,6 +18,7 @@ from weylpath import (
     PhasePoint,
     ScaleContext,
     SymbolPoly,
+    convergence_table,
     det_continuum,
     displacement_element,
     exact_propagator,
@@ -406,15 +408,49 @@ H_QUARTIC = quartic_position_hamiltonian(0.1, CTX)
         (lambda: FluctuationCoeffs(A=[0.1, NAN], B=[0.2, 0.2], C=[0.3, 0.3], tau=0.1),
          ValueError, "A must be finite"),
         (lambda: OperatorPoly({(1, 1): 1.0}, hbar=math.inf),
-         ValueError, "hbar must be finite and positive"),
+         ValueError, "^hbar must be positive, got inf$"),
         (lambda: OperatorPoly({(1, 1): 1.0}, hbar=NAN),
-         ValueError, "hbar must be finite and positive"),
-        (lambda: ScaleContext(hbar=NAN), ValueError, "must all be finite and positive"),
-        (lambda: ScaleContext(b=math.inf), ValueError, "must all be finite and positive"),
+         ValueError, "^hbar must be positive, got nan$"),
+        (lambda: ScaleContext(hbar=NAN), ValueError, "^hbar must be positive, got nan$"),
+        (lambda: ScaleContext(b=math.inf), ValueError, "^b must be positive, got inf$"),
         (lambda: ScaleContext(hbar=1e-300, b=1e100), ValueError,
-         "c = hbar / b must all be finite and positive"),
+         "^c must be positive, got 0.0$"),  # c = hbar / b underflows
         (lambda: ScaleContext.default(mass=1e-320, omega=1e-320), ValueError,
-         "must all be finite and positive"),  # m omega underflows, and b = 1e320 is beyond range
+         "^b must be positive, got inf$"),  # m omega underflows, and b = 1e320 is beyond range
+        (lambda: det_continuum(lambda t: 0.0, lambda t: 0.0, lambda t: 1.0, 1.0, hbar=math.inf),
+         InvalidArgument, "^hbar must be positive, got inf$"),  # returned exactly 1+0j
+        (lambda: exact_propagator(H_QUARTIC, 0.3, 0.2, "0.5", cutoff=40),
+         InvalidArgument, "^T must be a number, got '0.5'$"),
+        (lambda: harmonic_exact_K(0.3, 0.2, 1.0, None),
+         InvalidArgument, "^T must be a number, got None$"),
+        (lambda: semiclassical_K("w", H_QUARTIC, 0.3, 0.2, 10**400),
+         InvalidArgument, "^T must be a number, got 1000"),
+        (lambda: ScaleContext(hbar="1.0"), InvalidArgument, "^hbar must be positive, got '1.0'$"),
+        (lambda: exact_propagator(H_QUARTIC, 0.3, 0.2, 0.5, cutoff=40, check_tolerance=NAN),
+         InvalidArgument, "^check_tolerance must be positive, got nan$"),
+        (lambda: exact_propagator(H_QUARTIC, 0.3, 0.2, 0.5, cutoff=40, check_tolerance=-1.0),
+         InvalidArgument, "^check_tolerance must be positive, got -1.0$"),
+        (lambda: DiscGridSpec(radius_widths=NAN),
+         InvalidArgument, "^radius_widths must be positive, got nan$"),
+        (lambda: DiscGridSpec(radius_widths=-6.0),
+         InvalidArgument, "^radius_widths must be positive, got -6.0$"),
+        (lambda: DiscGridSpec(tolerance=NAN), InvalidArgument, "^tolerance must be positive, got nan$"),
+        (lambda: DiscGridSpec(tolerance=-1.0),
+         InvalidArgument, "^tolerance must be positive, got -1.0$"),
+        (lambda: phase_grid_axes(CTX, q_widths=-1.0),
+         InvalidArgument, "^q_widths must be positive, got -1.0$"),
+        (lambda: phase_grid_axes(CTX, p_widths=math.inf),
+         InvalidArgument, "^p_widths must be positive, got inf$"),
+        (lambda: weyl_U_grid(H_QUARTIC, CTX, 1.0, [], [0.0, 1.0], cutoff=60),
+         InvalidArgument, r"^len\(qs\) and len\(ps\) must be at least 1, got 0$"),
+        (lambda: husimi_U_grid(H_QUARTIC, CTX, 1.0, [0.0, 1.0], [], cutoff=60),
+         InvalidArgument, r"^len\(qs\) and len\(ps\) must be at least 1, got 0$"),
+        (lambda: solve_bvp(weyl_symbol(H_QUARTIC), 0.3, 0.2, 0.5, guess=NAN),
+         InvalidArgument, "^guess must be finite, got nan$"),  # counted as a failed shooting
+        (lambda: semiclassical_K("w", H_QUARTIC, 0.3, 0.2, 0.5, guesses=[None, math.inf]),
+         InvalidArgument, "^guess must be finite, got inf$"),  # a RuntimeWarning in the matmul
+        (lambda: DiscreteWPath(w=np.zeros(2), tau=0.1, zp=0.3, zpp=0.2, hbar=0.0),
+         InvalidArgument, "^hbar must be positive, got 0.0$"),  # phi_N divided by it
     ],
     ids=["exact-nan", "exact-inf", "weyl_element", "quadrature_K", "quadrature_K-q1",
          "harmonic_exact_K", "harmonic_discrete_K", "harmonic_exact_K-label",
@@ -425,12 +461,60 @@ H_QUARTIC = quartic_position_hamiltonian(0.1, CTX)
          "semiclassical_K-zp", "semiclassical_K-zpp-at-T0", "solve_bvp-tol",
          "FluctuationCoeffs-tau", "FluctuationCoeffs-coefficient", "OperatorPoly-hbar-inf",
          "OperatorPoly-hbar-nan", "ScaleContext-hbar-nan", "ScaleContext-b-inf",
-         "ScaleContext-c-underflow", "ScaleContext-default-underflow"],
+         "ScaleContext-c-underflow", "ScaleContext-default-underflow", "det_continuum-hbar-inf",
+         "exact_propagator-T-string", "harmonic_exact_K-T-None", "semiclassical_K-T-huge-int",
+         "ScaleContext-hbar-string", "exact_propagator-check_tolerance-nan",
+         "exact_propagator-check_tolerance-negative", "DiscGridSpec-radius_widths-nan",
+         "DiscGridSpec-radius_widths-negative", "DiscGridSpec-tolerance-nan",
+         "DiscGridSpec-tolerance-negative", "phase_grid_axes-q_widths", "phase_grid_axes-p_widths",
+         "weyl_U_grid-empty-axis", "husimi_U_grid-empty-axis", "solve_bvp-guess",
+         "semiclassical_K-guess", "DiscreteWPath-hbar"],
 )
 def test_non_finite_input_raises(call, error, message):
-    """A non-finite T, label or grid axis raises instead of returning NaN."""
+    """A non-finite or non-numeric T, label, axis, scale, width or tolerance (and a width or
+    tolerance below zero) raises InvalidArgument naming it, instead of returning NaN or
+    failing later."""
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "value", [8.0, True, np.True_, None], ids=["float", "bool", "numpy-bool", "below-least"]
+)
+@pytest.mark.parametrize(
+    "call, name, least",
+    [
+        (lambda x: fock_coherent(0.3, x), "cutoff", 0),
+        (lambda x: coherent_matrix([0.3, 0.1j], x), "cutoff", 0),
+        (lambda x: operator_matrix(H_QUARTIC, x), "cutoff", 4),
+        (lambda x: FockOracle(H_QUARTIC, x), "cutoff", 0),
+        (lambda x: exact_propagator(H_QUARTIC, 0.3, 0.2, 0.5, cutoff=x), "cutoff", 0),
+        (lambda x: weyl_U_grid(H_QUARTIC, CTX, 0.5, *AXES, cutoff=x), "cutoff", 0),
+        (lambda x: husimi_U_grid(H_QUARTIC, CTX, 0.5, *AXES, cutoff=x), "cutoff", 0),
+        (lambda x: mu_coefficients(1.0, 0.5, x), "N", 1),
+        (lambda x: harmonic_discrete_K("q", 0.3, 0.2, 1.0, 0.5, x), "N", 1),
+        (lambda x: convergence_table(1.0, 0.5, 0.3, 0.2, [x]), "N", 1),
+        (lambda x: stationary_path_harmonic(0.3, 0.2, 1.0, 0.5, x), "N", 2),
+        (lambda x: quadrature_K("p", H_QUARTIC, 0.3, 0.2, 0.5, x), "N", 1),
+        (lambda x: DiscGridSpec(points=x), "points", 2),
+        (lambda x: phase_grid_axes(CTX, nq=x), "nq", 1),
+        (lambda x: phase_grid_axes(CTX, npts=x), "npts", 1),
+    ],
+    ids=["fock_coherent", "coherent_matrix", "operator_matrix", "FockOracle", "exact_propagator",
+         "weyl_U_grid", "husimi_U_grid", "mu_coefficients", "harmonic_discrete_K",
+         "convergence_table", "stationary_path_harmonic", "quadrature_K", "DiscGridSpec",
+         "phase_grid_axes-nq", "phase_grid_axes-npts"],
+)
+def test_counts_must_be_integers(call, name, least, value):
+    """A float, a boolean or a count below its least value is refused with one message that
+    names the count: a float ended in a TypeError, a boolean mostly ran as 1, and each lower
+    bound had its own wording (quadrature_K's N = 0 was a DomainError)."""
+    if value is None:
+        value, wording = least - 1, f"at least {least}, got {least - 1}"
+    else:
+        wording = "an integer, got 8.0" if value == 8.0 else "a number, not the boolean True"
+    with pytest.raises(InvalidArgument, match=f"^{name} must be {wording}$"):
+        call(value)
 
 
 @pytest.mark.parametrize(

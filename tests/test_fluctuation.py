@@ -294,11 +294,16 @@ class TestDetContinuum:
             assert b < 0.6 * a
         assert errs[-1] < 5e-3
 
-    @pytest.mark.parametrize("options", [{"steps": 0}, {"hbar": 0.0}], ids=["steps-0", "hbar-0"])
-    def test_rejects_no_steps_and_zero_hbar(self, options):
+    @pytest.mark.parametrize(
+        "options, message",
+        [({"steps": 0}, "^steps must be at least 1, got 0$"),
+         ({"hbar": 0.0}, "^hbar must be positive, got 0.0$")],
+        ids=["steps-0", "hbar-0"],
+    )
+    def test_rejects_no_steps_and_zero_hbar(self, options, message):
         # both used to raise ZeroDivisionError
         zero = lambda t: 0.0
-        with pytest.raises(ValueError, match="need steps >= 1 and hbar > 0"):
+        with pytest.raises(ValueError, match=message):
             det_continuum(zero, zero, zero, 1.0, **options)
 
     @pytest.mark.parametrize("steps", [64.0, True], ids=["float", "bool"])

@@ -277,12 +277,14 @@ class TestSolveBvp:
             lambda: semiclassical_K("w", H_HARM, 0.1, 0.1, 1.0, steps=512.5),
             lambda: semiclassical_K("w", H_HARM, 0.1, 0.1, 1.0, steps=True),
             lambda: semiclassical_K("w", H_HARM, 0.1, 0.1, 0.0, steps=np.float64(512)),
+            lambda: solve_bvp(SYM_W, 0.1, 0.1, 1.0, steps=8),
         ],
         ids=["solve_bvp-float", "solve_bvp-bool", "semiclassical_K-float",
-             "semiclassical_K-bool", "semiclassical_K-float-at-T0"],
+             "semiclassical_K-bool", "semiclassical_K-float-at-T0", "solve_bvp-below-min"],
     )
     def test_steps_must_be_an_integer(self, call):
-        # a float ended in a TypeError from range; True was a step count of 1
+        # a float ended in a TypeError from range; True was a step count of 1;
+        # too few steps were refused without the argument's name
         with pytest.raises(InvalidArgument, match="steps must be"):
             call()
 
