@@ -546,8 +546,9 @@ def load_hamiltonian(source) -> tuple[OperatorPoly, ScaleContext]:
     try:  # ScaleContext refuses each scale that is not a finite number above zero
         if "width_b" not in data:
             ctx = ScaleContext.default(*scales)
-        else:
-            ctx = ScaleContext(*scales, data["width_b"])
+        else:  # checked under the name the file gives it, so float() sees a real number
+            require_positive(width_b=data["width_b"])
+            ctx = ScaleContext(*scales, float(data["width_b"]))
     except InvalidArgument as exc:
         raise HamiltonianFormatError(str(exc)) from None
 

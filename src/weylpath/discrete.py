@@ -67,7 +67,7 @@ class DiscreteWPath:
         object.__setattr__(self, "w_star", ws)
         if len(w) % 2 != 0 or len(w) == 0:
             raise InvalidArgument("N must be a positive even integer")
-        require_finite(w=w, w_star=ws, tau=self.tau)
+        require_finite(w=w, w_star=ws)
         require_positive(tau=self.tau, hbar=self.hbar)
 
     @property

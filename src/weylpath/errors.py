@@ -92,21 +92,20 @@ def require_finite(**values) -> None:
     """Raise InvalidArgument naming the first boolean, non-number or non-finite value or array."""
     refuse_bool(**values)
     for name, val in values.items():
-        try:
-            if not np.isfinite(val).all():
-                raise InvalidArgument(f"{name} must be finite, got {val}")
-        except TypeError:  # a string, None or an int beyond the double range
+        try:  # a Python int as a float: numpy cannot test one of 2**64 or more
+            finite = np.isfinite(float(val) if isinstance(val, int) else val).all()
+        except (TypeError, OverflowError):  # a string, None or an int beyond the double range
             raise InvalidArgument(f"{name} must be a number, got {val!r}") from None
+        if not finite:
+            raise InvalidArgument(f"{name} must be finite, got {val}")
 
 
 def require_positive(**values) -> None:
     """Raise InvalidArgument naming the first value that is not a finite real scalar above zero."""
+    refuse_bool(**values)
     for name, val in values.items():
-        if type(val) is float and 0.0 < val < math.inf:  # the common case, and the fastest test
-            continue
-        refuse_bool(**{name: val})
-        try:  # int and float before numbers.Real, which is much slower to test
-            positive = isinstance(val, (int, float, numbers.Real)) and math.isfinite(val) and val > 0
+        try:
+            positive = isinstance(val, numbers.Real) and math.isfinite(val) and val > 0
         except OverflowError:  # an int beyond the double range
             positive = False
         if not positive:

@@ -55,7 +55,7 @@ class FluctuationCoeffs:
             )
         if not (len(self.A) == len(self.B) == len(self.C) > 0):
             raise InvalidArgument("A, B, C must be non-empty and of equal length")
-        require_finite(A=self.A, B=self.B, C=self.C, tau=self.tau, hbar=self.hbar)
+        require_finite(A=self.A, B=self.B, C=self.C)
         require_positive(tau=self.tau, hbar=self.hbar)
 
     @property

@@ -191,13 +191,12 @@ def solve_bvp(
         the guess is not finite, or ``steps`` is a boolean, not an integer or
         below ``MIN_STEPS``.
     """
-    require_finite(T=T, zp=zp, zpp_star=zpp_star, hbar=hbar, tol=tol)
     require_positive(T=T, hbar=hbar, tol=tol)
+    require_finite(zp=zp, zpp_star=zpp_star)
     if guess is not None:
         require_finite(guess=guess)
     # Python scalars: a numpy T, hbar or steps would put every RK4 stage on numpy-scalar arithmetic
-    T, hbar, tol = float(T), float(hbar), float(tol)
-    steps = require_index(steps, "steps", MIN_STEPS)
+    T, hbar, tol, steps = float(T), float(hbar), float(tol), require_index(steps, "steps", MIN_STEPS)
     steps += steps % 2  # Simpson-friendly grids
     coarse_steps = steps // COARSE_FACTOR
     coarse_steps += coarse_steps % 2

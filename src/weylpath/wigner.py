@@ -82,6 +82,15 @@ def phase_grid_axes(
     return qs, ps
 
 
+def _axes(qs, ps) -> tuple[np.ndarray, np.ndarray]:
+    """The grid axes as float arrays; refuses an empty or non-finite axis."""
+    qs, ps = np.asarray(qs, float), np.asarray(ps, float)
+    require_finite(qs=qs, ps=ps)
+    if qs.size == 0 or ps.size == 0:
+        raise InvalidArgument(f"qs and ps must not be empty, got {qs.size} and {ps.size} values")
+    return qs, ps
+
+
 def hermite_functions(xs: np.ndarray, nmax: int, b: float) -> np.ndarray:
     """Orthonormal oscillator eigenfunctions <x|n>, n = 0..nmax.
 
@@ -151,10 +160,7 @@ def weyl_U_grid(
     InvalidArgument
         If T or an axis is not finite, an axis is empty or the q axis is not uniform.
     """
-    qs = np.asarray(qs, float)
-    ps = np.asarray(ps, float)
-    require_finite(qs=qs, ps=ps)
-    require_index(min(qs.size, ps.size), "len(qs) and len(ps)", 1)
+    qs, ps = _axes(qs, ps)
     q_max = np.max(np.abs(qs))
     corner = _labels(ctx.z_from_qp(q_max, np.max(np.abs(ps))), cutoff)[0]
     root = math.sqrt(2.0 * cutoff + 1.0)
@@ -210,10 +216,7 @@ def husimi_U_grid(
     InvalidArgument
         If T or an axis is not finite, or an axis is empty.
     """
-    qs = np.asarray(qs, float)
-    ps = np.asarray(ps, float)
-    require_finite(qs=qs, ps=ps)
-    require_index(min(qs.size, ps.size), "len(qs) and len(ps)", 1)
+    qs, ps = _axes(qs, ps)
     Q, P = np.meshgrid(qs, ps, indexing="ij")
     labels = ctx.z_from_qp(Q, P).ravel()
     cols = coherent_matrix(labels, cutoff)

@@ -538,3 +538,8 @@ class TestHamiltonianLoader:
     def test_rejects_nonpositive_hbar(self):
         with pytest.raises(HamiltonianFormatError, match="hbar"):
             load_hamiltonian({"hbar": 0.0, "ordering": "normal", "terms": []})
+
+    def test_width_b_is_named_as_in_the_file_and_read_as_a_float(self):
+        with pytest.raises(HamiltonianFormatError, match="^width_b must be positive, got -1$"):
+            load_hamiltonian({"width_b": -1, "ordering": "normal", "terms": []})
+        assert repr(load_hamiltonian({"width_b": 2, "terms": []})[1].b) == "2.0"

@@ -326,6 +326,20 @@ def test_only_errors_calls_refuse_bool():
     assert callers == []
 
 
+@pytest.mark.parametrize("value", [10**20, 10**400], ids=["beyond-int64", "beyond-double"])
+def test_finite_and_positive_agree_on_large_ints(value):
+    """An int numpy cannot hold but a double can is a finite, positive number to both helpers
+    (require_finite called it 'not a number'); an int beyond the double range is refused by both."""
+    if value < 1e308:
+        errors.require_finite(T=value)
+        errors.require_positive(T=value)
+        return
+    with pytest.raises(errors.InvalidArgument, match="^T must be a number, got 1000"):
+        errors.require_finite(T=value)
+    with pytest.raises(errors.InvalidArgument, match="^T must be positive, got 1000"):
+        errors.require_positive(T=value)
+
+
 class TestSemiclassical:
     @pytest.mark.parametrize(
         "z0, T, code, message",

@@ -379,12 +379,12 @@ H_QUARTIC = quartic_position_hamiltonian(0.1, CTX)
         (lambda: harmonic_discrete_K("w", NAN, 0.2, 1.0, 0.2, 2),
          ValueError, "zp must be finite"),
         (lambda: DiscreteWPath(w=np.zeros(2), tau=NAN, zp=0.3, zpp=0.2),
-         ValueError, "tau must be finite"),
+         ValueError, "^tau must be positive, got nan$"),
         (lambda: stationary_path_harmonic(0.3, 0.2, 1.0, NAN, 4),
          ValueError, "T must be finite"),
         (lambda: mu_coefficients(1.0, math.inf, 4), ValueError, "T must be finite"),
         (lambda: solve_bvp(weyl_symbol(H_QUARTIC), 0.3, 0.2, NAN),
-         ValueError, "T must be finite"),
+         ValueError, "^T must be positive, got nan$"),
         (lambda: semiclassical_K("w", H_QUARTIC, 0.3, 0.2, NAN),
          ValueError, "T must be finite"),
         (lambda: det_continuum(lambda t: 0.0, lambda t: 0.0, lambda t: 1.0, NAN),
@@ -402,9 +402,9 @@ H_QUARTIC = quartic_position_hamiltonian(0.1, CTX)
         (lambda: semiclassical_K("w", H_QUARTIC, 0.3, complex(0.2, math.inf), 0.0),
          ValueError, "zpp must be finite"),
         (lambda: solve_bvp(weyl_symbol(H_QUARTIC), 0.3, 0.2, 0.5, tol=NAN),
-         ValueError, "tol must be finite"),
+         ValueError, "^tol must be positive, got nan$"),
         (lambda: FluctuationCoeffs(A=[0.1], B=[0.2], C=[0.3], tau=NAN),
-         ValueError, "tau must be finite"),
+         ValueError, "^tau must be positive, got nan$"),
         (lambda: FluctuationCoeffs(A=[0.1, NAN], B=[0.2, 0.2], C=[0.3, 0.3], tau=0.1),
          ValueError, "A must be finite"),
         (lambda: OperatorPoly({(1, 1): 1.0}, hbar=math.inf),
@@ -442,9 +442,9 @@ H_QUARTIC = quartic_position_hamiltonian(0.1, CTX)
         (lambda: phase_grid_axes(CTX, p_widths=math.inf),
          InvalidArgument, "^p_widths must be positive, got inf$"),
         (lambda: weyl_U_grid(H_QUARTIC, CTX, 1.0, [], [0.0, 1.0], cutoff=60),
-         InvalidArgument, r"^len\(qs\) and len\(ps\) must be at least 1, got 0$"),
+         InvalidArgument, "^qs and ps must not be empty, got 0 and 2 values$"),
         (lambda: husimi_U_grid(H_QUARTIC, CTX, 1.0, [0.0, 1.0], [], cutoff=60),
-         InvalidArgument, r"^len\(qs\) and len\(ps\) must be at least 1, got 0$"),
+         InvalidArgument, "^qs and ps must not be empty, got 2 and 0 values$"),
         (lambda: solve_bvp(weyl_symbol(H_QUARTIC), 0.3, 0.2, 0.5, guess=NAN),
          InvalidArgument, "^guess must be finite, got nan$"),  # counted as a failed shooting
         (lambda: semiclassical_K("w", H_QUARTIC, 0.3, 0.2, 0.5, guesses=[None, math.inf]),
