@@ -18,7 +18,7 @@ from .algebra import FORM_S, load_hamiltonian, symbol_for_form, symbol_to_qp
 from .coherent import CUTOFF_TOLERANCE, DEFAULT_CUTOFF, exact_propagator
 from .discrete import DiscGridSpec, convergence_table, quadrature_K
 from .semiclassics import MIN_STEPS, semiclassical_K
-from .wigner import husimi_U_grid, phase_grid_axes, weyl_U_grid
+from .wigner import GRID_CUTOFF, husimi_U_grid, phase_grid_axes, weyl_U_grid
 
 EXIT_PARSE = 1
 
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wigner-u", help="Weyl and Husimi grids of the evolution")
     common(p)
     p.add_argument("--T", type=_finite, required=True)
-    p.add_argument("--cutoff", type=_at_least(0, int), default=200)
+    p.add_argument("--cutoff", type=_at_least(0, int), default=GRID_CUTOFF)
     p.add_argument("--nq", type=_at_least(1, int), default=64)
     p.add_argument("--np", type=_at_least(1, int), default=64)
     p.add_argument("--q-widths", type=_positive, default=4.0)

@@ -84,6 +84,7 @@ def _fock_log_tables(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _labels(zs, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat complex labels and their moduli; refuses a cutoff below 0 or a non-finite label."""
+    require_finite(**{"coherent labels": zs})  # a string, before numpy's conversion
     zs = np.atleast_1d(np.asarray(zs, dtype=complex)).ravel()
     require_index(cutoff, "cutoff", 0)
     r = np.abs(zs)
@@ -106,15 +107,11 @@ def coherent_matrix(zs, cutoff: int) -> np.ndarray:
         ``TAIL_THRESHOLD`` (or is not a number), or the columns would take
         more than ``DENSE_BYTES`` (refused before anything is built).
     InvalidArgument
-        If the cutoff is not an integer of at least 0 or a label is not finite.
+        If the cutoff is not an integer of at least 0 or a label is not a finite number.
     """
     zs, r = _labels(zs, cutoff)
     need = COHERENT_BYTES * (cutoff + 1) * (zs.size + 1)
-    if need > DENSE_BYTES:
-        raise DomainError(
-            f"coherent vectors of {zs.size} labels at cutoff {cutoff}: "
-            f"{need:.3g} bytes exceed DENSE_BYTES"
-        )
+    _require_dense(need, f"coherent vectors of {zs.size} labels at cutoff {cutoff}")
     n, half_log_fact = _fock_log_tables(cutoff)
     r1 = np.maximum(r, np.finfo(float).tiny)  # a zero label keeps n = 0 alone
     cols = np.empty((cutoff + 1, zs.size), dtype=complex)
@@ -185,9 +182,6 @@ class FockOracle:
         require_finite(T=T)
         return np.exp(-1j * self.evals * T / self.hbar)
 
-    def evolution_matrix(self, T: float) -> np.ndarray:
-        return (self.evecs * self._phases(T)[None, :]) @ self.evecs.conj().T
-
     def propagator(self, z1: complex, z2, T: float):
         """<z2|exp(-i H T / hbar)|z1>, vectorised over an array of z2."""
         v1 = coherent_matrix(z1, self.cutoff)[:, 0]
@@ -217,13 +211,13 @@ def exact_propagator(
     NonConverged
         If doubling the cutoff moves the result by more than the tolerance.
     InvalidArgument
-        If T is negative or not finite, ``cutoff`` is not an integer of at
-        least 0 and the degree of H, or ``check_tolerance`` is not positive.
+        If T is negative, T or a label is not finite, ``cutoff`` is not an integer
+        of at least 0 and the degree of H, or ``check_tolerance`` is not positive.
     """
-    require_finite(T=T)  # before an oracle is built
+    require_finite(T=T, z1=z1, z2=z2)  # before an oracle is built
     require_positive(check_tolerance=check_tolerance)
     if T < 0:
-        raise InvalidArgument("T must be non-negative")
+        raise InvalidArgument(f"T must be non-negative, got {T}")
     _require_oracle_fits(cutoff, 2)
     base = _cached_oracle(H, cutoff).propagator(z1, z2, T)
     refined = _cached_oracle(H, 2 * cutoff).propagator(z1, z2, T)
@@ -235,10 +229,13 @@ def _require_oracle_fits(cutoff: int, factor: int) -> None:
     """Refuse ``cutoff`` if its largest oracle, at ``factor * cutoff``, exceeds ``DENSE_BYTES``."""
     largest = factor * require_index(cutoff, "cutoff", 0)
     need = ORACLE_MATRICES * 16 * (largest + 1) ** 2
-    if need > DENSE_BYTES:
-        raise DomainError(
-            f"cutoff {cutoff} needs an oracle at cutoff {largest}: {need:.3g} bytes exceed DENSE_BYTES"
-        )
+    _require_dense(need, f"cutoff {cutoff} needs an oracle at cutoff {largest}")
+
+
+def _require_dense(need: float, what: str) -> None:
+    """Refuse ``what`` unless its ``need`` in bytes is at most ``DENSE_BYTES``, read at the call."""
+    if not need <= DENSE_BYTES:  # an inf or NaN count is refused too
+        raise DomainError(f"{what}: {need:.3g} bytes exceed DENSE_BYTES")
 
 
 _ORACLES: dict = {}

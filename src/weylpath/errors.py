@@ -94,7 +94,7 @@ def require_finite(**values) -> None:
     for name, val in values.items():
         try:  # a Python int as a float: numpy cannot test one of 2**64 or more
             finite = np.isfinite(float(val) if isinstance(val, int) else val).all()
-        except (TypeError, OverflowError):  # a string, None or an int beyond the double range
+        except (TypeError, ValueError, OverflowError):  # a string, None, a ragged list, a huge int
             raise InvalidArgument(f"{name} must be a number, got {val!r}") from None
         if not finite:
             raise InvalidArgument(f"{name} must be finite, got {val}")

@@ -1,11 +1,11 @@
 """Weyl symbol of the evolution operator and its Husimi counterpart.
 
-The Weyl grid is built from position matrix elements of the truncated
-evolution operator (Hermite functions on one position lattice through every
-q of a uniform axis and both ends of every chord, then a trapezoid transform
-over the chord length); the Husimi grid is the diagonal coherent-state
-propagator from the same oracle.  Their Gaussian-smoothing relation and the
-discrete symplectic-area identity are exposed as checks.
+Both grids apply the truncated evolution operator U in the Fock oracle's
+eigenbasis (E_k, |k>): the Weyl grid is a trapezoid transform over the chord
+length of <x|U|y> = sum_k conj(<k|x>) e^{-i E_k T/hbar} <k|y> on one position
+lattice through every q of a uniform axis and both ends of every chord, the
+Husimi grid <z|U|z> = sum_k e^{-i E_k T/hbar} |<k|z>|^2.  Their Gaussian-
+smoothing relation and the discrete symplectic-area identity are checks.
 
 A rank-(cutoff+1) truncation leaves a weak oscillation on Weyl symbols with
 local wavenumber up to 2 sqrt(2 cutoff)/b.  The smoothing kernel annihilates
@@ -24,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .algebra import OperatorPoly, ScaleContext
-from .coherent import DENSE_BYTES, _cached_oracle, _labels, coherent_matrix
+from .coherent import _cached_oracle, _labels, _require_dense, coherent_matrix
 from .discrete import DiscreteWPath, _alternating, chord_coefficients
 from .errors import DomainError, InvalidArgument, refine
 from .errors import require_finite, require_index, require_positive
@@ -41,7 +41,7 @@ __all__ = [
 
 CHORD_OVERSAMPLING = 1.25  # the coarse chord step is at most the Nyquist step over this
 CHORD_TOLERANCE = 1e-7  # largest grid change allowed when the chord step is halved
-LATTICE_BYTES = DENSE_BYTES  # largest phi plus U @ phi (complex, cutoff + 1 rows) to build
+GRID_CUTOFF = 200  # default Fock cutoff of both grids and of the wigner-u command
 _HERMITE_RESCALE = 2.0**100  # exact power of two; keeps the recurrence finite
 
 
@@ -83,9 +83,11 @@ def phase_grid_axes(
 
 
 def _axes(qs, ps) -> tuple[np.ndarray, np.ndarray]:
-    """The grid axes as float arrays; refuses an empty or non-finite axis."""
+    """The grid axes as 1-D float arrays; refuses an empty, non-numeric or non-finite axis."""
+    require_finite(qs=qs, ps=ps)  # a string, before numpy's conversion
     qs, ps = np.asarray(qs, float), np.asarray(ps, float)
-    require_finite(qs=qs, ps=ps)
+    if qs.ndim != 1 or ps.ndim != 1:
+        raise InvalidArgument(f"qs and ps must be 1-D axes, got shapes {qs.shape} and {ps.shape}")
     if qs.size == 0 or ps.size == 0:
         raise InvalidArgument(f"qs and ps must not be empty, got {qs.size} and {ps.size} values")
     return qs, ps
@@ -134,7 +136,7 @@ def weyl_U_grid(
     T: float,
     qs: np.ndarray,
     ps: np.ndarray,
-    cutoff: int = 200,
+    cutoff: int = GRID_CUTOFF,
     check: bool = True,
 ) -> PhaseSpaceGrid:
     """Weyl symbol U(q, p, T) of the truncated evolution operator.
@@ -152,13 +154,13 @@ def weyl_U_grid(
     ------
     DomainError
         If the corner coherent state is not resolved by ``cutoff``
-        (``coherent.TAIL_THRESHOLD``), or the lattice's two tables would
-        take more than ``LATTICE_BYTES``.
+        (``coherent.TAIL_THRESHOLD``), or the lattice's two complex tables
+        would take more than ``coherent.DENSE_BYTES``.
     NonConverged
         If halving the chord step moves any grid value beyond
         ``CHORD_TOLERANCE``.
     InvalidArgument
-        If T or an axis is not finite, an axis is empty or the q axis is not uniform.
+        If T or an axis is not finite, an axis is not 1-D or empty, or the q axis is not uniform.
     """
     qs, ps = _axes(qs, ps)
     q_max = np.max(np.abs(qs))
@@ -177,19 +179,21 @@ def weyl_U_grid(
     # trapezoid reads every other chord node
     every = 2 if check else 1
     stride = every * k  # lattice nodes per q step
-    with np.errstate(over="ignore"):  # a count beyond the double range is inf, refused below
+    with np.errstate(over="ignore"):  # a count beyond the double range is inf, and refused
         m = every * np.ceil(s_half * k / (2.0 * abs(dq)))  # chord nodes per side
         nodes = (len(qs) - 1) * stride + 2.0 * m + 1
-    if nodes > LATTICE_BYTES / (32.0 * (cutoff + 1)):
-        raise DomainError(f"{nodes:.3g} lattice nodes at cutoff {cutoff} exceed LATTICE_BYTES")
+        _require_dense(32.0 * (cutoff + 1) * nodes, f"{nodes:.3g} lattice nodes at cutoff {cutoff}")
     coherent_matrix(corner, cutoff)  # raises DomainError if short
     m = int(m)
     lattice = qs[0] + dq / stride * np.arange(-m, stride * (len(qs) - 1) + m + 1)
-    phi = hermite_functions(lattice, cutoff, ctx.b).astype(complex)  # as u_phi: einsum needs no cast
-    u_phi = _cached_oracle(H, cutoff).evolution_matrix(T) @ phi
+    oracle = _cached_oracle(H, cutoff)
+    # amp is <k|x>, as phi_n(x) = <n|x> is real; phi is cast first, as the product would copy it
+    amp = oracle.evecs.conj().T @ hermite_functions(lattice, cutoff, ctx.b).astype(complex)
+    u_amp = oracle._phases(T)[:, None] * amp
+    np.conj(amp, out=amp)
     # q_i is node m + i stride and chord node t (|t| <= m) joins the nodes
     # m + i stride -+ t: both lie in the window of 2m + 1 nodes from i stride
-    ends = [sliding_window_view(a, 2 * m + 1, axis=1)[:, ::stride] for a in (phi, u_phi)]
+    ends = [sliding_window_view(a, 2 * m + 1, axis=1)[:, ::stride] for a in (amp, u_amp)]
     kernel = np.einsum("nit,nit->it", ends[0][:, :, ::-1], ends[1])
     s = 2.0 * dq / stride * np.arange(-m, m + 1)
     values = _chord_transform(kernel[:, ::every], s[::every], ps, ctx.hbar)
@@ -205,7 +209,7 @@ def husimi_U_grid(
     T: float,
     qs: np.ndarray,
     ps: np.ndarray,
-    cutoff: int = 200,
+    cutoff: int = GRID_CUTOFF,
 ) -> PhaseSpaceGrid:
     """Diagonal coherent-state propagator K(z_x, z_x, T) on the grid.
 
@@ -214,15 +218,14 @@ def husimi_U_grid(
     DomainError
         If a grid label is not resolved by ``cutoff``.
     InvalidArgument
-        If T or an axis is not finite, or an axis is empty.
+        If T or an axis is not finite, or an axis is not 1-D or empty.
     """
     qs, ps = _axes(qs, ps)
-    Q, P = np.meshgrid(qs, ps, indexing="ij")
-    labels = ctx.z_from_qp(Q, P).ravel()
-    cols = coherent_matrix(labels, cutoff)
-    evolved = _cached_oracle(H, cutoff).evolution_matrix(T) @ cols
-    vals = np.sum(np.conj(cols) * evolved, axis=0)
-    return PhaseSpaceGrid(qs, ps, vals.reshape(len(qs), len(ps)))
+    cols = coherent_matrix(ctx.z_from_qp(*np.meshgrid(qs, ps, indexing="ij")), cutoff)
+    oracle = _cached_oracle(H, cutoff)
+    cols = oracle.evecs.conj().T @ cols  # <k|z>; each rebinding frees the array before it,
+    cols = np.abs(cols) ** 2  # so the peak stays within what coherent_matrix counts
+    return PhaseSpaceGrid(qs, ps, (oracle._phases(T) @ cols).reshape(len(qs), len(ps)))
 
 
 def _gaussian_band(n: int, step: float) -> np.ndarray:

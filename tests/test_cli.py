@@ -326,6 +326,28 @@ def test_only_errors_calls_refuse_bool():
     assert callers == []
 
 
+def test_one_budget_comparison():
+    """The memory budget is coherent.DENSE_BYTES alone: no other module names it, coherent reads
+    it only in _require_dense, and that helper holds the one comparison against it."""
+    src = os.path.dirname(os.path.abspath(cli.__file__))
+    offenders, compares = [], 0
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read())
+        helper = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                  and f.name == "_require_dense" for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            compares += isinstance(node, ast.Compare) and "DENSE_BYTES" in ast.unparse(node)
+            named = "DENSE_BYTES" in (  # a name, an attribute or an imported name
+                getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+            stored = isinstance(getattr(node, "ctx", None), ast.Store)
+            if named and (name != "coherent.py" or not stored and id(node) not in helper):
+                offenders.append(f"{name}:{node.lineno}")
+    assert offenders == [] and compares == 1
+
+
 @pytest.mark.parametrize("value", [10**20, 10**400], ids=["beyond-int64", "beyond-double"])
 def test_finite_and_positive_agree_on_large_ints(value):
     """An int numpy cannot hold but a double can is a finite, positive number to both helpers
@@ -459,7 +481,8 @@ class TestWignerU:
         # a tiny q step needs about s_half / dq lattice nodes; refused before any table exists
         argv = ["wigner-u", "--hamiltonian", harmonic_json, "--T", "1", "--nq", "3", "--np", "3"]
         assert main([*argv, "--cutoff", "60", "--q-widths", q_widths]) == 3
-        assert "lattice nodes at cutoff 60 exceed LATTICE_BYTES" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "lattice nodes at cutoff 60: " in err and "bytes exceed DENSE_BYTES" in err
 
 
 @pytest.mark.parametrize(

@@ -451,6 +451,14 @@ H_QUARTIC = quartic_position_hamiltonian(0.1, CTX)
          InvalidArgument, "^guess must be finite, got inf$"),  # a RuntimeWarning in the matmul
         (lambda: DiscreteWPath(w=np.zeros(2), tau=0.1, zp=0.3, zpp=0.2, hbar=0.0),
          InvalidArgument, "^hbar must be positive, got 0.0$"),  # phi_N divided by it
+        (lambda: fock_coherent("x", 10),
+         InvalidArgument, "^coherent labels must be a number, got 'x'$"),  # numpy's ValueError
+        (lambda: weyl_U_grid(H_QUARTIC, CTX, 1.0, ["a"], [0.0], cutoff=60),
+         InvalidArgument, r"^qs must be a number, got \['a'\]$"),
+        (lambda: husimi_U_grid(H_QUARTIC, CTX, 1.0, [0.0, 1.0], [[0.0, 1.0], [0.5, 0.2]]),
+         InvalidArgument, r"^qs and ps must be 1-D axes, got shapes \(2,\) and \(2, 2\)$"),
+        (lambda: husimi_U_grid(H_QUARTIC, CTX, 1.0, [[0.0, 1.0], [0.5]], [0.0, 1.0]),
+         InvalidArgument, r"^qs must be a number, got \[\[0.0, 1.0\], \[0.5\]\]$"),  # ragged
     ],
     ids=["exact-nan", "exact-inf", "weyl_element", "quadrature_K", "quadrature_K-q1",
          "harmonic_exact_K", "harmonic_discrete_K", "harmonic_exact_K-label",
@@ -468,7 +476,8 @@ H_QUARTIC = quartic_position_hamiltonian(0.1, CTX)
          "DiscGridSpec-radius_widths-negative", "DiscGridSpec-tolerance-nan",
          "DiscGridSpec-tolerance-negative", "phase_grid_axes-q_widths", "phase_grid_axes-p_widths",
          "weyl_U_grid-empty-axis", "husimi_U_grid-empty-axis", "solve_bvp-guess",
-         "semiclassical_K-guess", "DiscreteWPath-hbar"],
+         "semiclassical_K-guess", "DiscreteWPath-hbar", "fock_coherent-label-string",
+         "weyl_U_grid-axis-string", "husimi_U_grid-axis-2d", "husimi_U_grid-axis-ragged"],
 )
 def test_non_finite_input_raises(call, error, message):
     """A non-finite or non-numeric T, label, axis, scale, width or tolerance (and a width or
@@ -527,10 +536,14 @@ def test_counts_must_be_integers(call, name, least, value):
         (lambda: DiscreteWPath(np.ones(2), True, 0.1, 0.2), "tau must be a number"),
         (lambda: DiscreteWPath(np.array([1.0, NAN]), 0.1, 0.1, 0.2), "w must be finite"),
         (lambda: weyl_element(weyl_symbol(H_QUARTIC), NAN, 0.2), "z1 must be finite"),
+        (lambda: exact_propagator(H_QUARTIC, "x", 0.2, 1.0, cutoff=600),
+         "^z1 must be a number, got 'x'$"),
+        (lambda: exact_propagator(H_QUARTIC, 0.3, 0.2, -1.0, cutoff=600),
+         "^T must be non-negative, got -1.0$"),
     ],
     ids=["exact_propagator-T", "harmonic_exact_K-omega", "harmonic_exact_K-omega-bool",
          "stationary_path_harmonic-omega", "DiscreteWPath-tau-bool", "DiscreteWPath-w",
-         "weyl_element-label"],
+         "weyl_element-label", "exact_propagator-label-string", "exact_propagator-T-negative"],
 )
 def test_bad_argument_refused_before_work(call, message):
     """A NaN or boolean argument is an InvalidArgument, raised before any oracle is built."""
@@ -565,10 +578,12 @@ class TestOracleBudget:
             harmonic_exact_K(0.3, 0.2, 1.0, 1.0), abs=1e-12
         )
 
-    def test_shared_with_the_lattice_budget(self):
-        from weylpath import wigner
-
-        assert wigner.LATTICE_BYTES == coherent.DENSE_BYTES == 2**31
+    def test_lattice_reads_the_budget_at_the_call(self, monkeypatch):
+        # the 933-node lattice at cutoff 60 needs 32 * 61 * 933 = 1,821,216 bytes; a copy of the
+        # budget taken at import let it through
+        monkeypatch.setattr(coherent, "DENSE_BYTES", 1_000_000)
+        with pytest.raises(DomainError, match="933 lattice nodes at cutoff 60: 1.82e"):
+            weyl_U_grid(H_QUARTIC, CTX, 0.5, *AXES, cutoff=60)
 
 
 class TestCoherentBudget:
@@ -604,6 +619,19 @@ class TestCoherentBudget:
             tracemalloc.stop()
         need = coherent.COHERENT_BYTES * (cutoff + 1) * (labels + 1)
         assert 0.7 * need < peak < 1.05 * need
+
+    def test_husimi_grid_within_the_count(self):
+        # U @ cols and the conjugate product took about 48 bytes per Fock state and label
+        qs, ps = phase_grid_axes(CTX)
+        husimi_U_grid(H_QUARTIC, CTX, 1.0, qs, ps, cutoff=200)  # the cached oracle is not counted
+        coherent._fock_log_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            husimi_U_grid(H_QUARTIC, CTX, 1.0, qs, ps, cutoff=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.05 * coherent.COHERENT_BYTES * 201 * (64 * 64 + 1)
 
 
 class TestRefine:

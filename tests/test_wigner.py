@@ -5,23 +5,24 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import weylpath
 from weylpath import (
     DiscreteWPath,
-    FockOracle,
     PhaseSpaceGrid,
     ScaleContext,
     area_identity,
     harmonic_exact_K,
     harmonic_hamiltonian,
     husimi_U_grid,
+    operator_matrix,
     phase_grid_axes,
     quartic_position_hamiltonian,
     smoothing_check,
     weyl_U_grid,
 )
-from weylpath import wigner
+from weylpath import coherent, wigner
 from weylpath.errors import DomainError, NonConverged
 from weylpath.wigner import hermite_functions
 
@@ -80,7 +81,7 @@ class TestWeylUGrid:
         qs, ps = phase_grid_axes(CTX)
         cutoff = 60
         grid = weyl_U_grid(H_HARM, CTX, np.pi / 2, qs, ps, cutoff=cutoff)
-        U = FockOracle(H_HARM, cutoff).evolution_matrix(np.pi / 2)
+        U = expm(-0.5j * np.pi / H_HARM.hbar * operator_matrix(H_HARM, cutoff))
         for i in range(4, 64, 13):
             for j in range(4, 64, 13):
                 z = CTX.z_from_qp(qs[i], ps[j])
@@ -105,7 +106,7 @@ class TestWeylUGrid:
         H = quartic_position_hamiltonian(0.05, CTX)
         qs, ps = phase_grid_axes(CTX)
         grid = weyl_U_grid(H, CTX, 0.3, qs, ps, cutoff=200)
-        U = FockOracle(H, 200).evolution_matrix(0.3)
+        U = expm(-0.3j / H.hbar * operator_matrix(H, 200))
         for i, j in ((9, 50), (31, 31), (56, 7)):
             z = CTX.z_from_qp(qs[i], ps[j])
             assert abs(grid.values[i, j] - dyadic_weyl_symbol(U, z)) < 1e-10
@@ -149,14 +150,15 @@ class TestWeylUGrid:
         monkeypatch.setattr(wigner, "hermite_functions", None)  # would fail if reached
         monkeypatch.setattr(wigner, "_cached_oracle", None)
         qs, ps = phase_grid_axes(CTX, nq=3, npts=3, q_widths=q_widths)
-        with pytest.raises(DomainError, match="lattice nodes at cutoff 60 exceed LATTICE_BYTES"):
+        with pytest.raises(DomainError, match="lattice nodes at cutoff 60: .* exceed DENSE_BYTES"):
             weyl_U_grid(H_HARM, CTX, 1.0, qs, ps, cutoff=60)
 
     def test_lattice_budget_refused_before_the_corner_vector(self, monkeypatch):
         # cutoff 2e6 built the corner's coherent vector (0.8 s, 137 MB peak RSS) before refusing
         monkeypatch.setattr(wigner, "coherent_matrix", None)  # would fail if reached
         qs, ps = phase_grid_axes(CTX)
-        with pytest.raises(DomainError, match="lattice nodes at cutoff 2000000 exceed LATTICE_BYTES"):
+        message = "lattice nodes at cutoff 2000000: .* exceed DENSE_BYTES"
+        with pytest.raises(DomainError, match=message):
             weyl_U_grid(H_HARM, CTX, 1.0, qs, ps, cutoff=2_000_000)
 
     def test_lattice_budget_counts_both_tables(self, monkeypatch):
@@ -170,10 +172,10 @@ class TestWeylUGrid:
             return real(xs, *args)
 
         monkeypatch.setattr(wigner, "hermite_functions", counted)
-        monkeypatch.setattr(wigner, "LATTICE_BYTES", 32 * 61 * 933)
+        monkeypatch.setattr(coherent, "DENSE_BYTES", 32 * 61 * 933)
         weyl_U_grid(H_HARM, CTX, 0.5, qs, ps, cutoff=60)
         assert nodes == [933]
-        monkeypatch.setattr(wigner, "LATTICE_BYTES", 32 * 61 * 933 - 1)
+        monkeypatch.setattr(coherent, "DENSE_BYTES", 32 * 61 * 933 - 1)
         with pytest.raises(DomainError, match="933 lattice nodes at cutoff 60"):
             weyl_U_grid(H_HARM, CTX, 0.5, qs, ps, cutoff=60)
 
