@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidArgument, refine
+from .errors import DomainError, InvalidArgument, finite_double, refine
 from .errors import require_finite, require_index, require_positive
 from .semiclassics import _rk4
 
@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 PIVOT_THRESHOLD = 1e-13  # smallest/largest LU pivot below this: singular to double precision
-RECURSION_CHUNK = 4096  # coefficients det_recursive converts to Python complex numbers at a time
+RECURSION_CHUNK = 4096  # transfer matrices det_recursive multiplies as one tree: bounds its working memory
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def det_dense(matrix: np.ndarray) -> complex:
     ------
     DomainError
         If the smallest pivot falls below ``PIVOT_THRESHOLD`` relative to
-        the largest one.
+        the largest one, or the determinant is not a finite double.
     InvalidArgument
         If the matrix is not square, is empty or holds a non-finite entry.
     """
@@ -142,7 +142,7 @@ def det_dense(matrix: np.ndarray) -> complex:
     ratio = diag.min() / max(diag.max(), 1e-300)
     if ratio < PIVOT_THRESHOLD:
         raise DomainError(f"pivot ratio {ratio:.3e} below threshold")
-    return complex(sign * np.prod(np.diag(lu)))
+    return finite_double(lambda: complex(sign * np.prod(np.diag(lu))), "the determinant")
 
 
 def det_recursive(coeffs: FluctuationCoeffs) -> DeterminantPair:
@@ -158,32 +158,43 @@ def det_recursive(coeffs: FluctuationCoeffs) -> DeterminantPair:
     starting from Delta_0 = 1, Delta_1 = a_1 b_1 - cm_1^2, Gamma_1 = b_1.
     The full determinant is 2^{2N} i^{2N} Delta_N; agreement with
     :func:`det_dense` of :func:`build_matrix` is enforced by the test suite.
+
+    It is linear in s_k = (Delta_k, Gamma_k, Delta_{k-1}): s_k = M_k s_{k-1} with j = k - 1,
+    M_k = [[a_k g_k - cm_k^2, -a_k cp_j^2, a_k e_j], [g_k, -cp_j^2, e_j], [1, 0, 0]] and
+    e_j = b_j (2 cp_j cm_j - a_j b_j).  M_N ... M_2 is multiplied ``RECURSION_CHUNK`` factors at
+    a time by pairwise halving, and the chunk products are applied to s_1 in order.
+
+    Raises
+    ------
+    DomainError
+        If Delta_N or Gamma_N is not a finite double.
     """
     half = coeffs.tau / (2.0 * coeffs.hbar)
-    a = half * coeffs.A
-    b = half * coeffs.B
-    c = half * coeffs.C
 
-    a_1, b_1, cm_1 = complex(a[0]), complex(b[0]), complex(c[0]) - 1j
-    delta_prev2 = 1.0 + 0.0j  # Delta_0
-    delta_prev = a_1 * b_1 - cm_1 ** 2  # Delta_1
-    gamma_prev = b_1  # Gamma_1
-    # on Python complex numbers, RECURSION_CHUNK at a time: numpy scalars
-    # cost more per operation, and lists of all N values cost memory
-    for start in range(1, coeffs.N, RECURSION_CHUNK):
-        window = slice(start - 1, start + RECURSION_CHUNK)  # the chunk and the element before it
-        a_w, b_w = a[window].tolist(), b[window].tolist()
-        cm_w, cp_w = (c[window] - 1j).tolist(), (c[window] + 1j).tolist()
-        previous, current = zip(a_w, b_w, cm_w, cp_w), zip(a_w[1:], b_w[1:], cm_w[1:])
-        for (a_j, b_j, cm_j, cp_j), (a_k, b_k, cm_k) in zip(previous, current):  # j = k - 1
-            gamma = (
-                (b_k + b_j) * delta_prev
-                - cp_j ** 2 * gamma_prev
-                + b_j * (2.0 * cp_j * cm_j - a_j * b_j) * delta_prev2
-            )
-            delta = a_k * gamma - cm_k ** 2 * delta_prev
-            delta_prev2, delta_prev, gamma_prev = delta_prev, delta, gamma
-    return DeterminantPair(complex(delta_prev), complex(gamma_prev))
+    def chunk_product(window: slice) -> np.ndarray:  # product of the M_k of every k in the window but its first
+        a, b, c = (half * x[window] for x in (coeffs.A, coeffs.B, coeffs.C))
+        a_k, a_j, b_j, cp_j = a[1:], a[:-1], b[:-1], c[:-1] + 1j
+        g, cp2 = b[1:] + b_j, cp_j**2
+        e = b_j * (2.0 * cp_j * (c[:-1] - 1j) - a_j * b_j)
+        one, zero = np.ones_like(g), np.zeros_like(g)
+        m = np.array([[a_k * g - (c[1:] - 1j) ** 2, -a_k * cp2, a_k * e], [g, -cp2, e], [one, zero, zero]])
+        while m.shape[2] > 1:  # M_{2i+1} M_{2i}, entry by entry; an odd last factor is carried up
+            later, earlier = m[:, :, 1::2], m[:, :, :-1:2]
+            product = later[:, 0, None] * earlier[None, 0]
+            product += later[:, 1, None] * earlier[None, 1]
+            product += later[:, 2, None] * earlier[None, 2]
+            m = np.concatenate([product, m[:, :, -1:]], axis=2) if m.shape[2] % 2 else product
+        return m[:, :, 0]
+
+    def delta_gamma():
+        a_1, b_1, c_1 = half * coeffs.A[0], half * coeffs.B[0], half * coeffs.C[0]
+        s = np.array([a_1 * b_1 - (c_1 - 1j) ** 2, b_1, 1.0])  # s_1
+        for start in range(1, coeffs.N, RECURSION_CHUNK):
+            s = chunk_product(slice(start - 1, start + RECURSION_CHUNK)) @ s
+        return s[:2]
+
+    delta, gamma = finite_double(delta_gamma, "Delta_N or Gamma_N of the recursion")
+    return DeterminantPair(complex(delta), complex(gamma))
 
 
 def _variational_delta(A: list, B: list, C: list, T: float, steps: int, hbar: float):

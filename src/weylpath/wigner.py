@@ -83,8 +83,11 @@ def phase_grid_axes(
 
 
 def _axes(qs, ps) -> tuple[np.ndarray, np.ndarray]:
-    """The grid axes as 1-D float arrays; refuses an empty, non-numeric or non-finite axis."""
+    """The grid axes as 1-D float arrays; refuses an empty, non-numeric, complex or non-finite axis."""
     require_finite(qs=qs, ps=ps)  # a string, before numpy's conversion
+    for name, axis in (("qs", qs), ("ps", ps)):
+        if np.iscomplexobj(axis):
+            raise InvalidArgument(f"{name} must be real, got {axis!r}")
     qs, ps = np.asarray(qs, float), np.asarray(ps, float)
     if qs.ndim != 1 or ps.ndim != 1:
         raise InvalidArgument(f"qs and ps must be 1-D axes, got shapes {qs.shape} and {ps.shape}")
@@ -160,8 +163,9 @@ def weyl_U_grid(
         If halving the chord step moves any grid value beyond
         ``CHORD_TOLERANCE``.
     InvalidArgument
-        If T or an axis is not finite, an axis is not 1-D or empty, or the q axis is not uniform.
+        If T or an axis is not finite, an axis is complex, not 1-D or empty, or the q axis is not uniform.
     """
+    require_finite(T=T)  # before the lattice and the oracle are built
     qs, ps = _axes(qs, ps)
     q_max = np.max(np.abs(qs))
     corner = _labels(ctx.z_from_qp(q_max, np.max(np.abs(ps))), cutoff)[0]
@@ -218,8 +222,9 @@ def husimi_U_grid(
     DomainError
         If a grid label is not resolved by ``cutoff``.
     InvalidArgument
-        If T or an axis is not finite, or an axis is not 1-D or empty.
+        If T or an axis is not finite, or an axis is complex, not 1-D or empty.
     """
+    require_finite(T=T)  # before the coherent columns and the oracle are built
     qs, ps = _axes(qs, ps)
     cols = coherent_matrix(ctx.z_from_qp(*np.meshgrid(qs, ps, indexing="ij")), cutoff)
     oracle = _cached_oracle(H, cutoff)

@@ -459,6 +459,10 @@ H_QUARTIC = quartic_position_hamiltonian(0.1, CTX)
          InvalidArgument, r"^qs and ps must be 1-D axes, got shapes \(2,\) and \(2, 2\)$"),
         (lambda: husimi_U_grid(H_QUARTIC, CTX, 1.0, [[0.0, 1.0], [0.5]], [0.0, 1.0]),
          InvalidArgument, r"^qs must be a number, got \[\[0.0, 1.0\], \[0.5\]\]$"),  # ragged
+        (lambda: husimi_U_grid(H_QUARTIC, CTX, 1.0, [1j], [0.0]),
+         InvalidArgument, r"^qs must be real, got \[1j\]$"),  # a TypeError from numpy's float()
+        (lambda: weyl_U_grid(H_QUARTIC, CTX, 1.0, [0.0], [0.5, 1 + 1j], cutoff=60),
+         InvalidArgument, r"^ps must be real, got \[0.5, \(1\+1j\)\]$"),
     ],
     ids=["exact-nan", "exact-inf", "weyl_element", "quadrature_K", "quadrature_K-q1",
          "harmonic_exact_K", "harmonic_discrete_K", "harmonic_exact_K-label",
@@ -477,7 +481,8 @@ H_QUARTIC = quartic_position_hamiltonian(0.1, CTX)
          "DiscGridSpec-tolerance-negative", "phase_grid_axes-q_widths", "phase_grid_axes-p_widths",
          "weyl_U_grid-empty-axis", "husimi_U_grid-empty-axis", "solve_bvp-guess",
          "semiclassical_K-guess", "DiscreteWPath-hbar", "fock_coherent-label-string",
-         "weyl_U_grid-axis-string", "husimi_U_grid-axis-2d", "husimi_U_grid-axis-ragged"],
+         "weyl_U_grid-axis-string", "husimi_U_grid-axis-2d", "husimi_U_grid-axis-ragged",
+         "husimi_U_grid-axis-complex", "weyl_U_grid-axis-complex"],
 )
 def test_non_finite_input_raises(call, error, message):
     """A non-finite or non-numeric T, label, axis, scale, width or tolerance (and a width or
@@ -540,10 +545,14 @@ def test_counts_must_be_integers(call, name, least, value):
          "^z1 must be a number, got 'x'$"),
         (lambda: exact_propagator(H_QUARTIC, 0.3, 0.2, -1.0, cutoff=600),
          "^T must be non-negative, got -1.0$"),
+        # both grids used to read T only for the phases, after the oracle was built
+        (lambda: weyl_U_grid(H_QUARTIC, CTX, NAN, *AXES, cutoff=73), "^T must be finite, got nan$"),
+        (lambda: husimi_U_grid(H_QUARTIC, CTX, NAN, *AXES, cutoff=73), "^T must be finite, got nan$"),
     ],
     ids=["exact_propagator-T", "harmonic_exact_K-omega", "harmonic_exact_K-omega-bool",
          "stationary_path_harmonic-omega", "DiscreteWPath-tau-bool", "DiscreteWPath-w",
-         "weyl_element-label", "exact_propagator-label-string", "exact_propagator-T-negative"],
+         "weyl_element-label", "exact_propagator-label-string", "exact_propagator-T-negative",
+         "weyl_U_grid-T", "husimi_U_grid-T"],
 )
 def test_bad_argument_refused_before_work(call, message):
     """A NaN or boolean argument is an InvalidArgument, raised before any oracle is built."""

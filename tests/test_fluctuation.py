@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from weylpath import (
     det_recursive,
 )
 from weylpath.errors import DomainError, InvalidArgument, NonConverged
+from weylpath.fluctuation import RECURSION_CHUNK
 
 
 def random_coeffs(rng, N, tau=0.13, hbar=1.0):
@@ -108,17 +111,19 @@ class TestDetDense:
             assert abs(det_dense(M) - want) <= 1e-12 * abs(want), n
 
     @pytest.mark.parametrize(
-        "matrix, match",
+        "matrix, error, match",
         [
-            (np.ones((2, 3)), "non-empty square"),  # used to report a pivot ratio of 0
-            (np.zeros((0, 0)), "non-empty square"),  # used to fail in numpy's reduction
-            (np.full((3, 3), np.nan), "must be finite"),  # used to return nan+nanj
-            (np.array([[1.0, np.inf], [0.0, 1.0]]), "must be finite"),
+            (np.ones((2, 3)), ValueError, "non-empty square"),  # used to report a pivot ratio of 0
+            (np.zeros((0, 0)), ValueError, "non-empty square"),  # used to fail in numpy's reduction
+            (np.full((3, 3), np.nan), ValueError, "must be finite"),  # used to return nan+nanj
+            (np.array([[1.0, np.inf], [0.0, 1.0]]), ValueError, "must be finite"),
+            (build_matrix(FluctuationCoeffs(np.zeros(200), np.zeros(200), np.full(200, 10j), 1.0)),
+             DomainError, "^the determinant is not a finite double$"),  # 64^200: was nan+nanj
         ],
-        ids=["2x3", "0x0", "nan", "inf-off-diagonal"],
+        ids=["2x3", "0x0", "nan", "inf-off-diagonal", "overflow"],
     )
-    def test_bad_matrix_rejected(self, matrix, match):
-        with pytest.raises(ValueError, match=match):
+    def test_bad_matrix_rejected(self, matrix, error, match):
+        with pytest.raises(error, match=match):
             det_dense(matrix)
 
 
@@ -194,9 +199,9 @@ class TestDetRecursive:
             assert abs(rec - dense) <= 1e-10 * max(1.0, abs(dense))
 
     @pytest.mark.parametrize("seed", [3, 4])
-    def test_bit_identical_to_the_numpy_scalar_recursion(self, seed):
-        # the same recursion on numpy complex scalars indexed out of arrays,
-        # as det_recursive ran it before it moved to Python complex numbers
+    def test_matches_the_numpy_scalar_recursion(self, seed):
+        # the same recursion on numpy complex scalars indexed out of arrays, one slice at a
+        # time, as det_recursive ran it before it became a product of transfer matrices
         def numpy_scalar_recursion(co):
             half = co.tau / (2.0 * co.hbar)
             a, b, c = half * co.A, half * co.B, half * co.C
@@ -213,11 +218,30 @@ class TestDetRecursive:
             return complex(delta_prev), complex(gamma_prev)
 
         rng = np.random.default_rng(seed)
-        for N in (1, 2, 4096, 4097, 100_000):  # around the chunk edge, and the bench size
+        # odd tree levels, both sides of the chunk edge, and the bench size
+        for N in (1, 2, 3, 5, RECURSION_CHUNK, RECURSION_CHUNK + 1, 100_000):
             co = random_coeffs(rng, N, tau=float(rng.uniform(1e-6, 1e-4)))
             pair = det_recursive(co)
-            want = numpy_scalar_recursion(co)
-            assert repr((pair.Delta, pair.Gamma)) == repr(want), N
+            want_delta, want_gamma = numpy_scalar_recursion(co)
+            assert abs(pair.Delta - want_delta) <= 1e-12 * abs(want_delta), N
+            assert abs(pair.Gamma - want_gamma) <= 1e-12 * abs(want_gamma), N
+
+    def test_overflow_refused(self):
+        # Delta_N = 16^N: used to return nan+nanj
+        co = FluctuationCoeffs(A=np.zeros(1000), B=np.zeros(1000), C=np.full(1000, 10j), tau=1.0)
+        with pytest.raises(DomainError, match="^Delta_N or Gamma_N of the recursion is not a finite double$"):
+            det_recursive(co)
+
+    def test_peak_memory_is_bounded_by_the_chunk(self):
+        # the transfer matrices are built and multiplied RECURSION_CHUNK at a time, never over all N
+        co = random_coeffs(np.random.default_rng(5), 100_000, tau=1e-5)
+        tracemalloc.start()
+        try:
+            det_recursive(co)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_large_N_against_mpmath(self):
         # the same recursion at 30 digits, on a smooth complex instance at N = 10^4
