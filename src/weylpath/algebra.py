@@ -17,12 +17,13 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError, HamiltonianFormatError, InvalidArgument, require_positive
+from .errors import DomainError, HamiltonianFormatError, InvalidArgument
+from .errors import require_finite, require_index, require_positive
 
 __all__ = [
     "OperatorPoly",
@@ -80,16 +81,19 @@ class OperatorPoly:
     ----------
     terms : dict
         Map ``(m, n) -> coefficient`` of ``adag^m a^n``.  Zero coefficients
-        are pruned, so the canonical form is unique.
+        are pruned, so the canonical form is unique.  An exponent that is not
+        an integer of at least 0, or a coefficient that is not a finite
+        number, raises :class:`InvalidArgument`.
     hbar : float
         Planck constant carried along for downstream consumers.
     """
 
     def __init__(self, terms: dict, hbar: float = 1.0):
         require_positive(hbar=hbar)
-        for m, n in terms:
-            if m < 0 or n < 0:
-                raise InvalidArgument(f"negative ladder exponent in term ({m}, {n})")
+        for key in terms:
+            for k in key:
+                require_index(k, f"each exponent of term {key}", 0)
+        require_finite(coefficients=list(terms.values()))
         self.terms = _pruned(terms)
         self.hbar = float(hbar)
 
@@ -118,21 +122,14 @@ class OperatorPoly:
         return OperatorPoly(acc, self.hbar)
 
     def __mul__(self, other: "OperatorPoly") -> "OperatorPoly":
-        """Canonical product, re-normal-ordered with a^n adag^m expansions."""
+        """Canonical product: a^n1 adag^m2 is normal ordered as exp(d_u d_v) v^m2 u^n1, which
+        raises DomainError on a coefficient that is not a finite double."""
         acc: dict = {}
         for (m1, n1), c1 in self.terms.items():
             for (m2, n2), c2 in other.terms.items():
-                # a^n1 adag^m2 = sum_k k! C(n1,k) C(m2,k) adag^(m2-k) a^(n1-k)
-                for k in range(min(n1, m2) + 1):
-                    coeff = (
-                        c1
-                        * c2
-                        * math.factorial(k)
-                        * math.comb(n1, k)
-                        * math.comb(m2, k)
-                    )
-                    key = (m1 + m2 - k, n1 + n2 - k)
-                    acc[key] = acc.get(key, 0.0) + coeff
+                for (m, n), c in _apply_exp_mixed({(m2, n1): c1 * c2}, 1.0).items():
+                    key = (m1 + m, n + n2)
+                    acc[key] = acc.get(key, 0.0) + c
         return OperatorPoly(acc, self.hbar)
 
 
@@ -298,24 +295,27 @@ class SymbolPoly:
 class ScaleContext:
     """Physical scales: length width ``b`` and momentum width ``c = hbar/b``.
 
-    The coherent label map is ``z = (q/b + i p/c) / sqrt(2)``.
+    The coherent label map is ``z = (q/b + i p/c) / sqrt(2)``.  Without ``b``,
+    the width is the ground state's, b = sqrt(hbar) / (sqrt(m) sqrt(omega)).
     """
 
     hbar: float = 1.0
     mass: float = 1.0
     omega: float = 1.0
-    b: float = field(default=1.0)
+    b: float | None = None
 
     def __post_init__(self):
-        require_positive(hbar=self.hbar, mass=self.mass, omega=self.omega, b=self.b)
+        require_positive(hbar=self.hbar, mass=self.mass, omega=self.omega)
+        if self.b is None:  # root by root, b is found also where m omega is no double
+            width = math.sqrt(self.hbar) / (math.sqrt(self.mass) * math.sqrt(self.omega))
+            object.__setattr__(self, "b", width)
+        require_positive(b=self.b)
         require_positive(c=self.c)
 
     @classmethod
     def default(cls, hbar: float = 1.0, mass: float = 1.0, omega: float = 1.0):
-        """Context with the ground-state width b = sqrt(hbar) / (sqrt(m) sqrt(omega))."""
-        require_positive(hbar=hbar, mass=mass, omega=omega)
-        # root by root, b is found also where m omega is no double
-        return cls(hbar, mass, omega, math.sqrt(hbar) / (math.sqrt(mass) * math.sqrt(omega)))
+        """Context with the ground-state width."""
+        return cls(hbar, mass, omega)
 
     @property
     def c(self) -> float:
@@ -323,12 +323,6 @@ class ScaleContext:
 
     def z_from_qp(self, q, p):
         return (q / self.b + 1j * p / self.c) / math.sqrt(2.0)
-
-    def qp_from_z(self, z):
-        z = np.asarray(z) if isinstance(z, np.ndarray) else z
-        q = self.b * math.sqrt(2.0) * np.real(z)
-        p = self.c * math.sqrt(2.0) * np.imag(z)
-        return q, p
 
 
 def normalize(word_list, hbar: float = 1.0) -> OperatorPoly:
@@ -473,9 +467,14 @@ def symbol_to_qp(sym: SymbolPoly, ctx: ScaleContext, tol: float = 1e-13) -> dict
     """Rewrite a (u, v) symbol as a polynomial in the real variables (q, p).
 
     Returns a map ``(j, k) -> coefficient`` of ``q^j p^k``; coefficients below
-    ``tol`` (relative) are trimmed so Hermitian inputs give clean tables.
-    A coefficient that is not a finite double raises :class:`DomainError`.
+    ``tol`` (relative) are trimmed so Hermitian inputs give clean tables, and
+    ``tol=0`` keeps every one that is not exactly 0.  A ``tol`` that is neither
+    0 nor positive raises :class:`InvalidArgument`, a coefficient that is not
+    a finite double :class:`DomainError`.
     """
+    require_finite(tol=tol)  # refuses False, which equals 0
+    if tol != 0:
+        require_positive(tol=tol)
     _, _, u_poly, v_poly = _uv_linear_forms(ctx)
     out = _substitute(sym.terms, v_poly, u_poly)
     if not all(map(cmath.isfinite, out.values())):

@@ -19,7 +19,6 @@ from .errors import require_finite, require_index, require_positive
 
 __all__ = [
     "FockVector",
-    "PhasePoint",
     "overlap",
     "fock_coherent",
     "operator_matrix",
@@ -40,14 +39,6 @@ COHERENT_BYTES = 32  # per Fock state and label, plus one label for the tables, 
 # complex columns and two float temporaries (traced peak: 31.1-32.1 at 16-4096 labels, 24 at one)
 ORACLE_MATRICES = 5  # complex (cutoff + 1)^2 arrays alive in an oracle build: H, eigh's copy,
 # its two work arrays and the eigenvectors (measured peak: 5.1 at cutoff 1000 and 2000)
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A real phase-space point (q, p)."""
-
-    q: float
-    p: float
 
 
 @dataclass(frozen=True)
@@ -270,19 +261,12 @@ def harmonic_exact_K(z1: complex, z2: complex, omega: float, T: float) -> comple
     )
 
 
-def displacement_element(
-    xi: PhasePoint, z1: complex, z2: complex, ctx: ScaleContext
-) -> complex:
-    """Matrix element <z2| T_xi |z1> of the phase-space translation operator.
-
-    With z = z(xi) the label of the displacement, the closed form is
-    ``exp(z conj(z2) - conj(z) z1 - |z|^2 / 2) <z2|z1>``.
-    """
-    z = ctx.z_from_qp(xi.q, xi.p)
-    return complex(
-        np.exp(z * np.conj(z2) - np.conj(z) * z1 - 0.5 * abs(z) ** 2)
-        * overlap(z2, z1)
-    )
+def displacement_element(q: float, p: float, z1, z2, ctx: ScaleContext):
+    """<z2| T(q, p) |z1> = exp(i Im(z conj(z1))) <z2|z1 + z>, z = z(q, p): the phase-space
+    translation's matrix element, broadcast over z1 and z2 as in :func:`overlap`."""
+    require_finite(q=q, p=p, z1=z1, z2=z2)
+    z = ctx.z_from_qp(q, p)
+    return overlap(z2, z1 + z) * np.exp(1j * np.imag(z * np.conj(z1)))
 
 
 @lru_cache(maxsize=8)

@@ -215,7 +215,7 @@ def stationary_path_harmonic(
 def _mu(form: str, omega: float, T: float, N: int) -> complex:
     """mu_s of the form named q, p or w, checked as in :func:`mu_coefficients`."""
     require_index(N, "N", 1)
-    require_finite(T=T)
+    require_finite(omega=omega, T=T)
     x, s = T / N * omega, FORM_S[form]
     return finite_double(
         lambda: (1.0 - 1j * (x * (1.0 + s))) ** N * (1.0 - 1j * (x * s)) ** (-N),
@@ -228,7 +228,7 @@ def mu_coefficients(omega: float, T: float, N: int):
 
     mu_s = (1 - i tau w (1 + s))^N (1 - i tau w s)^-N, tau = T/N, with s from
     ``algebra.FORM_S``; all three tend to exp(-i w T).  A mu_s that is not a
-    finite double raises DomainError, an N below 1 or a non-finite T InvalidArgument.
+    finite double raises DomainError, an N below 1 or a non-finite omega or T InvalidArgument.
     """
     return tuple(_mu(form, omega, T, N) for form in FORM_S)
 
@@ -423,11 +423,12 @@ def quadrature_K(
         If refinement moves the value by more than ``grid.tolerance``, or
         by a non-finite amount when no tolerance is set.
     InvalidArgument
-        If the form is not q, p or w, T is not finite, N is below 1 or the W form gets odd N.
+        If the form is not q, p or w, a label or T is not finite, N is below 1 or the W form
+        gets odd N.
     """
     form = form.lower()
     form_s(form)  # refuses a name other than q, p or w
-    require_finite(T=T)
+    require_finite(zp=zp, zpp=zpp, T=T)
     if require_index(N, "N", 1) > 3:
         raise DomainError(f"N = {N} is outside the supported range 1..3")
     dims = 2 * (N - 1) if form == "q" else 2 * N

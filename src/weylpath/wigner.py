@@ -103,8 +103,12 @@ def hermite_functions(xs: np.ndarray, nmax: int, b: float) -> np.ndarray:
     that the Gaussian seed cannot underflow (it is 0.0 beyond |x| ~ 38.6 b);
     a column that grows past ``_HERMITE_RESCALE`` is divided by it and the
     factor carried in its log weight.  Returns an array of shape
-    (nmax + 1, len(xs)).
+    (nmax + 1, len(xs)).  A non-finite x, an nmax that is not an integer of
+    at least 0 or a b that is not positive raises :class:`InvalidArgument`.
     """
+    require_finite(xs=xs)
+    require_index(nmax, "nmax", 0)
+    require_positive(b=b)
     xi = np.asarray(xs, dtype=float) / b
     out = np.empty((nmax + 1, xi.size))
     log_weight = -0.5 * xi**2
@@ -263,7 +267,10 @@ def smoothing_check(
     ------
     DomainError
         If no interior points survive the margin requirement.
+    InvalidArgument
+        If ``margin_sigmas`` is not positive or the grids differ in geometry.
     """
+    require_positive(margin_sigmas=margin_sigmas)
     if not weyl_grid.same_geometry(husimi_grid):
         raise InvalidArgument("weyl and husimi grids must share their geometry")
     nq, npts = weyl_grid.values.shape

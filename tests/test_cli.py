@@ -348,6 +348,64 @@ def test_one_budget_comparison():
     assert offenders == [] and compares == 1
 
 
+# Public names no src code outside their own def or class uses, each with the paper identity it
+# checks or the bench call (bench/workloads.py API_FUNCTIONS) that keeps it.
+UNCALLED_PUBLIC = {
+    "normalize": "a adag = adag a + 1: ladder words in normal order, where the symbols start",
+    "q_symbol": "Q symbol A_Q = <z|A|z>, s = 0 of A_s = exp(s d_u d_v) A_Q",
+    "p_symbol": "P symbol, s = -1 of A_s = exp(s d_u d_v) A_Q",
+    "weyl_symbol": "Weyl symbol, s = -1/2 of A_s = exp(s d_u d_v) A_Q; bench call",
+    "displacement_element": "<z2|T(q, p)|z1>, the phase-space translation behind the Weyl map",
+    "weyl_element": "<z2|A|z1> from the Weyl symbol of A; bench call",
+    "fock_coherent": "bench call (the Fock amplitudes of |z>)",
+    "mu_coefficients": "mu_Q, mu_P, mu_W of the discrete harmonic forms, all -> exp(-i omega T)",
+    "phi_N": "the discrete W-form exponent phi_N; bench call",
+    "phi_N_alt": "phi_N with its quadratic part regrouped, equal for every path; bench call",
+    "psi_C": "phi_N = psi_N + 2 C z''* + 2 Cbar z' + z' z''*, the chord split of phi_N",
+    "phi_N_gradient": "d phi_N / d w = 0: the discrete equations of motion",
+    "stationary_path_harmonic": "bench call (the stationary W path of the oscillator)",
+    "area_identity": "the chord coupling as a sum of oriented symplectic areas",
+    "build_matrix": "the fluctuation matrix of the W form at finite N; bench call",
+    "block_tridiagonal": "the same matrix in its block-tridiagonal layout",
+    "det_dense": "det of build_matrix by LU, the reference for det_recursive; bench call",
+    "det_recursive": "det of the block-tridiagonal matrix by transfer matrices; bench call",
+    "det_continuum": "the N -> infinity limit of det_recursive, an ODE in t; bench call",
+    "trajectory_hessian_samplers": "bench call (A(t), B(t), C(t) along a trajectory)",
+    "harmonic_hamiltonian": "bench call (hbar omega (adag a + 1/2))",
+    "quartic_position_hamiltonian": "bench call (the quartic oscillator of every test table)",
+    "smoothing_check": "Husimi = Weyl smoothed by the Gaussian (b^2/2, c^2/2); bench call",
+}
+
+
+def test_every_public_name_has_a_caller_or_an_identity():
+    """A module ``__all__`` name is used by src code outside its own def or class, as a name or
+    an attribute (docstrings and ``__all__`` strings do not count), or it is in UNCALLED_PUBLIC
+    with its reason. A name that gains a caller leaves the list."""
+    src = os.path.dirname(os.path.abspath(cli.__file__))
+    trees = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                trees[name] = ast.parse(fh.read())
+    homes = {
+        public.value: name
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__"
+        for public in node.value.elts
+    }
+    uncalled = set()
+    for public, home in homes.items():
+        own = {id(n) for d in trees[home].body if getattr(d, "name", None) == public
+               for n in ast.walk(d)}
+        if not any(
+            id(n) not in own and public in (getattr(n, "id", None), getattr(n, "attr", None))
+            for tree in trees.values() for n in ast.walk(tree)
+        ):
+            uncalled.add(public)
+    assert uncalled == set(UNCALLED_PUBLIC)
+
+
 @pytest.mark.parametrize("value", [10**20, 10**400], ids=["beyond-int64", "beyond-double"])
 def test_finite_and_positive_agree_on_large_ints(value):
     """An int numpy cannot hold but a double can is a finite, positive number to both helpers

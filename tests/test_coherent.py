@@ -15,7 +15,6 @@ from weylpath import (
     FluctuationCoeffs,
     FockOracle,
     OperatorPoly,
-    PhasePoint,
     ScaleContext,
     SymbolPoly,
     convergence_table,
@@ -34,14 +33,17 @@ from weylpath import (
     quadrature_K,
     quartic_position_hamiltonian,
     semiclassical_K,
+    smoothing_check,
     solve_bvp,
     stationary_path_harmonic,
+    symbol_to_qp,
     weyl_element,
     weyl_symbol,
     weyl_U_grid,
 )
 from weylpath import coherent
 from weylpath.coherent import coherent_matrix
+from weylpath.wigner import hermite_functions
 from weylpath.errors import DomainError, InvalidArgument, NonConverged, refine
 
 CTX = ScaleContext.default()
@@ -271,7 +273,7 @@ class TestExactPropagator:
 class TestDisplacementElement:
     def test_zero_displacement_is_overlap(self):
         z1, z2 = 0.3 - 0.7j, 0.1 + 0.2j
-        got = displacement_element(PhasePoint(0.0, 0.0), z1, z2, CTX)
+        got = displacement_element(0.0, 0.0, z1, z2, CTX)
         assert abs(got - overlap(z2, z1)) < 1e-14
 
     def test_against_fock_exponential(self):
@@ -287,27 +289,19 @@ class TestDisplacementElement:
             v1 = fock_coherent(z1, cut).amplitudes
             v2 = fock_coherent(z2, cut).amplitudes
             want = np.vdot(v2, D @ v1)
-            got = displacement_element(PhasePoint(q, p), z1, z2, CTX)
+            got = displacement_element(q, p, z1, z2, CTX)
             assert abs(got - want) < 1e-10
 
     def test_composition_with_inverse_via_unity(self):
         # T(-xi) T(xi) = 1: insert the coherent resolution of unity between them
-        xi = PhasePoint(0.35, -0.2)
+        q, p = 0.35, -0.2
         z1, z2 = 0.2 + 0.1j, -0.3j
         pts, wt = unity_grid(0.0, 4.5, 0.09)
-        first = np.array(displacement_element_vec(xi, z1, pts, CTX))
-        second = np.array(
-            displacement_element_vec(PhasePoint(-xi.q, -xi.p), pts, z2, CTX)
-        )
+        first = displacement_element(q, p, z1, pts, CTX)
+        second = displacement_element(-q, -p, pts, z2, CTX)
+        assert first.shape == second.shape == pts.shape
         composed = np.sum(second * first) * wt
         assert abs(composed - overlap(z2, z1)) < 1e-8
-
-
-def displacement_element_vec(xi, z1, z2, ctx):
-    z = ctx.z_from_qp(xi.q, xi.p)
-    return np.exp(
-        z * np.conj(z2) - np.conj(z) * z1 - 0.5 * abs(z) ** 2
-    ) * overlap(z2, z1)
 
 
 class TestWeylElement:
@@ -463,6 +457,32 @@ H_QUARTIC = quartic_position_hamiltonian(0.1, CTX)
          InvalidArgument, r"^qs must be real, got \[1j\]$"),  # a TypeError from numpy's float()
         (lambda: weyl_U_grid(H_QUARTIC, CTX, 1.0, [0.0], [0.5, 1 + 1j], cutoff=60),
          InvalidArgument, r"^ps must be real, got \[0.5, \(1\+1j\)\]$"),
+        (lambda: mu_coefficients(NAN, 0.5, 4),
+         InvalidArgument, "^omega must be finite, got nan$"),  # a DomainError from mu
+        (lambda: harmonic_discrete_K("w", 0.1, 0.2, "x", 1.0, 2),
+         InvalidArgument, "^omega must be a number, got 'x'$"),  # a bare TypeError
+        (lambda: quadrature_K("w", H_QUARTIC, NAN, 0.2, 1.0, 2),
+         InvalidArgument, "^zp must be finite, got nan$"),  # a DomainError from overlap
+        (lambda: quadrature_K("p", H_QUARTIC, 0.3, complex(0.2, math.inf), 1.0, 1),
+         InvalidArgument, r"^zpp must be finite, got \(0.2\+infj\)$"),
+        (lambda: hermite_functions([0.0, NAN], 3, 1.0),
+         InvalidArgument, r"^xs must be finite, got \[0.0, nan\]$"),  # a NaN table
+        (lambda: hermite_functions([0.0, 0.5], 3, 0),
+         InvalidArgument, "^b must be positive, got 0$"),  # a bare ZeroDivisionError
+        (lambda: hermite_functions([0.0, 0.5], 3, NAN),
+         InvalidArgument, "^b must be positive, got nan$"),  # a NaN table
+        (lambda: smoothing_check(None, None, CTX, margin_sigmas=NAN),
+         InvalidArgument, "^margin_sigmas must be positive, got nan$"),  # numpy's ValueError
+        (lambda: smoothing_check(None, None, CTX, margin_sigmas=-1.0),
+         InvalidArgument, "^margin_sigmas must be positive, got -1.0$"),  # returned a number
+        (lambda: symbol_to_qp(weyl_symbol(H_QUARTIC), CTX, tol=NAN),
+         InvalidArgument, "^tol must be finite, got nan$"),  # returned {}
+        (lambda: symbol_to_qp(weyl_symbol(H_QUARTIC), CTX, tol=-1.0),
+         InvalidArgument, "^tol must be positive, got -1.0$"),
+        (lambda: displacement_element(NAN, 0.0, 0.3, 0.2, CTX),
+         InvalidArgument, "^q must be finite, got nan$"),  # returned nan+nanj
+        (lambda: displacement_element(0.1, 0.0, 0.3, [0.2, math.inf], CTX),
+         InvalidArgument, r"^z2 must be finite, got \[0.2, inf\]$"),
     ],
     ids=["exact-nan", "exact-inf", "weyl_element", "quadrature_K", "quadrature_K-q1",
          "harmonic_exact_K", "harmonic_discrete_K", "harmonic_exact_K-label",
@@ -482,7 +502,11 @@ H_QUARTIC = quartic_position_hamiltonian(0.1, CTX)
          "weyl_U_grid-empty-axis", "husimi_U_grid-empty-axis", "solve_bvp-guess",
          "semiclassical_K-guess", "DiscreteWPath-hbar", "fock_coherent-label-string",
          "weyl_U_grid-axis-string", "husimi_U_grid-axis-2d", "husimi_U_grid-axis-ragged",
-         "husimi_U_grid-axis-complex", "weyl_U_grid-axis-complex"],
+         "husimi_U_grid-axis-complex", "weyl_U_grid-axis-complex", "mu_coefficients-omega-nan",
+         "harmonic_discrete_K-omega-string", "quadrature_K-zp-nan", "quadrature_K-zpp-inf",
+         "hermite_functions-xs-nan", "hermite_functions-b-zero", "hermite_functions-b-nan",
+         "smoothing_check-margin-nan", "smoothing_check-margin-negative", "symbol_to_qp-tol-nan",
+         "symbol_to_qp-tol-negative", "displacement_element-q-nan", "displacement_element-z2-inf"],
 )
 def test_non_finite_input_raises(call, error, message):
     """A non-finite or non-numeric T, label, axis, scale, width or tolerance (and a width or
@@ -513,11 +537,12 @@ def test_non_finite_input_raises(call, error, message):
         (lambda x: DiscGridSpec(points=x), "points", 2),
         (lambda x: phase_grid_axes(CTX, nq=x), "nq", 1),
         (lambda x: phase_grid_axes(CTX, npts=x), "npts", 1),
+        (lambda x: hermite_functions([0.0, 0.5], x, 1.0), "nmax", 0),
     ],
     ids=["fock_coherent", "coherent_matrix", "operator_matrix", "FockOracle", "exact_propagator",
          "weyl_U_grid", "husimi_U_grid", "mu_coefficients", "harmonic_discrete_K",
          "convergence_table", "stationary_path_harmonic", "quadrature_K", "DiscGridSpec",
-         "phase_grid_axes-nq", "phase_grid_axes-npts"],
+         "phase_grid_axes-nq", "phase_grid_axes-npts", "hermite_functions"],
 )
 def test_counts_must_be_integers(call, name, least, value):
     """A float, a boolean or a count below its least value is refused with one message that
