@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DomainError, HamiltonianFormatError, InvalidArgument
-from .errors import require_finite, require_index, require_positive
+from .errors import finite_double, require_finite, require_index, require_positive
 
 __all__ = [
     "OperatorPoly",
@@ -41,7 +41,6 @@ __all__ = [
     "quartic_position_hamiltonian",
 ]
 
-_PRUNE = 0.0  # coefficients exactly equal to zero are dropped
 HERMITIAN_TOLERANCE = 1e-12  # of OperatorPoly.is_hermitian, relative to the largest coefficient
 TRIM_TOLERANCE = 1e-14  # of SymbolPoly.trimmed, relative to the largest coefficient
 FORM_S = {"q": 0.0, "p": -1.0, "w": -0.5}  # each form's symbol is exp(s d_u d_v) of the Q symbol
@@ -55,8 +54,24 @@ def form_s(form: str) -> float:
     return FORM_S[name]
 
 
-def _pruned(terms: dict) -> dict:
-    return {k: complex(c) for k, c in terms.items() if c != _PRUNE}
+def _term_map(terms: dict) -> dict:
+    """``terms`` as a map (m, n) -> complex with int exponents, exact zeros dropped; refuses an
+    exponent that is not an integer of at least 0 or a coefficient that is not a finite number."""
+    require_finite(coefficients=list(terms.values()))
+    out: dict = {}
+    for key, c in terms.items():
+        m, n = key
+        if not (type(m) is int and m >= 0 and type(n) is int and n >= 0):
+            key = tuple(require_index(k, f"each exponent of term {key}", 0) for k in key)
+        if c != 0:
+            out[key] = complex(c)
+    return out
+
+
+def _in_range(terms: dict, what: str) -> dict:
+    """``terms``, or DomainError ``"{what} is not a finite double"`` where a coefficient is not."""
+    finite_double(lambda: list(terms.values()), what)
+    return terms
 
 
 def _poly_add(acc: dict, other: dict, scale: complex = 1.0) -> None:
@@ -83,18 +98,15 @@ class OperatorPoly:
         Map ``(m, n) -> coefficient`` of ``adag^m a^n``.  Zero coefficients
         are pruned, so the canonical form is unique.  An exponent that is not
         an integer of at least 0, or a coefficient that is not a finite
-        number, raises :class:`InvalidArgument`.
+        number, raises :class:`InvalidArgument`; a sum or product whose
+        coefficient leaves the double range raises :class:`DomainError`.
     hbar : float
         Planck constant carried along for downstream consumers.
     """
 
     def __init__(self, terms: dict, hbar: float = 1.0):
         require_positive(hbar=hbar)
-        for key in terms:
-            for k in key:
-                require_index(k, f"each exponent of term {key}", 0)
-        require_finite(coefficients=list(terms.values()))
-        self.terms = _pruned(terms)
+        self.terms = _term_map(terms)
         self.hbar = float(hbar)
 
     def __repr__(self):
@@ -119,7 +131,7 @@ class OperatorPoly:
     def __add__(self, other: "OperatorPoly") -> "OperatorPoly":
         acc = dict(self.terms)
         _poly_add(acc, other.terms)
-        return OperatorPoly(acc, self.hbar)
+        return OperatorPoly(_in_range(acc, "a coefficient of the sum"), self.hbar)
 
     def __mul__(self, other: "OperatorPoly") -> "OperatorPoly":
         """Canonical product: a^n1 adag^m2 is normal ordered as exp(d_u d_v) v^m2 u^n1, which
@@ -130,7 +142,7 @@ class OperatorPoly:
                 for (m, n), c in _apply_exp_mixed({(m2, n1): c1 * c2}, 1.0).items():
                     key = (m1 + m, n + n2)
                     acc[key] = acc.get(key, 0.0) + c
-        return OperatorPoly(acc, self.hbar)
+        return OperatorPoly(_in_range(acc, "a coefficient of the product"), self.hbar)
 
 
 @lru_cache(maxsize=64)
@@ -141,7 +153,7 @@ def _compile_jets(source: str):
 
 
 def _straight_line(parts, variables=("v", "u")) -> tuple[str, list, dict]:
-    """Power table, a ``c x^m y^n`` sum per part ((x, y) = variables), coefficients by name.
+    """Power table, a ``c x^m y^n`` sum per term map ((x, y) = variables), coefficients by name.
 
     Each power is multiplied out of lower ones as CPython's complex ``**``
     does (u3 = u u2, u4 = u2 u2, u5 = u u4): the same scalars without the
@@ -160,24 +172,38 @@ def _straight_line(parts, variables=("v", "u")) -> tuple[str, list, dict]:
     sums = []
     for part in parts:
         products = []
-        for (m, n), c in part.terms.items():
+        for (m, n), c in part.items():
             label = f"c{len(coeffs)}"
             coeffs[label] = c
-            factors = [name(x, int(k)) for x, k in zip(variables, (m, n)) if k]
+            factors = [name(x, k) for x, k in zip(variables, (m, n)) if k]
             products.append(" * ".join([label, *factors]))
         sums.append(" + ".join(products) or "0j")
     return "".join(table.values()), sums, coeffs
+
+
+def _derivative(terms: dict, wrt: str) -> dict:
+    """Exact partial derivative of a (v, u) term map in ``wrt``, "u" or "v"."""
+    if wrt == "u":
+        return {(m, n - 1): 0.0 + n * c for (m, n), c in terms.items() if n}
+    return {(m - 1, n): 0.0 + m * c for (m, n), c in terms.items() if m}
+
+
+def _partials(terms: dict) -> tuple:
+    """The term maps of H_u, H_v, H_uu, H_vv and H_uv."""
+    d_u, d_v = _derivative(terms, "u"), _derivative(terms, "v")
+    return d_u, d_v, _derivative(d_u, "u"), _derivative(d_v, "v"), _derivative(d_u, "v")
 
 
 class SymbolPoly:
     """Polynomial phase-space function ``sum c_mn v^m u^n``.
 
     ``u`` and ``v`` are independent complex arguments; the real section is
-    ``u = z``, ``v = conj(z)``.  Evaluation and derivatives are exact.
+    ``u = z``, ``v = conj(z)``.  Evaluation and derivatives are exact.  The
+    terms, sums, differences and scalings are refused as :class:`OperatorPoly`'s.
     """
 
     def __init__(self, terms: dict):
-        self.terms = _pruned(terms)
+        self.terms = _term_map(terms)
 
     def __reduce__(self):
         # the compiled jets are rebuilt on first use, not pickled
@@ -196,15 +222,16 @@ class SymbolPoly:
     def __add__(self, other: "SymbolPoly") -> "SymbolPoly":
         acc = dict(self.terms)
         _poly_add(acc, other.terms)
-        return SymbolPoly(acc)
+        return SymbolPoly(_in_range(acc, "a coefficient of the sum"))
 
     def __sub__(self, other: "SymbolPoly") -> "SymbolPoly":
         acc = dict(self.terms)
         _poly_add(acc, other.terms, -1.0)
-        return SymbolPoly(acc)
+        return SymbolPoly(_in_range(acc, "a coefficient of the difference"))
 
     def scaled(self, factor: complex) -> "SymbolPoly":
-        return SymbolPoly({k: factor * c for k, c in self.terms.items()})
+        scaled = {k: factor * c for k, c in self.terms.items()}
+        return SymbolPoly(_in_range(scaled, "a coefficient of the scaled symbol"))
 
     def trimmed(self) -> "SymbolPoly":
         """Drop coefficients below ``TRIM_TOLERANCE`` relative to the largest one."""
@@ -213,27 +240,11 @@ class SymbolPoly:
             {k: c for k, c in self.terms.items() if abs(c) > TRIM_TOLERANCE * scale}
         )
 
-    def derivative(self, wrt: str) -> "SymbolPoly":
-        """Exact partial derivative, ``wrt`` in {"u", "v"}."""
-        out: dict = {}
-        for (m, n), c in self.terms.items():
-            if wrt == "u" and n > 0:
-                out[(m, n - 1)] = out.get((m, n - 1), 0.0) + n * c
-            elif wrt == "v" and m > 0:
-                out[(m - 1, n)] = out.get((m - 1, n), 0.0) + m * c
-        return SymbolPoly(out)
-
-    @cached_property
-    def _parts(self) -> tuple:
-        """The symbol and its partials H_u, H_v, H_uu, H_vv, H_uv."""
-        d_u, d_v = self.derivative("u"), self.derivative("v")
-        return (self, d_u, d_v, d_u.derivative("u"), d_v.derivative("v"), d_u.derivative("v"))
-
     @cached_property
     def _jets(self) -> dict:
         """The jet of each order, compiled once per symbol; the coefficients
         are bound by name, so the source holds only exponents."""
-        table, sums, coeffs = _straight_line(self._parts)
+        table, sums, coeffs = _straight_line((self.terms, *_partials(self.terms)))
         source = "".join(
             f"def jet{order}(u, v):\n{table}    return ({', '.join(sums[:count])},)\n"
             for order, count in ((0, 1), (1, 3), (2, 6))
@@ -243,8 +254,8 @@ class SymbolPoly:
 
     @cached_property
     def _flow(self) -> tuple:
-        qp = SymbolPoly(symbol_to_qp(self, ScaleContext()))  # q^j p^k as the term (j, k)
-        table, (hp, hq, hpp, hqq, hqp), coeffs = _straight_line(qp._parts[1:], ("q", "p"))
+        qp = symbol_to_qp(self, ScaleContext())  # q^j p^k as the term (j, k)
+        table, (hp, hq, hpp, hqq, hqp), coeffs = _straight_line(_partials(qp), ("q", "p"))
         source = (
             f"def flow(k, q, p, dq, dp):\n{table}    hqp = {hqp}\n"
             f"    return (ih * ({hp}), mih * ({hq}), ih * (hqp * dq + ({hpp}) * dp), "
@@ -268,11 +279,14 @@ class SymbolPoly:
     def jet(self, u, v, order: int = 2) -> tuple:
         """Value and exact partials (H, H_u, H_v, H_uu, H_vv, H_uv) at (u, v).
 
-        ``order`` 0, 1 or 2 returns the first 1, 3 or 6 entries.  Scalar
+        ``order`` 0, 1 or 2 returns the first 1, 3 or 6 entries; any other
+        order raises :class:`InvalidArgument`.  Scalar
         arguments give scalars and do no array work; array arguments
         broadcast, and every entry has the broadcast shape, constant parts
         included.
         """
+        if type(order) is not int:
+            require_index(order, "order")  # a boolean or a non-integer
         try:
             compiled = self._jets[order]
         except KeyError:
@@ -432,12 +446,10 @@ def _substitute(terms: dict, x_poly: dict, y_poly: dict) -> dict:
     out: dict = {}
     xs, ys = [{(0, 0): 1.0 + 0.0j}], [{(0, 0): 1.0 + 0.0j}]  # x^j, y^k, each multiplied out once
     for (j, k), c in terms.items():
-        if j < 0 or k < 0:
-            raise InvalidArgument(f"negative power in term ({j}, {k})")
         for powers, poly, n in ((xs, x_poly, j), (ys, y_poly, k)):
             while len(powers) <= n:
                 powers.append(_poly_mul(powers[-1], poly))
-        _poly_add(out, _poly_mul(xs[j], ys[k]), complex(c))
+        _poly_add(out, _poly_mul(xs[j], ys[k]), c)
     return out
 
 
@@ -447,7 +459,7 @@ def weyl_quantize(qp_terms: dict, ctx: ScaleContext) -> OperatorPoly:
     Parameters
     ----------
     qp_terms : dict
-        Map ``(j, k) -> coefficient`` of ``q^j p^k``.
+        Map ``(j, k) -> coefficient`` of ``q^j p^k``, refused as :class:`OperatorPoly`'s terms.
     ctx : ScaleContext
         Supplies the widths of the label map.
 
@@ -458,7 +470,7 @@ def weyl_quantize(qp_terms: dict, ctx: ScaleContext) -> OperatorPoly:
         input after the z <-> (q, p) substitution, exactly.
     """
     q_poly, p_poly, _, _ = _uv_linear_forms(ctx)
-    weyl = _substitute(qp_terms, q_poly, p_poly)
+    weyl = _substitute(_term_map(qp_terms), q_poly, p_poly)
     normal = _apply_exp_mixed(weyl, -FORM_S["w"])  # Q symbol of the target operator
     return OperatorPoly(normal, ctx.hbar)
 
@@ -476,9 +488,7 @@ def symbol_to_qp(sym: SymbolPoly, ctx: ScaleContext, tol: float = 1e-13) -> dict
     if tol != 0:
         require_positive(tol=tol)
     _, _, u_poly, v_poly = _uv_linear_forms(ctx)
-    out = _substitute(sym.terms, v_poly, u_poly)
-    if not all(map(cmath.isfinite, out.values())):
-        raise DomainError("a (q, p) coefficient of the symbol is not a finite double")
+    out = _in_range(_substitute(sym.terms, v_poly, u_poly), "a (q, p) coefficient of the symbol")
     scale = max((abs(c) for c in out.values()), default=0.0)
     return {k: c for k, c in out.items() if abs(c) > tol * scale}
 
@@ -502,16 +512,6 @@ def quartic_position_hamiltonian(lam: float, ctx: ScaleContext) -> OperatorPoly:
 def _require(cond: bool, msg: str):
     if not cond:
         raise HamiltonianFormatError(msg)
-
-
-def _is_number(val) -> bool:
-    """A finite int or float; booleans are not numbers here."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        return False
-    try:
-        return math.isfinite(val)
-    except OverflowError:  # an int beyond the float range
-        return False
 
 
 def load_hamiltonian(source) -> tuple[OperatorPoly, ScaleContext]:
@@ -542,43 +542,33 @@ def load_hamiltonian(source) -> tuple[OperatorPoly, ScaleContext]:
 
     _require(isinstance(data, dict), "top-level JSON value must be an object")
     scales = [data.get(name, 1.0) for name in ("hbar", "mass", "omega")]
-    try:  # ScaleContext refuses each scale that is not a finite number above zero
+    terms: dict = {}
+    try:  # each scale, index and part is refused in the errors module's wording
         if "width_b" not in data:
             ctx = ScaleContext.default(*scales)
         else:  # checked under the name the file gives it, so float() sees a real number
             require_positive(width_b=data["width_b"])
             ctx = ScaleContext(*scales, float(data["width_b"]))
+        ordering = data.get("ordering", "normal")
+        _require(
+            ordering in ("normal", "weyl_qp"),
+            f"field 'ordering' must be 'normal' or 'weyl_qp', got {ordering!r}",
+        )
+        raw_terms = data.get("terms", [])
+        _require(isinstance(raw_terms, list), "field 'terms' must be a list")
+        for i, entry in enumerate(raw_terms):
+            _require(isinstance(entry, dict), f"terms[{i}] must be an object")
+            key = tuple(require_index(entry.get(k), f"terms[{i}].{k}", 0) for k in "mn")
+            parts = {f"terms[{i}].{k}": entry.get(k, 0.0) for k in ("re", "im")}
+            require_finite(**parts)
+            for name, part in parts.items():  # require_finite passes a list of numbers
+                _require(not isinstance(part, list), f"{name} must be a number, got {part!r}")
+            terms[key] = finite_double(
+                lambda: terms.get(key, 0.0) + complex(*parts.values()),
+                f"terms[{i}]: the coefficient of term {key}",
+            )
     except InvalidArgument as exc:
         raise HamiltonianFormatError(str(exc)) from None
-
-    ordering = data.get("ordering", "normal")
-    _require(
-        ordering in ("normal", "weyl_qp"),
-        f"field 'ordering' must be 'normal' or 'weyl_qp', got {ordering!r}",
-    )
-    raw_terms = data.get("terms", [])
-    _require(isinstance(raw_terms, list), "field 'terms' must be a list")
-
-    terms: dict = {}
-    for i, entry in enumerate(raw_terms):
-        _require(isinstance(entry, dict), f"terms[{i}] must be an object")
-        for fieldname in ("m", "n"):
-            val = entry.get(fieldname)
-            _require(
-                isinstance(val, int) and not isinstance(val, bool) and val >= 0,
-                f"terms[{i}].{fieldname} must be a non-negative integer",
-            )
-        re_part = entry.get("re", 0.0)
-        im_part = entry.get("im", 0.0)
-        for fieldname, val in (("re", re_part), ("im", im_part)):
-            _require(
-                _is_number(val),
-                f"terms[{i}].{fieldname} must be a finite number",
-            )
-        key = (entry["m"], entry["n"])
-        terms[key] = terms.get(key, 0.0) + complex(re_part, im_part)
-        if not cmath.isfinite(terms[key]):
-            raise DomainError(f"terms[{i}]: the coefficient of term {key} is not a finite double")
 
     if ordering == "normal":
         return OperatorPoly(terms, ctx.hbar), ctx

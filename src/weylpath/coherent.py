@@ -73,15 +73,14 @@ def _fock_log_tables(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     return n, half_log_fact
 
 
-def _labels(zs, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat complex labels and their moduli; refuses a cutoff below 0 or a non-finite label."""
+def _labels(zs, cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat complex labels, their moduli r and r^2/2; refuses a cutoff below 0 or a non-finite
+    label, and raises DomainError where r^2/2 is not a finite double."""
     require_finite(**{"coherent labels": zs})  # a string, before numpy's conversion
     zs = np.atleast_1d(np.asarray(zs, dtype=complex)).ravel()
     require_index(cutoff, "cutoff", 0)
     r = np.abs(zs)
-    if not np.isfinite(r).all():
-        raise InvalidArgument("coherent labels must be finite")
-    return zs, r
+    return zs, r, finite_double(lambda: 0.5 * r * r, "|z|^2/2 of a coherent label")
 
 
 def coherent_matrix(zs, cutoff: int) -> np.ndarray:
@@ -94,13 +93,14 @@ def coherent_matrix(zs, cutoff: int) -> np.ndarray:
     Raises
     ------
     DomainError
-        If the truncated Poisson tail mass of any label exceeds
-        ``TAIL_THRESHOLD`` (or is not a number), or the columns would take
-        more than ``DENSE_BYTES`` (refused before anything is built).
+        If |z|^2/2 of a label is not a finite double, the truncated Poisson
+        tail mass of any label exceeds ``TAIL_THRESHOLD`` (or is not a
+        number), or the columns would take more than ``DENSE_BYTES``
+        (refused before anything is built).
     InvalidArgument
         If the cutoff is not an integer of at least 0 or a label is not a finite number.
     """
-    zs, r = _labels(zs, cutoff)
+    zs, r, half_r2 = _labels(zs, cutoff)
     need = COHERENT_BYTES * (cutoff + 1) * (zs.size + 1)
     _require_dense(need, f"coherent vectors of {zs.size} labels at cutoff {cutoff}")
     n, half_log_fact = _fock_log_tables(cutoff)
@@ -109,7 +109,7 @@ def coherent_matrix(zs, cutoff: int) -> np.ndarray:
     cols[0] = 1.0
     np.divide(zs, r1, out=cols[1:])
     np.cumprod(cols, axis=0, out=cols)
-    cols *= np.exp(n * np.log(r1) - half_log_fact - 0.5 * r * r)
+    cols *= np.exp(n * np.log(r1) - half_log_fact - half_r2)
     tail = float(np.max(1.0 - np.sum(np.abs(cols) ** 2, axis=0)))
     if not tail <= TAIL_THRESHOLD:  # NaN-aware
         raise DomainError(

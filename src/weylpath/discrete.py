@@ -12,6 +12,7 @@ The harmonic closed forms are one formula in the ordering parameter s of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -95,6 +96,14 @@ def _alt_prefix_sums(x: np.ndarray) -> np.ndarray:
     return s
 
 
+def _finite(what: str):
+    """Decorator: ``f(path, H_W)`` through ``errors.finite_double``, which names ``what``."""
+    def decorate(f):
+        return functools.wraps(f)(lambda path, H_W: finite_double(lambda: f(path, H_W), what))
+    return decorate
+
+
+@_finite("phi_N")
 def phi_N(path: DiscreteWPath, H_W: SymbolPoly) -> complex:
     """Weyl-form discrete exponent, evaluated exactly as printed.
 
@@ -103,7 +112,7 @@ def phi_N(path: DiscreteWPath, H_W: SymbolPoly) -> complex:
             + 4 sum_{k=1}^{N-1} sum_{j=1}^{k} w*_{k+1} w_{k+1-j} (-1)^(j+1)
             + z' z''*
 
-    with H_k = H_W(w_k, w*_k).
+    with H_k = H_W(w_k, w*_k); DomainError if it is not a finite double.
     """
     w, ws = path.w, path.w_star
     alt = _alternating(path.N)
@@ -119,11 +128,12 @@ def phi_N(path: DiscreteWPath, H_W: SymbolPoly) -> complex:
     return complex(total + path.zp * zpp_star)
 
 
+@_finite("phi_N_alt")
 def phi_N_alt(path: DiscreteWPath, H_W: SymbolPoly) -> complex:
     """Rearranged discrete exponent (difference sums in steps of two).
 
-    Identical to :func:`phi_N` for every path; the quadratic part is grouped
-    so the continuum limit exhibits the action.
+    Identical to :func:`phi_N` for every path, DomainError included; the
+    quadratic part is grouped so the continuum limit exhibits the action.
     """
     w, ws = path.w, path.w_star
     H = H_W.eval(w, ws)
@@ -145,12 +155,14 @@ def phi_N_alt(path: DiscreteWPath, H_W: SymbolPoly) -> complex:
     return complex(total + path.zp * zpp_star)
 
 
+@_finite("psi_N or C_N")
 def psi_C(path: DiscreteWPath, H_W: SymbolPoly) -> tuple[complex, complex]:
     """Boundary-independent part psi_N and the chord coefficient C_N.
 
     The full exponent reconstructs as
     ``phi_N = psi_N + 2 C_N z''* + 2 Cbar_N z' + z' z''*`` where ``Cbar_N``
-    is the conjugate-pattern coefficient from :func:`chord_coefficients`.
+    is the conjugate-pattern coefficient from :func:`chord_coefficients`;
+    DomainError if either is not a finite double.
     """
     w, ws = path.w, path.w_star
     psi = np.sum(-1j * path.tau * H_W.eval(w, ws) / path.hbar - 2.0 * w * ws)
@@ -170,8 +182,10 @@ def chord_coefficients(path: DiscreteWPath) -> tuple[complex, complex]:
     return C, Cbar
 
 
+@_finite("the gradient of phi_N")
 def phi_N_gradient(path: DiscreteWPath, H_W: SymbolPoly):
-    """Exact partials (d phi/d w_l, d phi/d w*_l) treating w, w* independent."""
+    """Exact partials (d phi/d w_l, d phi/d w*_l) treating w, w* independent;
+    DomainError if an entry is not a finite double."""
     w, ws = path.w, path.w_star
     alt = _alternating(path.N)
     _, Hu, Hv = H_W.jet(w, ws, order=1)

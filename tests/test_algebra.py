@@ -32,7 +32,7 @@ from weylpath import (
 )
 import weylpath
 from weylpath import algebra, coherent, discrete, fluctuation, semiclassics, wigner
-from weylpath.algebra import FORM_S, _apply_exp_mixed, _straight_line
+from weylpath.algebra import FORM_S, _apply_exp_mixed, _partials, _straight_line
 from weylpath.errors import DomainError, HamiltonianFormatError, InvalidArgument, WeylPathError
 
 
@@ -116,8 +116,44 @@ class TestNormalize:
         with pytest.raises(InvalidArgument, match=f"^{message}$"):
             OperatorPoly(terms)
 
+    @pytest.mark.parametrize(
+        "compute, what",
+        [
+            (lambda: OperatorPoly({(0, 0): 1e308}) + OperatorPoly({(0, 0): 1e308}), "sum"),
+            (lambda: normalize([(1e154, "a"), (1e154, "adag")])
+             * normalize([(1e154, "adag"), (1e154, "a")]), "product"),
+            (lambda: SymbolPoly({(1, 1): 1e308}) + SymbolPoly({(1, 1): 1e308}), "sum"),
+            (lambda: SymbolPoly({(1, 1): 1e308}) - SymbolPoly({(1, 1): -1e308}), "difference"),
+            (lambda: SymbolPoly({(1, 1): 1e308}).scaled(10), "scaled symbol"),
+        ],
+        ids=["operator-sum", "operator-square", "symbol-sum", "symbol-difference", "scaled"],
+    )
+    def test_arithmetic_beyond_double_range_is_a_domain_error(self, compute, what):
+        # the sums were refused as InvalidArgument, the scaling returned an inf coefficient
+        with pytest.raises(DomainError, match=f"^a coefficient of the {what} is not a finite double$"):
+            compute()
+
 
 class TestSymbols:
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            ({(-1, 0): 2.0}, r"each exponent of term \(-1, 0\) must be at least 0, got -1"),
+            ({(1.5, 0): 2.0}, r"each exponent of term \(1.5, 0\) must be an integer, got 1.5"),
+            ({(1, 1): math.nan}, r"coefficients must be finite, got \[nan\]"),
+        ],
+        ids=["negative-exponent", "fractional-exponent", "nan-coefficient"],
+    )
+    def test_symbol_terms_follow_the_operator_rule(self, terms, message):
+        # v^-1 ran as "c0 * v-1" (9 at (3, 5)), a 1.5 exponent as 1, NaN as NaN
+        with pytest.raises(InvalidArgument, match=f"^{message}$"):
+            SymbolPoly(terms)
+
+    def test_exponents_are_stored_as_python_ints(self):
+        sym = SymbolPoly({(np.int64(2), np.int32(1)): 1.0})
+        assert [type(k) for key in sym.terms for k in key] == [int, int]
+        assert sym.eval(2.0, 3.0) == 18.0
+
     def test_harmonic_q(self):
         ctx = ScaleContext.default()
         sym = q_symbol(harmonic_hamiltonian(ctx))
@@ -396,7 +432,7 @@ def test_booleans_are_not_numbers(call, name, true):
 class TestJet:
     def test_generated_source_has_no_power_operator(self):
         sym = SymbolPoly({(6, 0): 0.3 - 0.1j, (0, 5): 0.2j, (3, 2): 0.1, (7, 7): 1.0})
-        table, sums, _ = _straight_line(sym._parts)
+        table, sums, _ = _straight_line((sym.terms, *_partials(sym.terms)))
         assert "u7 = u3 * u4" in table and "v6 = v2 * v4" in table
         assert "**" not in table + "".join(sums)
 
@@ -439,6 +475,17 @@ class TestJet:
     def test_order_validation(self):
         with pytest.raises(ValueError):
             SymbolPoly({}).jet(0, 0, order=3)
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [(True, "order must be a number, not the boolean True"),
+         (1.0, "order must be an integer, got 1.0")],
+        ids=["boolean", "float"],
+    )
+    def test_order_must_be_an_integer(self, order, message):
+        # each ran as order 1
+        with pytest.raises(InvalidArgument, match=f"^{message}$"):
+            SymbolPoly({(1, 1): 1.0}).jet(2.0, 3.0, order)
 
     def test_pickles_after_use(self):
         sym = weyl_symbol(harmonic_hamiltonian(ScaleContext.default()))
@@ -529,6 +576,23 @@ class TestHamiltonianLoader:
             load_hamiltonian(
                 {"ordering": "normal", "terms": [{"m": 1, "n": -2, "re": 1.0}]}
             )
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"m": 1, "n": -2}, r"terms\[0\].n must be at least 0, got -2"),
+            ({"m": 1.0, "n": 1}, r"terms\[0\].m must be an integer, got 1.0"),
+            ({"n": 1}, r"terms\[0\].m must be an integer, got None"),
+            ({"m": 1, "n": 1, "re": True}, r"terms\[0\].re must be a number, not the boolean True"),
+            ({"m": 1, "n": 1, "im": "1"}, r"terms\[0\].im must be a number, got '1'"),
+            ({"m": 1, "n": 1, "re": [1.0]}, r"terms\[0\].re must be a number, got \[1.0\]"),
+            ({"m": 1, "n": 1, "im": math.inf}, r"terms\[0\].im must be finite, got inf"),
+        ],
+        ids=["negative-n", "float-m", "missing-m", "bool-re", "string-im", "list-re", "inf-im"],
+    )
+    def test_term_fields_refused_in_the_errors_wording(self, entry, message):
+        with pytest.raises(HamiltonianFormatError, match=f"^{message}$"):
+            load_hamiltonian({"terms": [entry]})
 
     def test_json_error_carries_location(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -406,6 +406,50 @@ def test_every_public_name_has_a_caller_or_an_identity():
     assert uncalled == set(UNCALLED_PUBLIC)
 
 
+# Functions outside errors.py that test finiteness or booleans themselves, each with its reason;
+# every other check goes through the errors module (require_*, finite_double).
+OWN_CHECKS = {
+    "algebra._apply_exp_mixed": "names the term whose coefficient left the double range, "
+                                "inside the symbol maps' inner loop",
+    "semiclassics._shoot": "a trajectory that blows up is NonConverged, not a refused argument",
+    "cli._parse_complex": "a label refused while the command line is parsed, exit 1",
+    "cli._checked": "a number refused while the command line is parsed, exit 1",
+}
+
+
+def _is_own_check(node) -> bool:
+    """A call of math.isfinite, cmath.isfinite or np.isfinite, or an isinstance(..., bool)."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr == "isfinite" and ast.unparse(func.value) in ("math", "cmath", "np", "numpy")
+    if getattr(func, "id", None) == "isfinite":
+        return True
+    return getattr(func, "id", None) == "isinstance" and len(node.args) == 2 and any(
+        getattr(n, "id", None) == "bool" for n in ast.walk(node.args[1]))
+
+
+def test_finite_and_boolean_checks_go_through_errors():
+    """Every finiteness or boolean test in src outside errors.py lies in a function of OWN_CHECKS
+    (a method counts as Class.method). A function that loses its test leaves the list."""
+    src = os.path.dirname(os.path.abspath(cli.__file__))
+    found = set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "errors.py":
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read())
+        module = name[:-3]
+        for top in tree.body:
+            in_class = isinstance(top, ast.ClassDef)
+            prefix = f"{module}.{top.name}." if in_class else f"{module}."
+            for scope in top.body if in_class else [top]:
+                if any(map(_is_own_check, ast.walk(scope))):
+                    found.add(prefix + getattr(scope, "name", "<statement>"))
+    assert found == set(OWN_CHECKS)
+
+
 @pytest.mark.parametrize("value", [10**20, 10**400], ids=["beyond-int64", "beyond-double"])
 def test_finite_and_positive_agree_on_large_ints(value):
     """An int numpy cannot hold but a double can is a finite, positive number to both helpers

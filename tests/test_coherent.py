@@ -157,6 +157,24 @@ class TestFockCoherent:
         with pytest.raises(ValueError):
             coherent_matrix([0.1, np.inf], 10)
 
+    @pytest.mark.parametrize(
+        "compute",
+        [
+            lambda: coherent_matrix(1e200, 10),
+            lambda: coherent_matrix([0.1, 1.5e308 + 1.5e308j], 10),
+            lambda: exact_propagator(harmonic_hamiltonian(CTX), 1e200, 0.1, 0.5),
+            lambda: husimi_U_grid(harmonic_hamiltonian(CTX), CTX, 0.5, [0.0, 1e200], [0.0]),
+            lambda: weyl_U_grid(harmonic_hamiltonian(CTX), CTX, 0.5, [1e200], [0.0], cutoff=60),
+        ],
+        ids=["coherent_matrix", "modulus-overflow", "exact_propagator", "husimi_U_grid",
+             "weyl_U_grid"],
+    )
+    def test_label_beyond_double_range_is_a_domain_error(self, compute):
+        # |z|^2/2 overflowed with a RuntimeWarning and was refused as a short cutoff; a label
+        # whose modulus overflowed was refused as not finite
+        with pytest.raises(DomainError, match=r"^\|z\|\^2/2 of a coherent label is not a finite double$"):
+            compute()
+
 
 class TestOperatorMatrix:
     def test_number_operator(self):

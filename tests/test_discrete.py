@@ -114,6 +114,29 @@ class TestPhiN:
                 ) / (2 * h)
                 assert abs(grad[l] - fd) < 1e-7
 
+    @pytest.mark.parametrize(
+        "compute, what",
+        [
+            (phi_N, "phi_N"),
+            (phi_N_alt, "phi_N_alt"),
+            (psi_C, "psi_N or C_N"),
+            (lambda path, _: phi_N_gradient(path, HW_QUARTIC), "the gradient of phi_N"),
+        ],
+        ids=["phi_N", "phi_N_alt", "psi_C", "phi_N_gradient-quartic"],
+    )
+    def test_overflowing_exponent_is_a_domain_error(self, compute, what):
+        # each returned nan+nanj, or NaN arrays, with only RuntimeWarnings to show for it
+        path = DiscreteWPath(w=[1e200, 1e200], tau=0.1, zp=0.1, zpp=0.2)
+        with pytest.raises(DomainError, match=f"^{what} is not a finite double$"):
+            compute(path, weyl_symbol(harmonic_hamiltonian(CTX)))
+
+    def test_gradient_finite_where_only_the_value_overflows(self):
+        # H = u v - 1/2 overflows at w = 1e200 and warned; its partials v and u do not
+        path = DiscreteWPath(w=[1e200, 1e200], tau=0.1, zp=0.1, zpp=0.2)
+        gw, gws = phi_N_gradient(path, weyl_symbol(harmonic_hamiltonian(CTX)))
+        assert np.array_equal(gw, [2e200 - 1e199j, -2e200 - 1e199j])
+        assert np.array_equal(gws, [-2e200 - 1e199j, 2e200 - 1e199j])
+
 
 COORD = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 HW_QUARTIC = weyl_symbol(quartic_position_hamiltonian(0.3, CTX))

@@ -345,6 +345,15 @@ class TestDetContinuum:
         got = det_continuum(A, B, C, np.float64(1.2), steps=np.int64(256), hbar=np.float64(0.5))
         assert repr(got) == repr(want)
 
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_unchecked_call_is_the_checked_fine_pass(self, n):
+        # step_tolerance=None runs only the pass that the checked call runs at twice its steps
+        A = lambda t: 0.3 * np.cos(t)
+        B = lambda t: 0.2 * np.sin(t) + 0.1
+        C = lambda t: 1.1 + 0.15 * t
+        unchecked = det_continuum(A, B, C, 1.2, steps=2 * n, step_tolerance=None)
+        assert repr(unchecked) == repr(det_continuum(A, B, C, 1.2, steps=n))
+
     @pytest.mark.parametrize("step_tolerance", [None, 1e-8])
     def test_non_finite_sample_names_its_table(self, step_tolerance):
         # used to return nan+nanj, or to raise NonConverged with a tolerance

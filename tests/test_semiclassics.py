@@ -144,8 +144,11 @@ class TestCompiledFlow:
         assert seen and all(rhs(*point) == qp_jet_rhs(QUARTIC_W, 1.0)(*point) for rhs in seen)
 
     def test_non_finite_symbol_refused(self):
+        # a NaN symbol is refused when it is built; a finite one can still overflow in (q, p)
+        with pytest.raises(InvalidArgument, match=r"^coefficients must be finite, got \[nan\]$"):
+            SymbolPoly({(1, 1): float("nan")})
         with pytest.raises(DomainError, match=r"\(q, p\) coefficient .* not a finite double"):
-            SymbolPoly({(1, 1): float("nan")}).flow(1.0)
+            symbol_to_qp(SymbolPoly({(2, 0): 1.0}), ScaleContext(b=1e-200))
 
 
 UNIT = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
