@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -55,14 +56,22 @@ def form_s(form: str) -> float:
 
 
 def _term_map(terms: dict) -> dict:
-    """``terms`` as a map (m, n) -> complex with int exponents, exact zeros dropped; refuses an
-    exponent that is not an integer of at least 0 or a coefficient that is not a finite number."""
+    """``terms`` as a map (m, n) -> complex with int exponents, exact zeros dropped; refuses a key
+    that is not a pair, an exponent that is not an integer of at least 0 or a coefficient that is
+    a boolean, not a number or not finite."""
     require_finite(coefficients=list(terms.values()))
     out: dict = {}
     for key, c in terms.items():
-        m, n = key
+        try:
+            m, n = key
+        except (TypeError, ValueError):
+            raise InvalidArgument(f"each term must be an exponent pair (m, n), got {key!r}") from None
         if not (type(m) is int and m >= 0 and type(n) is int and n >= 0):
             key = tuple(require_index(k, f"each exponent of term {key}", 0) for k in key)
+        if type(c) not in (complex, float, int):  # a boolean, a numpy scalar or no number
+            require_finite(**{f"the coefficient of term {key}": c})
+            if not isinstance(c, numbers.Complex):
+                raise InvalidArgument(f"the coefficient of term {key} must be a number, got {c!r}")
         if c != 0:
             out[key] = complex(c)
     return out
@@ -257,24 +266,26 @@ class SymbolPoly:
         qp = symbol_to_qp(self, ScaleContext())  # q^j p^k as the term (j, k)
         table, (hp, hq, hpp, hqq, hqp), coeffs = _straight_line(_partials(qp), ("q", "p"))
         source = (
-            f"def flow(k, q, p, dq, dp):\n{table}    hqp = {hqp}\n"
-            f"    return (ih * ({hp}), mih * ({hq}), ih * (hqp * dq + ({hpp}) * dp), "
-            f"mih * (({hqq}) * dq + hqp * dp))\n"
+            f"def flow(q, p):\n{table}    return ih * ({hp}), mih * ({hq})\n"
+            f"def hessian(q, p):\n{table}    return ih * ({hqp}), ih * ({hpp}), ih * ({hqq})\n"
         )
         return _compile_jets(source), coeffs
 
-    def flow(self, hbar: float):
-        """Right-hand side ``flow(k, q, p, dq, dp)`` of the trajectory system in
-        q = (u + v)/sqrt(2), p = (u - v)/(i sqrt(2)), where it is Hamilton's:
+    def flow(self, hbar: float) -> tuple:
+        """Hamilton's flow of the symbol in q = (u + v)/sqrt(2), p = (u - v)/(i sqrt(2)),
+        and its Hessian, as the pair ``(flow, hessian)`` of functions of (q, p):
 
-        (H_p, -H_q, H_qp dq + H_pp dp, -(H_qq dq + H_qp dp)) / hbar,
-        as ``semiclassics._rk4`` takes it (``k`` unused): straight-line code
-        compiled once per symbol from the (q, p) symbol's power chains, so it
-        equals the same expressions built from that symbol's :meth:`jet` exactly."""
+        ``flow(q, p)`` = (H_p, -H_q) / hbar, the right-hand side ``semiclassics._rk4`` takes;
+        ``hessian(q, p)`` = (H_qp, H_pp, H_qq) / hbar, the entries of the linearised flow
+        d(dq, dp)/dt = [[H_qp, H_pp], [-H_qq, -H_qp]] (dq, dp) / hbar.
+
+        Both are straight-line code compiled once per symbol from the (q, p) symbol's power
+        chains, so they equal the same expressions built from that symbol's :meth:`jet`
+        exactly.  On arrays a constant entry stays a scalar."""
         code, coeffs = self._flow
         namespace = dict(coeffs, ih=1.0 / hbar, mih=-(1.0 / hbar))
         exec(code, namespace)
-        return namespace["flow"]
+        return namespace["flow"], namespace["hessian"]
 
     def jet(self, u, v, order: int = 2) -> tuple:
         """Value and exact partials (H, H_u, H_v, H_uu, H_vv, H_uv) at (u, v).

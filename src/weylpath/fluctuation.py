@@ -6,7 +6,8 @@ row/column reduction it becomes block tridiagonal, where a two-term Laplace
 recursion evaluates it in O(N).  The continuum limit of that recursion is a
 linear ODE whose solution ties the determinant to the second derivative of
 the action: it is the variational half of the trajectory system in
-:mod:`weylpath.semiclassics`, integrated by the same RK4.
+:mod:`weylpath.semiclassics`, integrated by the same product of RK4 step
+matrices.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidArgument, finite_double, refine
 from .errors import require_finite, require_index, require_positive
-from .semiclassics import _rk4
+from .semiclassics import _linear_rk4, _product
 
 __all__ = [
     "FluctuationCoeffs",
@@ -178,11 +179,8 @@ def det_recursive(coeffs: FluctuationCoeffs) -> DeterminantPair:
         e = b_j * (2.0 * cp_j * (c[:-1] - 1j) - a_j * b_j)
         one, zero = np.ones_like(g), np.zeros_like(g)
         m = np.array([[a_k * g - (c[1:] - 1j) ** 2, -a_k * cp2, a_k * e], [g, -cp2, e], [one, zero, zero]])
-        while m.shape[2] > 1:  # M_{2i+1} M_{2i}, entry by entry; an odd last factor is carried up
-            later, earlier = m[:, :, 1::2], m[:, :, :-1:2]
-            product = later[:, 0, None] * earlier[None, 0]
-            product += later[:, 1, None] * earlier[None, 1]
-            product += later[:, 2, None] * earlier[None, 2]
+        while m.shape[2] > 1:  # M_{2i+1} M_{2i}; an odd last factor is carried up
+            product = _product(m[:, :, 1::2], m[:, :, :-1:2])
             m = np.concatenate([product, m[:, :, -1:]], axis=2) if m.shape[2] % 2 else product
         return m[:, :, 0]
 
@@ -197,17 +195,16 @@ def det_recursive(coeffs: FluctuationCoeffs) -> DeterminantPair:
     return DeterminantPair(complex(delta), complex(gamma))
 
 
-def _variational_delta(A: list, B: list, C: list, T: float, steps: int, hbar: float):
-    """Delta(T) = dv(T) of the trajectory system with (u, v) held at zero.
+def _variational_delta(g: np.ndarray, T: float, steps: int) -> complex:
+    """Delta(T) = dv(T) of the trajectory system's variational pair (du, dv) from (0, 1).
 
-    ``A``, ``B``, ``C`` hold the coefficients at the half steps k h / 2.
+    ``g`` holds its generator (i/hbar) [[-C, -B], [A, C]] at the half steps
+    k h / 2, laid out [row, column, k]; Delta(T) is the (1, 1) entry of the
+    last RK4 transfer product.
     """
-    ih = 1j / hbar
-
-    def rhs(k, u, v, du, dv):
-        return 0j, 0j, -ih * (C[k] * du + B[k] * dv), ih * (A[k] * du + C[k] * dv)
-
-    return complex(_rk4(rhs, (0j, 0j, 0j, 1 + 0j), T, steps)[3][-1])
+    G = (g[..., :-1:2], g[..., 1::2], g[..., 1::2], g[..., 2::2])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a NaN Delta, as on scalars
+        return complex(_linear_rk4(G, T / steps)[1, 1, -1])
 
 
 def det_continuum(
@@ -224,14 +221,15 @@ def det_continuum(
     Solves Delta' = (A/2hbar) Gamma + (iC/hbar) Delta,
     Gamma' = (2B/hbar) Delta - (iC/hbar) Gamma from Delta(0) = 1,
     Gamma(0) = 0.  This is the variational half of the trajectory system,
-    with Delta = dv and Gamma = 2i du, integrated by the same RK4.
+    with Delta = dv and Gamma = 2i du, integrated as the shooting integrates
+    it: an ordered product of RK4 step matrices (``semiclassics._linear_rk4``).
 
     ``A``, ``B``, ``C`` are callables of t (second symbol derivatives along a
     stationary trajectory).  Each is called once, on the array of all RK4
     stage times of the finest pass; a callable that returns a scalar is
     broadcast to a constant.  The step-halving pass reads every other entry.
     T and ``hbar`` may be any real number type and ``steps`` any integer
-    type, numpy scalars included; the RK4 runs on Python scalars.
+    type, numpy scalars included, with the same result as Python scalars.
 
     Raises
     ------
@@ -247,7 +245,7 @@ def det_continuum(
     steps = require_index(steps, "steps", 1)
     if T < 0:
         raise InvalidArgument(f"T must be non-negative, got {T}")
-    T, hbar = float(T), float(hbar)  # keeps the RK4 stages off numpy-scalar arithmetic
+    T, hbar = float(T), float(hbar)  # a numpy scalar T or hbar gives the Python scalars' Delta
     if T == 0:
         return 1.0 + 0.0j
     fine_steps = steps if step_tolerance is None else 2 * steps
@@ -257,10 +255,12 @@ def det_continuum(
         for name, f in zip("ABC", (A, B, C))
     }
     require_finite(**samples)
-    tables = [tab.tolist() for tab in samples.values()]
-    fine = _variational_delta(*tables, T, fine_steps, hbar)
+    g = np.empty((2, 2, len(ts)), dtype=complex)
+    g[0, 0], g[0, 1], g[1, 0], g[1, 1] = -samples["C"], -samples["B"], samples["A"], samples["C"]
+    g *= 1j / hbar
+    fine = _variational_delta(g, T, fine_steps)
     if step_tolerance is None:
         return fine
-    coarse = _variational_delta(*(tab[::2] for tab in tables), T, steps, hbar)
+    coarse = _variational_delta(g[..., ::2], T, steps)
     what = f"halving the step ({steps} -> {fine_steps} steps)"
     return refine(coarse, fine, step_tolerance, what)[0]

@@ -8,7 +8,10 @@ d2S/du'dv'' = -i hbar / dv(T).
 
 Each RK4 pass (``_pass``) integrates Hamilton's flow ``SymbolPoly.flow`` in
 q = (u + v)/sqrt(2), p = (u - v)/(i sqrt(2)), where the symbol is sparser,
-and maps the nodes back to (u, v, du, dv); RK4 commutes with that map.
+on Python scalars (``_rk4``).  The variational pair is linear, so its RK4
+steps are 2 x 2 matrices built from the symbol's Hessian at the stage
+points; their ordered product (``_linear_rk4``) is a log-depth scan in numpy.
+The nodes are mapped back to (u, v, du, dv); RK4 commutes with that map.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ DEDUPE_TOL = 1e-6  # shooting results whose v(0) differ by less are one trajecto
 MIN_STEPS = 16  # fewest RK4 steps of a shooting grid, coarse or full
 COARSE_FACTOR = 8  # the coarse shooting grid has 1/COARSE_FACTOR of the full grid's steps
 MAX_ITER = 30  # Newton steps per shooting grid before it counts as stalled
+_DOUBLING_SCAN = 128  # longest stack of step matrices _prefix_products scans by doubling, not halving
 _R = 0.5**0.5
 _TO_UV = np.kron(np.eye(2), [[_R, 1j * _R], [_R, -1j * _R]])  # (q, p, dq, dp) -> (u, v, du, dv)
 
@@ -67,28 +71,76 @@ class ComplexTrajectory:
     newton_iters: int
 
 
-def _rk4(rhs, y0: tuple, T: float, steps: int):
-    """Fixed-step RK4 on a four-component state ``y0 = (a, b, c, d)``.
+def _rk4(rhs, y0: tuple, T: float, steps: int) -> np.ndarray:
+    """Fixed-step RK4 on a two-component state ``y0 = (q, p)``, on Python scalars.
 
-    ``rhs(k, a, b, c, d)`` returns the four derivatives at the stage time
-    ``k h / 2``; ``k`` is a half-step index in 0 .. 2 steps.  Returns the
-    node values as four arrays of length ``steps + 1``.
+    ``rhs(q, p)`` returns the two derivatives.  Returns the node values as a
+    (2, steps + 1) array.
     """
     h = T / steps
     h2, h6 = 0.5 * h, h / 6.0
-    u, v, du, dv = y0
-    nodes = [y0]
-    for k in range(0, 2 * steps, 2):
-        a1, b1, c1, d1 = rhs(k, u, v, du, dv)
-        a2, b2, c2, d2 = rhs(k + 1, u + h2 * a1, v + h2 * b1, du + h2 * c1, dv + h2 * d1)
-        a3, b3, c3, d3 = rhs(k + 1, u + h2 * a2, v + h2 * b2, du + h2 * c2, dv + h2 * d2)
-        a4, b4, c4, d4 = rhs(k + 2, u + h * a3, v + h * b3, du + h * c3, dv + h * d3)
-        u += h6 * (a1 + 2.0 * (a2 + a3) + a4)
-        v += h6 * (b1 + 2.0 * (b2 + b3) + b4)
-        du += h6 * (c1 + 2.0 * (c2 + c3) + c4)
-        dv += h6 * (d1 + 2.0 * (d2 + d3) + d4)
-        nodes.append((u, v, du, dv))
-    return tuple(np.array(nodes, dtype=complex).T.copy())
+    q, p = y0
+    qs, ps = [q], [p]  # two flat lists: numpy converts them 3-4x faster than a list of pairs
+    for _ in range(steps):
+        a1, b1 = rhs(q, p)
+        a2, b2 = rhs(q + h2 * a1, p + h2 * b1)
+        a3, b3 = rhs(q + h2 * a2, p + h2 * b2)
+        a4, b4 = rhs(q + h * a3, p + h * b3)
+        q += h6 * (a1 + 2.0 * (a2 + a3) + a4)
+        p += h6 * (b1 + 2.0 * (b2 + b3) + b4)
+        qs.append(q)
+        ps.append(p)
+    return np.array([qs, ps], dtype=complex)
+
+
+def _product(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """``later @ earlier`` for stacks of square matrices laid out [row, column, ...], entry by entry."""
+    out = later[:, 0, None] * earlier[None, 0]
+    for j in range(1, len(earlier)):
+        out += later[:, j, None] * earlier[None, j]
+    return out
+
+
+def _prefix_products(m: np.ndarray) -> np.ndarray:
+    """Prefix products m_k ... m_0 of stacked 2 x 2 matrices laid out [row, column, k], in place.
+
+    Above ``_DOUBLING_SCAN`` factors the pairs m_(2i+1) m_(2i) are scanned
+    first, which gives every odd prefix, and each even one is m_(2i) times
+    the odd prefix before it; below it every factor takes the product of the
+    one ``shift`` before it, for shift = 1, 2, 4, ... (Hillis & Steele,
+    Commun. ACM 29, 1170, 1986), fewer numpy calls on short stacks.
+    """
+    n = m.shape[-1]
+    if n > _DOUBLING_SCAN:
+        odd = _prefix_products(_product(m[..., 1::2], m[..., :-1:2]))
+        m[..., 2::2] = _product(m[..., 2::2], odd[..., : (n - 1) // 2])
+        m[..., 1::2] = odd
+        return m
+    shift = 1
+    while shift < n:  # m[k] becomes m_k ... m_(k - 2 shift + 1)
+        m[..., shift:] = _product(m[..., shift:], m[..., :-shift])
+        shift *= 2
+    return m
+
+
+def _linear_rk4(G, h: float) -> np.ndarray:
+    """Prefix products M_k ... M_0 of the RK4 step matrices of y' = G(t) y.
+
+    ``G`` holds the four stage generators G_1 .. G_4 of every step, each a
+    stack of 2 x 2 matrices laid out [row, column, step].  Step k's matrix is
+    M_k = I + h/6 (G_1 + 2 K_2 + 2 K_3 + K_4) with K_2 = G_2 (I + h/2 G_1),
+    K_3 = G_3 (I + h/2 K_2) and K_4 = G_4 (I + h K_3): the RK4 step of the
+    linear system, y_(k+1) = M_k y_k.  Returns the products laid out
+    [row, column, k], multiplied in log depth by :func:`_prefix_products`.
+    """
+    g1, g2, g3, g4 = G
+    k2 = g2 + (0.5 * h) * _product(g2, g1)
+    k3 = g3 + (0.5 * h) * _product(g3, k2)
+    k4 = g4 + h * _product(g4, k3)
+    m = (h / 6.0) * (g1 + 2.0 * (k2 + k3) + k4)
+    m[0, 0] += 1.0
+    m[1, 1] += 1.0
+    return _prefix_products(m)
 
 
 def quadratic_guess(
@@ -113,13 +165,36 @@ def quadratic_guess(
     return complex((zpp_star - (1j / hbar) * huu * sinh_k * zp) / m11)
 
 
-def _pass(rhs, zp: complex, v0: complex, T: float, steps: int) -> np.ndarray:
-    """RK4 pass of the (q, p) flow ``rhs`` from (u, v, du, dv)(0) = (z', v0, 0, 1), mapped back."""
-    start = ((zp + v0) * _R, 1j * _R * (v0 - zp), _R + 0j, 1j * _R)
-    return _TO_UV @ _rk4(rhs, start, T, steps)
+def _pass(flow, hessian, zp: complex, v0: complex, T: float, steps: int) -> np.ndarray:
+    """RK4 pass from (u, v, du, dv)(0) = (z', v0, 0, 1), as (u, v, du, dv) nodes.
+
+    (q, p) is integrated on Python scalars with ``flow``.  The stage points
+    are rebuilt from its nodes on arrays with the same ``flow``, and
+    ``hessian`` there gives the generators of (dq, dp), whose step matrices
+    ``_linear_rk4`` multiplies.  The array part ignores overflow: a tangent
+    that blows up is NaN or infinite at T, which ``_shoot`` refuses.
+    """
+    h = T / steps
+    nodes = np.empty((4, steps + 1), dtype=complex)
+    nodes[:2] = qp = _rk4(flow, ((zp + v0) * _R, 1j * _R * (v0 - zp)), T, steps)
+    nodes[2:, 0] = _R, 1j * _R
+    with np.errstate(over="ignore", invalid="ignore"):
+        stages = np.empty((2, 4, steps), dtype=complex)  # (q, p) at the four stage points
+        stages[:, 0] = qp[:, :-1]
+        for i, c in enumerate((0.5 * h, 0.5 * h, h), 1):
+            slope = flow(*stages[:, i - 1])
+            stages[0, i] = stages[0, 0] + c * slope[0]
+            stages[1, i] = stages[1, 0] + c * slope[1]
+        G = np.empty((4, 2, 2, steps), dtype=complex)  # [[H_qp, H_pp], [-H_qq, -H_qp]] / hbar
+        G[:, 0, 0], G[:, 0, 1], G[:, 1, 0] = hessian(*stages)
+        G[:, 1, 1] = G[:, 0, 0]
+        G[:, 1] *= -1.0
+        tangent = _linear_rk4(G, h)
+        nodes[2:, 1:] = tangent[:, 0] * _R + tangent[:, 1] * (1j * _R)
+        return _TO_UV @ nodes
 
 
-def _shoot(rhs, zp: complex, zpp_star, v0: complex, T: float, steps: int, tol):
+def _shoot(flow, hessian, zp: complex, zpp_star, v0: complex, T: float, steps: int, tol):
     """Newton on v(0) over one RK4 grid of ``steps`` steps.
 
     Returns (nodes, v0, iterations, residual) from the first pass with
@@ -128,7 +203,7 @@ def _shoot(rhs, zp: complex, zpp_star, v0: complex, T: float, steps: int, tol):
     """
     residual = np.inf
     for iteration in range(MAX_ITER + 1):
-        nodes = _pass(rhs, zp, v0, T, steps)
+        nodes = _pass(flow, hessian, zp, v0, T, steps)
         us, vs, dus, dvs = nodes
         mismatch = vs[-1] - zpp_star
         residual = abs(mismatch)
@@ -200,11 +275,11 @@ def solve_bvp(
     steps += steps % 2  # Simpson-friendly grids
     coarse_steps = steps // COARSE_FACTOR
     coarse_steps += coarse_steps % 2
-    rhs = H_sym.flow(hbar)
+    flow, hessian = H_sym.flow(hbar)
     start = quadratic_guess(H_sym, zp, zpp_star, T, hbar) if guess is None else complex(guess)
 
     def shoot(v0, n):
-        return _shoot(rhs, complex(zp), zpp_star, v0, T, n, tol)
+        return _shoot(flow, hessian, complex(zp), zpp_star, v0, T, n, tol)
 
     fine = None
     if (guess is not None or H_sym.degree > 2) and coarse_steps >= MIN_STEPS:
@@ -288,16 +363,23 @@ def tracked_prefactor(traj: ComplexTrajectory) -> complex:
     following the square root step by step fixes the branch without any
     Maslov bookkeeping.  Emits :class:`CausticWarning` when the tracked
     monodromy component gets small (the prefactor is blowing up).
+
+    Node k takes the root nearer the one before it: relative to the
+    principal roots r_k, its sign flips where |r_k + r_(k-1)| < |r_k - r_(k-1)|
+    and is + again on an exact tie (r_(-1) = 1), so the last sign is the
+    parity of the flips after the last tie.  The result is that sign times
+    ``cmath.sqrt`` of the last 1/dv.
     """
-    prev = 1.0 + 0.0j
     if np.min(np.abs(traj.dv)) < CAUSTIC_THRESHOLD:
         warnings.warn("prefactor tracked through a near-caustic", CausticWarning)
-    for recip in (1.0 / traj.dv).tolist():  # numpy's division, then Python complex numbers
-        root = cmath.sqrt(recip)
-        if abs(-root - prev) < abs(root - prev):
-            root = -root
-        prev = root
-    return prev
+    recip = 1.0 / traj.dv
+    roots = np.sqrt(recip)
+    before = np.concatenate(([1.0], roots[:-1]))
+    near, far = np.abs(roots + before), np.abs(roots - before)
+    ties = np.flatnonzero(near == far)
+    start = ties[-1] + 1 if ties.size else 0
+    root = cmath.sqrt(complex(recip[-1]))
+    return -root if np.count_nonzero(near[start:] < far[start:]) % 2 else root
 
 
 def trajectory_hessian_samplers(traj: ComplexTrajectory, H_sym: SymbolPoly):

@@ -149,6 +149,29 @@ class TestSymbols:
         with pytest.raises(InvalidArgument, match=f"^{message}$"):
             SymbolPoly(terms)
 
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            ({(1, 2, 3): 1.0}, r"each term must be an exponent pair \(m, n\), got \(1, 2, 3\)"),
+            ({1: 1.0}, r"each term must be an exponent pair \(m, n\), got 1"),
+            ({(0, 0): True}, r"the coefficient of term \(0, 0\) must be a number, not the boolean True"),
+            ({(1, 0): np.bool_(False)},
+             r"the coefficient of term \(1, 0\) must be a number, not the boolean False"),
+            ({(0, 0): [1.0]}, r"the coefficient of term \(0, 0\) must be a number, got \[1.0\]"),
+        ],
+        ids=["triple-key", "int-key", "boolean", "numpy-boolean", "list"],
+    )
+    @pytest.mark.parametrize("cls", [OperatorPoly, SymbolPoly])
+    def test_keys_and_coefficients_refused_in_the_errors_wording(self, cls, terms, message):
+        # a triple ended in a bare ValueError, an int key in a TypeError, True ran as 1 (False
+        # as a dropped zero) and [1.0] ended in a TypeError from complex()
+        with pytest.raises(InvalidArgument, match=f"^{message}$"):
+            cls(terms)
+
+    def test_numpy_scalar_coefficients_are_numbers(self):
+        terms = {(1, 1): np.float64(2.0), (0, 1): np.complex128(1j), (0, 0): np.int64(3)}
+        assert OperatorPoly(terms).terms == {(1, 1): 2.0, (0, 1): 1j, (0, 0): 3.0}
+
     def test_exponents_are_stored_as_python_ints(self):
         sym = SymbolPoly({(np.int64(2), np.int32(1)): 1.0})
         assert [type(k) for key in sym.terms for k in key] == [int, int]

@@ -348,6 +348,33 @@ def test_one_budget_comparison():
     assert offenders == [] and compares == 1
 
 
+def _is_rk4_weight(node) -> bool:
+    """``x / 6`` or a product with the constant 1/6: the weight of an RK4 step."""
+    if not isinstance(node, ast.BinOp):
+        return False
+    if isinstance(node.op, ast.Div):
+        return isinstance(node.right, ast.Constant) and node.right.value == 6
+    return isinstance(node.op, ast.Mult) and any(
+        isinstance(side, ast.Constant) and side.value == 1 / 6 for side in (node.left, node.right))
+
+
+def test_one_rk4_per_state_kind():
+    """The RK4 weight h/6 appears in semiclassics._rk4 (the (q, p) flow on Python scalars) and
+    semiclassics._linear_rk4 (the step matrices of a linear system) alone, so no module grows an
+    integrator of its own."""
+    src = os.path.dirname(os.path.abspath(cli.__file__))
+    found = set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            if any(map(_is_rk4_weight, ast.walk(top))):
+                found.add(f"{name[:-3]}.{getattr(top, 'name', '<statement>')}")
+    assert found == {"semiclassics._rk4", "semiclassics._linear_rk4"}
+
+
 # Public names no src code outside their own def or class uses, each with the paper identity it
 # checks or the bench call (bench/workloads.py API_FUNCTIONS) that keeps it.
 UNCALLED_PUBLIC = {

@@ -1,5 +1,7 @@
+import cmath
 import pickle
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from weylpath.errors import (
     InvalidArgument,
     NonConverged,
 )
-from weylpath import det_continuum, fluctuation, semiclassics
+from weylpath import det_continuum, semiclassics
 from weylpath.semiclassics import (
     _rk4,
     quadratic_guess,
@@ -42,6 +44,26 @@ from weylpath.semiclassics import (
 CTX = ScaleContext.default()
 H_HARM = harmonic_hamiltonian(CTX)
 SYM_W = weyl_symbol(H_HARM)  # hbar omega u v
+
+
+def rk4_reference(rhs, y0: tuple, T: float, steps: int):
+    """The four-component RK4 the shooting and det_continuum ran before the (q, p) pass, as the
+    reference: ``rhs(k, a, b, c, d)`` at the half-step index k, node values as four arrays."""
+    h = T / steps
+    h2, h6 = 0.5 * h, h / 6.0
+    u, v, du, dv = y0
+    nodes = [y0]
+    for k in range(0, 2 * steps, 2):
+        a1, b1, c1, d1 = rhs(k, u, v, du, dv)
+        a2, b2, c2, d2 = rhs(k + 1, u + h2 * a1, v + h2 * b1, du + h2 * c1, dv + h2 * d1)
+        a3, b3, c3, d3 = rhs(k + 1, u + h2 * a2, v + h2 * b2, du + h2 * c2, dv + h2 * d2)
+        a4, b4, c4, d4 = rhs(k + 2, u + h * a3, v + h * b3, du + h * c3, dv + h * d3)
+        u += h6 * (a1 + 2.0 * (a2 + a3) + a4)
+        v += h6 * (b1 + 2.0 * (b2 + b3) + b4)
+        du += h6 * (c1 + 2.0 * (c2 + c3) + c4)
+        dv += h6 * (d1 + 2.0 * (d2 + d3) + d4)
+        nodes.append((u, v, du, dv))
+    return tuple(np.array(nodes, dtype=complex).T.copy())
 
 
 def jet_rhs(sym: SymbolPoly, hbar: float):
@@ -60,8 +82,26 @@ def qp_symbol(sym: SymbolPoly) -> SymbolPoly:
     return SymbolPoly(symbol_to_qp(sym, ScaleContext()))
 
 
+def qp_jet_flow(sym: SymbolPoly, hbar: float):
+    """Hamilton's flow in (q, p) and its Hessian, assembled from the (q, p) symbol's jet, as the
+    reference for ``sym.flow(hbar)``."""
+    ih = 1 / hbar
+    qp = qp_symbol(sym)
+
+    def flow(q, p):
+        _, hp, hq = qp.jet(p, q, order=1)
+        return ih * hp, -ih * hq
+
+    def hessian(q, p):
+        _, _, _, hpp, hqq, hqp = qp.jet(p, q)
+        return ih * hqp, ih * hpp, ih * hqq
+
+    return flow, hessian
+
+
 def qp_jet_rhs(sym: SymbolPoly, hbar: float):
-    """Hamilton's flow in (q, p) assembled from the (q, p) symbol's jet, as the reference."""
+    """Hamilton's flow in (q, p) with its variational pair, from the (q, p) symbol's jet, as the
+    four-component reference."""
     ih = 1 / hbar
     qp = qp_symbol(sym)
 
@@ -74,13 +114,13 @@ def qp_jet_rhs(sym: SymbolPoly, hbar: float):
 
 def uv_pass(rhs, zp, v0, T, steps):
     """An RK4 pass in (u, v) from (z', v0, 0, 1), as the shooting ran before the (q, p) flow."""
-    return np.array(_rk4(rhs, (zp, v0, 0j, 1 + 0j), T, steps))
+    return np.array(rk4_reference(rhs, (zp, v0, 0j, 1 + 0j), T, steps))
 
 
 def uv_shooting(monkeypatch):
     """Make the shooting integrate the (u, v) ``jet_rhs`` instead of the (q, p) flow."""
-    monkeypatch.setattr(SymbolPoly, "flow", jet_rhs)
-    monkeypatch.setattr(semiclassics, "_pass", uv_pass)
+    monkeypatch.setattr(SymbolPoly, "flow", lambda sym, hbar: (jet_rhs(sym, hbar), None))
+    monkeypatch.setattr(semiclassics, "_pass", lambda rhs, _, *args: uv_pass(rhs, *args))
 
 
 HIGH = SymbolPoly({(6, 0): 0.3 - 0.1j, (0, 5): 0.2 + 0.4j, (3, 2): 0.1, (1, 1): 1.0})
@@ -107,41 +147,47 @@ class TestCompiledFlow:
     @FLOW_CASES
     def test_rk4_pass_equals_jet_closure(self, sym, hbar):
         y0 = (0.4 + 0.1j, 0.3 - 0.2j, 0.7 + 0j, 0.7j)
-        new = _rk4(sym.flow(hbar), y0, 0.3, 256)
-        old = _rk4(qp_jet_rhs(sym, hbar), y0, 0.3, 256)
-        for a, b in zip(new, old):
-            assert np.array_equal(a, b)
+        flow, _ = sym.flow(hbar)
+        new = _rk4(flow, y0[:2], 0.3, 256)
+        assert np.array_equal(new, _rk4(qp_jet_flow(sym, hbar)[0], y0[:2], 0.3, 256))
+        # (q, p) does not depend on the variational pair: the four-component pass, bit for bit
+        assert np.array_equal(new, rk4_reference(qp_jet_rhs(sym, hbar), y0, 0.3, 256)[:2])
         assert np.all(np.isfinite(new))
 
     @FLOW_CASES
     def test_mapped_pass_matches_the_uv_pass(self, sym, hbar):
-        # RK4 commutes with the constant map (q, p) <-> (u, v): round-off only
+        # RK4 commutes with the constant map (q, p) <-> (u, v), and the variational pair's RK4
+        # steps are the transfer matrices multiplied in a tree: round-off only
         zp, v0, T = 0.4 + 0.1j, 0.3 - 0.2j, 0.3
-        new = semiclassics._pass(sym.flow(hbar), zp, v0, T, 256)
-        old = uv_pass(jet_rhs(sym, hbar), zp, v0, T, 256)
-        for a, b in zip(new, old):
-            assert np.abs(a - b).max() <= 1e-13 * max(np.abs(b).max(), 1.0)
+        for steps in (256, 2048):
+            new = semiclassics._pass(*sym.flow(hbar), zp, v0, T, steps)
+            old = uv_pass(jet_rhs(sym, hbar), zp, v0, T, steps)
+            for a, b in zip(new, old):
+                assert np.abs(a - b).max() <= 1e-13 * max(np.abs(b).max(), 1.0), steps
 
     def test_pickles_after_use(self):
-        point = (0, 0.4 + 0.1j, 0.3 - 0.2j, 0.1j, 1.0 + 0j)
-        before = HIGH.flow(0.5)(*point)
+        point = (0.4 + 0.1j, 0.3 - 0.2j)
+        before = [f(*point) for f in HIGH.flow(0.5)]
         again = pickle.loads(pickle.dumps(HIGH))
-        assert again.flow(0.5)(*point) == before == qp_jet_rhs(HIGH, 0.5)(*point)
+        assert [f(*point) for f in again.flow(0.5)] == before == [
+            f(*point) for f in qp_jet_flow(HIGH, 0.5)]
 
     def test_shooting_integrates_the_sparse_qp_flow(self, monkeypatch):
         # the quartic W symbol has 7 (u, v) terms; in (q, p) it is p^2/2 + q^2/2 + lam q^4
         assert len(QUARTIC_W.terms) == 7
         assert {key for key in qp_symbol(QUARTIC_W).terms if key != (0, 0)} == {(0, 2), (2, 0), (4, 0)}
         seen = []
+        real_pass = semiclassics._pass
 
-        def rk4(rhs, y0, T, steps):
-            seen.append(rhs)
-            return _rk4(rhs, y0, T, steps)
+        def recorded(flow, hessian, *args):
+            seen.append((flow, hessian))
+            return real_pass(flow, hessian, *args)
 
-        monkeypatch.setattr(semiclassics, "_rk4", rk4)
+        monkeypatch.setattr(semiclassics, "_pass", recorded)
         solve_bvp(QUARTIC_W, 0.7, 0.7, 0.5)
-        point = (0, 0.4 + 0.1j, 0.3 - 0.2j, 0.1j, 1.0 + 0j)
-        assert seen and all(rhs(*point) == qp_jet_rhs(QUARTIC_W, 1.0)(*point) for rhs in seen)
+        point = (0.4 + 0.1j, 0.3 - 0.2j)
+        want = [f(*point) for f in qp_jet_flow(QUARTIC_W, 1.0)]
+        assert seen and all([f(*point) for f in pair] == want for pair in seen)
 
     def test_non_finite_symbol_refused(self):
         # a NaN symbol is refused when it is built; a finite one can still overflow in (q, p)
@@ -164,26 +210,26 @@ def symbols(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(sym=symbols(), hbar=st.floats(0.1, 4.0), u=POINT, v=POINT, du=POINT, dv=POINT)
-def test_flow_equals_jet_closure_property(sym, hbar, u, v, du, dv):
-    assert sym.flow(hbar)(0, u, v, du, dv) == qp_jet_rhs(sym, hbar)(0, u, v, du, dv)
+@given(sym=symbols(), hbar=st.floats(0.1, 4.0), q=POINT, p=POINT)
+def test_flow_equals_jet_closure_property(sym, hbar, q, p):
+    assert [f(q, p) for f in sym.flow(hbar)] == [f(q, p) for f in qp_jet_flow(sym, hbar)]
 
 
 POINTS = st.lists(POINT, min_size=5, max_size=5).map(lambda xs: np.array(xs, dtype=complex))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(sym=symbols(), hbar=st.floats(0.1, 4.0), u=POINTS, v=POINTS, du=POINTS, dv=POINTS)
-def test_array_jets_share_the_flow_power_chains_property(sym, hbar, u, v, du, dv):
+@given(sym=symbols(), hbar=st.floats(0.1, 4.0), q=POINTS, p=POINTS)
+def test_array_jets_share_the_flow_power_chains_property(sym, hbar, q, p):
     # on arrays the jets and the flow are one evaluator: the same products
     # in the same order, so the same numbers, and each element is what the
     # jet gives on that element alone
-    flow = sym.flow(hbar)(0, u, v, du, dv)
-    for a, b in zip(flow, qp_jet_rhs(sym, hbar)(0, u, v, du, dv)):
-        assert np.array_equal(np.broadcast_to(a, b.shape), b)  # a constant stays scalar
-    batch = sym.jet(u, v)
-    for i in range(len(u)):
-        for part, alone in zip(batch, sym.jet(u[i : i + 1], v[i : i + 1])):
+    for got, want in zip(sym.flow(hbar), qp_jet_flow(sym, hbar)):
+        for a, b in zip(got(q, p), want(q, p)):
+            assert np.array_equal(np.broadcast_to(a, b.shape), b)  # a constant stays scalar
+    batch = sym.jet(q, p)
+    for i in range(len(q)):
+        for part, alone in zip(batch, sym.jet(q[i : i + 1], p[i : i + 1])):
             assert np.array_equal(part[i : i + 1], alone)
 
 
@@ -308,15 +354,17 @@ COMPARISON_SET = [  # (H, z', z'', T, steps), harmonic included
 
 
 def counted_rk4(monkeypatch, fault=None):
-    """Count ``_rk4`` passes by their step count; ``fault(steps, nodes)`` may alter a pass."""
+    """Count RK4 passes by their step count; ``fault(steps, nodes)`` may alter a pass's
+    (u, v, du, dv) nodes."""
     calls = []
+    real_pass = semiclassics._pass
 
-    def rk4(rhs, y0, T, steps):
+    def rk4_pass(flow, hessian, zp, v0, T, steps):
         calls.append(steps)
-        nodes = _rk4(rhs, y0, T, steps)
+        nodes = real_pass(flow, hessian, zp, v0, T, steps)
         return nodes if fault is None else fault(steps, nodes)
 
-    monkeypatch.setattr(semiclassics, "_rk4", rk4)
+    monkeypatch.setattr(semiclassics, "_pass", rk4_pass)
     return calls
 
 
@@ -360,15 +408,15 @@ class TestTwoLevelShooting:
         monkeypatch.undo()
         failed = []
 
-        def fault(steps, nodes):  # on the (q, p, dq, dp) nodes, before the map to (u, v)
-            qs, ps, dqs, dps = nodes
+        def fault(steps, nodes):  # on the (u, v, du, dv) nodes
+            us, vs, dus, dvs = nodes
             if failure == "blow-up" and steps == 64:
-                return qs, ps, dqs, dps * np.nan
+                return us, vs, dus, dvs * np.nan
             if failure == "singular" and steps == 64:
-                return qs, ps, 0 * dqs, 0 * dps
+                return us, vs, 0 * dus, 0 * dvs
             if failure == "fine-after-coarse" and steps == 512 and not failed:
                 failed.append(steps)
-                return qs, ps * np.nan, dqs, dps
+                return us, vs * np.nan, dus, dvs
             return nodes
 
         calls = counted_rk4(monkeypatch, fault)
@@ -437,18 +485,17 @@ class TestTwoLevelShooting:
 
 
 def stage_types(monkeypatch) -> set:
-    """Types of every stage state ``_rk4`` hands its right-hand side, in both calling modules."""
+    """Types of every stage state ``_rk4`` hands its right-hand side."""
     seen = set()
 
     def rk4(rhs, y0, T, steps):
-        def recorded(k, *state):
+        def recorded(*state):
             seen.update(map(type, state))
-            return rhs(k, *state)
+            return rhs(*state)
 
         return _rk4(recorded, y0, T, steps)
 
     monkeypatch.setattr(semiclassics, "_rk4", rk4)
-    monkeypatch.setattr(fluctuation, "_rk4", rk4)
     return seen
 
 
@@ -466,18 +513,26 @@ class TestNumpyScalars:
             lambda: solve_bvp(QUARTIC_W, 0.7, 0.5 - 0.2j, 0.8, steps=np.int64(512)),
             lambda: semiclassical_K("w", quartic_position_hamiltonian(0.1, CTX), 0.7, 0.7,
                                     np.float64(0.5), np.int64(512)),
-            lambda: det_continuum(*varying_samplers(), np.float64(1.2), steps=256),
-            lambda: det_continuum(*varying_samplers(), 1.2, steps=256, hbar=np.float64(0.5)),
-            lambda: det_continuum(*varying_samplers(), 1.2, steps=np.int64(256)),
         ],
-        ids=["solve_bvp-T", "solve_bvp-hbar", "solve_bvp-steps", "semiclassical_K-T-steps",
-             "det_continuum-T", "det_continuum-hbar", "det_continuum-steps"],
+        ids=["solve_bvp-T", "solve_bvp-hbar", "solve_bvp-steps", "semiclassical_K-T-steps"],
     )
     def test_every_rk4_stage_is_a_python_complex(self, monkeypatch, call):
         # a numpy step h or 1/hbar made every stage after the first a numpy scalar
         seen = stage_types(monkeypatch)
         call()
         assert seen == {complex}
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"T": np.float64(1.2)}, {"hbar": np.float64(0.5)}, {"steps": np.int64(256)}],
+        ids=["T", "hbar", "steps"],
+    )
+    def test_det_continuum_gives_the_python_value(self, options):
+        # det_continuum runs no scalar RK4 any more; a numpy T, hbar or steps gives the same Delta
+        python = {"T": 1.2, "hbar": 0.5, "steps": 256}
+        want = det_continuum(*varying_samplers(), **python)
+        got = det_continuum(*varying_samplers(), **{**python, **options})
+        assert repr(got) == repr(want)
 
     @pytest.mark.parametrize("form", ["q", "p", "w"])
     def test_trajectories_are_repr_identical(self, form):
@@ -490,6 +545,67 @@ class TestNumpyScalars:
             assert repr((got.v0, got.residual, got.hbar, got.newton_iters)) == repr(
                 (want.v0, want.residual, want.hbar, want.newton_iters)
             )
+
+
+def prefactor_loop(traj) -> complex:
+    """tracked_prefactor as a loop over the nodes, the branch followed on Python complex numbers,
+    as the reference."""
+    if np.min(np.abs(traj.dv)) < semiclassics.CAUSTIC_THRESHOLD:
+        warnings.warn("prefactor tracked through a near-caustic", CausticWarning)
+    prev = 1.0 + 0.0j
+    for recip in (1.0 / traj.dv).tolist():
+        root = cmath.sqrt(recip)
+        if abs(-root - prev) < abs(root - prev):
+            root = -root
+        prev = root
+    return prev
+
+
+def delta_reference(A, B, C, T, steps, hbar):
+    """det_continuum's unchecked pass as it ran before the transfer products: the variational
+    pair on Python scalars, with the coefficients at the half steps."""
+    ts = np.linspace(0.0, T, 2 * steps + 1)
+    a, b, c = (np.broadcast_to(np.asarray(f(ts), dtype=complex), ts.shape).tolist() for f in (A, B, C))
+    ih = 1j / hbar
+
+    def rhs(k, u, v, du, dv):
+        return 0j, 0j, -ih * (c[k] * du + b[k] * dv), ih * (a[k] * du + c[k] * dv)
+
+    return complex(rk4_reference(rhs, (0j, 0j, 0j, 1 + 0j), T, steps)[3][-1])
+
+
+class TestTransferProducts:
+    @pytest.mark.parametrize("steps", [1, 16, 255, 1024])
+    @pytest.mark.parametrize("hbar", [1.0, 0.5])
+    def test_det_continuum_matches_the_python_loop(self, steps, hbar):
+        T = 1.2
+        for samplers in (varying_samplers(), (lambda t: 0.0, lambda t: 0.3, lambda t: 1.4)):
+            want = delta_reference(*samplers, T, steps, hbar)
+            assert abs(det_continuum(*samplers, T, steps, hbar, None) - want) <= 1e-12 * abs(want)
+
+    def test_det_continuum_on_a_trajectory_matches_the_python_loop(self):
+        traj = solve_bvp(QUARTIC_W, 0.7, 0.5 - 0.2j, 0.8, steps=2048, tol=1e-12)
+        samplers = trajectory_hessian_samplers(traj, QUARTIC_W)
+        want = delta_reference(*samplers, 0.8, 2048, 1.0)
+        assert abs(det_continuum(*samplers, 0.8, steps=1024) - want) <= 1e-12 * abs(want)
+
+    def test_tangent_overflow_under_finite_qp_is_a_blow_up(self, monkeypatch):
+        # an inverted oscillator from the fixed point: q = p = 0 exactly, while the variational
+        # pair grows like e^t and leaves the double range; numpy's overflow is no RuntimeWarning
+        inverted = SymbolPoly({(0, 2): -0.5, (2, 0): -0.5})
+        ends = []
+
+        def rk4(rhs, y0, T, steps):
+            nodes = _rk4(rhs, y0, T, steps)
+            ends.append(nodes[:, -1])
+            return nodes
+
+        monkeypatch.setattr(semiclassics, "_rk4", rk4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConverged, match="trajectory blew up"):
+                solve_bvp(inverted, 0.0, 0.0, 4000.0, steps=64)
+        assert ends and all(np.array_equal(end, [0j, 0j]) for end in ends)
 
 
 class TestActionAndCorrection:
@@ -599,6 +715,31 @@ class TestSecondDerivative:
         traj = solve_bvp(SYM_W, 0.3, 0.2, 2 * np.pi - 0.1, steps=1024)
         pref = tracked_prefactor(traj)
         assert abs(pref - np.exp(-0.5j * (2 * np.pi - 0.1))) < 1e-9
+
+    @pytest.mark.parametrize("form", ["q", "p", "w"])
+    def test_prefactor_is_the_loop_on_the_comparison_set(self, form):
+        for H, zp, zpp, T, steps in COMPARISON_SET:
+            traj = solve_bvp(symbol_for_form(H, form), zp, complex(np.conj(zpp)), T, steps, hbar=H.hbar)
+            assert tracked_prefactor(traj) == prefactor_loop(traj)
+
+    def test_prefactor_resets_on_a_tie_and_flips_after_it(self):
+        # 1/dv = 1, -1 - 0j: the principal roots 1 and -i are an exact tie, so the sign is + again;
+        # 1/dv then crosses the cut at -1, so the next root is taken against the principal one
+        traj = SimpleNamespace(dv=1.0 / np.array([1.0, -1.0, -1.0 + 0.01j, -1.0 + 0.02j]))
+        last = cmath.sqrt(complex(1.0 / traj.dv[-1]))
+        assert tracked_prefactor(traj) == prefactor_loop(traj) == -last
+
+    @pytest.mark.parametrize(
+        "dv",
+        [1.0 - 2.0 * np.arange(1001) / 1000 + 1e-5j, 1e-5 * np.exp(1j * np.linspace(0.0, 2 * np.pi, 65))],
+        ids=["past-zero", "around-zero"],
+    )
+    def test_prefactor_is_the_loop_through_a_near_caustic_turn(self, dv):
+        traj = SimpleNamespace(dv=dv)
+        with pytest.warns(CausticWarning):
+            got = tracked_prefactor(traj)
+        with pytest.warns(CausticWarning):
+            assert got == prefactor_loop(traj)
 
 
 class TestSemiclassicalK:
