@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import OperatorPoly, ScaleContext, SymbolPoly
 from .errors import DomainError, InvalidArgument, finite_double, refine
-from .errors import require_finite, require_index, require_positive
+from .errors import require_finite, require_index, require_nonnegative, require_positive
 
 __all__ = [
     "FockVector",
@@ -37,6 +37,10 @@ CUTOFF_TOLERANCE = 1e-10  # default cutoff-doubling tolerance of exact_propagato
 DENSE_BYTES = 2**31  # largest dense arrays one call builds: oracle, lattice, coherent columns
 COHERENT_BYTES = 32  # per Fock state and label, plus one label for the tables, in coherent_matrix:
 # complex columns and two float temporaries (traced peak: 31.1-32.1 at 16-4096 labels, 24 at one)
+PASS_BYTES = 864  # per RK4 step of one shooting pass, semiclassics._pass: nodes, stage points,
+# stage generators and step matrices (traced peak of a quartic pass at 16,384 and 65,536 steps)
+CONTINUUM_BYTES = 592  # per RK4 step of det_continuum's finest pass: samples, generators and
+# step matrices (traced peak at 16,384 and 65,536 steps; a checked call has twice the steps)
 ORACLE_MATRICES = 5  # complex (cutoff + 1)^2 arrays alive in an oracle build: H, eigh's copy,
 # its two work arrays and the eigenvectors (measured peak: 5.1 at cutoff 1000 and 2000)
 
@@ -205,10 +209,9 @@ def exact_propagator(
         If T is negative, T or a label is not finite, ``cutoff`` is not an integer
         of at least 0 and the degree of H, or ``check_tolerance`` is not positive.
     """
-    require_finite(T=T, z1=z1, z2=z2)  # before an oracle is built
+    require_nonnegative(T=T)  # before an oracle is built
+    require_finite(z1=z1, z2=z2)
     require_positive(check_tolerance=check_tolerance)
-    if T < 0:
-        raise InvalidArgument(f"T must be non-negative, got {T}")
     _require_oracle_fits(cutoff, 2)
     base = _cached_oracle(H, cutoff).propagator(z1, z2, T)
     refined = _cached_oracle(H, 2 * cutoff).propagator(z1, z2, T)
@@ -244,7 +247,7 @@ def _cached_oracle(H: OperatorPoly, cutoff: int) -> FockOracle:
 
 
 def harmonic_exact_K(z1: complex, z2: complex, omega: float, T: float) -> complex:
-    """Closed-form <z2|U|z1> for H = hbar omega (adag a + 1/2).
+    """Closed-form <z2|U|z1> for H = hbar omega (adag a + 1/2); a negative T evolves backwards.
 
     Raises
     ------
@@ -304,11 +307,13 @@ def weyl_element(A_W: SymbolPoly, z1: complex, z2: complex) -> complex:
     NonConverged
         If doubling ``GH_NODES`` moves the result by more than
         ``GH_TOLERANCE``.
+    DomainError
+        If the sum at either node count is not a finite double.
     """
     require_finite(z1=z1, z2=z2)
-    return refine(
-        _weyl_element_fixed(A_W, z1, z2, GH_NODES),
-        _weyl_element_fixed(A_W, z1, z2, 2 * GH_NODES),
-        GH_TOLERANCE,
-        f"doubling {GH_NODES} -> {2 * GH_NODES} Gauss-Hermite nodes",
-    )[0]
+    coarse, fine = (
+        finite_double(lambda: _weyl_element_fixed(A_W, z1, z2, n), f"the {n}-node Gauss-Hermite sum")
+        for n in (GH_NODES, 2 * GH_NODES)
+    )
+    what = f"doubling {GH_NODES} -> {2 * GH_NODES} Gauss-Hermite nodes"
+    return refine(coarse, fine, GH_TOLERANCE, what)[0]

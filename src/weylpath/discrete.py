@@ -21,7 +21,7 @@ import numpy as np
 from .algebra import FORM_S, OperatorPoly, SymbolPoly, form_s, symbol_for_form
 from .coherent import harmonic_exact_K, overlap
 from .errors import DomainError, InvalidArgument, finite_double, refine
-from .errors import require_finite, require_index, require_positive
+from .errors import require_finite, require_index, require_nonnegative, require_positive
 
 __all__ = [
     "DiscreteWPath",
@@ -41,6 +41,7 @@ __all__ = [
 
 COHERENT_WIDTH = 1.0 / math.sqrt(2.0)  # |<z|z'>|^2 = exp(-|z-z'|^2)
 GRID_REFINE = 1.5  # per-axis point-count factor of the quadrature's check pass
+RADIUS_WIDTHS = 6.0  # disc radius of the quadrature, in coherent widths around the z' -> z'' line
 
 
 @dataclass(frozen=True)
@@ -255,7 +256,8 @@ def harmonic_discrete_K(
     K_s = (1 - i tau w s)^-N exp(-i w T (s + 1/2) + mu_s z'z''* - |z'|^2/2 - |z''|^2/2)
 
     with the form's s (0 for Q, -1 for P, -1/2 for W); the W form needs even N.
-    A mu_s or K_s that is not a finite double raises DomainError.
+    A negative T is accepted, as in :func:`coherent.harmonic_exact_K`.  A mu_s
+    or K_s that is not a finite double raises DomainError.
     """
     form = form.lower()
     s = form_s(form)
@@ -281,19 +283,18 @@ def harmonic_discrete_K(
 class DiscGridSpec:
     """Uniform grid on a disc in each integrated complex plane.
 
-    ``radius_widths`` counts coherent widths (1/sqrt(2) in label units)
-    around the straight line between z' and z''; the check pass multiplies
-    the per-axis point count by ``GRID_REFINE`` and reports the difference;
-    ``points`` must be at least 2, ``radius_widths`` and a set ``tolerance`` positive.
+    The disc radius is ``RADIUS_WIDTHS`` coherent widths (1/sqrt(2) in label
+    units) around the straight line between z' and z''; the check pass
+    multiplies the per-axis point count by ``GRID_REFINE`` and reports the
+    difference, which cannot see the disc truncation; ``points`` must be at
+    least 2 and a set ``tolerance`` positive.
     """
 
     points: int = 48
-    radius_widths: float = 6.0
     tolerance: float | None = None
 
     def __post_init__(self):
         require_index(self.points, "points", 2)
-        require_positive(radius_widths=self.radius_widths)
         if self.tolerance is not None:
             require_positive(tolerance=self.tolerance)
 
@@ -432,17 +433,19 @@ def quadrature_K(
     ------
     DomainError
         If the requested (form, N) needs more than a 4-dimensional grid, or
-        for the Q form at N = 3 with H of degree above 2 (no limit exists).
+        for the Q form at N = 3 with H of degree above 2 (no limit exists),
+        or the value on either grid is not a finite double.
     NonConverged
         If refinement moves the value by more than ``grid.tolerance``, or
         by a non-finite amount when no tolerance is set.
     InvalidArgument
-        If the form is not q, p or w, a label or T is not finite, N is below 1 or the W form
-        gets odd N.
+        If the form is not q, p or w, a label or T is not finite, T is negative, N is below 1
+        or the W form gets odd N.
     """
     form = form.lower()
     form_s(form)  # refuses a name other than q, p or w
-    require_finite(zp=zp, zpp=zpp, T=T)
+    require_finite(zp=zp, zpp=zpp)
+    require_nonnegative(T=T)
     if require_index(N, "N", 1) > 3:
         raise DomainError(f"N = {N} is outside the supported range 1..3")
     dims = 2 * (N - 1) if form == "q" else 2 * N
@@ -456,15 +459,16 @@ def quadrature_K(
         raise DomainError(f"the Q-form integral at N = 3 {why}")
     if T == 0:
         return QuadKResult(complex(overlap(zpp, zp)), 0.0, 0, 0)
-    tau = T / N
-    radius = grid.radius_widths * COHERENT_WIDTH
+    args = (form, sym, zp, zpp, T / N, N, H.hbar, RADIUS_WIDTHS * COHERENT_WIDTH)
 
-    args = (form, sym, zp, zpp, tau, N, H.hbar, radius)
-    coarse, _ = _quad_once(*args, grid.points)
+    def once(n):
+        return finite_double(lambda: _quad_once(*args, n), f"the quadrature on {n} points per axis")
+
+    coarse, _ = once(grid.points)
     if dims == 0:
         return QuadKResult(coarse, 0.0, 0, 0)
     n_fine = int(round(grid.points * GRID_REFINE))
-    fine, npts_f = _quad_once(*args, n_fine)
+    fine, npts_f = once(n_fine)
     what = f"refining {grid.points} -> {n_fine} points per axis"
     fine, delta = refine(coarse, fine, grid.tolerance, what)
     return QuadKResult(fine, delta, dims, npts_f)

@@ -100,6 +100,14 @@ def require_finite(**values) -> None:
             raise InvalidArgument(f"{name} must be finite, got {val}")
 
 
+def require_nonnegative(**values) -> None:
+    """Raise InvalidArgument naming the first value that is not a finite real scalar of at least 0."""
+    require_finite(**values)
+    for name, val in values.items():
+        if np.ndim(val) or np.iscomplexobj(val) or val < 0:
+            raise InvalidArgument(f"{name} must be non-negative, got {val}")
+
+
 def require_positive(**values) -> None:
     """Raise InvalidArgument naming the first value that is not a finite real scalar above zero."""
     refuse_bool(**values)

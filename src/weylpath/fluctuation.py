@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coherent import CONTINUUM_BYTES, _require_dense
 from .errors import DomainError, InvalidArgument, finite_double, refine
-from .errors import require_finite, require_index, require_positive
+from .errors import require_finite, require_index, require_nonnegative, require_positive
 from .semiclassics import _linear_rk4, _product
 
 __all__ = [
@@ -30,7 +31,7 @@ __all__ = [
     "det_continuum",
 ]
 
-PIVOT_THRESHOLD = 1e-13  # smallest/largest LU pivot below this: singular to double precision
+SINGULAR_VALUE_RATIO = 1e-13  # smallest/largest singular value below this: singular to double precision
 RECURSION_CHUNK = 4096  # transfer matrices det_recursive multiplies as one tree: bounds its working memory
 
 
@@ -112,38 +113,26 @@ def block_tridiagonal(matrix: np.ndarray) -> np.ndarray:
 
 
 def det_dense(matrix: np.ndarray) -> complex:
-    """Determinant via LU elimination with partial pivoting.
-
-    Column by column, the largest remaining entry of the column is swapped
-    onto the diagonal and eliminated below it (Golub & Van Loan, *Matrix
-    Computations*, ch. 3); each row swap flips the sign.
+    """Determinant by LAPACK's LU with partial pivoting (``np.linalg.det``).
 
     Raises
     ------
     DomainError
-        If the smallest pivot falls below ``PIVOT_THRESHOLD`` relative to
-        the largest one, or the determinant is not a finite double.
+        If the determinant is not a finite double, or the smallest singular
+        value falls below ``SINGULAR_VALUE_RATIO`` of the largest one.
     InvalidArgument
         If the matrix is not square, is empty or holds a non-finite entry.
     """
-    lu = np.array(matrix, dtype=complex)
-    if lu.ndim != 2 or lu.shape[0] != lu.shape[1] or lu.size == 0:
-        raise InvalidArgument(f"expected a non-empty square matrix, got shape {lu.shape}")
-    require_finite(matrix=lu)
-    sign = 1.0
-    for k in range(len(lu)):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            sign = -sign
-        if lu[k, k] != 0:  # else the column below is zero already
-            lu[k + 1 :, k] /= lu[k, k]
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    diag = np.abs(np.diag(lu))
-    ratio = diag.min() / max(diag.max(), 1e-300)
-    if ratio < PIVOT_THRESHOLD:
-        raise DomainError(f"pivot ratio {ratio:.3e} below threshold")
-    return finite_double(lambda: complex(sign * np.prod(np.diag(lu))), "the determinant")
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise InvalidArgument(f"expected a non-empty square matrix, got shape {m.shape}")
+    require_finite(matrix=m)
+    det = finite_double(lambda: complex(np.linalg.det(m)), "the determinant")
+    sv = np.linalg.svd(m, compute_uv=False)  # numpy does not expose the LU pivots
+    ratio = sv[-1] / max(sv[0], 1e-300)
+    if ratio < SINGULAR_VALUE_RATIO:
+        raise DomainError(f"singular value ratio {ratio:.3e} below threshold")
+    return det
 
 
 def det_recursive(coeffs: FluctuationCoeffs) -> DeterminantPair:
@@ -203,8 +192,7 @@ def _variational_delta(g: np.ndarray, T: float, steps: int) -> complex:
     last RK4 transfer product.
     """
     G = (g[..., :-1:2], g[..., 1::2], g[..., 1::2], g[..., 2::2])
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a NaN Delta, as on scalars
-        return complex(_linear_rk4(G, T / steps)[1, 1, -1])
+    return finite_double(lambda: complex(_linear_rk4(G, T / steps)[1, 1, -1]), "Delta(T)")
 
 
 def det_continuum(
@@ -235,20 +223,23 @@ def det_continuum(
     ------
     NonConverged
         If halving the step moves Delta(T) by more than ``step_tolerance``.
+    DomainError
+        If Delta(T) of either pass is not a finite double, or the finest
+        pass (``coherent.CONTINUUM_BYTES`` per step) would take more than
+        ``coherent.DENSE_BYTES``, refused before A, B or C is called.
     InvalidArgument
         If T is negative or not finite, ``steps`` is a boolean, not an
         integer or below 1, ``hbar`` is not finite and positive, or A, B or C
         returns a non-finite value.
     """
-    require_finite(T=T)
+    require_nonnegative(T=T)
     require_positive(hbar=hbar)
     steps = require_index(steps, "steps", 1)
-    if T < 0:
-        raise InvalidArgument(f"T must be non-negative, got {T}")
     T, hbar = float(T), float(hbar)  # a numpy scalar T or hbar gives the Python scalars' Delta
     if T == 0:
         return 1.0 + 0.0j
     fine_steps = steps if step_tolerance is None else 2 * steps
+    _require_dense(CONTINUUM_BYTES * fine_steps, f"Delta(T) on {fine_steps} RK4 steps")
     ts = np.linspace(0.0, T, 2 * fine_steps + 1)
     samples = {
         name: np.broadcast_to(np.asarray(f(ts), dtype=complex), ts.shape)

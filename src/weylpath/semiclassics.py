@@ -23,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import OperatorPoly, SymbolPoly, form_s, symbol_for_form
-from .coherent import overlap
+from .coherent import PASS_BYTES, _require_dense, overlap
 from .errors import CausticWarning, DomainError, InvalidArgument, NonConverged
-from .errors import finite_double, require_finite, require_index, require_positive
+from .errors import finite_double, require_finite, require_index, require_nonnegative
+from .errors import require_positive
 
 __all__ = [
     "ComplexTrajectory",
@@ -261,6 +262,9 @@ def solve_bvp(
         If Newton does not bring |v(T) - conj(z'')| below ``tol`` in
         ``MAX_ITER`` steps, or an endpoint component (u, v, du, dv)(T) is not
         finite.
+    DomainError
+        If one RK4 pass (``coherent.PASS_BYTES`` per step) would take more
+        than ``coherent.DENSE_BYTES``, before the first step.
     InvalidArgument
         If T, ``hbar`` or ``tol`` is not finite and positive, an endpoint or
         the guess is not finite, or ``steps`` is a boolean, not an integer or
@@ -273,6 +277,7 @@ def solve_bvp(
     # Python scalars: a numpy T, hbar or steps would put every RK4 stage on numpy-scalar arithmetic
     T, hbar, tol, steps = float(T), float(hbar), float(tol), require_index(steps, "steps", MIN_STEPS)
     steps += steps % 2  # Simpson-friendly grids
+    _require_dense(PASS_BYTES * steps, f"a shooting pass of {steps} RK4 steps")
     coarse_steps = steps // COARSE_FACTOR
     coarse_steps += coarse_steps % 2
     flow, hessian = H_sym.flow(hbar)
@@ -364,22 +369,18 @@ def tracked_prefactor(traj: ComplexTrajectory) -> complex:
     Maslov bookkeeping.  Emits :class:`CausticWarning` when the tracked
     monodromy component gets small (the prefactor is blowing up).
 
-    Node k takes the root nearer the one before it: relative to the
-    principal roots r_k, its sign flips where |r_k + r_(k-1)| < |r_k - r_(k-1)|
-    and is + again on an exact tie (r_(-1) = 1), so the last sign is the
-    parity of the flips after the last tie.  The result is that sign times
-    ``cmath.sqrt`` of the last 1/dv.
+    Node k's root flips exactly where arg(1/dv) steps by more than pi: the
+    result is ``cmath.sqrt`` of the last 1/dv, negated when ``np.unwrap``
+    ends an odd number of turns from its principal arg.  An exact step of
+    pi, a tie between the two roots, keeps the sign it had before.
     """
     if np.min(np.abs(traj.dv)) < CAUSTIC_THRESHOLD:
         warnings.warn("prefactor tracked through a near-caustic", CausticWarning)
     recip = 1.0 / traj.dv
-    roots = np.sqrt(recip)
-    before = np.concatenate(([1.0], roots[:-1]))
-    near, far = np.abs(roots + before), np.abs(roots - before)
-    ties = np.flatnonzero(near == far)
-    start = ties[-1] + 1 if ties.size else 0
+    phase = np.angle(recip)
+    turns = (np.unwrap(phase)[-1] - phase[-1]) / (2.0 * np.pi)
     root = cmath.sqrt(complex(recip[-1]))
-    return -root if np.count_nonzero(near[start:] < far[start:]) % 2 else root
+    return -root if round(turns) % 2 else root
 
 
 def trajectory_hessian_samplers(traj: ComplexTrajectory, H_sym: SymbolPoly):
@@ -445,7 +446,6 @@ def semiclassical_K(
     T: float,
     steps: int = 512,
     guesses=None,
-    include_correction: bool = True,
     tol: float = 1e-10,
 ) -> SemiclassicalResult:
     """Semiclassical coherent-state propagator in the q, p or w form.
@@ -465,7 +465,8 @@ def semiclassical_K(
         If no shooting guess converges.
     DomainError
         If -(|z'|^2 + |z''|^2)/2 (at any T, T = 0 included), a trajectory's
-        term or K is not a finite double.
+        term or K is not a finite double, or (for T > 0) a shooting pass of
+        ``steps`` would exceed the memory budget.
     InvalidArgument
         If T is negative or not finite, an endpoint is not finite, ``steps``
         is a boolean or not an integer, or (for T > 0) ``tol`` is not finite
@@ -473,9 +474,10 @@ def semiclassical_K(
     """
     form = form.lower()
     s = form_s(form)
-    require_finite(zp=zp, zpp=zpp, T=T)
+    require_finite(zp=zp, zpp=zpp)
+    require_nonnegative(T=T)
     steps = require_index(steps, "steps")
-    sigma = 1.0 + 2.0 * s if include_correction else 0.0  # exact for s = 0, -1, -1/2
+    sigma = 1.0 + 2.0 * s  # exact for s = 0, -1, -1/2
     gauss = finite_double(lambda: -0.5 * (abs(zp) ** 2 + abs(zpp) ** 2), "-(|z'|^2 + |z''|^2)/2")
     if T == 0:
         K = complex(overlap(zpp, zp))

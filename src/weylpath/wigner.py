@@ -155,7 +155,8 @@ def weyl_U_grid(
     every chord, and a trapezoid over a window wide enough for the truncated
     basis support b sqrt(2 cutoff + 1).  The chord step 2h is at most the
     Nyquist step of c sqrt(2 cutoff + 1) + max|p| over ``CHORD_OVERSAMPLING``;
-    the check halves h.
+    the check halves h.  T may be negative: the grid of U(-T) = U(T)^dagger
+    is exact from the same eigendecomposition (``wigner-u --T`` takes one).
 
     Raises
     ------
@@ -219,7 +220,8 @@ def husimi_U_grid(
     ps: np.ndarray,
     cutoff: int = GRID_CUTOFF,
 ) -> PhaseSpaceGrid:
-    """Diagonal coherent-state propagator K(z_x, z_x, T) on the grid.
+    """Diagonal coherent-state propagator K(z_x, z_x, T) on the grid; T may be negative,
+    as in :func:`weyl_U_grid`.
 
     Raises
     ------

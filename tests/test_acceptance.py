@@ -6,6 +6,7 @@ marked as expected failures: the requested tolerances lie below the analytic
 convergence floor of the closed forms (the measured values are printed).
 """
 
+import cmath
 import time
 from contextlib import contextmanager
 
@@ -196,8 +197,14 @@ def test_06_semiclassical_exactness_on_quadratic():
             for form in ("w", "q", "p"):
                 K = semiclassical_K(form, H, zp, zpp, T, steps=512).K
                 assert abs(K - want) < 1e-8, (form, T)
-        # negative control: dropping the ordering correction must break Q
-        K_bad = semiclassical_K("q", H, 0.3, 0.5j, 1.0, include_correction=False).K
+        # negative control: dropping the ordering correction must break Q; that K is the sum of
+        # prefactor * exp((i/hbar) S - (|z'|^2 + |z''|^2)/2) over the trajectories
+        gauss = -0.5 * (abs(0.3) ** 2 + abs(0.5j) ** 2)
+        K_bad = sum(
+            (c.prefactor * cmath.exp((1j / H.hbar) * c.S + gauss)
+             for c in semiclassical_K("q", H, 0.3, 0.5j, 1.0).contributions),
+            0j,
+        )
         assert abs(K_bad - harmonic_exact_K(0.3, 0.5j, 1.0, 1.0)) > 1e-3
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from weylpath import cli, coherent, errors, harmonic_discrete_K, harmonic_exact_K, overlap
+from weylpath import semiclassics
 from weylpath.cli import main
 
 HARMONIC = {
@@ -348,6 +349,30 @@ def test_one_budget_comparison():
     assert offenders == [] and compares == 1
 
 
+# Functions that may run numpy under np.errstate, each with its reason; every other computation
+# that can leave the double range goes through errors.finite_double.
+ERRSTATE_SITES = {
+    "errors.finite_double": "the output guard: a value beyond the double range is a DomainError",
+    "semiclassics._pass": "a tangent that overflows is the shooting's blow-up, NonConverged",
+    "wigner.weyl_U_grid": "a lattice node count beyond the double range is inf, and refused",
+}
+
+
+def test_errstate_only_in_its_sites():
+    """np.errstate appears in the functions of ERRSTATE_SITES alone."""
+    src = os.path.dirname(os.path.abspath(cli.__file__))
+    found = set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            if any(getattr(node, "attr", None) == "errstate" for node in ast.walk(top)):
+                found.add(f"{name[:-3]}.{getattr(top, 'name', '<statement>')}")
+    assert found == set(ERRSTATE_SITES)
+
+
 def _is_rk4_weight(node) -> bool:
     """``x / 6`` or a product with the constant 1/6: the weight of an RK4 step."""
     if not isinstance(node, ast.BinOp):
@@ -506,6 +531,15 @@ class TestSemiclassical:
         assert main([*argv, "--T", T]) == code
         out, err = capsys.readouterr()
         assert out == "" and message in err
+
+    def test_steps_beyond_the_budget_exit_3(self, harmonic_json, capsys, monkeypatch):
+        # --steps 100000000 ran a 1e8-step RK4 loop, then built about 86 GB of arrays
+        monkeypatch.setattr(semiclassics, "_pass", None)  # would fail if reached
+        argv = ["semiclassical", "--hamiltonian", harmonic_json, "--z0", "0.3,0", "--z1", "0,0.5",
+                "--T", "1", "--steps", "100000000"]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "a shooting pass of 100000000 RK4 steps" in err
 
     def test_harmonic_matches_exact(self, harmonic_json, capsys):
         rc = main(

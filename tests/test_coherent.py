@@ -41,7 +41,7 @@ from weylpath import (
     weyl_symbol,
     weyl_U_grid,
 )
-from weylpath import coherent
+from weylpath import coherent, semiclassics
 from weylpath.coherent import coherent_matrix
 from weylpath.wigner import hermite_functions
 from weylpath.errors import DomainError, InvalidArgument, NonConverged, refine
@@ -323,6 +323,11 @@ class TestDisplacementElement:
 
 
 class TestWeylElement:
+    def test_overflowing_pass_is_a_domain_error(self):
+        # ended in an overflow RuntimeWarning, or NonConverged "moved the result by nan"
+        with pytest.raises(DomainError, match="^the 64-node Gauss-Hermite sum is not a finite double$"):
+            weyl_element(SymbolPoly({(40, 40): 1e300}), 0.3, 0.2)
+
     def test_identity_symbol_gives_overlap(self):
         z1, z2 = 0.3 + 0.1j, -0.2 + 0.4j
         got = weyl_element(SymbolPoly({(0, 0): 1.0}), z1, z2)
@@ -442,10 +447,6 @@ H_QUARTIC = quartic_position_hamiltonian(0.1, CTX)
          InvalidArgument, "^check_tolerance must be positive, got nan$"),
         (lambda: exact_propagator(H_QUARTIC, 0.3, 0.2, 0.5, cutoff=40, check_tolerance=-1.0),
          InvalidArgument, "^check_tolerance must be positive, got -1.0$"),
-        (lambda: DiscGridSpec(radius_widths=NAN),
-         InvalidArgument, "^radius_widths must be positive, got nan$"),
-        (lambda: DiscGridSpec(radius_widths=-6.0),
-         InvalidArgument, "^radius_widths must be positive, got -6.0$"),
         (lambda: DiscGridSpec(tolerance=NAN), InvalidArgument, "^tolerance must be positive, got nan$"),
         (lambda: DiscGridSpec(tolerance=-1.0),
          InvalidArgument, "^tolerance must be positive, got -1.0$"),
@@ -514,8 +515,7 @@ H_QUARTIC = quartic_position_hamiltonian(0.1, CTX)
          "ScaleContext-c-underflow", "ScaleContext-default-underflow", "det_continuum-hbar-inf",
          "exact_propagator-T-string", "harmonic_exact_K-T-None", "semiclassical_K-T-huge-int",
          "ScaleContext-hbar-string", "exact_propagator-check_tolerance-nan",
-         "exact_propagator-check_tolerance-negative", "DiscGridSpec-radius_widths-nan",
-         "DiscGridSpec-radius_widths-negative", "DiscGridSpec-tolerance-nan",
+         "exact_propagator-check_tolerance-negative", "DiscGridSpec-tolerance-nan",
          "DiscGridSpec-tolerance-negative", "phase_grid_axes-q_widths", "phase_grid_axes-p_widths",
          "weyl_U_grid-empty-axis", "husimi_U_grid-empty-axis", "solve_bvp-guess",
          "semiclassical_K-guess", "DiscreteWPath-hbar", "fock_coherent-label-string",
@@ -588,6 +588,13 @@ def test_counts_must_be_integers(call, name, least, value):
          "^z1 must be a number, got 'x'$"),
         (lambda: exact_propagator(H_QUARTIC, 0.3, 0.2, -1.0, cutoff=600),
          "^T must be non-negative, got -1.0$"),
+        (lambda: det_continuum(lambda t: 0.0, lambda t: 0.0, lambda t: 1.0, -0.2),
+         r"^T must be non-negative, got -0\.2$"),
+        # one T rule: quadrature_K returned a number and semiclassical_K said "must be positive"
+        (lambda: quadrature_K("w", harmonic_hamiltonian(CTX), 0.3, 0.5j, -0.2, 2),
+         r"^T must be non-negative, got -0\.2$"),
+        (lambda: semiclassical_K("w", H_QUARTIC, 0.3, 0.5j, -0.2),
+         r"^T must be non-negative, got -0\.2$"),
         # both grids used to read T only for the phases, after the oracle was built
         (lambda: weyl_U_grid(H_QUARTIC, CTX, NAN, *AXES, cutoff=73), "^T must be finite, got nan$"),
         (lambda: husimi_U_grid(H_QUARTIC, CTX, NAN, *AXES, cutoff=73), "^T must be finite, got nan$"),
@@ -595,6 +602,7 @@ def test_counts_must_be_integers(call, name, least, value):
     ids=["exact_propagator-T", "harmonic_exact_K-omega", "harmonic_exact_K-omega-bool",
          "stationary_path_harmonic-omega", "DiscreteWPath-tau-bool", "DiscreteWPath-w",
          "weyl_element-label", "exact_propagator-label-string", "exact_propagator-T-negative",
+         "det_continuum-T-negative", "quadrature_K-T-negative", "semiclassical_K-T-negative",
          "weyl_U_grid-T", "husimi_U_grid-T"],
 )
 def test_bad_argument_refused_before_work(call, message):
@@ -603,6 +611,15 @@ def test_bad_argument_refused_before_work(call, message):
     with pytest.raises(InvalidArgument, match=message):
         call()
     assert coherent._ORACLES == cached
+
+
+def test_closed_form_and_grids_take_a_negative_T():
+    """U(-T) = U(T)^dagger: the harmonic closed form and the grids accept a negative T."""
+    back = harmonic_exact_K(0.3, 0.5j, 1.0, -0.2)
+    assert back == pytest.approx(np.conj(harmonic_exact_K(0.5j, 0.3, 1.0, 0.2)), abs=1e-15)
+    grid = husimi_U_grid(H_QUARTIC, CTX, -0.2, *AXES, cutoff=73).values
+    assert np.allclose(grid, np.conj(husimi_U_grid(H_QUARTIC, CTX, 0.2, *AXES, cutoff=73).values),
+                       rtol=0.0, atol=1e-14)
 
 
 class TestOracleBudget:
@@ -684,6 +701,56 @@ class TestCoherentBudget:
         finally:
             tracemalloc.stop()
         assert peak < 1.05 * coherent.COHERENT_BYTES * 201 * (64 * 64 + 1)
+
+
+class TestTrajectoryBudget:
+    def test_shooting_refused_before_any_pass(self, monkeypatch):
+        # steps = 1e8 ran a 1e8-step Python RK4 loop, then built about 86 GB of arrays
+        monkeypatch.setattr(semiclassics, "_pass", None)  # would fail if reached
+        message = "a shooting pass of 100000000 RK4 steps: .* exceed DENSE_BYTES"
+        with pytest.raises(DomainError, match=message):
+            semiclassical_K("w", H_QUARTIC, 0.3, 0.5j, 1.0, steps=10**8)
+        with pytest.raises(DomainError, match=message):
+            solve_bvp(weyl_symbol(H_QUARTIC), 0.3, 0.2, 1.0, steps=10**8)
+
+    def test_det_continuum_refused_before_any_sample(self):
+        never = lambda t: pytest.fail("a sampler was called")
+        with pytest.raises(DomainError, match=r"Delta\(T\) on 200000000 RK4 steps: .* exceed"):
+            det_continuum(never, never, never, 1.0, steps=10**8)
+        with pytest.raises(DomainError, match=r"Delta\(T\) on 100000000 RK4 steps: .* exceed"):
+            det_continuum(never, never, never, 1.0, steps=10**8, step_tolerance=None)
+
+    def test_counts_the_steps_at_the_call(self, monkeypatch):
+        # 64 shooting steps, and det_continuum's finest pass: twice the steps when checked
+        sym = weyl_symbol(H_QUARTIC)
+        monkeypatch.setattr(coherent, "DENSE_BYTES", coherent.PASS_BYTES * 64)
+        solve_bvp(sym, 0.3, 0.2, 0.5, steps=64)
+        monkeypatch.setattr(coherent, "DENSE_BYTES", coherent.PASS_BYTES * 64 - 1)
+        with pytest.raises(DomainError, match="a shooting pass of 64 RK4 steps"):
+            solve_bvp(sym, 0.3, 0.2, 0.5, steps=64)
+        one = lambda t: 1.0
+        monkeypatch.setattr(coherent, "DENSE_BYTES", coherent.CONTINUUM_BYTES * 32)
+        det_continuum(one, one, one, 0.5, steps=16)
+        monkeypatch.setattr(coherent, "DENSE_BYTES", coherent.CONTINUUM_BYTES * 32 - 1)
+        with pytest.raises(DomainError, match=r"Delta\(T\) on 32 RK4 steps"):
+            det_continuum(one, one, one, 0.5, steps=16)
+
+    def test_counts_match_the_traced_peaks(self):
+        steps, sym = 16384, weyl_symbol(H_QUARTIC)
+        traj = solve_bvp(sym, 0.7, 0.5 - 0.2j, 0.8, steps=2048)
+        flow, hessian = sym.flow(1.0)
+        samplers = semiclassics.trajectory_hessian_samplers(traj, sym)
+        tracemalloc.start()
+        try:
+            semiclassics._pass(flow, hessian, 0.7 + 0j, traj.v0, 0.8, steps)
+            shooting = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            det_continuum(*samplers, 0.8, steps=steps, step_tolerance=None)
+            continuum = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for peak, per_step in ((shooting, coherent.PASS_BYTES), (continuum, coherent.CONTINUUM_BYTES)):
+            assert 0.7 * per_step * steps < peak < 1.05 * per_step * steps
 
 
 class TestRefine:

@@ -27,6 +27,7 @@ from weylpath.algebra import symbol_for_form
 from weylpath.discrete import (
     COHERENT_WIDTH,
     GRID_REFINE,
+    RADIUS_WIDTHS,
     DiscGridSpec,
     _alt_prefix_sums,
     _disc_points,
@@ -360,7 +361,7 @@ class TestQuadratureK:
     def test_quartic_cross_form_spread_shrinks_with_tau(self):
         H = quartic_position_hamiltonian(0.1, CTX)
         zp, zpp = 0.3, 0.25 + 0.1j
-        spec = DiscGridSpec(points=48, radius_widths=5.0)
+        spec = DiscGridSpec(points=48)
 
         def spread(T):
             vals = [quadrature_K(f, H, zp, zpp, T, 2, spec).value for f in "qpw"]
@@ -398,6 +399,13 @@ class TestQuadratureK:
         assert r.refinement_delta == pytest.approx(3.509940732130346e-10, rel=1e-6)
         assert (r.dims, r.points_per_plane) == (2, 3940)
 
+    @pytest.mark.parametrize("form, N", [("q", 2), ("p", 1), ("w", 2)])
+    def test_overflowing_pass_is_a_domain_error(self, form, N):
+        # ended in an overflow RuntimeWarning, or NonConverged "moved the result by nan"
+        H = quartic_position_hamiltonian(1e300, CTX)
+        with pytest.raises(DomainError, match="^the quadrature on 48 points per axis is not a finite double$"):
+            quadrature_K(form, H, 0.3, 0.5j, 0.2, N)
+
     def test_unconverged_grid_raises(self):
         H = harmonic_hamiltonian(CTX)
         with pytest.raises(NonConverged, match="refining 10 -> 15 points"):
@@ -415,7 +423,7 @@ def pairwise_quadrature(form, H, zp, zpp, T, grid):
     """
     sym = symbol_for_form(H, form)
     tau = T / (3 if form == "q" else 2)
-    radius = grid.radius_widths * COHERENT_WIDTH
+    radius = RADIUS_WIDTHS * COHERENT_WIDTH
 
     def site(z):
         return np.exp(-1j * tau * sym.eval(z, np.conj(z)) / H.hbar)

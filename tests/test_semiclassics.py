@@ -723,11 +723,18 @@ class TestSecondDerivative:
             assert tracked_prefactor(traj) == prefactor_loop(traj)
 
     def test_prefactor_resets_on_a_tie_and_flips_after_it(self):
-        # 1/dv = 1, -1 - 0j: the principal roots 1 and -i are an exact tie, so the sign is + again;
-        # 1/dv then crosses the cut at -1, so the next root is taken against the principal one
+        # 1/dv = 1, -1 - 0j: the principal roots 1 and -i are an exact tie with no flip before it,
+        # so the sign is + after it; 1/dv then crosses the cut at -1, which flips the root
         traj = SimpleNamespace(dv=1.0 / np.array([1.0, -1.0, -1.0 + 0.01j, -1.0 + 0.02j]))
         last = cmath.sqrt(complex(1.0 / traj.dv[-1]))
         assert tracked_prefactor(traj) == prefactor_loop(traj) == -last
+
+    def test_prefactor_keeps_a_flip_across_a_tie(self):
+        # arg(1/dv) = 0, 0.9 pi, -0.9 pi (across the cut: a flip), -pi/2, then pi/2, an exact step
+        # of pi; np.unwrap keeps that step, so the flip stands (the loop reset the sign to + there)
+        recip = np.array([1.0, np.exp(0.9j * np.pi), np.exp(-0.9j * np.pi), -1j, 1j])
+        traj = SimpleNamespace(dv=1.0 / recip)
+        assert tracked_prefactor(traj) == -cmath.sqrt(1j)
 
     @pytest.mark.parametrize(
         "dv",
@@ -767,8 +774,14 @@ class TestSemiclassicalK:
             semiclassical_K("w", H_HARM, 0.3, 0.5j, 1.0)
 
     def test_omitting_correction_breaks_harmonic(self):
+        # the Q-form K without its ordering correction, built from the trajectories' S and prefactor
         zp, zpp, T = 0.3, 0.5j, 1.0
-        K = semiclassical_K("q", H_HARM, zp, zpp, T, include_correction=False).K
+        gauss = -0.5 * (abs(zp) ** 2 + abs(zpp) ** 2)
+        K = sum(
+            (c.prefactor * cmath.exp((1j / H_HARM.hbar) * c.S + gauss)
+             for c in semiclassical_K("q", H_HARM, zp, zpp, T).contributions),
+            0j,
+        )
         assert abs(K - harmonic_exact_K(zp, zpp, 1.0, T)) > 1e-3
 
     def test_zero_time_is_overlap(self):
