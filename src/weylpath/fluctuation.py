@@ -19,7 +19,7 @@ import numpy as np
 from .coherent import CONTINUUM_BYTES, _require_dense
 from .errors import DomainError, InvalidArgument, finite_double, refine
 from .errors import require_finite, require_index, require_nonnegative, require_positive
-from .semiclassics import _linear_rk4, _product
+from .semiclassics import _linear_rk4, _prefix_products, _product
 
 __all__ = [
     "FluctuationCoeffs",
@@ -192,7 +192,7 @@ def _variational_delta(g: np.ndarray, T: float, steps: int) -> complex:
     last RK4 transfer product.
     """
     G = (g[..., :-1:2], g[..., 1::2], g[..., 1::2], g[..., 2::2])
-    return finite_double(lambda: complex(_linear_rk4(G, T / steps)[1, 1, -1]), "Delta(T)")
+    return finite_double(lambda: complex(_prefix_products(_linear_rk4(G, T / steps))[1, 1, -1]), "Delta(T)")
 
 
 def det_continuum(

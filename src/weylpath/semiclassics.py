@@ -1,17 +1,22 @@
 """Complex-trajectory boundary-value solver and semiclassical propagators.
 
 Trajectories solve i hbar du/dt = +dH/dv, i hbar dv/dt = -dH/du with the
-mixed data u(0) = z', v(T) = conj(z''), Newton-shooting on the unknown v(0).
-The variational pair (du, dv) with (0, 1) initial data is integrated along,
-supplying both the Newton Jacobian and the fluctuation prefactor through
-d2S/du'dv'' = -i hbar / dv(T).
+mixed data u(0) = z', v(T) = conj(z'').  The variational pair (du, dv) with
+(0, 1) initial data supplies both the Newton Jacobian and the fluctuation
+prefactor through d2S/du'dv'' = -i hbar / dv(T).
 
-Each RK4 pass (``_pass``) integrates Hamilton's flow ``SymbolPoly.flow`` in
-q = (u + v)/sqrt(2), p = (u - v)/(i sqrt(2)), where the symbol is sparser,
-on Python scalars (``_rk4``).  The variational pair is linear, so its RK4
-steps are 2 x 2 matrices built from the symbol's Hessian at the stage
-points; their ordered product (``_linear_rk4``) is a log-depth scan in numpy.
-The nodes are mapped back to (u, v, du, dv); RK4 commutes with that map.
+Both are integrated with RK4 in q = (u + v)/sqrt(2), p = (u - v)/(i sqrt(2)),
+where the symbol is sparser, on Hamilton's flow ``SymbolPoly.flow``.  The
+kernel ``_step`` takes the RK4 step Phi_h at every node of a grid at once,
+with its Jacobian, the step matrix of the linear variational pair built
+from the symbol's Hessian at the stage points (``_linear_rk4``).  The full
+grid is one discrete boundary-value problem, solved by whole-grid Newton
+on all its nodes (``_newton``): each step is one log-depth prefix scan of
+3 x 3 affine matrices (``_prefix_products``).  Its seed for a quartic comes
+from Newton shooting on v(0) over a coarse grid (``_shoot``), whose passes
+(``_pass``) integrate (q, p) on Python scalars (``_rk4``) and take the
+tangent from the kernel.  The nodes are mapped back to (u, v, du, dv); RK4
+commutes with that map.
 """
 
 from __future__ import annotations
@@ -58,7 +63,9 @@ class ComplexTrajectory:
 
     ``du``/``dv`` hold the variational solution with (du, dv)(0) = (0, 1);
     ``v`` is genuinely independent of ``conj(u)`` away from quadratic
-    Hamiltonians.  ``newton_iters`` counts full-grid Newton steps.
+    Hamiltonians.  ``residual`` and ``newton_iters`` come from the Newton
+    that converged on the full grid: its last correction, below the
+    tolerance, and the steps before it (see :func:`solve_bvp`).
     """
 
     times: np.ndarray
@@ -76,7 +83,8 @@ def _rk4(rhs, y0: tuple, T: float, steps: int) -> np.ndarray:
     """Fixed-step RK4 on a two-component state ``y0 = (q, p)``, on Python scalars.
 
     ``rhs(q, p)`` returns the two derivatives.  Returns the node values as a
-    (2, steps + 1) array.
+    (2, steps + 1) array.  Runs on the coarse grid and in the single-level
+    fallback only; the full grid's steps are taken by :func:`_step`.
     """
     h = T / steps
     h2, h6 = 0.5 * h, h / 6.0
@@ -103,7 +111,7 @@ def _product(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
 
 
 def _prefix_products(m: np.ndarray) -> np.ndarray:
-    """Prefix products m_k ... m_0 of stacked 2 x 2 matrices laid out [row, column, k], in place.
+    """Prefix products m_k ... m_0 of stacked square matrices laid out [row, column, k], in place.
 
     Above ``_DOUBLING_SCAN`` factors the pairs m_(2i+1) m_(2i) are scanned
     first, which gives every odd prefix, and each even one is m_(2i) times
@@ -125,14 +133,13 @@ def _prefix_products(m: np.ndarray) -> np.ndarray:
 
 
 def _linear_rk4(G, h: float) -> np.ndarray:
-    """Prefix products M_k ... M_0 of the RK4 step matrices of y' = G(t) y.
+    """RK4 step matrices M_k of y' = G(t) y.
 
     ``G`` holds the four stage generators G_1 .. G_4 of every step, each a
     stack of 2 x 2 matrices laid out [row, column, step].  Step k's matrix is
     M_k = I + h/6 (G_1 + 2 K_2 + 2 K_3 + K_4) with K_2 = G_2 (I + h/2 G_1),
     K_3 = G_3 (I + h/2 K_2) and K_4 = G_4 (I + h K_3): the RK4 step of the
-    linear system, y_(k+1) = M_k y_k.  Returns the products laid out
-    [row, column, k], multiplied in log depth by :func:`_prefix_products`.
+    linear system, y_(k+1) = M_k y_k.  Returns them laid out [row, column, k].
     """
     g1, g2, g3, g4 = G
     k2 = g2 + (0.5 * h) * _product(g2, g1)
@@ -141,7 +148,63 @@ def _linear_rk4(G, h: float) -> np.ndarray:
     m = (h / 6.0) * (g1 + 2.0 * (k2 + k3) + k4)
     m[0, 0] += 1.0
     m[1, 1] += 1.0
-    return _prefix_products(m)
+    return m
+
+
+def _step(flow, hessian, y: np.ndarray, h: float) -> tuple:
+    """The RK4 step Phi_h and its Jacobian at every node at once: (Phi_h(y_k), M_k).
+
+    ``y`` holds the nodes (q, p)_k laid out [component, k].  Four array
+    ``flow`` calls give the stage points and slopes, in ``_rk4``'s order of
+    operations; ``hessian`` at the stage points gives the generators
+    [[H_qp, H_pp], [-H_qq, -H_qp]] / hbar of (dq, dp), and M_k, the RK4 step
+    of the linearised flow, is the exact Jacobian of Phi_h at y_k.
+    """
+    h2, h6 = 0.5 * h, h / 6.0
+    stages = np.empty((2, 4) + y.shape[1:], dtype=complex)  # (q, p) at the four stage points
+    slopes = np.empty_like(stages)
+    stages[:, 0] = y
+    for i, c in enumerate((h2, h2, h)):
+        slopes[0, i], slopes[1, i] = flow(*stages[:, i])
+        stages[:, i + 1] = y + c * slopes[:, i]
+    slopes[0, 3], slopes[1, 3] = flow(*stages[:, 3])
+    phi = y + h6 * (slopes[:, 0] + 2.0 * (slopes[:, 1] + slopes[:, 2]) + slopes[:, 3])
+    G = np.empty((4, 2, 2) + y.shape[1:], dtype=complex)
+    G[:, 0, 0], G[:, 0, 1], G[:, 1, 0] = hessian(*stages)
+    G[:, 1, 1] = G[:, 0, 0]
+    G[:, 1] *= -1.0
+    return phi, _linear_rk4(G, h)
+
+
+def _start(zp: complex, v0: complex) -> tuple:
+    """(q, p) at t = 0 from (u, v) = (z', v0)."""
+    return (zp + v0) * _R, 1j * _R * (v0 - zp)
+
+
+def _v(y):
+    """v = (q - i p) / sqrt(2) of the (q, p) pair ``y``; dv of a (dq, dp) pair."""
+    return _R * y[0] - 1j * _R * y[1]
+
+
+def _tangent(products: np.ndarray) -> np.ndarray:
+    """(dq, dp) at every node from (du, dv)(0) = (0, 1), from the prefix products of the step
+    matrices (the upper-left 2 x 2 block of a larger stack), as a (2, steps + 1) array."""
+    tangent = np.empty((2, products.shape[-1] + 1), dtype=complex)
+    tangent[:, 0] = _R, 1j * _R
+    tangent[:, 1:] = products[:2, 0] * _R + products[:2, 1] * (1j * _R)
+    return tangent
+
+
+def _hermite(y: np.ndarray, hdy: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Cubic-Hermite interpolant of the nodes ``y`` (laid out [component, k]) with their slopes
+    times the step, ``hdy``, at the fractional node positions ``s``."""
+    k = np.clip(np.floor(s).astype(int), 0, y.shape[-1] - 2)
+    x = s - k
+    x1 = x - 1.0
+    return (
+        (1.0 + 2.0 * x) * x1 * x1 * y[:, k] + x * x1 * x1 * hdy[:, k]
+        + x * x * (3.0 - 2.0 * x) * y[:, k + 1] + x * x * x1 * hdy[:, k + 1]
+    )
 
 
 def quadratic_guess(
@@ -167,59 +230,93 @@ def quadratic_guess(
 
 
 def _pass(flow, hessian, zp: complex, v0: complex, T: float, steps: int) -> np.ndarray:
-    """RK4 pass from (u, v, du, dv)(0) = (z', v0, 0, 1), as (u, v, du, dv) nodes.
+    """RK4 pass from (u, v, du, dv)(0) = (z', v0, 0, 1), as (q, p, dq, dp) nodes.
 
-    (q, p) is integrated on Python scalars with ``flow``.  The stage points
-    are rebuilt from its nodes on arrays with the same ``flow``, and
-    ``hessian`` there gives the generators of (dq, dp), whose step matrices
-    ``_linear_rk4`` multiplies.  The array part ignores overflow: a tangent
-    that blows up is NaN or infinite at T, which ``_shoot`` refuses.
+    (q, p) is integrated on Python scalars by ``_rk4``; the tangent is the
+    ordered product of the step matrices ``_step`` builds at its nodes.  The
+    array part ignores overflow: a tangent that blows up is NaN or infinite
+    at T, which ``_shoot`` refuses.
     """
-    h = T / steps
-    nodes = np.empty((4, steps + 1), dtype=complex)
-    nodes[:2] = qp = _rk4(flow, ((zp + v0) * _R, 1j * _R * (v0 - zp)), T, steps)
-    nodes[2:, 0] = _R, 1j * _R
+    qp = _rk4(flow, _start(zp, v0), T, steps)
     with np.errstate(over="ignore", invalid="ignore"):
-        stages = np.empty((2, 4, steps), dtype=complex)  # (q, p) at the four stage points
-        stages[:, 0] = qp[:, :-1]
-        for i, c in enumerate((0.5 * h, 0.5 * h, h), 1):
-            slope = flow(*stages[:, i - 1])
-            stages[0, i] = stages[0, 0] + c * slope[0]
-            stages[1, i] = stages[1, 0] + c * slope[1]
-        G = np.empty((4, 2, 2, steps), dtype=complex)  # [[H_qp, H_pp], [-H_qq, -H_qp]] / hbar
-        G[:, 0, 0], G[:, 0, 1], G[:, 1, 0] = hessian(*stages)
-        G[:, 1, 1] = G[:, 0, 0]
-        G[:, 1] *= -1.0
-        tangent = _linear_rk4(G, h)
-        nodes[2:, 1:] = tangent[:, 0] * _R + tangent[:, 1] * (1j * _R)
-        return _TO_UV @ nodes
+        products = _prefix_products(_step(flow, hessian, qp[:, :-1], T / steps)[1])
+        return np.concatenate([qp, _tangent(products)])
 
 
 def _shoot(flow, hessian, zp: complex, zpp_star, v0: complex, T: float, steps: int, tol):
-    """Newton on v(0) over one RK4 grid of ``steps`` steps.
+    """Newton on v(0) over one RK4 grid of ``steps`` steps, one ``_pass`` per step.
 
-    Returns (nodes, v0, iterations, residual) from the first pass with
-    |v(T) - conj(z'')| < ``tol``; raises :class:`NonConverged` on a blow-up,
-    a singular Jacobian or a stall (``MAX_ITER`` steps).
+    Returns ((q, p, dq, dp) nodes, v0, iterations, residual) from the first
+    pass with |v(T) - conj(z'')| < ``tol``; raises :class:`NonConverged` on a
+    blow-up, a singular Jacobian or a stall (``MAX_ITER`` steps).
     """
     residual = np.inf
     for iteration in range(MAX_ITER + 1):
         nodes = _pass(flow, hessian, zp, v0, T, steps)
-        us, vs, dus, dvs = nodes
-        mismatch = vs[-1] - zpp_star
+        mismatch = _v(nodes[:2, -1]) - zpp_star
         residual = abs(mismatch)
-        if not np.isfinite([residual, us[-1], dus[-1], dvs[-1]]).all():
+        if not np.isfinite([residual, *nodes[:, -1]]).all():
             raise NonConverged(
                 f"trajectory blew up from guess v(0) = {v0:.6g}"
             )
         if residual < tol:
             return nodes, v0, iteration, residual
-        jac = dvs[-1]
+        jac = _v(nodes[2:, -1])
         if abs(jac) < 1e-14:
             raise NonConverged("singular shooting Jacobian dv(T)/dv(0)")
         v0 = complex(v0 - mismatch / jac)  # a numpy scalar would slow every RK4 stage
     raise NonConverged(
         f"Newton stalled at residual {residual:.3e} after {MAX_ITER} iterations"
+    )
+
+
+def _newton(flow, hessian, y: np.ndarray, zp: complex, zpp_star, v0: complex, h: float, tol):
+    """Whole-grid Newton on the RK4 nodes ``y`` = (q, p)_k, k = 0 .. N, from u(0) = z', v(0) = v0.
+
+    The residual is y_(k+1) - Phi_h(y_k).  Linearised by the step matrices
+    M_k (``_step``), a correction delta with delta_0 = s (dq, dp)(0), along
+    (du, dv)(0) = (0, 1) so that u(0) = z' stays, obeys delta_(k+1) =
+    M_k delta_k + r_k with r_k = Phi_h(y_k) - y_(k+1).  One prefix scan of
+    the affine stack [[M_k, r_k], [0, 1]] gives delta_k = P_k delta_0 + a_k
+    (multiple-shooting condensing; Ascher, Mattheij & Russell, *Numerical
+    Solution of BVPs for ODEs*, 1995), and v(T) = conj(z'') fixes s.  P_k
+    times (dq, dp)(0) is the tangent.
+
+    Stops after the first step whose correction is below ``tol`` in every
+    node and component, max |delta| taken absolute, and applies it.  Returns
+    ((q, p, dq, dp) nodes, v0, the steps before it, its max |delta|), with
+    the tangent that step was solved with.  Raises :class:`NonConverged` on a
+    blow-up, a singular Jacobian dv(T)/dv(0) or a stall (``MAX_ITER``
+    steps).  Overflow is ignored: it ends as a non-finite correction, the
+    blow-up.
+    """
+    residual = np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iteration in range(MAX_ITER + 1):
+            y[:, 0] = _start(zp, v0)
+            phi, m = _step(flow, hessian, y[:, :-1], h)
+            affine = np.zeros((3, 3, m.shape[-1]), dtype=complex)
+            affine[:2, :2] = m
+            affine[:2, 2] = phi - y[:, 1:]
+            affine[2, 2] = 1.0
+            scan = _prefix_products(affine)
+            tangent = _tangent(scan)
+            jac = _v(tangent[:, -1])
+            if abs(jac) < 1e-14:
+                raise NonConverged("singular shooting Jacobian dv(T)/dv(0)")
+            s = (zpp_star - _v(y[:, -1] + scan[:2, 2, -1])) / jac
+            delta = tangent * s
+            delta[:, 1:] += scan[:2, 2]
+            residual = float(np.abs(delta).max())
+            if not np.isfinite(residual):
+                raise NonConverged(f"trajectory blew up from v(0) = {v0:.6g} on the full grid")
+            y += delta
+            v0 = complex(v0 + s)
+            if residual < tol:
+                y[:, 0] = _start(zp, v0)
+                return np.concatenate([y, tangent]), v0, iteration, residual
+    raise NonConverged(
+        f"whole-grid Newton stalled at residual {residual:.3e} after {MAX_ITER} iterations"
     )
 
 
@@ -233,22 +330,29 @@ def solve_bvp(
     hbar: float = 1.0,
     tol: float = 1e-10,
 ) -> ComplexTrajectory:
-    """Two-level Newton shooting for the mixed boundary-value trajectory.
+    """Whole-grid Newton for the mixed boundary-value trajectory, seeded by coarse shooting.
 
-    Newton first converges v(0) to ``tol`` on a grid of ``steps //
-    COARSE_FACTOR`` steps (rounded up to even), then finishes on the full
-    grid from there, which usually takes one full-grid pass (nested
-    iteration; Deuflhard, *Newton Methods for Nonlinear Problems*, 2004).
-    The coarse stage is skipped for a quadratic symbol with the default
-    guess (that guess is already the exact solution) and below
-    ``MIN_STEPS`` coarse steps.  If either stage fails, Newton restarts on
-    the full grid from the original guess.  The returned trajectory, its
-    residual and ``newton_iters`` all come from the full grid.
+    The full grid of ``steps`` RK4 steps is solved as one discrete
+    boundary-value problem, Newton on all its nodes at once (``_newton``).
+    For a symbol of degree above 2 its seed is the cubic-Hermite interpolant
+    of a trajectory shot to ``tol`` by Newton on v(0) over ``steps //
+    COARSE_FACTOR`` steps (rounded up to even), which fixes the saddle
+    (nested iteration; Deuflhard, *Newton Methods for Nonlinear Problems*,
+    2004); one or two whole-grid steps then usually meet ``tol``.  For a
+    symbol of degree at most 2 the flow is linear and the seed is the
+    constant trajectory at (z', v(0)), which one step makes exact.  If the
+    coarse shooting or the whole-grid Newton fails, or the coarse grid would
+    have fewer than ``MIN_STEPS`` steps, Newton on v(0) runs on the full
+    grid from the original guess instead.  The returned trajectory, its
+    ``residual`` (max |delta| of the last whole-grid step, or |v(T) -
+    conj(z'')| of the last shooting pass) and ``newton_iters`` (the steps
+    before it) all come from the full grid.
 
     Parameters
     ----------
     T, hbar, tol : float
-        Any real number type, numpy scalars included; used as Python floats.
+        Any real number type, numpy scalars and 0-d arrays of T included;
+        used as Python floats.
     steps : int
         RK4 steps of the full grid, rounded up to even (Simpson's rule);
         any integer type, numpy integers included.
@@ -259,18 +363,21 @@ def solve_bvp(
     Raises
     ------
     NonConverged
-        If Newton does not bring |v(T) - conj(z'')| below ``tol`` in
-        ``MAX_ITER`` steps, or an endpoint component (u, v, du, dv)(T) is not
-        finite.
+        If neither Newton meets ``tol`` in ``MAX_ITER`` steps, or a node
+        (u, v, du, dv) is not finite.
     DomainError
-        If one RK4 pass (``coherent.PASS_BYTES`` per step) would take more
-        than ``coherent.DENSE_BYTES``, before the first step.
+        If one full-grid Newton step (``coherent.PASS_BYTES`` per RK4 step)
+        would take more than ``coherent.DENSE_BYTES``, before the first step.
     InvalidArgument
-        If T, ``hbar`` or ``tol`` is not finite and positive, an endpoint or
-        the guess is not finite, or ``steps`` is a boolean, not an integer or
-        below ``MIN_STEPS``.
+        If T is not finite and positive (the rule of ``require_nonnegative``,
+        plus T > 0), ``hbar`` or ``tol`` is not finite and positive, an
+        endpoint or the guess is not finite, or ``steps`` is a boolean, not
+        an integer or below ``MIN_STEPS``.
     """
-    require_positive(T=T, hbar=hbar, tol=tol)
+    require_nonnegative(T=T)
+    if not T > 0:
+        raise InvalidArgument(f"T must be positive, got {T!r}")
+    require_positive(hbar=hbar, tol=tol)
     require_finite(zp=zp, zpp_star=zpp_star)
     if guess is not None:
         require_finite(guess=guess)
@@ -280,21 +387,29 @@ def solve_bvp(
     _require_dense(PASS_BYTES * steps, f"a shooting pass of {steps} RK4 steps")
     coarse_steps = steps // COARSE_FACTOR
     coarse_steps += coarse_steps % 2
+    zp = complex(zp)
     flow, hessian = H_sym.flow(hbar)
     start = quadratic_guess(H_sym, zp, zpp_star, T, hbar) if guess is None else complex(guess)
 
-    def shoot(v0, n):
-        return _shoot(flow, hessian, complex(zp), zpp_star, v0, T, n, tol)
-
-    fine = None
-    if (guess is not None or H_sym.degree > 2) and coarse_steps >= MIN_STEPS:
-        try:
-            fine = shoot(shoot(start, coarse_steps)[1], steps)
-        except NonConverged:
-            pass
-    if fine is None:  # single-level Newton from the original guess
-        fine = shoot(start, steps)
-    (us, vs, dus, dvs), v0, iteration, residual = fine
+    fine = seed = None
+    try:
+        if H_sym.degree <= 2:
+            v0, seed = start, np.empty((2, steps + 1), dtype=complex)
+            seed.T[:] = _start(zp, start)
+        elif coarse_steps >= MIN_STEPS:
+            coarse, v0, _, _ = _shoot(flow, hessian, zp, zpp_star, start, T, coarse_steps, tol)
+            slopes = np.empty_like(coarse[:2])
+            slopes[0], slopes[1] = flow(*coarse[:2])
+            at = np.arange(steps + 1) * (coarse_steps / steps)  # full-grid nodes on the coarse grid
+            seed = _hermite(coarse[:2], (T / coarse_steps) * slopes, at)
+        if seed is not None:
+            fine = _newton(flow, hessian, seed, zp, zpp_star, v0, T / steps, tol)
+    except NonConverged:
+        pass
+    if fine is None:  # single-level Newton on v(0) from the original guess
+        fine = _shoot(flow, hessian, zp, zpp_star, start, T, steps, tol)
+    nodes, v0, iteration, residual = fine
+    us, vs, dus, dvs = _TO_UV @ nodes
     return ComplexTrajectory(
         times=np.linspace(0.0, T, steps + 1),
         u=us,
@@ -399,18 +514,8 @@ def trajectory_hessian_samplers(traj: ComplexTrajectory, H_sym: SymbolPoly):
     y = np.stack([traj.u, traj.v])
     hdy = (h * 1j / traj.hbar) * np.stack([-Hv, Hu])
 
-    def uv(t):
-        s = np.asarray(t, dtype=float) / h
-        k = np.clip(np.floor(s).astype(int), 0, len(traj.times) - 2)
-        x = s - k
-        x1 = x - 1.0
-        return (
-            (1.0 + 2.0 * x) * x1 * x1 * y[:, k] + x * x1 * x1 * hdy[:, k]
-            + x * x * (3.0 - 2.0 * x) * y[:, k + 1] + x * x * x1 * hdy[:, k + 1]
-        )
-
     def sampler(slot):
-        return lambda t: H_sym.jet(*uv(t))[slot]
+        return lambda t: H_sym.jet(*_hermite(y, hdy, np.asarray(t, dtype=float) / h))[slot]
 
     return sampler(3), sampler(4), sampler(5)
 

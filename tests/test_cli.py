@@ -354,6 +354,7 @@ def test_one_budget_comparison():
 ERRSTATE_SITES = {
     "errors.finite_double": "the output guard: a value beyond the double range is a DomainError",
     "semiclassics._pass": "a tangent that overflows is the shooting's blow-up, NonConverged",
+    "semiclassics._newton": "a whole-grid step that overflows is the shooting's blow-up, NonConverged",
     "wigner.weyl_U_grid": "a lattice node count beyond the double range is inf, and refused",
 }
 
@@ -384,9 +385,10 @@ def _is_rk4_weight(node) -> bool:
 
 
 def test_one_rk4_per_state_kind():
-    """The RK4 weight h/6 appears in semiclassics._rk4 (the (q, p) flow on Python scalars) and
-    semiclassics._linear_rk4 (the step matrices of a linear system) alone, so no module grows an
-    integrator of its own."""
+    """The RK4 weight h/6 appears in semiclassics._rk4 (the (q, p) flow on Python scalars),
+    semiclassics._step (the step Phi_h at every node at once) and semiclassics._linear_rk4 (its
+    Jacobian, the step matrices of a linear system) alone, so no module grows an integrator of
+    its own."""
     src = os.path.dirname(os.path.abspath(cli.__file__))
     found = set()
     for name in sorted(os.listdir(src)):
@@ -397,7 +399,7 @@ def test_one_rk4_per_state_kind():
         for top in tree.body:
             if any(map(_is_rk4_weight, ast.walk(top))):
                 found.add(f"{name[:-3]}.{getattr(top, 'name', '<statement>')}")
-    assert found == {"semiclassics._rk4", "semiclassics._linear_rk4"}
+    assert found == {"semiclassics._rk4", "semiclassics._step", "semiclassics._linear_rk4"}
 
 
 # Public names no src code outside their own def or class uses, each with the paper identity it
@@ -464,6 +466,7 @@ OWN_CHECKS = {
     "algebra._apply_exp_mixed": "names the term whose coefficient left the double range, "
                                 "inside the symbol maps' inner loop",
     "semiclassics._shoot": "a trajectory that blows up is NonConverged, not a refused argument",
+    "semiclassics._newton": "a whole-grid step that blows up is NonConverged, not a refused argument",
     "cli._parse_complex": "a label refused while the command line is parsed, exit 1",
     "cli._checked": "a number refused while the command line is parsed, exit 1",
 }

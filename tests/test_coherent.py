@@ -401,7 +401,7 @@ H_QUARTIC = quartic_position_hamiltonian(0.1, CTX)
          ValueError, "T must be finite"),
         (lambda: mu_coefficients(1.0, math.inf, 4), ValueError, "T must be finite"),
         (lambda: solve_bvp(weyl_symbol(H_QUARTIC), 0.3, 0.2, NAN),
-         ValueError, "^T must be positive, got nan$"),
+         ValueError, "^T must be finite, got nan$"),
         (lambda: semiclassical_K("w", H_QUARTIC, 0.3, 0.2, NAN),
          ValueError, "T must be finite"),
         (lambda: det_continuum(lambda t: 0.0, lambda t: 0.0, lambda t: 1.0, NAN),
@@ -707,6 +707,7 @@ class TestTrajectoryBudget:
     def test_shooting_refused_before_any_pass(self, monkeypatch):
         # steps = 1e8 ran a 1e8-step Python RK4 loop, then built about 86 GB of arrays
         monkeypatch.setattr(semiclassics, "_pass", None)  # would fail if reached
+        monkeypatch.setattr(semiclassics, "_step", None)
         message = "a shooting pass of 100000000 RK4 steps: .* exceed DENSE_BYTES"
         with pytest.raises(DomainError, match=message):
             semiclassical_K("w", H_QUARTIC, 0.3, 0.5j, 1.0, steps=10**8)
@@ -740,9 +741,11 @@ class TestTrajectoryBudget:
         traj = solve_bvp(sym, 0.7, 0.5 - 0.2j, 0.8, steps=2048)
         flow, hessian = sym.flow(1.0)
         samplers = semiclassics.trajectory_hessian_samplers(traj, sym)
+        seed = np.empty((2, steps + 1), dtype=complex)  # constant: the Newton takes several steps
+        seed.T[:] = semiclassics._start(0.7 + 0j, traj.v0)
         tracemalloc.start()
         try:
-            semiclassics._pass(flow, hessian, 0.7 + 0j, traj.v0, 0.8, steps)
+            semiclassics._newton(flow, hessian, seed, 0.7 + 0j, 0.5 - 0.2j, traj.v0, 0.8 / steps, 1e-10)
             shooting = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             det_continuum(*samplers, 0.8, steps=steps, step_tolerance=None)

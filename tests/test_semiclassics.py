@@ -117,10 +117,21 @@ def uv_pass(rhs, zp, v0, T, steps):
     return np.array(rk4_reference(rhs, (zp, v0, 0j, 1 + 0j), T, steps))
 
 
+_TO_QP = semiclassics._TO_UV.conj().T  # (u, v, du, dv) -> (q, p, dq, dp); the map is unitary
+
+
+def refuse(*args):
+    """A whole-grid Newton that always fails, so solve_bvp falls back to single-level shooting."""
+    raise NonConverged("the whole-grid stage is switched off")
+
+
 def uv_shooting(monkeypatch):
-    """Make the shooting integrate the (u, v) ``jet_rhs`` instead of the (q, p) flow."""
+    """Make solve_bvp run single-level Newton on v(0) over RK4 passes of the (u, v) ``jet_rhs``,
+    the shooting as it ran before the (q, p) flow and the whole-grid Newton."""
     monkeypatch.setattr(SymbolPoly, "flow", lambda sym, hbar: (jet_rhs(sym, hbar), None))
-    monkeypatch.setattr(semiclassics, "_pass", lambda rhs, _, *args: uv_pass(rhs, *args))
+    monkeypatch.setattr(semiclassics, "_pass", lambda rhs, _, *args: _TO_QP @ uv_pass(rhs, *args))
+    monkeypatch.setattr(semiclassics, "_newton", refuse)
+    full_grid_only(monkeypatch)
 
 
 HIGH = SymbolPoly({(6, 0): 0.3 - 0.1j, (0, 5): 0.2 + 0.4j, (3, 2): 0.1, (1, 1): 1.0})
@@ -160,10 +171,27 @@ class TestCompiledFlow:
         # steps are the transfer matrices multiplied in a tree: round-off only
         zp, v0, T = 0.4 + 0.1j, 0.3 - 0.2j, 0.3
         for steps in (256, 2048):
-            new = semiclassics._pass(*sym.flow(hbar), zp, v0, T, steps)
+            new = semiclassics._TO_UV @ semiclassics._pass(*sym.flow(hbar), zp, v0, T, steps)
             old = uv_pass(jet_rhs(sym, hbar), zp, v0, T, steps)
             for a, b in zip(new, old):
                 assert np.abs(a - b).max() <= 1e-13 * max(np.abs(b).max(), 1.0), steps
+
+    @FLOW_CASES
+    def test_kernel_steps_every_node_as_the_loop_does(self, sym, hbar):
+        # the whole-grid kernel's Phi_h at the nodes of a scalar RK4 pass gives the next nodes,
+        # to round-off, and its step matrices are the Jacobian of Phi_h (central differences)
+        flow, hessian = sym.flow(hbar)
+        nodes = _rk4(flow, (0.4 + 0.1j, 0.3 - 0.2j), 0.3, 256)
+        phi, m = semiclassics._step(flow, hessian, nodes[:, :-1], 0.3 / 256)
+        assert np.abs(phi - nodes[:, 1:]).max() <= 1e-14 * max(np.abs(nodes).max(), 1.0)
+        eps = 1e-6
+        for j in range(2):
+            shift = np.zeros((2, 1))
+            shift[j] = eps
+            ahead, behind = (semiclassics._step(flow, hessian, nodes[:, :-1] + d, 0.3 / 256)[0]
+                             for d in (shift, -shift))
+            difference = (ahead - behind) / (2 * eps)
+            assert np.abs(difference - m[:, j]).max() <= 1e-8 * max(np.abs(m).max(), 1.0)
 
     def test_pickles_after_use(self):
         point = (0.4 + 0.1j, 0.3 - 0.2j)
@@ -353,9 +381,9 @@ COMPARISON_SET = [  # (H, z', z'', T, steps), harmonic included
 ]
 
 
-def counted_rk4(monkeypatch, fault=None):
-    """Count RK4 passes by their step count; ``fault(steps, nodes)`` may alter a pass's
-    (u, v, du, dv) nodes."""
+def counted_passes(monkeypatch, fault=None):
+    """Count scalar RK4 passes (``_pass``) by their step count; ``fault(steps, nodes)`` may alter a
+    pass's (q, p, dq, dp) nodes."""
     calls = []
     real_pass = semiclassics._pass
 
@@ -368,9 +396,36 @@ def counted_rk4(monkeypatch, fault=None):
     return calls
 
 
+def counted_rk4(monkeypatch):
+    """Count the step counts ``_rk4``, the loop on Python scalars, is called with."""
+    calls = []
+
+    def rk4(rhs, y0, T, steps):
+        calls.append(steps)
+        return _rk4(rhs, y0, T, steps)
+
+    monkeypatch.setattr(semiclassics, "_rk4", rk4)
+    return calls
+
+
+def faulty_kernel(monkeypatch, fault):
+    """Let ``fault(nodes, phi, m)`` alter what the step kernel ``_step`` returns at ``nodes`` nodes."""
+    real_step = semiclassics._step
+    monkeypatch.setattr(
+        semiclassics, "_step", lambda *args: fault(args[2].shape[-1], *real_step(*args)))
+
+
 def full_grid_only(monkeypatch):
-    """Make every coarse grid too small, so solve_bvp runs single-level Newton."""
+    """Make every coarse grid too small, so solve_bvp runs single-level Newton on a quartic."""
     monkeypatch.setattr(semiclassics, "COARSE_FACTOR", 10**9)
+
+
+def whole_grid_case(steps=512):
+    """The quartic's whole-grid Newton from the constant seed at (z', v(0) = 0.5 - 0.2j)."""
+    flow, hessian = QUARTIC_W.flow(1.0)
+    seed = np.empty((2, steps + 1), dtype=complex)
+    seed.T[:] = semiclassics._start(0.7 + 0j, 0.5 - 0.2j)
+    return flow, hessian, seed, 0.7 + 0j, 0.5 - 0.2j, 0.5 - 0.2j, 0.8 / steps, 1e-10
 
 
 class TestTwoLevelShooting:
@@ -386,19 +441,32 @@ class TestTwoLevelShooting:
         self, monkeypatch, symbol_fn, zp, zpp_star, T
     ):
         sym = symbol_fn(quartic_position_hamiltonian(0.1, CTX))
-        calls = counted_rk4(monkeypatch)
+        calls = counted_passes(monkeypatch)
         traj = solve_bvp(sym, zp, zpp_star, T)
-        assert calls.count(512) <= 2 and calls.count(512) == traj.newton_iters + 1
-        assert 64 in calls and set(calls) == {64, 512}
+        assert traj.newton_iters <= 1 and traj.residual < 1e-10
+        assert calls and set(calls) == {64}  # scalar passes on the coarse grid alone
         full_grid_only(monkeypatch)  # single-level Newton needed three or more passes
         calls.clear()
         solve_bvp(sym, zp, zpp_star, T)
         assert calls.count(512) >= 3
 
-    def test_harmonic_default_guess_makes_one_pass(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "sym, coarse",
+        [(fn(quartic_position_hamiltonian(0.1, CTX)), [256]) for fn in (q_symbol, p_symbol, weyl_symbol)]
+        + [(fn(H_HARM), []) for fn in (q_symbol, p_symbol, weyl_symbol)],
+        ids=["quartic-q", "quartic-p", "quartic-w", "oscillator-q", "oscillator-p", "oscillator-w"],
+    )
+    def test_rk4_runs_on_the_coarse_grid_only(self, monkeypatch, sym, coarse):
+        # no Python loop over the 2,048 full-grid steps: the scalar RK4 runs on the coarse grid
         calls = counted_rk4(monkeypatch)
+        traj = solve_bvp(sym, 0.6 + 0.1j, 0.4 - 0.2j, 0.8, steps=2048)
+        assert sorted(set(calls)) == coarse and traj.residual < 1e-10
+
+    def test_quadratic_symbol_takes_two_whole_grid_steps(self, monkeypatch):
+        # the first step from the constant seed is exact; the second one's correction is round-off
+        calls = counted_passes(monkeypatch)
         traj = solve_bvp(SYM_W, 0.3 + 0.2j, 0.5 - 0.1j, 1.3)
-        assert calls == [512] and traj.newton_iters == 0
+        assert calls == [] and traj.newton_iters == 1 and traj.residual < 1e-13
 
     @pytest.mark.parametrize("failure", ["blow-up", "singular", "fine-after-coarse"])
     def test_failure_falls_back_to_full_grid_newton(self, monkeypatch, failure):
@@ -406,22 +474,26 @@ class TestTwoLevelShooting:
         full_grid_only(monkeypatch)
         want = solve_bvp(*args)
         monkeypatch.undo()
-        failed = []
 
-        def fault(steps, nodes):  # on the (u, v, du, dv) nodes
-            us, vs, dus, dvs = nodes
+        def fault(steps, nodes):  # on the coarse (q, p, dq, dp) nodes
             if failure == "blow-up" and steps == 64:
-                return us, vs, dus, dvs * np.nan
+                return nodes * [[1], [1], [1], [np.nan]]
             if failure == "singular" and steps == 64:
-                return us, vs, 0 * dus, 0 * dvs
-            if failure == "fine-after-coarse" and steps == 512 and not failed:
-                failed.append(steps)
-                return us, vs * np.nan, dus, dvs
+                return nodes * [[1], [1], [0], [0]]
             return nodes
 
-        calls = counted_rk4(monkeypatch, fault)
+        def grid_fault(nodes, phi, m):  # on the first whole-grid step
+            if failure == "fine-after-coarse" and nodes == 512 and not failed:
+                failed.append(nodes)
+                return phi * np.nan, m
+            return phi, m
+
+        failed = []
+        calls = counted_passes(monkeypatch, fault)
+        faulty_kernel(monkeypatch, grid_fault)
         got = solve_bvp(*args)
-        assert 64 in calls
+        assert 64 in calls and calls.count(512) == want.newton_iters + 1
+        assert failed == ([512] if failure == "fine-after-coarse" else [])
         for name in ("u", "v", "du", "dv", "times"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
         for name in ("v0", "residual", "newton_iters"):
@@ -436,11 +508,54 @@ class TestTwoLevelShooting:
             solve_bvp(*args, **options)
         monkeypatch.undo()
         monkeypatch.setattr(semiclassics, "MAX_ITER", 2)
-        calls = counted_rk4(monkeypatch)
+        calls = counted_passes(monkeypatch)
         with pytest.raises(NonConverged) as got:
             solve_bvp(*args, **options)
         assert str(got.value) == str(want.value)
         assert 32 in calls
+
+    def test_whole_grid_blow_up(self):
+        case = whole_grid_case()
+        case[2][1, 100] = np.nan
+        message = r"^trajectory blew up from v\(0\) = 0.5-0.2j on the full grid$"
+        with pytest.raises(NonConverged, match=message):
+            semiclassics._newton(*case)
+
+    def test_whole_grid_singular_jacobian(self, monkeypatch):
+        faulty_kernel(monkeypatch, lambda nodes, phi, m: (phi, 0 * m))
+        with pytest.raises(NonConverged, match=r"^singular shooting Jacobian dv\(T\)/dv\(0\)$"):
+            semiclassics._newton(*whole_grid_case())
+
+    def test_whole_grid_stall(self, monkeypatch):
+        # from the constant seed the quartic needs several steps; one is allowed
+        _, _, steps, residual = semiclassics._newton(*whole_grid_case())
+        assert steps >= 2 and residual < 1e-10
+        monkeypatch.setattr(semiclassics, "MAX_ITER", 0)
+        message = "^whole-grid Newton stalled at residual .* after 0 iterations$"
+        with pytest.raises(NonConverged, match=message):
+            semiclassics._newton(*whole_grid_case())
+
+    def test_large_nodes_case_falls_back_to_single_level(self, monkeypatch):
+        # |u| reaches 600 and |dv| 2e4 here: the whole-grid correction stalls near 1e-6, its
+        # round-off floor, and single-level Newton on v(0) converges to the saddle the two-level
+        # shooting found before, where |K| = 2.51 against the exact 0.845
+        stalls = []
+        real_newton = semiclassics._newton
+
+        def newton(*args):
+            try:
+                return real_newton(*args)
+            except NonConverged as exc:
+                stalls.append(str(exc))
+                raise
+
+        monkeypatch.setattr(semiclassics, "_newton", newton)
+        H = quartic_position_hamiltonian(0.1, CTX)
+        res = semiclassical_K("w", H, -0.7830 - 0.1912j, 0.6092 - 0.9351j, 2.8636, steps=2048)
+        assert len(stalls) == 1 and stalls[0].startswith("whole-grid Newton stalled at residual")
+        (c,) = res.contributions
+        assert abs(c.v0 - (-0.374620529 - 3.353756001j)) < 1e-8 and c.residual < 1e-10
+        assert abs(res.K - (2.17201511 - 1.25965888j)) < 1e-7
 
     @pytest.mark.parametrize("form", ["q", "p", "w"])
     def test_deviation_from_full_grid_newton(self, monkeypatch, form):
@@ -462,15 +577,16 @@ class TestTwoLevelShooting:
 
     @pytest.mark.parametrize("form", ["q", "p", "w"])
     def test_deviation_from_uv_shooting(self, monkeypatch, form):
-        # the comparison set against the shooting in (u, v)
-        got = [semiclassical_K(form, *case) for case in COMPARISON_SET]
+        # the comparison set against single-level shooting in (u, v), both converged to 1e-13: at
+        # the default tol the shooting's own K is up to 3e-10 from its converged value
+        got = [semiclassical_K(form, *case, tol=1e-13) for case in COMPARISON_SET]
         for res, (H, zp, zpp, T, steps) in zip(got, COMPARISON_SET):
             # numpy scalars, as np.linspace and seeded draws return them: the same K and parts
-            again = semiclassical_K(form, H, zp, zpp, np.float64(T), np.int64(steps))
+            again = semiclassical_K(form, H, zp, zpp, np.float64(T), np.int64(steps), tol=1e-13)
             assert repr(again) == repr(res)
         uv_shooting(monkeypatch)
         for res, case in zip(got, COMPARISON_SET):
-            want = semiclassical_K(form, *case)
+            want = semiclassical_K(form, *case, tol=1e-13)
             assert abs(res.K - want.K) <= 1e-12 * abs(want.K)
             (a,), (b,) = res.contributions, want.contributions
             for part in ("S", "I", "d2S", "prefactor"):
@@ -521,6 +637,16 @@ class TestNumpyScalars:
         seen = stage_types(monkeypatch)
         call()
         assert seen == {complex}
+
+    def test_zero_d_array_T_is_taken(self):
+        # solve_bvp alone refused a 0-d array T ("T must be positive, got array(0.5)"), which
+        # det_continuum and exact_propagator take; T = 0 stays refused by solve_bvp
+        H = quartic_position_hamiltonian(0.1, CTX)
+        want = semiclassical_K("w", H, 0.3, 0.2, 0.5)
+        assert repr(semiclassical_K("w", H, 0.3, 0.2, np.array(0.5))) == repr(want)
+        for T in (0.0, np.array(0.0)):
+            with pytest.raises(InvalidArgument, match=r"^T must be positive, got (0\.0|array\(0\.\))$"):
+                solve_bvp(QUARTIC_W, 0.3, 0.2, T)
 
     @pytest.mark.parametrize(
         "options",
