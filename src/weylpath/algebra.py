@@ -48,7 +48,10 @@ FORM_S = {"q": 0.0, "p": -1.0, "w": -0.5}  # each form's symbol is exp(s d_u d_v
 
 
 def form_s(form: str) -> float:
-    """Ordering parameter s of the form named q, p or w, in either case."""
+    """Ordering parameter s of the form named q, p or w, in either case; anything but a string
+    is refused as ``form must be a string``."""
+    if not isinstance(form, str):
+        raise InvalidArgument(f"form must be a string, got {form!r}")
     name = form.lower()
     if name not in FORM_S:
         raise InvalidArgument(f"unknown form {name!r}; expected q, p or w")
@@ -437,9 +440,24 @@ def weyl_symbol(op: OperatorPoly) -> SymbolPoly:
     return symbol_for_form(op, "w")
 
 
+_SYMBOLS: dict = {}
+
+
 def symbol_for_form(op: OperatorPoly, form: str) -> SymbolPoly:
-    """Symbol exp(s d_u d_v) A_Q of the form named q, p or w (s from ``FORM_S``)."""
-    return SymbolPoly(_apply_exp_mixed(op.terms, form_s(form)))
+    """Symbol exp(s d_u d_v) A_Q of the form named q, p or w (s from ``FORM_S``).
+
+    One symbol per content of ``op`` (terms and hbar) and s, built on first
+    use, so its compiled flow and jets are built once; the cache is emptied
+    past 64 entries, as the Fock oracle's is.
+    """
+    s = form_s(form)
+    key = (tuple(sorted(op.terms.items())), op.hbar, s)
+    sym = _SYMBOLS.get(key)
+    if sym is None:
+        if len(_SYMBOLS) > 64:
+            _SYMBOLS.clear()
+        sym = _SYMBOLS[key] = SymbolPoly(_apply_exp_mixed(op.terms, s))
+    return sym
 
 
 def _uv_linear_forms(ctx: ScaleContext):

@@ -259,8 +259,8 @@ def harmonic_discrete_K(
     A negative T is accepted, as in :func:`coherent.harmonic_exact_K`.  A mu_s
     or K_s that is not a finite double raises DomainError.
     """
-    form = form.lower()
     s = form_s(form)
+    form = form.lower()
     require_finite(zp=zp, zpp=zpp)
     mu = _mu(form, omega, T, N)
     if form == "w" and N % 2 != 0:
@@ -442,8 +442,8 @@ def quadrature_K(
         If the form is not q, p or w, a label or T is not finite, T is negative, N is below 1
         or the W form gets odd N.
     """
+    form_s(form)  # refuses a name other than q, p or w, and a non-string
     form = form.lower()
-    form_s(form)  # refuses a name other than q, p or w
     require_finite(zp=zp, zpp=zpp)
     require_nonnegative(T=T)
     if require_index(N, "N", 1) > 3:

@@ -19,7 +19,7 @@ import numpy as np
 from .coherent import CONTINUUM_BYTES, _require_dense
 from .errors import DomainError, InvalidArgument, finite_double, refine
 from .errors import require_finite, require_index, require_nonnegative, require_positive
-from .semiclassics import _linear_rk4, _prefix_products, _product
+from .semiclassics import _linear_rk4, _total_product
 
 __all__ = [
     "FluctuationCoeffs",
@@ -152,7 +152,8 @@ def det_recursive(coeffs: FluctuationCoeffs) -> DeterminantPair:
     It is linear in s_k = (Delta_k, Gamma_k, Delta_{k-1}): s_k = M_k s_{k-1} with j = k - 1,
     M_k = [[a_k g_k - cm_k^2, -a_k cp_j^2, a_k e_j], [g_k, -cp_j^2, e_j], [1, 0, 0]] and
     e_j = b_j (2 cp_j cm_j - a_j b_j).  M_N ... M_2 is multiplied ``RECURSION_CHUNK`` factors at
-    a time by pairwise halving, and the chunk products are applied to s_1 in order.
+    a time by pairwise halving (``semiclassics._total_product``), and the chunk products are
+    applied to s_1 in order.
 
     Raises
     ------
@@ -167,11 +168,8 @@ def det_recursive(coeffs: FluctuationCoeffs) -> DeterminantPair:
         g, cp2 = b[1:] + b_j, cp_j**2
         e = b_j * (2.0 * cp_j * (c[:-1] - 1j) - a_j * b_j)
         one, zero = np.ones_like(g), np.zeros_like(g)
-        m = np.array([[a_k * g - (c[1:] - 1j) ** 2, -a_k * cp2, a_k * e], [g, -cp2, e], [one, zero, zero]])
-        while m.shape[2] > 1:  # M_{2i+1} M_{2i}; an odd last factor is carried up
-            product = _product(m[:, :, 1::2], m[:, :, :-1:2])
-            m = np.concatenate([product, m[:, :, -1:]], axis=2) if m.shape[2] % 2 else product
-        return m[:, :, 0]
+        return _total_product(np.array(
+            [[a_k * g - (c[1:] - 1j) ** 2, -a_k * cp2, a_k * e], [g, -cp2, e], [one, zero, zero]]))
 
     def delta_gamma():
         a_1, b_1, c_1 = half * coeffs.A[0], half * coeffs.B[0], half * coeffs.C[0]
@@ -189,10 +187,10 @@ def _variational_delta(g: np.ndarray, T: float, steps: int) -> complex:
 
     ``g`` holds its generator (i/hbar) [[-C, -B], [A, C]] at the half steps
     k h / 2, laid out [row, column, k]; Delta(T) is the (1, 1) entry of the
-    last RK4 transfer product.
+    total product of the RK4 step matrices, the one prefix it reads.
     """
     G = (g[..., :-1:2], g[..., 1::2], g[..., 1::2], g[..., 2::2])
-    return finite_double(lambda: complex(_prefix_products(_linear_rk4(G, T / steps))[1, 1, -1]), "Delta(T)")
+    return finite_double(lambda: complex(_total_product(_linear_rk4(G, T / steps))[1, 1]), "Delta(T)")
 
 
 def det_continuum(

@@ -7,16 +7,20 @@ prefactor through d2S/du'dv'' = -i hbar / dv(T).
 
 Both are integrated with RK4 in q = (u + v)/sqrt(2), p = (u - v)/(i sqrt(2)),
 where the symbol is sparser, on Hamilton's flow ``SymbolPoly.flow``.  The
-kernel ``_step`` takes the RK4 step Phi_h at every node of a grid at once,
-with its Jacobian, the step matrix of the linear variational pair built
-from the symbol's Hessian at the stage points (``_linear_rk4``).  The full
-grid is one discrete boundary-value problem, solved by whole-grid Newton
-on all its nodes (``_newton``): each step is one log-depth prefix scan of
-3 x 3 affine matrices (``_prefix_products``).  Its seed for a quartic comes
-from Newton shooting on v(0) over a coarse grid (``_shoot``), whose passes
-(``_pass``) integrate (q, p) on Python scalars (``_rk4``) and take the
-tangent from the kernel.  The nodes are mapped back to (u, v, du, dv); RK4
-commutes with that map.
+kernel ``_step`` takes the RK4 step Phi_h at every node of a grid at once
+(``_phi``), with its Jacobian, the step matrix of the linear variational
+pair built from the symbol's Hessian at the stage points (``_linear_rk4``).
+The full grid is one discrete boundary-value problem, solved by whole-grid
+Newton on all its nodes (``_newton``): each step is one log-depth prefix
+scan of 2 x 3 affine matrices [M_k | r_k] (``_prefix_products``).  For a
+symbol of degree at most 2 one step is exact and Phi_h alone checks it.
+For a quartic the seed comes from Newton shooting on v(0) over a coarse
+grid (``_shoot``), whose passes integrate (q, p) on Python scalars
+(``_rk4``); only a pass that takes a Newton step builds step matrices,
+and it reads dv(T) from their total product (``_total_product``).  Of
+several guesses, one whose coarse v(0) repeats a refined one is not
+refined again.  The nodes are mapped back to (u, v, du, dv); RK4 commutes
+with that map.
 """
 
 from __future__ import annotations
@@ -64,8 +68,9 @@ class ComplexTrajectory:
     ``du``/``dv`` hold the variational solution with (du, dv)(0) = (0, 1);
     ``v`` is genuinely independent of ``conj(u)`` away from quadratic
     Hamiltonians.  ``residual`` and ``newton_iters`` come from the Newton
-    that converged on the full grid: its last correction, below the
-    tolerance, and the steps before it (see :func:`solve_bvp`).
+    that converged on the full grid: its last correction (for a symbol of
+    degree at most 2, the check of its one step), below the tolerance, and
+    the steps before it (see :func:`solve_bvp`).
     """
 
     times: np.ndarray
@@ -103,15 +108,36 @@ def _rk4(rhs, y0: tuple, T: float, steps: int) -> np.ndarray:
 
 
 def _product(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
-    """``later @ earlier`` for stacks of square matrices laid out [row, column, ...], entry by entry."""
+    """``later @ earlier`` for stacks of matrices laid out [row, column, ...], entry by entry.
+
+    A stack with one more column than rows is affine: [M | r] stands for
+    [[M, r], [0, 1]], and the product is [M' M | M' r + r'], the square
+    product's numbers without its row of exact zeros and one.
+    """
     out = later[:, 0, None] * earlier[None, 0]
     for j in range(1, len(earlier)):
         out += later[:, j, None] * earlier[None, j]
+    if later.shape[1] > len(later):
+        out[:, -1] += later[:, -1]
     return out
 
 
+def _total_product(m: np.ndarray) -> np.ndarray:
+    """The product m_(n-1) ... m_0 of stacked matrices laid out [row, column, k], by pairwise
+    halving: each level multiplies the pairs m_(2i+1) m_(2i) and carries an odd last factor up.
+
+    It is the last prefix of :func:`_prefix_products` at about half the work
+    (Blelloch, CMU-CS-90-190, 1990), and the same numbers where n is a power of two.
+    """
+    while m.shape[-1] > 1:
+        product = _product(m[..., 1::2], m[..., :-1:2])
+        m = np.concatenate([product, m[..., -1:]], axis=-1) if m.shape[-1] % 2 else product
+    return m[..., 0]
+
+
 def _prefix_products(m: np.ndarray) -> np.ndarray:
-    """Prefix products m_k ... m_0 of stacked square matrices laid out [row, column, k], in place.
+    """Prefix products m_k ... m_0 of stacked square or affine matrices laid out [row, column, k],
+    in place (see :func:`_product`).
 
     Above ``_DOUBLING_SCAN`` factors the pairs m_(2i+1) m_(2i) are scanned
     first, which gives every odd prefix, and each even one is m_(2i) times
@@ -151,14 +177,12 @@ def _linear_rk4(G, h: float) -> np.ndarray:
     return m
 
 
-def _step(flow, hessian, y: np.ndarray, h: float) -> tuple:
-    """The RK4 step Phi_h and its Jacobian at every node at once: (Phi_h(y_k), M_k).
+def _phi(flow, y: np.ndarray, h: float) -> tuple:
+    """The RK4 step Phi_h at every node at once: (Phi_h(y_k), the stage points).
 
     ``y`` holds the nodes (q, p)_k laid out [component, k].  Four array
     ``flow`` calls give the stage points and slopes, in ``_rk4``'s order of
-    operations; ``hessian`` at the stage points gives the generators
-    [[H_qp, H_pp], [-H_qq, -H_qp]] / hbar of (dq, dp), and M_k, the RK4 step
-    of the linearised flow, is the exact Jacobian of Phi_h at y_k.
+    operations; the stage points are laid out [component, stage, k].
     """
     h2, h6 = 0.5 * h, h / 6.0
     stages = np.empty((2, 4) + y.shape[1:], dtype=complex)  # (q, p) at the four stage points
@@ -168,7 +192,17 @@ def _step(flow, hessian, y: np.ndarray, h: float) -> tuple:
         slopes[0, i], slopes[1, i] = flow(*stages[:, i])
         stages[:, i + 1] = y + c * slopes[:, i]
     slopes[0, 3], slopes[1, 3] = flow(*stages[:, 3])
-    phi = y + h6 * (slopes[:, 0] + 2.0 * (slopes[:, 1] + slopes[:, 2]) + slopes[:, 3])
+    return y + h6 * (slopes[:, 0] + 2.0 * (slopes[:, 1] + slopes[:, 2]) + slopes[:, 3]), stages
+
+
+def _step(flow, hessian, y: np.ndarray, h: float) -> tuple:
+    """The RK4 step Phi_h and its Jacobian at every node at once: (Phi_h(y_k), M_k).
+
+    ``hessian`` at the stage points of :func:`_phi` gives the generators
+    [[H_qp, H_pp], [-H_qq, -H_qp]] / hbar of (dq, dp), and M_k, the RK4 step
+    of the linearised flow, is the exact Jacobian of Phi_h at y_k.
+    """
+    phi, stages = _phi(flow, y, h)
     G = np.empty((4, 2, 2) + y.shape[1:], dtype=complex)
     G[:, 0, 0], G[:, 0, 1], G[:, 1, 0] = hessian(*stages)
     G[:, 1, 1] = G[:, 0, 0]
@@ -186,12 +220,18 @@ def _v(y):
     return _R * y[0] - 1j * _R * y[1]
 
 
+def _image(products: np.ndarray) -> np.ndarray:
+    """(dq, dp) from (du, dv)(0) = (0, 1), that is (dq, dp)(0) = (1, i) / sqrt(2), carried by a
+    transfer matrix or a stack of them (the linear part of an affine one)."""
+    return products[:, 0] * _R + products[:, 1] * (1j * _R)
+
+
 def _tangent(products: np.ndarray) -> np.ndarray:
     """(dq, dp) at every node from (du, dv)(0) = (0, 1), from the prefix products of the step
-    matrices (the upper-left 2 x 2 block of a larger stack), as a (2, steps + 1) array."""
+    matrices, as a (2, steps + 1) array."""
     tangent = np.empty((2, products.shape[-1] + 1), dtype=complex)
     tangent[:, 0] = _R, 1j * _R
-    tangent[:, 1:] = products[:2, 0] * _R + products[:2, 1] * (1j * _R)
+    tangent[:, 1:] = _image(products)
     return tangent
 
 
@@ -229,95 +269,175 @@ def quadratic_guess(
     return complex((zpp_star - (1j / hbar) * huu * sinh_k * zp) / m11)
 
 
-def _pass(flow, hessian, zp: complex, v0: complex, T: float, steps: int) -> np.ndarray:
-    """RK4 pass from (u, v, du, dv)(0) = (z', v0, 0, 1), as (q, p, dq, dp) nodes.
+def _shoot(flow, hessian, zp: complex, zpp_star, v0: complex, T: float, steps: int, tol, tangent=False):
+    """Newton on v(0) over one RK4 grid of ``steps`` steps.
 
-    (q, p) is integrated on Python scalars by ``_rk4``; the tangent is the
-    ordered product of the step matrices ``_step`` builds at its nodes.  The
-    array part ignores overflow: a tangent that blows up is NaN or infinite
-    at T, which ``_shoot`` refuses.
+    Each pass integrates (q, p) from (u, v)(0) = (z', v0) on Python scalars
+    (``_rk4``) and tests |v(T) - conj(z'')| against ``tol`` first.  Only a
+    pass that takes a Newton step builds its step matrices (``_step``), and
+    it reads dv(T)/dv(0) from their total product (``_total_product``).
+    Returns ((q, p) nodes, v0, iterations, residual) from the first pass
+    with a residual below ``tol``; with ``tangent`` the nodes are
+    (q, p, dq, dp), the tangent built once from that pass's step matrices.
+    Raises :class:`NonConverged` on a blow-up, a singular Jacobian or a
+    stall (``MAX_ITER`` steps).  The array part ignores overflow: a dv(T)
+    that blows up is not finite, which is the blow-up.
     """
-    qp = _rk4(flow, _start(zp, v0), T, steps)
+    h, residual = T / steps, np.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        products = _prefix_products(_step(flow, hessian, qp[:, :-1], T / steps)[1])
-        return np.concatenate([qp, _tangent(products)])
-
-
-def _shoot(flow, hessian, zp: complex, zpp_star, v0: complex, T: float, steps: int, tol):
-    """Newton on v(0) over one RK4 grid of ``steps`` steps, one ``_pass`` per step.
-
-    Returns ((q, p, dq, dp) nodes, v0, iterations, residual) from the first
-    pass with |v(T) - conj(z'')| < ``tol``; raises :class:`NonConverged` on a
-    blow-up, a singular Jacobian or a stall (``MAX_ITER`` steps).
-    """
-    residual = np.inf
-    for iteration in range(MAX_ITER + 1):
-        nodes = _pass(flow, hessian, zp, v0, T, steps)
-        mismatch = _v(nodes[:2, -1]) - zpp_star
-        residual = abs(mismatch)
-        if not np.isfinite([residual, *nodes[:, -1]]).all():
-            raise NonConverged(
-                f"trajectory blew up from guess v(0) = {v0:.6g}"
-            )
-        if residual < tol:
-            return nodes, v0, iteration, residual
-        jac = _v(nodes[2:, -1])
-        if abs(jac) < 1e-14:
-            raise NonConverged("singular shooting Jacobian dv(T)/dv(0)")
-        v0 = complex(v0 - mismatch / jac)  # a numpy scalar would slow every RK4 stage
+        for iteration in range(MAX_ITER + 1):
+            nodes = _rk4(flow, _start(zp, v0), T, steps)
+            mismatch = _v(nodes[:, -1]) - zpp_star
+            residual = abs(mismatch)
+            if not np.isfinite([residual, *nodes[:, -1]]).all():
+                raise NonConverged(f"trajectory blew up from guess v(0) = {v0:.6g}")
+            done = residual < tol
+            if done and not tangent:
+                return nodes, v0, iteration, residual
+            m = _step(flow, hessian, nodes[:, :-1], h)[1]
+            if done:  # the fallback's answer carries the tangent, built once
+                nodes = np.concatenate([nodes, _tangent(_prefix_products(m))])
+            jac = _v(nodes[2:, -1]) if done else _v(_image(_total_product(m)))
+            if not np.isfinite(jac):
+                raise NonConverged(f"trajectory blew up from guess v(0) = {v0:.6g}")
+            if done:
+                return nodes, v0, iteration, residual
+            if abs(jac) < 1e-14:
+                raise NonConverged("singular shooting Jacobian dv(T)/dv(0)")
+            v0 = complex(v0 - mismatch / jac)  # a numpy scalar would slow every RK4 stage
     raise NonConverged(
         f"Newton stalled at residual {residual:.3e} after {MAX_ITER} iterations"
     )
 
 
-def _newton(flow, hessian, y: np.ndarray, zp: complex, zpp_star, v0: complex, h: float, tol):
+def _newton(flow, hessian, y: np.ndarray, zp: complex, zpp_star, v0: complex, h: float, tol,
+            linear=False):
     """Whole-grid Newton on the RK4 nodes ``y`` = (q, p)_k, k = 0 .. N, from u(0) = z', v(0) = v0.
 
     The residual is y_(k+1) - Phi_h(y_k).  Linearised by the step matrices
     M_k (``_step``), a correction delta with delta_0 = s (dq, dp)(0), along
     (du, dv)(0) = (0, 1) so that u(0) = z' stays, obeys delta_(k+1) =
     M_k delta_k + r_k with r_k = Phi_h(y_k) - y_(k+1).  One prefix scan of
-    the affine stack [[M_k, r_k], [0, 1]] gives delta_k = P_k delta_0 + a_k
+    the affine stack [M_k | r_k] gives delta_k = P_k delta_0 + a_k
     (multiple-shooting condensing; Ascher, Mattheij & Russell, *Numerical
     Solution of BVPs for ODEs*, 1995), and v(T) = conj(z'') fixes s.  P_k
     times (dq, dp)(0) is the tangent.
 
     Stops after the first step whose correction is below ``tol`` in every
-    node and component, max |delta| taken absolute, and applies it.  Returns
-    ((q, p, dq, dp) nodes, v0, the steps before it, its max |delta|), with
-    the tangent that step was solved with.  Raises :class:`NonConverged` on a
-    blow-up, a singular Jacobian dv(T)/dv(0) or a stall (``MAX_ITER``
-    steps).  Overflow is ignored: it ends as a non-finite correction, the
-    blow-up.
+    node and component, max |delta| taken absolute, and applies it.  With
+    ``linear`` (a symbol of degree at most 2) Phi_h is affine and a step is
+    exact: after a step whose correction is not below ``tol``, Phi_h alone
+    (``_phi``) checks it, and the step is taken when Phi_h at the corrected
+    nodes meets y_(k+1) and v(T) meets conj(z''), each within ``tol``; that
+    check is then the residual.  Returns ((q, p, dq, dp) nodes, v0, the
+    steps before it, its residual), with the tangent that step was solved
+    with.  Raises :class:`NonConverged` on a blow-up, a singular Jacobian
+    dv(T)/dv(0) or a stall (``MAX_ITER`` steps).  Overflow is ignored: it
+    ends as a non-finite correction, the blow-up.
     """
     residual = np.inf
+    y[:, 0] = _start(zp, v0)
     with np.errstate(over="ignore", invalid="ignore"):
         for iteration in range(MAX_ITER + 1):
-            y[:, 0] = _start(zp, v0)
             phi, m = _step(flow, hessian, y[:, :-1], h)
-            affine = np.zeros((3, 3, m.shape[-1]), dtype=complex)
-            affine[:2, :2] = m
-            affine[:2, 2] = phi - y[:, 1:]
-            affine[2, 2] = 1.0
+            affine = np.empty((2, 3, m.shape[-1]), dtype=complex)
+            affine[:, :2] = m
+            affine[:, 2] = phi - y[:, 1:]
             scan = _prefix_products(affine)
             tangent = _tangent(scan)
             jac = _v(tangent[:, -1])
             if abs(jac) < 1e-14:
                 raise NonConverged("singular shooting Jacobian dv(T)/dv(0)")
-            s = (zpp_star - _v(y[:, -1] + scan[:2, 2, -1])) / jac
+            s = (zpp_star - _v(y[:, -1] + scan[:, 2, -1])) / jac
             delta = tangent * s
-            delta[:, 1:] += scan[:2, 2]
+            delta[:, 1:] += scan[:, 2]
             residual = float(np.abs(delta).max())
             if not np.isfinite(residual):
                 raise NonConverged(f"trajectory blew up from v(0) = {v0:.6g} on the full grid")
             y += delta
             v0 = complex(v0 + s)
+            y[:, 0] = _start(zp, v0)
+            if linear and residual >= tol:
+                gap = np.abs(_phi(flow, y[:, :-1], h)[0] - y[:, 1:]).max()
+                residual = max(float(gap), abs(_v(y[:, -1]) - zpp_star))
             if residual < tol:
-                y[:, 0] = _start(zp, v0)
                 return np.concatenate([y, tangent]), v0, iteration, residual
     raise NonConverged(
         f"whole-grid Newton stalled at residual {residual:.3e} after {MAX_ITER} iterations"
     )
+
+
+def _trajectories(H_sym: SymbolPoly, zp, zpp_star, T, steps, guesses: list, hbar, tol) -> tuple:
+    """The distinct trajectories of :func:`solve_bvp` from each guess in turn, and the
+    :class:`NonConverged` message of each guess that found none; checks the arguments as it does.
+
+    A guess whose coarse v(0) lies within ``DEDUPE_TOL`` of the coarse v(0)
+    of an earlier guess refined from its seed is not refined again, and a
+    trajectory whose v(0) lies within ``DEDUPE_TOL`` of a kept one is not
+    kept: one refinement per saddle, and the first guess's trajectory is
+    the one kept.
+    """
+    require_nonnegative(T=T)
+    if not T > 0:
+        raise InvalidArgument(f"T must be positive, got {T!r}")
+    require_positive(hbar=hbar, tol=tol)
+    require_finite(zp=zp, zpp_star=zpp_star)
+    for guess in guesses:
+        if guess is not None:
+            require_finite(guess=guess)
+    # Python scalars: a numpy T, hbar or steps would put every RK4 stage on numpy-scalar arithmetic
+    T, hbar, tol, steps = float(T), float(hbar), float(tol), require_index(steps, "steps", MIN_STEPS)
+    steps += steps % 2  # Simpson-friendly grids
+    _require_dense(PASS_BYTES * steps, f"a shooting pass of {steps} RK4 steps")
+    coarse_steps = steps // COARSE_FACTOR
+    coarse_steps += coarse_steps % 2
+    zp, linear = complex(zp), H_sym.degree <= 2
+    flow, hessian = H_sym.flow(hbar)
+
+    trajectories, failures, refined = [], [], []  # refined: the coarse v(0) of each refined seed
+    for guess in guesses:
+        start = quadratic_guess(H_sym, zp, zpp_star, T, hbar) if guess is None else complex(guess)
+        fine = seed = coarse_v0 = None
+        try:
+            if linear:
+                v0, seed = start, np.empty((2, steps + 1), dtype=complex)
+                seed.T[:] = _start(zp, start)
+            elif coarse_steps >= MIN_STEPS:
+                coarse, coarse_v0, _, _ = _shoot(flow, hessian, zp, zpp_star, start, T, coarse_steps, tol)
+                if any(abs(coarse_v0 - other) <= DEDUPE_TOL for other in refined):
+                    continue  # its saddle is refined already
+                v0, slopes = coarse_v0, np.empty_like(coarse)
+                slopes[0], slopes[1] = flow(*coarse)
+                at = np.arange(steps + 1) * (coarse_steps / steps)  # full-grid nodes on the coarse grid
+                seed = _hermite(coarse, (T / coarse_steps) * slopes, at)
+            if seed is not None:
+                fine = _newton(flow, hessian, seed, zp, zpp_star, v0, T / steps, tol, linear)
+                if coarse_v0 is not None:
+                    refined.append(coarse_v0)
+        except NonConverged:
+            pass
+        if fine is None:  # single-level Newton on v(0) from the original guess
+            try:
+                fine = _shoot(flow, hessian, zp, zpp_star, start, T, steps, tol, tangent=True)
+            except NonConverged as exc:
+                failures.append(str(exc))
+                continue
+        nodes, v0, iteration, residual = fine
+        if any(abs(v0 - kept.v0) <= DEDUPE_TOL for kept in trajectories):
+            continue
+        us, vs, dus, dvs = _TO_UV @ nodes
+        trajectories.append(ComplexTrajectory(
+            times=np.linspace(0.0, T, steps + 1),
+            u=us,
+            v=vs,
+            du=dus,
+            dv=dvs,
+            v0=complex(v0),
+            residual=float(residual),
+            hbar=hbar,
+            newton_iters=iteration,
+        ))
+    return trajectories, failures
 
 
 def solve_bvp(
@@ -340,13 +460,17 @@ def solve_bvp(
     (nested iteration; Deuflhard, *Newton Methods for Nonlinear Problems*,
     2004); one or two whole-grid steps then usually meet ``tol``.  For a
     symbol of degree at most 2 the flow is linear and the seed is the
-    constant trajectory at (z', v(0)), which one step makes exact.  If the
-    coarse shooting or the whole-grid Newton fails, or the coarse grid would
-    have fewer than ``MIN_STEPS`` steps, Newton on v(0) runs on the full
-    grid from the original guess instead.  The returned trajectory, its
-    ``residual`` (max |delta| of the last whole-grid step, or |v(T) -
-    conj(z'')| of the last shooting pass) and ``newton_iters`` (the steps
-    before it) all come from the full grid.
+    constant trajectory at (z', v(0)), which one step makes exact; that
+    step is taken after a check by Phi_h alone.  If the coarse shooting or
+    the whole-grid Newton fails, or the coarse grid would have fewer than
+    ``MIN_STEPS`` steps, Newton on v(0) runs on the full grid from the
+    original guess instead.  The returned trajectory, its ``residual`` and
+    ``newton_iters`` (the steps before the one taken) all come from the
+    full grid.  ``residual`` is max |delta| of the last whole-grid step;
+    for a symbol of degree at most 2 whose first step is taken, the larger
+    of max |Phi_h(y_k) - y_(k+1)| and |v(T) - conj(z'')| at its nodes, with
+    ``newton_iters`` 0; after the fallback, |v(T) - conj(z'')| of its last
+    shooting pass.
 
     Parameters
     ----------
@@ -374,53 +498,10 @@ def solve_bvp(
         endpoint or the guess is not finite, or ``steps`` is a boolean, not
         an integer or below ``MIN_STEPS``.
     """
-    require_nonnegative(T=T)
-    if not T > 0:
-        raise InvalidArgument(f"T must be positive, got {T!r}")
-    require_positive(hbar=hbar, tol=tol)
-    require_finite(zp=zp, zpp_star=zpp_star)
-    if guess is not None:
-        require_finite(guess=guess)
-    # Python scalars: a numpy T, hbar or steps would put every RK4 stage on numpy-scalar arithmetic
-    T, hbar, tol, steps = float(T), float(hbar), float(tol), require_index(steps, "steps", MIN_STEPS)
-    steps += steps % 2  # Simpson-friendly grids
-    _require_dense(PASS_BYTES * steps, f"a shooting pass of {steps} RK4 steps")
-    coarse_steps = steps // COARSE_FACTOR
-    coarse_steps += coarse_steps % 2
-    zp = complex(zp)
-    flow, hessian = H_sym.flow(hbar)
-    start = quadratic_guess(H_sym, zp, zpp_star, T, hbar) if guess is None else complex(guess)
-
-    fine = seed = None
-    try:
-        if H_sym.degree <= 2:
-            v0, seed = start, np.empty((2, steps + 1), dtype=complex)
-            seed.T[:] = _start(zp, start)
-        elif coarse_steps >= MIN_STEPS:
-            coarse, v0, _, _ = _shoot(flow, hessian, zp, zpp_star, start, T, coarse_steps, tol)
-            slopes = np.empty_like(coarse[:2])
-            slopes[0], slopes[1] = flow(*coarse[:2])
-            at = np.arange(steps + 1) * (coarse_steps / steps)  # full-grid nodes on the coarse grid
-            seed = _hermite(coarse[:2], (T / coarse_steps) * slopes, at)
-        if seed is not None:
-            fine = _newton(flow, hessian, seed, zp, zpp_star, v0, T / steps, tol)
-    except NonConverged:
-        pass
-    if fine is None:  # single-level Newton on v(0) from the original guess
-        fine = _shoot(flow, hessian, zp, zpp_star, start, T, steps, tol)
-    nodes, v0, iteration, residual = fine
-    us, vs, dus, dvs = _TO_UV @ nodes
-    return ComplexTrajectory(
-        times=np.linspace(0.0, T, steps + 1),
-        u=us,
-        v=vs,
-        du=dus,
-        dv=dvs,
-        v0=complex(v0),
-        residual=float(residual),
-        hbar=hbar,
-        newton_iters=iteration,
-    )
+    trajectories, failures = _trajectories(H_sym, zp, zpp_star, T, steps, [guess], hbar, tol)
+    if failures:
+        raise NonConverged(failures[0])
+    return trajectories[0]
 
 
 def _simpson(values: np.ndarray, h: float) -> complex:
@@ -561,8 +642,12 @@ def semiclassical_K(
     with sigma = 1 + 2s from the form's ordering parameter s
     (``algebra.FORM_S``): +1 (q), -1 (p), 0 (w).  Every converged, deduplicated
     trajectory is reported; contributing-saddle selection is left to the
-    caller.  T may be any real number type and ``steps`` any integer type,
-    numpy scalars included (see :func:`solve_bvp`).
+    caller.  Each guess is solved as by :func:`solve_bvp`, in turn, but a
+    guess whose coarse v(0) lies within ``DEDUPE_TOL`` of the coarse v(0)
+    of a guess already refined is not refined again, and a trajectory whose
+    v(0) lies within ``DEDUPE_TOL`` of a kept one is dropped; the first
+    guess's trajectory is the one kept.  T may be any real number type and
+    ``steps`` any integer type, numpy scalars included.
 
     Raises
     ------
@@ -573,12 +658,14 @@ def semiclassical_K(
         term or K is not a finite double, or (for T > 0) a shooting pass of
         ``steps`` would exceed the memory budget.
     InvalidArgument
-        If T is negative or not finite, an endpoint is not finite, ``steps``
-        is a boolean or not an integer, or (for T > 0) ``tol`` is not finite
-        and positive, ``steps`` is below ``MIN_STEPS`` or a guess is not finite.
+        If ``form`` is not a string naming q, p or w, T is negative or not
+        finite, an endpoint is not finite, ``steps`` is a boolean or not an
+        integer, or (for T > 0) ``guesses`` is empty, ``tol`` is not finite
+        and positive, ``steps`` is below ``MIN_STEPS`` or a guess is not
+        finite (every guess is checked before the first is solved).
     """
-    form = form.lower()
     s = form_s(form)
+    form = form.lower()
     require_finite(zp=zp, zpp=zpp)
     require_nonnegative(T=T)
     steps = require_index(steps, "steps")
@@ -588,27 +675,15 @@ def semiclassical_K(
         K = complex(overlap(zpp, zp))
         return SemiclassicalResult(K, form, [], 0)
 
+    guess_list = [None] if guesses is None else list(guesses)
+    if not guess_list:
+        raise InvalidArgument("guesses must hold at least one guess, got []")
     sym = symbol_for_form(H, form)
     hbar = H.hbar
     zpp_star = complex(np.conj(zpp))
-    guess_list = list(guesses) if guesses is not None else [None]
-
-    trajectories: list[ComplexTrajectory] = []
-    failures = []
-    for guess in guess_list:
-        try:
-            traj = solve_bvp(
-                sym, zp, zpp_star, T, steps=steps, guess=guess, hbar=hbar, tol=tol
-            )
-        except NonConverged as exc:
-            failures.append(str(exc))
-            continue
-        if all(abs(traj.v0 - kept.v0) > DEDUPE_TOL for kept in trajectories):
-            trajectories.append(traj)
+    trajectories, failures = _trajectories(sym, zp, zpp_star, T, steps, guess_list, hbar, tol)
     if not trajectories:
-        raise NonConverged(
-            "no shooting guess converged: " + "; ".join(failures or ["(none tried)"])
-        )
+        raise NonConverged("no shooting guess converged: " + "; ".join(failures))
 
     contributions = []
     for traj in trajectories:

@@ -274,6 +274,39 @@ def test_every_entry_point_checks_the_form(entry):
     entry(H, "W")  # the name is read in either case
 
 
+@pytest.mark.parametrize("entry", FORM_ENTRY_POINTS.values(), ids=list(FORM_ENTRY_POINTS))
+@pytest.mark.parametrize("form", [1, None, b"w"], ids=["int", "None", "bytes"])
+def test_non_string_form_refused(entry, form):
+    # each ended in AttributeError: ... has no attribute 'lower'
+    H = harmonic_hamiltonian(ScaleContext.default())
+    with pytest.raises(InvalidArgument, match=rf"^form must be a string, got {form!r}$"):
+        entry(H, form)
+
+
+class TestSymbolCache:
+    def test_equal_content_gives_the_same_symbol(self):
+        first = symbol_for_form(quartic_position_hamiltonian(0.1, ScaleContext.default()), "w")
+        again = symbol_for_form(quartic_position_hamiltonian(0.1, ScaleContext.default()), "W")
+        assert again is first and weyl_symbol(quartic_position_hamiltonian(0.1, ScaleContext.default())) is first
+        assert symbol_for_form(quartic_position_hamiltonian(0.1, ScaleContext.default()), "q") is not first
+
+    def test_a_different_hbar_gives_a_new_symbol(self):
+        H = harmonic_hamiltonian(ScaleContext.default())
+        sym = symbol_for_form(H, "w")
+        for other in (harmonic_hamiltonian(ScaleContext.default(hbar=0.5)), OperatorPoly(H.terms, hbar=2.0)):
+            new = symbol_for_form(other, "w")
+            assert new is not sym and new.terms == weyl_symbol(other).terms
+        assert symbol_for_form(H, "w") is sym
+
+    def test_the_cache_is_bounded(self):
+        first = symbol_for_form(OperatorPoly({(1, 1): 1.0}), "p")
+        for k in range(70):
+            symbol_for_form(OperatorPoly({(1, 1): 1.0 + k}), "p")
+            assert len(algebra._SYMBOLS) <= 65
+        again = symbol_for_form(OperatorPoly({(1, 1): 1.0}), "p")
+        assert again is not first and again.terms == first.terms
+
+
 class TestWeylQuantize:
     def test_harmonic_square_sum(self):
         ctx = ScaleContext(hbar=1.0, mass=1.0, omega=1.0, b=1.0)

@@ -353,7 +353,7 @@ def test_one_budget_comparison():
 # that can leave the double range goes through errors.finite_double.
 ERRSTATE_SITES = {
     "errors.finite_double": "the output guard: a value beyond the double range is a DomainError",
-    "semiclassics._pass": "a tangent that overflows is the shooting's blow-up, NonConverged",
+    "semiclassics._shoot": "a dv(T) that overflows is the shooting's blow-up, NonConverged",
     "semiclassics._newton": "a whole-grid step that overflows is the shooting's blow-up, NonConverged",
     "wigner.weyl_U_grid": "a lattice node count beyond the double range is inf, and refused",
 }
@@ -386,7 +386,7 @@ def _is_rk4_weight(node) -> bool:
 
 def test_one_rk4_per_state_kind():
     """The RK4 weight h/6 appears in semiclassics._rk4 (the (q, p) flow on Python scalars),
-    semiclassics._step (the step Phi_h at every node at once) and semiclassics._linear_rk4 (its
+    semiclassics._phi (the step Phi_h at every node at once) and semiclassics._linear_rk4 (its
     Jacobian, the step matrices of a linear system) alone, so no module grows an integrator of
     its own."""
     src = os.path.dirname(os.path.abspath(cli.__file__))
@@ -399,7 +399,7 @@ def test_one_rk4_per_state_kind():
         for top in tree.body:
             if any(map(_is_rk4_weight, ast.walk(top))):
                 found.add(f"{name[:-3]}.{getattr(top, 'name', '<statement>')}")
-    assert found == {"semiclassics._rk4", "semiclassics._step", "semiclassics._linear_rk4"}
+    assert found == {"semiclassics._rk4", "semiclassics._phi", "semiclassics._linear_rk4"}
 
 
 # Public names no src code outside their own def or class uses, each with the paper identity it
@@ -424,6 +424,7 @@ UNCALLED_PUBLIC = {
     "det_dense": "det of build_matrix by LU, the reference for det_recursive; bench call",
     "det_recursive": "det of the block-tridiagonal matrix by transfer matrices; bench call",
     "det_continuum": "the N -> infinity limit of det_recursive, an ODE in t; bench call",
+    "solve_bvp": "one stationary trajectory of the mixed boundary problem; bench call",
     "trajectory_hessian_samplers": "bench call (A(t), B(t), C(t) along a trajectory)",
     "harmonic_hamiltonian": "bench call (hbar omega (adag a + 1/2))",
     "quartic_position_hamiltonian": "bench call (the quartic oscillator of every test table)",
@@ -537,7 +538,8 @@ class TestSemiclassical:
 
     def test_steps_beyond_the_budget_exit_3(self, harmonic_json, capsys, monkeypatch):
         # --steps 100000000 ran a 1e8-step RK4 loop, then built about 86 GB of arrays
-        monkeypatch.setattr(semiclassics, "_pass", None)  # would fail if reached
+        monkeypatch.setattr(semiclassics, "_rk4", None)  # would fail if reached
+        monkeypatch.setattr(semiclassics, "_step", None)
         argv = ["semiclassical", "--hamiltonian", harmonic_json, "--z0", "0.3,0", "--z1", "0,0.5",
                 "--T", "1", "--steps", "100000000"]
         assert main(argv) == 3

@@ -269,6 +269,22 @@ class TestDetRecursive:
         assert abs(got.Delta - want.Delta) <= 1e-12 * abs(want.Delta)
         assert abs(got.Gamma - want.Gamma) <= 1e-12 * abs(want.Gamma)
 
+    def test_shared_halving_gives_the_inline_loops_numbers(self):
+        # the pairwise halving is semiclassics._total_product, shared with det_continuum; the
+        # values of the loop det_recursive held inline, on one tree level, a tree with an odd
+        # level and three chunks
+        rng = np.random.default_rng(5)
+        want = {
+            7: ((0.9646971676779302-0.04458361814333637j), (0.0006557588573427265+0.00025245159436046856j)),
+            1000: ((0.12639364488400168-0.0026435196633785105j), (10.796584019137416-1.4762134874395494j)),
+            9000: ((-1.1276673553448962e+16+798558244473252.4j), (1.0391649870048321e+18-4.0925220931850536e+16j)),
+        }
+        for N, (delta, gamma) in want.items():
+            co = FluctuationCoeffs(A=0.3 * rng.normal(size=N), B=0.3 * rng.normal(size=N),
+                                   C=rng.normal(size=N) + 0.5j, tau=0.01, hbar=1.0)
+            pair = det_recursive(co)
+            assert abs(pair.Delta - delta) <= 1e-15 * abs(delta) and abs(pair.Gamma - gamma) <= 1e-15 * abs(gamma)
+
     def test_prefactor_cancellation_identity(self):
         # [2^N / sqrt((-1)^N det M)]^2 == 1 / Delta_N, branch free
         rng = np.random.default_rng(83)

@@ -33,7 +33,7 @@ from weylpath.errors import (
     InvalidArgument,
     NonConverged,
 )
-from weylpath import det_continuum, semiclassics
+from weylpath import det_continuum, fluctuation, semiclassics
 from weylpath.semiclassics import (
     _rk4,
     quadratic_guess,
@@ -125,13 +125,31 @@ def refuse(*args):
     raise NonConverged("the whole-grid stage is switched off")
 
 
+def uv_shoot(rhs, _, zp, zpp_star, v0, T, steps, tol, tangent=False):
+    """Newton on v(0) over RK4 passes of the (u, v) ``rhs`` with its variational pair, as the
+    shooting ran before the (q, p) flow; the nodes as ``_shoot`` returns them, (q, p, dq, dp)."""
+    for iteration in range(semiclassics.MAX_ITER + 1):
+        nodes = uv_pass(rhs, zp, v0, T, steps)
+        mismatch = nodes[1, -1] - zpp_star
+        if abs(mismatch) < tol:
+            return _TO_QP @ nodes, v0, iteration, abs(mismatch)
+        v0 = complex(v0 - mismatch / nodes[3, -1])
+    raise NonConverged("the (u, v) shooting stalled")
+
+
 def uv_shooting(monkeypatch):
     """Make solve_bvp run single-level Newton on v(0) over RK4 passes of the (u, v) ``jet_rhs``,
     the shooting as it ran before the (q, p) flow and the whole-grid Newton."""
     monkeypatch.setattr(SymbolPoly, "flow", lambda sym, hbar: (jet_rhs(sym, hbar), None))
-    monkeypatch.setattr(semiclassics, "_pass", lambda rhs, _, *args: _TO_QP @ uv_pass(rhs, *args))
+    monkeypatch.setattr(semiclassics, "_shoot", uv_shoot)
     monkeypatch.setattr(semiclassics, "_newton", refuse)
     full_grid_only(monkeypatch)
+
+
+def qp_pass(flow, hessian, zp, v0, T, steps):
+    """An RK4 pass from (u, v, du, dv)(0) = (z', v0, 0, 1) as (q, p, dq, dp) nodes, the way the
+    single-level shooting returns its converged pass (here any pass, at tol = inf)."""
+    return semiclassics._shoot(flow, hessian, zp, 0j, v0, T, steps, np.inf, tangent=True)[0]
 
 
 HIGH = SymbolPoly({(6, 0): 0.3 - 0.1j, (0, 5): 0.2 + 0.4j, (3, 2): 0.1, (1, 1): 1.0})
@@ -171,7 +189,7 @@ class TestCompiledFlow:
         # steps are the transfer matrices multiplied in a tree: round-off only
         zp, v0, T = 0.4 + 0.1j, 0.3 - 0.2j, 0.3
         for steps in (256, 2048):
-            new = semiclassics._TO_UV @ semiclassics._pass(*sym.flow(hbar), zp, v0, T, steps)
+            new = semiclassics._TO_UV @ qp_pass(*sym.flow(hbar), zp, v0, T, steps)
             old = uv_pass(jet_rhs(sym, hbar), zp, v0, T, steps)
             for a, b in zip(new, old):
                 assert np.abs(a - b).max() <= 1e-13 * max(np.abs(b).max(), 1.0), steps
@@ -205,13 +223,13 @@ class TestCompiledFlow:
         assert len(QUARTIC_W.terms) == 7
         assert {key for key in qp_symbol(QUARTIC_W).terms if key != (0, 0)} == {(0, 2), (2, 0), (4, 0)}
         seen = []
-        real_pass = semiclassics._pass
+        real_shoot = semiclassics._shoot
 
         def recorded(flow, hessian, *args):
             seen.append((flow, hessian))
-            return real_pass(flow, hessian, *args)
+            return real_shoot(flow, hessian, *args)
 
-        monkeypatch.setattr(semiclassics, "_pass", recorded)
+        monkeypatch.setattr(semiclassics, "_shoot", recorded)
         solve_bvp(QUARTIC_W, 0.7, 0.7, 0.5)
         point = (0.4 + 0.1j, 0.3 - 0.2j)
         want = [f(*point) for f in qp_jet_flow(QUARTIC_W, 1.0)]
@@ -382,17 +400,29 @@ COMPARISON_SET = [  # (H, z', z'', T, steps), harmonic included
 
 
 def counted_passes(monkeypatch, fault=None):
-    """Count scalar RK4 passes (``_pass``) by their step count; ``fault(steps, nodes)`` may alter a
-    pass's (q, p, dq, dp) nodes."""
+    """Count scalar RK4 passes (``_rk4``, a shooting pass's (q, p)) by their step count;
+    ``fault(steps, nodes)`` may alter a pass's (q, p) nodes."""
     calls = []
-    real_pass = semiclassics._pass
 
-    def rk4_pass(flow, hessian, zp, v0, T, steps):
+    def rk4_pass(rhs, y0, T, steps):
         calls.append(steps)
-        nodes = real_pass(flow, hessian, zp, v0, T, steps)
+        nodes = _rk4(rhs, y0, T, steps)
         return nodes if fault is None else fault(steps, nodes)
 
-    monkeypatch.setattr(semiclassics, "_pass", rk4_pass)
+    monkeypatch.setattr(semiclassics, "_rk4", rk4_pass)
+    return calls
+
+
+def counted_kernel(monkeypatch):
+    """Count the node counts the step kernel ``_step`` (step matrices included) is called at."""
+    calls = []
+    real_step = semiclassics._step
+
+    def step(flow, hessian, y, h):
+        calls.append(y.shape[-1])
+        return real_step(flow, hessian, y, h)
+
+    monkeypatch.setattr(semiclassics, "_step", step)
     return calls
 
 
@@ -462,11 +492,33 @@ class TestTwoLevelShooting:
         traj = solve_bvp(sym, 0.6 + 0.1j, 0.4 - 0.2j, 0.8, steps=2048)
         assert sorted(set(calls)) == coarse and traj.residual < 1e-10
 
-    def test_quadratic_symbol_takes_two_whole_grid_steps(self, monkeypatch):
-        # the first step from the constant seed is exact; the second one's correction is round-off
-        calls = counted_passes(monkeypatch)
+    def test_quadratic_symbol_takes_one_whole_grid_step(self, monkeypatch):
+        # the first step from the constant seed is exact, and Phi_h alone checks it: no second
+        # set of step matrices, no scalar pass
+        calls, kernel = counted_passes(monkeypatch), counted_kernel(monkeypatch)
+        checks = []
+        real_phi = semiclassics._phi
+        monkeypatch.setattr(semiclassics, "_phi", lambda *args: checks.append(1) or real_phi(*args))
         traj = solve_bvp(SYM_W, 0.3 + 0.2j, 0.5 - 0.1j, 1.3)
-        assert calls == [] and traj.newton_iters == 1 and traj.residual < 1e-13
+        assert calls == [] and kernel == [512] and len(checks) == 2  # the step's Phi_h, the check
+        assert traj.newton_iters == 0 and traj.residual < 1e-13
+        assert abs(traj.v[-1] - (0.5 - 0.1j)) < 1e-13 and abs(traj.u[0] - (0.3 + 0.2j)) < 1e-15
+
+    def test_converged_coarse_pass_builds_no_step_matrices(self, monkeypatch):
+        # every coarse pass but the converged one takes a Newton step, and only those build step
+        # matrices; the whole grid then builds one set per whole-grid step
+        calls, kernel = counted_passes(monkeypatch), counted_kernel(monkeypatch)
+        traj = solve_bvp(QUARTIC_W, 0.7, 0.5 - 0.2j, 0.8)
+        assert set(calls) == {64} and len(calls) >= 2
+        assert kernel == [64] * (len(calls) - 1) + [512] * (traj.newton_iters + 1)
+        calls.clear()
+        kernel.clear()
+        flow, hessian = QUARTIC_W.flow(1.0)
+        coarse, v0, iterations, _ = semiclassics._shoot(
+            flow, hessian, 0.7 + 0j, 0.5 - 0.2j, 0.5 - 0.2j, 0.8, 64, 1e-10)
+        assert coarse.shape == (2, 65) and iterations == len(calls) - 1 == len(kernel)
+        again = semiclassics._shoot(flow, hessian, 0.7 + 0j, 0.5 - 0.2j, v0, 0.8, 64, 1e-10)
+        assert again[2] == 0 and len(kernel) == iterations  # converged at once: no step matrices
 
     @pytest.mark.parametrize("failure", ["blow-up", "singular", "fine-after-coarse"])
     def test_failure_falls_back_to_full_grid_newton(self, monkeypatch, failure):
@@ -475,14 +527,14 @@ class TestTwoLevelShooting:
         want = solve_bvp(*args)
         monkeypatch.undo()
 
-        def fault(steps, nodes):  # on the coarse (q, p, dq, dp) nodes
+        def fault(steps, nodes):  # on the coarse (q, p) nodes
             if failure == "blow-up" and steps == 64:
-                return nodes * [[1], [1], [1], [np.nan]]
-            if failure == "singular" and steps == 64:
-                return nodes * [[1], [1], [0], [0]]
+                return nodes * [[1], [np.nan]]
             return nodes
 
-        def grid_fault(nodes, phi, m):  # on the first whole-grid step
+        def grid_fault(nodes, phi, m):  # on the coarse step matrices, or the first whole-grid step
+            if failure == "singular" and nodes == 64:
+                return phi, 0 * m
             if failure == "fine-after-coarse" and nodes == 512 and not failed:
                 failed.append(nodes)
                 return phi * np.nan, m
@@ -591,6 +643,31 @@ class TestTwoLevelShooting:
             (a,), (b,) = res.contributions, want.contributions
             for part in ("S", "I", "d2S", "prefactor"):
                 assert abs(getattr(a, part) - getattr(b, part)) <= 1e-12 * abs(getattr(b, part)), part
+
+    def test_one_saddle_of_three_guesses_is_refined_once(self, monkeypatch):
+        # the three coarse shootings find one saddle, and only the first guess's seed is refined:
+        # the result is the one-guess call's, and K is the one found when every guess was refined
+        args = ("w", quartic_position_hamiltonian(0.1, CTX), 0.5 + 0.1j, 0.3 - 0.4j, 0.6)
+        single = semiclassical_K(*args)
+        shoots, newtons = [], []
+        real_shoot, real_newton = semiclassics._shoot, semiclassics._newton
+        monkeypatch.setattr(semiclassics, "_shoot", lambda *a, **k: shoots.append(a[6]) or real_shoot(*a, **k))
+        monkeypatch.setattr(semiclassics, "_newton", lambda *a: newtons.append(1) or real_newton(*a))
+        res = semiclassical_K(*args, guesses=[None, 0.3 + 0.4j, 0.27 + 0.36j])
+        assert shoots == [64, 64, 64] and len(newtons) == 1
+        assert repr(res) == repr(single)
+        assert abs(res.K - (0.9690436148233127 - 0.2518547368183535j)) <= 1e-15
+
+    def test_a_guess_whose_refinement_failed_is_not_a_duplicate(self, monkeypatch):
+        # the coarse v(0) is recorded only when its seed was refined: here the whole-grid stage
+        # fails, so every guess runs the single-level fallback, as each did before
+        monkeypatch.setattr(semiclassics, "_newton", refuse)
+        shoots = []
+        real_shoot = semiclassics._shoot
+        monkeypatch.setattr(semiclassics, "_shoot", lambda *a, **k: shoots.append(a[6]) or real_shoot(*a, **k))
+        res = semiclassical_K("w", quartic_position_hamiltonian(0.1, CTX), 0.5 + 0.1j, 0.3 - 0.4j, 0.6,
+                              guesses=[None, 0.3 + 0.4j])
+        assert len(res.contributions) == 1 and shoots == [64, 512, 64, 512]
 
     @pytest.mark.parametrize("form", ["q", "p", "w"])
     def test_harmonic_default_guess_is_bit_identical(self, monkeypatch, form):
@@ -714,6 +791,20 @@ class TestTransferProducts:
         samplers = trajectory_hessian_samplers(traj, QUARTIC_W)
         want = delta_reference(*samplers, 0.8, 2048, 1.0)
         assert abs(det_continuum(*samplers, 0.8, steps=1024) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("steps", [16, 100, 333, 1000, 1024])
+    def test_det_continuum_reads_the_total_product(self, monkeypatch, steps):
+        # Delta(T) reads the last prefix of the step matrices alone: their total product by
+        # pairwise halving is the prefix scan's last entry, the same numbers where the step count
+        # is a power of two and within round-off elsewhere
+        traj = solve_bvp(QUARTIC_W, 0.7, 0.5 - 0.2j, 0.8, steps=2048, tol=1e-12)
+        samplers = trajectory_hessian_samplers(traj, QUARTIC_W)
+        got = [det_continuum(*samplers, 0.8, steps, 1.0, check) for check in (None, 1e-6)]
+        monkeypatch.setattr(fluctuation, "_total_product",
+                            lambda m: semiclassics._prefix_products(m)[..., -1])
+        want = [det_continuum(*samplers, 0.8, steps, 1.0, check) for check in (None, 1e-6)]
+        for a, b in zip(got, want):
+            assert a == b if steps in (16, 1024) else abs(a - b) <= 2e-15 * abs(b)
 
     def test_tangent_overflow_under_finite_qp_is_a_blow_up(self, monkeypatch):
         # an inverted oscillator from the fixed point: q = p = 0 exactly, while the variational
@@ -928,6 +1019,14 @@ class TestSemiclassicalK:
         assert abs(tr.term - res.K) < 1e-15
         # the correction is still reported for the W form, just not applied
         assert abs(tr.I - 0.5) < 1e-12
+
+    @pytest.mark.parametrize("guesses", [[], (), iter([])], ids=["list", "tuple", "iterator"])
+    def test_empty_guesses_refused(self, monkeypatch, guesses):
+        # was NonConverged "no shooting guess converged: (none tried)", exit 2, with nothing run
+        monkeypatch.setattr(semiclassics, "_rk4", None)  # would fail if reached
+        monkeypatch.setattr(semiclassics, "_step", None)
+        with pytest.raises(InvalidArgument, match=r"^guesses must hold at least one guess, got \[\]$"):
+            semiclassical_K("w", H_HARM, 0.3, 0.5j, 1.0, guesses=guesses)
 
     def test_guess_deduplication(self):
         res = semiclassical_K(
