@@ -39,7 +39,7 @@ COHERENT_BYTES = 32  # per Fock state and label, plus one label for the tables, 
 # complex columns and two float temporaries (traced peak: 31.1-32.1 at 16-4096 labels, 24 at one)
 PASS_BYTES = 928  # per RK4 step of the full-grid Newton, semiclassics._newton: stage points and
 # generators, Phi_h, step matrices and the 2 x 3 affine scan, the last step's arrays still held (traced
-# peak of a quartic at 16,384 and 65,536 steps; the single-level fallback, semiclassics._shoot, 768)
+# peak of a quartic at 16,384 and 65,536 steps)
 CONTINUUM_BYTES = 560  # per RK4 step of det_continuum's finest pass: samples, generators and
 # step matrices (traced peak at 16,384 and 65,536 steps; a checked call has twice the steps)
 ORACLE_MATRICES = 5  # complex (cutoff + 1)^2 arrays alive in an oracle build: H, eigh's copy,

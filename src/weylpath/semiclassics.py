@@ -15,12 +15,12 @@ Newton on all its nodes (``_newton``): each step is one log-depth prefix
 scan of 2 x 3 affine matrices [M_k | r_k] (``_prefix_products``).  For a
 symbol of degree at most 2 one step is exact and Phi_h alone checks it.
 For a quartic the seed comes from Newton shooting on v(0) over a coarse
-grid (``_shoot``), whose passes integrate (q, p) on Python scalars
-(``_rk4``); only a pass that takes a Newton step builds step matrices,
-and it reads dv(T) from their total product (``_total_product``).  Of
-several guesses, one whose coarse v(0) repeats a refined one is not
-refined again.  The nodes are mapped back to (u, v, du, dv); RK4 commutes
-with that map.
+grid of at least ``MIN_STEPS`` steps (``_shoot``), whose passes integrate
+(q, p) on Python scalars (``_rk4``); only a pass that takes a Newton step
+builds step matrices, and it reads dv(T) from their total product
+(``_total_product``).  Of several guesses, one whose coarse v(0) repeats
+one already refined is not refined again.  The nodes are mapped back to
+(u, v, du, dv); RK4 commutes with that map.
 """
 
 from __future__ import annotations
@@ -67,10 +67,11 @@ class ComplexTrajectory:
 
     ``du``/``dv`` hold the variational solution with (du, dv)(0) = (0, 1);
     ``v`` is genuinely independent of ``conj(u)`` away from quadratic
-    Hamiltonians.  ``residual`` and ``newton_iters`` come from the Newton
-    that converged on the full grid: its last correction (for a symbol of
-    degree at most 2, the check of its one step), below the tolerance, and
-    the steps before it (see :func:`solve_bvp`).
+    Hamiltonians.  ``residual`` and ``newton_iters`` come from the
+    whole-grid Newton, the one solver of every trajectory: its last
+    correction (for a symbol of degree at most 2, the check of its one
+    step), below the tolerance, and the steps before it (see
+    :func:`solve_bvp`).
     """
 
     times: np.ndarray
@@ -88,8 +89,8 @@ def _rk4(rhs, y0: tuple, T: float, steps: int) -> np.ndarray:
     """Fixed-step RK4 on a two-component state ``y0 = (q, p)``, on Python scalars.
 
     ``rhs(q, p)`` returns the two derivatives.  Returns the node values as a
-    (2, steps + 1) array.  Runs on the coarse grid and in the single-level
-    fallback only; the full grid's steps are taken by :func:`_step`.
+    (2, steps + 1) array.  Runs on the coarse grid only, in :func:`_shoot`;
+    the full grid's steps are taken by :func:`_step`.
     """
     h = T / steps
     h2, h6 = 0.5 * h, h / 6.0
@@ -269,39 +270,31 @@ def quadratic_guess(
     return complex((zpp_star - (1j / hbar) * huu * sinh_k * zp) / m11)
 
 
-def _shoot(flow, hessian, zp: complex, zpp_star, v0: complex, T: float, steps: int, tol, tangent=False):
-    """Newton on v(0) over one RK4 grid of ``steps`` steps.
+def _shoot(flow, hessian, zp: complex, zpp_star, v0: complex, T: float, steps: int, tol):
+    """Newton on v(0) over one RK4 grid of ``steps`` steps, the coarse stage of :func:`solve_bvp`.
 
     Each pass integrates (q, p) from (u, v)(0) = (z', v0) on Python scalars
     (``_rk4``) and tests |v(T) - conj(z'')| against ``tol`` first.  Only a
     pass that takes a Newton step builds its step matrices (``_step``), and
     it reads dv(T)/dv(0) from their total product (``_total_product``).
-    Returns ((q, p) nodes, v0, iterations, residual) from the first pass
-    with a residual below ``tol``; with ``tangent`` the nodes are
-    (q, p, dq, dp), the tangent built once from that pass's step matrices.
-    Raises :class:`NonConverged` on a blow-up, a singular Jacobian or a
-    stall (``MAX_ITER`` steps).  The array part ignores overflow: a dv(T)
-    that blows up is not finite, which is the blow-up.
+    Returns ((q, p) nodes, v0) from the first pass with a residual below
+    ``tol``.  Raises :class:`NonConverged` on a blow-up, a singular Jacobian
+    or a stall (``MAX_ITER`` steps).  The array part ignores overflow: a
+    dv(T) that blows up is not finite, which is the blow-up.
     """
-    h, residual = T / steps, np.inf
+    h = T / steps
     with np.errstate(over="ignore", invalid="ignore"):
-        for iteration in range(MAX_ITER + 1):
+        for _ in range(MAX_ITER + 1):
             nodes = _rk4(flow, _start(zp, v0), T, steps)
             mismatch = _v(nodes[:, -1]) - zpp_star
             residual = abs(mismatch)
             if not np.isfinite([residual, *nodes[:, -1]]).all():
                 raise NonConverged(f"trajectory blew up from guess v(0) = {v0:.6g}")
-            done = residual < tol
-            if done and not tangent:
-                return nodes, v0, iteration, residual
-            m = _step(flow, hessian, nodes[:, :-1], h)[1]
-            if done:  # the fallback's answer carries the tangent, built once
-                nodes = np.concatenate([nodes, _tangent(_prefix_products(m))])
-            jac = _v(nodes[2:, -1]) if done else _v(_image(_total_product(m)))
+            if residual < tol:
+                return nodes, v0
+            jac = _v(_image(_total_product(_step(flow, hessian, nodes[:, :-1], h)[1])))
             if not np.isfinite(jac):
                 raise NonConverged(f"trajectory blew up from guess v(0) = {v0:.6g}")
-            if done:
-                return nodes, v0, iteration, residual
             if abs(jac) < 1e-14:
                 raise NonConverged("singular shooting Jacobian dv(T)/dv(0)")
             v0 = complex(v0 - mismatch / jac)  # a numpy scalar would slow every RK4 stage
@@ -372,10 +365,10 @@ def _trajectories(H_sym: SymbolPoly, zp, zpp_star, T, steps, guesses: list, hbar
     :class:`NonConverged` message of each guess that found none; checks the arguments as it does.
 
     A guess whose coarse v(0) lies within ``DEDUPE_TOL`` of the coarse v(0)
-    of an earlier guess refined from its seed is not refined again, and a
-    trajectory whose v(0) lies within ``DEDUPE_TOL`` of a kept one is not
-    kept: one refinement per saddle, and the first guess's trajectory is
-    the one kept.
+    of an earlier guess refined from its seed, converged or not, is not
+    refined again, and a trajectory whose v(0) lies within ``DEDUPE_TOL``
+    of a kept one is not kept: one refinement per saddle, and the first
+    guess's trajectory is the one kept.
     """
     require_nonnegative(T=T)
     if not T > 0:
@@ -389,40 +382,32 @@ def _trajectories(H_sym: SymbolPoly, zp, zpp_star, T, steps, guesses: list, hbar
     T, hbar, tol, steps = float(T), float(hbar), float(tol), require_index(steps, "steps", MIN_STEPS)
     steps += steps % 2  # Simpson-friendly grids
     _require_dense(PASS_BYTES * steps, f"a shooting pass of {steps} RK4 steps")
-    coarse_steps = steps // COARSE_FACTOR
+    coarse_steps = max(steps // COARSE_FACTOR, MIN_STEPS)
     coarse_steps += coarse_steps % 2
     zp, linear = complex(zp), H_sym.degree <= 2
     flow, hessian = H_sym.flow(hbar)
 
-    trajectories, failures, refined = [], [], []  # refined: the coarse v(0) of each refined seed
+    trajectories, failures, tried = [], [], []  # tried: each refined seed's coarse v(0)
     for guess in guesses:
-        start = quadratic_guess(H_sym, zp, zpp_star, T, hbar) if guess is None else complex(guess)
-        fine = seed = coarse_v0 = None
+        v0 = quadratic_guess(H_sym, zp, zpp_star, T, hbar) if guess is None else complex(guess)
         try:
             if linear:
-                v0, seed = start, np.empty((2, steps + 1), dtype=complex)
-                seed.T[:] = _start(zp, start)
-            elif coarse_steps >= MIN_STEPS:
-                coarse, coarse_v0, _, _ = _shoot(flow, hessian, zp, zpp_star, start, T, coarse_steps, tol)
-                if any(abs(coarse_v0 - other) <= DEDUPE_TOL for other in refined):
-                    continue  # its saddle is refined already
-                v0, slopes = coarse_v0, np.empty_like(coarse)
+                seed = np.empty((2, steps + 1), dtype=complex)
+                seed.T[:] = _start(zp, v0)
+            else:
+                coarse, v0 = _shoot(flow, hessian, zp, zpp_star, v0, T, coarse_steps, tol)
+                if any(abs(v0 - other) <= DEDUPE_TOL for other in tried):
+                    continue  # its saddle is refined already, or failed to refine
+                tried.append(v0)
+                slopes = np.empty_like(coarse)
                 slopes[0], slopes[1] = flow(*coarse)
                 at = np.arange(steps + 1) * (coarse_steps / steps)  # full-grid nodes on the coarse grid
                 seed = _hermite(coarse, (T / coarse_steps) * slopes, at)
-            if seed is not None:
-                fine = _newton(flow, hessian, seed, zp, zpp_star, v0, T / steps, tol, linear)
-                if coarse_v0 is not None:
-                    refined.append(coarse_v0)
-        except NonConverged:
-            pass
-        if fine is None:  # single-level Newton on v(0) from the original guess
-            try:
-                fine = _shoot(flow, hessian, zp, zpp_star, start, T, steps, tol, tangent=True)
-            except NonConverged as exc:
-                failures.append(str(exc))
-                continue
-        nodes, v0, iteration, residual = fine
+            nodes, v0, iteration, residual = _newton(
+                flow, hessian, seed, zp, zpp_star, v0, T / steps, tol, linear)
+        except NonConverged as exc:
+            failures.append(str(exc))
+            continue
         if any(abs(v0 - kept.v0) <= DEDUPE_TOL for kept in trajectories):
             continue
         us, vs, dus, dvs = _TO_UV @ nodes
@@ -456,21 +441,17 @@ def solve_bvp(
     boundary-value problem, Newton on all its nodes at once (``_newton``).
     For a symbol of degree above 2 its seed is the cubic-Hermite interpolant
     of a trajectory shot to ``tol`` by Newton on v(0) over ``steps //
-    COARSE_FACTOR`` steps (rounded up to even), which fixes the saddle
-    (nested iteration; Deuflhard, *Newton Methods for Nonlinear Problems*,
-    2004); one or two whole-grid steps then usually meet ``tol``.  For a
-    symbol of degree at most 2 the flow is linear and the seed is the
-    constant trajectory at (z', v(0)), which one step makes exact; that
-    step is taken after a check by Phi_h alone.  If the coarse shooting or
-    the whole-grid Newton fails, or the coarse grid would have fewer than
-    ``MIN_STEPS`` steps, Newton on v(0) runs on the full grid from the
-    original guess instead.  The returned trajectory, its ``residual`` and
-    ``newton_iters`` (the steps before the one taken) all come from the
-    full grid.  ``residual`` is max |delta| of the last whole-grid step;
-    for a symbol of degree at most 2 whose first step is taken, the larger
-    of max |Phi_h(y_k) - y_(k+1)| and |v(T) - conj(z'')| at its nodes, with
-    ``newton_iters`` 0; after the fallback, |v(T) - conj(z'')| of its last
-    shooting pass.
+    COARSE_FACTOR`` steps, but at least ``MIN_STEPS`` (rounded up to even),
+    which fixes the saddle (nested iteration; Deuflhard, *Newton Methods
+    for Nonlinear Problems*, 2004); one or two whole-grid steps then
+    usually meet ``tol``.  For a symbol of degree at most 2 the flow is
+    linear and the seed is the constant trajectory at (z', v(0)), which
+    one step makes exact; that step is taken after a check by Phi_h alone.
+    The returned trajectory, its ``residual`` and ``newton_iters`` (the
+    steps before the one taken) all come from the whole-grid Newton.
+    ``residual`` is max |delta| of its last step; for a symbol of degree at
+    most 2 whose first step is taken, the larger of max |Phi_h(y_k) -
+    y_(k+1)| and |v(T) - conj(z'')| at its nodes, with ``newton_iters`` 0.
 
     Parameters
     ----------
@@ -487,8 +468,9 @@ def solve_bvp(
     Raises
     ------
     NonConverged
-        If neither Newton meets ``tol`` in ``MAX_ITER`` steps, or a node
-        (u, v, du, dv) is not finite.
+        If the coarse shooting or the whole-grid Newton does not meet
+        ``tol`` in ``MAX_ITER`` steps, its Jacobian dv(T)/dv(0) is
+        singular, or a node (u, v, du, dv) is not finite.
     DomainError
         If one full-grid Newton step (``coherent.PASS_BYTES`` per RK4 step)
         would take more than ``coherent.DENSE_BYTES``, before the first step.
@@ -644,15 +626,16 @@ def semiclassical_K(
     trajectory is reported; contributing-saddle selection is left to the
     caller.  Each guess is solved as by :func:`solve_bvp`, in turn, but a
     guess whose coarse v(0) lies within ``DEDUPE_TOL`` of the coarse v(0)
-    of a guess already refined is not refined again, and a trajectory whose
-    v(0) lies within ``DEDUPE_TOL`` of a kept one is dropped; the first
-    guess's trajectory is the one kept.  T may be any real number type and
-    ``steps`` any integer type, numpy scalars included.
+    of a guess already refined, converged or not, is not refined again,
+    and a trajectory whose v(0) lies within ``DEDUPE_TOL`` of a kept one is
+    dropped; the first guess's trajectory is the one kept.  T may be any
+    real number type and ``steps`` any integer type, numpy scalars
+    included.
 
     Raises
     ------
     NonConverged
-        If no shooting guess converges.
+        If no shooting guess converges; the message lists each failure.
     DomainError
         If -(|z'|^2 + |z''|^2)/2 (at any T, T = 0 included), a trajectory's
         term or K is not a finite double, or (for T > 0) a shooting pass of

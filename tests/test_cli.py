@@ -402,6 +402,30 @@ def test_one_rk4_per_state_kind():
     assert found == {"semiclassics._rk4", "semiclassics._phi", "semiclassics._linear_rk4"}
 
 
+def test_one_solve_path():
+    """Every trajectory comes from one route: src calls semiclassics._shoot (the coarse shooting)
+    and semiclassics._newton (the whole-grid Newton) once each, in semiclassics._trajectories,
+    and the scalar RK4 loop semiclassics._rk4 in _shoot alone, so no second solver returns."""
+    src = os.path.dirname(os.path.abspath(cli.__file__))
+    calls = {"_shoot": [], "_newton": [], "_rk4": []}
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    if callee in calls:
+                        calls[callee].append(f"{name[:-3]}.{getattr(top, 'name', '<statement>')}")
+    assert calls == {
+        "_shoot": ["semiclassics._trajectories"],
+        "_newton": ["semiclassics._trajectories"],
+        "_rk4": ["semiclassics._shoot"],
+    }
+
+
 # Public names no src code outside their own def or class uses, each with the paper identity it
 # checks or the bench call (bench/workloads.py API_FUNCTIONS) that keeps it.
 UNCALLED_PUBLIC = {
