@@ -42,8 +42,9 @@ PASS_BYTES = 928  # per RK4 step of the full-grid Newton, semiclassics._newton: 
 # peak of a quartic at 16,384 and 65,536 steps)
 CONTINUUM_BYTES = 560  # per RK4 step of det_continuum's finest pass: samples, generators and
 # step matrices (traced peak at 16,384 and 65,536 steps; a checked call has twice the steps)
-ORACLE_MATRICES = 5  # complex (cutoff + 1)^2 arrays alive in an oracle build: H, eigh's copy,
-# its two work arrays and the eigenvectors (measured peak: 5.1 at cutoff 1000 and 2000)
+ORACLE_MATRICES = 5  # complex (cutoff + 1)^2 arrays alive in the build of a complex H that couples
+# parities: H, eigh's copy, its two work arrays and the eigenvectors (measured peak: 5.1 at cutoff 1000
+# and 2000); a real H peaks at 2.5-2.6 in one block, and at 1.4-1.7 in parity blocks
 
 
 @dataclass(frozen=True)
@@ -164,6 +165,13 @@ class FockOracle:
     then exactly unitary on the truncated space, which keeps every
     norm-conservation check honest.  A cutoff whose build would exceed
     ``DENSE_BYTES`` raises :class:`DomainError` before any matrix is made.
+
+    ``eigh`` runs on the smallest real problems the Fock matrix allows: its
+    real part where the imaginary part is exactly zero, and the even and odd
+    photon-number blocks apart where no entry couples them (an H even in q
+    and p keeps parity).  ``evals`` ascends over both blocks; ``evecs`` is
+    the full (cutoff + 1)^2 eigenbasis, real when the matrix is, applied
+    through :meth:`to_eigenbasis` and :meth:`from_eigenbasis`.
     """
 
     def __init__(self, op: OperatorPoly, cutoff: int = DEFAULT_CUTOFF):
@@ -172,18 +180,53 @@ class FockOracle:
         _require_oracle_fits(cutoff, 1)
         self.cutoff = cutoff
         self.hbar = op.hbar
-        self.evals, self.evecs = np.linalg.eigh(operator_matrix(op, cutoff))
+        mat = operator_matrix(op, cutoff)
+        if not mat.imag.any():
+            mat = mat.real.copy()  # frees the complex matrix
+        coupled = mat[0::2, 1::2].any() or mat[1::2, 0::2].any()
+        blocks = [slice(None)] if coupled else [slice(0, None, 2), slice(1, None, 2)]
+        parts = [np.linalg.eigh(mat[b, b]) for b in blocks]
+        evals = np.concatenate([w for w, _ in parts])
+        order = np.argsort(evals, kind="stable")
+        column = np.empty_like(order)
+        column[order] = np.arange(order.size)  # where each block's eigenvectors land, in turn
+        self.evals, self.evecs = evals[order], np.zeros_like(mat)
+        start = 0
+        for b, (w, v) in zip(blocks, parts):
+            self.evecs[b, column[start:start + w.size]] = v
+            start += w.size
 
     def _phases(self, T: float) -> np.ndarray:
         require_finite(T=T)
         return np.exp(-1j * self.evals * T / self.hbar)
 
+    def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
+        """evecs^dagger x: the amplitudes <k|x> of Fock columns x (C-contiguous when complex);
+        real for a real x where the eigenbasis is real."""
+        if np.iscomplexobj(self.evecs):
+            return self.evecs.conj().T @ x
+        return _real_product(self.evecs.T, x)
+
+    def from_eigenbasis(self, c: np.ndarray) -> np.ndarray:
+        """evecs c: the Fock columns of eigenbasis amplitudes c (C-contiguous when complex)."""
+        if np.iscomplexobj(self.evecs):
+            return self.evecs @ c
+        return _real_product(self.evecs, c)
+
     def propagator(self, z1: complex, z2, T: float):
         """<z2|exp(-i H T / hbar)|z1>, vectorised over an array of z2."""
         v1 = coherent_matrix(z1, self.cutoff)[:, 0]
-        evolved = self.evecs @ (self._phases(T) * (self.evecs.conj().T @ v1))
+        evolved = self.from_eigenbasis(self._phases(T) * self.to_eigenbasis(v1))
         vals = coherent_matrix(z2, self.cutoff).conj().T @ evolved
         return complex(vals[0]) if np.ndim(z2) == 0 else vals
+
+
+def _real_product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x for a real matrix m; a complex x is multiplied through its float view, one real
+    product over its real and imaginary parts, with no complex copy of m."""
+    if not np.iscomplexobj(x):
+        return m @ x
+    return (m @ x.view(float).reshape(len(x), -1)).view(complex).reshape(x.shape)
 
 
 def exact_propagator(

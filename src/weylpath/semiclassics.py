@@ -9,7 +9,8 @@ Both are integrated with RK4 in q = (u + v)/sqrt(2), p = (u - v)/(i sqrt(2)),
 where the symbol is sparser, on Hamilton's flow ``SymbolPoly.flow``.  The
 kernel ``_step`` takes the RK4 step Phi_h at every node of a grid at once
 (``_phi``), with its Jacobian, the step matrix of the linear variational
-pair built from the symbol's Hessian at the stage points (``_linear_rk4``).
+pair built from the symbol's Hessian at the stage points
+(``_step_matrices``, ``_linear_rk4``).
 The full grid is one discrete boundary-value problem, solved by whole-grid
 Newton on all its nodes (``_newton``): each step is one log-depth prefix
 scan of 2 x 3 affine matrices [M_k | r_k] (``_prefix_products``).  For a
@@ -17,10 +18,11 @@ symbol of degree at most 2 one step is exact and Phi_h alone checks it.
 For a quartic the seed comes from Newton shooting on v(0) over a coarse
 grid of at least ``MIN_STEPS`` steps (``_shoot``), whose passes integrate
 (q, p) on Python scalars (``_rk4``); only a pass that takes a Newton step
-builds step matrices, and it reads dv(T) from their total product
-(``_total_product``).  Of several guesses, one whose coarse v(0) repeats
-one already refined is not refined again.  The nodes are mapped back to
-(u, v, du, dv); RK4 commutes with that map.
+builds step matrices, from the stage points alone (``_stages``, no Phi_h),
+and it reads dv(T) from their total product (``_total_product``).  Of
+several guesses, one whose coarse v(0) repeats one already refined is not
+refined again.  The nodes are mapped back to (u, v, du, dv); RK4
+commutes with that map.
 """
 
 from __future__ import annotations
@@ -178,37 +180,50 @@ def _linear_rk4(G, h: float) -> np.ndarray:
     return m
 
 
-def _phi(flow, y: np.ndarray, h: float) -> tuple:
-    """The RK4 step Phi_h at every node at once: (Phi_h(y_k), the stage points).
+def _stages(flow, y: np.ndarray, h: float) -> tuple:
+    """The RK4 stage points of every node at once, and the slopes at the first three.
 
-    ``y`` holds the nodes (q, p)_k laid out [component, k].  Four array
-    ``flow`` calls give the stage points and slopes, in ``_rk4``'s order of
-    operations; the stage points are laid out [component, stage, k].
+    ``y`` holds the nodes (q, p)_k laid out [component, k].  Three array
+    ``flow`` calls give them, in ``_rk4``'s order of operations; both are
+    laid out [component, stage, k], and the fourth slope is left unset.
     """
-    h2, h6 = 0.5 * h, h / 6.0
+    h2 = 0.5 * h
     stages = np.empty((2, 4) + y.shape[1:], dtype=complex)  # (q, p) at the four stage points
     slopes = np.empty_like(stages)
     stages[:, 0] = y
     for i, c in enumerate((h2, h2, h)):
         slopes[0, i], slopes[1, i] = flow(*stages[:, i])
         stages[:, i + 1] = y + c * slopes[:, i]
+    return stages, slopes
+
+
+def _phi(flow, y: np.ndarray, h: float) -> tuple:
+    """The RK4 step Phi_h at every node at once: (Phi_h(y_k), the stage points of :func:`_stages`),
+    with the fourth array ``flow`` call and the RK4 sum."""
+    h6 = h / 6.0
+    stages, slopes = _stages(flow, y, h)
     slopes[0, 3], slopes[1, 3] = flow(*stages[:, 3])
     return y + h6 * (slopes[:, 0] + 2.0 * (slopes[:, 1] + slopes[:, 2]) + slopes[:, 3]), stages
 
 
-def _step(flow, hessian, y: np.ndarray, h: float) -> tuple:
-    """The RK4 step Phi_h and its Jacobian at every node at once: (Phi_h(y_k), M_k).
+def _step_matrices(hessian, stages: np.ndarray, h: float) -> np.ndarray:
+    """The step matrices M_k from the stage points of :func:`_stages`, laid out [row, column, k].
 
-    ``hessian`` at the stage points of :func:`_phi` gives the generators
-    [[H_qp, H_pp], [-H_qq, -H_qp]] / hbar of (dq, dp), and M_k, the RK4 step
-    of the linearised flow, is the exact Jacobian of Phi_h at y_k.
+    ``hessian`` there gives the generators [[H_qp, H_pp], [-H_qq, -H_qp]] /
+    hbar of (dq, dp), and M_k, the RK4 step of the linearised flow, is the
+    exact Jacobian of Phi_h at y_k.
     """
-    phi, stages = _phi(flow, y, h)
-    G = np.empty((4, 2, 2) + y.shape[1:], dtype=complex)
+    G = np.empty((4, 2, 2) + stages.shape[2:], dtype=complex)
     G[:, 0, 0], G[:, 0, 1], G[:, 1, 0] = hessian(*stages)
     G[:, 1, 1] = G[:, 0, 0]
     G[:, 1] *= -1.0
-    return phi, _linear_rk4(G, h)
+    return _linear_rk4(G, h)
+
+
+def _step(flow, hessian, y: np.ndarray, h: float) -> tuple:
+    """The RK4 step Phi_h and its Jacobian at every node at once: (Phi_h(y_k), M_k)."""
+    phi, stages = _phi(flow, y, h)
+    return phi, _step_matrices(hessian, stages, h)
 
 
 def _start(zp: complex, v0: complex) -> tuple:
@@ -275,8 +290,9 @@ def _shoot(flow, hessian, zp: complex, zpp_star, v0: complex, T: float, steps: i
 
     Each pass integrates (q, p) from (u, v)(0) = (z', v0) on Python scalars
     (``_rk4``) and tests |v(T) - conj(z'')| against ``tol`` first.  Only a
-    pass that takes a Newton step builds its step matrices (``_step``), and
-    it reads dv(T)/dv(0) from their total product (``_total_product``).
+    pass that takes a Newton step builds its step matrices, from the stage
+    points alone (``_stages``, ``_step_matrices``: no Phi_h), and it reads
+    dv(T)/dv(0) from their total product (``_total_product``).
     Returns ((q, p) nodes, v0) from the first pass with a residual below
     ``tol``.  Raises :class:`NonConverged` on a blow-up, a singular Jacobian
     or a stall (``MAX_ITER`` steps).  The array part ignores overflow: a
@@ -292,7 +308,8 @@ def _shoot(flow, hessian, zp: complex, zpp_star, v0: complex, T: float, steps: i
                 raise NonConverged(f"trajectory blew up from guess v(0) = {v0:.6g}")
             if residual < tol:
                 return nodes, v0
-            jac = _v(_image(_total_product(_step(flow, hessian, nodes[:, :-1], h)[1])))
+            stages = _stages(flow, nodes[:, :-1], h)[0]
+            jac = _v(_image(_total_product(_step_matrices(hessian, stages, h))))
             if not np.isfinite(jac):
                 raise NonConverged(f"trajectory blew up from guess v(0) = {v0:.6g}")
             if abs(jac) < 1e-14:
@@ -506,19 +523,27 @@ def action_S(traj: ComplexTrajectory, H_sym: SymbolPoly) -> complex:
     numerical differentiation enters; Simpson on the integrator grid matches
     the RK4 order.
     """
+    return _action(traj, H_sym.jet(traj.u, traj.v, order=1))
+
+
+def correction_I(traj: ComplexTrajectory, H_sym: SymbolPoly) -> complex:
+    """Ordering correction I = 1/2 int_0^T d2H/du dv dt along the trajectory."""
+    return _correction(traj, H_sym.jet(traj.u, traj.v))
+
+
+def _action(traj: ComplexTrajectory, jet: tuple) -> complex:
+    """:func:`action_S` from the symbol's jet on the trajectory's nodes, of order 1 or 2."""
     u, v = traj.u, traj.v
-    H, Hu, Hv = H_sym.jet(u, v, order=1)
+    H, Hu, Hv = jet[:3]
     integrand = 0.5 * (u * Hu + v * Hv) - H
     h = traj.times[1] - traj.times[0]
     boundary = -0.5j * traj.hbar * (u[-1] * v[-1] + u[0] * v[0])
     return _simpson(integrand, h) + boundary
 
 
-def correction_I(traj: ComplexTrajectory, H_sym: SymbolPoly) -> complex:
-    """Ordering correction I = 1/2 int_0^T d2H/du dv dt along the trajectory."""
-    mixed = H_sym.jet(traj.u, traj.v)[5]
-    h = traj.times[1] - traj.times[0]
-    return 0.5 * _simpson(mixed, h)
+def _correction(traj: ComplexTrajectory, jet: tuple) -> complex:
+    """:func:`correction_I` from the symbol's order-2 jet on the trajectory's nodes."""
+    return 0.5 * _simpson(jet[5], traj.times[1] - traj.times[0])
 
 
 def d2S(traj: ComplexTrajectory) -> tuple[complex, complex]:
@@ -670,8 +695,8 @@ def semiclassical_K(
 
     contributions = []
     for traj in trajectories:
-        S = action_S(traj, sym)
-        I_corr = correction_I(traj, sym)
+        jet = sym.jet(traj.u, traj.v)  # one order-2 jet serves S and I
+        S, I_corr = _action(traj, jet), _correction(traj, jet)
         d2s, _ = d2S(traj)
         pref = tracked_prefactor(traj)
         exponent = (1j / hbar) * (S + sigma * I_corr) + gauss

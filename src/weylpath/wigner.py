@@ -157,6 +157,9 @@ def weyl_U_grid(
     Nyquist step of c sqrt(2 cutoff + 1) + max|p| over ``CHORD_OVERSAMPLING``;
     the check halves h.  T may be negative: the grid of U(-T) = U(T)^dagger
     is exact from the same eigendecomposition (``wigner-u --T`` takes one).
+    The amplitudes <k|x> are the oracle's ``to_eigenbasis`` of the real
+    Hermite table: one real product, cast to complex once, where the
+    eigenbasis is real (an H even in q and p, or any real H).
 
     Raises
     ------
@@ -196,8 +199,8 @@ def weyl_U_grid(
     m = int(m)
     lattice = qs[0] + dq / stride * np.arange(-m, stride * (len(qs) - 1) + m + 1)
     oracle = _cached_oracle(H, cutoff)
-    # amp is <k|x>, as phi_n(x) = <n|x> is real; phi is cast first, as the product would copy it
-    amp = oracle.evecs.conj().T @ hermite_functions(lattice, cutoff, ctx.b).astype(complex)
+    # amp is <k|x>, as phi_n(x) = <n|x> is real; cast once, after a real eigenbasis's real product
+    amp = oracle.to_eigenbasis(hermite_functions(lattice, cutoff, ctx.b)).astype(complex, copy=False)
     u_amp = oracle._phases(T)[:, None] * amp
     np.conj(amp, out=amp)
     # q_i is node m + i stride and chord node t (|t| <= m) joins the nodes
@@ -221,7 +224,9 @@ def husimi_U_grid(
     cutoff: int = GRID_CUTOFF,
 ) -> PhaseSpaceGrid:
     """Diagonal coherent-state propagator K(z_x, z_x, T) on the grid; T may be negative,
-    as in :func:`weyl_U_grid`.
+    as in :func:`weyl_U_grid`.  The amplitudes <k|z> are the oracle's ``to_eigenbasis``
+    of the coherent columns, a real product over their float view where the eigenbasis
+    is real.
 
     Raises
     ------
@@ -234,7 +239,7 @@ def husimi_U_grid(
     qs, ps = _axes(qs, ps)
     cols = coherent_matrix(ctx.z_from_qp(*np.meshgrid(qs, ps, indexing="ij")), cutoff)
     oracle = _cached_oracle(H, cutoff)
-    cols = oracle.evecs.conj().T @ cols  # <k|z>; each rebinding frees the array before it,
+    cols = oracle.to_eigenbasis(cols)  # <k|z>; each rebinding frees the array before it,
     cols = np.abs(cols) ** 2  # so the peak stays within what coherent_matrix counts
     return PhaseSpaceGrid(qs, ps, (oracle._phases(T) @ cols).reshape(len(qs), len(ps)))
 

@@ -426,6 +426,30 @@ def test_one_solve_path():
     }
 
 
+def test_one_eigenbasis_owner():
+    """np.linalg.eigh is called in coherent.FockOracle.__init__ alone, which picks the real or
+    parity-split eigenproblems, and ``.evecs`` is read in coherent.py alone: every other module
+    applies the eigenbasis through the oracle's to_eigenbasis and from_eigenbasis."""
+    src = os.path.dirname(os.path.abspath(cli.__file__))
+    eigh, evecs = [], set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read())
+        scopes = [(f"{top.name}.{getattr(item, 'name', '<statement>')}", item)
+                  for top in tree.body if isinstance(top, ast.ClassDef) for item in top.body]
+        scopes += [(getattr(top, "name", "<statement>"), top)
+                   for top in tree.body if not isinstance(top, ast.ClassDef)]
+        for scope, top in scopes:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "eigh":
+                    eigh.append(f"{name[:-3]}.{scope}")
+                if isinstance(node, ast.Attribute) and node.attr == "evecs":
+                    evecs.add(name)
+    assert eigh == ["coherent.FockOracle.__init__"] and evecs == {"coherent.py"}
+
+
 # Public names no src code outside their own def or class uses, each with the paper identity it
 # checks or the bench call (bench/workloads.py API_FUNCTIONS) that keeps it.
 UNCALLED_PUBLIC = {
@@ -449,6 +473,8 @@ UNCALLED_PUBLIC = {
     "det_recursive": "det of the block-tridiagonal matrix by transfer matrices; bench call",
     "det_continuum": "the N -> infinity limit of det_recursive, an ODE in t; bench call",
     "solve_bvp": "one stationary trajectory of the mixed boundary problem; bench call",
+    "action_S": "the complex action S of one trajectory, boundary terms included",
+    "correction_I": "the ordering correction I = 1/2 int H_uv dt of one trajectory",
     "trajectory_hessian_samplers": "bench call (A(t), B(t), C(t) along a trajectory)",
     "harmonic_hamiltonian": "bench call (hbar omega (adag a + 1/2))",
     "quartic_position_hamiltonian": "bench call (the quartic oscillator of every test table)",

@@ -622,6 +622,48 @@ def test_closed_form_and_grids_take_a_negative_T():
                        rtol=0.0, atol=1e-14)
 
 
+ORACLE_BUILDS = pytest.mark.parametrize(
+    "H, dtype, shapes",
+    [
+        (quartic_position_hamiltonian(0.1, CTX), float, [(31, 31), (30, 30)]),  # parity blocks
+        (OperatorPoly({(1, 1): 1, (1, 0): 0.3, (0, 1): 0.3}), float, [(61, 61)]),
+        (OperatorPoly({(1, 1): 1, (2, 0): 0.2j, (0, 2): -0.2j, (1, 0): 0.1, (0, 1): 0.1}), complex,
+         [(61, 61)]),
+    ],
+    ids=["quartic", "real-linear", "complex-coupled"],
+)
+
+
+class TestOracleBlocks:
+    @ORACLE_BUILDS
+    def test_smallest_real_eigenproblems(self, monkeypatch, H, dtype, shapes):
+        # a real H even in q and p splits into its even and odd photon-number blocks; a linear
+        # term couples them, and a complex coefficient keeps the complex problem
+        seen = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: seen.append(m.shape) or eigh(m))
+        oracle = FockOracle(H, 60)
+        assert seen == shapes and oracle.evecs.dtype == dtype and oracle.evecs.shape == (61, 61)
+        assert np.all(np.diff(oracle.evals) >= 0)
+        want = np.linalg.eigvalsh(operator_matrix(H, 60))  # the quartic's reach 1.2e3: a few ulp
+        assert np.abs(oracle.evals - want).max() <= 1e-14 * np.abs(want).max()
+
+    @ORACLE_BUILDS
+    def test_evolution_matches_the_complex_eigenbasis(self, H, dtype, shapes):
+        # U = evecs e^{-i E T} evecs^dagger, through the oracle's two products, against the
+        # complex eigh of the whole Fock matrix; a real and a complex operand give one basis
+        oracle, T = FockOracle(H, 60), 0.7
+        evals, evecs = np.linalg.eigh(operator_matrix(H, 60))
+        want = (evecs * np.exp(-1j * evals * T)) @ evecs.conj().T
+        eye = np.eye(61, dtype=complex)
+        got = oracle.from_eigenbasis(oracle._phases(T)[:, None] * oracle.to_eigenbasis(eye))
+        assert np.abs(got - want).max() < 1e-12
+        assert np.abs(oracle.to_eigenbasis(eye.real) - oracle.to_eigenbasis(eye)).max() == 0
+        z2 = np.array([0.3 - 0.2j, -0.5 + 0.1j])
+        K = coherent_matrix(z2, 60).conj().T @ want @ coherent_matrix(0.4 + 0.3j, 60)[:, 0]
+        assert np.abs(oracle.propagator(0.4 + 0.3j, z2, T) - K).max() < 1e-12
+
+
 class TestOracleBudget:
     def test_refused_before_matrices(self, monkeypatch):
         # cutoff 1e8 ended in a MemoryError; nothing may be built on the way to the refusal

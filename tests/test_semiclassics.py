@@ -425,15 +425,15 @@ def counted_passes(monkeypatch, fault=None):
 
 
 def counted_kernel(monkeypatch):
-    """Count the node counts the step kernel ``_step`` (step matrices included) is called at."""
+    """Count the node counts step matrices (``_step_matrices``) are built at."""
     calls = []
-    real_step = semiclassics._step
+    real_matrices = semiclassics._step_matrices
 
-    def step(flow, hessian, y, h):
-        calls.append(y.shape[-1])
-        return real_step(flow, hessian, y, h)
+    def matrices(hessian, stages, h):
+        calls.append(stages.shape[-1])
+        return real_matrices(hessian, stages, h)
 
-    monkeypatch.setattr(semiclassics, "_step", step)
+    monkeypatch.setattr(semiclassics, "_step_matrices", matrices)
     return calls
 
 
@@ -450,10 +450,10 @@ def counted_rk4(monkeypatch):
 
 
 def faulty_kernel(monkeypatch, fault):
-    """Let ``fault(nodes, phi, m)`` alter what the step kernel ``_step`` returns at ``nodes`` nodes."""
-    real_step = semiclassics._step
+    """Let ``fault(nodes, m)`` alter the step matrices ``_step_matrices`` builds at ``nodes`` nodes."""
+    real_matrices = semiclassics._step_matrices
     monkeypatch.setattr(
-        semiclassics, "_step", lambda *args: fault(args[2].shape[-1], *real_step(*args)))
+        semiclassics, "_step_matrices", lambda *args: fault(args[1].shape[-1], real_matrices(*args)))
 
 
 def whole_grid_case(steps=512):
@@ -519,11 +519,15 @@ class TestTwoLevelShooting:
         assert kernel == [64] * (len(calls) - 1) + [512] * (traj.newton_iters + 1)
         calls.clear()
         kernel.clear()
+        phis = []  # a coarse Newton step builds its matrices from the stage points, with no Phi_h
+        real_phi = semiclassics._phi
+        monkeypatch.setattr(semiclassics, "_phi", lambda *args: phis.append(1) or real_phi(*args))
         flow, hessian = QUARTIC_W.flow(1.0)
         coarse, v0 = semiclassics._shoot(flow, hessian, 0.7 + 0j, 0.5 - 0.2j, 0.5 - 0.2j, 0.8, 64, 1e-10)
         assert coarse.shape == (2, 65) and len(kernel) == len(calls) - 1 >= 1
         semiclassics._shoot(flow, hessian, 0.7 + 0j, 0.5 - 0.2j, v0, 0.8, 64, 1e-10)
         assert len(calls) == len(kernel) + 2  # converged at once: one pass, no step matrices
+        assert phis == []
 
     @pytest.mark.parametrize(
         "failure, message",
@@ -541,13 +545,13 @@ class TestTwoLevelShooting:
         def fault(steps, nodes):  # on the coarse (q, p) nodes
             return nodes * [[1], [np.nan]] if failure == "blow-up" else nodes
 
-        def grid_fault(nodes, phi, m):  # on the coarse step matrices, or the first whole-grid step
+        def grid_fault(nodes, m):  # on the coarse step matrices, or the first whole-grid step's
             kernel.append(nodes)
             if failure == "singular" and nodes == 64:
-                return phi, 0 * m
+                return 0 * m
             if failure == "fine-after-coarse" and nodes == 512:
-                return phi * np.nan, m
-            return phi, m
+                return m * np.nan
+            return m
 
         if failure == "coarse-stall":
             monkeypatch.setattr(semiclassics, "MAX_ITER", 0)  # the first coarse pass misses tol
@@ -566,7 +570,7 @@ class TestTwoLevelShooting:
             semiclassics._newton(*case)
 
     def test_whole_grid_singular_jacobian(self, monkeypatch):
-        faulty_kernel(monkeypatch, lambda nodes, phi, m: (phi, 0 * m))
+        faulty_kernel(monkeypatch, lambda nodes, m: 0 * m)
         with pytest.raises(NonConverged, match=r"^singular shooting Jacobian dv\(T\)/dv\(0\)$"):
             semiclassics._newton(*whole_grid_case())
 

@@ -235,15 +235,16 @@ class TestSmoothing:
         assert smoothing_check(gw, gh, CTX) < 1e-3
 
     def test_grids_share_one_oracle(self, monkeypatch):
-        # both grids of one (H, cutoff) read the cached oracle: one eigh, not two
-        shapes = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda m: shapes.append(m.shape) or eigh(m))
-        monkeypatch.setattr("weylpath.coherent._ORACLES", {})
+        # both grids of one (H, cutoff) read the cached oracle: one build, not two
+        builds = []
+        build = coherent.FockOracle
+        monkeypatch.setattr(
+            coherent, "FockOracle", lambda H, cutoff: builds.append(cutoff) or build(H, cutoff))
+        monkeypatch.setattr(coherent, "_ORACLES", {})
         qs, ps = phase_grid_axes(CTX, nq=16, npts=16)
         weyl_U_grid(H_HARM, CTX, 0.5, qs, ps, cutoff=60)
         husimi_U_grid(H_HARM, CTX, 0.5, qs, ps, cutoff=60)
-        assert shapes == [(61, 61)]
+        assert builds == [60]
 
     def test_deviation_drops_under_refinement(self):
         # n = 32 aliases the truncation artifact of the symbol; refining the
