@@ -9,20 +9,17 @@ Both are integrated with RK4 in q = (u + v)/sqrt(2), p = (u - v)/(i sqrt(2)),
 where the symbol is sparser, on Hamilton's flow ``SymbolPoly.flow``.  The
 kernel ``_step`` takes the RK4 step Phi_h at every node of a grid at once
 (``_phi``), with its Jacobian, the step matrix of the linear variational
-pair built from the symbol's Hessian at the stage points
-(``_step_matrices``, ``_linear_rk4``).
-The full grid is one discrete boundary-value problem, solved by whole-grid
-Newton on all its nodes (``_newton``): each step is one log-depth prefix
-scan of 2 x 3 affine matrices [M_k | r_k] (``_prefix_products``).  For a
-symbol of degree at most 2 one step is exact and Phi_h alone checks it.
-For a quartic the seed comes from Newton shooting on v(0) over a coarse
-grid of at least ``MIN_STEPS`` steps (``_shoot``), whose passes integrate
-(q, p) on Python scalars (``_rk4``); only a pass that takes a Newton step
-builds step matrices, from the stage points alone (``_stages``, no Phi_h),
-and it reads dv(T) from their total product (``_total_product``).  Of
-several guesses, one whose coarse v(0) repeats one already refined is not
-refined again.  The nodes are mapped back to (u, v, du, dv); RK4
-commutes with that map.
+pair built from the symbol's Hessian at the stage points (``_linear_rk4``).
+A grid is one discrete boundary-value problem, solved by whole-grid Newton
+on all its nodes (``_newton``): each step is one log-depth prefix scan of
+2 x 3 affine matrices [M_k | r_k] (``_prefix_products``).  For a symbol of
+degree at most 2 one step on the full grid is exact and Phi_h alone checks
+it.  For a quartic the same Newton first solves a coarse grid of at least
+``MIN_STEPS`` steps from one pass of (q, p) on Python scalars (``_rk4``),
+which fixes the saddle, and the cubic-Hermite interpolant of its nodes
+seeds the full grid (nested iteration).  Of several guesses, one whose
+coarse v(0) repeats one already refined is not refined again.  The nodes
+are mapped back to (u, v, du, dv); RK4 commutes with that map.
 """
 
 from __future__ import annotations
@@ -91,8 +88,9 @@ def _rk4(rhs, y0: tuple, T: float, steps: int) -> np.ndarray:
     """Fixed-step RK4 on a two-component state ``y0 = (q, p)``, on Python scalars.
 
     ``rhs(q, p)`` returns the two derivatives.  Returns the node values as a
-    (2, steps + 1) array.  Runs on the coarse grid only, in :func:`_shoot`;
-    the full grid's steps are taken by :func:`_step`.
+    (2, steps + 1) array.  Runs on the coarse grid only, once per guess, as
+    the start of its whole-grid Newton; the whole-grid steps are taken by
+    :func:`_step`.
     """
     h = T / steps
     h2, h6 = 0.5 * h, h / 6.0
@@ -180,50 +178,38 @@ def _linear_rk4(G, h: float) -> np.ndarray:
     return m
 
 
-def _stages(flow, y: np.ndarray, h: float) -> tuple:
-    """The RK4 stage points of every node at once, and the slopes at the first three.
+def _phi(flow, y: np.ndarray, h: float) -> tuple:
+    """The RK4 step Phi_h at every node at once: (Phi_h(y_k), the stage points).
 
-    ``y`` holds the nodes (q, p)_k laid out [component, k].  Three array
-    ``flow`` calls give them, in ``_rk4``'s order of operations; both are
-    laid out [component, stage, k], and the fourth slope is left unset.
+    ``y`` holds the nodes (q, p)_k laid out [component, k].  Four array
+    ``flow`` calls give the stage points, laid out [component, stage, k],
+    and the slopes there, in ``_rk4``'s order of operations.
     """
-    h2 = 0.5 * h
+    h2, h6 = 0.5 * h, h / 6.0
     stages = np.empty((2, 4) + y.shape[1:], dtype=complex)  # (q, p) at the four stage points
     slopes = np.empty_like(stages)
     stages[:, 0] = y
     for i, c in enumerate((h2, h2, h)):
         slopes[0, i], slopes[1, i] = flow(*stages[:, i])
         stages[:, i + 1] = y + c * slopes[:, i]
-    return stages, slopes
-
-
-def _phi(flow, y: np.ndarray, h: float) -> tuple:
-    """The RK4 step Phi_h at every node at once: (Phi_h(y_k), the stage points of :func:`_stages`),
-    with the fourth array ``flow`` call and the RK4 sum."""
-    h6 = h / 6.0
-    stages, slopes = _stages(flow, y, h)
     slopes[0, 3], slopes[1, 3] = flow(*stages[:, 3])
     return y + h6 * (slopes[:, 0] + 2.0 * (slopes[:, 1] + slopes[:, 2]) + slopes[:, 3]), stages
 
 
-def _step_matrices(hessian, stages: np.ndarray, h: float) -> np.ndarray:
-    """The step matrices M_k from the stage points of :func:`_stages`, laid out [row, column, k].
+def _step(flow, hessian, y: np.ndarray, h: float) -> tuple:
+    """The RK4 step Phi_h and its Jacobian at every node at once: (Phi_h(y_k), M_k).
 
-    ``hessian`` there gives the generators [[H_qp, H_pp], [-H_qq, -H_qp]] /
-    hbar of (dq, dp), and M_k, the RK4 step of the linearised flow, is the
-    exact Jacobian of Phi_h at y_k.
+    ``hessian`` at the stage points of :func:`_phi` gives the generators
+    [[H_qp, H_pp], [-H_qq, -H_qp]] / hbar of (dq, dp), and M_k, the RK4 step
+    of the linearised flow laid out [row, column, k], is the exact Jacobian
+    of Phi_h at y_k.
     """
-    G = np.empty((4, 2, 2) + stages.shape[2:], dtype=complex)
+    phi, stages = _phi(flow, y, h)
+    G = np.empty((4, 2, 2) + y.shape[1:], dtype=complex)
     G[:, 0, 0], G[:, 0, 1], G[:, 1, 0] = hessian(*stages)
     G[:, 1, 1] = G[:, 0, 0]
     G[:, 1] *= -1.0
-    return _linear_rk4(G, h)
-
-
-def _step(flow, hessian, y: np.ndarray, h: float) -> tuple:
-    """The RK4 step Phi_h and its Jacobian at every node at once: (Phi_h(y_k), M_k)."""
-    phi, stages = _phi(flow, y, h)
-    return phi, _step_matrices(hessian, stages, h)
+    return phi, _linear_rk4(G, h)
 
 
 def _start(zp: complex, v0: complex) -> tuple:
@@ -236,18 +222,12 @@ def _v(y):
     return _R * y[0] - 1j * _R * y[1]
 
 
-def _image(products: np.ndarray) -> np.ndarray:
-    """(dq, dp) from (du, dv)(0) = (0, 1), that is (dq, dp)(0) = (1, i) / sqrt(2), carried by a
-    transfer matrix or a stack of them (the linear part of an affine one)."""
-    return products[:, 0] * _R + products[:, 1] * (1j * _R)
-
-
 def _tangent(products: np.ndarray) -> np.ndarray:
-    """(dq, dp) at every node from (du, dv)(0) = (0, 1), from the prefix products of the step
-    matrices, as a (2, steps + 1) array."""
+    """(dq, dp) at every node from (du, dv)(0) = (0, 1), that is (dq, dp)(0) = (1, i) / sqrt(2),
+    carried by the prefix products of the step matrices, as a (2, steps + 1) array."""
     tangent = np.empty((2, products.shape[-1] + 1), dtype=complex)
     tangent[:, 0] = _R, 1j * _R
-    tangent[:, 1:] = _image(products)
+    tangent[:, 1:] = products[:, 0] * _R + products[:, 1] * (1j * _R)
     return tangent
 
 
@@ -285,44 +265,10 @@ def quadratic_guess(
     return complex((zpp_star - (1j / hbar) * huu * sinh_k * zp) / m11)
 
 
-def _shoot(flow, hessian, zp: complex, zpp_star, v0: complex, T: float, steps: int, tol):
-    """Newton on v(0) over one RK4 grid of ``steps`` steps, the coarse stage of :func:`solve_bvp`.
-
-    Each pass integrates (q, p) from (u, v)(0) = (z', v0) on Python scalars
-    (``_rk4``) and tests |v(T) - conj(z'')| against ``tol`` first.  Only a
-    pass that takes a Newton step builds its step matrices, from the stage
-    points alone (``_stages``, ``_step_matrices``: no Phi_h), and it reads
-    dv(T)/dv(0) from their total product (``_total_product``).
-    Returns ((q, p) nodes, v0) from the first pass with a residual below
-    ``tol``.  Raises :class:`NonConverged` on a blow-up, a singular Jacobian
-    or a stall (``MAX_ITER`` steps).  The array part ignores overflow: a
-    dv(T) that blows up is not finite, which is the blow-up.
-    """
-    h = T / steps
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(MAX_ITER + 1):
-            nodes = _rk4(flow, _start(zp, v0), T, steps)
-            mismatch = _v(nodes[:, -1]) - zpp_star
-            residual = abs(mismatch)
-            if not np.isfinite([residual, *nodes[:, -1]]).all():
-                raise NonConverged(f"trajectory blew up from guess v(0) = {v0:.6g}")
-            if residual < tol:
-                return nodes, v0
-            stages = _stages(flow, nodes[:, :-1], h)[0]
-            jac = _v(_image(_total_product(_step_matrices(hessian, stages, h))))
-            if not np.isfinite(jac):
-                raise NonConverged(f"trajectory blew up from guess v(0) = {v0:.6g}")
-            if abs(jac) < 1e-14:
-                raise NonConverged("singular shooting Jacobian dv(T)/dv(0)")
-            v0 = complex(v0 - mismatch / jac)  # a numpy scalar would slow every RK4 stage
-    raise NonConverged(
-        f"Newton stalled at residual {residual:.3e} after {MAX_ITER} iterations"
-    )
-
-
 def _newton(flow, hessian, y: np.ndarray, zp: complex, zpp_star, v0: complex, h: float, tol,
             linear=False):
-    """Whole-grid Newton on the RK4 nodes ``y`` = (q, p)_k, k = 0 .. N, from u(0) = z', v(0) = v0.
+    """Whole-grid Newton on the RK4 nodes ``y`` = (q, p)_k, k = 0 .. N, from u(0) = z', v(0) = v0,
+    on the coarse grid and on the full one.
 
     The residual is y_(k+1) - Phi_h(y_k).  Linearised by the step matrices
     M_k (``_step``), a correction delta with delta_0 = s (dq, dp)(0), along
@@ -331,7 +277,9 @@ def _newton(flow, hessian, y: np.ndarray, zp: complex, zpp_star, v0: complex, h:
     the affine stack [M_k | r_k] gives delta_k = P_k delta_0 + a_k
     (multiple-shooting condensing; Ascher, Mattheij & Russell, *Numerical
     Solution of BVPs for ODEs*, 1995), and v(T) = conj(z'') fixes s.  P_k
-    times (dq, dp)(0) is the tangent.
+    times (dq, dp)(0) is the tangent.  From the nodes of an RK4 pass every
+    r_k is 0 to round-off, and the first step is shooting's on v(0):
+    s = (conj(z'') - v(T)) / dv(T).
 
     Stops after the first step whose correction is below ``tol`` in every
     node and component, max |delta| taken absolute, and applies it.  With
@@ -342,10 +290,11 @@ def _newton(flow, hessian, y: np.ndarray, zp: complex, zpp_star, v0: complex, h:
     check is then the residual.  Returns ((q, p, dq, dp) nodes, v0, the
     steps before it, its residual), with the tangent that step was solved
     with.  Raises :class:`NonConverged` on a blow-up, a singular Jacobian
-    dv(T)/dv(0) or a stall (``MAX_ITER`` steps).  Overflow is ignored: it
-    ends as a non-finite correction, the blow-up.
+    dv(T)/dv(0) or a stall (``MAX_ITER`` steps), naming the grid by its N
+    steps.  Overflow is ignored: it ends as a non-finite correction, the
+    blow-up.
     """
-    residual = np.inf
+    residual, grid = np.inf, f"on the grid of {y.shape[-1] - 1} steps"
     y[:, 0] = _start(zp, v0)
     with np.errstate(over="ignore", invalid="ignore"):
         for iteration in range(MAX_ITER + 1):
@@ -357,13 +306,13 @@ def _newton(flow, hessian, y: np.ndarray, zp: complex, zpp_star, v0: complex, h:
             tangent = _tangent(scan)
             jac = _v(tangent[:, -1])
             if abs(jac) < 1e-14:
-                raise NonConverged("singular shooting Jacobian dv(T)/dv(0)")
+                raise NonConverged(f"singular shooting Jacobian dv(T)/dv(0) {grid}")
             s = (zpp_star - _v(y[:, -1] + scan[:, 2, -1])) / jac
             delta = tangent * s
             delta[:, 1:] += scan[:, 2]
             residual = float(np.abs(delta).max())
             if not np.isfinite(residual):
-                raise NonConverged(f"trajectory blew up from v(0) = {v0:.6g} on the full grid")
+                raise NonConverged(f"trajectory blew up from v(0) = {v0:.6g} {grid}")
             y += delta
             v0 = complex(v0 + s)
             y[:, 0] = _start(zp, v0)
@@ -373,7 +322,7 @@ def _newton(flow, hessian, y: np.ndarray, zp: complex, zpp_star, v0: complex, h:
             if residual < tol:
                 return np.concatenate([y, tangent]), v0, iteration, residual
     raise NonConverged(
-        f"whole-grid Newton stalled at residual {residual:.3e} after {MAX_ITER} iterations"
+        f"whole-grid Newton stalled at residual {residual:.3e} after {MAX_ITER} iterations {grid}"
     )
 
 
@@ -412,10 +361,12 @@ def _trajectories(H_sym: SymbolPoly, zp, zpp_star, T, steps, guesses: list, hbar
                 seed = np.empty((2, steps + 1), dtype=complex)
                 seed.T[:] = _start(zp, v0)
             else:
-                coarse, v0 = _shoot(flow, hessian, zp, zpp_star, v0, T, coarse_steps, tol)
+                coarse = _rk4(flow, _start(zp, v0), T, coarse_steps)
+                nodes, v0 = _newton(flow, hessian, coarse, zp, zpp_star, v0, T / coarse_steps, tol)[:2]
                 if any(abs(v0 - other) <= DEDUPE_TOL for other in tried):
                     continue  # its saddle is refined already, or failed to refine
                 tried.append(v0)
+                coarse = nodes[:2]  # (q, p); the coarse tangent is not read
                 slopes = np.empty_like(coarse)
                 slopes[0], slopes[1] = flow(*coarse)
                 at = np.arange(steps + 1) * (coarse_steps / steps)  # full-grid nodes on the coarse grid
@@ -452,18 +403,19 @@ def solve_bvp(
     hbar: float = 1.0,
     tol: float = 1e-10,
 ) -> ComplexTrajectory:
-    """Whole-grid Newton for the mixed boundary-value trajectory, seeded by coarse shooting.
+    """Whole-grid Newton for the mixed boundary-value trajectory, seeded from a coarse grid.
 
     The full grid of ``steps`` RK4 steps is solved as one discrete
     boundary-value problem, Newton on all its nodes at once (``_newton``).
-    For a symbol of degree above 2 its seed is the cubic-Hermite interpolant
-    of a trajectory shot to ``tol`` by Newton on v(0) over ``steps //
+    For a symbol of degree above 2 the same Newton first solves ``steps //
     COARSE_FACTOR`` steps, but at least ``MIN_STEPS`` (rounded up to even),
-    which fixes the saddle (nested iteration; Deuflhard, *Newton Methods
-    for Nonlinear Problems*, 2004); one or two whole-grid steps then
-    usually meet ``tol``.  For a symbol of degree at most 2 the flow is
-    linear and the seed is the constant trajectory at (z', v(0)), which
-    one step makes exact; that step is taken after a check by Phi_h alone.
+    to ``tol`` from one RK4 pass at the guess, which fixes the saddle; the
+    cubic-Hermite interpolant of those nodes seeds the full grid (nested
+    iteration; Deuflhard, *Newton Methods for Nonlinear Problems*, 2004),
+    where one or two steps then usually meet ``tol``.  For a symbol of
+    degree at most 2 the flow is linear and the seed is the constant
+    trajectory at (z', v(0)), which one step makes exact; that step is
+    taken after a check by Phi_h alone.
     The returned trajectory, its ``residual`` and ``newton_iters`` (the
     steps before the one taken) all come from the whole-grid Newton.
     ``residual`` is max |delta| of its last step; for a symbol of degree at
@@ -485,9 +437,10 @@ def solve_bvp(
     Raises
     ------
     NonConverged
-        If the coarse shooting or the whole-grid Newton does not meet
-        ``tol`` in ``MAX_ITER`` steps, its Jacobian dv(T)/dv(0) is
-        singular, or a node (u, v, du, dv) is not finite.
+        If the whole-grid Newton, on the coarse or the full grid, does not
+        meet ``tol`` in ``MAX_ITER`` steps, its Jacobian dv(T)/dv(0) is
+        singular, or a correction is not finite; the message names the
+        grid by its steps.
     DomainError
         If one full-grid Newton step (``coherent.PASS_BYTES`` per RK4 step)
         would take more than ``coherent.DENSE_BYTES``, before the first step.
@@ -650,17 +603,18 @@ def semiclassical_K(
     (``algebra.FORM_S``): +1 (q), -1 (p), 0 (w).  Every converged, deduplicated
     trajectory is reported; contributing-saddle selection is left to the
     caller.  Each guess is solved as by :func:`solve_bvp`, in turn, but a
-    guess whose coarse v(0) lies within ``DEDUPE_TOL`` of the coarse v(0)
-    of a guess already refined, converged or not, is not refined again,
-    and a trajectory whose v(0) lies within ``DEDUPE_TOL`` of a kept one is
-    dropped; the first guess's trajectory is the one kept.  T may be any
-    real number type and ``steps`` any integer type, numpy scalars
-    included.
+    guess whose v(0) on the coarse grid lies within ``DEDUPE_TOL`` of the
+    coarse v(0) of a guess already refined on the full grid, converged or
+    not, is not refined again, and a trajectory whose v(0) lies within
+    ``DEDUPE_TOL`` of a kept one is dropped; the first guess's trajectory
+    is the one kept.  T may be any real number type and ``steps`` any
+    integer type, numpy scalars included.
 
     Raises
     ------
     NonConverged
-        If no shooting guess converges; the message lists each failure.
+        If no shooting guess converges; the message lists each failure,
+        each naming the grid it happened on by its steps.
     DomainError
         If -(|z'|^2 + |z''|^2)/2 (at any T, T = 0 included), a trajectory's
         term or K is not a finite double, or (for T > 0) a shooting pass of

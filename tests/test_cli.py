@@ -353,7 +353,6 @@ def test_one_budget_comparison():
 # that can leave the double range goes through errors.finite_double.
 ERRSTATE_SITES = {
     "errors.finite_double": "the output guard: a value beyond the double range is a DomainError",
-    "semiclassics._shoot": "a dv(T) that overflows is the shooting's blow-up, NonConverged",
     "semiclassics._newton": "a whole-grid step that overflows is the shooting's blow-up, NonConverged",
     "wigner.weyl_U_grid": "a lattice node count beyond the double range is inf, and refused",
 }
@@ -403,27 +402,36 @@ def test_one_rk4_per_state_kind():
 
 
 def test_one_solve_path():
-    """Every trajectory comes from one route: src calls semiclassics._shoot (the coarse shooting)
-    and semiclassics._newton (the whole-grid Newton) once each, in semiclassics._trajectories,
-    and the scalar RK4 loop semiclassics._rk4 in _shoot alone, so no second solver returns."""
+    """Every trajectory comes from one route: src calls the whole-grid Newton semiclassics._newton
+    twice, on the coarse grid and on the full one, and the scalar RK4 loop semiclassics._rk4
+    once, its coarse start, all in semiclassics._trajectories.  The Newton budget MAX_ITER is
+    read in _newton alone, so no second Newton loop returns, and the coarse shooting and its
+    helpers are gone."""
     src = os.path.dirname(os.path.abspath(cli.__file__))
-    calls = {"_shoot": [], "_newton": [], "_rk4": []}
+    calls, budget, defined = {"_newton": [], "_rk4": []}, [], set()
     for name in sorted(os.listdir(src)):
         if not name.endswith(".py"):
             continue
         with open(os.path.join(src, name)) as fh:
             tree = ast.parse(fh.read())
         for top in tree.body:
+            scope = f"{name[:-3]}.{getattr(top, 'name', '<statement>')}"
             for node in ast.walk(top):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined.add(node.name)
                 if isinstance(node, ast.Call):
                     callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                     if callee in calls:
-                        calls[callee].append(f"{name[:-3]}.{getattr(top, 'name', '<statement>')}")
+                        calls[callee].append(scope)
+                if "MAX_ITER" in (getattr(node, "id", None), getattr(node, "attr", None)) and isinstance(
+                        node.ctx, ast.Load):
+                    budget.append(scope)
     assert calls == {
-        "_shoot": ["semiclassics._trajectories"],
-        "_newton": ["semiclassics._trajectories"],
-        "_rk4": ["semiclassics._shoot"],
+        "_newton": ["semiclassics._trajectories"] * 2,
+        "_rk4": ["semiclassics._trajectories"],
     }
+    assert set(budget) == {"semiclassics._newton"}
+    assert defined.isdisjoint({"_shoot", "_stages", "_step_matrices", "_image"})
 
 
 def test_one_eigenbasis_owner():
@@ -516,7 +524,6 @@ def test_every_public_name_has_a_caller_or_an_identity():
 OWN_CHECKS = {
     "algebra._apply_exp_mixed": "names the term whose coefficient left the double range, "
                                 "inside the symbol maps' inner loop",
-    "semiclassics._shoot": "a trajectory that blows up is NonConverged, not a refused argument",
     "semiclassics._newton": "a whole-grid step that blows up is NonConverged, not a refused argument",
     "cli._parse_complex": "a label refused while the command line is parsed, exit 1",
     "cli._checked": "a number refused while the command line is parsed, exit 1",

@@ -138,12 +138,15 @@ def uv_shoot(rhs, zp, zpp_star, v0, T, steps, tol):
 
 def uv_trajectories(H_sym, zp, zpp_star, T, steps, guesses, hbar, tol):
     """``semiclassics._trajectories`` by ``uv_shoot`` from each guess, as the reference: every
-    guess's trajectory, and no failures (a stall raises)."""
+    guess's trajectory but one whose v(0) lies within ``DEDUPE_TOL`` of one kept, and no failures
+    (a stall raises)."""
     steps += steps % 2
     trajectories = []
     for guess in guesses:
         start = quadratic_guess(H_sym, zp, zpp_star, T, hbar) if guess is None else complex(guess)
         nodes, v0, iteration, residual = uv_shoot(jet_rhs(H_sym, hbar), zp, zpp_star, start, T, steps, tol)
+        if any(abs(v0 - kept.v0) <= semiclassics.DEDUPE_TOL for kept in trajectories):
+            continue
         times = np.linspace(0.0, T, steps + 1)
         trajectories.append(semiclassics.ComplexTrajectory(times, *nodes, v0, residual, hbar, iteration))
     return trajectories, []
@@ -234,13 +237,13 @@ class TestCompiledFlow:
         assert len(QUARTIC_W.terms) == 7
         assert {key for key in qp_symbol(QUARTIC_W).terms if key != (0, 0)} == {(0, 2), (2, 0), (4, 0)}
         seen = []
-        real_shoot = semiclassics._shoot
+        real_newton = semiclassics._newton
 
         def recorded(flow, hessian, *args):
             seen.append((flow, hessian))
-            return real_shoot(flow, hessian, *args)
+            return real_newton(flow, hessian, *args)
 
-        monkeypatch.setattr(semiclassics, "_shoot", recorded)
+        monkeypatch.setattr(semiclassics, "_newton", recorded)
         solve_bvp(QUARTIC_W, 0.7, 0.7, 0.5)
         point = (0.4 + 0.1j, 0.3 - 0.2j)
         want = [f(*point) for f in qp_jet_flow(QUARTIC_W, 1.0)]
@@ -408,6 +411,24 @@ COMPARISON_SET = [  # (H, z', z'', T, steps), harmonic included
     for zp, zpp, T in COMPARISON_ENDPOINTS
     for steps in (512, 2048)
 ]
+MULTI_GUESS_ROWS = [  # (lambda, hbar, z', z'', T), drawn as the benchmark's three-guess quartic class
+    (0.05, 1.0, -0.383 - 0.252j, 0.043 - 0.208j, 0.341),
+    (0.1, 0.5, -0.322 + 0.238j, -0.194 - 0.126j, 0.721),
+    (0.05, 0.25, -0.435 + 0.355j, -0.659 + 0.087j, 0.35),
+    (0.1, 1.0, -0.547 - 0.024j, 0.448 - 0.405j, 0.66),
+    (0.05, 0.5, 0.528 - 0.117j, -0.197 + 0.086j, 0.293),
+    (0.1, 0.25, 0.063 + 0.662j, -0.286 + 0.611j, 0.273),
+]
+
+
+def multi_guess_calls(form):
+    """semiclassical_K's arguments for MULTI_GUESS_ROWS at 512 steps, with the benchmark's three
+    guesses [None, conj(z''), 0.9 conj(z'')]."""
+    return [
+        ((form, quartic_position_hamiltonian(lam, ScaleContext.default(hbar=hbar)), zp, zpp, T),
+         [None, np.conj(zpp), 0.9 * np.conj(zpp)])
+        for lam, hbar, zp, zpp, T in MULTI_GUESS_ROWS
+    ]
 
 
 def counted_passes(monkeypatch, fault=None):
@@ -425,15 +446,15 @@ def counted_passes(monkeypatch, fault=None):
 
 
 def counted_kernel(monkeypatch):
-    """Count the node counts step matrices (``_step_matrices``) are built at."""
+    """Count the node counts step matrices (``_step``) are built at."""
     calls = []
-    real_matrices = semiclassics._step_matrices
+    real_step = semiclassics._step
 
-    def matrices(hessian, stages, h):
-        calls.append(stages.shape[-1])
-        return real_matrices(hessian, stages, h)
+    def step(flow, hessian, y, h):
+        calls.append(y.shape[-1])
+        return real_step(flow, hessian, y, h)
 
-    monkeypatch.setattr(semiclassics, "_step_matrices", matrices)
+    monkeypatch.setattr(semiclassics, "_step", step)
     return calls
 
 
@@ -450,10 +471,14 @@ def counted_rk4(monkeypatch):
 
 
 def faulty_kernel(monkeypatch, fault):
-    """Let ``fault(nodes, m)`` alter the step matrices ``_step_matrices`` builds at ``nodes`` nodes."""
-    real_matrices = semiclassics._step_matrices
-    monkeypatch.setattr(
-        semiclassics, "_step_matrices", lambda *args: fault(args[1].shape[-1], real_matrices(*args)))
+    """Let ``fault(nodes, m)`` alter the step matrices ``_step`` builds at ``nodes`` nodes."""
+    real_step = semiclassics._step
+
+    def step(flow, hessian, y, h):
+        phi, m = real_step(flow, hessian, y, h)
+        return phi, fault(y.shape[-1], m)
+
+    monkeypatch.setattr(semiclassics, "_step", step)
 
 
 def whole_grid_case(steps=512):
@@ -480,11 +505,7 @@ class TestTwoLevelShooting:
         calls = counted_passes(monkeypatch)
         traj = solve_bvp(sym, zp, zpp_star, T)
         assert traj.newton_iters <= 1 and traj.residual < 1e-10
-        assert calls and set(calls) == {64}  # scalar passes on the coarse grid alone
-        calls.clear()  # single-level Newton on v(0) over the full grid needs three or more passes
-        start = quadratic_guess(sym, zp, zpp_star, T, 1.0)
-        semiclassics._shoot(*sym.flow(1.0), complex(zp), zpp_star, start, T, 512, 1e-10)
-        assert calls.count(512) >= 3
+        assert calls == [64]  # one scalar pass, the coarse grid's start
 
     @pytest.mark.parametrize(
         "sym, coarse",
@@ -510,38 +531,19 @@ class TestTwoLevelShooting:
         assert traj.newton_iters == 0 and traj.residual < 1e-13
         assert abs(traj.v[-1] - (0.5 - 0.1j)) < 1e-13 and abs(traj.u[0] - (0.3 + 0.2j)) < 1e-15
 
-    def test_converged_coarse_pass_builds_no_step_matrices(self, monkeypatch):
-        # every coarse pass but the converged one takes a Newton step, and only those build step
-        # matrices; the whole grid then builds one set per whole-grid step
-        calls, kernel = counted_passes(monkeypatch), counted_kernel(monkeypatch)
-        traj = solve_bvp(QUARTIC_W, 0.7, 0.5 - 0.2j, 0.8)
-        assert set(calls) == {64} and len(calls) >= 2
-        assert kernel == [64] * (len(calls) - 1) + [512] * (traj.newton_iters + 1)
-        calls.clear()
-        kernel.clear()
-        phis = []  # a coarse Newton step builds its matrices from the stage points, with no Phi_h
-        real_phi = semiclassics._phi
-        monkeypatch.setattr(semiclassics, "_phi", lambda *args: phis.append(1) or real_phi(*args))
-        flow, hessian = QUARTIC_W.flow(1.0)
-        coarse, v0 = semiclassics._shoot(flow, hessian, 0.7 + 0j, 0.5 - 0.2j, 0.5 - 0.2j, 0.8, 64, 1e-10)
-        assert coarse.shape == (2, 65) and len(kernel) == len(calls) - 1 >= 1
-        semiclassics._shoot(flow, hessian, 0.7 + 0j, 0.5 - 0.2j, v0, 0.8, 64, 1e-10)
-        assert len(calls) == len(kernel) + 2  # converged at once: one pass, no step matrices
-        assert phis == []
-
     @pytest.mark.parametrize(
         "failure, message",
         [
-            ("blow-up", r"^trajectory blew up from guess v\(0\) = "),
-            ("singular", r"^singular shooting Jacobian dv\(T\)/dv\(0\)$"),
-            ("coarse-stall", r"^Newton stalled at residual .* after 0 iterations$"),
-            ("fine-after-coarse", r"^trajectory blew up from v\(0\) = .* on the full grid$"),
+            ("blow-up", r"^trajectory blew up from v\(0\) = .* on the grid of 64 steps$"),
+            ("singular", r"^singular shooting Jacobian dv\(T\)/dv\(0\) on the grid of 64 steps$"),
+            ("coarse-stall", r"^whole-grid Newton stalled at residual .* after 0 iterations on the grid of 64 steps$"),
+            ("fine-after-coarse", r"^trajectory blew up from v\(0\) = .* on the grid of 512 steps$"),
         ],
         ids=["blow-up", "singular", "coarse-stall", "fine-after-coarse"],
     )
     def test_failure_is_its_stage_error(self, monkeypatch, failure, message):
-        # no second solver: a fault in the coarse shooting or the whole-grid Newton ends the guess
-        # in that stage's NonConverged, with no scalar pass on the full grid
+        # one solver on both grids: a fault in the coarse or the full grid's Newton ends the guess
+        # in a NonConverged that names the grid, with no scalar pass on the full grid
         def fault(steps, nodes):  # on the coarse (q, p) nodes
             return nodes * [[1], [np.nan]] if failure == "blow-up" else nodes
 
@@ -554,24 +556,40 @@ class TestTwoLevelShooting:
             return m
 
         if failure == "coarse-stall":
-            monkeypatch.setattr(semiclassics, "MAX_ITER", 0)  # the first coarse pass misses tol
+            monkeypatch.setattr(semiclassics, "MAX_ITER", 0)  # the first coarse step is not below tol
         kernel = []
         calls = counted_passes(monkeypatch, fault)
         faulty_kernel(monkeypatch, grid_fault)
         with pytest.raises(NonConverged, match=message):
             solve_bvp(QUARTIC_W, 0.7, 0.5 - 0.2j, 0.8)
-        assert set(calls) == {64} and kernel.count(512) == (1 if failure == "fine-after-coarse" else 0)
+        assert calls == [64] and kernel.count(512) == (1 if failure == "fine-after-coarse" else 0)
+
+    @pytest.mark.parametrize("steps", [16, 64, 512])
+    def test_first_whole_grid_step_is_the_shooting_step(self, steps):
+        # from the nodes of an RK4 pass every residual r_k is 0 to round-off, so the first step
+        # (tol = 1 stops after it) moves v(0) as Newton shooting on v(0) does, by -mismatch / dv(T)
+        # with dv(T) from the total product of the pass's step matrices: the coarse grid's
+        # Newton picks the saddle the coarse shooting picked
+        flow, hessian = QUARTIC_W.flow(1.0)
+        zp, zpp_star, v0, T = 0.7 + 0j, 0.5 - 0.2j, 0.4 - 0.1j, 0.8
+        nodes = _rk4(flow, semiclassics._start(zp, v0), T, steps)
+        transfer = semiclassics._total_product(semiclassics._step(flow, hessian, nodes[:, :-1], T / steps)[1])
+        dv_T = semiclassics._v(transfer @ (np.array([1, 1j]) * 0.5**0.5))  # (dq, dp)(0) of (du, dv)(0) = (0, 1)
+        want = v0 - (semiclassics._v(nodes[:, -1]) - zpp_star) / dv_T
+        _, got, iteration, _ = semiclassics._newton(flow, hessian, nodes, zp, zpp_star, v0, T / steps, 1.0)
+        assert iteration == 0 and abs(got - want) <= 1e-13 * abs(want)
 
     def test_whole_grid_blow_up(self):
         case = whole_grid_case()
         case[2][1, 100] = np.nan
-        message = r"^trajectory blew up from v\(0\) = 0.5-0.2j on the full grid$"
+        message = r"^trajectory blew up from v\(0\) = 0.5-0.2j on the grid of 512 steps$"
         with pytest.raises(NonConverged, match=message):
             semiclassics._newton(*case)
 
     def test_whole_grid_singular_jacobian(self, monkeypatch):
         faulty_kernel(monkeypatch, lambda nodes, m: 0 * m)
-        with pytest.raises(NonConverged, match=r"^singular shooting Jacobian dv\(T\)/dv\(0\)$"):
+        message = r"^singular shooting Jacobian dv\(T\)/dv\(0\) on the grid of 512 steps$"
+        with pytest.raises(NonConverged, match=message):
             semiclassics._newton(*whole_grid_case())
 
     def test_whole_grid_stall(self, monkeypatch):
@@ -579,18 +597,36 @@ class TestTwoLevelShooting:
         _, _, steps, residual = semiclassics._newton(*whole_grid_case())
         assert steps >= 2 and residual < 1e-10
         monkeypatch.setattr(semiclassics, "MAX_ITER", 0)
-        message = "^whole-grid Newton stalled at residual .* after 0 iterations$"
+        message = "^whole-grid Newton stalled at residual .* after 0 iterations on the grid of 512 steps$"
         with pytest.raises(NonConverged, match=message):
             semiclassics._newton(*whole_grid_case())
 
     def test_large_nodes_case_is_refused(self):
-        # |u| reaches 600 and |dv| 2e4 here: the whole-grid correction stalls near 1e-6, its
-        # round-off floor, and the guess is refused; Newton on v(0) over the full grid alone
-        # converges to a saddle with |K| = 2.51 against the exact 0.845, a wrong number
+        # from the wild saddle (|q, p| near 850, |dv| 2e4) the whole-grid correction stalls near
+        # 1e-6, its round-off floor, already on the 256-step coarse grid, and the guess is
+        # refused; Newton on v(0) over the full grid alone converges to a saddle with |K| = 2.51
+        # against the exact 0.845, a wrong number
         H = quartic_position_hamiltonian(0.1, CTX)
-        message = r"^no shooting guess converged: whole-grid Newton stalled at residual .* after 30 iterations$"
+        message = (r"^no shooting guess converged: whole-grid Newton stalled at residual .* "
+                   r"after 30 iterations on the grid of 256 steps$")
         with pytest.raises(NonConverged, match=message):
-            semiclassical_K("w", H, -0.7830 - 0.1912j, 0.6092 - 0.9351j, 2.8636, steps=2048)
+            semiclassical_K("w", H, -0.7830 - 0.1912j, 0.6092 - 0.9351j, 2.8636, steps=2048,
+                            guesses=[-0.373 - 3.351j])
+
+    def test_large_nodes_case_default_guess_is_the_tame_saddle(self):
+        # the default guess's coarse-grid Newton reaches the tame saddle, where |u| stays below 1,
+        # and K agrees at 512 and 2,048 steps; it is 0.75 from the exact 0.3693 - 0.7603i, the
+        # error of a one-saddle semiclassical K at hbar = 1
+        H = quartic_position_hamiltonian(0.1, CTX)
+        zp, zpp, T = -0.7830 - 0.1912j, 0.6092 - 0.9351j, 2.8636
+        got = [semiclassical_K("w", H, zp, zpp, T, steps) for steps in (512, 2048)]
+        for res in got:
+            (c,) = res.contributions
+            assert abs(c.v0 - (-0.2220 - 2.0135j)) < 1e-4
+        traj = solve_bvp(weyl_symbol(H), zp, np.conj(zpp), T, steps=2048)
+        assert traj.v0 == got[1].contributions[0].v0 and np.abs(traj.u).max() < 1.0
+        assert abs(got[0].K - got[1].K) <= 1e-9
+        assert abs(got[1].K - (0.34294 - 0.01198j)) < 1e-5
 
     @pytest.mark.parametrize("form", ["q", "p", "w"])
     def test_deviation_from_full_grid_newton(self, monkeypatch, form):
@@ -620,6 +656,7 @@ class TestTwoLevelShooting:
             # numpy scalars, as np.linspace and seeded draws return them: the same K and parts
             again = semiclassical_K(form, H, zp, zpp, np.float64(T), np.int64(steps), tol=1e-13)
             assert repr(again) == repr(res)
+        multi = [semiclassical_K(*args, guesses=guesses, tol=1e-13) for args, guesses in multi_guess_calls(form)]
         uv_shooting(monkeypatch)
         for res, case in zip(got, COMPARISON_SET):
             want = semiclassical_K(form, *case, tol=1e-13)
@@ -627,47 +664,59 @@ class TestTwoLevelShooting:
             (a,), (b,) = res.contributions, want.contributions
             for part in ("S", "I", "d2S", "prefactor"):
                 assert abs(getattr(a, part) - getattr(b, part)) <= 1e-12 * abs(getattr(b, part)), part
+        # three guesses: the same set of saddles and the same K
+        for res, (args, guesses) in zip(multi, multi_guess_calls(form)):
+            want = semiclassical_K(*args, guesses=guesses, tol=1e-13)
+            assert len(res.contributions) == len(want.contributions)
+            for a in res.contributions:
+                assert any(abs(a.v0 - b.v0) <= semiclassics.DEDUPE_TOL for b in want.contributions)
+            assert abs(res.K - want.K) <= 1e-9 * abs(want.K)
 
     def test_one_saddle_of_three_guesses_is_refined_once(self, monkeypatch):
-        # the three coarse shootings find one saddle, and only the first guess's seed is refined:
-        # the result is the one-guess call's, and K is the one found when every guess was refined
+        # the three coarse grids' Newton finds one saddle, and only the first guess's seed is
+        # refined: the result is the one-guess call's, and K is the one found when every guess was
+        # refined
         args = ("w", quartic_position_hamiltonian(0.1, CTX), 0.5 + 0.1j, 0.3 - 0.4j, 0.6)
         single = semiclassical_K(*args)
-        shoots, newtons = [], []
-        real_shoot, real_newton = semiclassics._shoot, semiclassics._newton
-        monkeypatch.setattr(semiclassics, "_shoot", lambda *a, **k: shoots.append(a[6]) or real_shoot(*a, **k))
-        monkeypatch.setattr(semiclassics, "_newton", lambda *a: newtons.append(1) or real_newton(*a))
+        rk4, newtons = counted_rk4(monkeypatch), []
+        real_newton = semiclassics._newton
+        monkeypatch.setattr(semiclassics, "_newton", lambda *a: newtons.append(len(a[2][0]) - 1) or real_newton(*a))
         res = semiclassical_K(*args, guesses=[None, 0.3 + 0.4j, 0.27 + 0.36j])
-        assert shoots == [64, 64, 64] and len(newtons) == 1
+        assert rk4 == [64, 64, 64] and newtons == [64, 512, 64, 64]
         assert repr(res) == repr(single)
-        assert abs(res.K - (0.9690436148233127 - 0.2518547368183535j)) <= 1e-15
+        assert abs(res.K - (0.9690436148233127 - 0.25185473681835363j)) <= 1e-15
 
     def test_a_saddle_whose_refinement_failed_is_not_retried(self, monkeypatch):
         # the coarse v(0) is recorded when its refinement is tried: here the whole-grid stage
         # fails, and the second guess, on the same coarse saddle, is not refined again
-        shoots, newtons = [], []
-        real_shoot = semiclassics._shoot
-        monkeypatch.setattr(semiclassics, "_shoot", lambda *a: shoots.append(a[6]) or real_shoot(*a))
-        monkeypatch.setattr(semiclassics, "_newton", lambda *a: newtons.append(1) or refuse(*a))
+        rk4, newtons = counted_rk4(monkeypatch), []
+        real_newton = semiclassics._newton
+
+        def newton(*a):  # the coarse grid's Newton runs, the full grid's is switched off
+            newtons.append(len(a[2][0]) - 1)
+            return real_newton(*a) if newtons[-1] == 64 else refuse(*a)
+
+        monkeypatch.setattr(semiclassics, "_newton", newton)
         message = "^no shooting guess converged: the whole-grid stage is switched off$"
         with pytest.raises(NonConverged, match=message):
             semiclassical_K("w", quartic_position_hamiltonian(0.1, CTX), 0.5 + 0.1j, 0.3 - 0.4j, 0.6,
                             guesses=[None, 0.3 + 0.4j])
-        assert shoots == [64, 64] and len(newtons) == 1
+        assert rk4 == [64, 64] and newtons == [64, 512, 64]
 
     @pytest.mark.parametrize("steps", [16, 32, 64, 100])
     @pytest.mark.parametrize("form", ["q", "p", "w"])
     def test_small_grids_take_the_two_level_route(self, monkeypatch, form, steps):
         # below 128 steps the coarse grid is MIN_STEPS = 16 steps: the scalar RK4 runs there
-        # alone, the whole-grid Newton returns the trajectory, and K and its parts are the
-        # single-level (u, v) reference's to round-off, both converged to 1e-13
+        # alone, the whole-grid Newton solves it and then returns the full grid's trajectory
+        # (every second call), and K and its parts are the single-level (u, v) reference's to
+        # round-off, both converged to 1e-13
         H = quartic_position_hamiltonian(0.1, CTX)
         rk4, solved = counted_rk4(monkeypatch), []
         real_newton = semiclassics._newton
         monkeypatch.setattr(semiclassics, "_newton", lambda *a: solved.append(real_newton(*a)) or solved[-1])
         got = [semiclassical_K(form, H, zp, zpp, T, steps, tol=1e-13) for zp, zpp, T in COMPARISON_ENDPOINTS]
-        assert set(rk4) == {semiclassics.MIN_STEPS}
-        assert [v0 for _, v0, _, _ in solved] == [res.contributions[0].v0 for res in got]
+        assert rk4 == [semiclassics.MIN_STEPS] * 3 and len(solved) == 6
+        assert [v0 for _, v0, _, _ in solved[1::2]] == [res.contributions[0].v0 for res in got]
         monkeypatch.undo()
         uv_shooting(monkeypatch)
         for res, (zp, zpp, T) in zip(got, COMPARISON_ENDPOINTS):
@@ -680,9 +729,9 @@ class TestTwoLevelShooting:
     @pytest.mark.parametrize("form", ["q", "p", "w"])
     def test_harmonic_default_guess_is_bit_identical(self, monkeypatch, form):
         # the benchmark's accuracy anchor: T = 6 at the corner of its draw box; a linear flow has
-        # no coarse stage, so the result is the same without the coarse shooting
+        # no coarse stage, so the result is the same without the coarse grid's RK4 pass
         got = semiclassical_K(form, H_HARM, 0.8, 0.8j, 6.0)
-        monkeypatch.setattr(semiclassics, "_shoot", None)  # would fail if reached
+        monkeypatch.setattr(semiclassics, "_rk4", None)  # would fail if reached
         assert got == semiclassical_K(form, H_HARM, 0.8, 0.8j, 6.0)
 
 
@@ -831,7 +880,7 @@ class TestTransferProducts:
         monkeypatch.setattr(semiclassics, "_rk4", None)  # would fail if reached
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonConverged, match=r"^trajectory blew up from v\(0\) = .* on the full grid$"):
+            with pytest.raises(NonConverged, match=r"^trajectory blew up from v\(0\) = .* on the grid of 64 steps$"):
                 solve_bvp(inverted, 0.0, 0.0, 4000.0, steps=64)
         assert nodes and all(np.array_equal(y, np.zeros_like(y)) for y in nodes)
 
