@@ -172,17 +172,21 @@ def cmd_wigner_u(args) -> list[dict]:
     )
     weyl = weyl_U_grid(op, ctx, args.T, qs, ps, cutoff=args.cutoff)
     husimi = husimi_U_grid(op, ctx, args.T, qs, ps, cutoff=args.cutoff)
+    # lists of Python floats: a cell indexed from an array is a numpy scalar, slower to write
+    re_U, im_U, re_husimi, im_husimi = (
+        part.tolist() for g in (weyl, husimi) for part in (g.values.real, g.values.imag)
+    )
     return [
         {
             "q": q,
             "p": p,
-            "re_U": weyl.values[i, j].real,
-            "im_U": weyl.values[i, j].imag,
-            "re_husimi": husimi.values[i, j].real,
-            "im_husimi": husimi.values[i, j].imag,
+            "re_U": re_U[i][j],
+            "im_U": im_U[i][j],
+            "re_husimi": re_husimi[i][j],
+            "im_husimi": im_husimi[i][j],
         }
-        for i, q in enumerate(qs)
-        for j, p in enumerate(ps)
+        for i, q in enumerate(qs.tolist())
+        for j, p in enumerate(ps.tolist())
     ]
 
 

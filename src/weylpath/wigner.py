@@ -7,6 +7,11 @@ lattice through every q of a uniform axis and both ends of every chord, the
 Husimi grid <z|U|z> = sum_k e^{-i E_k T/hbar} |<k|z>|^2.  Their Gaussian-
 smoothing relation and the discrete symplectic-area identity are checks.
 
+A real H has a real eigenbasis, so <k|x> is real and <x|U|y> = <y|U|x>: the
+chord kernel is even in the chord and the Weyl symbol even in p (time
+reversal).  The Weyl grid then sums the kernel over half the chord, in real
+products; a complex eigenbasis takes the complex sum over the whole chord.
+
 A rank-(cutoff+1) truncation leaves a weak oscillation on Weyl symbols with
 local wavenumber up to 2 sqrt(2 cutoff)/b.  The smoothing kernel annihilates
 it as long as that band stays away from the grid's aliasing image 2 pi/step,
@@ -137,6 +142,31 @@ def _chord_transform(
     return (kernel * trap[None, :]) @ fourier
 
 
+def _chord_kernel(amp: np.ndarray, phases: np.ndarray, m: int, stride: int) -> np.ndarray:
+    """<q - s/2| U |q + s/2> on the chord nodes t = -m..m, s = 2 t h, of every q = x_{m + i stride}.
+
+    ``amp`` holds the eigenbasis amplitudes <k|x> on the lattice x_j = x_0 + h j and ``phases``
+    the column e^{-i E_k T/hbar}.  Where <k|x> is real, <x|U|y> = <y|U|x> and the kernel is even
+    in the chord: it is summed for t = 0..m alone, in two real products, and mirrored.  A
+    complex ``amp`` is conjugated in place.
+    """
+
+    def windows(a):
+        # chord node t of q_i joins the nodes m + i stride -+ t: both lie in
+        # the window of 2m + 1 nodes from i stride
+        return sliding_window_view(a, 2 * m + 1, axis=1)[:, ::stride]
+
+    if np.iscomplexobj(amp):
+        u_amp = phases * amp
+        np.conj(amp, out=amp)  # in place: a third table would pass the lattice budget
+        return np.einsum("nit,nit->it", windows(amp)[:, :, ::-1], windows(u_amp))
+    near = windows(amp)[:, :, m::-1]
+    re, im = (np.einsum("nit,nit->it", near, windows(part * amp)[:, :, m:])
+              for part in (phases.real, phases.imag))
+    half = re + 1j * im
+    return np.concatenate([half[:, :0:-1], half], axis=1)
+
+
 def weyl_U_grid(
     H: OperatorPoly,
     ctx: ScaleContext,
@@ -158,8 +188,12 @@ def weyl_U_grid(
     the check halves h.  T may be negative: the grid of U(-T) = U(T)^dagger
     is exact from the same eigendecomposition (``wigner-u --T`` takes one).
     The amplitudes <k|x> are the oracle's ``to_eigenbasis`` of the real
-    Hermite table: one real product, cast to complex once, where the
-    eigenbasis is real (an H even in q and p, or any real H).
+    Hermite table.  Where the eigenbasis is real (any H with a real Fock
+    matrix, so any real H) they are real, <x|U|y> = <y|U|x>, and the kernel
+    is even in the chord s: it is evaluated for s >= 0 alone, in real
+    products against cos and sin of E_k T/hbar, and mirrored (time reversal:
+    U(q, -p, T) = U(q, p, T)).  A complex eigenbasis takes the complex
+    product over the whole chord.
 
     Raises
     ------
@@ -199,14 +233,9 @@ def weyl_U_grid(
     m = int(m)
     lattice = qs[0] + dq / stride * np.arange(-m, stride * (len(qs) - 1) + m + 1)
     oracle = _cached_oracle(H, cutoff)
-    # amp is <k|x>, as phi_n(x) = <n|x> is real; cast once, after a real eigenbasis's real product
-    amp = oracle.to_eigenbasis(hermite_functions(lattice, cutoff, ctx.b)).astype(complex, copy=False)
-    u_amp = oracle._phases(T)[:, None] * amp
-    np.conj(amp, out=amp)
-    # q_i is node m + i stride and chord node t (|t| <= m) joins the nodes
-    # m + i stride -+ t: both lie in the window of 2m + 1 nodes from i stride
-    ends = [sliding_window_view(a, 2 * m + 1, axis=1)[:, ::stride] for a in (amp, u_amp)]
-    kernel = np.einsum("nit,nit->it", ends[0][:, :, ::-1], ends[1])
+    amp = oracle.to_eigenbasis(hermite_functions(lattice, cutoff, ctx.b))  # <k|x>: phi_n(x) is real
+    kernel = _chord_kernel(amp, oracle._phases(T)[:, None], m, stride)
+    del amp  # the chord transforms hold the kernel alone
     s = 2.0 * dq / stride * np.arange(-m, m + 1)
     values = _chord_transform(kernel[:, ::every], s[::every], ps, ctx.hbar)
     if check:

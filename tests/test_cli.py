@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import weylpath
 from weylpath import cli, coherent, errors, harmonic_discrete_K, harmonic_exact_K, overlap
 from weylpath import semiclassics
 from weylpath.cli import main
@@ -691,6 +692,21 @@ class TestWignerU:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "q,p,re_U,im_U,re_husimi,im_husimi"
         assert len(lines) == 1 + 12 * 12
+
+    def test_every_cell_is_the_grid_value(self, quartic_json, tmp_path):
+        # each cell is the .17g text of its axis or grid value, so the floats round-trip
+        out = tmp_path / "grid.csv"
+        argv = ["wigner-u", "--hamiltonian", quartic_json, "--T", "0.7", "--cutoff", "60",
+                "--nq", "9", "--np", "7", "--format", "csv", "--out", str(out)]
+        assert main(argv) == 0
+        op, ctx = cli.load_hamiltonian(quartic_json)
+        qs, ps = weylpath.phase_grid_axes(ctx, nq=9, npts=7)
+        weyl = weylpath.weyl_U_grid(op, ctx, 0.7, qs, ps, cutoff=60).values
+        husimi = weylpath.husimi_U_grid(op, ctx, 0.7, qs, ps, cutoff=60).values
+        Q, P = np.meshgrid(qs, ps, indexing="ij")
+        columns = [Q, P, weyl.real, weyl.imag, husimi.real, husimi.imag]
+        want = [",".join(f"{c[i, j]:.17g}" for c in columns) for i in range(9) for j in range(7)]
+        assert out.read_text().splitlines()[1:] == want
 
     def test_tail_failure_exit_code(self, harmonic_json):
         rc = main(

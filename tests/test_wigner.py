@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.linalg import expm
 import weylpath
 from weylpath import (
     DiscreteWPath,
+    OperatorPoly,
     PhaseSpaceGrid,
     ScaleContext,
     area_identity,
@@ -28,6 +30,13 @@ from weylpath.wigner import hermite_functions
 
 CTX = ScaleContext.default()
 H_HARM = harmonic_hamiltonian(CTX)
+H_QUARTIC = quartic_position_hamiltonian(0.05, CTX)
+# the real and the complex Hamiltonians of test_coherent.ORACLE_BUILDS whose terms couple parities
+H_REAL_LINEAR = OperatorPoly({(1, 1): 1, (1, 0): 0.3, (0, 1): 0.3})
+H_COMPLEX = OperatorPoly({(1, 1): 1, (2, 0): 0.2j, (0, 2): -0.2j, (1, 0): 0.1, (0, 1): 0.1})
+REAL_HAMILTONIANS = pytest.mark.parametrize(
+    "H", [H_HARM, H_QUARTIC, H_REAL_LINEAR], ids=["harmonic", "quartic", "real-linear"]
+)
 
 
 def displacement_block(alpha: complex, dim: int, work_dim: int = 450) -> np.ndarray:
@@ -185,6 +194,80 @@ class TestWeylUGrid:
         qs, ps = phase_grid_axes(CTX, nq=8, npts=8)
         with pytest.raises(NonConverged, match="halving the chord step"):
             weyl_U_grid(H_HARM, CTX, 0.5, qs, ps, cutoff=60)
+
+    def test_traced_peak_holds_two_real_tables(self, monkeypatch):
+        # a real eigenbasis holds <k|x> and one weighted copy, 16 bytes per Fock state and
+        # lattice node, then the chord arrays; complex <k|x> and U<k|x> tables peaked at 45.6
+        qs, ps = phase_grid_axes(CTX)
+        weyl_U_grid(H_QUARTIC, CTX, 1.0, qs, ps, cutoff=200)  # the cached oracle is not counted
+        nodes = []
+        real = wigner.hermite_functions
+        counted = lambda xs, *args: nodes.append(xs.size) or real(xs, *args)
+        monkeypatch.setattr(wigner, "hermite_functions", counted)
+        coherent._fock_log_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            weyl_U_grid(H_QUARTIC, CTX, 1.0, qs, ps, cutoff=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert nodes == [2651]
+        assert peak < 24 * 201 * 2651
+
+
+def full_chord(monkeypatch, H, cutoff):
+    """Give the cached oracle of (H, cutoff) a complex copy of its eigenbasis: the grid then
+    sums the chord kernel over the whole chord, in complex products."""
+    oracle = coherent._cached_oracle(H, cutoff)
+    monkeypatch.setattr(oracle, "evecs", oracle.evecs.astype(complex))
+
+
+def symmetric_p_axis(n=16):
+    """A p axis of 2n + 1 points whose negation is its reverse, bit for bit."""
+    half = np.linspace(0.0, 4.0 * CTX.c, n + 1)
+    return np.concatenate([-half[:0:-1], half])
+
+
+class TestChordSymmetry:
+    @REAL_HAMILTONIANS
+    @pytest.mark.parametrize("cutoff", [60, 200])
+    @pytest.mark.parametrize("rows", ["increasing", "decreasing", "one-row"])
+    def test_half_chord_matches_full_chord(self, monkeypatch, H, cutoff, rows):
+        # a real eigenbasis makes the kernel even in the chord, and only s >= 0 is summed
+        qs, ps = phase_grid_axes(CTX, nq=24, npts=24)
+        qs = {"increasing": qs, "decreasing": qs[::-1], "one-row": qs[7:8]}[rows]
+        half = weyl_U_grid(H, CTX, 0.7, qs, ps, cutoff=cutoff).values
+        full_chord(monkeypatch, H, cutoff)
+        full = weyl_U_grid(H, CTX, 0.7, qs, ps, cutoff=cutoff).values
+        assert np.max(np.abs(half - full)) < 1e-12
+        assert np.max(np.abs(half)) > 0.1
+
+    @REAL_HAMILTONIANS
+    @pytest.mark.parametrize("path", ["half-chord", "full-chord"])
+    def test_time_reversal_makes_the_symbol_even_in_p(self, monkeypatch, H, path):
+        # U_W(q, -p, T) = U_W(q, p, T) for a real H; the full chord does not impose it
+        if path == "full-chord":
+            full_chord(monkeypatch, H, 60)
+        qs, _ = phase_grid_axes(CTX, nq=16)
+        values = weyl_U_grid(H, CTX, 0.9, qs, symmetric_p_axis(), cutoff=60).values
+        assert np.max(np.abs(values - values[:, ::-1])) < 1e-12
+        assert np.max(np.abs(values.imag)) > 0.1
+
+    def test_complex_eigenbasis_matches_dyadic_oracle(self):
+        # a squeezing term i(adag^2 - a^2) and a linear one: the complex Fock matrix keeps a
+        # complex eigenbasis, so the whole chord is summed
+        T, cutoff = 0.8, 60
+        assert np.iscomplexobj(coherent._cached_oracle(H_COMPLEX, cutoff).evecs)
+        qs, ps = phase_grid_axes(CTX)
+        grid = weyl_U_grid(H_COMPLEX, CTX, T, qs, ps, cutoff=cutoff)
+        U = expm(-1j * T / H_COMPLEX.hbar * operator_matrix(H_COMPLEX, cutoff))
+        for i in range(4, 64, 13):
+            for j in range(4, 64, 13):
+                z = CTX.z_from_qp(qs[i], ps[j])
+                assert abs(grid.values[i, j] - dyadic_weyl_symbol(U, z)) < 1e-6
+        # and its symbol is not even in p
+        values = weyl_U_grid(H_COMPLEX, CTX, T, qs[::4], symmetric_p_axis(), cutoff=cutoff).values
+        assert np.max(np.abs(values - values[:, ::-1])) > 0.1
 
 
 class TestHusimiUGrid:
