@@ -278,7 +278,7 @@ class SymbolPoly:
         """Hamilton's flow of the symbol in q = (u + v)/sqrt(2), p = (u - v)/(i sqrt(2)),
         and its Hessian, as the pair ``(flow, hessian)`` of functions of (q, p):
 
-        ``flow(q, p)`` = (H_p, -H_q) / hbar, the right-hand side ``semiclassics._rk4`` takes;
+        ``flow(q, p)`` = (H_p, -H_q) / hbar, the right-hand side ``semiclassics._phi`` steps;
         ``hessian(q, p)`` = (H_qp, H_pp, H_qq) / hbar, the entries of the linearised flow
         d(dq, dp)/dt = [[H_qp, H_pp], [-H_qq, -H_qp]] (dq, dp) / hbar.
 

@@ -200,6 +200,11 @@ class FockOracle:
         require_finite(T=T)
         return np.exp(-1j * self.evals * T / self.hbar)
 
+    @property
+    def real(self) -> bool:
+        """Whether the eigenbasis is real (a real Fock matrix), and with it <k|x> of a real x."""
+        return not np.iscomplexobj(self.evecs)
+
     def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
         """evecs^dagger x: the amplitudes <k|x> of Fock columns x (C-contiguous when complex);
         real for a real x where the eigenbasis is real."""

@@ -15,9 +15,10 @@ on all its nodes (``_newton``): each step is one log-depth prefix scan of
 2 x 3 affine matrices [M_k | r_k] (``_prefix_products``).  For a symbol of
 degree at most 2 one step on the full grid is exact and Phi_h alone checks
 it.  For a quartic the same Newton first solves a coarse grid of at least
-``MIN_STEPS`` steps from one pass of (q, p) on Python scalars (``_rk4``),
-which fixes the saddle, and the cubic-Hermite interpolant of its nodes
-seeds the full grid (nested iteration).  Of several guesses, one whose
+``MIN_STEPS`` steps, seeded by the RK4 steps of the flow linearised at the
+origin (``_step`` at zero nodes, one ``_prefix_products``) applied to
+(z', v(0)); that fixes the saddle, and the cubic-Hermite interpolant of its
+nodes seeds the full grid (nested iteration).  Of several guesses, one whose
 coarse v(0) repeats one already refined is not refined again.  The nodes
 are mapped back to (u, v, du, dv); RK4 commutes with that map.
 """
@@ -82,30 +83,6 @@ class ComplexTrajectory:
     residual: float
     hbar: float
     newton_iters: int
-
-
-def _rk4(rhs, y0: tuple, T: float, steps: int) -> np.ndarray:
-    """Fixed-step RK4 on a two-component state ``y0 = (q, p)``, on Python scalars.
-
-    ``rhs(q, p)`` returns the two derivatives.  Returns the node values as a
-    (2, steps + 1) array.  Runs on the coarse grid only, once per guess, as
-    the start of its whole-grid Newton; the whole-grid steps are taken by
-    :func:`_step`.
-    """
-    h = T / steps
-    h2, h6 = 0.5 * h, h / 6.0
-    q, p = y0
-    qs, ps = [q], [p]  # two flat lists: numpy converts them 3-4x faster than a list of pairs
-    for _ in range(steps):
-        a1, b1 = rhs(q, p)
-        a2, b2 = rhs(q + h2 * a1, p + h2 * b1)
-        a3, b3 = rhs(q + h2 * a2, p + h2 * b2)
-        a4, b4 = rhs(q + h * a3, p + h * b3)
-        q += h6 * (a1 + 2.0 * (a2 + a3) + a4)
-        p += h6 * (b1 + 2.0 * (b2 + b3) + b4)
-        qs.append(q)
-        ps.append(p)
-    return np.array([qs, ps], dtype=complex)
 
 
 def _product(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
@@ -183,7 +160,8 @@ def _phi(flow, y: np.ndarray, h: float) -> tuple:
 
     ``y`` holds the nodes (q, p)_k laid out [component, k].  Four array
     ``flow`` calls give the stage points, laid out [component, stage, k],
-    and the slopes there, in ``_rk4``'s order of operations.
+    and the slopes there; this is the one place that holds the RK4 weights
+    of (q, p).
     """
     h2, h6 = 0.5 * h, h / 6.0
     stages = np.empty((2, 4) + y.shape[1:], dtype=complex)  # (q, p) at the four stage points
@@ -277,9 +255,9 @@ def _newton(flow, hessian, y: np.ndarray, zp: complex, zpp_star, v0: complex, h:
     the affine stack [M_k | r_k] gives delta_k = P_k delta_0 + a_k
     (multiple-shooting condensing; Ascher, Mattheij & Russell, *Numerical
     Solution of BVPs for ODEs*, 1995), and v(T) = conj(z'') fixes s.  P_k
-    times (dq, dp)(0) is the tangent.  From the nodes of an RK4 pass every
-    r_k is 0 to round-off, and the first step is shooting's on v(0):
-    s = (conj(z'') - v(T)) / dv(T).
+    times (dq, dp)(0) is the tangent.  From the nodes of an RK4 pass, which
+    no solve starts from, every r_k is 0 to round-off and the first step is
+    shooting's on v(0): s = (conj(z'') - v(T)) / dv(T).
 
     Stops after the first step whose correction is below ``tol`` in every
     node and component, max |delta| taken absolute, and applies it.  With
@@ -344,7 +322,7 @@ def _trajectories(H_sym: SymbolPoly, zp, zpp_star, T, steps, guesses: list, hbar
     for guess in guesses:
         if guess is not None:
             require_finite(guess=guess)
-    # Python scalars: a numpy T, hbar or steps would put every RK4 stage on numpy-scalar arithmetic
+    # Python numbers: numpy scalars and a 0-d array T give the same trajectory, repr included
     T, hbar, tol, steps = float(T), float(hbar), float(tol), require_index(steps, "steps", MIN_STEPS)
     steps += steps % 2  # Simpson-friendly grids
     _require_dense(PASS_BYTES * steps, f"a shooting pass of {steps} RK4 steps")
@@ -361,7 +339,13 @@ def _trajectories(H_sym: SymbolPoly, zp, zpp_star, T, steps, guesses: list, hbar
                 seed = np.empty((2, steps + 1), dtype=complex)
                 seed.T[:] = _start(zp, v0)
             else:
-                coarse = _rk4(flow, _start(zp, v0), T, coarse_steps)
+                # the RK4 steps of the flow linearised at the origin, applied to (q, p)(0); an
+                # overflow ends as non-finite nodes, the coarse grid's blow-up
+                with np.errstate(over="ignore", invalid="ignore"):
+                    m = _prefix_products(_step(flow, hessian, np.zeros((2, coarse_steps)), T / coarse_steps)[1])
+                    coarse = np.empty((2, coarse_steps + 1), dtype=complex)
+                    coarse[:, 0] = _start(zp, v0)
+                    coarse[:, 1:] = m[:, 0] * coarse[0, :1] + m[:, 1] * coarse[1, :1]
                 nodes, v0 = _newton(flow, hessian, coarse, zp, zpp_star, v0, T / coarse_steps, tol)[:2]
                 if any(abs(v0 - other) <= DEDUPE_TOL for other in tried):
                     continue  # its saddle is refined already, or failed to refine
@@ -409,9 +393,10 @@ def solve_bvp(
     boundary-value problem, Newton on all its nodes at once (``_newton``).
     For a symbol of degree above 2 the same Newton first solves ``steps //
     COARSE_FACTOR`` steps, but at least ``MIN_STEPS`` (rounded up to even),
-    to ``tol`` from one RK4 pass at the guess, which fixes the saddle; the
-    cubic-Hermite interpolant of those nodes seeds the full grid (nested
-    iteration; Deuflhard, *Newton Methods for Nonlinear Problems*, 2004),
+    to ``tol`` from the RK4 steps of the flow linearised at the origin
+    applied to (z', v(0)), which fixes the saddle; the cubic-Hermite
+    interpolant of those nodes seeds the full grid (nested iteration;
+    Deuflhard, *Newton Methods for Nonlinear Problems*, 2004),
     where one or two steps then usually meet ``tol``.  For a symbol of
     degree at most 2 the flow is linear and the seed is the constant
     trajectory at (z', v(0)), which one step makes exact; that step is

@@ -10,7 +10,8 @@ smoothing relation and the discrete symplectic-area identity are checks.
 A real H has a real eigenbasis, so <k|x> is real and <x|U|y> = <y|U|x>: the
 chord kernel is even in the chord and the Weyl symbol even in p (time
 reversal).  The Weyl grid then sums the kernel over half the chord, in real
-products; a complex eigenbasis takes the complex sum over the whole chord.
+products; a complex eigenbasis sums <x|n> <n|U|y> over the Fock states on the
+whole chord, also in real products.
 
 A rank-(cutoff+1) truncation leaves a weak oscillation on Weyl symbols with
 local wavenumber up to 2 sqrt(2 cutoff)/b.  The smoothing kernel annihilates
@@ -142,13 +143,16 @@ def _chord_transform(
     return (kernel * trap[None, :]) @ fourier
 
 
-def _chord_kernel(amp: np.ndarray, phases: np.ndarray, m: int, stride: int) -> np.ndarray:
+def _chord_kernel(oracle, table: np.ndarray, T: float, m: int, stride: int) -> np.ndarray:
     """<q - s/2| U |q + s/2> on the chord nodes t = -m..m, s = 2 t h, of every q = x_{m + i stride}.
 
-    ``amp`` holds the eigenbasis amplitudes <k|x> on the lattice x_j = x_0 + h j and ``phases``
-    the column e^{-i E_k T/hbar}.  Where <k|x> is real, <x|U|y> = <y|U|x> and the kernel is even
-    in the chord: it is summed for t = 0..m alone, in two real products, and mirrored.  A
-    complex ``amp`` is conjugated in place.
+    ``table`` holds the real <n|x> = phi_n(x) on the lattice x_j = x_0 + h j, and the caller
+    keeps no reference to it, so the real path frees it once <k|x> is built.  Where the
+    oracle's eigenbasis is real, so is <k|x>, <x|U|y> = <y|U|x> and the kernel is even in the
+    chord: it is summed over the eigenbasis for t = 0..m alone, in two real products against
+    e^{-i E_k T/hbar} <k|y>, and mirrored.  A complex eigenbasis sums <x|n> <n|U|y> over the
+    Fock states on the whole chord: the real table against Re U and Im U times it, two real
+    tables in turn, so no complex copy of the table is made.
     """
 
     def windows(a):
@@ -156,10 +160,15 @@ def _chord_kernel(amp: np.ndarray, phases: np.ndarray, m: int, stride: int) -> n
         # the window of 2m + 1 nodes from i stride
         return sliding_window_view(a, 2 * m + 1, axis=1)[:, ::stride]
 
-    if np.iscomplexobj(amp):
-        u_amp = phases * amp
-        np.conj(amp, out=amp)  # in place: a third table would pass the lattice budget
-        return np.einsum("nit,nit->it", windows(amp)[:, :, ::-1], windows(u_amp))
+    phases = oracle._phases(T)[:, None]
+    if not oracle.real:
+        evolution = oracle.from_eigenbasis(phases * oracle.to_eigenbasis(np.eye(len(table))))  # <n|U|n'>
+        left = windows(table)[:, :, ::-1]  # <q - s/2|n>
+        re, im = (np.einsum("nit,nit->it", left, windows(np.ascontiguousarray(part) @ table))
+                  for part in (evolution.real, evolution.imag))
+        return re + 1j * im
+    amp = oracle.to_eigenbasis(table)
+    del table  # the real path holds <k|x> and one weighted copy alone
     near = windows(amp)[:, :, m::-1]
     re, im = (np.einsum("nit,nit->it", near, windows(part * amp)[:, :, m:])
               for part in (phases.real, phases.imag))
@@ -192,8 +201,8 @@ def weyl_U_grid(
     matrix, so any real H) they are real, <x|U|y> = <y|U|x>, and the kernel
     is even in the chord s: it is evaluated for s >= 0 alone, in real
     products against cos and sin of E_k T/hbar, and mirrored (time reversal:
-    U(q, -p, T) = U(q, p, T)).  A complex eigenbasis takes the complex
-    product over the whole chord.
+    U(q, -p, T) = U(q, p, T)).  A complex eigenbasis sums the real table
+    against the real and imaginary parts of U times it over the whole chord.
 
     Raises
     ------
@@ -232,10 +241,7 @@ def weyl_U_grid(
     coherent_matrix(corner, cutoff)  # raises DomainError if short
     m = int(m)
     lattice = qs[0] + dq / stride * np.arange(-m, stride * (len(qs) - 1) + m + 1)
-    oracle = _cached_oracle(H, cutoff)
-    amp = oracle.to_eigenbasis(hermite_functions(lattice, cutoff, ctx.b))  # <k|x>: phi_n(x) is real
-    kernel = _chord_kernel(amp, oracle._phases(T)[:, None], m, stride)
-    del amp  # the chord transforms hold the kernel alone
+    kernel = _chord_kernel(_cached_oracle(H, cutoff), hermite_functions(lattice, cutoff, ctx.b), T, m, stride)
     s = 2.0 * dq / stride * np.arange(-m, m + 1)
     values = _chord_transform(kernel[:, ::every], s[::every], ps, ctx.hbar)
     if check:

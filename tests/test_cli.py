@@ -355,6 +355,7 @@ def test_one_budget_comparison():
 ERRSTATE_SITES = {
     "errors.finite_double": "the output guard: a value beyond the double range is a DomainError",
     "semiclassics._newton": "a whole-grid step that overflows is the shooting's blow-up, NonConverged",
+    "semiclassics._trajectories": "an overflowing coarse seed is non-finite nodes, _newton's blow-up",
     "wigner.weyl_U_grid": "a lattice node count beyond the double range is inf, and refused",
 }
 
@@ -384,13 +385,10 @@ def _is_rk4_weight(node) -> bool:
         isinstance(side, ast.Constant) and side.value == 1 / 6 for side in (node.left, node.right))
 
 
-def test_one_rk4_per_state_kind():
-    """The RK4 weight h/6 appears in semiclassics._rk4 (the (q, p) flow on Python scalars),
-    semiclassics._phi (the step Phi_h at every node at once) and semiclassics._linear_rk4 (its
-    Jacobian, the step matrices of a linear system) alone, so no module grows an integrator of
-    its own."""
+def _rk4_holders() -> dict:
+    """The top-level src definitions that hold the RK4 weight, by module.name."""
     src = os.path.dirname(os.path.abspath(cli.__file__))
-    found = set()
+    found = {}
     for name in sorted(os.listdir(src)):
         if not name.endswith(".py"):
             continue
@@ -398,18 +396,33 @@ def test_one_rk4_per_state_kind():
             tree = ast.parse(fh.read())
         for top in tree.body:
             if any(map(_is_rk4_weight, ast.walk(top))):
-                found.add(f"{name[:-3]}.{getattr(top, 'name', '<statement>')}")
-    assert found == {"semiclassics._rk4", "semiclassics._phi", "semiclassics._linear_rk4"}
+                found[f"{name[:-3]}.{getattr(top, 'name', '<statement>')}"] = top
+    return found
+
+
+def test_one_rk4_per_state_kind():
+    """The RK4 weight h/6 appears in semiclassics._phi (the step Phi_h of (q, p) at every node
+    at once) and semiclassics._linear_rk4 (its Jacobian, the step matrices of a linear system)
+    alone, so no module grows an integrator of its own."""
+    assert set(_rk4_holders()) == {"semiclassics._phi", "semiclassics._linear_rk4"}
+
+
+def test_no_python_loop_over_rk4_steps():
+    """No definition that holds the RK4 weight loops over steps, with for or while: every grid's
+    steps are taken at once, on arrays.  The one loop in them is semiclassics._phi's over its
+    three stage offsets."""
+    loops = [(scope, ast.unparse(node).splitlines()[0]) for scope, top in _rk4_holders().items()
+             for node in ast.walk(top) if isinstance(node, (ast.For, ast.While))]
+    assert loops == [("semiclassics._phi", "for i, c in enumerate((h2, h2, h)):")]
 
 
 def test_one_solve_path():
     """Every trajectory comes from one route: src calls the whole-grid Newton semiclassics._newton
-    twice, on the coarse grid and on the full one, and the scalar RK4 loop semiclassics._rk4
-    once, its coarse start, all in semiclassics._trajectories.  The Newton budget MAX_ITER is
-    read in _newton alone, so no second Newton loop returns, and the coarse shooting and its
-    helpers are gone."""
+    twice, on the coarse grid and on the full one, both in semiclassics._trajectories.  The
+    Newton budget MAX_ITER is read in _newton alone, so no second Newton loop returns, and the
+    coarse shooting, its helpers and the scalar RK4 loop _rk4 are gone."""
     src = os.path.dirname(os.path.abspath(cli.__file__))
-    calls, budget, defined = {"_newton": [], "_rk4": []}, [], set()
+    calls, budget, defined = {"_newton": []}, [], set()
     for name in sorted(os.listdir(src)):
         if not name.endswith(".py"):
             continue
@@ -427,12 +440,9 @@ def test_one_solve_path():
                 if "MAX_ITER" in (getattr(node, "id", None), getattr(node, "attr", None)) and isinstance(
                         node.ctx, ast.Load):
                     budget.append(scope)
-    assert calls == {
-        "_newton": ["semiclassics._trajectories"] * 2,
-        "_rk4": ["semiclassics._trajectories"],
-    }
+    assert calls == {"_newton": ["semiclassics._trajectories"] * 2}
     assert set(budget) == {"semiclassics._newton"}
-    assert defined.isdisjoint({"_shoot", "_stages", "_step_matrices", "_image"})
+    assert defined.isdisjoint({"_shoot", "_stages", "_step_matrices", "_image", "_rk4"})
 
 
 def test_one_eigenbasis_owner():
@@ -596,8 +606,7 @@ class TestSemiclassical:
 
     def test_steps_beyond_the_budget_exit_3(self, harmonic_json, capsys, monkeypatch):
         # --steps 100000000 ran a 1e8-step RK4 loop, then built about 86 GB of arrays
-        monkeypatch.setattr(semiclassics, "_rk4", None)  # would fail if reached
-        monkeypatch.setattr(semiclassics, "_step", None)
+        monkeypatch.setattr(semiclassics, "_step", None)  # would fail if reached
         argv = ["semiclassical", "--hamiltonian", harmonic_json, "--z0", "0.3,0", "--z1", "0,0.5",
                 "--T", "1", "--steps", "100000000"]
         assert main(argv) == 3

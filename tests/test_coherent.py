@@ -748,8 +748,7 @@ class TestCoherentBudget:
 class TestTrajectoryBudget:
     def test_shooting_refused_before_any_pass(self, monkeypatch):
         # steps = 1e8 ran a 1e8-step Python RK4 loop, then built about 86 GB of arrays
-        monkeypatch.setattr(semiclassics, "_rk4", None)  # would fail if reached
-        monkeypatch.setattr(semiclassics, "_step", None)
+        monkeypatch.setattr(semiclassics, "_step", None)  # would fail if reached
         message = "a shooting pass of 100000000 RK4 steps: .* exceed DENSE_BYTES"
         with pytest.raises(DomainError, match=message):
             semiclassical_K("w", H_QUARTIC, 0.3, 0.5j, 1.0, steps=10**8)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylpath import (
+    OperatorPoly,
     ScaleContext,
     SymbolPoly,
     action_S,
@@ -35,7 +36,6 @@ from weylpath.errors import (
 )
 from weylpath import det_continuum, fluctuation, semiclassics
 from weylpath.semiclassics import (
-    _rk4,
     quadratic_guess,
     tracked_prefactor,
     trajectory_hessian_samplers,
@@ -112,6 +112,18 @@ def qp_jet_rhs(sym: SymbolPoly, hbar: float):
     return rhs
 
 
+def flow_rhs(flow):
+    """A (q, p) flow as the four-component reference's right-hand side, the variational pair
+    held at 0."""
+    return lambda k, q, p, dq, dp: (*flow(q, p), 0j, 0j)
+
+
+def qp_nodes(sym: SymbolPoly, hbar: float, y0: tuple, T: float, steps: int) -> np.ndarray:
+    """The (q, p) nodes of an RK4 pass from y0 = (q, p)(0), as a (2, steps + 1) array: the
+    four-component reference's first two, bit for bit the pass of ``sym.flow(hbar)``."""
+    return np.array(rk4_reference(qp_jet_rhs(sym, hbar), (*y0, 0j, 0j), T, steps)[:2])
+
+
 def uv_pass(rhs, zp, v0, T, steps):
     """An RK4 pass in (u, v) from (z', v0, 0, 1), as the shooting ran before the (q, p) flow."""
     return np.array(rk4_reference(rhs, (zp, v0, 0j, 1 + 0j), T, steps))
@@ -158,10 +170,12 @@ def uv_shooting(monkeypatch):
     monkeypatch.setattr(semiclassics, "_trajectories", uv_trajectories)
 
 
-def qp_pass(flow, hessian, zp, v0, T, steps):
+def qp_pass(sym, hbar, zp, v0, T, steps):
     """An RK4 pass from (u, v, du, dv)(0) = (z', v0, 0, 1) as (q, p, dq, dp) nodes: (q, p) by
-    ``_rk4``, the tangent from the prefix products of the kernel's step matrices at its nodes."""
-    nodes = _rk4(flow, semiclassics._start(zp, v0), T, steps)
+    ``qp_nodes``, the tangent from the prefix products of the kernel's step matrices at its
+    nodes."""
+    flow, hessian = sym.flow(hbar)
+    nodes = qp_nodes(sym, hbar, semiclassics._start(zp, v0), T, steps)
     m = semiclassics._step(flow, hessian, nodes[:, :-1], T / steps)[1]
     return np.concatenate([nodes, semiclassics._tangent(semiclassics._prefix_products(m))])
 
@@ -190,11 +204,11 @@ class TestCompiledFlow:
     @FLOW_CASES
     def test_rk4_pass_equals_jet_closure(self, sym, hbar):
         y0 = (0.4 + 0.1j, 0.3 - 0.2j, 0.7 + 0j, 0.7j)
-        flow, _ = sym.flow(hbar)
-        new = _rk4(flow, y0[:2], 0.3, 256)
-        assert np.array_equal(new, _rk4(qp_jet_flow(sym, hbar)[0], y0[:2], 0.3, 256))
+        new = np.array(rk4_reference(flow_rhs(sym.flow(hbar)[0]), y0, 0.3, 256)[:2])
+        assert np.array_equal(new, rk4_reference(flow_rhs(qp_jet_flow(sym, hbar)[0]), y0, 0.3, 256)[:2])
         # (q, p) does not depend on the variational pair: the four-component pass, bit for bit
         assert np.array_equal(new, rk4_reference(qp_jet_rhs(sym, hbar), y0, 0.3, 256)[:2])
+        assert np.array_equal(new, qp_nodes(sym, hbar, y0[:2], 0.3, 256))
         assert np.all(np.isfinite(new))
 
     @FLOW_CASES
@@ -203,7 +217,7 @@ class TestCompiledFlow:
         # steps are the transfer matrices multiplied in a tree: round-off only
         zp, v0, T = 0.4 + 0.1j, 0.3 - 0.2j, 0.3
         for steps in (256, 2048):
-            new = semiclassics._TO_UV @ qp_pass(*sym.flow(hbar), zp, v0, T, steps)
+            new = semiclassics._TO_UV @ qp_pass(sym, hbar, zp, v0, T, steps)
             old = uv_pass(jet_rhs(sym, hbar), zp, v0, T, steps)
             for a, b in zip(new, old):
                 assert np.abs(a - b).max() <= 1e-13 * max(np.abs(b).max(), 1.0), steps
@@ -213,7 +227,7 @@ class TestCompiledFlow:
         # the whole-grid kernel's Phi_h at the nodes of a scalar RK4 pass gives the next nodes,
         # to round-off, and its step matrices are the Jacobian of Phi_h (central differences)
         flow, hessian = sym.flow(hbar)
-        nodes = _rk4(flow, (0.4 + 0.1j, 0.3 - 0.2j), 0.3, 256)
+        nodes = qp_nodes(sym, hbar, (0.4 + 0.1j, 0.3 - 0.2j), 0.3, 256)
         phi, m = semiclassics._step(flow, hessian, nodes[:, :-1], 0.3 / 256)
         assert np.abs(phi - nodes[:, 1:]).max() <= 1e-14 * max(np.abs(nodes).max(), 1.0)
         eps = 1e-6
@@ -339,6 +353,16 @@ class TestSolveBvp:
         with pytest.raises(NonConverged, match="trajectory blew up"):
             solve_bvp(sym, 2.5, 2.5, 2.0, steps=64, guess=40.0 + 40.0j)
 
+    @pytest.mark.parametrize("k, T", [(5, 20), (5, 200), (50, 30)])
+    def test_overflowing_seed_is_a_blow_up(self, k, T):
+        # k (u^2 + v^2) grows like e^(2kT) and the coarse grid's Newton ends in a blow-up, with no
+        # RuntimeWarning also where the seed's step-matrix products leave the double range (k 50)
+        sym = SymbolPoly({(2, 0): k, (0, 2): k, (2, 2): 0.01})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConverged, match=r"^trajectory blew up from v\(0\) = .* on the grid of 64 steps$"):
+                solve_bvp(sym, 0.3, 0.2, T, steps=512)
+
     def test_quadratic_guess_matches_harmonic_exactly(self):
         g = quadratic_guess(SYM_W, 0.3, 0.5 - 0.1j, 1.3, 1.0)
         assert abs(g - (0.5 - 0.1j) * np.exp(-1.3j)) < 1e-12
@@ -431,17 +455,17 @@ def multi_guess_calls(form):
     ]
 
 
-def counted_passes(monkeypatch, fault=None):
-    """Count scalar RK4 passes (``_rk4``, a shooting pass's (q, p)) by their step count;
-    ``fault(steps, nodes)`` may alter a pass's (q, p) nodes."""
+def counted_grids(monkeypatch, fault=None):
+    """Count the grids the whole-grid Newton (``_newton``) solves, coarse and full, by their
+    steps; ``fault(steps, nodes)`` may alter the (q, p) nodes it starts from."""
     calls = []
+    real_newton = semiclassics._newton
 
-    def rk4_pass(rhs, y0, T, steps):
-        calls.append(steps)
-        nodes = _rk4(rhs, y0, T, steps)
-        return nodes if fault is None else fault(steps, nodes)
+    def newton(flow, hessian, y, *args):
+        calls.append(y.shape[-1] - 1)
+        return real_newton(flow, hessian, y if fault is None else fault(calls[-1], y), *args)
 
-    monkeypatch.setattr(semiclassics, "_rk4", rk4_pass)
+    monkeypatch.setattr(semiclassics, "_newton", newton)
     return calls
 
 
@@ -455,18 +479,6 @@ def counted_kernel(monkeypatch):
         return real_step(flow, hessian, y, h)
 
     monkeypatch.setattr(semiclassics, "_step", step)
-    return calls
-
-
-def counted_rk4(monkeypatch):
-    """Count the step counts ``_rk4``, the loop on Python scalars, is called with."""
-    calls = []
-
-    def rk4(rhs, y0, T, steps):
-        calls.append(steps)
-        return _rk4(rhs, y0, T, steps)
-
-    monkeypatch.setattr(semiclassics, "_rk4", rk4)
     return calls
 
 
@@ -502,10 +514,10 @@ class TestTwoLevelShooting:
         self, monkeypatch, symbol_fn, zp, zpp_star, T
     ):
         sym = symbol_fn(quartic_position_hamiltonian(0.1, CTX))
-        calls = counted_passes(monkeypatch)
+        calls = counted_grids(monkeypatch)
         traj = solve_bvp(sym, zp, zpp_star, T)
         assert traj.newton_iters <= 1 and traj.residual < 1e-10
-        assert calls == [64]  # one scalar pass, the coarse grid's start
+        assert calls == [64, 512]  # one coarse grid, then the full one
 
     @pytest.mark.parametrize(
         "sym, coarse",
@@ -514,20 +526,21 @@ class TestTwoLevelShooting:
         ids=["quartic-q", "quartic-p", "quartic-w", "oscillator-q", "oscillator-p", "oscillator-w"],
     )
     def test_rk4_runs_on_the_coarse_grid_only(self, monkeypatch, sym, coarse):
-        # no Python loop over the 2,048 full-grid steps: the scalar RK4 runs on the coarse grid
-        calls = counted_rk4(monkeypatch)
+        # a quartic's coarse stage solves 256 of the 2,048 steps before the full grid; an
+        # oscillator has no coarse stage
+        calls = counted_grids(monkeypatch)
         traj = solve_bvp(sym, 0.6 + 0.1j, 0.4 - 0.2j, 0.8, steps=2048)
-        assert sorted(set(calls)) == coarse and traj.residual < 1e-10
+        assert calls == coarse + [2048] and traj.residual < 1e-10
 
     def test_quadratic_symbol_takes_one_whole_grid_step(self, monkeypatch):
         # the first step from the constant seed is exact, and Phi_h alone checks it: no second
-        # set of step matrices, no scalar pass
-        calls, kernel = counted_passes(monkeypatch), counted_kernel(monkeypatch)
+        # set of step matrices, no coarse grid
+        calls, kernel = counted_grids(monkeypatch), counted_kernel(monkeypatch)
         checks = []
         real_phi = semiclassics._phi
         monkeypatch.setattr(semiclassics, "_phi", lambda *args: checks.append(1) or real_phi(*args))
         traj = solve_bvp(SYM_W, 0.3 + 0.2j, 0.5 - 0.1j, 1.3)
-        assert calls == [] and kernel == [512] and len(checks) == 2  # the step's Phi_h, the check
+        assert calls == [512] and kernel == [512] and len(checks) == 2  # the step's Phi_h, the check
         assert traj.newton_iters == 0 and traj.residual < 1e-13
         assert abs(traj.v[-1] - (0.5 - 0.1j)) < 1e-13 and abs(traj.u[0] - (0.3 + 0.2j)) < 1e-15
 
@@ -543,9 +556,9 @@ class TestTwoLevelShooting:
     )
     def test_failure_is_its_stage_error(self, monkeypatch, failure, message):
         # one solver on both grids: a fault in the coarse or the full grid's Newton ends the guess
-        # in a NonConverged that names the grid, with no scalar pass on the full grid
-        def fault(steps, nodes):  # on the coarse (q, p) nodes
-            return nodes * [[1], [np.nan]] if failure == "blow-up" else nodes
+        # in a NonConverged that names the grid, and the full grid is solved only after the coarse
+        def fault(steps, nodes):  # on the coarse grid's seed
+            return nodes * [[1], [np.nan]] if failure == "blow-up" and steps == 64 else nodes
 
         def grid_fault(nodes, m):  # on the coarse step matrices, or the first whole-grid step's
             kernel.append(nodes)
@@ -558,11 +571,12 @@ class TestTwoLevelShooting:
         if failure == "coarse-stall":
             monkeypatch.setattr(semiclassics, "MAX_ITER", 0)  # the first coarse step is not below tol
         kernel = []
-        calls = counted_passes(monkeypatch, fault)
+        calls = counted_grids(monkeypatch, fault)
         faulty_kernel(monkeypatch, grid_fault)
         with pytest.raises(NonConverged, match=message):
             solve_bvp(QUARTIC_W, 0.7, 0.5 - 0.2j, 0.8)
-        assert calls == [64] and kernel.count(512) == (1 if failure == "fine-after-coarse" else 0)
+        fine = failure == "fine-after-coarse"
+        assert calls == [64] + [512] * fine and kernel.count(512) == fine
 
     @pytest.mark.parametrize("steps", [16, 64, 512])
     def test_first_whole_grid_step_is_the_shooting_step(self, steps):
@@ -572,7 +586,7 @@ class TestTwoLevelShooting:
         # Newton picks the saddle the coarse shooting picked
         flow, hessian = QUARTIC_W.flow(1.0)
         zp, zpp_star, v0, T = 0.7 + 0j, 0.5 - 0.2j, 0.4 - 0.1j, 0.8
-        nodes = _rk4(flow, semiclassics._start(zp, v0), T, steps)
+        nodes = qp_nodes(QUARTIC_W, 1.0, semiclassics._start(zp, v0), T, steps)
         transfer = semiclassics._total_product(semiclassics._step(flow, hessian, nodes[:, :-1], T / steps)[1])
         dv_T = semiclassics._v(transfer @ (np.array([1, 1j]) * 0.5**0.5))  # (dq, dp)(0) of (du, dv)(0) = (0, 1)
         want = v0 - (semiclassics._v(nodes[:, -1]) - zpp_star) / dv_T
@@ -601,17 +615,21 @@ class TestTwoLevelShooting:
         with pytest.raises(NonConverged, match=message):
             semiclassics._newton(*whole_grid_case())
 
-    def test_large_nodes_case_is_refused(self):
-        # from the wild saddle (|q, p| near 850, |dv| 2e4) the whole-grid correction stalls near
-        # 1e-6, its round-off floor, already on the 256-step coarse grid, and the guess is
-        # refused; Newton on v(0) over the full grid alone converges to a saddle with |K| = 2.51
-        # against the exact 0.845, a wrong number
+    def test_large_nodes_case_wild_guess_is_the_tame_saddle(self, monkeypatch):
+        # from the wild saddle's v(0) an RK4 pass reaches |q, p| near 850 and |dv| 2e4, where the
+        # whole-grid correction stalled near 1e-6, its round-off floor, on the 256-step coarse
+        # grid; the coarse grid seeded by the flow linearised at the origin converges in 8 steps
+        # to the tame saddle of the default guess, with the same K
         H = quartic_position_hamiltonian(0.1, CTX)
-        message = (r"^no shooting guess converged: whole-grid Newton stalled at residual .* "
-                   r"after 30 iterations on the grid of 256 steps$")
-        with pytest.raises(NonConverged, match=message):
-            semiclassical_K("w", H, -0.7830 - 0.1912j, 0.6092 - 0.9351j, 2.8636, steps=2048,
-                            guesses=[-0.373 - 3.351j])
+        args = ("w", H, -0.7830 - 0.1912j, 0.6092 - 0.9351j, 2.8636, 2048)
+        want = semiclassical_K(*args)
+        solved = []
+        real_newton = semiclassics._newton
+        monkeypatch.setattr(semiclassics, "_newton", lambda *a: solved.append(real_newton(*a)) or solved[-1])
+        got = semiclassical_K(*args, guesses=[-0.373 - 3.351j])
+        assert [len(nodes[0]) - 1 for nodes, *_ in solved] == [256, 2048] and solved[0][2] == 8
+        (c,), (d,) = got.contributions, want.contributions
+        assert abs(c.v0 - d.v0) <= 1e-12 and abs(got.K - want.K) <= 1e-12 * abs(want.K)
 
     def test_large_nodes_case_default_guess_is_the_tame_saddle(self):
         # the default guess's coarse-grid Newton reaches the tame saddle, where |u| stays below 1,
@@ -672,24 +690,38 @@ class TestTwoLevelShooting:
                 assert any(abs(a.v0 - b.v0) <= semiclassics.DEDUPE_TOL for b in want.contributions)
             assert abs(res.K - want.K) <= 1e-9 * abs(want.K)
 
+    @pytest.mark.parametrize("c", [0.4, -0.25, 0.2 + 0.3j])
+    @pytest.mark.parametrize("form", ["q", "p", "w"])
+    def test_linear_terms_need_no_affine_seed(self, monkeypatch, form, c):
+        # with c a + conj(c) adag the flow at the origin is not 0, and the coarse seed, the RK4
+        # steps of the flow linearised there, drops that constant: the coarse Newton still meets
+        # the saddle of single-level (u, v) shooting, with the same K
+        H = quartic_position_hamiltonian(0.1, CTX) + OperatorPoly({(0, 1): c, (1, 0): np.conj(c)})
+        cases = [(zp, zpp, T, 512) for zp, zpp, T in COMPARISON_ENDPOINTS]
+        got = [semiclassical_K(form, H, *case, tol=1e-13) for case in cases]
+        uv_shooting(monkeypatch)
+        for res, case in zip(got, cases):
+            want = semiclassical_K(form, H, *case, tol=1e-13)
+            (a,), (b,) = res.contributions, want.contributions
+            assert abs(a.v0 - b.v0) <= semiclassics.DEDUPE_TOL
+            assert abs(res.K - want.K) <= 1e-9 * abs(want.K)
+
     def test_one_saddle_of_three_guesses_is_refined_once(self, monkeypatch):
         # the three coarse grids' Newton finds one saddle, and only the first guess's seed is
         # refined: the result is the one-guess call's, and K is the one found when every guess was
         # refined
         args = ("w", quartic_position_hamiltonian(0.1, CTX), 0.5 + 0.1j, 0.3 - 0.4j, 0.6)
         single = semiclassical_K(*args)
-        rk4, newtons = counted_rk4(monkeypatch), []
-        real_newton = semiclassics._newton
-        monkeypatch.setattr(semiclassics, "_newton", lambda *a: newtons.append(len(a[2][0]) - 1) or real_newton(*a))
+        newtons = counted_grids(monkeypatch)
         res = semiclassical_K(*args, guesses=[None, 0.3 + 0.4j, 0.27 + 0.36j])
-        assert rk4 == [64, 64, 64] and newtons == [64, 512, 64, 64]
+        assert newtons == [64, 512, 64, 64]
         assert repr(res) == repr(single)
         assert abs(res.K - (0.9690436148233127 - 0.25185473681835363j)) <= 1e-15
 
     def test_a_saddle_whose_refinement_failed_is_not_retried(self, monkeypatch):
         # the coarse v(0) is recorded when its refinement is tried: here the whole-grid stage
         # fails, and the second guess, on the same coarse saddle, is not refined again
-        rk4, newtons = counted_rk4(monkeypatch), []
+        newtons = []
         real_newton = semiclassics._newton
 
         def newton(*a):  # the coarse grid's Newton runs, the full grid's is switched off
@@ -701,21 +733,21 @@ class TestTwoLevelShooting:
         with pytest.raises(NonConverged, match=message):
             semiclassical_K("w", quartic_position_hamiltonian(0.1, CTX), 0.5 + 0.1j, 0.3 - 0.4j, 0.6,
                             guesses=[None, 0.3 + 0.4j])
-        assert rk4 == [64, 64] and newtons == [64, 512, 64]
+        assert newtons == [64, 512, 64]
 
     @pytest.mark.parametrize("steps", [16, 32, 64, 100])
     @pytest.mark.parametrize("form", ["q", "p", "w"])
     def test_small_grids_take_the_two_level_route(self, monkeypatch, form, steps):
-        # below 128 steps the coarse grid is MIN_STEPS = 16 steps: the scalar RK4 runs there
-        # alone, the whole-grid Newton solves it and then returns the full grid's trajectory
-        # (every second call), and K and its parts are the single-level (u, v) reference's to
-        # round-off, both converged to 1e-13
+        # below 128 steps the coarse grid is MIN_STEPS = 16 steps: the whole-grid Newton solves
+        # it and then returns the full grid's trajectory (every second call), and K and its
+        # parts are the single-level (u, v) reference's to round-off, both converged to 1e-13
         H = quartic_position_hamiltonian(0.1, CTX)
-        rk4, solved = counted_rk4(monkeypatch), []
+        solved = []
         real_newton = semiclassics._newton
         monkeypatch.setattr(semiclassics, "_newton", lambda *a: solved.append(real_newton(*a)) or solved[-1])
         got = [semiclassical_K(form, H, zp, zpp, T, steps, tol=1e-13) for zp, zpp, T in COMPARISON_ENDPOINTS]
-        assert rk4 == [semiclassics.MIN_STEPS] * 3 and len(solved) == 6
+        grids = [len(nodes[0]) - 1 for nodes, *_ in solved]
+        assert grids == [semiclassics.MIN_STEPS, steps] * 3
         assert [v0 for _, v0, _, _ in solved[1::2]] == [res.contributions[0].v0 for res in got]
         monkeypatch.undo()
         uv_shooting(monkeypatch)
@@ -729,25 +761,10 @@ class TestTwoLevelShooting:
     @pytest.mark.parametrize("form", ["q", "p", "w"])
     def test_harmonic_default_guess_is_bit_identical(self, monkeypatch, form):
         # the benchmark's accuracy anchor: T = 6 at the corner of its draw box; a linear flow has
-        # no coarse stage, so the result is the same without the coarse grid's RK4 pass
+        # no coarse stage, so the full grid's Newton alone gives the result
         got = semiclassical_K(form, H_HARM, 0.8, 0.8j, 6.0)
-        monkeypatch.setattr(semiclassics, "_rk4", None)  # would fail if reached
-        assert got == semiclassical_K(form, H_HARM, 0.8, 0.8j, 6.0)
-
-
-def stage_types(monkeypatch) -> set:
-    """Types of every stage state ``_rk4`` hands its right-hand side."""
-    seen = set()
-
-    def rk4(rhs, y0, T, steps):
-        def recorded(*state):
-            seen.update(map(type, state))
-            return rhs(*state)
-
-        return _rk4(recorded, y0, T, steps)
-
-    monkeypatch.setattr(semiclassics, "_rk4", rk4)
-    return seen
+        grids = counted_grids(monkeypatch)
+        assert got == semiclassical_K(form, H_HARM, 0.8, 0.8j, 6.0) and grids == [512]
 
 
 def varying_samplers():
@@ -756,23 +773,6 @@ def varying_samplers():
 
 
 class TestNumpyScalars:
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda: solve_bvp(QUARTIC_W, 0.7, 0.5 - 0.2j, np.float64(0.8)),
-            lambda: solve_bvp(QUARTIC_W, 0.7, 0.5 - 0.2j, 0.8, hbar=np.float64(0.5)),
-            lambda: solve_bvp(QUARTIC_W, 0.7, 0.5 - 0.2j, 0.8, steps=np.int64(512)),
-            lambda: semiclassical_K("w", quartic_position_hamiltonian(0.1, CTX), 0.7, 0.7,
-                                    np.float64(0.5), np.int64(512)),
-        ],
-        ids=["solve_bvp-T", "solve_bvp-hbar", "solve_bvp-steps", "semiclassical_K-T-steps"],
-    )
-    def test_every_rk4_stage_is_a_python_complex(self, monkeypatch, call):
-        # a numpy step h or 1/hbar made every stage after the first a numpy scalar
-        seen = stage_types(monkeypatch)
-        call()
-        assert seen == {complex}
-
     def test_zero_d_array_T_is_taken(self):
         # solve_bvp alone refused a 0-d array T ("T must be positive, got array(0.5)"), which
         # det_continuum and exact_propagator take; T = 0 stays refused by solve_bvp
@@ -877,12 +877,11 @@ class TestTransferProducts:
             return real_step(flow, hessian, y, h)
 
         monkeypatch.setattr(semiclassics, "_step", step)
-        monkeypatch.setattr(semiclassics, "_rk4", None)  # would fail if reached
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonConverged, match=r"^trajectory blew up from v\(0\) = .* on the grid of 64 steps$"):
                 solve_bvp(inverted, 0.0, 0.0, 4000.0, steps=64)
-        assert nodes and all(np.array_equal(y, np.zeros_like(y)) for y in nodes)
+        assert nodes and all(y.shape == (2, 64) and not y.any() for y in nodes)  # no coarse grid
 
 
 class TestActionAndCorrection:
@@ -1083,8 +1082,7 @@ class TestSemiclassicalK:
     @pytest.mark.parametrize("guesses", [[], (), iter([])], ids=["list", "tuple", "iterator"])
     def test_empty_guesses_refused(self, monkeypatch, guesses):
         # was NonConverged "no shooting guess converged: (none tried)", exit 2, with nothing run
-        monkeypatch.setattr(semiclassics, "_rk4", None)  # would fail if reached
-        monkeypatch.setattr(semiclassics, "_step", None)
+        monkeypatch.setattr(semiclassics, "_step", None)  # would fail if reached
         with pytest.raises(InvalidArgument, match=r"^guesses must hold at least one guess, got \[\]$"):
             semiclassical_K("w", H_HARM, 0.3, 0.5j, 1.0, guesses=guesses)
 

@@ -197,22 +197,26 @@ class TestWeylUGrid:
 
     def test_traced_peak_holds_two_real_tables(self, monkeypatch):
         # a real eigenbasis holds <k|x> and one weighted copy, 16 bytes per Fock state and
-        # lattice node, then the chord arrays; complex <k|x> and U<k|x> tables peaked at 45.6
+        # lattice node, then the chord arrays; complex <k|x> and U<k|x> tables peaked at 45.6.
+        # A complex eigenbasis holds the real table and Re U or Im U times it, within the 32
+        # bytes the lattice budget counts; a complex copy of the table peaked at 41.3
         qs, ps = phase_grid_axes(CTX)
-        weyl_U_grid(H_QUARTIC, CTX, 1.0, qs, ps, cutoff=200)  # the cached oracle is not counted
         nodes = []
         real = wigner.hermite_functions
         counted = lambda xs, *args: nodes.append(xs.size) or real(xs, *args)
-        monkeypatch.setattr(wigner, "hermite_functions", counted)
-        coherent._fock_log_tables.cache_clear()
-        tracemalloc.start()
-        try:
-            weyl_U_grid(H_QUARTIC, CTX, 1.0, qs, ps, cutoff=200)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert nodes == [2651]
-        assert peak < 24 * 201 * 2651
+        for H, bound in ((H_QUARTIC, 24), (H_COMPLEX, 32)):
+            weyl_U_grid(H, CTX, 1.0, qs, ps, cutoff=200)  # the cached oracle is not counted
+            monkeypatch.setattr(wigner, "hermite_functions", counted)
+            coherent._fock_log_tables.cache_clear()
+            tracemalloc.start()
+            try:
+                weyl_U_grid(H, CTX, 1.0, qs, ps, cutoff=200)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            monkeypatch.undo()
+            assert nodes.pop() == 2651 and not nodes
+            assert peak < bound * 201 * 2651, H
 
 
 def full_chord(monkeypatch, H, cutoff):
