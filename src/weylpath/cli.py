@@ -13,12 +13,9 @@ import json
 import math
 import sys
 
+# every command reads algebra; each imports the rest of what it runs in its own body
 from . import errors
 from .algebra import FORM_S, load_hamiltonian, symbol_for_form, symbol_to_qp
-from .coherent import CUTOFF_TOLERANCE, DEFAULT_CUTOFF, exact_propagator
-from .discrete import DiscGridSpec, convergence_table, quadrature_K
-from .semiclassics import MIN_STEPS, semiclassical_K
-from .wigner import GRID_CUTOFF, husimi_U_grid, phase_grid_axes, weyl_U_grid
 
 EXIT_PARSE = 1
 
@@ -54,6 +51,13 @@ def _checked(kind, ok, wanted: str):
 def _at_least(low, kind=float):
     """Argument type: a finite ``kind`` value no smaller than ``low``."""
     return _checked(kind, lambda val: val >= low, f"at least {low}")
+
+
+def _steps(text: str) -> int:
+    """Argument type: a shooting step count, at least ``semiclassics.MIN_STEPS``."""
+    from .semiclassics import MIN_STEPS
+
+    return _at_least(MIN_STEPS, int)(text)
 
 
 _finite = _checked(float, lambda val: True, "finite")
@@ -131,6 +135,8 @@ def cmd_symbols(args) -> str:
 
 
 def cmd_harmonic_compare(args) -> list[dict]:
+    from .discrete import convergence_table
+
     return convergence_table(args.omega, args.T, args.z0, args.z1, args.N_list)
 
 
@@ -138,10 +144,15 @@ def cmd_propagate(args) -> dict:
     op, _ = load_hamiltonian(args.hamiltonian)
     record = {"T": args.T, "form": args.form, **_c_fields(z0=args.z0, z1=args.z1)}
     if args.form == "exact":
+        from .coherent import CUTOFF_TOLERANCE, DEFAULT_CUTOFF, exact_propagator
+
+        cutoff = DEFAULT_CUTOFF if args.cutoff is None else args.cutoff
         tol = CUTOFF_TOLERANCE if args.tol is None else args.tol
-        K = exact_propagator(op, args.z0, args.z1, args.T, args.cutoff, check_tolerance=tol)
-        record.update(cutoff=args.cutoff, tolerance=tol)
+        K = exact_propagator(op, args.z0, args.z1, args.T, cutoff, check_tolerance=tol)
+        record.update(cutoff=cutoff, tolerance=tol)
     else:
+        from .discrete import DiscGridSpec, quadrature_K
+
         grid = DiscGridSpec(tolerance=args.tol)
         result = quadrature_K(args.form, op, args.z0, args.z1, args.T, args.N, grid)
         record.update(N=args.N, refinement_delta=result.refinement_delta, tolerance=args.tol)
@@ -150,6 +161,8 @@ def cmd_propagate(args) -> dict:
 
 
 def cmd_semiclassical(args) -> dict:
+    from .semiclassics import semiclassical_K
+
     op, _ = load_hamiltonian(args.hamiltonian)
     result = semiclassical_K(args.form, op, args.z0, args.z1, args.T, steps=args.steps, tol=args.tol)
     return {
@@ -166,12 +179,15 @@ def cmd_semiclassical(args) -> dict:
 
 
 def cmd_wigner_u(args) -> list[dict]:
+    from .wigner import GRID_CUTOFF, husimi_U_grid, phase_grid_axes, weyl_U_grid
+
     op, ctx = load_hamiltonian(args.hamiltonian)
     qs, ps = phase_grid_axes(
         ctx, nq=args.nq, npts=args.np, q_widths=args.q_widths, p_widths=args.p_widths
     )
-    weyl = weyl_U_grid(op, ctx, args.T, qs, ps, cutoff=args.cutoff)
-    husimi = husimi_U_grid(op, ctx, args.T, qs, ps, cutoff=args.cutoff)
+    cutoff = GRID_CUTOFF if args.cutoff is None else args.cutoff
+    weyl = weyl_U_grid(op, ctx, args.T, qs, ps, cutoff=cutoff)
+    husimi = husimi_U_grid(op, ctx, args.T, qs, ps, cutoff=cutoff)
     # lists of Python floats: a cell indexed from an array is a numpy scalar, slower to write
     re_U, im_U, re_husimi, im_husimi = (
         part.tolist() for g in (weyl, husimi) for part in (g.values.real, g.values.imag)
@@ -229,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z1", type=_parse_complex, required=True)
     p.add_argument("--T", type=_at_least(0.0), required=True)
     p.add_argument("--N", type=_at_least(1, int), default=2)
-    p.add_argument("--cutoff", type=_at_least(0, int), default=DEFAULT_CUTOFF)
+    p.add_argument("--cutoff", type=_at_least(0, int), default=None)  # coherent.DEFAULT_CUTOFF
     p.add_argument("--tol", type=_positive, default=None)
     p.set_defaults(func=cmd_propagate)
 
@@ -239,14 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z0", type=_parse_complex, required=True)
     p.add_argument("--z1", type=_parse_complex, required=True)
     p.add_argument("--T", type=_at_least(0.0), required=True)
-    p.add_argument("--steps", type=_at_least(MIN_STEPS, int), default=512)
+    p.add_argument("--steps", type=_steps, default=512)
     p.add_argument("--tol", type=_positive, default=1e-10)
     p.set_defaults(func=cmd_semiclassical)
 
     p = sub.add_parser("wigner-u", help="Weyl and Husimi grids of the evolution")
     common(p)
     p.add_argument("--T", type=_finite, required=True)
-    p.add_argument("--cutoff", type=_at_least(0, int), default=GRID_CUTOFF)
+    p.add_argument("--cutoff", type=_at_least(0, int), default=None)  # wigner.GRID_CUTOFF
     p.add_argument("--nq", type=_at_least(1, int), default=64)
     p.add_argument("--np", type=_at_least(1, int), default=64)
     p.add_argument("--q-widths", type=_positive, default=4.0)

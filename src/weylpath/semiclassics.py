@@ -330,6 +330,12 @@ def _trajectories(H_sym: SymbolPoly, zp, zpp_star, T, steps, guesses: list, hbar
     coarse_steps += coarse_steps % 2
     zp, linear = complex(zp), H_sym.degree <= 2
     flow, hessian = H_sym.flow(hbar)
+    if not linear:
+        # the prefix products of the RK4 steps of the flow linearised at the origin, which carry
+        # each guess's (q, p)(0) to its coarse seed; an overflow ends as non-finite nodes, the
+        # coarse grid's blow-up
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = _prefix_products(_step(flow, hessian, np.zeros((2, coarse_steps)), T / coarse_steps)[1])
 
     trajectories, failures, tried = [], [], []  # tried: each refined seed's coarse v(0)
     for guess in guesses:
@@ -339,12 +345,9 @@ def _trajectories(H_sym: SymbolPoly, zp, zpp_star, T, steps, guesses: list, hbar
                 seed = np.empty((2, steps + 1), dtype=complex)
                 seed.T[:] = _start(zp, v0)
             else:
-                # the RK4 steps of the flow linearised at the origin, applied to (q, p)(0); an
-                # overflow ends as non-finite nodes, the coarse grid's blow-up
+                coarse = np.empty((2, coarse_steps + 1), dtype=complex)
+                coarse[:, 0] = _start(zp, v0)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    m = _prefix_products(_step(flow, hessian, np.zeros((2, coarse_steps)), T / coarse_steps)[1])
-                    coarse = np.empty((2, coarse_steps + 1), dtype=complex)
-                    coarse[:, 0] = _start(zp, v0)
                     coarse[:, 1:] = m[:, 0] * coarse[0, :1] + m[:, 1] * coarse[1, :1]
                 nodes, v0 = _newton(flow, hessian, coarse, zp, zpp_star, v0, T / coarse_steps, tol)[:2]
                 if any(abs(v0 - other) <= DEDUPE_TOL for other in tried):

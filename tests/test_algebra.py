@@ -1,7 +1,10 @@
 import cmath
 import itertools
 import math
+import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -447,6 +450,61 @@ def test_loader_gives_finite_symbols_or_a_package_error(data):
 def test_package_exports_every_public_name(module):
     missing = [name for name in module.__all__ if not hasattr(weylpath, name)]
     assert not missing
+
+
+def fresh_python(code: str) -> list:
+    """The lines ``code`` prints in a fresh interpreter that finds this weylpath first."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(weylpath.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.splitlines()
+
+
+MODULES = ("algebra", "coherent", "discrete", "fluctuation", "semiclassics", "wigner")
+
+
+class TestLazyNamespace:
+    """``import weylpath`` loads nothing; a name loads its module on first read (PEP 562)."""
+
+    def test_import_loads_no_numpy_and_no_submodule(self):
+        code = "import sys, weylpath\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'"
+        code += " or m.startswith('weylpath.')))"
+        assert fresh_python(code) == ["[]"]
+
+    def test_a_name_loads_its_module_alone(self):
+        code = "import sys, weylpath\nweylpath.ScaleContext\nprint('ScaleContext' in vars(weylpath))\n"
+        code += "print(sorted(m for m in sys.modules if m.startswith('weylpath.')))"
+        assert fresh_python(code) == ["True", "['weylpath.algebra', 'weylpath.errors']"]
+
+    def test_every_name_is_its_modules_own_object(self):
+        code = (
+            "import importlib, weylpath\n"
+            f"for module in {MODULES!r}:\n"
+            "    mod = importlib.import_module('weylpath.' + module)\n"
+            "    print(module, all(getattr(weylpath, name) is getattr(mod, name) for name in mod.__all__))\n"
+        )
+        assert fresh_python(code) == [f"{module} True" for module in MODULES]
+
+    def test_submodules_resolve_without_an_import(self):
+        code = "import weylpath\nprint(weylpath.errors.__name__, weylpath.semiclassics.__name__, weylpath.cli.__name__)"
+        assert fresh_python(code) == ["weylpath.errors weylpath.semiclassics weylpath.cli"]
+
+    def test_unknown_name_is_an_attribute_error(self):
+        code = "import weylpath\nprint(hasattr(weylpath, 'no_such_name'), getattr(weylpath, 'no_such_name', 0))"
+        assert fresh_python(code) == ["False 0"]
+
+    def test_all_and_dir_are_the_union_of_the_module_lists(self):
+        code = (
+            "import importlib, weylpath\n"
+            "listed, shown = list(weylpath.__all__), dir(weylpath)\n"  # before any module loads
+            f"modules = [importlib.import_module('weylpath.' + m) for m in {MODULES!r}]\n"
+            "names = [name for mod in modules for name in mod.__all__]\n"
+            "print(len(names) == len(set(names)))\n"  # no name in two lists: lookup order is moot
+            "print(sorted(listed) == sorted(names))\n"
+            "print(set(names) <= set(shown))\n"
+        )
+        assert fresh_python(code) == ["True", "True", "True"]
 
 
 H_BOOL = OperatorPoly({(1, 1): 1.0, (0, 0): 0.5})

@@ -291,7 +291,9 @@ class TestPropagate:
 
 
 def test_package_raises_only_its_own_errors():
-    """Every raise in src names a WeylPathError class; argparse's type error is the one exception."""
+    """Every raise in src names a WeylPathError class, but for two raises a protocol asks for:
+    argparse's type error in cli.py, and the AttributeError of the package's PEP 562
+    ``__getattr__``, the one error ``hasattr`` and ``getattr(..., default)`` catch."""
     src = os.path.dirname(os.path.abspath(cli.__file__))
     offenders = []
     for name in sorted(os.listdir(src)):
@@ -299,12 +301,14 @@ def test_package_raises_only_its_own_errors():
             continue
         with open(os.path.join(src, name)) as fh:
             tree = ast.parse(fh.read())
-        for node in ast.walk(tree):
+        for top, node in ((top, node) for top in tree.body for node in ast.walk(top)):
             if not isinstance(node, ast.Raise) or node.exc is None:
                 continue
             target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             raised = ast.unparse(target)
             if name == "cli.py" and raised == "argparse.ArgumentTypeError":
+                continue
+            if (name, getattr(top, "name", None), raised) == ("__init__.py", "__getattr__", "AttributeError"):
                 continue
             cls = getattr(errors, raised.split(".")[-1], None)
             if not (isinstance(cls, type) and issubclass(cls, errors.WeylPathError)):
@@ -768,14 +772,19 @@ README_COMMANDS = [
 ]
 
 
+# the weylpath modules each README command loads, besides algebra, errors and cli
+README_LOADS = [[], ["coherent", "discrete"], ["coherent"], ["coherent", "discrete"],
+                ["coherent", "semiclassics"], ["coherent", "discrete", "wigner"]]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    README_COMMANDS,
+    "argv, loads",
+    list(zip(README_COMMANDS, README_LOADS)),
     ids=["symbols", "harmonic-compare", "propagate-exact", "propagate-w", "semiclassical",
          "wigner-u"],
 )
-def test_readme_command_loads_no_scipy(argv, tmp_path, harmonic_json, quartic_json):
-    # each README command in a fresh process, as a user runs it
+def test_readme_command_loads_no_scipy(argv, loads, tmp_path, harmonic_json, quartic_json):
+    # each README command in a fresh process, as a user runs it; it loads its own modules alone
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -784,9 +793,10 @@ def test_readme_command_loads_no_scipy(argv, tmp_path, harmonic_json, quartic_js
         "from weylpath.cli import main\n"
         f"status = main({argv!r})\n"
         "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m[len('weylpath.'):] for m in sys.modules if m.startswith('weylpath.')))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], cwd=tmp_path, env=env,
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.splitlines()[-1] == "0 []"
+    assert out.stdout.splitlines()[-2:] == ["0 []", repr(sorted(["algebra", "cli", "errors", *loads]))]

@@ -718,6 +718,22 @@ class TestTwoLevelShooting:
         assert repr(res) == repr(single)
         assert abs(res.K - (0.9690436148233127 - 0.25185473681835363j)) <= 1e-15
 
+    def test_coarse_seed_is_built_once_per_call(self, monkeypatch):
+        # the step matrices of the flow linearised at the origin depend on T, the coarse steps
+        # and the symbol alone: one set at zero nodes per call, however many guesses it takes
+        zero_nodes = []
+        real_step = semiclassics._step
+
+        def step(flow, hessian, y, h):
+            zero_nodes.append(not y.any())
+            return real_step(flow, hessian, y, h)
+
+        monkeypatch.setattr(semiclassics, "_step", step)
+        for args, guesses in multi_guess_calls("w"):
+            zero_nodes.clear()
+            semiclassical_K(*args, guesses=guesses)
+            assert zero_nodes.count(True) == 1
+
     def test_a_saddle_whose_refinement_failed_is_not_retried(self, monkeypatch):
         # the coarse v(0) is recorded when its refinement is tried: here the whole-grid stage
         # fails, and the second guess, on the same coarse saddle, is not refined again
