@@ -37,11 +37,6 @@ CUTOFF_TOLERANCE = 1e-10  # default cutoff-doubling tolerance of exact_propagato
 DENSE_BYTES = 2**31  # largest dense arrays one call builds: oracle, lattice, coherent columns
 COHERENT_BYTES = 32  # per Fock state and label, plus one label for the tables, in coherent_matrix:
 # complex columns and two float temporaries (traced peak: 31.1-32.1 at 16-4096 labels, 24 at one)
-PASS_BYTES = 928  # per RK4 step of the full-grid Newton, semiclassics._newton: stage points and
-# generators, Phi_h, step matrices and the 2 x 3 affine scan, the last step's arrays still held (traced
-# peak of a quartic at 16,384 and 65,536 steps)
-CONTINUUM_BYTES = 560  # per RK4 step of det_continuum's finest pass: samples, generators and
-# step matrices (traced peak at 16,384 and 65,536 steps; a checked call has twice the steps)
 ORACLE_MATRICES = 5  # complex (cutoff + 1)^2 arrays alive in the build of a complex H that couples
 # parities: H, eigh's copy, its two work arrays and the eigenvectors (measured peak: 5.1 at cutoff 1000
 # and 2000); a real H peaks at 2.5-2.6 in one block, and at 1.4-1.7 in parity blocks

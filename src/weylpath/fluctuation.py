@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import CONTINUUM_BYTES, _require_dense
+from .coherent import _require_dense
 from .errors import DomainError, InvalidArgument, finite_double, refine
 from .errors import require_finite, require_index, require_nonnegative, require_positive
 from .semiclassics import _linear_rk4, _total_product
@@ -33,6 +33,8 @@ __all__ = [
 
 SINGULAR_VALUE_RATIO = 1e-13  # smallest/largest singular value below this: singular to double precision
 RECURSION_CHUNK = 4096  # transfer matrices det_recursive multiplies as one tree: bounds its working memory
+CONTINUUM_BYTES = 560  # per RK4 step of det_continuum's finest pass: samples, generators and
+# step matrices (traced peak at 16,384 and 65,536 steps; a checked call has twice the steps)
 
 
 @dataclass(frozen=True)
@@ -223,7 +225,7 @@ def det_continuum(
         If halving the step moves Delta(T) by more than ``step_tolerance``.
     DomainError
         If Delta(T) of either pass is not a finite double, or the finest
-        pass (``coherent.CONTINUUM_BYTES`` per step) would take more than
+        pass (``CONTINUUM_BYTES`` per step) would take more than
         ``coherent.DENSE_BYTES``, refused before A, B or C is called.
     InvalidArgument
         If T is negative or not finite, ``steps`` is a boolean, not an

@@ -18,7 +18,8 @@ it.  For a quartic the same Newton first solves a coarse grid of at least
 ``MIN_STEPS`` steps, seeded by the RK4 steps of the flow linearised at the
 origin (``_step`` at zero nodes, one ``_prefix_products``) applied to
 (z', v(0)); that fixes the saddle, and the cubic-Hermite interpolant of its
-nodes seeds the full grid (nested iteration).  Of several guesses, one whose
+nodes seeds the full grid (nested iteration).  The default v(0) is the one
+whose coarse seed meets v(T) = conj(z'').  Of several guesses, one whose
 coarse v(0) repeats one already refined is not refined again.  The nodes
 are mapped back to (u, v, du, dv); RK4 commutes with that map.
 """
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import OperatorPoly, SymbolPoly, form_s, symbol_for_form
-from .coherent import PASS_BYTES, _require_dense, overlap
+from .coherent import _require_dense, overlap
 from .errors import CausticWarning, DomainError, InvalidArgument, NonConverged
 from .errors import finite_double, require_finite, require_index, require_nonnegative
 from .errors import require_positive
@@ -56,6 +57,8 @@ DEDUPE_TOL = 1e-6  # shooting results whose v(0) differ by less are one trajecto
 MIN_STEPS = 16  # fewest RK4 steps of a shooting grid, coarse or full
 COARSE_FACTOR = 8  # the coarse shooting grid has 1/COARSE_FACTOR of the full grid's steps
 MAX_ITER = 30  # Newton steps per shooting grid before it counts as stalled
+PASS_BYTES = 928  # per RK4 step of _newton's full grid: stage points and generators, Phi_h, step
+# matrices, the 2 x 3 affine scan and the last step's arrays (traced peak, quartic, 16,384-65,536 steps)
 _DOUBLING_SCAN = 128  # longest stack of step matrices _prefix_products scans by doubling, not halving
 _R = 0.5**0.5
 _TO_UV = np.kron(np.eye(2), [[_R, 1j * _R], [_R, -1j * _R]])  # (q, p, dq, dp) -> (u, v, du, dv)
@@ -221,28 +224,6 @@ def _hermite(y: np.ndarray, hdy: np.ndarray, s: np.ndarray) -> np.ndarray:
     )
 
 
-def quadratic_guess(
-    H_sym: SymbolPoly, zp: complex, zpp_star: complex, T: float, hbar: float
-) -> complex:
-    """Initial v(0): solve the boundary problem for the quadratic part of H.
-
-    The linear flow of the Hessian at the origin has the traceless generator
-    J = (-i/hbar) [[H_uv, H_vv], [-H_uu, -H_uv]], so J^2 = k^2 with
-    k^2 = (H_uu H_vv - H_uv^2) / hbar^2 and exp(J T) = cosh(kT) + J sinh(kT)/k.
-    Falls back to conj(z'') where that is singular or overflows.
-    """
-    _, _, _, huu, hvv, huv = H_sym.jet(0j, 0j)
-    k = cmath.sqrt(huu * hvv - huv * huv) / hbar
-    try:
-        cosh, sinh_k = cmath.cosh(k * T), (cmath.sinh(k * T) / k if k else T)
-    except OverflowError:
-        return zpp_star
-    m11 = cosh + (1j / hbar) * huv * sinh_k
-    if abs(m11) < 1e-12:
-        return zpp_star
-    return complex((zpp_star - (1j / hbar) * huu * sinh_k * zp) / m11)
-
-
 def _newton(flow, hessian, y: np.ndarray, zp: complex, zpp_star, v0: complex, h: float, tol,
             linear=False):
     """Whole-grid Newton on the RK4 nodes ``y`` = (q, p)_k, k = 0 .. N, from u(0) = z', v(0) = v0,
@@ -255,9 +236,10 @@ def _newton(flow, hessian, y: np.ndarray, zp: complex, zpp_star, v0: complex, h:
     the affine stack [M_k | r_k] gives delta_k = P_k delta_0 + a_k
     (multiple-shooting condensing; Ascher, Mattheij & Russell, *Numerical
     Solution of BVPs for ODEs*, 1995), and v(T) = conj(z'') fixes s.  P_k
-    times (dq, dp)(0) is the tangent.  From the nodes of an RK4 pass, which
-    no solve starts from, every r_k is 0 to round-off and the first step is
-    shooting's on v(0): s = (conj(z'') - v(T)) / dv(T).
+    times (dq, dp)(0) is the tangent.  From the nodes of an RK4 pass every
+    r_k is 0 to round-off and the first step is shooting's on v(0): s =
+    (conj(z'') - v(T)) / dv(T).  The coarse seed is the RK4 pass of the flow
+    linearised at the origin: its r_k come from the non-quadratic terms.
 
     Stops after the first step whose correction is below ``tol`` in every
     node and component, max |delta| taken absolute, and applies it.  With
@@ -330,16 +312,21 @@ def _trajectories(H_sym: SymbolPoly, zp, zpp_star, T, steps, guesses: list, hbar
     coarse_steps += coarse_steps % 2
     zp, linear = complex(zp), H_sym.degree <= 2
     flow, hessian = H_sym.flow(hbar)
+    start = zpp_star  # the default v(0); a linear flow's constant seed meets both ends
     if not linear:
         # the prefix products of the RK4 steps of the flow linearised at the origin, which carry
         # each guess's (q, p)(0) to its coarse seed; an overflow ends as non-finite nodes, the
         # coarse grid's blow-up
         with np.errstate(over="ignore", invalid="ignore"):
             m = _prefix_products(_step(flow, hessian, np.zeros((2, coarse_steps)), T / coarse_steps)[1])
+            # along them v(T) = a z' + b v(0): the default v(0) whose seed meets v(T) = conj(z'')
+            a, b = (_v(m[..., -1] @ _start(*uv)) for uv in ((1, 0), (0, 1)))
+            if abs(b) >= 1e-12:
+                start = complex((zpp_star - a * zp) / b)
 
     trajectories, failures, tried = [], [], []  # tried: each refined seed's coarse v(0)
     for guess in guesses:
-        v0 = quadratic_guess(H_sym, zp, zpp_star, T, hbar) if guess is None else complex(guess)
+        v0 = start if guess is None else complex(guess)
         try:
             if linear:
                 seed = np.empty((2, steps + 1), dtype=complex)
@@ -419,8 +406,9 @@ def solve_bvp(
         RK4 steps of the full grid, rounded up to even (Simpson's rule);
         any integer type, numpy integers included.
     guess : complex, optional
-        Starting v(0), which must be finite; default propagates conj(z'')
-        backwards with the quadratic part of the symbol.
+        Starting v(0), which must be finite; default the v(0) whose coarse
+        seed meets v(T) = conj(z''), or conj(z'') where |dv(T)/dv(0)| of that
+        seed is below 1e-12 or the symbol's degree is at most 2.
 
     Raises
     ------
@@ -430,7 +418,7 @@ def solve_bvp(
         singular, or a correction is not finite; the message names the
         grid by its steps.
     DomainError
-        If one full-grid Newton step (``coherent.PASS_BYTES`` per RK4 step)
+        If one full-grid Newton step (``PASS_BYTES`` per RK4 step)
         would take more than ``coherent.DENSE_BYTES``, before the first step.
     InvalidArgument
         If T is not finite and positive (the rule of ``require_nonnegative``,
@@ -588,9 +576,11 @@ def semiclassical_K(
         - (|z'|^2 + |z''|^2)/2}
 
     with sigma = 1 + 2s from the form's ordering parameter s
-    (``algebra.FORM_S``): +1 (q), -1 (p), 0 (w).  Every converged, deduplicated
-    trajectory is reported; contributing-saddle selection is left to the
-    caller.  Each guess is solved as by :func:`solve_bvp`, in turn, but a
+    (``algebra.FORM_S``): +1 (q), -1 (p), 0 (w).  K sums the term of every
+    distinct saddle its guesses reach, each reported in ``contributions``:
+    no rule decides which saddles contribute, so a saddle beyond a Stokes
+    line, whose term can be exponentially large, is added as well.  Each
+    guess is solved as by :func:`solve_bvp`, in turn, but a
     guess whose v(0) on the coarse grid lies within ``DEDUPE_TOL`` of the
     coarse v(0) of a guess already refined on the full grid, converged or
     not, is not refined again, and a trajectory whose v(0) lies within

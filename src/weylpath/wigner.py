@@ -102,6 +102,14 @@ def _axes(qs, ps) -> tuple[np.ndarray, np.ndarray]:
     return qs, ps
 
 
+def _uniform_step(axis: np.ndarray, name: str) -> float:
+    """The signed step of a float axis of two or more values; refuses zero or unequal steps."""
+    step = (axis[-1] - axis[0]) / (len(axis) - 1)
+    if step == 0 or np.max(np.abs(np.diff(axis) - step)) > 1e-9 * abs(step):  # rounding only
+        raise InvalidArgument(f"{name} must be uniformly spaced with a non-zero step, got {axis}")
+    return float(step)
+
+
 def hermite_functions(xs: np.ndarray, nmax: int, b: float) -> np.ndarray:
     """Orthonormal oscillator eigenfunctions <x|n>, n = 0..nmax.
 
@@ -226,9 +234,7 @@ def weyl_U_grid(
     k_content = ctx.c * root + np.max(np.abs(ps))
     dq = h_max = 0.5 * math.pi * ctx.hbar / (CHORD_OVERSAMPLING * k_content)
     if len(qs) > 1:
-        dq = (qs[-1] - qs[0]) / (len(qs) - 1)
-        if dq == 0 or np.max(np.abs(np.diff(qs) - dq)) > 1e-9 * abs(dq):  # rounding only
-            raise InvalidArgument("weyl_U_grid needs a uniformly spaced q axis")
+        dq = _uniform_step(qs, "qs")
     k = math.ceil(abs(dq) / h_max)
     # the check evaluates the kernel once at half the step; the coarse
     # trapezoid reads every other chord node
@@ -310,16 +316,19 @@ def smoothing_check(
     DomainError
         If no interior points survive the margin requirement.
     InvalidArgument
-        If ``margin_sigmas`` is not positive or the grids differ in geometry.
+        If ``margin_sigmas`` is not positive, the grids differ in geometry,
+        an axis is not uniform (it may decrease) or a value is not finite.
     """
     require_positive(margin_sigmas=margin_sigmas)
     if not weyl_grid.same_geometry(husimi_grid):
         raise InvalidArgument("weyl and husimi grids must share their geometry")
+    require_finite(weyl_values=weyl_grid.values, husimi_values=husimi_grid.values)
+    qs, ps = _axes(weyl_grid.qs, weyl_grid.ps)
     nq, npts = weyl_grid.values.shape
     if min(nq, npts) < 2:
         raise DomainError(f"one-point axes leave no interior on a {nq} x {npts} grid")
-    dq = abs(float(weyl_grid.qs[1] - weyl_grid.qs[0]))  # axes may decrease
-    dp = abs(float(weyl_grid.ps[1] - weyl_grid.ps[0]))
+    dq = abs(_uniform_step(qs, "qs"))
+    dp = abs(_uniform_step(ps, "ps"))
     Gq = _gaussian_band(nq, dq / ctx.b)
     Gp = _gaussian_band(npts, dp / ctx.c)
     smoothed = Gq @ weyl_grid.values @ Gp.T
@@ -348,7 +357,9 @@ def area_identity(
     z_x = (q/b + i p/c)/sqrt(2); rhs resolves the same number into oriented
     areas sum_k (-1)^(k+1) (2i/hbar)(Q_k p - P_k q) with (Q_k, P_k) the
     phase-space decomposition of w_k.  The rhs involves no widths at all.
+    A boolean or non-finite q or p raises :class:`InvalidArgument`.
     """
+    require_finite(q=q, p=p)
     C, Cbar = chord_coefficients(path)
     c_star = -Cbar  # equals conj(C) on real-section paths
     z_x = ctx.z_from_qp(q, p)

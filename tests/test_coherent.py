@@ -41,7 +41,7 @@ from weylpath import (
     weyl_symbol,
     weyl_U_grid,
 )
-from weylpath import coherent, semiclassics
+from weylpath import coherent, fluctuation, semiclassics
 from weylpath.coherent import coherent_matrix
 from weylpath.wigner import hermite_functions
 from weylpath.errors import DomainError, InvalidArgument, NonConverged, refine
@@ -765,15 +765,15 @@ class TestTrajectoryBudget:
     def test_counts_the_steps_at_the_call(self, monkeypatch):
         # 64 shooting steps, and det_continuum's finest pass: twice the steps when checked
         sym = weyl_symbol(H_QUARTIC)
-        monkeypatch.setattr(coherent, "DENSE_BYTES", coherent.PASS_BYTES * 64)
+        monkeypatch.setattr(coherent, "DENSE_BYTES", semiclassics.PASS_BYTES * 64)
         solve_bvp(sym, 0.3, 0.2, 0.5, steps=64)
-        monkeypatch.setattr(coherent, "DENSE_BYTES", coherent.PASS_BYTES * 64 - 1)
+        monkeypatch.setattr(coherent, "DENSE_BYTES", semiclassics.PASS_BYTES * 64 - 1)
         with pytest.raises(DomainError, match="a shooting pass of 64 RK4 steps"):
             solve_bvp(sym, 0.3, 0.2, 0.5, steps=64)
         one = lambda t: 1.0
-        monkeypatch.setattr(coherent, "DENSE_BYTES", coherent.CONTINUUM_BYTES * 32)
+        monkeypatch.setattr(coherent, "DENSE_BYTES", fluctuation.CONTINUUM_BYTES * 32)
         det_continuum(one, one, one, 0.5, steps=16)
-        monkeypatch.setattr(coherent, "DENSE_BYTES", coherent.CONTINUUM_BYTES * 32 - 1)
+        monkeypatch.setattr(coherent, "DENSE_BYTES", fluctuation.CONTINUUM_BYTES * 32 - 1)
         with pytest.raises(DomainError, match=r"Delta\(T\) on 32 RK4 steps"):
             det_continuum(one, one, one, 0.5, steps=16)
 
@@ -793,7 +793,7 @@ class TestTrajectoryBudget:
             continuum = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        for peak, per_step in ((shooting, coherent.PASS_BYTES), (continuum, coherent.CONTINUUM_BYTES)):
+        for peak, per_step in ((shooting, semiclassics.PASS_BYTES), (continuum, fluctuation.CONTINUUM_BYTES)):
             assert 0.7 * per_step * steps < peak < 1.05 * per_step * steps
 
 

@@ -35,11 +35,7 @@ from weylpath.errors import (
     NonConverged,
 )
 from weylpath import det_continuum, fluctuation, semiclassics
-from weylpath.semiclassics import (
-    quadratic_guess,
-    tracked_prefactor,
-    trajectory_hessian_samplers,
-)
+from weylpath.semiclassics import tracked_prefactor, trajectory_hessian_samplers
 
 CTX = ScaleContext.default()
 H_HARM = harmonic_hamiltonian(CTX)
@@ -148,6 +144,21 @@ def uv_shoot(rhs, zp, zpp_star, v0, T, steps, tol):
     raise NonConverged("the (u, v) shooting stalled")
 
 
+def quadratic_closed_form(H_sym, zp, zpp_star, T, hbar) -> complex:
+    """v(0) solving the boundary problem of the quadratic part of H in closed form, as the
+    reference for the default start: the Hessian at the origin has the traceless generator
+    J = (-i/hbar) [[H_uv, H_vv], [-H_uu, -H_uv]], so J^2 = k^2 with k^2 = (H_uu H_vv - H_uv^2) /
+    hbar^2 and exp(J T) = cosh(kT) + J sinh(kT)/k; conj(z'') where its v(0) coefficient is
+    below 1e-12 in modulus."""
+    _, _, _, huu, hvv, huv = H_sym.jet(0j, 0j)
+    k = cmath.sqrt(huu * hvv - huv * huv) / hbar
+    cosh, sinh_k = cmath.cosh(k * T), (cmath.sinh(k * T) / k if k else T)
+    m11 = cosh + (1j / hbar) * huv * sinh_k
+    if abs(m11) < 1e-12:
+        return zpp_star
+    return complex((zpp_star - (1j / hbar) * huu * sinh_k * zp) / m11)
+
+
 def uv_trajectories(H_sym, zp, zpp_star, T, steps, guesses, hbar, tol):
     """``semiclassics._trajectories`` by ``uv_shoot`` from each guess, as the reference: every
     guess's trajectory but one whose v(0) lies within ``DEDUPE_TOL`` of one kept, and no failures
@@ -155,7 +166,7 @@ def uv_trajectories(H_sym, zp, zpp_star, T, steps, guesses, hbar, tol):
     steps += steps % 2
     trajectories = []
     for guess in guesses:
-        start = quadratic_guess(H_sym, zp, zpp_star, T, hbar) if guess is None else complex(guess)
+        start = quadratic_closed_form(H_sym, zp, zpp_star, T, hbar) if guess is None else complex(guess)
         nodes, v0, iteration, residual = uv_shoot(jet_rhs(H_sym, hbar), zp, zpp_star, start, T, steps, tol)
         if any(abs(v0 - kept.v0) <= semiclassics.DEDUPE_TOL for kept in trajectories):
             continue
@@ -363,24 +374,47 @@ class TestSolveBvp:
             with pytest.raises(NonConverged, match=r"^trajectory blew up from v\(0\) = .* on the grid of 64 steps$"):
                 solve_bvp(sym, 0.3, 0.2, T, steps=512)
 
-    def test_quadratic_guess_matches_harmonic_exactly(self):
-        g = quadratic_guess(SYM_W, 0.3, 0.5 - 0.1j, 1.3, 1.0)
-        assert abs(g - (0.5 - 0.1j) * np.exp(-1.3j)) < 1e-12
-
-    def test_quadratic_guess_inverted_oscillator_overflow(self):
-        # cosh(kT) and sinh(kT)/k overflow at k T = 800: fall back to conj(z'')
-        inverted = SymbolPoly({(0, 2): -0.5, (2, 0): -0.5})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert quadratic_guess(inverted, 0.3, 0.2 - 0.1j, 800.0, 1.0) == 0.2 - 0.1j
-
-    @pytest.mark.parametrize("T", [0.4, 2.5])
-    def test_quadratic_guess_inverted_oscillator_closed_form(self, T):
-        # H = -(u^2 + v^2)/2: v(T) = cosh(T) v(0) - i sinh(T) u(0)
-        inverted = SymbolPoly({(0, 2): -0.5, (2, 0): -0.5})
+    @pytest.mark.parametrize(
+        "sym, T",
+        [(SYM_W, 1.3), *((SymbolPoly({(0, 2): -0.5, (2, 0): -0.5}), T) for T in (0.4, 2.5))],
+        ids=["harmonic", "inverted-0.4", "inverted-2.5"],
+    )
+    def test_quadratic_symbol_converges_to_the_closed_form(self, sym, T):
+        # the constant seed at (z', conj(z'')) and one exact step: v(0) solves the quadratic
+        # boundary problem, exp(J T) in closed form (cosh and sinh; the oscillator's e^(-iT))
         zp, zpp_star = 0.3 + 0.1j, 0.2 - 0.1j
-        v0 = quadratic_guess(inverted, zp, zpp_star, T, 1.0)
-        assert abs(np.cosh(T) * v0 - 1j * np.sinh(T) * zp - zpp_star) < 1e-12
+        v0 = solve_bvp(sym, zp, zpp_star, T).v0
+        assert abs(v0 - quadratic_closed_form(sym, zp, zpp_star, T, 1.0)) < 1e-12
+        if sym is SYM_W:
+            assert abs(v0 - zpp_star * np.exp(-1j * T)) < 1e-12
+
+    @pytest.mark.parametrize("symbol_fn", [q_symbol, p_symbol, weyl_symbol], ids=["q", "p", "w"])
+    @pytest.mark.parametrize(
+        "zp, zpp_star, T", [(0.7, 0.5 - 0.2j, 0.8), (0.3 + 0.2j, -0.4 + 0.1j, 2.5)], ids=["T0.8", "T2.5"])
+    def test_default_start_is_the_closed_form_of_the_quadratic_part(
+        self, monkeypatch, symbol_fn, zp, zpp_star, T
+    ):
+        # the coarse seed's step-matrix product is the RK4 image of exp(J T): the default v(0)
+        # it gives meets the closed form's to the RK4 error of the coarse grid
+        starts = []
+        real_newton = semiclassics._newton
+        monkeypatch.setattr(
+            semiclassics, "_newton", lambda *a: starts.append(a[5]) or real_newton(*a))
+        sym = symbol_fn(quartic_position_hamiltonian(0.1, CTX))
+        solve_bvp(sym, zp, zpp_star, T)
+        assert abs(starts[0] - quadratic_closed_form(sym, zp, zpp_star, T, 1.0)) < 1e-6
+
+    def test_default_start_falls_back_where_the_product_is_singular(self, monkeypatch):
+        # |b| = |dv(T)/dv(0)| of the seed's product below 1e-12: start at conj(z''), with no
+        # division by zero (warnings are errors), and the coarse Newton meets the same singular b
+        starts = []
+        real_newton = semiclassics._newton
+        monkeypatch.setattr(
+            semiclassics, "_newton", lambda *a: starts.append(a[5]) or real_newton(*a))
+        faulty_kernel(monkeypatch, lambda nodes, m: 0 * m if nodes == 64 else m)
+        with pytest.raises(NonConverged, match="singular shooting Jacobian"):
+            solve_bvp(QUARTIC_W, 0.7, 0.5 - 0.2j, 0.8)
+        assert starts == [0.5 - 0.2j]
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -25,7 +25,7 @@ from weylpath import (
     weyl_U_grid,
 )
 from weylpath import coherent, wigner
-from weylpath.errors import DomainError, NonConverged
+from weylpath.errors import DomainError, InvalidArgument, NonConverged
 from weylpath.wigner import hermite_functions
 
 CTX = ScaleContext.default()
@@ -295,6 +295,12 @@ class TestHusimiUGrid:
         assert np.max(np.abs(np.imag(grid.values))) > 1e-3
 
 
+def smoothing_pair(qs, ps):
+    """The harmonic oscillator's Weyl and Husimi grids at T = 0.7, cutoff 60."""
+    return (weyl_U_grid(H_HARM, CTX, 0.7, qs, ps, cutoff=60),
+            husimi_U_grid(H_HARM, CTX, 0.7, qs, ps, cutoff=60))
+
+
 class TestSmoothing:
     def test_zero_time(self):
         qs, ps = phase_grid_axes(CTX)
@@ -390,6 +396,35 @@ class TestSmoothing:
         with pytest.raises(ValueError):
             smoothing_check(gw, gh, CTX)
 
+    def test_non_uniform_p_axis_refused(self):
+        # the p step was read off the first two values alone: a non-uniform p axis, which both
+        # grids take, gave a deviation of 0.131 against 0.0103 on the uniform axis
+        qs, ps = phase_grid_axes(CTX, nq=33, npts=33)
+        assert smoothing_check(*smoothing_pair(qs, ps), CTX) < 0.02
+        ps[1] += 0.1
+        with pytest.raises(InvalidArgument, match="^ps must be uniformly spaced"):
+            smoothing_check(*smoothing_pair(qs, ps), CTX)
+
+    def test_non_uniform_q_axis_refused(self):
+        # weyl_U_grid refuses such a q axis, but a PhaseSpaceGrid of any axes reached the check
+        qs, ps = phase_grid_axes(CTX, nq=24, npts=24)
+        qs[5] -= 0.05
+        grid = PhaseSpaceGrid(qs, ps, np.zeros((24, 24), dtype=complex))
+        with pytest.raises(InvalidArgument, match="^qs must be uniformly spaced"):
+            smoothing_check(grid, grid, CTX)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_values_refused(self, value):
+        # a NaN or infinite grid value made the deviation NaN, returned unchecked
+        qs, ps = phase_grid_axes(CTX, nq=24, npts=24)
+        good = PhaseSpaceGrid(qs, ps, np.zeros((24, 24), dtype=complex))
+        bad = PhaseSpaceGrid(qs, ps, good.values.copy())
+        bad.values[12, 12] = value
+        with pytest.raises(InvalidArgument, match="^weyl_values must be finite"):
+            smoothing_check(bad, good, CTX)
+        with pytest.raises(InvalidArgument, match="^husimi_values must be finite"):
+            smoothing_check(good, bad, CTX)
+
     def test_margin_too_small(self):
         qs, ps = phase_grid_axes(CTX, nq=12, npts=12, q_widths=2.0, p_widths=2.0)
         gw = weyl_U_grid(H_HARM, CTX, 0.0, qs, ps, cutoff=40, check=False)
@@ -403,6 +438,16 @@ class TestSmoothing:
 
 
 class TestAreaIdentity:
+    @pytest.mark.parametrize(
+        "q, p, name", [(np.nan, 0.3, "q"), (0.4, np.inf, "p"), (True, 0.3, "q"), (0.4, "0.3", "p")],
+        ids=["nan-q", "inf-p", "bool-q", "string-p"],
+    )
+    def test_non_finite_or_boolean_point_refused(self, q, p, name):
+        # a NaN q returned a NaN pair, and True ran as 1
+        path = DiscreteWPath(w=np.array([0.3 + 0.1j, -0.2j]), tau=0.1, zp=0.0, zpp=0.0)
+        with pytest.raises(InvalidArgument, match=f"^{name} must be"):
+            area_identity(path, q, p, CTX)
+
     def test_degenerate_pair_has_zero_area(self):
         path = DiscreteWPath(w=np.array([1.0, 1.0]), tau=0.1, zp=0.0, zpp=0.0)
         lhs, rhs = area_identity(path, 0.4, -0.3, CTX)
