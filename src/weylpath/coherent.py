@@ -39,7 +39,7 @@ COHERENT_BYTES = 32  # per Fock state and label, plus one label for the tables, 
 # complex columns and two float temporaries (traced peak: 31.1-32.1 at 16-4096 labels, 24 at one)
 ORACLE_MATRICES = 5  # complex (cutoff + 1)^2 arrays alive in the build of a complex H that couples
 # parities: H, eigh's copy, its two work arrays and the eigenvectors (measured peak: 5.1 at cutoff 1000
-# and 2000); a real H peaks at 2.5-2.6 in one block, and at 1.4-1.7 in parity blocks
+# and 2000); a real H peaks at 2.5-2.6 in one block, and at 1.4-1.5 in parity blocks (H and its real part)
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,10 @@ def _labels(zs, cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def coherent_matrix(zs, cutoff: int) -> np.ndarray:
     """Column-stacked coherent vectors e^{-|z|^2/2} z^n / sqrt(n!), n = 0..cutoff.
 
-    The modulus is exp(-|z|^2/2 + n log|z| - lgamma(n+1)/2) and the phase a
-    running product of the unit number z/|z|, so no intermediate overflows
-    or underflows where the amplitude itself is representable.
+    The modulus is exp(-|z|^2/2 + n log|z| - lgamma(n+1)/2) and the phase the
+    power (z/|z|)^n, built by doubling (rows k+1..2k are rows 1..k times row
+    k, ceil(log2 cutoff) products), so no intermediate overflows or
+    underflows where the amplitude itself is representable.
 
     Raises
     ------
@@ -108,8 +109,12 @@ def coherent_matrix(zs, cutoff: int) -> np.ndarray:
     r1 = np.maximum(r, np.finfo(float).tiny)  # a zero label keeps n = 0 alone
     cols = np.empty((cutoff + 1, zs.size), dtype=complex)
     cols[0] = 1.0
-    np.divide(zs, r1, out=cols[1:])
-    np.cumprod(cols, axis=0, out=cols)
+    np.divide(zs, r1, out=cols[1:2])
+    k = 1  # rows 0..k hold the powers 0..k
+    while k < cutoff:
+        step = min(k, cutoff - k)
+        np.multiply(cols[1:step + 1], cols[k], out=cols[k + 1:k + step + 1])
+        k += step
     cols *= np.exp(n * np.log(r1) - half_log_fact - half_r2)
     tail = float(np.max(1.0 - np.sum(np.abs(cols) ** 2, axis=0)))
     if not tail <= TAIL_THRESHOLD:  # NaN-aware
@@ -164,9 +169,10 @@ class FockOracle:
     ``eigh`` runs on the smallest real problems the Fock matrix allows: its
     real part where the imaginary part is exactly zero, and the even and odd
     photon-number blocks apart where no entry couples them (an H even in q
-    and p keeps parity).  ``evals`` ascends over both blocks; ``evecs`` is
-    the full (cutoff + 1)^2 eigenbasis, real when the matrix is, applied
-    through :meth:`to_eigenbasis` and :meth:`from_eigenbasis`.
+    and p keeps parity).  ``blocks`` holds each block once, as (rows, evals,
+    vectors): the Fock rows it spans (a slice), its ascending eigenvalues and
+    its eigenvectors, real when the matrix is.  No (cutoff + 1)^2 eigenbasis
+    is assembled; every use sums over the blocks through :meth:`eigen_blocks`.
     """
 
     def __init__(self, op: OperatorPoly, cutoff: int = DEFAULT_CUTOFF):
@@ -179,54 +185,38 @@ class FockOracle:
         if not mat.imag.any():
             mat = mat.real.copy()  # frees the complex matrix
         coupled = mat[0::2, 1::2].any() or mat[1::2, 0::2].any()
-        blocks = [slice(None)] if coupled else [slice(0, None, 2), slice(1, None, 2)]
-        parts = [np.linalg.eigh(mat[b, b]) for b in blocks]
-        evals = np.concatenate([w for w, _ in parts])
-        order = np.argsort(evals, kind="stable")
-        column = np.empty_like(order)
-        column[order] = np.arange(order.size)  # where each block's eigenvectors land, in turn
-        self.evals, self.evecs = evals[order], np.zeros_like(mat)
-        start = 0
-        for b, (w, v) in zip(blocks, parts):
-            self.evecs[b, column[start:start + w.size]] = v
-            start += w.size
-
-    def _phases(self, T: float) -> np.ndarray:
-        require_finite(T=T)
-        return np.exp(-1j * self.evals * T / self.hbar)
+        rows = [slice(None)] if coupled else [slice(0, None, 2), slice(1, None, 2)]
+        self.blocks = tuple((b, *np.linalg.eigh(mat[b, b])) for b in rows)
 
     @property
     def real(self) -> bool:
         """Whether the eigenbasis is real (a real Fock matrix), and with it <k|x> of a real x."""
-        return not np.iscomplexobj(self.evecs)
+        return not np.iscomplexobj(self.blocks[0][2])
 
-    def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
-        """evecs^dagger x: the amplitudes <k|x> of Fock columns x (C-contiguous when complex);
-        real for a real x where the eigenbasis is real."""
-        if np.iscomplexobj(self.evecs):
-            return self.evecs.conj().T @ x
-        return _real_product(self.evecs.T, x)
-
-    def from_eigenbasis(self, c: np.ndarray) -> np.ndarray:
-        """evecs c: the Fock columns of eigenbasis amplitudes c (C-contiguous when complex)."""
-        if np.iscomplexobj(self.evecs):
-            return self.evecs @ c
-        return _real_product(self.evecs, c)
+    def eigen_blocks(self, x: np.ndarray, T: float):
+        """Each block's phases e^{-i E_k T/hbar} and amplitudes <k|x> = V^dagger x[rows] of the
+        Fock columns x (2-D), one block at a time; the amplitudes are a new array, real for a real
+        x where the eigenbasis is real."""
+        require_finite(T=T)
+        return ((np.exp(-1j * w * T / self.hbar), _adjoint_product(v, x[rows]))
+                for rows, w, v in self.blocks)
 
     def propagator(self, z1: complex, z2, T: float):
-        """<z2|exp(-i H T / hbar)|z1>, vectorised over an array of z2."""
-        v1 = coherent_matrix(z1, self.cutoff)[:, 0]
-        evolved = self.from_eigenbasis(self._phases(T) * self.to_eigenbasis(v1))
-        vals = coherent_matrix(z2, self.cutoff).conj().T @ evolved
+        """<z2|exp(-i H T / hbar)|z1> = sum_k conj(<k|z2>) e^{-i E_k T/hbar} <k|z1>, vectorised
+        over an array of z2; one set of coherent columns holds z1 and every z2."""
+        cols = coherent_matrix(np.append(z1, z2), self.cutoff)
+        vals = sum(a[:, 1:].conj().T @ (phases * a[:, 0]) for phases, a in self.eigen_blocks(cols, T))
         return complex(vals[0]) if np.ndim(z2) == 0 else vals
 
 
-def _real_product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ x for a real matrix m; a complex x is multiplied through its float view, one real
-    product over its real and imaginary parts, with no complex copy of m."""
+def _adjoint_product(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """v^dagger x; for a real v a complex x is multiplied through its float view, one real product
+    over its real and imaginary parts, with no complex copy of v."""
+    if np.iscomplexobj(v):
+        return v.conj().T @ x
     if not np.iscomplexobj(x):
-        return m @ x
-    return (m @ x.view(float).reshape(len(x), -1)).view(complex).reshape(x.shape)
+        return v.T @ x
+    return (v.T @ x.view(float)).view(complex)
 
 
 def exact_propagator(

@@ -1,17 +1,19 @@
 """Weyl symbol of the evolution operator and its Husimi counterpart.
 
 Both grids apply the truncated evolution operator U in the Fock oracle's
-eigenbasis (E_k, |k>): the Weyl grid is a trapezoid transform over the chord
-length of <x|U|y> = sum_k conj(<k|x>) e^{-i E_k T/hbar} <k|y> on one position
-lattice through every q of a uniform axis and both ends of every chord, the
-Husimi grid <z|U|z> = sum_k e^{-i E_k T/hbar} |<k|z>|^2.  Their Gaussian-
-smoothing relation and the discrete symplectic-area identity are checks.
+eigenbasis (E_k, |k>), summed block by block over its parity blocks: the Weyl
+grid is a trapezoid transform over the chord length of
+<x|U|y> = sum_k conj(<k|x>) e^{-i E_k T/hbar} <k|y> on one position lattice
+through every q of a uniform axis and both ends of every chord, the Husimi
+grid <z|U|z> = sum_k e^{-i E_k T/hbar} |<k|z>|^2.  Their Gaussian-smoothing
+relation and the discrete symplectic-area identity are checks.
 
 A real H has a real eigenbasis, so <k|x> is real and <x|U|y> = <y|U|x>: the
 chord kernel is even in the chord and the Weyl symbol even in p (time
 reversal).  The Weyl grid then sums the kernel over half the chord, in real
-products; a complex eigenbasis sums <x|n> <n|U|y> over the Fock states on the
-whole chord, also in real products.
+products, and takes its cosine transform; a complex eigenbasis sums
+<x|n> <n|U|y> over the Fock states on the whole chord, also in real products,
+and transforms its even and odd parts in the chord with cosines and sines.
 
 A rank-(cutoff+1) truncation leaves a weak oscillation on Weyl symbols with
 local wavenumber up to 2 sqrt(2 cutoff)/b.  The smoothing kernel annihilates
@@ -140,27 +142,33 @@ def hermite_functions(xs: np.ndarray, nmax: int, b: float) -> np.ndarray:
     return out
 
 
-def _chord_transform(
-    kernel: np.ndarray, s: np.ndarray, ps: np.ndarray, hbar: float
-) -> np.ndarray:
-    """Trapezoid rule for int ds kernel(q, s) exp(i p s / hbar) on the uniform nodes s."""
+def _chord_transform(even, odd, s: np.ndarray, ps: np.ndarray, hbar: float, every: int) -> np.ndarray:
+    """Trapezoid rule for int ds K(q, s) exp(i p s / hbar) over the whole chord -s_m..s_m, read off
+    the kernel's even and odd parts in s on every ``every``-th node s_t >= 0 of the uniform s:
+    sum_t w_t (even cos + i odd sin)(p s_t / hbar), w_t = h at both ends and 2 h elsewhere.
+    ``odd`` is None for an even kernel, which takes the cosine transform alone."""
+    s = s[::every]
     hs = abs(s[1] - s[0])
-    trap = np.full(len(s), hs)
-    trap[0] = trap[-1] = 0.5 * hs
-    fourier = np.exp(1j * np.outer(s, ps) / hbar)
-    return (kernel * trap[None, :]) @ fourier
+    trap = np.full(len(s), 2.0 * hs)
+    trap[0] = trap[-1] = hs
+    phase = np.outer(s, ps) / hbar
+    values = (even[:, ::every] * trap) @ np.cos(phase)
+    if odd is not None:
+        values += 1j * ((odd[:, ::every] * trap) @ np.sin(phase))
+    return values
 
 
-def _chord_kernel(oracle, table: np.ndarray, T: float, m: int, stride: int) -> np.ndarray:
-    """<q - s/2| U |q + s/2> on the chord nodes t = -m..m, s = 2 t h, of every q = x_{m + i stride}.
+def _chord_kernel(oracle, table: np.ndarray, T: float, m: int, stride: int):
+    """The even and odd parts in the chord of <q - s/2| U |q + s/2> on the chord nodes t = 0..m,
+    s = 2 t h, of every q = x_{m + i stride}; the odd part is None where it vanishes.
 
     ``table`` holds the real <n|x> = phi_n(x) on the lattice x_j = x_0 + h j, and the caller
-    keeps no reference to it, so the real path frees it once <k|x> is built.  Where the
-    oracle's eigenbasis is real, so is <k|x>, <x|U|y> = <y|U|x> and the kernel is even in the
-    chord: it is summed over the eigenbasis for t = 0..m alone, in two real products against
-    e^{-i E_k T/hbar} <k|y>, and mirrored.  A complex eigenbasis sums <x|n> <n|U|y> over the
-    Fock states on the whole chord: the real table against Re U and Im U times it, two real
-    tables in turn, so no complex copy of the table is made.
+    keeps no reference to it, so it is freed as soon as it has been read.  Where the oracle's
+    eigenbasis is real, so is <k|x>, <x|U|y> = <y|U|x> and the kernel is even in the chord: it
+    is summed for t = 0..m alone, block by block over the oracle's eigenstates, in two real
+    products of <k|x> against cos and sin of E_k T/hbar times <k|y>.  A complex eigenbasis sums
+    <x|n> <n|U|y> over the Fock states on the whole chord: the real table against Re U and Im U
+    times it, two real tables in turn, so no complex copy of the table is made.
     """
 
     def windows(a):
@@ -168,20 +176,23 @@ def _chord_kernel(oracle, table: np.ndarray, T: float, m: int, stride: int) -> n
         # the window of 2m + 1 nodes from i stride
         return sliding_window_view(a, 2 * m + 1, axis=1)[:, ::stride]
 
-    phases = oracle._phases(T)[:, None]
     if not oracle.real:
-        evolution = oracle.from_eigenbasis(phases * oracle.to_eigenbasis(np.eye(len(table))))  # <n|U|n'>
+        evolution = sum(a.conj().T @ (phases[:, None] * a)  # <n|U|n'>
+                        for phases, a in oracle.eigen_blocks(np.eye(len(table)), T))
         left = windows(table)[:, :, ::-1]  # <q - s/2|n>
         re, im = (np.einsum("nit,nit->it", left, windows(np.ascontiguousarray(part) @ table))
                   for part in (evolution.real, evolution.imag))
-        return re + 1j * im
-    amp = oracle.to_eigenbasis(table)
-    del table  # the real path holds <k|x> and one weighted copy alone
-    near = windows(amp)[:, :, m::-1]
-    re, im = (np.einsum("nit,nit->it", near, windows(part * amp)[:, :, m:])
-              for part in (phases.real, phases.imag))
-    half = re + 1j * im
-    return np.concatenate([half[:, :0:-1], half], axis=1)
+        del table, left  # with the caller's reference gone, the fold holds the kernel alone
+        kernel = re + 1j * im
+        return 0.5 * (kernel[:, m:] + kernel[:, m::-1]), 0.5 * (kernel[:, m:] - kernel[:, m::-1])
+    blocks = list(oracle.eigen_blocks(table, T))
+    del table  # the real path holds <k|x> and one weighted block alone
+    re = im = 0.0
+    for phases, amp in blocks:
+        near = windows(amp)[:, :, m::-1]
+        re = re + np.einsum("nit,nit->it", near, windows(phases.real[:, None] * amp)[:, :, m:])
+        im = im + np.einsum("nit,nit->it", near, windows(phases.imag[:, None] * amp)[:, :, m:])
+    return re + 1j * im, None
 
 
 def weyl_U_grid(
@@ -204,13 +215,17 @@ def weyl_U_grid(
     Nyquist step of c sqrt(2 cutoff + 1) + max|p| over ``CHORD_OVERSAMPLING``;
     the check halves h.  T may be negative: the grid of U(-T) = U(T)^dagger
     is exact from the same eigendecomposition (``wigner-u --T`` takes one).
-    The amplitudes <k|x> are the oracle's ``to_eigenbasis`` of the real
-    Hermite table.  Where the eigenbasis is real (any H with a real Fock
-    matrix, so any real H) they are real, <x|U|y> = <y|U|x>, and the kernel
-    is even in the chord s: it is evaluated for s >= 0 alone, in real
-    products against cos and sin of E_k T/hbar, and mirrored (time reversal:
-    U(q, -p, T) = U(q, p, T)).  A complex eigenbasis sums the real table
-    against the real and imaginary parts of U times it over the whole chord.
+    The amplitudes <k|x> are the oracle's ``eigen_blocks`` of the real
+    Hermite table, one product per parity block.  Where the eigenbasis is
+    real (any H with a real Fock matrix, so any real H) they are real,
+    <x|U|y> = <y|U|x>, and the kernel K is even in the chord s: it is
+    evaluated for s >= 0 alone, in real products against cos and sin of
+    E_k T/hbar, and transformed by the trapezoid's cosine form
+    U(q, p) = sum_{t >= 0} w_t K(q, s_t) cos(p s_t/hbar), w_t = h_s at both
+    ends and 2 h_s elsewhere (time reversal: U(q, -p, T) = U(q, p, T)).  A
+    complex eigenbasis sums the real table against the real and imaginary
+    parts of U times it over the whole chord; the same sum over s >= 0 takes
+    the even part of K against cos and i times its odd part against sin.
 
     Raises
     ------
@@ -247,11 +262,12 @@ def weyl_U_grid(
     coherent_matrix(corner, cutoff)  # raises DomainError if short
     m = int(m)
     lattice = qs[0] + dq / stride * np.arange(-m, stride * (len(qs) - 1) + m + 1)
-    kernel = _chord_kernel(_cached_oracle(H, cutoff), hermite_functions(lattice, cutoff, ctx.b), T, m, stride)
-    s = 2.0 * dq / stride * np.arange(-m, m + 1)
-    values = _chord_transform(kernel[:, ::every], s[::every], ps, ctx.hbar)
+    oracle = _cached_oracle(H, cutoff)
+    even, odd = _chord_kernel(oracle, hermite_functions(lattice, cutoff, ctx.b), T, m, stride)
+    s = 2.0 * dq / stride * np.arange(m + 1)
+    values = _chord_transform(even, odd, s, ps, ctx.hbar, every)
     if check:
-        refined = _chord_transform(kernel, s, ps, ctx.hbar)
+        refined = _chord_transform(even, odd, s, ps, ctx.hbar, 1)
         values = refine(values, refined, CHORD_TOLERANCE, "halving the chord step")[0]
     return PhaseSpaceGrid(qs, ps, values)
 
@@ -265,9 +281,9 @@ def husimi_U_grid(
     cutoff: int = GRID_CUTOFF,
 ) -> PhaseSpaceGrid:
     """Diagonal coherent-state propagator K(z_x, z_x, T) on the grid; T may be negative,
-    as in :func:`weyl_U_grid`.  The amplitudes <k|z> are the oracle's ``to_eigenbasis``
-    of the coherent columns, a real product over their float view where the eigenbasis
-    is real.
+    as in :func:`weyl_U_grid`.  The amplitudes <k|z> are the oracle's ``eigen_blocks``
+    of the coherent columns, one block at a time and a real product over their float
+    view where the eigenbasis is real; <z|k> itself is never assembled.
 
     Raises
     ------
@@ -279,10 +295,12 @@ def husimi_U_grid(
     require_finite(T=T)  # before the coherent columns and the oracle are built
     qs, ps = _axes(qs, ps)
     cols = coherent_matrix(ctx.z_from_qp(*np.meshgrid(qs, ps, indexing="ij")), cutoff)
-    oracle = _cached_oracle(H, cutoff)
-    cols = oracle.to_eigenbasis(cols)  # <k|z>; each rebinding frees the array before it,
-    cols = np.abs(cols) ** 2  # so the peak stays within what coherent_matrix counts
-    return PhaseSpaceGrid(qs, ps, (oracle._phases(T) @ cols).reshape(len(qs), len(ps)))
+    values = 0.0
+    for phases, amp in _cached_oracle(H, cutoff).eigen_blocks(cols, T):
+        amp = np.abs(amp)  # |<k|z>|^2 in place of <k|z>: one block's float table, which keeps
+        amp *= amp  # the peak within what coherent_matrix counts
+        values = values + phases.real @ amp + 1j * (phases.imag @ amp)
+    return PhaseSpaceGrid(qs, ps, values.reshape(len(qs), len(ps)))
 
 
 def _gaussian_band(n: int, step: float) -> np.ndarray:

@@ -451,10 +451,10 @@ def test_one_solve_path():
 
 def test_one_eigenbasis_owner():
     """np.linalg.eigh is called in coherent.FockOracle.__init__ alone, which picks the real or
-    parity-split eigenproblems, and ``.evecs`` is read in coherent.py alone: every other module
-    applies the eigenbasis through the oracle's to_eigenbasis and from_eigenbasis."""
+    parity-split eigenproblems, and the eigenvectors, held in ``.blocks``, are read in coherent.py
+    alone: every other module applies them through the oracle's eigen_blocks and propagator."""
     src = os.path.dirname(os.path.abspath(cli.__file__))
-    eigh, evecs = [], set()
+    eigh, blocks = [], set()
     for name in sorted(os.listdir(src)):
         if not name.endswith(".py"):
             continue
@@ -468,9 +468,9 @@ def test_one_eigenbasis_owner():
             for node in ast.walk(top):
                 if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "eigh":
                     eigh.append(f"{name[:-3]}.{scope}")
-                if isinstance(node, ast.Attribute) and node.attr == "evecs":
-                    evecs.add(name)
-    assert eigh == ["coherent.FockOracle.__init__"] and evecs == {"coherent.py"}
+                if isinstance(node, ast.Attribute) and node.attr in ("blocks", "evecs"):
+                    blocks.add(name)
+    assert eigh == ["coherent.FockOracle.__init__"] and blocks == {"coherent.py"}
 
 
 # Public names no src code outside their own def or class uses, each with the paper identity it

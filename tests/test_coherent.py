@@ -151,6 +151,45 @@ class TestFockCoherent:
                 )
                 assert abs(amps[n] - want) <= 1e-11 * abs(want), n
 
+    @pytest.mark.parametrize("cutoff", range(18))
+    def test_phase_doubling_against_mpmath(self, cutoff):
+        # the phase (z/|z|)^n is built by doubling (rows k+1..2k are rows 1..k times row k), not
+        # by a running product: cutoffs 0-17 meet every power of two up to 16 and both its
+        # neighbours.  Labels at the tail limit (tail mass 5e-13) on and off the axes, a smaller
+        # one and the zero label match e^{-|z|^2/2} z^n / sqrt(n!) within 1e-14 relative, and a
+        # label past the limit (tail mass 2e-12) is refused as before
+        with mpmath.workdps(40):
+            def radius(tail):  # |z| whose truncated Poisson tail mass is ``tail``, by bisection
+                lo, hi = mpmath.mpf(0), mpmath.mpf(60)
+                for _ in range(200):
+                    x = (lo + hi) / 2
+                    mass = 1 - mpmath.exp(-x) * sum(x**n / mpmath.factorial(n) for n in range(cutoff + 1))
+                    lo, hi = (x, hi) if mass < tail else (lo, x)
+                return float(mpmath.sqrt(lo))
+
+            r = radius(mpmath.mpf("5e-13"))
+            zs = r * np.exp(1j * np.array([0.0, 0.5 * np.pi, np.pi, -0.5 * np.pi, 0.7, 2.3, -2.9]))
+            zs = np.append(zs, [0.3 * r * np.exp(1.1j), 0.0])
+            cols = coherent_matrix(zs, cutoff)
+            for z, col in zip(zs, cols.T):
+                mz = mpmath.mpc(z.real, z.imag)
+                want = np.array([complex(mpmath.exp(-abs(mz) ** 2 / 2) * mz**n
+                                         / mpmath.sqrt(mpmath.factorial(n))) for n in range(cutoff + 1)])
+                assert np.all(np.abs(col - want) <= 1e-14 * np.abs(want)), z
+            past = radius(mpmath.mpf("2e-12"))
+        with pytest.raises(DomainError, match="truncated tail mass"):
+            coherent_matrix(past * np.exp(0.7j), cutoff)
+
+    def test_default_axes_still_need_cutoff_51(self):
+        # the tail-refusal boundary: the corner label of the default +-4-width axes has
+        # |z|^2 = 16, so both grids refuse cutoff 50 and take 51
+        qs, ps = phase_grid_axes(CTX, nq=2, npts=2)
+        H = harmonic_hamiltonian(CTX)
+        for grid in (husimi_U_grid, weyl_U_grid):
+            with pytest.raises(DomainError, match="truncated tail mass .* at cutoff 50;"):
+                grid(H, CTX, 0.5, qs, ps, cutoff=50)
+            assert np.all(np.isfinite(grid(H, CTX, 0.5, qs, ps, cutoff=51).values))
+
     def test_non_finite_label_rejected(self):
         with pytest.raises(ValueError):
             fock_coherent(complex("nan"), 10)
@@ -245,7 +284,8 @@ class TestExactPropagator:
         def worker(offset, got):
             for k in range(20):
                 H = OperatorPoly({(1, 1): 1.0 + 1e-3 * (offset + 8 * k)})
-                got.append(coherent._cached_oracle(H, 4).evals[1])  # the level spacing
+                blocks = coherent._cached_oracle(H, 4).blocks
+                got.append(np.sort(np.concatenate([w for _, w, _ in blocks]))[1])  # the level spacing
 
         results = [[] for _ in range(8)]
         threads = [threading.Thread(target=worker, args=(i, results[i])) for i in range(8)]
@@ -643,25 +683,40 @@ class TestOracleBlocks:
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda m: seen.append(m.shape) or eigh(m))
         oracle = FockOracle(H, 60)
-        assert seen == shapes and oracle.evecs.dtype == dtype and oracle.evecs.shape == (61, 61)
-        assert np.all(np.diff(oracle.evals) >= 0)
+        # each block is held once, as (rows, ascending evals, its own eigenvectors)
+        assert seen == shapes and [v.shape for _, _, v in oracle.blocks] == shapes
+        assert all(v.dtype == dtype and np.all(np.diff(w) >= 0) for _, w, v in oracle.blocks)
+        evals = np.sort(np.concatenate([w for _, w, _ in oracle.blocks]))
         want = np.linalg.eigvalsh(operator_matrix(H, 60))  # the quartic's reach 1.2e3: a few ulp
-        assert np.abs(oracle.evals - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(evals - want).max() <= 1e-14 * np.abs(want).max()
 
     @ORACLE_BUILDS
     def test_evolution_matches_the_complex_eigenbasis(self, H, dtype, shapes):
-        # U = evecs e^{-i E T} evecs^dagger, through the oracle's two products, against the
-        # complex eigh of the whole Fock matrix; a real and a complex operand give one basis
+        # U = sum over blocks of <k|n>^dagger e^{-i E_k T} <k|n'>, from the oracle's block
+        # products, against the complex eigh of the whole Fock matrix; a real and a complex
+        # operand give one basis
         oracle, T = FockOracle(H, 60), 0.7
         evals, evecs = np.linalg.eigh(operator_matrix(H, 60))
         want = (evecs * np.exp(-1j * evals * T)) @ evecs.conj().T
         eye = np.eye(61, dtype=complex)
-        got = oracle.from_eigenbasis(oracle._phases(T)[:, None] * oracle.to_eigenbasis(eye))
+        got = sum(a.conj().T @ (phases[:, None] * a) for phases, a in oracle.eigen_blocks(eye, T))
         assert np.abs(got - want).max() < 1e-12
-        assert np.abs(oracle.to_eigenbasis(eye.real) - oracle.to_eigenbasis(eye)).max() == 0
+        for (_, real), (_, cplx) in zip(oracle.eigen_blocks(eye.real, T), oracle.eigen_blocks(eye, T)):
+            assert np.abs(real - cplx).max() == 0
         z2 = np.array([0.3 - 0.2j, -0.5 + 0.1j])
         K = coherent_matrix(z2, 60).conj().T @ want @ coherent_matrix(0.4 + 0.3j, 60)[:, 0]
         assert np.abs(oracle.propagator(0.4 + 0.3j, z2, T) - K).max() < 1e-12
+
+    def test_parity_blocks_are_stored_once(self):
+        # the eigenbasis was a (cutoff + 1)^2 matrix, half of it exact zeros, with the blocks
+        # scattered into it: a real parity-split oracle at cutoff 240 now holds 8 (121^2 + 120^2)
+        # bytes of eigenvectors, not 8 * 241^2, and no other matrix
+        oracle = FockOracle(quartic_position_hamiltonian(0.1, CTX), 240)
+        held = [a for a in vars(oracle).values() if isinstance(a, np.ndarray)]
+        held += [a for block in oracle.blocks for a in block if isinstance(a, np.ndarray)]
+        vectors = sum(v.nbytes for _, _, v in oracle.blocks)
+        assert vectors == 8 * (121**2 + 120**2) < 8 * 241**2
+        assert sum(a.nbytes for a in held) == vectors + 8 * 241  # and the eigenvalues
 
 
 class TestOracleBudget:

@@ -196,15 +196,16 @@ class TestWeylUGrid:
             weyl_U_grid(H_HARM, CTX, 0.5, qs, ps, cutoff=60)
 
     def test_traced_peak_holds_two_real_tables(self, monkeypatch):
-        # a real eigenbasis holds <k|x> and one weighted copy, 16 bytes per Fock state and
-        # lattice node, then the chord arrays; complex <k|x> and U<k|x> tables peaked at 45.6.
-        # A complex eigenbasis holds the real table and Re U or Im U times it, within the 32
-        # bytes the lattice budget counts; a complex copy of the table peaked at 41.3
+        # a real eigenbasis holds the table and <k|x> of both parity blocks, then <k|x> and one
+        # weighted block, 16 bytes per Fock state and lattice node: 16.1 in all, against 18.3
+        # with the full-basis product and the mirrored kernel, and 45.6 with complex <k|x> and
+        # U<k|x> tables.  A complex eigenbasis holds the real table and Re U or Im U times it,
+        # within the 32 bytes the lattice budget counts; a complex copy of the table peaked at 41.3
         qs, ps = phase_grid_axes(CTX)
         nodes = []
         real = wigner.hermite_functions
         counted = lambda xs, *args: nodes.append(xs.size) or real(xs, *args)
-        for H, bound in ((H_QUARTIC, 24), (H_COMPLEX, 32)):
+        for H, bound in ((H_QUARTIC, 17), (H_COMPLEX, 32)):
             weyl_U_grid(H, CTX, 1.0, qs, ps, cutoff=200)  # the cached oracle is not counted
             monkeypatch.setattr(wigner, "hermite_functions", counted)
             coherent._fock_log_tables.cache_clear()
@@ -219,11 +220,46 @@ class TestWeylUGrid:
             assert peak < bound * 201 * 2651, H
 
 
-def full_chord(monkeypatch, H, cutoff):
-    """Give the cached oracle of (H, cutoff) a complex copy of its eigenbasis: the grid then
-    sums the chord kernel over the whole chord, in complex products."""
-    oracle = coherent._cached_oracle(H, cutoff)
-    monkeypatch.setattr(oracle, "evecs", oracle.evecs.astype(complex))
+def dense_eigenbasis(H, cutoff):
+    """The cached oracle's eigenpairs as one dense eigenbasis (E, V), V[:, k] = |k>, checked against
+    the complex Fock matrix: eigh's eigenvalues, H V = V E and V^dagger V = 1, all to round-off.
+    An eigh of its own would move the quartic's eigenvalues by up to 5e-11 at cutoff 240, and
+    with them the Weyl values by 1e-11, so the references below share the oracle's eigenpairs."""
+    blocks = coherent._cached_oracle(H, cutoff).blocks
+    E = np.concatenate([w for _, w, _ in blocks])
+    V = np.zeros((cutoff + 1, cutoff + 1), dtype=blocks[0][2].dtype)
+    start = 0
+    for rows, w, v in blocks:
+        V[rows, start:start + w.size] = v
+        start += w.size
+    M = operator_matrix(H, cutoff)
+    scale = np.abs(E).max()
+    assert np.abs(np.sort(E) - np.linalg.eigvalsh(M)).max() <= 1e-14 * scale
+    assert np.abs(M @ V - V * E).max() <= 1e-13 * scale
+    assert np.abs(V.conj().T @ V - np.eye(cutoff + 1)).max() <= 1e-13
+    return E, V
+
+
+def dense_weyl(H, T, qs, ps, cutoff):
+    """U(q, p, T) from the dense eigenbasis by the trapezoid over the whole chord with
+    exp(i p s / hbar), on each row's own chord nodes s, step 0.05 b (finer than the grid's chord
+    step at every cutoff used here), over the grid's window; T may be a list, one grid each."""
+    E, V = dense_eigenbasis(H, cutoff)
+    h = 0.05 * CTX.b
+    s_half = 2.0 * (max(np.max(np.abs(qs)), 4.0 * CTX.b) + CTX.b * np.sqrt(2.0 * cutoff + 1.0))
+    s = h * np.arange(-np.ceil(s_half / h), np.ceil(s_half / h) + 1)
+    trap = np.full(len(s), h)
+    trap[0] = trap[-1] = 0.5 * h
+    fourier = np.exp(1j * np.outer(s, ps) / H.hbar)
+    Ts = np.atleast_1d(T)
+    out = np.empty((len(Ts), len(qs), len(ps)), dtype=complex)
+    for i, q in enumerate(qs):
+        near = V.conj().T @ hermite_functions(q - s / 2, cutoff, CTX.b)  # <k|q - s/2>
+        far = near[:, ::-1]  # <k|q + s/2> on the symmetric nodes
+        for j, t in enumerate(Ts):
+            kernel = np.einsum("kt,k,kt->t", near.conj(), np.exp(-1j * E * t / H.hbar), far)
+            out[j, i] = (kernel * trap) @ fourier
+    return out if np.ndim(T) else out[0]
 
 
 def symmetric_p_axis(n=16):
@@ -236,24 +272,25 @@ class TestChordSymmetry:
     @REAL_HAMILTONIANS
     @pytest.mark.parametrize("cutoff", [60, 200])
     @pytest.mark.parametrize("rows", ["increasing", "decreasing", "one-row"])
-    def test_half_chord_matches_full_chord(self, monkeypatch, H, cutoff, rows):
-        # a real eigenbasis makes the kernel even in the chord, and only s >= 0 is summed
+    def test_half_chord_matches_full_chord(self, H, cutoff, rows):
+        # a real eigenbasis makes the kernel even in the chord: only s >= 0 is summed, and its
+        # cosine transform is the full chord's exponential one
         qs, ps = phase_grid_axes(CTX, nq=24, npts=24)
         qs = {"increasing": qs, "decreasing": qs[::-1], "one-row": qs[7:8]}[rows]
         half = weyl_U_grid(H, CTX, 0.7, qs, ps, cutoff=cutoff).values
-        full_chord(monkeypatch, H, cutoff)
-        full = weyl_U_grid(H, CTX, 0.7, qs, ps, cutoff=cutoff).values
+        full = dense_weyl(H, 0.7, qs, ps, cutoff)
         assert np.max(np.abs(half - full)) < 1e-12
         assert np.max(np.abs(half)) > 0.1
 
     @REAL_HAMILTONIANS
     @pytest.mark.parametrize("path", ["half-chord", "full-chord"])
-    def test_time_reversal_makes_the_symbol_even_in_p(self, monkeypatch, H, path):
+    def test_time_reversal_makes_the_symbol_even_in_p(self, H, path):
         # U_W(q, -p, T) = U_W(q, p, T) for a real H; the full chord does not impose it
-        if path == "full-chord":
-            full_chord(monkeypatch, H, 60)
-        qs, _ = phase_grid_axes(CTX, nq=16)
-        values = weyl_U_grid(H, CTX, 0.9, qs, symmetric_p_axis(), cutoff=60).values
+        qs, ps = phase_grid_axes(CTX, nq=16)[0], symmetric_p_axis()
+        if path == "half-chord":
+            values = weyl_U_grid(H, CTX, 0.9, qs, ps, cutoff=60).values
+        else:
+            values = dense_weyl(H, 0.9, qs, ps, 60)
         assert np.max(np.abs(values - values[:, ::-1])) < 1e-12
         assert np.max(np.abs(values.imag)) > 0.1
 
@@ -261,7 +298,8 @@ class TestChordSymmetry:
         # a squeezing term i(adag^2 - a^2) and a linear one: the complex Fock matrix keeps a
         # complex eigenbasis, so the whole chord is summed
         T, cutoff = 0.8, 60
-        assert np.iscomplexobj(coherent._cached_oracle(H_COMPLEX, cutoff).evecs)
+        oracle = coherent._cached_oracle(H_COMPLEX, cutoff)
+        assert not oracle.real and [v.dtype for _, _, v in oracle.blocks] == [complex]
         qs, ps = phase_grid_axes(CTX)
         grid = weyl_U_grid(H_COMPLEX, CTX, T, qs, ps, cutoff=cutoff)
         U = expm(-1j * T / H_COMPLEX.hbar * operator_matrix(H_COMPLEX, cutoff))
@@ -272,6 +310,36 @@ class TestChordSymmetry:
         # and its symbol is not even in p
         values = weyl_U_grid(H_COMPLEX, CTX, T, qs[::4], symmetric_p_axis(), cutoff=cutoff).values
         assert np.max(np.abs(values - values[:, ::-1])) > 0.1
+
+
+class TestDenseReference:
+    @pytest.mark.parametrize("cutoff", [60, 120, 240])
+    @pytest.mark.parametrize(
+        "H",
+        [H_HARM, H_QUARTIC, quartic_position_hamiltonian(0.1, CTX), H_REAL_LINEAR, H_COMPLEX],
+        ids=["harmonic", "quartic-0.05", "quartic-0.1", "real-linear", "complex"],
+    )
+    def test_block_sums_match_the_dense_eigenbasis(self, H, cutoff):
+        # the oracle sums over its parity blocks and the Weyl grid takes a cosine transform
+        # where the basis is real; the references apply the dense eigenbasis in full products
+        # and the Weyl one takes the exponential transform over the whole chord
+        Ts = [0.3, 1.0, -0.7]
+        E, V = dense_eigenbasis(H, cutoff)
+        oracle = coherent._cached_oracle(H, cutoff)
+        qs, ps = phase_grid_axes(CTX, nq=6, npts=9)
+        cols = coherent.coherent_matrix(CTX.z_from_qp(*np.meshgrid(qs, ps, indexing="ij")), cutoff)
+        z1, z2 = 0.4 + 0.3j, np.array([0.3 - 0.2j, -0.5 + 0.1j, 0.0, 1.1j, -0.9])
+        c1, c2 = (coherent.coherent_matrix(z, cutoff) for z in (z1, z2))
+        weyl = dense_weyl(H, Ts, qs, ps, cutoff)
+        for T, want_weyl in zip(Ts, weyl):
+            U = (V * np.exp(-1j * E * T / H.hbar)) @ V.conj().T
+            K = (c2.conj().T @ U @ c1)[:, 0]
+            got = oracle.propagator(z1, z2, T)
+            assert np.abs(got - K).max() <= 1e-14 * np.abs(K).max(), T
+            assert abs(oracle.propagator(z1, z2[1], T) - K[1]) <= 1e-14 * abs(K[1]), T
+            husimi = np.einsum("nz,nz->z", cols.conj(), U @ cols).reshape(len(qs), len(ps))
+            assert np.abs(husimi_U_grid(H, CTX, T, qs, ps, cutoff=cutoff).values - husimi).max() <= 1e-14
+            assert np.abs(weyl_U_grid(H, CTX, T, qs, ps, cutoff=cutoff).values - want_weyl).max() <= 1e-12
 
 
 class TestHusimiUGrid:
