@@ -440,24 +440,20 @@ def weyl_symbol(op: OperatorPoly) -> SymbolPoly:
     return symbol_for_form(op, "w")
 
 
-_SYMBOLS: dict = {}
-
-
 def symbol_for_form(op: OperatorPoly, form: str) -> SymbolPoly:
     """Symbol exp(s d_u d_v) A_Q of the form named q, p or w (s from ``FORM_S``).
 
-    One symbol per content of ``op`` (terms and hbar) and s, built on first
-    use, so its compiled flow and jets are built once; the cache is emptied
-    past 64 entries, as the Fock oracle's is.
+    One symbol per content of ``op`` (terms in their stored order and hbar) and s, built on
+    first use, so its compiled flow and jets are built once; the 64 most recently used are
+    kept, as Fock oracles are.
     """
-    s = form_s(form)
-    key = (tuple(sorted(op.terms.items())), op.hbar, s)
-    sym = _SYMBOLS.get(key)
-    if sym is None:
-        if len(_SYMBOLS) > 64:
-            _SYMBOLS.clear()
-        sym = _SYMBOLS[key] = SymbolPoly(_apply_exp_mixed(op.terms, s))
-    return sym
+    return _symbol(tuple(op.terms.items()), op.hbar, form_s(form))
+
+
+@lru_cache(maxsize=64)
+def _symbol(terms: tuple, hbar: float, s: float) -> SymbolPoly:
+    """The symbol of ``terms`` at s; hbar is part of the key alone, so each hbar has its own."""
+    return SymbolPoly(_apply_exp_mixed(dict(terms), s))
 
 
 def _uv_linear_forms(ctx: ScaleContext):

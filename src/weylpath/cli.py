@@ -10,58 +10,51 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 # every command reads algebra; each imports the rest of what it runs in its own body
 from . import errors
 from .algebra import FORM_S, load_hamiltonian, symbol_for_form, symbol_to_qp
+from .errors import require_finite, require_index, require_nonnegative, require_positive
 
 EXIT_PARSE = 1
 
 
 def _parse_complex(text: str) -> complex:
-    """Argument type: a 're,im' pair of finite numbers."""
+    """Argument type: a 're,im' pair of numbers."""
     try:
         re_s, im_s = text.split(",")
-        z = complex(float(re_s), float(im_s))
+        return complex(float(re_s), float(im_s))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected 're,im' pair, got {text!r}")
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise argparse.ArgumentTypeError(f"expected finite parts, got {text!r}")
-    return z
 
 
-def _checked(kind, ok, wanted: str):
-    """Argument type: a finite ``kind`` value for which ``ok`` holds."""
+def _checked(kind, rule, name: str, *least):
+    """Argument type: ``kind(text)`` checked under ``name`` by the ``errors`` helper ``rule``,
+    as ``rule(name=value)`` or, given a bound ``least`` (``require_index``), as
+    ``rule(value, name, *least)``.  A ValueError of ``kind`` or of ``rule`` (InvalidArgument is
+    one) becomes a parse error, exit 1, with its message."""
 
     def parse(text: str):
         try:
-            val = kind(text)
-            finite = math.isfinite(val)
-        except (ValueError, OverflowError):
-            raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-        if not (finite and ok(val)):
-            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}")
-        return val
+            value = kind(text)
+            if least:  # an int beyond the double range is not finite either: no builder sizes it
+                require_finite(**{name: value})
+                rule(value, name, *least)
+            else:
+                rule(**{name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
 
     return parse
-
-
-def _at_least(low, kind=float):
-    """Argument type: a finite ``kind`` value no smaller than ``low``."""
-    return _checked(kind, lambda val: val >= low, f"at least {low}")
 
 
 def _steps(text: str) -> int:
     """Argument type: a shooting step count, at least ``semiclassics.MIN_STEPS``."""
     from .semiclassics import MIN_STEPS
 
-    return _at_least(MIN_STEPS, int)(text)
-
-
-_finite = _checked(float, lambda val: True, "finite")
-_positive = _checked(float, lambda val: val > 0, "positive")
+    return _checked(int, require_index, "steps", MIN_STEPS)(text)
 
 
 def _list_of(item):
@@ -212,6 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Coherent-state propagators in the Q, P and Weyl representations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # option types that several commands share
+    z0, z1 = (_checked(_parse_complex, require_finite, name) for name in ("z0", "z1"))
+    cutoff = _checked(int, require_index, "cutoff", 0)
+    tol = _checked(float, require_positive, "tol")
 
     def common(p, needs_h=True, formats=True):
         if needs_h:
@@ -228,12 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
         "harmonic-compare", help="finite-N harmonic propagators vs the exact one"
     )
     common(p, needs_h=False)
-    p.add_argument("--omega", type=_finite, default=1.0)
-    p.add_argument("--T", type=_finite, required=True)
-    p.add_argument("--z0", type=_parse_complex, default=0j, help="initial label re,im")
-    p.add_argument("--z1", type=_parse_complex, default=0j, help="final label re,im")
+    p.add_argument("--omega", type=_checked(float, require_finite, "omega"), default=1.0)
+    p.add_argument("--T", type=_checked(float, require_finite, "T"), required=True)
+    p.add_argument("--z0", type=z0, default=0j, help="initial label re,im")
+    p.add_argument("--z1", type=z1, default=0j, help="final label re,im")
     p.add_argument(
-        "--N-list", type=_list_of(_at_least(1, int)), required=True,
+        "--N-list", type=_list_of(_checked(int, require_index, "N", 1)), required=True,
         help="comma separated slice counts",
     )
     p.set_defaults(func=cmd_harmonic_compare, format="csv")
@@ -241,32 +238,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("propagate", help="exact or brute-force discrete propagator")
     common(p)
     p.add_argument("--form", choices=(*FORM_S, "exact"), default="exact")
-    p.add_argument("--z0", type=_parse_complex, required=True)
-    p.add_argument("--z1", type=_parse_complex, required=True)
-    p.add_argument("--T", type=_at_least(0.0), required=True)
-    p.add_argument("--N", type=_at_least(1, int), default=2)
-    p.add_argument("--cutoff", type=_at_least(0, int), default=None)  # coherent.DEFAULT_CUTOFF
-    p.add_argument("--tol", type=_positive, default=None)
+    p.add_argument("--z0", type=z0, required=True)
+    p.add_argument("--z1", type=z1, required=True)
+    p.add_argument("--T", type=_checked(float, require_nonnegative, "T"), required=True)
+    p.add_argument("--N", type=_checked(int, require_index, "N", 1), default=2)
+    p.add_argument("--cutoff", type=cutoff, default=None)  # coherent.DEFAULT_CUTOFF
+    p.add_argument("--tol", type=tol, default=None)
     p.set_defaults(func=cmd_propagate)
 
     p = sub.add_parser("semiclassical", help="complex-trajectory propagator")
     common(p, formats=False)
     p.add_argument("--form", choices=tuple(FORM_S), default="w")
-    p.add_argument("--z0", type=_parse_complex, required=True)
-    p.add_argument("--z1", type=_parse_complex, required=True)
-    p.add_argument("--T", type=_at_least(0.0), required=True)
+    p.add_argument("--z0", type=z0, required=True)
+    p.add_argument("--z1", type=z1, required=True)
+    p.add_argument("--T", type=_checked(float, require_nonnegative, "T"), required=True)
     p.add_argument("--steps", type=_steps, default=512)
-    p.add_argument("--tol", type=_positive, default=1e-10)
+    p.add_argument("--tol", type=tol, default=1e-10)
     p.set_defaults(func=cmd_semiclassical)
 
     p = sub.add_parser("wigner-u", help="Weyl and Husimi grids of the evolution")
     common(p)
-    p.add_argument("--T", type=_finite, required=True)
-    p.add_argument("--cutoff", type=_at_least(0, int), default=None)  # wigner.GRID_CUTOFF
-    p.add_argument("--nq", type=_at_least(1, int), default=64)
-    p.add_argument("--np", type=_at_least(1, int), default=64)
-    p.add_argument("--q-widths", type=_positive, default=4.0)
-    p.add_argument("--p-widths", type=_positive, default=4.0)
+    p.add_argument("--T", type=_checked(float, require_finite, "T"), required=True)
+    p.add_argument("--cutoff", type=cutoff, default=None)  # wigner.GRID_CUTOFF
+    p.add_argument("--nq", type=_checked(int, require_index, "nq", 1), default=64)
+    p.add_argument("--np", type=_checked(int, require_index, "np", 1), default=64)
+    p.add_argument("--q-widths", type=_checked(float, require_positive, "q_widths"), default=4.0)
+    p.add_argument("--p-widths", type=_checked(float, require_positive, "p_widths"), default=4.0)
     p.set_defaults(func=cmd_wigner_u, format="csv")
 
     return parser

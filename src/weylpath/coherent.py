@@ -196,9 +196,12 @@ class FockOracle:
     def eigen_blocks(self, x: np.ndarray, T: float):
         """Each block's phases e^{-i E_k T/hbar} and amplitudes <k|x> = V^dagger x[rows] of the
         Fock columns x (2-D), one block at a time; the amplitudes are a new array, real for a real
-        x where the eigenbasis is real."""
+        x where the eigenbasis is real.  A phase whose E_k T/hbar leaves the double range raises
+        :class:`DomainError` as its block is reached."""
         require_finite(T=T)
-        return ((np.exp(-1j * w * T / self.hbar), _adjoint_product(v, x[rows]))
+        what = f"the phase e^{{-i E_k T/hbar}} at T = {T}"
+        return ((finite_double(lambda: np.exp(-1j * w * T / self.hbar), what),
+                 _adjoint_product(v, x[rows]))
                 for rows, w, v in self.blocks)
 
     def propagator(self, z1: complex, z2, T: float):
@@ -235,8 +238,9 @@ def exact_propagator(
     Raises
     ------
     DomainError
-        If either label needs more basis states than ``cutoff`` provides, or
-        the oracle at ``2 cutoff`` would take more than ``DENSE_BYTES``.
+        If either label needs more basis states than ``cutoff`` provides, the
+        oracle at ``2 cutoff`` would take more than ``DENSE_BYTES``, or a phase
+        E_k T/hbar leaves the double range.
     NonConverged
         If doubling the cutoff moves the result by more than the tolerance.
     InvalidArgument
@@ -266,18 +270,14 @@ def _require_dense(need: float, what: str) -> None:
         raise DomainError(f"{what}: {need:.3g} bytes exceed DENSE_BYTES")
 
 
-_ORACLES: dict = {}
-
-
 def _cached_oracle(H: OperatorPoly, cutoff: int) -> FockOracle:
-    """The oracle of (H, cutoff), built on first use; the cache is emptied past 64 entries."""
-    key = (tuple(sorted(H.terms.items())), H.hbar, cutoff)
-    oracle = _ORACLES.get(key)
-    if oracle is None:
-        if len(_ORACLES) > 64:
-            _ORACLES.clear()
-        oracle = _ORACLES[key] = FockOracle(H, cutoff)
-    return oracle
+    """The oracle of (H, cutoff), built on first use; the 64 most recently used are kept."""
+    return _oracle(tuple(H.terms.items()), H.hbar, cutoff)
+
+
+@lru_cache(maxsize=64)
+def _oracle(terms: tuple, hbar: float, cutoff: int) -> FockOracle:
+    return FockOracle(OperatorPoly(dict(terms), hbar), cutoff)
 
 
 def harmonic_exact_K(z1: complex, z2: complex, omega: float, T: float) -> complex:

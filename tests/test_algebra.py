@@ -302,12 +302,15 @@ class TestSymbolCache:
         assert symbol_for_form(H, "w") is sym
 
     def test_the_cache_is_bounded(self):
+        # the 64 most recently used symbols are kept: one read between 70 other inserts stays
         first = symbol_for_form(OperatorPoly({(1, 1): 1.0}), "p")
+        oldest = symbol_for_form(OperatorPoly({(1, 1): 2.0}), "p")
         for k in range(70):
-            symbol_for_form(OperatorPoly({(1, 1): 1.0 + k}), "p")
-            assert len(algebra._SYMBOLS) <= 65
-        again = symbol_for_form(OperatorPoly({(1, 1): 1.0}), "p")
-        assert again is not first and again.terms == first.terms
+            symbol_for_form(OperatorPoly({(1, 1): 3.0 + k}), "p")
+            assert algebra._symbol.cache_info().currsize <= 64
+            assert symbol_for_form(OperatorPoly({(1, 1): 1.0}), "p") is first
+        again = symbol_for_form(OperatorPoly({(1, 1): 2.0}), "p")
+        assert again is not oldest and again.terms == oldest.terms
 
 
 class TestWeylQuantize:

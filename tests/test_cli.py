@@ -226,6 +226,13 @@ class TestPropagate:
         out, err = capsys.readouterr()
         assert out == "" and "the coherent overlap exponent is not a finite double" in err
 
+    def test_phase_overflow_exit_code(self, harmonic_json, capsys):
+        # E_k T/hbar beyond the double range exited 2 with 'moved the result by nan'
+        argv = ["--form", "exact", "--z0", "0.3,0", "--z1", "0.2,0", "--T", "1e307"]
+        assert main(["propagate", "--hamiltonian", harmonic_json, *argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "the phase e^{-i E_k T/hbar} at T = 1e+307 is not a finite double" in err
+
     def test_oracle_too_large_exit_code(self, harmonic_json, monkeypatch, capsys):
         # ended in a MemoryError traceback; no matrix may be built before the refusal
         monkeypatch.setattr(coherent, "operator_matrix", None)
@@ -540,8 +547,6 @@ OWN_CHECKS = {
     "algebra._apply_exp_mixed": "names the term whose coefficient left the double range, "
                                 "inside the symbol maps' inner loop",
     "semiclassics._newton": "a whole-grid step that blows up is NonConverged, not a refused argument",
-    "cli._parse_complex": "a label refused while the command line is parsed, exit 1",
-    "cli._checked": "a number refused while the command line is parsed, exit 1",
 }
 
 
@@ -658,37 +663,59 @@ class TestSemiclassical:
 
 class TestArgumentRanges:
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["propagate", "--z0", "0,0", "--z1", "0,0", "--T", "-1"],
-            ["semiclassical", "--z0", "0,0", "--z1", "0,0", "--T", "-1"],
-            ["semiclassical", "--z0", "0,0", "--z1", "0,0", "--T", "1", "--steps", "4"],
-            ["symbols", "--format", "csv"],
-            ["semiclassical", "--z0", "0,0", "--z1", "0,0", "--T", "1", "--format", "csv"],
-            ["harmonic-compare", "--T", "1", "--N-list", "10,0"],
-            ["propagate", "--form", "w", "--z0", "0,0", "--z1", "0,0", "--T", "1", "--N", "0"],
-            ["propagate", "--z0", "0,0", "--z1", "0,0", "--T", "1", "--cutoff", "-5"],
-            ["wigner-u", "--T", "0.5", "--cutoff", "-3", "--nq", "8", "--np", "8"],
-            ["propagate", "--z0", "0,0", "--z1", "0,0", "--T", "1", "--tol", "-1"],
-            ["semiclassical", "--z0", "0,0", "--z1", "0,0", "--T", "1", "--tol", "-1"],
-            ["harmonic-compare", "--T", "inf", "--N-list", "10"],
-            ["wigner-u", "--T", "nan", "--cutoff", "60", "--nq", "4", "--np", "4"],
-            ["wigner-u", "--T", "0.5", "--cutoff", "60", "--nq", "0", "--np", "4"],
-            ["propagate", "--z0", "abc", "--z1", "0,0", "--T", "1"],
-            ["propagate", "--z0", "1,2,3", "--z1", "0,0", "--T", "1"],
-            ["propagate", "--z0", "nan,0", "--z1", "0,0", "--T", "1"],
-            ["propagate", "--z0", "1e400,0", "--z1", "0,0", "--T", "1"],
+            (["propagate", "--z0", "0,0", "--z1", "0,0", "--T", "-1"],
+             "argument --T: T must be non-negative, got -1.0"),
+            (["semiclassical", "--z0", "0,0", "--z1", "0,0", "--T", "-1"],
+             "argument --T: T must be non-negative, got -1.0"),
+            (["semiclassical", "--z0", "0,0", "--z1", "0,0", "--T", "1", "--steps", "4"],
+             "argument --steps: steps must be at least 16, got 4"),
+            (["symbols", "--format", "csv"], "unrecognized arguments: --format csv"),
+            (["semiclassical", "--z0", "0,0", "--z1", "0,0", "--T", "1", "--format", "csv"],
+             "unrecognized arguments: --format csv"),
+            (["harmonic-compare", "--T", "1", "--N-list", "10,0"],
+             "argument --N-list: N must be at least 1, got 0"),
+            (["propagate", "--form", "w", "--z0", "0,0", "--z1", "0,0", "--T", "1", "--N", "0"],
+             "argument --N: N must be at least 1, got 0"),
+            (["propagate", "--z0", "0,0", "--z1", "0,0", "--T", "1", "--cutoff", "-5"],
+             "argument --cutoff: cutoff must be at least 0, got -5"),
+            (["wigner-u", "--T", "0.5", "--cutoff", "-3", "--nq", "8", "--np", "8"],
+             "argument --cutoff: cutoff must be at least 0, got -3"),
+            (["propagate", "--z0", "0,0", "--z1", "0,0", "--T", "1", "--tol", "-1"],
+             "argument --tol: tol must be positive, got -1.0"),
+            (["semiclassical", "--z0", "0,0", "--z1", "0,0", "--T", "1", "--tol", "-1"],
+             "argument --tol: tol must be positive, got -1.0"),
+            (["harmonic-compare", "--T", "inf", "--N-list", "10"],
+             "argument --T: T must be finite, got inf"),
+            (["wigner-u", "--T", "nan", "--cutoff", "60", "--nq", "4", "--np", "4"],
+             "argument --T: T must be finite, got nan"),
+            (["wigner-u", "--T", "0.5", "--cutoff", "60", "--nq", "0", "--np", "4"],
+             "argument --nq: nq must be at least 1, got 0"),
+            (["propagate", "--z0", "abc", "--z1", "0,0", "--T", "1"],
+             "argument --z0: expected 're,im' pair, got 'abc'"),
+            (["propagate", "--z0", "1,2,3", "--z1", "0,0", "--T", "1"],
+             "argument --z0: expected 're,im' pair, got '1,2,3'"),
+            (["propagate", "--z0", "nan,0", "--z1", "0,0", "--T", "1"],
+             "argument --z0: z0 must be finite, got (nan+0j)"),
+            (["propagate", "--z0", "1e400,0", "--z1", "0,0", "--T", "1"],
+             "argument --z0: z0 must be finite, got (inf+0j)"),
+            (["propagate", "--z0", "0,0", "--z1", "0,0", "--T", "1", "--cutoff", "1" + "0" * 400],
+             "argument --cutoff: cutoff must be a number, got 1000"),
         ],
         ids=["negative-T", "semiclassical-negative-T", "few-steps",
              "symbols-format", "semiclassical-format", "zero-N-list", "zero-N",
              "negative-cutoff", "wigner-negative-cutoff", "negative-tol",
              "semiclassical-negative-tol", "infinite-T", "wigner-nan-T", "wigner-no-points",
-             "label-not-a-pair", "label-three-parts", "label-nan", "label-overflow"],
+             "label-not-a-pair", "label-three-parts", "label-nan", "label-overflow",
+             "cutoff-beyond-double"],
     )
-    def test_rejected_while_parsing(self, harmonic_json, argv):
+    def test_rejected_while_parsing(self, harmonic_json, capsys, argv, message):
+        """Exit 1 with the refusal in the API's wording (the errors helpers'), named by option."""
         if argv[0] != "harmonic-compare":  # the only command without --hamiltonian
             argv = argv[:1] + ["--hamiltonian", harmonic_json] + argv[1:]
         assert main(argv) == 1
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 class TestWignerU:

@@ -266,17 +266,16 @@ class TestExactPropagator:
         with pytest.raises(NonConverged, match="doubling the cutoff 14 -> 28"):
             exact_propagator(H, 0.9, 0.9, 2.0, cutoff=14, check_tolerance=1e-12)
 
-    def test_cache_returns_the_oracle_it_built(self, monkeypatch):
-        # another caller's insert past 64 entries may empty the cache between
-        # this caller's insert and its read; the built oracle is still returned
-        class ClearingDict(dict):
-            def __setitem__(self, key, value):
-                super().__setitem__(key, value)
-                self.clear()
-
-        monkeypatch.setattr(coherent, "_ORACLES", ClearingDict())
-        oracle = coherent._cached_oracle(harmonic_hamiltonian(CTX), 20)
-        assert isinstance(oracle, FockOracle) and oracle.cutoff == 20
+    def test_cache_keeps_the_most_recently_used(self):
+        # one oracle read between 70 other builds is never rebuilt; the oldest unread one is
+        H = OperatorPoly({(1, 1): 1.0})
+        first = coherent._cached_oracle(H, 4)
+        oldest = coherent._cached_oracle(OperatorPoly({(1, 1): 2.0}), 4)
+        for k in range(70):
+            coherent._cached_oracle(OperatorPoly({(1, 1): 3.0 + k}), 4)
+            assert coherent._oracle.cache_info().currsize <= 64
+            assert coherent._cached_oracle(H, 4) is first
+        assert coherent._cached_oracle(OperatorPoly({(1, 1): 2.0}), 4) is not oldest
 
     def test_cache_under_concurrent_callers(self):
         # more threads than cores, each building distinct oracles past the
@@ -647,10 +646,28 @@ def test_counts_must_be_integers(call, name, least, value):
 )
 def test_bad_argument_refused_before_work(call, message):
     """A NaN or boolean argument is an InvalidArgument, raised before any oracle is built."""
-    cached = dict(coherent._ORACLES)
+    cached = coherent._oracle.cache_info()
     with pytest.raises(InvalidArgument, match=message):
         call()
-    assert coherent._ORACLES == cached
+    assert coherent._oracle.cache_info() == cached
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: exact_propagator(H_QUARTIC, 0.3, 0.2, 1e306),
+        lambda: husimi_U_grid(H_QUARTIC, CTX, 1e306, *AXES, cutoff=60),
+        lambda: weyl_U_grid(H_QUARTIC, CTX, 1e306, *AXES, cutoff=60),
+        lambda: weyl_U_grid(H_QUARTIC, CTX, 1e306, *AXES, cutoff=60, check=False),
+    ],
+    ids=["exact_propagator", "husimi_U_grid", "weyl_U_grid", "weyl_U_grid-unchecked"],
+)
+def test_phases_beyond_the_double_range_refused(call):
+    """E_k T/hbar beyond the double range is a DomainError; it was an all-NaN grid behind a
+    RuntimeWarning, or a NonConverged 'moved the result by nan'."""
+    message = r"^the phase e\^\{-i E_k T/hbar\} at T = 1e\+306 is not a finite double$"
+    with pytest.raises(DomainError, match=message):
+        call()
 
 
 def test_closed_form_and_grids_take_a_negative_T():
@@ -723,22 +740,22 @@ class TestOracleBudget:
     def test_refused_before_matrices(self, monkeypatch):
         # cutoff 1e8 ended in a MemoryError; nothing may be built on the way to the refusal
         monkeypatch.setattr(coherent, "operator_matrix", None)
-        cached = dict(coherent._ORACLES)
+        cached = coherent._oracle.cache_info()
         message = "cutoff 100000000 needs an oracle at cutoff 200000000: .* exceed DENSE_BYTES"
         with pytest.raises(DomainError, match=message):
             exact_propagator(H_QUARTIC, 0.3, 0.2, 1.0, cutoff=10**8)
         with pytest.raises(DomainError, match="cutoff 100000000 needs an oracle at cutoff 100000000"):
             FockOracle(H_QUARTIC, 10**8)
-        assert coherent._ORACLES == cached
+        assert coherent._oracle.cache_info() == cached
 
     def test_counts_the_doubled_cutoff(self, monkeypatch):
         # cutoff 20 builds oracles up to cutoff 40: five complex 41 x 41 matrices
         H = harmonic_hamiltonian(CTX)
-        monkeypatch.setattr(coherent, "_ORACLES", {})
+        coherent._oracle.cache_clear()
         monkeypatch.setattr(coherent, "DENSE_BYTES", 5 * 16 * 41**2 - 1)
         with pytest.raises(DomainError, match="cutoff 20 needs an oracle at cutoff 40"):
             exact_propagator(H, 0.3, 0.2, 1.0, cutoff=20)
-        assert coherent._ORACLES == {}
+        assert coherent._oracle.cache_info().currsize == 0
         monkeypatch.setattr(coherent, "DENSE_BYTES", 5 * 16 * 41**2)
         assert exact_propagator(H, 0.3, 0.2, 1.0, cutoff=20) == pytest.approx(
             harmonic_exact_K(0.3, 0.2, 1.0, 1.0), abs=1e-12

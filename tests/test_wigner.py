@@ -148,6 +148,30 @@ class TestWeylUGrid:
         assert np.max(np.abs(husimi.values)) <= 1.0 + 1e-12
         assert np.max(np.abs(grid.values)) < 4.0
 
+    @pytest.mark.parametrize("grid", [weyl_U_grid, husimi_U_grid], ids=["weyl", "husimi"])
+    def test_hbar_mismatch_refused_before_work(self, monkeypatch, grid):
+        # a ScaleContext at hbar 0.8 moved these grids by 0.42 (Weyl) and 0.28 (Husimi), unrefused
+        qs, ps = phase_grid_axes(CTX, nq=8, npts=8, q_widths=2.0, p_widths=2.0)
+        for name in ("_cached_oracle", "_labels", "coherent_matrix", "hermite_functions"):
+            monkeypatch.setattr(wigner, name, None)  # would fail if reached
+        with pytest.raises(InvalidArgument, match=r"^ctx.hbar must equal H.hbar \(1.0\), got 0.8$"):
+            grid(H_HARM, ScaleContext(hbar=0.8), 0.5, qs, ps, cutoff=120)
+
+    def test_oscillator_grid_is_the_truncated_symbol(self):
+        """The oscillator's grid (T 1, default axes) against its closed form
+        sec(T/2) exp(-i tan(T/2)(q^2 + p^2)/hbar): the symbol of U truncated at the cutoff does
+        not converge to it, while the smoothing identity holds at every cutoff."""
+        qs, ps = phase_grid_axes(CTX)
+        q, p = np.meshgrid(qs, ps, indexing="ij")
+        closed = np.exp(-1j * np.tan(0.5) * (q**2 + p**2) / CTX.hbar) / np.cos(0.5)
+        distances = []
+        for cutoff in (60, 120, 200, 240):
+            gw = weyl_U_grid(H_HARM, CTX, 1.0, qs, ps, cutoff=cutoff)
+            gh = husimi_U_grid(H_HARM, CTX, 1.0, qs, ps, cutoff=cutoff)
+            assert smoothing_check(gw, gh, CTX) < 1e-4
+            distances.append(np.abs(gw.values - closed).max())
+        assert distances == pytest.approx([0.3818, 0.2832, 0.4465, 0.4562], abs=1e-3)
+
     def test_insufficient_cutoff_raises(self):
         qs, ps = phase_grid_axes(CTX)
         with pytest.raises(DomainError, match="truncated tail mass"):
@@ -401,7 +425,7 @@ class TestSmoothing:
         build = coherent.FockOracle
         monkeypatch.setattr(
             coherent, "FockOracle", lambda H, cutoff: builds.append(cutoff) or build(H, cutoff))
-        monkeypatch.setattr(coherent, "_ORACLES", {})
+        coherent._oracle.cache_clear()
         qs, ps = phase_grid_axes(CTX, nq=16, npts=16)
         weyl_U_grid(H_HARM, CTX, 0.5, qs, ps, cutoff=60)
         husimi_U_grid(H_HARM, CTX, 0.5, qs, ps, cutoff=60)
