@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 HERMITIAN_TOLERANCE = 1e-12  # of OperatorPoly.is_hermitian, relative to the largest coefficient
-TRIM_TOLERANCE = 1e-14  # of SymbolPoly.trimmed, relative to the largest coefficient
+TRIM_TOLERANCE = 1e-14  # of trimmed symbols and symbol_to_qp, relative to the largest coefficient
 FORM_S = {"q": 0.0, "p": -1.0, "w": -0.5}  # each form's symbol is exp(s d_u d_v) of the Q symbol
 
 
@@ -246,11 +246,8 @@ class SymbolPoly:
         return SymbolPoly(_in_range(scaled, "a coefficient of the scaled symbol"))
 
     def trimmed(self) -> "SymbolPoly":
-        """Drop coefficients below ``TRIM_TOLERANCE`` relative to the largest one."""
-        scale = max((abs(c) for c in self.terms.values()), default=0.0)
-        return SymbolPoly(
-            {k: c for k, c in self.terms.items() if abs(c) > TRIM_TOLERANCE * scale}
-        )
+        """Drop coefficients up to ``TRIM_TOLERANCE`` times the largest, as symbol_to_qp does."""
+        return SymbolPoly(_trim(self.terms))
 
     @cached_property
     def _jets(self) -> dict:
@@ -500,22 +497,23 @@ def weyl_quantize(qp_terms: dict, ctx: ScaleContext) -> OperatorPoly:
     return OperatorPoly(normal, ctx.hbar)
 
 
-def symbol_to_qp(sym: SymbolPoly, ctx: ScaleContext, tol: float = 1e-13) -> dict:
+def symbol_to_qp(sym: SymbolPoly, ctx: ScaleContext) -> dict:
     """Rewrite a (u, v) symbol as a polynomial in the real variables (q, p).
 
-    Returns a map ``(j, k) -> coefficient`` of ``q^j p^k``; coefficients below
-    ``tol`` (relative) are trimmed so Hermitian inputs give clean tables, and
-    ``tol=0`` keeps every one that is not exactly 0.  A ``tol`` that is neither
-    0 nor positive raises :class:`InvalidArgument`, a coefficient that is not
-    a finite double :class:`DomainError`.
+    Returns a map ``(j, k) -> coefficient`` of ``q^j p^k``, trimmed as
+    :meth:`SymbolPoly.trimmed` is (at ``TRIM_TOLERANCE`` of the largest
+    coefficient), so Hermitian inputs give clean tables.  A coefficient that
+    is not a finite double raises :class:`DomainError`.
     """
-    require_finite(tol=tol)  # refuses False, which equals 0
-    if tol != 0:
-        require_positive(tol=tol)
     _, _, u_poly, v_poly = _uv_linear_forms(ctx)
-    out = _in_range(_substitute(sym.terms, v_poly, u_poly), "a (q, p) coefficient of the symbol")
-    scale = max((abs(c) for c in out.values()), default=0.0)
-    return {k: c for k, c in out.items() if abs(c) > tol * scale}
+    qp = _substitute(sym.terms, v_poly, u_poly)
+    return _trim(_in_range(qp, "a (q, p) coefficient of the symbol"))
+
+
+def _trim(terms: dict) -> dict:
+    """``terms`` without the coefficients of at most ``TRIM_TOLERANCE`` times the largest one."""
+    scale = max((abs(c) for c in terms.values()), default=0.0)
+    return {k: c for k, c in terms.items() if abs(c) > TRIM_TOLERANCE * scale}
 
 
 def harmonic_hamiltonian(ctx: ScaleContext) -> OperatorPoly:

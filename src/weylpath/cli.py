@@ -38,8 +38,7 @@ def _checked(kind, rule, name: str, *least):
     def parse(text: str):
         try:
             value = kind(text)
-            if least:  # an int beyond the double range is not finite either: no builder sizes it
-                require_finite(**{name: value})
+            if least:
                 rule(value, name, *least)
             else:
                 rule(**{name: value})

@@ -34,9 +34,10 @@ TAIL_THRESHOLD = 1e-12  # largest truncated tail mass allowed for any coherent l
 GH_NODES = 64  # Gauss-Hermite nodes per axis in weyl_element
 GH_TOLERANCE = 1e-9  # node-doubling tolerance of weyl_element
 CUTOFF_TOLERANCE = 1e-10  # default cutoff-doubling tolerance of exact_propagator
-DENSE_BYTES = 2**31  # largest dense arrays one call builds: oracle, lattice, coherent columns
+DENSE_BYTES = 2**31  # largest dense arrays one call builds, each counted by _require_dense first
 COHERENT_BYTES = 32  # per Fock state and label, plus one label for the tables, in coherent_matrix:
-# complex columns and two float temporaries (traced peak: 31.1-32.1 at 16-4096 labels, 24 at one)
+# complex columns and one float table (traced peak: 24.1-25.5 at 16-4096 labels, 24 at one); the
+# Husimi grid's block loop over the columns peaks at 28.1 (cutoff 200, 64 x 64 labels)
 ORACLE_MATRICES = 5  # complex (cutoff + 1)^2 arrays alive in the build of a complex H that couples
 # parities: H, eigh's copy, its two work arrays and the eigenvectors (measured peak: 5.1 at cutoff 1000
 # and 2000); a real H peaks at 2.5-2.6 in one block, and at 1.4-1.5 in parity blocks (H and its real part)
@@ -115,8 +116,11 @@ def coherent_matrix(zs, cutoff: int) -> np.ndarray:
         step = min(k, cutoff - k)
         np.multiply(cols[1:step + 1], cols[k], out=cols[k + 1:k + step + 1])
         k += step
-    cols *= np.exp(n * np.log(r1) - half_log_fact - half_r2)
-    tail = float(np.max(1.0 - np.sum(np.abs(cols) ** 2, axis=0)))
+    moduli = n * np.log(r1)  # the one float table: exponents, then moduli, then their squares
+    moduli -= half_log_fact
+    moduli -= half_r2
+    cols *= np.exp(moduli, out=moduli)
+    tail = float(np.max(1.0 - np.sum(np.square(moduli, out=moduli), axis=0)))
     if not tail <= TAIL_THRESHOLD:  # NaN-aware
         raise DomainError(
             f"truncated tail mass {tail:.3e} exceeds threshold {TAIL_THRESHOLD:.3e} "
@@ -137,10 +141,12 @@ def operator_matrix(op: OperatorPoly, cutoff: int) -> np.ndarray:
 
     Matrix elements of ``adag^m a^n`` are
     ``sqrt(i!/(i-m)!) sqrt(j!/(j-n)!) delta_{i-m, j-n}``; Hermitian input
-    yields an exactly Hermitian matrix; the cutoff must be at least the degree.
+    yields an exactly Hermitian matrix; the cutoff must be at least the degree, and a matrix
+    beyond ``DENSE_BYTES`` raises :class:`DomainError` before it is built.
     """
     require_index(cutoff, "cutoff", op.degree)
     dim = cutoff + 1
+    _require_dense(16 * dim**2, f"a Fock matrix at cutoff {cutoff}")  # traced peak: 16.1-17
     mat = np.zeros((dim, dim), dtype=complex)
     j = np.arange(dim)
     for (m, n), c in op.terms.items():
@@ -215,10 +221,8 @@ class FockOracle:
 def _adjoint_product(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     """v^dagger x; for a real v a complex x is multiplied through its float view, one real product
     over its real and imaginary parts, with no complex copy of v."""
-    if np.iscomplexobj(v):
+    if np.iscomplexobj(v) or not np.iscomplexobj(x):
         return v.conj().T @ x
-    if not np.iscomplexobj(x):
-        return v.T @ x
     return (v.T @ x.view(float)).view(complex)
 
 
@@ -265,9 +269,16 @@ def _require_oracle_fits(cutoff: int, factor: int) -> None:
 
 
 def _require_dense(need: float, what: str) -> None:
-    """Refuse ``what`` unless its ``need`` in bytes is at most ``DENSE_BYTES``, read at the call."""
+    """Refuse ``what`` unless its ``need`` in bytes is at most ``DENSE_BYTES``, read at the call;
+    ``need`` may be any count, an int beyond the double range included."""
     if not need <= DENSE_BYTES:  # an inf or NaN count is refused too
-        raise DomainError(f"{what}: {need:.3g} bytes exceed DENSE_BYTES")
+        try:
+            shown = f"{need:.3g}"
+        except OverflowError:  # an int beyond the double range; a rare path, so imported here
+            from decimal import Decimal
+
+            shown = f"{Decimal(need):.3g}"
+        raise DomainError(f"{what}: {shown} bytes exceed DENSE_BYTES")
 
 
 def _cached_oracle(H: OperatorPoly, cutoff: int) -> FockOracle:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FORM_S, OperatorPoly, SymbolPoly, form_s, symbol_for_form
-from .coherent import harmonic_exact_K, overlap
+from .coherent import _require_dense, harmonic_exact_K, overlap
 from .errors import DomainError, InvalidArgument, finite_double, refine
 from .errors import require_finite, require_index, require_nonnegative, require_positive
 
@@ -42,6 +42,9 @@ __all__ = [
 COHERENT_WIDTH = 1.0 / math.sqrt(2.0)  # |<z|z'>|^2 = exp(-|z-z'|^2)
 GRID_REFINE = 1.5  # per-axis point-count factor of the quadrature's check pass
 RADIUS_WIDTHS = 6.0  # disc radius of the quadrature, in coherent widths around the z' -> z'' line
+QUAD_BYTES = 96  # per node of a quadrature pass's largest grid, refused above DENSE_BYTES: the
+# n^3 pair-sum tables where four dimensions are integrated, else the n x n disc (traced peaks:
+# 33-39 and 76-81 bytes per node at 36-144 points per axis)
 
 
 @dataclass(frozen=True)
@@ -214,10 +217,12 @@ def stationary_path_harmonic(
     """Stationary path of the Weyl-form exponent for H = hbar omega u v.
 
     ``w_k = (alpha*)^(k-1) / alpha^k z'`` and the conjugate pattern
-    ``w*_k = (alpha*)^(N-k) / alpha^(N-k+1) z''*`` with alpha = 1 + i tau omega / 2, N even.
+    ``w*_k = (alpha*)^(N-k) / alpha^(N-k+1) z''*`` with alpha = 1 + i tau omega / 2, N even;
+    a path beyond ``DENSE_BYTES`` raises :class:`DomainError` before it is built.
     """
     require_index(N, "N", 2)
     require_finite(zp=zp, zpp=zpp, omega=omega, T=T)
+    _require_dense(48 * N, f"a stationary path of {N} midpoints")  # traced peak: 48.1-49.3
     tau = T / N
     alpha = 1.0 + 0.5j * tau * omega
     k = np.arange(1, N + 1)
@@ -434,7 +439,8 @@ def quadrature_K(
     DomainError
         If the requested (form, N) needs more than a 4-dimensional grid, or
         for the Q form at N = 3 with H of degree above 2 (no limit exists),
-        or the value on either grid is not a finite double.
+        either pass would take more than ``DENSE_BYTES`` (refused before the
+        first is run), or the value on either grid is not a finite double.
     NonConverged
         If refinement moves the value by more than ``grid.tolerance``, or
         by a non-finite amount when no tolerance is set.
@@ -457,17 +463,21 @@ def quadrature_K(
     if form == "q" and N == 3 and sym.degree > 2:
         why = f"has no limit at degree {sym.degree}: its value grows with the disc radius"
         raise DomainError(f"the Q-form integral at N = 3 {why}")
+    on = "the quadrature on {} points per axis".format  # names a pass in its refusals
+    power = 3 if dims == 4 else 2  # a pass builds the pair sum's n^3 tables, else an n x n disc
+    _require_dense(QUAD_BYTES * grid.points**power, on(grid.points))
+    n_fine = int(round(grid.points * GRID_REFINE))  # a finite double once the first pass fits
+    _require_dense(QUAD_BYTES * n_fine**power, on(n_fine))
     if T == 0:
         return QuadKResult(complex(overlap(zpp, zp)), 0.0, 0, 0)
     args = (form, sym, zp, zpp, T / N, N, H.hbar, RADIUS_WIDTHS * COHERENT_WIDTH)
 
     def once(n):
-        return finite_double(lambda: _quad_once(*args, n), f"the quadrature on {n} points per axis")
+        return finite_double(lambda: _quad_once(*args, n), on(n))
 
     coarse, _ = once(grid.points)
     if dims == 0:
         return QuadKResult(coarse, 0.0, 0, 0)
-    n_fine = int(round(grid.points * GRID_REFINE))
     fine, npts_f = once(n_fine)
     what = f"refining {grid.points} -> {n_fine} points per axis"
     fine, delta = refine(coarse, fine, grid.tolerance, what)

@@ -77,12 +77,14 @@ def refuse_bool(**values) -> None:
 
 
 def require_index(value, name: str, least: int | None = None) -> int:
-    """``value`` as an int, refused (naming ``name``) if boolean, non-integral or below ``least``."""
+    """``value`` as an int, refused (naming ``name``) if boolean, non-integral, beyond the double
+    range (by ``require_finite``) or below ``least``."""
     refuse_bool(**{name: value})
     try:
         index = operator.index(value)
     except TypeError:
         raise InvalidArgument(f"{name} must be an integer, got {value!r}") from None
+    require_finite(**{name: index})
     if least is not None and index < least:
         raise InvalidArgument(f"{name} must be at least {least}, got {value!r}")
     return index
@@ -93,7 +95,7 @@ def require_finite(**values) -> None:
     refuse_bool(**values)
     for name, val in values.items():
         try:  # a Python int as a float: numpy cannot test one of 2**64 or more
-            finite = np.isfinite(float(val) if isinstance(val, int) else val).all()
+            finite = math.isfinite(val) if isinstance(val, int) else np.isfinite(val).all()
         except (TypeError, ValueError, OverflowError):  # a string, None, a ragged list, a huge int
             raise InvalidArgument(f"{name} must be a number, got {val!r}") from None
         if not finite:

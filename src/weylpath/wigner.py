@@ -87,10 +87,12 @@ def phase_grid_axes(
     q_widths: float = 4.0,
     p_widths: float = 4.0,
 ):
-    """Default axes |q| <= q_widths b, |p| <= p_widths c: nq, npts >= 1 points, positive widths."""
+    """Default axes |q| <= q_widths b, |p| <= p_widths c: nq, npts >= 1 points, positive widths;
+    axes beyond ``DENSE_BYTES`` raise :class:`DomainError`."""
     require_index(nq, "nq", 1)
     require_index(npts, "npts", 1)
     require_positive(q_widths=q_widths, p_widths=p_widths)
+    _require_dense(8 * (nq + npts), f"axes of {nq} and {npts} points")
     qs = np.linspace(-q_widths * ctx.b, q_widths * ctx.b, nq)
     ps = np.linspace(-p_widths * ctx.c, p_widths * ctx.c, npts)
     return qs, ps
@@ -132,12 +134,15 @@ def hermite_functions(xs: np.ndarray, nmax: int, b: float) -> np.ndarray:
     a column that grows past ``_HERMITE_RESCALE`` is divided by it and the
     factor carried in its log weight.  Returns an array of shape
     (nmax + 1, len(xs)).  A non-finite x, an nmax that is not an integer of
-    at least 0 or a b that is not positive raises :class:`InvalidArgument`.
+    at least 0 or a b that is not positive raises :class:`InvalidArgument`,
+    a table beyond ``DENSE_BYTES`` :class:`DomainError`.
     """
     require_finite(xs=xs)
     require_index(nmax, "nmax", 0)
     require_positive(b=b)
     xi = np.asarray(xs, dtype=float) / b
+    need = 8 * (nmax + 10) * xi.size  # the table and nine work rows (traced: 8 nmax + 65-73 per x)
+    _require_dense(need, f"{nmax + 1} Hermite functions on {xi.size} points")
     out = np.empty((nmax + 1, xi.size))
     log_weight = -0.5 * xi**2
     weight = np.exp(log_weight)

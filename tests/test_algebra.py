@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 
@@ -373,7 +374,7 @@ def hermitian_ops(draw):
 @given(op=hermitian_ops(), b=st.floats(0.5, 2.0))
 def test_weyl_symbol_quantize_round_trip_property(op, b):
     ctx = ScaleContext(hbar=op.hbar, b=b)
-    back = weyl_quantize(symbol_to_qp(weyl_symbol(op), ctx, tol=0.0), ctx)
+    back = weyl_quantize(symbol_to_qp(weyl_symbol(op), ctx), ctx)
     assert back.hbar == op.hbar
     assert_terms(back.terms, op.terms, tol=1e-12)
 
@@ -533,13 +534,12 @@ ZERO = lambda t: 0.0
         (lambda x: quadrature_K("w", H_BOOL, x, 0.2, 1.0, 2), "zp"),
         (lambda x: wigner.smoothing_check(None, None, ScaleContext(), margin_sigmas=x),
          "margin_sigmas"),
-        (lambda x: symbol_to_qp(SymbolPoly({(1, 1): 1.0}), ScaleContext(), tol=x), "tol"),
         (lambda x: coherent.displacement_element(x, 0.0, 0.3, 0.2, ScaleContext()), "q"),
     ],
     ids=["exact_propagator", "semiclassical_K", "quadrature_K", "harmonic_exact_K",
          "solve_bvp", "det_continuum-T", "det_continuum-hbar", "OperatorPoly", "ScaleContext",
          "ScaleContext.default", "mu_coefficients", "harmonic_discrete_K", "quadrature_K-zp",
-         "smoothing_check", "symbol_to_qp", "displacement_element"],
+         "smoothing_check", "displacement_element"],
 )
 def test_booleans_are_not_numbers(call, name, true):
     # each of these used to run as if given 1
@@ -711,6 +711,11 @@ class TestHamiltonianLoader:
     def test_term_fields_refused_in_the_errors_wording(self, entry, message):
         with pytest.raises(HamiltonianFormatError, match=f"^{message}$"):
             load_hamiltonian({"terms": [entry]})
+
+    def test_unreadable_path_refused(self, tmp_path):
+        path = tmp_path / "missing.json"
+        with pytest.raises(HamiltonianFormatError, match=f"^cannot read {re.escape(str(path))}: "):
+            load_hamiltonian(str(path))
 
     def test_json_error_carries_location(self, tmp_path):
         path = tmp_path / "broken.json"

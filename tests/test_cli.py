@@ -241,6 +241,20 @@ class TestPropagate:
         out, err = capsys.readouterr()
         assert out == "" and "cutoff 100000000 needs an oracle at cutoff 200000000" in err
 
+    def test_unreadable_hamiltonian_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        argv = ["--hamiltonian", str(path), "--z0", "0,0", "--z1", "0,0", "--T", "1"]
+        assert main(["propagate", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: cannot read {path}: " in err
+
+    def test_cutoff_beyond_any_oracle_exit_code(self, harmonic_json, capsys):
+        # the oracle's byte count, an int beyond the double range, ended in an OverflowError
+        argv = ["--form", "exact", "--cutoff", "1" + "0" * 200, "--z0", "1,0", "--z1", "0,0", "--T", "0.5"]
+        assert main(["propagate", "--hamiltonian", harmonic_json, *argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and ": 3.20e+402 bytes exceed DENSE_BYTES" in err
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -369,6 +383,23 @@ ERRSTATE_SITES = {
     "semiclassics._trajectories": "an overflowing coarse seed is non-finite nodes, _newton's blow-up",
     "wigner.weyl_U_grid": "a lattice node count beyond the double range is inf, and refused",
 }
+
+
+def test_one_trim_rule():
+    """Symbols lose their round-off by one rule: TRIM_TOLERANCE is read in one function."""
+    src = os.path.dirname(os.path.abspath(cli.__file__))
+    readers = set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read())
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and any(
+                    "TRIM_TOLERANCE" in (getattr(n, "id", None), getattr(n, "attr", None))
+                    for n in ast.walk(func)):
+                readers.add(f"{name[:-3]}.{func.name}")
+    assert readers == {"algebra._trim"}
 
 
 def test_errstate_only_in_its_sites():
@@ -756,6 +787,13 @@ class TestWignerU:
             ]
         )
         assert rc == 3
+
+    def test_axis_beyond_any_array_exit_code(self, harmonic_json, capsys):
+        # an axis of 1e20 points ended in numpy's ValueError: Maximum allowed size exceeded
+        argv = ["wigner-u", "--hamiltonian", harmonic_json, "--T", "1", "--nq", "1" + "0" * 20]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and f"axes of {10**20} and 64 points: 8e+20 bytes exceed DENSE_BYTES" in err
 
     @pytest.mark.parametrize("q_widths", ["1e-300", "1e-6", "1e-320"])
     def test_lattice_too_large_exit_code(self, harmonic_json, capsys, q_widths):

@@ -1,3 +1,4 @@
+import inspect
 import math
 import sys
 import threading
@@ -15,6 +16,7 @@ from weylpath import (
     FluctuationCoeffs,
     FockOracle,
     OperatorPoly,
+    PhaseSpaceGrid,
     ScaleContext,
     SymbolPoly,
     convergence_table,
@@ -27,6 +29,7 @@ from weylpath import (
     harmonic_hamiltonian,
     husimi_U_grid,
     mu_coefficients,
+    normalize,
     operator_matrix,
     overlap,
     phase_grid_axes,
@@ -36,15 +39,14 @@ from weylpath import (
     smoothing_check,
     solve_bvp,
     stationary_path_harmonic,
-    symbol_to_qp,
     weyl_element,
     weyl_symbol,
     weyl_U_grid,
 )
-from weylpath import coherent, fluctuation, semiclassics
+from weylpath import algebra, coherent, discrete, fluctuation, semiclassics, wigner
 from weylpath.coherent import coherent_matrix
 from weylpath.wigner import hermite_functions
-from weylpath.errors import DomainError, InvalidArgument, NonConverged, refine
+from weylpath.errors import DomainError, InvalidArgument, NonConverged, WeylPathError, refine
 
 CTX = ScaleContext.default()
 
@@ -533,10 +535,6 @@ H_QUARTIC = quartic_position_hamiltonian(0.1, CTX)
          InvalidArgument, "^margin_sigmas must be positive, got nan$"),  # numpy's ValueError
         (lambda: smoothing_check(None, None, CTX, margin_sigmas=-1.0),
          InvalidArgument, "^margin_sigmas must be positive, got -1.0$"),  # returned a number
-        (lambda: symbol_to_qp(weyl_symbol(H_QUARTIC), CTX, tol=NAN),
-         InvalidArgument, "^tol must be finite, got nan$"),  # returned {}
-        (lambda: symbol_to_qp(weyl_symbol(H_QUARTIC), CTX, tol=-1.0),
-         InvalidArgument, "^tol must be positive, got -1.0$"),
         (lambda: displacement_element(NAN, 0.0, 0.3, 0.2, CTX),
          InvalidArgument, "^q must be finite, got nan$"),  # returned nan+nanj
         (lambda: displacement_element(0.1, 0.0, 0.3, [0.2, math.inf], CTX),
@@ -562,8 +560,8 @@ H_QUARTIC = quartic_position_hamiltonian(0.1, CTX)
          "husimi_U_grid-axis-complex", "weyl_U_grid-axis-complex", "mu_coefficients-omega-nan",
          "harmonic_discrete_K-omega-string", "quadrature_K-zp-nan", "quadrature_K-zpp-inf",
          "hermite_functions-xs-nan", "hermite_functions-b-zero", "hermite_functions-b-nan",
-         "smoothing_check-margin-nan", "smoothing_check-margin-negative", "symbol_to_qp-tol-nan",
-         "symbol_to_qp-tol-negative", "displacement_element-q-nan", "displacement_element-z2-inf"],
+         "smoothing_check-margin-nan", "smoothing_check-margin-negative",
+         "displacement_element-q-nan", "displacement_element-z2-inf"],
 )
 def test_non_finite_input_raises(call, error, message):
     """A non-finite or non-numeric T, label, axis, scale, width or tolerance (and a width or
@@ -613,6 +611,71 @@ def test_counts_must_be_integers(call, name, least, value):
         call(value)
 
 
+SIZE_PARAMETERS = ("cutoff", "steps", "N", "N_list", "nq", "npts", "nmax", "points")
+# Every public entry point with an integer size, as (module, name, parameter), called with that
+# size alone.  The records hold the size a call used and check nothing; the closed forms build
+# nothing of size N and return their N -> infinity limit at any N a double holds.
+SIZED_CALLS = {
+    ("coherent", "fock_coherent", "cutoff"): lambda x: fock_coherent(0.3, x),
+    ("coherent", "operator_matrix", "cutoff"): lambda x: operator_matrix(H_QUARTIC, x),
+    ("coherent", "FockOracle", "cutoff"): lambda x: FockOracle(H_QUARTIC, x),
+    ("coherent", "exact_propagator", "cutoff"):
+        lambda x: exact_propagator(H_QUARTIC, 0.3, 0.2, 0.5, cutoff=x),
+    ("discrete", "stationary_path_harmonic", "N"):
+        lambda x: stationary_path_harmonic(0.3, 0.2, 1.0, 0.5, x),
+    ("discrete", "harmonic_discrete_K", "N"): lambda x: harmonic_discrete_K("p", 0.3, 0.2, 1.0, 0.5, x),
+    ("discrete", "mu_coefficients", "N"): lambda x: mu_coefficients(1.0, 0.5, x),
+    ("discrete", "DiscGridSpec", "points"):
+        lambda x: quadrature_K("p", H_QUARTIC, 0.3, 0.2, 0.5, 1, DiscGridSpec(points=x)),
+    ("discrete", "quadrature_K", "N"): lambda x: quadrature_K("p", H_QUARTIC, 0.3, 0.2, 0.5, x),
+    ("discrete", "convergence_table", "N_list"):
+        lambda x: [row["re_K"] + 1j * row["im_K"] for row in convergence_table(1.0, 0.5, 0.3, 0.2, [x])],
+    ("fluctuation", "det_continuum", "steps"):
+        lambda x: det_continuum(lambda t: 0.0, lambda t: 0.0, lambda t: 1.0, 0.5, steps=x),
+    ("semiclassics", "solve_bvp", "steps"):
+        lambda x: solve_bvp(weyl_symbol(H_QUARTIC), 0.3, 0.2, 0.5, steps=x),
+    ("semiclassics", "semiclassical_K", "steps"):
+        lambda x: semiclassical_K("w", H_QUARTIC, 0.3, 0.2, 0.5, steps=x),
+    ("wigner", "phase_grid_axes", "nq"): lambda x: phase_grid_axes(CTX, nq=x),
+    ("wigner", "phase_grid_axes", "npts"): lambda x: phase_grid_axes(CTX, npts=x),
+    ("wigner", "hermite_functions", "nmax"): lambda x: hermite_functions([0.0, 0.5], x, 1.0),
+    ("wigner", "weyl_U_grid", "cutoff"): lambda x: weyl_U_grid(H_QUARTIC, CTX, 0.5, *AXES, cutoff=x),
+    ("wigner", "husimi_U_grid", "cutoff"):
+        lambda x: husimi_U_grid(H_QUARTIC, CTX, 0.5, *AXES, cutoff=x),
+}
+SIZED_RECORDS = {("coherent", "FockVector", "cutoff"), ("semiclassics", "SemiclassicalResult", "steps")}
+CLOSED_FORMS = {"mu_coefficients", "harmonic_discrete_K", "convergence_table"}
+
+
+def test_sized_calls_cover_every_public_size():
+    """A new integer size in any module's __all__ must join SIZED_CALLS or SIZED_RECORDS."""
+    found = set()
+    for module in (algebra, coherent, discrete, fluctuation, semiclassics, wigner):
+        for name in module.__all__:
+            params = inspect.signature(getattr(module, name)).parameters
+            found |= {(module.__name__.split(".")[-1], name, p) for p in params if p in SIZE_PARAMETERS}
+    assert found == set(SIZED_CALLS) | SIZED_RECORDS
+
+
+@pytest.mark.parametrize("size", [10**400, 10**200, 10**20], ids=["beyond-double", "1e200", "1e20"])
+@pytest.mark.parametrize("key", list(SIZED_CALLS), ids=["-".join(key[1:]) for key in SIZED_CALLS])
+def test_huge_sizes_refused(key, size):
+    """A size beyond the double range is refused as not a number (an OverflowError or numpy's
+    ValueError before), and a size a double holds but no array can is refused by DENSE_BYTES
+    before anything is built (numpy's ValueError in five places, an OverflowError in the
+    refusal's own message in two); a closed form returns its finite limit."""
+    call = SIZED_CALLS[key]
+    if size > 1e308:
+        name = "N" if key[2] == "N_list" else key[2]
+        with pytest.raises(InvalidArgument, match=f"^{name} must be a number, got 1000"):
+            call(size)
+    elif key[1] in CLOSED_FORMS:
+        assert np.isfinite(call(size)).all()
+    else:
+        with pytest.raises(WeylPathError):
+            call(size)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -637,15 +700,24 @@ def test_counts_must_be_integers(call, name, least, value):
         # both grids used to read T only for the phases, after the oracle was built
         (lambda: weyl_U_grid(H_QUARTIC, CTX, NAN, *AXES, cutoff=73), "^T must be finite, got nan$"),
         (lambda: husimi_U_grid(H_QUARTIC, CTX, NAN, *AXES, cutoff=73), "^T must be finite, got nan$"),
+        # one W slice is two integrated dimensions, within the grid limit: the parity refuses it
+        (lambda: quadrature_K("w", H_QUARTIC, 0.3, 0.2, 0.5, 1), "^the W form requires even N$"),
+        (lambda: DiscreteWPath(np.ones(4), 0.1, 0.3, 0.2, w_star=np.ones(2)),
+         "^w and w_star must have the same length$"),
+        (lambda: PhaseSpaceGrid(np.zeros(3), np.zeros(2), np.zeros((2, 3))),
+         "^values shape does not match the axes$"),
+        (lambda: normalize([(1.0, "adag b")]), "^unknown ladder letter 'b'$"),
     ],
     ids=["exact_propagator-T", "harmonic_exact_K-omega", "harmonic_exact_K-omega-bool",
          "stationary_path_harmonic-omega", "DiscreteWPath-tau-bool", "DiscreteWPath-w",
          "weyl_element-label", "exact_propagator-label-string", "exact_propagator-T-negative",
          "det_continuum-T-negative", "quadrature_K-T-negative", "semiclassical_K-T-negative",
-         "weyl_U_grid-T", "husimi_U_grid-T"],
+         "weyl_U_grid-T", "husimi_U_grid-T", "quadrature_K-W-odd-N", "DiscreteWPath-w_star-length",
+         "PhaseSpaceGrid-values-shape", "normalize-letter"],
 )
 def test_bad_argument_refused_before_work(call, message):
-    """A NaN or boolean argument is an InvalidArgument, raised before any oracle is built."""
+    """A NaN, boolean, mismatched or unknown argument is an InvalidArgument, raised before any
+    oracle is built."""
     cached = coherent._oracle.cache_info()
     with pytest.raises(InvalidArgument, match=message):
         call()
@@ -802,6 +874,20 @@ class TestCoherentBudget:
             tracemalloc.stop()
         need = coherent.COHERENT_BYTES * (cutoff + 1) * (labels + 1)
         assert 0.7 * need < peak < 1.05 * need
+
+    @pytest.mark.parametrize("labels, cutoff", [(64, 5_000), (4096, 200)])
+    def test_one_float_table_beside_the_columns(self, labels, cutoff):
+        # the exponents, moduli and tail squares share one table, about 24 bytes per Fock state
+        # and label with the columns; a separate exponent table and |cols|^2 took about 32
+        zs = 0.5 * np.exp(1j * np.arange(labels))
+        coherent._fock_log_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            coherent_matrix(zs, cutoff)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 26 * (cutoff + 1) * labels
 
     def test_husimi_grid_within_the_count(self):
         # U @ cols and the conjugate product took about 48 bytes per Fock state and label
