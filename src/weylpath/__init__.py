@@ -4,9 +4,10 @@ Numerical toolkit covering ladder-operator symbol calculus, a truncated
 Fock-space exact oracle, the three discrete path-integral forms with their
 harmonic closed forms, complex-trajectory semiclassical propagators with
 fluctuation determinants, and the Wigner-Husimi connection on phase-space
-grids.  Every name in a module's ``__all__`` is exported here, and it loads
-on its first read (PEP 562): ``import weylpath`` alone loads neither numpy
-nor any submodule, and reading ``weylpath.semiclassical_K`` loads
+grids.  ``_EXPORTS`` below is the one list of public names: each module
+reads its ``__all__`` from its entry, and every name is exported here and
+loads on its first read (PEP 562): ``import weylpath`` alone loads neither
+numpy nor any submodule, and reading ``weylpath.semiclassical_K`` loads
 semiclassics and the modules it imports, no other.  A submodule name, such
 as ``weylpath.errors`` or ``weylpath.cli``, loads that submodule.
 """
@@ -15,7 +16,7 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# each module's __all__, the names whose first read loads that module (tests pin the copies equal)
+# each module's public names: its __all__, read from here, and the names whose first read loads it
 _EXPORTS = {
     "algebra": """OperatorPoly SymbolPoly ScaleContext normalize q_symbol p_symbol weyl_symbol
         weyl_quantize symbol_to_qp symbol_for_form load_hamiltonian harmonic_hamiltonian

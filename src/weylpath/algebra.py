@@ -23,24 +23,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import DomainError, HamiltonianFormatError, InvalidArgument
 from .errors import finite_double, require_finite, require_index, require_positive
 
-__all__ = [
-    "OperatorPoly",
-    "SymbolPoly",
-    "ScaleContext",
-    "normalize",
-    "q_symbol",
-    "p_symbol",
-    "weyl_symbol",
-    "weyl_quantize",
-    "symbol_to_qp",
-    "symbol_for_form",
-    "load_hamiltonian",
-    "harmonic_hamiltonian",
-    "quartic_position_hamiltonian",
-]
+__all__ = _EXPORTS["algebra"].split()
 
 HERMITIAN_TOLERANCE = 1e-12  # of OperatorPoly.is_hermitian, relative to the largest coefficient
 TRIM_TOLERANCE = 1e-14  # of trimmed symbols and symbol_to_qp, relative to the largest coefficient

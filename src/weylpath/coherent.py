@@ -13,21 +13,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _EXPORTS
 from .algebra import OperatorPoly, ScaleContext, SymbolPoly
 from .errors import DomainError, InvalidArgument, finite_double, refine
 from .errors import require_finite, require_index, require_nonnegative, require_positive
 
-__all__ = [
-    "FockVector",
-    "overlap",
-    "fock_coherent",
-    "operator_matrix",
-    "FockOracle",
-    "exact_propagator",
-    "harmonic_exact_K",
-    "displacement_element",
-    "weyl_element",
-]
+__all__ = _EXPORTS["coherent"].split()
 
 DEFAULT_CUTOFF = 80
 TAIL_THRESHOLD = 1e-12  # largest truncated tail mass allowed for any coherent label

@@ -18,26 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .algebra import FORM_S, OperatorPoly, SymbolPoly, form_s, symbol_for_form
 from .coherent import _require_dense, harmonic_exact_K, overlap
 from .errors import DomainError, InvalidArgument, finite_double, refine
 from .errors import require_finite, require_index, require_nonnegative, require_positive
 
-__all__ = [
-    "DiscreteWPath",
-    "phi_N",
-    "phi_N_alt",
-    "psi_C",
-    "chord_coefficients",
-    "phi_N_gradient",
-    "stationary_path_harmonic",
-    "harmonic_discrete_K",
-    "mu_coefficients",
-    "DiscGridSpec",
-    "QuadKResult",
-    "quadrature_K",
-    "convergence_table",
-]
+__all__ = _EXPORTS["discrete"].split()
 
 COHERENT_WIDTH = 1.0 / math.sqrt(2.0)  # |<z|z'>|^2 = exp(-|z-z'|^2)
 GRID_REFINE = 1.5  # per-axis point-count factor of the quadrature's check pass
@@ -351,6 +338,17 @@ def _gaussian_pair_sum(a: complex, c0: complex, c1: complex, ax, mask, left, rig
     return complex(np.sum(L * outer))
 
 
+def _q_factor(sym: SymbolPoly, tau: float, hbar: float, za, zb):
+    """The Q-form factor of one slice from z_a to z_b:
+    exp(z_b* z_a - |z_a|^2/2 - |z_b|^2/2 - i tau H(z_a, z_b*)/hbar)."""
+    return np.exp(
+        np.conj(zb) * za
+        - 0.5 * np.abs(za) ** 2
+        - 0.5 * np.abs(zb) ** 2
+        - 1j * tau * sym.eval(za, np.conj(zb)) / hbar
+    )
+
+
 def _quad_once(
     form: str,
     sym: SymbolPoly,
@@ -366,18 +364,7 @@ def _quad_once(
     offsets, area, ax, mask = _disc_points(radius, n)
 
     if form == "q":
-        # N slices, N-1 integrated points; H couples adjacent times:
-        # E_j = z*_{j+1} z_j - |z_j|^2/2 - |z_{j+1}|^2/2 - i tau H(z_j, z*_{j+1})/hbar
-        def e_factor(za, zb):
-            return np.exp(
-                np.conj(zb) * za
-                - 0.5 * np.abs(za) ** 2
-                - 0.5 * np.abs(zb) ** 2
-                - 1j * tau * sym.eval(za, np.conj(zb)) / hbar
-            )
-
-        if N == 1:
-            return complex(e_factor(zp, zpp)), 0
+        e_factor = functools.partial(_q_factor, sym, tau, hbar)  # N slices, N-1 integrated points
         centers = [zp + (j / N) * (zpp - zp) for j in range(1, N)]
         pts = [c + offsets for c in centers]
         left = e_factor(zp, pts[0]) * (area / math.pi)
@@ -415,7 +402,7 @@ def _quad_once(
     left = site(w1) * np.exp(-2.0 * zpp_star * w1 + 2.0 * zp * np.conj(w1)) * weight
     right = site(w2) * np.exp(2.0 * zpp_star * w2 - 2.0 * zp * np.conj(w2)) * weight
     pair = _gaussian_pair_sum(4.0, *centers, ax, mask, left, right)
-    return overlap(zpp, zp) * pair, len(offsets)
+    return complex(overlap(zpp, zp) * pair), len(offsets)
 
 
 def quadrature_K(
@@ -430,17 +417,22 @@ def quadrature_K(
     """Brute-force evaluation of a discrete path-integral propagator.
 
     Only very small slice numbers are tractable: the Q form integrates
-    2(N-1) real dimensions, the P and W forms 2N.  Anything beyond four
-    dimensions is refused.  At T = 0, after every check, the value is the
-    exact overlap <z''|z'> with ``refinement_delta`` 0 and ``dims`` 0.
+    2(N-1) real dimensions, the P and W forms 2N, and anything beyond four
+    dimensions is refused, so N runs over 1..3 for Q, 1..2 for P and 2 for W.
+    The Q form at N = 1 integrates nothing: its value is the one slice factor
+    exp(z''* z' - |z'|^2/2 - |z''|^2/2 - i T H(z', z''*)/hbar), built on no grid
+    and counted against no byte limit.  At T = 0, after every check, the value
+    is the exact overlap <z''|z'>.  Where no grid is integrated,
+    ``refinement_delta``, ``dims`` and ``points_per_plane`` are 0.
 
     Raises
     ------
     DomainError
-        If the requested (form, N) needs more than a 4-dimensional grid, or
-        for the Q form at N = 3 with H of degree above 2 (no limit exists),
-        either pass would take more than ``DENSE_BYTES`` (refused before the
-        first is run), or the value on either grid is not a finite double.
+        If the requested (form, N) needs more than a 4-dimensional grid (every
+        N of 4 or more), or for the Q form at N = 3 with H of degree above 2
+        (no limit exists), either pass would take more than ``DENSE_BYTES``
+        (refused before the first is run), or the value on either grid, or the
+        Q form's one factor at N = 1, is not a finite double.
     NonConverged
         If refinement moves the value by more than ``grid.tolerance``, or
         by a non-finite amount when no tolerance is set.
@@ -452,8 +444,7 @@ def quadrature_K(
     form = form.lower()
     require_finite(zp=zp, zpp=zpp)
     require_nonnegative(T=T)
-    if require_index(N, "N", 1) > 3:
-        raise DomainError(f"N = {N} is outside the supported range 1..3")
+    require_index(N, "N", 1)
     dims = 2 * (N - 1) if form == "q" else 2 * N
     if dims > 4:
         raise DomainError(f"form {form!r} with N = {N} needs a {dims}-dimensional grid")
@@ -463,6 +454,10 @@ def quadrature_K(
     if form == "q" and N == 3 and sym.degree > 2:
         why = f"has no limit at degree {sym.degree}: its value grows with the disc radius"
         raise DomainError(f"the Q-form integral at N = 3 {why}")
+    if dims == 0:  # the Q form at N = 1 integrates no plane: its value is its one slice factor
+        value = overlap(zpp, zp) if T == 0 else finite_double(
+            lambda: _q_factor(sym, T, H.hbar, zp, zpp), "the Q-form factor at N = 1")
+        return QuadKResult(complex(value), 0.0, 0, 0)
     on = "the quadrature on {} points per axis".format  # names a pass in its refusals
     power = 3 if dims == 4 else 2  # a pass builds the pair sum's n^3 tables, else an n x n disc
     _require_dense(QUAD_BYTES * grid.points**power, on(grid.points))
@@ -476,8 +471,6 @@ def quadrature_K(
         return finite_double(lambda: _quad_once(*args, n), on(n))
 
     coarse, _ = once(grid.points)
-    if dims == 0:
-        return QuadKResult(coarse, 0.0, 0, 0)
     fine, npts_f = once(n_fine)
     what = f"refining {grid.points} -> {n_fine} points per axis"
     fine, delta = refine(coarse, fine, grid.tolerance, what)

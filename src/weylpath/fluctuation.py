@@ -16,20 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .coherent import _require_dense
 from .errors import DomainError, InvalidArgument, finite_double, refine
 from .errors import require_finite, require_index, require_nonnegative, require_positive
 from .semiclassics import _linear_rk4, _total_product
 
-__all__ = [
-    "FluctuationCoeffs",
-    "DeterminantPair",
-    "build_matrix",
-    "block_tridiagonal",
-    "det_dense",
-    "det_recursive",
-    "det_continuum",
-]
+__all__ = _EXPORTS["fluctuation"].split()
 
 SINGULAR_VALUE_RATIO = 1e-13  # smallest/largest singular value below this: singular to double precision
 RECURSION_CHUNK = 4096  # transfer matrices det_recursive multiplies as one tree: bounds its working memory

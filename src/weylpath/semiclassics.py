@@ -32,24 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .algebra import OperatorPoly, SymbolPoly, form_s, symbol_for_form
 from .coherent import _require_dense, overlap
 from .errors import CausticWarning, DomainError, InvalidArgument, NonConverged
 from .errors import finite_double, require_finite, require_index, require_nonnegative
 from .errors import require_positive
 
-__all__ = [
-    "ComplexTrajectory",
-    "TrajectoryContribution",
-    "SemiclassicalResult",
-    "solve_bvp",
-    "action_S",
-    "correction_I",
-    "d2S",
-    "tracked_prefactor",
-    "trajectory_hessian_samplers",
-    "semiclassical_K",
-]
+__all__ = _EXPORTS["semiclassics"].split()
 
 SINGULAR_THRESHOLD = 1e-12  # |Omega(T)| below this is a caustic: d2S does not exist
 CAUSTIC_THRESHOLD = 1e-4  # |dv(t)| below this on the way warns of a near-caustic

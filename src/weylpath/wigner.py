@@ -37,21 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _EXPORTS
 from .algebra import OperatorPoly, ScaleContext
 from .coherent import _cached_oracle, _labels, _require_dense, coherent_matrix
 from .discrete import DiscreteWPath, _alternating, chord_coefficients
 from .errors import DomainError, InvalidArgument, refine
 from .errors import require_finite, require_index, require_positive
 
-__all__ = [
-    "PhaseSpaceGrid",
-    "phase_grid_axes",
-    "hermite_functions",
-    "weyl_U_grid",
-    "husimi_U_grid",
-    "smoothing_check",
-    "area_identity",
-]
+__all__ = _EXPORTS["wigner"].split()
 
 CHORD_OVERSAMPLING = 1.25  # the coarse chord step is at most the Nyquist step over this
 CHORD_TOLERANCE = 1e-7  # largest grid change allowed when the chord step is halved

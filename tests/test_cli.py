@@ -543,23 +543,24 @@ UNCALLED_PUBLIC = {
 }
 
 
-def test_every_public_name_has_a_caller_or_an_identity():
-    """A module ``__all__`` name is used by src code outside its own def or class, as a name or
-    an attribute (docstrings and ``__all__`` strings do not count), or it is in UNCALLED_PUBLIC
-    with its reason. A name that gains a caller leaves the list."""
+def _src_trees() -> dict:
+    """The parsed module of each file in src/weylpath, by file name."""
     src = os.path.dirname(os.path.abspath(cli.__file__))
     trees = {}
     for name in sorted(os.listdir(src)):
         if name.endswith(".py"):
             with open(os.path.join(src, name)) as fh:
                 trees[name] = ast.parse(fh.read())
-    homes = {
-        public.value: name
-        for name, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__"
-        for public in node.value.elts
-    }
+    return trees
+
+
+def test_every_public_name_has_a_caller_or_an_identity():
+    """A public name of ``weylpath._EXPORTS`` is used by src code outside its own def or class in
+    its home module, as a name or an attribute (docstrings and the table's strings do not count),
+    or it is in UNCALLED_PUBLIC with its reason. A name that gains a caller leaves the list."""
+    trees = _src_trees()
+    homes = {public: f"{module}.py" for module, names in weylpath._EXPORTS.items()
+             for public in names.split()}
     uncalled = set()
     for public, home in homes.items():
         own = {id(n) for d in trees[home].body if getattr(d, "name", None) == public
@@ -570,6 +571,17 @@ def test_every_public_name_has_a_caller_or_an_identity():
         ):
             uncalled.add(public)
     assert uncalled == set(UNCALLED_PUBLIC)
+
+
+def test_no_module_spells_out_its_all():
+    """``weylpath._EXPORTS`` is the one list of public names: no src file assigns a list or tuple
+    literal to ``__all__``; each module reads its own entry of the table."""
+    spelled = [
+        name for name, tree in _src_trees().items() for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, (ast.List, ast.Tuple))
+        and "__all__" in map(ast.unparse, getattr(node, "targets", None) or [node.target])
+    ]
+    assert spelled == []
 
 
 # Functions outside errors.py that test finiteness or booleans themselves, each with its reason;

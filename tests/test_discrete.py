@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -373,12 +375,37 @@ class TestQuadratureK:
 
     def test_dimension_guard(self):
         H = harmonic_hamiltonian(CTX)
-        with pytest.raises(DomainError, match="outside the supported range"):
+        with pytest.raises(DomainError, match="^form 'q' with N = 4 needs a 6-dimensional grid$"):
             quadrature_K("q", H, 0.1, 0.2, 0.1, 4)
         with pytest.raises(DomainError, match="6-dimensional grid"):
             quadrature_K("p", H, 0.1, 0.2, 0.1, 3)
         with pytest.raises(DomainError, match="6-dimensional grid"):
             quadrature_K("w", H, 0.1, 0.2, 0.1, 3)
+
+    def test_single_slice_q_builds_no_grid(self):
+        # built an n x n disc and two passes for one closed-form factor, so 4000 points were refused
+        H = harmonic_hamiltonian(CTX)
+        tracemalloc.start()
+        try:
+            r = quadrature_K("q", H, 0.3, 0.5j, 0.2, 1, DiscGridSpec(points=4000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert repr(r.value) == "(0.7932783966937673-0.20255722987492988j)"
+        assert (r.refinement_delta, r.dims, r.points_per_plane) == (0.0, 0, 0)
+        assert peak < 1e5
+
+    def test_single_slice_q_overflow_is_a_domain_error(self):
+        H = quartic_position_hamiltonian(1e300, CTX)
+        with pytest.raises(DomainError, match="^the Q-form factor at N = 1 is not a finite double$"):
+            quadrature_K("q", H, 0.3, -0.5j, 0.2, 1)
+
+    @pytest.mark.parametrize("T", [0.0, 0.2])
+    @pytest.mark.parametrize("form, N", [("q", 1), ("q", 2), ("q", 3), ("p", 1), ("p", 2), ("w", 2)])
+    def test_value_is_a_python_complex(self, form, N, T):
+        # the W form at T > 0 returned np.complex128
+        r = quadrature_K(form, harmonic_hamiltonian(CTX), 0.3, 0.5j, T, N, DiscGridSpec(points=16))
+        assert type(r.value) is complex
 
     @pytest.mark.parametrize("zp,zpp", [(0.3, 0.5), (0.4 + 0.1j, -0.2 + 0.5j)])
     @pytest.mark.parametrize("T", [0.2, 0.6])
