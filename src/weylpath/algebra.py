@@ -144,40 +144,33 @@ class OperatorPoly:
         return OperatorPoly(_in_range(acc, "a coefficient of the product"), self.hbar)
 
 
-@lru_cache(maxsize=64)
-def _compile_jets(source: str):
-    """Compiled jet or flow source; it depends on the exponents only, so
-    symbols of one shape (any coefficients) share it."""
-    return compile(source, "<SymbolPoly.jet>", "exec")
-
-
-def _straight_line(parts, variables=("v", "u")) -> tuple[str, list, dict]:
-    """Power table, a ``c x^m y^n`` sum per term map ((x, y) = variables), coefficients by name.
-
-    Each power is multiplied out of lower ones as CPython's complex ``**``
-    does (u3 = u u2, u4 = u2 u2, u5 = u u4): the same scalars without the
-    call, and on numpy arrays the same numbers element by element, faster
+def _power(powers: dict, k: int):
+    """x^k from ``powers`` (k -> x^k, holding 1 -> x), each power multiplied out of lower ones
+    as CPython's complex ``**`` does (x3 = x x2, x4 = x2 x2, x5 = x x4) and kept: the same
+    scalars without the call, and on numpy arrays the same numbers element by element, faster
     than ``x ** k``."""
-    table: dict = {}  # (x, k) -> the line defining x^k, after the lines it reads
+    if k not in powers:
+        high = 1 << (k.bit_length() - 1)
+        low = k - high or high // 2
+        powers[k] = _power(powers, low) * _power(powers, k - low)
+    return powers[k]
 
-    def name(x: str, k: int) -> str:
-        if k > 1 and (x, k) not in table:
-            high = 1 << (k.bit_length() - 1)
-            low = k - high or high // 2
-            table[(x, k)] = f"    {x}{k} = {name(x, low)} * {name(x, k - low)}\n"
-        return x if k == 1 else f"{x}{k}"
 
-    coeffs: dict = {}
+def _evaluate(parts: tuple, x, y) -> tuple:
+    """The sum of ``c x^m y^n`` over each term tuple ``(((m, n), c), ...)`` of ``parts``.
+
+    A term has no factor of exponent 0, the terms are added left to right from the first, and
+    an empty tuple sums to ``0j``; only the powers the terms read are built, once per call."""
+    xs, ys = {1: x}, {1: y}
     sums = []
-    for part in parts:
-        products = []
-        for (m, n), c in part.items():
-            label = f"c{len(coeffs)}"
-            coeffs[label] = c
-            factors = [name(x, k) for x, k in zip(variables, (m, n)) if k]
-            products.append(" * ".join([label, *factors]))
-        sums.append(" + ".join(products) or "0j")
-    return "".join(table.values()), sums, coeffs
+    for terms in parts:
+        total = None
+        for (m, n), c in terms:
+            term = c * _power(xs, m) if m else c
+            term = term * _power(ys, n) if n else term
+            total = term if total is None else total + term
+        sums.append(0j if total is None else total)
+    return tuple(sums)
 
 
 def _derivative(terms: dict, wrt: str) -> dict:
@@ -203,10 +196,6 @@ class SymbolPoly:
 
     def __init__(self, terms: dict):
         self.terms = _term_map(terms)
-
-    def __reduce__(self):
-        # the compiled jets are rebuilt on first use, not pickled
-        return SymbolPoly, (self.terms,)
 
     def __repr__(self):
         inner = ", ".join(
@@ -237,26 +226,15 @@ class SymbolPoly:
         return SymbolPoly(_trim(self.terms))
 
     @cached_property
-    def _jets(self) -> dict:
-        """The jet of each order, compiled once per symbol; the coefficients
-        are bound by name, so the source holds only exponents."""
-        table, sums, coeffs = _straight_line((self.terms, *_partials(self.terms)))
-        source = "".join(
-            f"def jet{order}(u, v):\n{table}    return ({', '.join(sums[:count])},)\n"
-            for order, count in ((0, 1), (1, 3), (2, 6))
-        )
-        exec(_compile_jets(source), coeffs)
-        return {order: coeffs[f"jet{order}"] for order in (0, 1, 2)}
+    def _jet_terms(self) -> tuple:
+        """The term tuples of H, H_u, H_v, H_uu, H_vv and H_uv, built once per symbol."""
+        return tuple(tuple(part.items()) for part in (self.terms, *_partials(self.terms)))
 
     @cached_property
-    def _flow(self) -> tuple:
-        qp = symbol_to_qp(self, ScaleContext())  # q^j p^k as the term (j, k)
-        table, (hp, hq, hpp, hqq, hqp), coeffs = _straight_line(_partials(qp), ("q", "p"))
-        source = (
-            f"def flow(q, p):\n{table}    return ih * ({hp}), mih * ({hq})\n"
-            f"def hessian(q, p):\n{table}    return ih * ({hqp}), ih * ({hpp}), ih * ({hqq})\n"
-        )
-        return _compile_jets(source), coeffs
+    def _flow_terms(self) -> tuple:
+        """The term tuples of H_p, H_q, H_pp, H_qq and H_qp, q^j p^k as the term (j, k)."""
+        qp = symbol_to_qp(self, ScaleContext())
+        return tuple(tuple(part.items()) for part in _partials(qp))
 
     def flow(self, hbar: float) -> tuple:
         """Hamilton's flow of the symbol in q = (u + v)/sqrt(2), p = (u - v)/(i sqrt(2)),
@@ -266,13 +244,21 @@ class SymbolPoly:
         ``hessian(q, p)`` = (H_qp, H_pp, H_qq) / hbar, the entries of the linearised flow
         d(dq, dp)/dt = [[H_qp, H_pp], [-H_qq, -H_qp]] (dq, dp) / hbar.
 
-        Both are straight-line code compiled once per symbol from the (q, p) symbol's power
-        chains, so they equal the same expressions built from that symbol's :meth:`jet`
-        exactly.  On arrays a constant entry stays a scalar."""
-        code, coeffs = self._flow
-        namespace = dict(coeffs, ih=1.0 / hbar, mih=-(1.0 / hbar))
-        exec(code, namespace)
-        return namespace["flow"], namespace["hessian"]
+        Both sum the (q, p) symbol's partials through the one evaluator :meth:`jet` uses, so
+        they equal the same expressions built from that symbol's :meth:`jet` exactly.  On
+        arrays a constant entry stays a scalar."""
+        h_p, h_q, h_pp, h_qq, h_qp = self._flow_terms
+        ih = 1.0 / hbar
+
+        def flow(q, p):
+            d_p, d_q = _evaluate((h_p, h_q), q, p)
+            return ih * d_p, -ih * d_q
+
+        def hessian(q, p):
+            d_qp, d_pp, d_qq = _evaluate((h_qp, h_pp, h_qq), q, p)
+            return ih * d_qp, ih * d_pp, ih * d_qq
+
+        return flow, hessian
 
     def jet(self, u, v, order: int = 2) -> tuple:
         """Value and exact partials (H, H_u, H_v, H_uu, H_vv, H_uv) at (u, v).
@@ -285,11 +271,9 @@ class SymbolPoly:
         """
         if type(order) is not int:
             require_index(order, "order")  # a boolean or a non-integer
-        try:
-            compiled = self._jets[order]
-        except KeyError:
-            raise InvalidArgument("order must be 0, 1 or 2") from None
-        out = compiled(u, v)
+        if order not in (0, 1, 2):
+            raise InvalidArgument("order must be 0, 1 or 2")
+        out = _evaluate(self._jet_terms[: (1, 3, 6)[order]], v, u)
         if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
             shape = np.broadcast_shapes(np.shape(u), np.shape(v))
             out = tuple(
@@ -428,8 +412,8 @@ def symbol_for_form(op: OperatorPoly, form: str) -> SymbolPoly:
     """Symbol exp(s d_u d_v) A_Q of the form named q, p or w (s from ``FORM_S``).
 
     One symbol per content of ``op`` (terms in their stored order and hbar) and s, built on
-    first use, so its compiled flow and jets are built once; the 64 most recently used are
-    kept, as Fock oracles are.
+    first use, so the term tuples its flow and jets sum are built once; the 64 most recently
+    used are kept, as Fock oracles are.
     """
     return _symbol(tuple(op.terms.items()), op.hbar, form_s(form))
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import _EXPORTS
 from .algebra import OperatorPoly, ScaleContext, SymbolPoly
-from .errors import DomainError, InvalidArgument, finite_double, refine
-from .errors import require_finite, require_index, require_nonnegative, require_positive
+from .errors import DomainError, InvalidArgument, finite_double, refine, require_finite
+from .errors import require_index, require_nonnegative, require_positive, require_scalar
 
 __all__ = _EXPORTS["coherent"].split()
 
@@ -239,11 +239,11 @@ def exact_propagator(
     NonConverged
         If doubling the cutoff moves the result by more than the tolerance.
     InvalidArgument
-        If T is negative, T or a label is not finite, ``cutoff`` is not an integer
+        If T is negative, T or a label is not a finite scalar, ``cutoff`` is not an integer
         of at least 0 and the degree of H, or ``check_tolerance`` is not positive.
     """
     require_nonnegative(T=T)  # before an oracle is built
-    require_finite(z1=z1, z2=z2)
+    require_scalar(z1=z1, z2=z2)
     require_positive(check_tolerance=check_tolerance)
     _require_oracle_fits(cutoff, 2)
     base = _cached_oracle(H, cutoff).propagator(z1, z2, T)
@@ -345,8 +345,10 @@ def weyl_element(A_W: SymbolPoly, z1: complex, z2: complex) -> complex:
         ``GH_TOLERANCE``.
     DomainError
         If the sum at either node count is not a finite double.
+    InvalidArgument
+        If a label is not a finite scalar.
     """
-    require_finite(z1=z1, z2=z2)
+    require_scalar(z1=z1, z2=z2)
     coarse, fine = (
         finite_double(lambda: _weyl_element_fixed(A_W, z1, z2, n), f"the {n}-node Gauss-Hermite sum")
         for n in (GH_NODES, 2 * GH_NODES)

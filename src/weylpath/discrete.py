@@ -21,8 +21,8 @@ import numpy as np
 from . import _EXPORTS
 from .algebra import FORM_S, OperatorPoly, SymbolPoly, form_s, symbol_for_form
 from .coherent import _require_dense, harmonic_exact_K, overlap
-from .errors import DomainError, InvalidArgument, finite_double, refine
-from .errors import require_finite, require_index, require_nonnegative, require_positive
+from .errors import DomainError, InvalidArgument, finite_double, refine, require_finite
+from .errors import require_index, require_nonnegative, require_positive, require_scalar
 
 __all__ = _EXPORTS["discrete"].split()
 
@@ -208,7 +208,7 @@ def stationary_path_harmonic(
     a path beyond ``DENSE_BYTES`` raises :class:`DomainError` before it is built.
     """
     require_index(N, "N", 2)
-    require_finite(zp=zp, zpp=zpp, omega=omega, T=T)
+    require_scalar(zp=zp, zpp=zpp, omega=omega, T=T)
     _require_dense(48 * N, f"a stationary path of {N} midpoints")  # traced peak: 48.1-49.3
     tau = T / N
     alpha = 1.0 + 0.5j * tau * omega
@@ -253,7 +253,7 @@ def harmonic_discrete_K(
     """
     s = form_s(form)
     form = form.lower()
-    require_finite(zp=zp, zpp=zpp)
+    require_scalar(zp=zp, zpp=zpp)
     mu = _mu(form, omega, T, N)
     if form == "w" and N % 2 != 0:
         raise InvalidArgument("the W form requires even N")
@@ -437,12 +437,12 @@ def quadrature_K(
         If refinement moves the value by more than ``grid.tolerance``, or
         by a non-finite amount when no tolerance is set.
     InvalidArgument
-        If the form is not q, p or w, a label or T is not finite, T is negative, N is below 1
-        or the W form gets odd N.
+        If the form is not q, p or w, a label or T is not a finite scalar, T is negative, N is
+        below 1 or the W form gets odd N.
     """
     form_s(form)  # refuses a name other than q, p or w, and a non-string
     form = form.lower()
-    require_finite(zp=zp, zpp=zpp)
+    require_scalar(zp=zp, zpp=zpp)
     require_nonnegative(T=T)
     require_index(N, "N", 1)
     dims = 2 * (N - 1) if form == "q" else 2 * N

@@ -102,11 +102,22 @@ def require_finite(**values) -> None:
             raise InvalidArgument(f"{name} must be finite, got {val}")
 
 
-def require_nonnegative(**values) -> None:
-    """Raise InvalidArgument naming the first value that is not a finite real scalar of at least 0."""
+def require_scalar(**values) -> None:
+    """Raise InvalidArgument naming the first value that ``require_finite`` refuses or that has a
+    dimension (an array or a list); a numpy scalar or a 0-d array passes."""
     require_finite(**values)
     for name, val in values.items():
-        if np.ndim(val) or np.iscomplexobj(val) or val < 0:
+        if np.ndim(val):
+            shape = np.shape(val)
+            raise InvalidArgument(f"{name} must be a scalar, got an array of shape {shape}")
+
+
+def require_nonnegative(**values) -> None:
+    """Raise InvalidArgument naming the first value that ``require_scalar`` refuses or that is
+    complex or below 0."""
+    require_scalar(**values)
+    for name, val in values.items():
+        if np.iscomplexobj(val) or val < 0:
             raise InvalidArgument(f"{name} must be non-negative, got {val}")
 
 

@@ -26,7 +26,7 @@ __all__ = _EXPORTS["fluctuation"].split()
 
 SINGULAR_VALUE_RATIO = 1e-13  # smallest/largest singular value below this: singular to double precision
 RECURSION_CHUNK = 4096  # transfer matrices det_recursive multiplies as one tree: bounds its working memory
-CONTINUUM_BYTES = 560  # per RK4 step of det_continuum's finest pass: samples, generators and
+CONTINUUM_BYTES = 592  # per RK4 step of det_continuum's finest pass: samples, generators and
 # step matrices (traced peak at 16,384 and 65,536 steps; a checked call has twice the steps)
 
 

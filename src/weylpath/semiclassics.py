@@ -36,8 +36,8 @@ from . import _EXPORTS
 from .algebra import OperatorPoly, SymbolPoly, form_s, symbol_for_form
 from .coherent import _require_dense, overlap
 from .errors import CausticWarning, DomainError, InvalidArgument, NonConverged
-from .errors import finite_double, require_finite, require_index, require_nonnegative
-from .errors import require_positive
+from .errors import finite_double, require_index, require_nonnegative, require_positive
+from .errors import require_scalar
 
 __all__ = _EXPORTS["semiclassics"].split()
 
@@ -290,10 +290,10 @@ def _trajectories(H_sym: SymbolPoly, zp, zpp_star, T, steps, guesses: list, hbar
     if not T > 0:
         raise InvalidArgument(f"T must be positive, got {T!r}")
     require_positive(hbar=hbar, tol=tol)
-    require_finite(zp=zp, zpp_star=zpp_star)
+    require_scalar(zp=zp, zpp_star=zpp_star)
     for guess in guesses:
         if guess is not None:
-            require_finite(guess=guess)
+            require_scalar(guess=guess)
     # Python numbers: numpy scalars and a 0-d array T give the same trajectory, repr included
     T, hbar, tol, steps = float(T), float(hbar), float(tol), require_index(steps, "steps", MIN_STEPS)
     steps += steps % 2  # Simpson-friendly grids
@@ -413,8 +413,8 @@ def solve_bvp(
     InvalidArgument
         If T is not finite and positive (the rule of ``require_nonnegative``,
         plus T > 0), ``hbar`` or ``tol`` is not finite and positive, an
-        endpoint or the guess is not finite, or ``steps`` is a boolean, not
-        an integer or below ``MIN_STEPS``.
+        endpoint or the guess is not a finite scalar, or ``steps`` is a
+        boolean, not an integer or below ``MIN_STEPS``.
     """
     trajectories, failures = _trajectories(H_sym, zp, zpp_star, T, steps, [guess], hbar, tol)
     if failures:
@@ -589,14 +589,14 @@ def semiclassical_K(
         ``steps`` would exceed the memory budget.
     InvalidArgument
         If ``form`` is not a string naming q, p or w, T is negative or not
-        finite, an endpoint is not finite, ``steps`` is a boolean or not an
+        finite, an endpoint is not a finite scalar, ``steps`` is a boolean or not an
         integer, or (for T > 0) ``guesses`` is empty, ``tol`` is not finite
-        and positive, ``steps`` is below ``MIN_STEPS`` or a guess is not
-        finite (every guess is checked before the first is solved).
+        and positive, ``steps`` is below ``MIN_STEPS`` or a guess is not a
+        finite scalar (every guess is checked before the first is solved).
     """
     s = form_s(form)
     form = form.lower()
-    require_finite(zp=zp, zpp=zpp)
+    require_scalar(zp=zp, zpp=zpp)
     require_nonnegative(T=T)
     steps = require_index(steps, "steps")
     sigma = 1.0 + 2.0 * s  # exact for s = 0, -1, -1/2

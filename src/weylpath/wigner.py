@@ -42,7 +42,7 @@ from .algebra import OperatorPoly, ScaleContext
 from .coherent import _cached_oracle, _labels, _require_dense, coherent_matrix
 from .discrete import DiscreteWPath, _alternating, chord_coefficients
 from .errors import DomainError, InvalidArgument, refine
-from .errors import require_finite, require_index, require_positive
+from .errors import require_finite, require_index, require_positive, require_scalar
 
 __all__ = _EXPORTS["wigner"].split()
 
@@ -254,10 +254,10 @@ def weyl_U_grid(
         If halving the chord step moves any grid value beyond
         ``CHORD_TOLERANCE``.
     InvalidArgument
-        If T or an axis is not finite, an axis is complex, not 1-D or empty, the q axis is not
-        uniform, or ``ctx.hbar`` is not ``H.hbar``.
+        If T is not a finite scalar, an axis is not finite or is complex, not 1-D or empty, the
+        q axis is not uniform, or ``ctx.hbar`` is not ``H.hbar``.
     """
-    require_finite(T=T)  # before the lattice and the oracle are built
+    require_scalar(T=T)  # before the lattice and the oracle are built
     _require_hbar(H, ctx)
     qs, ps = _axes(qs, ps)
     q_max = np.max(np.abs(qs))
@@ -315,10 +315,10 @@ def husimi_U_grid(
         If a grid label is not resolved by ``cutoff``, or a phase E_k T/hbar leaves the double
         range.
     InvalidArgument
-        If T or an axis is not finite, an axis is complex, not 1-D or empty, or ``ctx.hbar`` is
-        not ``H.hbar``.
+        If T is not a finite scalar, an axis is not finite or is complex, not 1-D or empty, or
+        ``ctx.hbar`` is not ``H.hbar``.
     """
-    require_finite(T=T)  # before the coherent columns and the oracle are built
+    require_scalar(T=T)  # before the coherent columns and the oracle are built
     _require_hbar(H, ctx)
     qs, ps = _axes(qs, ps)
     cols = coherent_matrix(ctx.z_from_qp(*np.meshgrid(qs, ps, indexing="ij")), cutoff)
@@ -402,9 +402,9 @@ def area_identity(
     z_x = (q/b + i p/c)/sqrt(2); rhs resolves the same number into oriented
     areas sum_k (-1)^(k+1) (2i/hbar)(Q_k p - P_k q) with (Q_k, P_k) the
     phase-space decomposition of w_k.  The rhs involves no widths at all.
-    A boolean or non-finite q or p raises :class:`InvalidArgument`.
+    A q or p that is not a finite scalar (a boolean included) raises :class:`InvalidArgument`.
     """
-    require_finite(q=q, p=p)
+    require_scalar(q=q, p=p)
     C, Cbar = chord_coefficients(path)
     c_star = -Cbar  # equals conj(C) on real-section paths
     z_x = ctx.z_from_qp(q, p)

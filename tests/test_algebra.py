@@ -36,7 +36,7 @@ from weylpath import (
 )
 import weylpath
 from weylpath import algebra, coherent, discrete, fluctuation, semiclassics, wigner
-from weylpath.algebra import FORM_S, _apply_exp_mixed, _partials, _straight_line
+from weylpath.algebra import FORM_S, _apply_exp_mixed
 from weylpath.errors import DomainError, HamiltonianFormatError, InvalidArgument, WeylPathError
 
 
@@ -548,11 +548,38 @@ def test_booleans_are_not_numbers(call, name, true):
 
 
 class TestJet:
-    def test_generated_source_has_no_power_operator(self):
+    def test_powers_are_multiplied_out_without_the_power_operator(self):
+        # the evaluator forms each power as a product of two lower ones along one chain
+        # (x7 = x3 x4, x6 = x2 x4) for the jets, the flow and the Hessian, and never calls **
+        products = []
+
+        class Power:
+            def __init__(self, name, k):
+                self.name, self.k = name, k
+
+            def __mul__(self, other):  # a coefficient or the other variable keeps the power
+                if isinstance(other, Power) and other.name == self.name:
+                    products.append((self.name, self.k + other.k, self.k, other.k))
+                    return Power(self.name, self.k + other.k)
+                return self
+
+            __rmul__ = __mul__
+
+            def __add__(self, other):
+                return self
+
+            def __pow__(self, k):
+                raise AssertionError(f"{self.name} ** {k}")
+
         sym = SymbolPoly({(6, 0): 0.3 - 0.1j, (0, 5): 0.2j, (3, 2): 0.1, (7, 7): 1.0})
-        table, sums, _ = _straight_line((sym.terms, *_partials(sym.terms)))
-        assert "u7 = u3 * u4" in table and "v6 = v2 * v4" in table
-        assert "**" not in table + "".join(sums)
+        sym.jet(Power("u", 1), Power("v", 1))
+        assert ("u", 7, 3, 4) in products and ("v", 6, 2, 4) in products
+        for f in sym.flow(0.5):
+            f(Power("q", 1), Power("p", 1))
+        assert {name for name, *_ in products} == {"u", "v", "q", "p"}
+        for _, k, low, high in products:
+            top = 1 << (k.bit_length() - 1)
+            assert (low, high) == ((k - top or top // 2), k - (k - top or top // 2))
 
     def test_plain_product(self):
         H, Hu, Hv, Huu, Hvv, Huv = SymbolPoly({(1, 1): 1.0}).jet(2.0, 3.0)
@@ -591,8 +618,9 @@ class TestJet:
         assert np.max(np.abs(fd - exact)) < 1e-8
 
     def test_order_validation(self):
-        with pytest.raises(ValueError):
-            SymbolPoly({}).jet(0, 0, order=3)
+        for order in (-1, 3):  # -1 would index a tuple of the three orders from its end
+            with pytest.raises(InvalidArgument, match="^order must be 0, 1 or 2$"):
+                SymbolPoly({}).jet(0, 0, order=order)
 
     @pytest.mark.parametrize(
         "order, message",

@@ -584,6 +584,17 @@ def test_no_module_spells_out_its_all():
     assert spelled == []
 
 
+def test_no_module_runs_generated_code():
+    """Every number comes from code as written: no src file calls the builtins ``exec``, ``eval``
+    or ``compile``."""
+    calls = [
+        f"{name}:{node.lineno} calls {node.func.id}" for name, tree in _src_trees().items()
+        for node in ast.walk(tree) if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) in ("exec", "eval", "compile")
+    ]
+    assert calls == []
+
+
 # Functions outside errors.py that test finiteness or booleans themselves, each with its reason;
 # every other check goes through the errors module (require_*, finite_double).
 OWN_CHECKS = {

@@ -724,6 +724,61 @@ def test_bad_argument_refused_before_work(call, message):
     assert coherent._oracle.cache_info() == cached
 
 
+PAIR = np.array([0.3, 0.4])
+PATH = stationary_path_harmonic(0.5, 0.3 + 0.4j, 1.0, 1.0, 4)
+# (entry point, argument, case) -> the call with that scalar argument a 1-D array
+ARRAY_ARGUMENTS = {
+    ("exact_propagator", "z1", ""): lambda: exact_propagator(H_QUARTIC, PAIR, 0.3, 0.5),
+    ("exact_propagator", "z2", ""): lambda: exact_propagator(H_QUARTIC, 0.3, PAIR, 0.5),
+    ("exact_propagator", "T", ""): lambda: exact_propagator(H_QUARTIC, 0.3, 0.2, PAIR),
+    ("semiclassical_K", "zp", ""): lambda: semiclassical_K("w", H_QUARTIC, PAIR, 0.2, 0.5),
+    ("semiclassical_K", "zpp", "T0"): lambda: semiclassical_K("w", H_QUARTIC, 0.3, PAIR, 0.0),
+    ("semiclassical_K", "guess", ""):
+        lambda: semiclassical_K("w", H_QUARTIC, 0.3, 0.2, 0.5, guesses=[None, PAIR]),
+    ("solve_bvp", "zp", ""): lambda: solve_bvp(weyl_symbol(H_QUARTIC), PAIR, 0.2, 0.5),
+    ("solve_bvp", "zpp_star", ""): lambda: solve_bvp(weyl_symbol(H_QUARTIC), 0.3, PAIR, 0.5),
+    ("solve_bvp", "guess", ""): lambda: solve_bvp(weyl_symbol(H_QUARTIC), 0.3, 0.2, 0.5, guess=PAIR),
+    ("harmonic_discrete_K", "zp", ""): lambda: harmonic_discrete_K("w", PAIR, 0.2, 1.0, 0.5, 4),
+    ("harmonic_discrete_K", "zpp", ""): lambda: harmonic_discrete_K("q", 0.3, PAIR, 1.0, 0.5, 4),
+    ("quadrature_K", "zp", ""): lambda: quadrature_K("q", H_QUARTIC, PAIR, 0.2, 0.5, 1),
+    ("quadrature_K", "zpp", ""): lambda: quadrature_K("w", H_QUARTIC, 0.3, PAIR, 0.5, 2),
+    ("weyl_element", "z1", ""): lambda: weyl_element(weyl_symbol(H_QUARTIC), PAIR, 0.2),
+    ("weyl_element", "z2", ""): lambda: weyl_element(weyl_symbol(H_QUARTIC), 0.3, PAIR),
+    ("stationary_path_harmonic", "zp", ""): lambda: stationary_path_harmonic(PAIR, 0.2, 1.0, 0.5, 4),
+    ("stationary_path_harmonic", "zpp", ""): lambda: stationary_path_harmonic(0.3, PAIR, 1.0, 0.5, 4),
+    ("weyl_U_grid", "T", ""): lambda: weyl_U_grid(H_QUARTIC, CTX, PAIR, *AXES, cutoff=73),
+    ("husimi_U_grid", "T", ""): lambda: husimi_U_grid(H_QUARTIC, CTX, PAIR, *AXES, cutoff=73),
+    ("area_identity", "q", ""): lambda: wigner.area_identity(PATH, PAIR, 0.2, CTX),
+    ("area_identity", "p", ""): lambda: wigner.area_identity(PATH, 0.3, [0.3, 0.4], CTX),
+}
+
+
+@pytest.mark.parametrize("key", list(ARRAY_ARGUMENTS),
+                         ids=["-".join(filter(None, key)) for key in ARRAY_ARGUMENTS])
+def test_array_refused_where_a_scalar_is_required(key):
+    """A 1-D array (or list) for a scalar argument is an InvalidArgument naming it, raised before
+    any oracle is built: exact_propagator returned <0.4|U|0.3> for z1 = [0.3, 0.4], and every
+    other case ended in a TypeError or ValueError from Python or numpy."""
+    cached = coherent._oracle.cache_info()
+    message = rf"^{key[1]} must be a scalar, got an array of shape \(2,\)$"
+    with pytest.raises(InvalidArgument, match=message):
+        ARRAY_ARGUMENTS[key]()
+    assert coherent._oracle.cache_info() == cached
+
+
+def test_numpy_scalars_and_0d_arrays_are_scalars():
+    """A numpy scalar or a 0-d array passes where a scalar is required, with the same value."""
+    z1, z2, T = np.complex128(0.3 + 0.1j), np.array(0.2j), np.array(0.5)
+    assert exact_propagator(H_QUARTIC, z1, z2, T, cutoff=60) == exact_propagator(
+        H_QUARTIC, 0.3 + 0.1j, 0.2j, 0.5, cutoff=60)
+    sym = weyl_symbol(H_QUARTIC)
+    assert weyl_element(sym, z1, z2) == weyl_element(sym, 0.3 + 0.1j, 0.2j)
+    assert wigner.area_identity(PATH, np.float64(0.3), np.array(0.2), CTX) == wigner.area_identity(
+        PATH, 0.3, 0.2, CTX)
+    assert np.array_equal(husimi_U_grid(H_QUARTIC, CTX, T, *AXES, cutoff=80).values,
+                          husimi_U_grid(H_QUARTIC, CTX, 0.5, *AXES, cutoff=80).values)
+
+
 @pytest.mark.parametrize(
     "call",
     [
