@@ -1,8 +1,8 @@
 """Coherent-state kinematics and the truncated-Fock-space exact oracle.
 
 Everything here is meant to be boringly reliable: dense Hermitian matrices,
-eigendecompositions, Gauss-Hermite quadrature.  The rest of the package is
-validated against these routines.
+eigendecompositions, closed forms.  The rest of the package is validated
+against these routines.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _EXPORTS
-from .algebra import OperatorPoly, ScaleContext, SymbolPoly
+from .algebra import FORM_S, OperatorPoly, ScaleContext, SymbolPoly, _apply_exp_mixed
 from .errors import DomainError, InvalidArgument, finite_double, refine, require_finite
 from .errors import require_index, require_nonnegative, require_positive, require_scalar
 
@@ -22,8 +22,6 @@ __all__ = _EXPORTS["coherent"].split()
 
 DEFAULT_CUTOFF = 80
 TAIL_THRESHOLD = 1e-12  # largest truncated tail mass allowed for any coherent label
-GH_NODES = 64  # Gauss-Hermite nodes per axis in weyl_element
-GH_TOLERANCE = 1e-9  # node-doubling tolerance of weyl_element
 CUTOFF_TOLERANCE = 1e-10  # default cutoff-doubling tolerance of exact_propagator
 DENSE_BYTES = 2**31  # largest dense arrays one call builds, each counted by _require_dense first
 COHERENT_BYTES = 32  # per Fock state and label, plus one label for the tables, in coherent_matrix:
@@ -289,15 +287,17 @@ def harmonic_exact_K(z1: complex, z2: complex, omega: float, T: float) -> comple
     ------
     DomainError
         If the closed form is not a finite double (|z|^2 beyond the double range).
+    InvalidArgument
+        If a label, omega or T is not a finite scalar.
     """
-    require_finite(z1=z1, z2=z2, omega=omega, T=T)
+    require_scalar(z1=z1, z2=z2, omega=omega, T=T)
     mu = np.exp(-1j * omega * T)
-    return finite_double(
+    return complex(finite_double(
         lambda: np.exp(-0.5j * omega * T) * np.exp(
             mu * z1 * np.conj(z2) - 0.5 * abs(z1) ** 2 - 0.5 * abs(z2) ** 2
         ),
         "the harmonic closed form <z2|U|z1>",
-    )
+    ))
 
 
 def displacement_element(q: float, p: float, z1, z2, ctx: ScaleContext):
@@ -308,50 +308,25 @@ def displacement_element(q: float, p: float, z1, z2, ctx: ScaleContext):
     return overlap(z2, z1 + z) * np.exp(1j * np.imag(z * np.conj(z1)))
 
 
-@lru_cache(maxsize=8)
-def _gh_nodes(n: int):
-    return np.polynomial.hermite.hermgauss(n)
-
-
-def _weyl_element_fixed(
-    A_W: SymbolPoly, z1: complex, z2: complex, nodes: int
-) -> complex:
-    # Completing the square puts the centres at complex points; the shifted
-    # contour is legitimate because the integrand is entire in (x, y).
-    x0 = 0.5 * (np.conj(z2) + z1)
-    y0 = 0.5j * (np.conj(z2) - z1)
-    t, wts = _gh_nodes(nodes)
-    xs = x0 + t / math.sqrt(2.0)
-    ys = y0 + t / math.sqrt(2.0)
-    u = xs[:, None] + 1j * ys[None, :]
-    v = xs[:, None] - 1j * ys[None, :]  # analytic continuation of conj(w)
-    vals = A_W.eval(u, v)
-    acc = wts @ vals @ wts
-    return complex(acc / math.pi * overlap(z2, z1))
-
-
 def weyl_element(A_W: SymbolPoly, z1: complex, z2: complex) -> complex:
     """Coherent matrix element <z2|A|z1> from the Weyl symbol of A.
 
-    Evaluates ``2 int (dw dw*/2 pi i) A(w, w*) exp(-2|w|^2 + 2 conj(z2) w
-    + 2 z1 w* - |z2|^2/2 - |z1|^2/2 - conj(z2) z1)`` with tensor-product
-    Gauss-Hermite quadrature aligned to the Gaussian factor; for polynomial
-    symbols below the quadrature degree the result is exact to rounding.
+    The paper's midpoint integral ``2 int (dw dw*/2 pi i) A(w, w*) exp(-2|w|^2 + 2 conj(z2) w
+    + 2 z1 w* - |z2|^2/2 - |z1|^2/2 - conj(z2) z1)`` of a polynomial symbol is exactly
+    ``A_Q(z1, conj z2) <z2|z1>``, with ``A_Q = exp(d_u d_v / 2) A_W`` the Q symbol: the
+    s-ordering map of Cahill and Glauber (Phys. Rev. 177, 1857, 1969) that
+    :func:`algebra.weyl_quantize` applies.  A label given as a numpy scalar or a 0-d array
+    gives the Python scalar's value, bit for bit.
 
     Raises
     ------
-    NonConverged
-        If doubling ``GH_NODES`` moves the result by more than
-        ``GH_TOLERANCE``.
     DomainError
-        If the sum at either node count is not a finite double.
+        If a coefficient of A_Q (the error names its term) or the product is not a finite double.
     InvalidArgument
         If a label is not a finite scalar.
     """
     require_scalar(z1=z1, z2=z2)
-    coarse, fine = (
-        finite_double(lambda: _weyl_element_fixed(A_W, z1, z2, n), f"the {n}-node Gauss-Hermite sum")
-        for n in (GH_NODES, 2 * GH_NODES)
-    )
-    what = f"doubling {GH_NODES} -> {2 * GH_NODES} Gauss-Hermite nodes"
-    return refine(coarse, fine, GH_TOLERANCE, what)[0]
+    z1, z2 = complex(z1), complex(z2)
+    a_q = SymbolPoly(_apply_exp_mixed(A_W.terms, -FORM_S["w"]))
+    what = "the matrix element A_Q(z1, conj z2) <z2|z1>"
+    return complex(finite_double(lambda: a_q.eval(z1, z2.conjugate()) * overlap(z2, z1), what))

@@ -60,6 +60,7 @@ class DiscreteWPath:
         if len(w) % 2 != 0 or len(w) == 0:
             raise InvalidArgument("N must be a positive even integer")
         require_finite(w=w, w_star=ws)
+        require_scalar(zp=self.zp, zpp=self.zpp)
         require_positive(tau=self.tau, hbar=self.hbar)
 
     @property
@@ -222,7 +223,7 @@ def stationary_path_harmonic(
 def _mu(form: str, omega: float, T: float, N: int) -> complex:
     """mu_s of the form named q, p or w, checked as in :func:`mu_coefficients`."""
     require_index(N, "N", 1)
-    require_finite(omega=omega, T=T)
+    require_scalar(omega=omega, T=T)
     x, s = T / N * omega, FORM_S[form]
     return finite_double(
         lambda: (1.0 - 1j * (x * (1.0 + s))) ** N * (1.0 - 1j * (x * s)) ** (-N),
@@ -235,7 +236,8 @@ def mu_coefficients(omega: float, T: float, N: int):
 
     mu_s = (1 - i tau w (1 + s))^N (1 - i tau w s)^-N, tau = T/N, with s from
     ``algebra.FORM_S``; all three tend to exp(-i w T).  A mu_s that is not a
-    finite double raises DomainError, an N below 1 or a non-finite omega or T InvalidArgument.
+    finite double raises DomainError, an N below 1 or an omega or T that is not a finite scalar
+    InvalidArgument.
     """
     return tuple(_mu(form, omega, T, N) for form in FORM_S)
 

@@ -61,7 +61,7 @@ class PhaseSpaceGrid:
     values: np.ndarray  # shape (len(qs), len(ps))
 
     def __post_init__(self):
-        if self.values.shape != (len(self.qs), len(self.ps)):
+        if np.shape(self.values) != (len(self.qs), len(self.ps)):
             raise InvalidArgument("values shape does not match the axes")
 
     def same_geometry(self, other: "PhaseSpaceGrid") -> bool:

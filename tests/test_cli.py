@@ -1,6 +1,8 @@
 import ast
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -582,6 +584,20 @@ def test_no_module_spells_out_its_all():
         and "__all__" in map(ast.unparse, getattr(node, "targets", None) or [node.target])
     ]
     assert spelled == []
+
+
+def test_readme_names_resolve():
+    """Every ``module.NAME`` that README.md names, for the eight weylpath modules, is an attribute
+    of that module, so a constant or helper the code drops leaves the README too; a file name
+    such as ``coherent.py`` is no reference."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        text = fh.read()
+    modules = "algebra cli coherent discrete errors fluctuation semiclassics wigner".split()
+    refs = set(re.findall(rf"\b({'|'.join(modules)})\.(\w+)", text)) - {(m, "py") for m in modules}
+    assert len(refs) >= 40  # the pattern still finds the README's references
+    missing = {f"{module}.{name}" for module, name in refs
+               if not hasattr(importlib.import_module(f"weylpath.{module}"), name)}
+    assert missing == set()
 
 
 def test_no_module_runs_generated_code():

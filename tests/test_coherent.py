@@ -363,11 +363,39 @@ class TestDisplacementElement:
         assert abs(composed - overlap(z2, z1)) < 1e-8
 
 
+def midpoint_integral(A_W: SymbolPoly, z1: complex, z2: complex, nodes: int = 256) -> complex:
+    """The paper's <z2|A|z1> = 2 int (dw dw*/2 pi i) A_W(w, w*) exp(-2|w|^2 + 2 conj(z2) w
+    + 2 z1 w* - |z2|^2/2 - |z1|^2/2 - conj(z2) z1) as a tensor Gauss-Hermite sum.
+
+    Completing the square centres the Gaussian at complex points; the shifted contour is
+    legitimate because the integrand is entire in w = x + iy, with w* continued as x - iy."""
+    t, wts = np.polynomial.hermite.hermgauss(nodes)
+    x = 0.5 * (np.conj(z2) + z1) + t / math.sqrt(2.0)
+    y = 0.5j * (np.conj(z2) - z1) + t / math.sqrt(2.0)
+    u, v = x[:, None] + 1j * y[None, :], x[:, None] - 1j * y[None, :]
+    return complex(wts @ A_W.eval(u, v) @ wts / math.pi * overlap(z2, z1))
+
+
 class TestWeylElement:
     def test_overflowing_pass_is_a_domain_error(self):
-        # ended in an overflow RuntimeWarning, or NonConverged "moved the result by nan"
-        with pytest.raises(DomainError, match="^the 64-node Gauss-Hermite sum is not a finite double$"):
+        # ended in an overflow RuntimeWarning, or NonConverged "moved the result by nan"; the
+        # ordering map names the first coefficient of A_Q beyond the double range
+        message = r"^term \(40, 40\): the coefficient of v\^36 u\^36 is not a finite double$"
+        with pytest.raises(DomainError, match=message):
             weyl_element(SymbolPoly({(40, 40): 1e300}), 0.3, 0.2)
+
+    @pytest.mark.parametrize("z1, z2", [(0.3, 0.2j), (0.5 - 0.2j, -0.1 + 0.4j), (-0.7 + 0.1j, 0.2 - 0.6j)])
+    def test_the_midpoint_integral(self, z1, z2):
+        # A_Q(z1, conj z2) <z2|z1> is the paper's integral, at degrees the 64- and 128-node sums
+        # could not agree on within their absolute tolerance: v^40 u^40 at (0.3, 0.2j), of size
+        # 3e36, raised NonConverged ("moved the result by 1.158e+22"), and so did each monomial
+        # here at each label.  A monomial far from balanced is left out: its integrand cancels
+        # beyond the 256-node sum's own precision.
+        quartic = weyl_symbol(quartic_position_hamiltonian(1.0, CTX))
+        for A_W in (SymbolPoly({(40, 40): 1.0}), SymbolPoly({(25, 20): 1.0}),
+                    SymbolPoly({(30, 33): 1.0}), quartic):
+            want = midpoint_integral(A_W, z1, z2)
+            assert abs(weyl_element(A_W, z1, z2) - want) <= 1e-12 * abs(want), A_W
 
     def test_identity_symbol_gives_overlap(self):
         z1, z2 = 0.3 + 0.1j, -0.2 + 0.4j
@@ -403,13 +431,6 @@ class TestWeylElement:
                 v2 = fock_coherent(z2, 60).amplitudes
                 got = weyl_element(weyl_symbol(op), z1, z2)
                 assert abs(got - np.vdot(v2, M @ v1)) < 1e-9, (m, n)
-
-    def test_not_converged_raises(self, monkeypatch):
-        # two nodes cannot integrate a quartic symbol exactly
-        H = quartic_position_hamiltonian(1.0, CTX)
-        monkeypatch.setattr("weylpath.coherent.GH_NODES", 2)
-        with pytest.raises(NonConverged, match="doubling 2 -> 4 Gauss-Hermite nodes"):
-            weyl_element(weyl_symbol(H), 0.9, 0.8)
 
 
 NAN = float("nan")
@@ -539,6 +560,10 @@ H_QUARTIC = quartic_position_hamiltonian(0.1, CTX)
          InvalidArgument, "^q must be finite, got nan$"),  # returned nan+nanj
         (lambda: displacement_element(0.1, 0.0, 0.3, [0.2, math.inf], CTX),
          InvalidArgument, r"^z2 must be finite, got \[0.2, inf\]$"),
+        (lambda: DiscreteWPath(w=np.zeros(2), tau=0.1, zp=NAN, zpp=0.2),
+         InvalidArgument, "^zp must be finite, got nan$"),  # "phi_N is not a finite double" later
+        (lambda: DiscreteWPath(w=np.zeros(2), tau=0.1, zp=0.3, zpp=complex(0.2, math.inf)),
+         InvalidArgument, r"^zpp must be finite, got \(0.2\+infj\)$"),
     ],
     ids=["exact-nan", "exact-inf", "weyl_element", "quadrature_K", "quadrature_K-q1",
          "harmonic_exact_K", "harmonic_discrete_K", "harmonic_exact_K-label",
@@ -561,7 +586,8 @@ H_QUARTIC = quartic_position_hamiltonian(0.1, CTX)
          "harmonic_discrete_K-omega-string", "quadrature_K-zp-nan", "quadrature_K-zpp-inf",
          "hermite_functions-xs-nan", "hermite_functions-b-zero", "hermite_functions-b-nan",
          "smoothing_check-margin-nan", "smoothing_check-margin-negative",
-         "displacement_element-q-nan", "displacement_element-z2-inf"],
+         "displacement_element-q-nan", "displacement_element-z2-inf", "DiscreteWPath-zp-nan",
+         "DiscreteWPath-zpp-inf"],
 )
 def test_non_finite_input_raises(call, error, message):
     """A non-finite or non-numeric T, label, axis, scale, width or tolerance (and a width or
@@ -706,6 +732,8 @@ def test_huge_sizes_refused(key, size):
          "^w and w_star must have the same length$"),
         (lambda: PhaseSpaceGrid(np.zeros(3), np.zeros(2), np.zeros((2, 3))),
          "^values shape does not match the axes$"),
+        (lambda: PhaseSpaceGrid(np.zeros(3), np.zeros(2), [[1.0]]),
+         "^values shape does not match the axes$"),  # an AttributeError: a list has no shape
         (lambda: normalize([(1.0, "adag b")]), "^unknown ladder letter 'b'$"),
     ],
     ids=["exact_propagator-T", "harmonic_exact_K-omega", "harmonic_exact_K-omega-bool",
@@ -713,7 +741,7 @@ def test_huge_sizes_refused(key, size):
          "weyl_element-label", "exact_propagator-label-string", "exact_propagator-T-negative",
          "det_continuum-T-negative", "quadrature_K-T-negative", "semiclassical_K-T-negative",
          "weyl_U_grid-T", "husimi_U_grid-T", "quadrature_K-W-odd-N", "DiscreteWPath-w_star-length",
-         "PhaseSpaceGrid-values-shape", "normalize-letter"],
+         "PhaseSpaceGrid-values-shape", "PhaseSpaceGrid-values-list", "normalize-letter"],
 )
 def test_bad_argument_refused_before_work(call, message):
     """A NaN, boolean, mismatched or unknown argument is an InvalidArgument, raised before any
@@ -740,6 +768,16 @@ ARRAY_ARGUMENTS = {
     ("solve_bvp", "guess", ""): lambda: solve_bvp(weyl_symbol(H_QUARTIC), 0.3, 0.2, 0.5, guess=PAIR),
     ("harmonic_discrete_K", "zp", ""): lambda: harmonic_discrete_K("w", PAIR, 0.2, 1.0, 0.5, 4),
     ("harmonic_discrete_K", "zpp", ""): lambda: harmonic_discrete_K("q", 0.3, PAIR, 1.0, 0.5, 4),
+    ("harmonic_discrete_K", "omega", ""): lambda: harmonic_discrete_K("w", 0.1, 0.2, PAIR, 1.0, 2),
+    ("harmonic_discrete_K", "T", ""): lambda: harmonic_discrete_K("p", 0.1, 0.2, 1.0, PAIR, 2),
+    ("harmonic_exact_K", "z1", ""): lambda: harmonic_exact_K(PAIR, 0.2, 1.0, 0.5),
+    ("harmonic_exact_K", "z2", ""): lambda: harmonic_exact_K(0.3, [0.3, 0.4], 1.0, 0.5),
+    ("harmonic_exact_K", "omega", ""): lambda: harmonic_exact_K(0.3, 0.2, PAIR, 0.5),
+    ("harmonic_exact_K", "T", ""): lambda: harmonic_exact_K(0.3, 0.2, 1.0, PAIR),
+    ("mu_coefficients", "omega", ""): lambda: mu_coefficients(PAIR, 0.5, 4),
+    ("mu_coefficients", "T", ""): lambda: mu_coefficients(1.0, [0.3, 0.4], 4),
+    ("DiscreteWPath", "zp", ""): lambda: DiscreteWPath(w=np.zeros(2), tau=0.1, zp=[0.3, 0.4], zpp=0.2),
+    ("DiscreteWPath", "zpp", ""): lambda: DiscreteWPath(w=np.zeros(2), tau=0.1, zp=0.3, zpp=PAIR),
     ("quadrature_K", "zp", ""): lambda: quadrature_K("q", H_QUARTIC, PAIR, 0.2, 0.5, 1),
     ("quadrature_K", "zpp", ""): lambda: quadrature_K("w", H_QUARTIC, 0.3, PAIR, 0.5, 2),
     ("weyl_element", "z1", ""): lambda: weyl_element(weyl_symbol(H_QUARTIC), PAIR, 0.2),
@@ -757,8 +795,9 @@ ARRAY_ARGUMENTS = {
                          ids=["-".join(filter(None, key)) for key in ARRAY_ARGUMENTS])
 def test_array_refused_where_a_scalar_is_required(key):
     """A 1-D array (or list) for a scalar argument is an InvalidArgument naming it, raised before
-    any oracle is built: exact_propagator returned <0.4|U|0.3> for z1 = [0.3, 0.4], and every
-    other case ended in a TypeError or ValueError from Python or numpy."""
+    any oracle is built: exact_propagator returned <0.4|U|0.3> for z1 = [0.3, 0.4],
+    harmonic_exact_K and mu_coefficients returned arrays, DiscreteWPath stored the array, and
+    every other case ended in a TypeError or ValueError from Python or numpy."""
     cached = coherent._oracle.cache_info()
     message = rf"^{key[1]} must be a scalar, got an array of shape \(2,\)$"
     with pytest.raises(InvalidArgument, match=message):

@@ -378,7 +378,7 @@ class TestHusimiUGrid:
         grid = husimi_U_grid(H_HARM, CTX, T, qs, ps, cutoff=80)
         Q, P = np.meshgrid(qs, ps, indexing="ij")
         Z = CTX.z_from_qp(Q, P)
-        want = harmonic_exact_K(Z, Z, 1.0, T)
+        want = np.array([[harmonic_exact_K(z, z, 1.0, T) for z in row] for row in Z])
         assert np.max(np.abs(grid.values - want)) < 1e-9
 
     def test_values_are_complex(self):
